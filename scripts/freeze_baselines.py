@@ -7,9 +7,11 @@ repository root:
     python3 scripts/freeze_baselines.py
 """
 
+import hashlib
 import json
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -22,10 +24,13 @@ from ballbasis import (Corpus, Params, VecFunction, bmo_bounded_report,
                        general_maximal, good_lambda_report, lerner_decompose,
                        martingale_transform, maximal, riesz_potential,
                        sparsify_tree, truncate)
+from ballbasis.cli import main as cli_main
 from ballbasis.cli import make_f_family
 
-OUT = os.path.join(os.path.dirname(__file__), "..", "tests", "baselines",
-                   "acceptance.json")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+OUT = os.path.join(ROOT, "tests", "baselines", "acceptance.json")
+# the shipped configs that 'ballbasis all' passes on (acceptance criterion 13)
+CLI_CONFIGS = ("dyadic-martingale", "grid-hilbert")
 
 
 def sig(x):
@@ -161,6 +166,27 @@ def tstar_ratios():
     return out
 
 
+def bundle_sha256(out_dir):
+    """sha256 over the report bundle: each file's name, a NUL, its bytes."""
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(out_dir)):
+        h.update(name.encode() + b"\0")
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
+def cli_bundle_digests():
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in CLI_CONFIGS:
+            cfg = os.path.join(ROOT, "configs", f"{name}.json")
+            bundle = os.path.join(tmp, name)
+            assert cli_main(["all", "--config", cfg, "--out", bundle]) == 0
+            out[name] = bundle_sha256(bundle)
+    return out
+
+
 def main():
     doc = {"p11_node_counts": p11_node_counts()}
     doc.update(thm7_battery())
@@ -168,6 +194,7 @@ def main():
     doc["good_lambda_max"] = good_lambda_baseline()
     doc.update(bmo_baselines())
     doc["tstar_ratio"] = tstar_ratios()
+    doc["cli_bundle_sha256"] = cli_bundle_digests()
     os.makedirs(os.path.dirname(OUT), exist_ok=True)
     with open(OUT, "w") as fh:
         json.dump(doc, fh, indent=1)

@@ -21,12 +21,12 @@ from .errors import BallBasisError, ConfigError
 from .space import build_dyadic, build_grid, check_axioms
 from .functional import Params, VecFunction, maximal
 from .operators import (OperatorDescriptor, conditional_expectation,
-                        discrete_hilbert, dyadic_levels, estimate_bo_constants,
-                        identity_operator, martingale_transform,
-                        maximal_modulation, riesz_potential, sparse_operator,
-                        square_function, zero_operator)
+                        discrete_hilbert, dyadic_levels, identity_operator,
+                        martingale_transform, maximal_modulation,
+                        riesz_potential, sparse_operator, square_function,
+                        zero_operator)
 from .sparsify import sparsify_tree
-from .domination import dominate_bo, dominate_mean_osc, lerner_decompose
+from .domination import dominate_bo, dominate_mean_osc
 from .verify import (CaseRow, Corpus, Report, Weight, _clean,
                      ap_characteristics, bmo_bounded_report, exp_decay_report,
                      good_lambda_report, john_nirenberg_report,
@@ -87,6 +87,9 @@ def load_config(path: str) -> dict:
     _check_keys("basis", raw["basis"], {"kind", "size"})
     if raw["basis"].get("kind") not in ("dyadic", "grid"):
         raise ConfigError("basis.kind must be 'dyadic' or 'grid'")
+    size = raw["basis"].get("size")
+    if isinstance(size, bool) or not isinstance(size, int):
+        raise ConfigError(f"basis.size must be an integer, got {size!r}")
 
     cfg = {}
     for key, default in _DEFAULTS.items():
@@ -97,6 +100,13 @@ def load_config(path: str) -> dict:
                 cfg[key].update(raw[key])
         else:
             cfg[key] = raw.get(key, default)
+    env_seed = os.environ.get("BALLBASIS_SEED")
+    if env_seed is not None and "seed" not in raw:
+        try:
+            cfg["seed"] = int(env_seed)
+        except ValueError:
+            raise ConfigError(
+                f"BALLBASIS_SEED must be an integer, got {env_seed!r}")
     cfg["basis"] = raw["basis"]
     for spec in cfg["operators"]:
         kind = spec.get("kind")
@@ -108,8 +118,11 @@ def load_config(path: str) -> dict:
 
 def build_basis(cfg: dict):
     kind = cfg["basis"]["kind"]
-    size = int(cfg["basis"]["size"])
-    return build_dyadic(size) if kind == "dyadic" else build_grid(size)
+    size = cfg["basis"]["size"]
+    try:
+        return build_dyadic(size) if kind == "dyadic" else build_grid(size)
+    except ValueError as exc:
+        raise ConfigError(f"basis.size {size} out of range: {exc}")
 
 
 def build_operator(spec: dict, basis, seed: int) -> OperatorDescriptor:
@@ -147,13 +160,9 @@ def build_operator(spec: dict, basis, seed: int) -> OperatorDescriptor:
     return op
 
 
-def _full_ball(basis) -> int:
-    return int(np.argmax(basis.mu))
-
-
 def _resolve_ball(spec, basis) -> int:
     if spec == "full":
-        return _full_ball(basis)
+        return basis.full_ball_id()
     return int(spec)
 
 
@@ -205,7 +214,7 @@ def run_estimate(cfg: dict, basis, ops) -> list[Report]:
     seed = int(cfg["seed"])
     out = []
     for op in ops:
-        c = estimate_bo_constants(op, basis, budget=budget, seed=seed)
+        c = op.bo_constants(budget, seed)
         rows = [CaseRow(op.name, "L0", c.L0, True),
                 CaseRow(op.name, "L1", c.L1, True),
                 CaseRow(op.name, "L2", c.L2, True),
@@ -224,7 +233,7 @@ def run_sparsify(cfg: dict, basis) -> list[Report]:
     alpha = float(cfg["sparsify"]["alpha"])
     families = int(cfg["sparsify"]["families"])
     seed = int(cfg["seed"])
-    a0 = _full_ball(basis)
+    a0 = basis.full_ball_id()
     out = []
     for i in range(families):
         f_map = make_f_family(basis, alpha, seed + i)
@@ -256,7 +265,7 @@ def run_dominate(cfg: dict, basis, ops) -> list[Report]:
     members = basis.balls[b_id].members
     out = []
     for op in ops:
-        consts = estimate_bo_constants(op, basis, budget=budget, seed=seed)
+        consts = op.bo_constants(budget, seed)
         rows = []
         ok_all = True
         constants = []
@@ -295,7 +304,8 @@ def run_mean_osc(cfg: dict, basis, ops) -> list[Report]:
     cases = int(cfg["mean_osc"]["cases"])
     seed = int(cfg["seed"])
     budget = int(cfg["estimate"]["budget"])
-    b_id = _full_ball(basis)
+    b_id = basis.full_ball_id()
+    consts = [op.bo_constants(budget, seed) for op in family]
     rows = []
     ok_all = True
     constants = []
@@ -303,7 +313,7 @@ def run_mean_osc(cfg: dict, basis, ops) -> list[Report]:
         f = seeded_function(basis, seed, 37 + i)
         try:
             bound = dominate_mean_osc(family, f, b_id, basis, beta=beta,
-                                      budget=budget, seed=seed)
+                                      consts=consts)
             c = bound.constant
             ok = True
         except BallBasisError:
@@ -345,7 +355,7 @@ def run_verify(cfg: dict, basis, ops, suite_filter: str | None = None
                     int(cfg["corpus"]["size"]))
     thr = vcfg["thresholds"]
     budget = int(cfg["estimate"]["budget"])
-    b_id = _full_ball(basis)
+    b_id = basis.full_ball_id()
     out = []
 
     if "weak_type" in suites:
@@ -362,8 +372,8 @@ def run_verify(cfg: dict, basis, ops, suite_filter: str | None = None
 
     if "good_lambda" in suites:
         for op in ops:
-            consts = estimate_bo_constants(op, basis, budget=budget, seed=seed)
-            rep = good_lambda_report(op, consts, corpus, basis,
+            rep = good_lambda_report(op, op.bo_constants(budget, seed),
+                                     corpus, basis,
                                      threshold=thr.get("good_lambda", math.inf))
             rep.name = f"good_lambda/{op.name}"
             out.append(rep)
@@ -496,15 +506,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--suite", default=None,
                         help="restrict 'verify' to one suite")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker count; affects wall time only")
     args = parser.parse_args(argv)
 
     try:
         cfg = load_config(args.config)
-        env_seed = os.environ.get("BALLBASIS_SEED")
-        if env_seed is not None and "seed" not in json.load(open(args.config)):
-            cfg["seed"] = int(env_seed)
         if args.seed is not None:
             cfg["seed"] = args.seed
         if args.out is not None:

@@ -369,9 +369,7 @@ def restricted_osc_bound(family: list[OperatorDescriptor], f: VecFunction,
     if not (0.5 < beta < 1.0):
         raise BetaOutOfRange("beta must lie in (1/2, 1)")
     if consts is None:
-        from .operators import estimate_bo_constants
-        consts = [estimate_bo_constants(t, basis, budget=budget, seed=seed)
-                  for t in family]
+        consts = [t.bo_constants(budget, seed) for t in family]
     _check_restricted(family, consts)
     b_id = int(b_id)
     members = basis.balls[b_id].members
@@ -405,9 +403,7 @@ def dominate_mean_osc(family: list[OperatorDescriptor], f: VecFunction,
     if basis.eta is None:
         raise NotDoubling("mean-oscillation domination needs a doubling basis")
     if consts is None:
-        from .operators import estimate_bo_constants
-        consts = [estimate_bo_constants(t, basis, budget=budget, seed=seed)
-                  for t in family]
+        consts = [t.bo_constants(budget, seed) for t in family]
     _check_restricted(family, consts)
     b_id = int(b_id)
     tf = np.zeros(basis.n_atoms)

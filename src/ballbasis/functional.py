@@ -123,14 +123,17 @@ def average(f: VecFunction, members, p: Params, mode: str = "plain",
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def ball_averages_all(f: VecFunction, basis: BallBasis, p: Params) -> np.ndarray:
-    """<f>_B for every basis ball at once."""
-    mass = f.norms() ** p.r * basis.space.weights
+def ball_integrals(mass: np.ndarray, basis: BallBasis) -> np.ndarray:
+    """sum over x in B of mass[x], for every basis ball at once."""
     if basis.interval:
         pre = np.concatenate([[0.0], np.cumsum(mass)])
-        ints = pre[basis.hi + 1] - pre[basis.lo]
-    else:
-        ints = basis.member_matrix() @ mass
+        return pre[basis.hi + 1] - pre[basis.lo]
+    return basis.member_matrix() @ mass
+
+
+def ball_averages_all(f: VecFunction, basis: BallBasis, p: Params) -> np.ndarray:
+    """<f>_B for every basis ball at once."""
+    ints = ball_integrals(f.norms() ** p.r * basis.space.weights, basis)
     ints = np.maximum(ints, 0.0)
     return basis.mu ** (-p.rho) * ints ** p.varrho
 
@@ -157,6 +160,17 @@ def oscillation_stats(f: VecFunction, members) -> tuple[float, float, float]:
     return osc, sup, inf
 
 
+def mean_deviation(vals: np.ndarray, ww: np.ndarray,
+                   norm_kind: str = "euclidean") -> tuple[float, np.ndarray]:
+    """(mu(E), ||f - f_E|| at each atom of E) from f's values and the atom
+    weights on a set E."""
+    mu = ww.sum()
+    dev = vals - (vals * ww[:, None]).sum(axis=0) / mu
+    if norm_kind == "euclidean":
+        return mu, np.linalg.norm(dev, axis=1)
+    return mu, np.abs(dev).max(axis=1)
+
+
 def mean_oscillation(f: VecFunction, members, r: float, mode: str = "sharp",
                      basis: BallBasis | None = None):
     """f_B (mode=mean), <f>_{#,B} (sharp) or its sup over containing balls."""
@@ -168,16 +182,10 @@ def mean_oscillation(f: VecFunction, members, r: float, mode: str = "sharp",
     if basis is None:
         raise ValueError("needs the basis for weights")
     w = basis.space.weights[arr]
-    mu = float(w.sum())
-    mean = (f.values[arr] * w[:, None]).sum(axis=0) / mu
     if mode == "mean":
-        return mean
+        return (f.values[arr] * w[:, None]).sum(axis=0) / float(w.sum())
     if mode == "sharp":
-        dev = f.values[arr] - mean
-        if f.norm_kind == "euclidean":
-            d = np.linalg.norm(dev, axis=1)
-        else:
-            d = np.abs(dev).max(axis=1)
+        mu, d = mean_deviation(f.values[arr], w, f.norm_kind)
         return float(((d ** r * w).sum() / mu) ** (1.0 / r))
     if mode == "sup_sharp":
         ids = basis.balls_containing_set(arr)
@@ -189,25 +197,19 @@ def mean_oscillation(f: VecFunction, members, r: float, mode: str = "sharp",
 # -- alpha-oscillation and medians ---------------------------------------------
 
 
-def _subset_table(m: int) -> np.ndarray:
-    idx = np.arange(1 << m, dtype=np.int64)
-    return ((idx[:, None] >> np.arange(m)) & 1).astype(bool)
-
-
-def _exhaustive_alpha_osc(f: VecFunction, arr, w, alpha: float) -> float:
+def _subset_oscillations(f: VecFunction, arr, w):
+    """Every subset of the atoms arr as a boolean row of S, with its mass and
+    its oscillation OSC_E(f) (0 on the empty set)."""
     m = len(arr)
     if m > 20:
         raise OracleTooLarge(f"exhaustive oracle limited to 20 atoms, got {m}")
-    S = _subset_table(m)
-    masses = S @ w
-    need = alpha * w.sum()
-    ok = masses > need
+    idx = np.arange(1 << m, dtype=np.int64)
+    S = ((idx[:, None] >> np.arange(m)) & 1).astype(bool)
     vals = f.values[arr]
     if f.scalar:
         v = vals[:, 0]
-        mx = np.where(S, v, -np.inf).max(axis=1)
-        mn = np.where(S, v, np.inf).min(axis=1)
-        osc = mx - mn
+        osc = np.where(S, v, -np.inf).max(axis=1) - np.where(S, v, np.inf).min(axis=1)
+        osc = np.where(np.isfinite(osc), osc, 0.0)
     else:
         osc = np.zeros(len(S))
         for i in range(m):
@@ -215,6 +217,11 @@ def _exhaustive_alpha_osc(f: VecFunction, arr, w, alpha: float) -> float:
                 d = f.norm_of(vals[i] - vals[j])
                 both = S[:, i] & S[:, j]
                 osc[both] = np.maximum(osc[both], d)
+    return S, S @ w, osc
+
+
+def _min_osc(masses, osc, need: float) -> float:
+    ok = masses > need
     if not ok.any():
         raise EmptySet("no subset exceeds the alpha mass threshold")
     return float(osc[ok].min())
@@ -232,7 +239,8 @@ def alpha_oscillation(f: VecFunction, members, alpha: float,
         raise ValueError("needs the basis for weights")
     w = basis.space.weights[arr]
     if method == "exhaustive" or (method == "auto" and not f.scalar):
-        return _exhaustive_alpha_osc(f, arr, w, alpha)
+        _, masses, osc = _subset_oscillations(f, arr, w)
+        return _min_osc(masses, osc, alpha * w.sum())
     best = alpha_oscillation_raw(f, arr, w, alpha)
     if math.isinf(best):
         raise EmptySet("no subset exceeds the alpha mass threshold")
@@ -257,48 +265,21 @@ def alpha_core(f: VecFunction, members, alpha: float, basis: BallBasis,
         raise EmptySet("alpha-core over an empty set")
     w = basis.space.weights[arr]
     if not f.scalar:
-        m = len(arr)
-        if m > 20:
-            raise OracleTooLarge(f"exhaustive core limited to 20 atoms, got {m}")
-        target = _exhaustive_alpha_osc(f, arr, w, alpha)
-        S = _subset_table(m)
-        masses = S @ w
-        ok = masses > alpha * w.sum()
-        vals = f.values[arr]
-        osc = np.zeros(len(S))
-        for i in range(m):
-            for j in range(i + 1, m):
-                d = f.norm_of(vals[i] - vals[j])
-                both = S[:, i] & S[:, j]
-                osc[both] = np.maximum(osc[both], d)
-        hits = np.flatnonzero(ok & (osc <= slack * target + 1e-15))
+        S, masses, osc = _subset_oscillations(f, arr, w)
+        need = alpha * w.sum()
+        target = _min_osc(masses, osc, need)
+        hits = np.flatnonzero((masses > need) & (osc <= slack * target + 1e-15))
         pick = int(hits[np.argmax(masses[hits])])
         return arr[S[pick]], float(target)
-    v = f.values[arr, 0]
-    order = np.argsort(v, kind="stable")
-    sv, sw = v[order], w[order]
-    pre = np.concatenate([[0.0], np.cumsum(sw)])
-    need = alpha * pre[-1]
-    best = math.inf
-    j = 0
-    for i in range(len(sv)):
-        j = max(j, i)
-        while j < len(sv) and pre[j + 1] - pre[i] <= need:
-            j += 1
-        if j == len(sv):
-            break
-        best = min(best, float(sv[j] - sv[i]))
+    best = alpha_oscillation_raw(f, arr, w, alpha)
     if math.isinf(best):
         raise EmptySet("no subset exceeds the alpha mass threshold")
+    order, sv, pre = _sorted_prefix(f, arr, w)
+    need = alpha * pre[-1]
     # widest-mass window of width slack*best (first such window on ties)
-    width = slack * best
     best_mass = -1.0
     best_ij = None
-    j = 0
-    for i in range(len(sv)):
-        j = max(j, i)
-        while j + 1 < len(sv) and sv[j + 1] - sv[i] <= width + 1e-15:
-            j += 1
+    for i, j in _value_windows(sv, slack * best + 1e-15):
         mass = pre[j + 1] - pre[i]
         if mass > need and mass > best_mass + 1e-15:
             best_mass = mass
@@ -307,19 +288,31 @@ def alpha_core(f: VecFunction, members, alpha: float, basis: BallBasis,
     return np.sort(arr[order[i:j + 1]]), best
 
 
-def _scalar_median_set(f: VecFunction, arr, w) -> np.ndarray:
-    osc0 = 2.0 * alpha_oscillation_raw(f, arr, w, 0.5)
+def _sorted_prefix(f: VecFunction, arr, w):
+    """Stable sort order of scalar f on arr, the sorted values, and the
+    prefix sums of the weights in that order."""
     v = f.values[arr, 0]
     order = np.argsort(v, kind="stable")
-    sv, sw = v[order], w[order]
-    pre = np.concatenate([[0.0], np.cumsum(sw)])
-    half = 0.5 * pre[-1]
-    marked = np.zeros(len(arr), dtype=bool)
+    return order, v[order], np.concatenate([[0.0], np.cumsum(w[order])])
+
+
+def _value_windows(sv: np.ndarray, width: float):
+    """For each i, (i, j) with sv[i..j] the longest run of the sorted values
+    sv that starts at i and spans at most width."""
     j = 0
     for i in range(len(sv)):
         j = max(j, i)
-        while j + 1 < len(sv) and sv[j + 1] - sv[i] <= osc0:
+        while j + 1 < len(sv) and sv[j + 1] - sv[i] <= width:
             j += 1
+        yield i, j
+
+
+def _scalar_median_set(f: VecFunction, arr, w) -> np.ndarray:
+    osc0 = 2.0 * alpha_oscillation_raw(f, arr, w, 0.5)
+    order, sv, pre = _sorted_prefix(f, arr, w)
+    half = 0.5 * pre[-1]
+    marked = np.zeros(len(arr), dtype=bool)
+    for i, j in _value_windows(sv, osc0):
         if pre[j + 1] - pre[i] > half:
             marked[order[i:j + 1]] = True
     return arr[marked]
@@ -327,10 +320,7 @@ def _scalar_median_set(f: VecFunction, arr, w) -> np.ndarray:
 
 def alpha_oscillation_raw(f: VecFunction, arr, w, alpha: float) -> float:
     """Fast-path alpha-oscillation on pre-resolved atoms/weights (scalar f)."""
-    v = f.values[arr, 0]
-    order = np.argsort(v, kind="stable")
-    sv, sw = v[order], w[order]
-    pre = np.concatenate([[0.0], np.cumsum(sw)])
+    _, sv, pre = _sorted_prefix(f, arr, w)
     need = alpha * pre[-1]
     best = math.inf
     j = 0
@@ -357,27 +347,11 @@ def median(f: VecFunction, members, basis: BallBasis,
         raise EmptySet("median over an empty set")
     w = basis.space.weights[arr]
     if method == "exhaustive" or (method == "auto" and not f.scalar):
-        m = len(arr)
-        if m > 20:
-            raise OracleTooLarge(f"exhaustive median limited to 20 atoms, got {m}")
-        osc0 = 2.0 * _exhaustive_alpha_osc(f, arr, w, 0.5)
-        S = _subset_table(m)
-        masses = S @ w
-        ok = masses > 0.5 * w.sum()
-        vals = f.values[arr]
-        if f.scalar:
-            v = vals[:, 0]
-            osc = np.where(S, v, -np.inf).max(axis=1) - np.where(S, v, np.inf).min(axis=1)
-            osc = np.where(np.isfinite(osc), osc, 0.0)
-        else:
-            osc = np.zeros(len(S))
-            for i in range(m):
-                for j in range(i + 1, m):
-                    d = f.norm_of(vals[i] - vals[j])
-                    both = S[:, i] & S[:, j]
-                    osc[both] = np.maximum(osc[both], d)
-        qual = ok & (osc <= osc0)
-        marked = S[qual].any(axis=0) if qual.any() else np.zeros(m, dtype=bool)
+        S, masses, osc = _subset_oscillations(f, arr, w)
+        need = 0.5 * w.sum()
+        osc0 = 2.0 * _min_osc(masses, osc, need)
+        qual = (masses > need) & (osc <= osc0)
+        marked = S[qual].any(axis=0) if qual.any() else np.zeros(len(arr), dtype=bool)
         med = arr[marked]
     else:
         med = _scalar_median_set(f, arr, w)
@@ -392,23 +366,7 @@ def median(f: VecFunction, members, basis: BallBasis,
 
 def bmo_norm(f: VecFunction, basis: BallBasis) -> float:
     """sup over balls of (1/mu(B)) int_B ||f - f_B||."""
-    w = basis.space.weights
-    best = 0.0
-    for b in basis.balls:
-        if basis.interval:
-            sl = slice(int(basis.lo[b.id]), int(basis.hi[b.id]) + 1)
-            vals, ww = f.values[sl], w[sl]
-        else:
-            vals, ww = f.values[b.members], w[b.members]
-        mu = ww.sum()
-        mean = (vals * ww[:, None]).sum(axis=0) / mu
-        dev = vals - mean
-        if f.norm_kind == "euclidean":
-            d = np.linalg.norm(dev, axis=1)
-        else:
-            d = np.abs(dev).max(axis=1)
-        best = max(best, float((d * ww).sum() / mu))
-    return best
+    return float(sharp_all(f, basis, 1.0).max())
 
 
 def sharp_all(f: VecFunction, basis: BallBasis, r: float = 1.0) -> np.ndarray:
@@ -422,13 +380,7 @@ def sharp_all(f: VecFunction, basis: BallBasis, r: float = 1.0) -> np.ndarray:
         else:
             members = basis.balls[i].members
             vals, ww = f.values[members], w[members]
-        mu = ww.sum()
-        mean = (vals * ww[:, None]).sum(axis=0) / mu
-        dev = vals - mean
-        if f.norm_kind == "euclidean":
-            d = np.linalg.norm(dev, axis=1)
-        else:
-            d = np.abs(dev).max(axis=1)
+        mu, d = mean_deviation(vals, ww, f.norm_kind)
         out[i] = ((d ** r * ww).sum() / mu) ** (1.0 / r)
     return out
 
@@ -451,7 +403,6 @@ def maximal(f: VecFunction, basis: BallBasis, p: Params | None = None,
     alpha: sup mu(B)^(alpha-1) int_B ||f|| (grid dimension 1).
     """
     w = basis.space.weights
-    out = np.zeros(basis.n_atoms)
     if mode == "fractional_basis":
         if p is None:
             raise ValueError("fractional_basis mode needs Params")
@@ -459,25 +410,25 @@ def maximal(f: VecFunction, basis: BallBasis, p: Params | None = None,
     elif mode == "alpha":
         if alpha is None or not (0 <= alpha < 1):
             raise ValueError("alpha mode needs 0 <= alpha < dimension (=1)")
-        mass = f.norms() * w
-        if basis.interval:
-            pre = np.concatenate([[0.0], np.cumsum(mass)])
-            ints = pre[basis.hi + 1] - pre[basis.lo]
-        else:
-            ints = basis.member_matrix() @ mass
-        vals = basis.mu ** (alpha - 1.0) * ints
+        vals = basis.mu ** (alpha - 1.0) * ball_integrals(f.norms() * w, basis)
     elif mode == "sharp":
         r = p.r if p is not None else 1.0
         vals = sharp_all(f, basis, r)
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    return _max_over_containing_balls(basis, vals, np.zeros(basis.n_atoms))
+
+
+def _max_over_containing_balls(basis: BallBasis, vals: np.ndarray,
+                               out: np.ndarray) -> np.ndarray:
+    """out[x] = max(out[x], max of vals[B] over balls B containing x)."""
     if basis.interval:
         for i in range(basis.n_balls):
             sl = slice(int(basis.lo[i]), int(basis.hi[i]) + 1)
             np.maximum(out[sl], vals[i], out=out[sl])
     else:
         for b in basis.balls:
-            np.maximum(out[b.members], vals[b.id], out=out[b.members])
+            out[b.members] = np.maximum(out[b.members], vals[b.id])
     return out
 
 
@@ -495,15 +446,11 @@ class RegularFamily:
     c2: float
     growth_measured: float   # minimal multiplier in condition (2) against gamma(u)=u
 
-    def gamma_growth(self, u: float) -> float:
-        return (1.0 + self.basis.K) ** 2 * u
-
 
 def cover_measure_table(basis: BallBasis) -> np.ndarray:
     """table[a, b] = min measure of a ball covering the span [a, b] (interval bases)."""
-    cached = getattr(basis, "_cover_table", None)
-    if cached is not None:
-        return cached
+    if basis._cover_table is not None:
+        return basis._cover_table
     if not basis.interval:
         raise ValueError("cover table only defined for interval bases")
     n = basis.n_atoms
@@ -525,9 +472,8 @@ def cover_measure_table(basis: BallBasis) -> np.ndarray:
 
 def volume_distance_matrix(basis: BallBasis) -> np.ndarray:
     """d(x, B) for every atom x (columns) and ball B (rows)."""
-    cached = getattr(basis, "_vdist_matrix", None)
-    if cached is not None:
-        return cached
+    if basis._vdist_matrix is not None:
+        return basis._vdist_matrix
     n = basis.n_atoms
     out = np.empty((basis.n_balls, n))
     if basis.interval:
@@ -620,14 +566,7 @@ def general_maximal(f: VecFunction, fam: RegularFamily, complete=None,
     vals = fam.kernels @ (f.norms() * w)
     out = np.full(basis.n_atoms, -np.inf)
     if complete is None:
-        if basis.interval:
-            for i in range(basis.n_balls):
-                sl = slice(int(basis.lo[i]), int(basis.hi[i]) + 1)
-                np.maximum(out[sl], vals[i], out=out[sl])
-        else:
-            for b in basis.balls:
-                np.maximum(out[b.members], vals[b.id], out=out[b.members])
-        return out
+        return _max_over_containing_balls(basis, vals, out)
     for x in range(basis.n_atoms):
         ids = [int(i) for i in complete[x]]
         for i in ids:

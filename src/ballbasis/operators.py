@@ -16,12 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotComparable
-from .functional import (Params, VecFunction, ball_averages_all,
-                         cover_measure_table, volume_distance_matrix)
+from .functional import Params, VecFunction, volume_distance_matrix
 from .space import BallBasis
 
 
 class OperatorDescriptor:
+    """An operator on functions over the basis atoms.
+
+    Without apply_fn the operator is its kernel: Tf(x) = sum_y K(x, y) f(y) w(y).
+    """
+
     def __init__(self, name: str, basis: BallBasis, apply_fn, params: Params,
                  linear: bool, kernel: np.ndarray | None = None,
                  strong_sublinear: bool = True, scalar_output: bool = False,
@@ -35,19 +39,25 @@ class OperatorDescriptor:
         self.strong_sublinear = strong_sublinear
         self.scalar_output = scalar_output
         self.members = members  # sub-descriptors for modulation families
+        self._bo_constants: dict = {}  # (budget, seed) -> BOConstants
 
     def apply(self, f: VecFunction) -> VecFunction:
+        if self._apply_fn is None:
+            w = self.basis.space.weights
+            return VecFunction(self.kernel @ (f.values * w[:, None]), f.norm_kind)
         out = self._apply_fn(f)
         if not isinstance(out, VecFunction):
             out = VecFunction(out, f.norm_kind)
         return out
 
-    def apply_kernel(self, f: VecFunction) -> VecFunction:
-        """Direct kernel evaluation (consistency oracle for kernel ops)."""
-        if self.kernel is None:
-            raise ValueError("descriptor has no kernel")
-        w = self.basis.space.weights
-        return VecFunction(self.kernel @ (f.values * w[:, None]), f.norm_kind)
+    def bo_constants(self, budget: int, seed: int) -> BOConstants:
+        """estimate_bo_constants(self, self.basis, budget, seed), computed once
+        per (budget, seed) for this operator."""
+        key = (int(budget), int(seed))
+        if key not in self._bo_constants:
+            self._bo_constants[key] = estimate_bo_constants(
+                self, self.basis, budget=key[0], seed=key[1])
+        return self._bo_constants[key]
 
     def __repr__(self):
         return f"<operator {self.name}>"
@@ -57,12 +67,12 @@ class OperatorDescriptor:
 
 
 def _require_dyadic(basis: BallBasis):
-    if getattr(basis, "kind", None) != "dyadic":
+    if basis.kind != "dyadic":
         raise ValueError("operator needs a martingale (dyadic) basis")
 
 
 def _require_grid(basis: BallBasis):
-    if getattr(basis, "kind", None) != "grid":
+    if basis.kind != "grid":
         raise ValueError("operator needs a 1-d grid basis")
 
 
@@ -83,16 +93,11 @@ def conditional_expectation(basis: BallBasis, level: int) -> OperatorDescriptor:
     if not (0 <= level <= levels):
         raise ValueError("level out of range")
     n = basis.n_atoms
-    w = basis.space.weights
     kernel = np.zeros((n, n))
     for bid in _level_slices(basis, level):
         lo, hi = int(basis.lo[bid]), int(basis.hi[bid])
         kernel[lo:hi + 1, lo:hi + 1] = 1.0 / basis.mu[bid]
-
-    def apply_fn(f):
-        return VecFunction(kernel @ (f.values * w[:, None]), f.norm_kind)
-
-    return OperatorDescriptor(f"cond_exp[{level}]", basis, apply_fn,
+    return OperatorDescriptor(f"cond_exp[{level}]", basis, None,
                               Params.classical_profile(1.0), linear=True,
                               kernel=kernel)
 
@@ -108,7 +113,6 @@ def martingale_transform(basis: BallBasis, eps) -> OperatorDescriptor:
     if missing:
         raise ValueError(f"eps missing for non-leaf balls {missing[:5]}")
     n = basis.n_atoms
-    w = basis.space.weights
     kernel = np.zeros((n, n))
     for a in non_leaf:
         alo, ahi = int(basis.lo[a]), int(basis.hi[a])
@@ -119,11 +123,7 @@ def martingale_transform(basis: BallBasis, eps) -> OperatorDescriptor:
             blo, bhi = int(basis.lo[b]), int(basis.hi[b])
             kernel[blo:bhi + 1, blo:bhi + 1] += sign / basis.mu[b]
             kernel[blo:bhi + 1, alo:ahi + 1] -= sign / basis.mu[a]
-
-    def apply_fn(f):
-        return VecFunction(kernel @ (f.values * w[:, None]), f.norm_kind)
-
-    return OperatorDescriptor("martingale_transform", basis, apply_fn,
+    return OperatorDescriptor("martingale_transform", basis, None,
                               Params(r=1.0, rho=1.0, varrho=1.0), linear=True,
                               kernel=kernel)
 
@@ -164,16 +164,11 @@ def sparse_operator(basis: BallBasis, ball_ids, rho: float = 1.0) -> OperatorDes
     if not (0 < rho <= 1):
         raise ValueError("rho must lie in (0,1]")
     n = basis.n_atoms
-    w = basis.space.weights
     kernel = np.zeros((n, n))
     for bid in ball_ids:
         members = basis.balls[int(bid)].members
         kernel[np.ix_(members, members)] += basis.mu[int(bid)] ** (-rho)
-
-    def apply_fn(f):
-        return VecFunction(kernel @ (f.values * w[:, None]), f.norm_kind)
-
-    return OperatorDescriptor("sparse_operator", basis, apply_fn,
+    return OperatorDescriptor("sparse_operator", basis, None,
                               Params(r=1.0, rho=rho, varrho=1.0), linear=True,
                               kernel=kernel)
 
@@ -187,11 +182,7 @@ def riesz_potential(basis: BallBasis, alpha: float) -> OperatorDescriptor:
     idx = np.arange(n)
     dist = np.maximum(np.abs(idx[:, None] - idx[None, :]), 1.0)
     kernel = dist ** (alpha - 1.0)
-
-    def apply_fn(f):
-        return VecFunction(kernel @ f.values, f.norm_kind)  # unit weights
-
-    return OperatorDescriptor(f"riesz[{alpha}]", basis, apply_fn,
+    return OperatorDescriptor(f"riesz[{alpha}]", basis, None,
                               Params(r=1.0, rho=1.0 - alpha, varrho=1.0),
                               linear=True, kernel=kernel)
 
@@ -204,11 +195,7 @@ def discrete_hilbert(basis: BallBasis) -> OperatorDescriptor:
     diff = idx[:, None] - idx[None, :]
     with np.errstate(divide="ignore"):
         kernel = np.where(diff == 0, 0.0, 1.0 / np.where(diff == 0, 1, diff))
-
-    def apply_fn(f):
-        return VecFunction(kernel @ f.values, f.norm_kind)
-
-    return OperatorDescriptor("discrete_hilbert", basis, apply_fn,
+    return OperatorDescriptor("discrete_hilbert", basis, None,
                               Params.classical_profile(1.0), linear=True,
                               kernel=kernel)
 
@@ -231,11 +218,6 @@ def zero_operator(basis: BallBasis) -> OperatorDescriptor:
 # -- truncation and modulation ---------------------------------------------------
 
 
-def _star_spans(basis: BallBasis) -> tuple[np.ndarray, np.ndarray]:
-    basis._compute_star_intervals()
-    return basis._star_lo, basis._star_hi
-
-
 def truncate(T: OperatorDescriptor) -> OperatorDescriptor:
     """T*f(x) = sup over balls B containing x of ||T(f 1_{X minus B*})(x)||."""
     basis = T.basis
@@ -245,7 +227,7 @@ def truncate(T: OperatorDescriptor) -> OperatorDescriptor:
     def apply_fn(f):
         out = np.zeros(n)
         if T.kernel is not None and basis.interval:
-            slo, shi = _star_spans(basis)
+            slo, shi = basis.star_spans()
             tf = T.apply(f).values
             g = f.values * w[:, None]
             for x in range(n):
@@ -265,7 +247,7 @@ def truncate(T: OperatorDescriptor) -> OperatorDescriptor:
             mask[star] = 0.0
             tfb = T.apply(VecFunction(f.values * mask[:, None], f.norm_kind))
             members = basis.balls[bid].members
-            np.maximum(out[members], tfb.norms()[members], out=out[members])
+            out[members] = np.maximum(out[members], tfb.norms()[members])
         return VecFunction(out, f.norm_kind)
 
     return OperatorDescriptor(f"trunc({T.name})", basis, apply_fn, T.params,
@@ -446,7 +428,7 @@ def estimate_bo_constants(T: OperatorDescriptor, basis: BallBasis,
     r4 = 0.0
     slo = shi = None
     if basis.interval:
-        slo, shi = _star_spans(basis)
+        slo, shi = basis.star_spans()
     if exact and basis.interval:
         dmat = volume_distance_matrix(basis)
         for bid in range(basis.n_balls):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,8 +76,9 @@ class BallBasis:
     """Immutable ball-basis over a finite atomic measure space."""
 
     def __init__(self, space: MeasureSpace, balls: list[Ball], hull: list[int],
-                 K: float, eta: float | None = None):
+                 K: float, eta: float | None = None, kind: str | None = None):
         self.space = space
+        self.kind = kind  # builder family ("dyadic", "grid"); None if hand-built
         self.balls = list(balls)
         self.hull = np.asarray(hull, dtype=np.int64)
         self.K = float(K)
@@ -108,6 +109,8 @@ class BallBasis:
         self._star_lo = None
         self._star_hi = None
         self._star_sets = {}
+        self._cover_table = None   # functional.cover_measure_table
+        self._vdist_matrix = None  # functional.volume_distance_matrix
         self._span_index = {}
         for b in self.balls:
             key = (int(lo[b.id]), int(hi[b.id]))
@@ -139,15 +142,16 @@ class BallBasis:
 
     # -- star / hull -----------------------------------------------------
 
-    def _compute_star_intervals(self):
+    def star_spans(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) atom span of every ball's star (interval bases)."""
         if self._star_lo is not None:
-            return
+            return self._star_lo, self._star_hi
         n = self.n_atoms
         if self.complete_grid:
             length = np.minimum(np.floor(2 * self.mu).astype(np.int64), n)
             self._star_lo = np.maximum(0, self.lo - length + 1)
             self._star_hi = np.minimum(n - 1, self.hi + length - 1)
-            return
+            return self._star_lo, self._star_hi
         star_lo = np.empty(self.n_balls, dtype=np.int64)
         star_hi = np.empty(self.n_balls, dtype=np.int64)
         lo, hi, mu = self.lo, self.hi, self.mu
@@ -157,12 +161,13 @@ class BallBasis:
             star_hi[i] = hi[mask].max()
         self._star_lo = star_lo
         self._star_hi = star_hi
+        return star_lo, star_hi
 
     def star_members(self, ball_id: int) -> np.ndarray:
         """Exact star B* as a sorted atom array."""
         if self.interval:
-            self._compute_star_intervals()
-            return np.arange(self._star_lo[ball_id], self._star_hi[ball_id] + 1)
+            slo, shi = self.star_spans()
+            return np.arange(slo[ball_id], shi[ball_id] + 1)
         cached = self._star_sets.get(ball_id)
         if cached is not None:
             return cached
@@ -173,9 +178,6 @@ class BallBasis:
         members = np.flatnonzero(m[qualifies].any(axis=0))
         self._star_sets[ball_id] = members
         return members
-
-    def star_measure(self, ball_id: int) -> float:
-        return self.measure(self.star_members(ball_id))
 
     def star_of_set(self, members) -> np.ndarray:
         """The star rule applied to an arbitrary set S:
@@ -218,9 +220,6 @@ class BallBasis:
     def hull2_ball(self, ball_id: int) -> Ball:
         return self.balls[self.hull[self.hull[ball_id]]]
 
-    def hull3_ball(self, ball_id: int) -> Ball:
-        return self.balls[self.hull[self.hull[self.hull[ball_id]]]]
-
     # -- containment queries ----------------------------------------------
 
     def balls_containing_atom(self, atom: int) -> np.ndarray:
@@ -256,12 +255,8 @@ class BallBasis:
         a = self.balls[inner_id].member_set
         return a <= self.balls[outer_id].member_set
 
-    def is_strict_superset(self, outer_id: int, inner_id: int) -> bool:
-        return self.contains(inner_id, outer_id) and not self.contains(outer_id, inner_id)
-
     def full_ball_id(self) -> int | None:
         """A ball containing every atom, if one exists."""
-        sizes = self.hi - self.lo + 1 if self.interval else None
         for i in range(self.n_balls):
             if self.interval:
                 if self.lo[i] == 0 and self.hi[i] == self.n_atoms - 1:
@@ -313,9 +308,7 @@ def build_dyadic(levels: int) -> BallBasis:
             members = np.arange(j * width, (j + 1) * width, dtype=np.int64)
             balls.append(Ball(bid, members, width / n))
             hull.append(bid if g == 0 else ((1 << (g - 1)) - 1 + j // 2))
-    basis = BallBasis(space, balls, hull, K=2.0, eta=2.0)
-    basis.kind = "dyadic"
-    return basis
+    return BallBasis(space, balls, hull, K=2.0, eta=2.0, kind="dyadic")
 
 
 def build_grid(n: int) -> BallBasis:
@@ -333,11 +326,8 @@ def build_grid(n: int) -> BallBasis:
             bid += 1
     basis = BallBasis(space, balls, list(range(bid)), K=5.0, eta=2.0)
     # hull = the interval equal to star(B) (always present in a complete grid)
-    basis._compute_star_intervals()
-    hull = [spans[(int(a), int(b))] for a, b in zip(basis._star_lo, basis._star_hi)]
-    out = BallBasis(space, balls, hull, K=5.0, eta=2.0)
-    out.kind = "grid"
-    return out
+    hull = [spans[(int(a), int(b))] for a, b in zip(*basis.star_spans())]
+    return BallBasis(space, balls, hull, K=5.0, eta=2.0, kind="grid")
 
 
 # -- operations ---------------------------------------------------------------
@@ -396,8 +386,7 @@ def check_axioms(basis: BallBasis) -> AxiomReport:
     k_min = 0.0
     n = basis.n_atoms
     if basis.interval:
-        basis._compute_star_intervals()
-        slo, shi = basis._star_lo, basis._star_hi
+        slo, shi = basis.star_spans()
         hlo, hhi = basis.lo[basis.hull], basis.hi[basis.hull]
         hmu = basis.mu[basis.hull]
         bad = ~((hlo <= slo) & (hhi >= shi) & (hmu <= basis.K * basis.mu + 1e-12))
@@ -433,8 +422,8 @@ def check_axioms(basis: BallBasis) -> AxiomReport:
     eta_counterexample = None
     for i in range(basis.n_balls):
         if basis.interval:
-            basis._compute_star_intervals()
-            star_is_x = (basis._star_lo[i] == 0) and (basis._star_hi[i] == n - 1)
+            slo, shi = basis.star_spans()
+            star_is_x = (slo[i] == 0) and (shi[i] == n - 1)
         else:
             star_is_x = len(basis.star_members(i)) == n
         if star_is_x:
@@ -485,16 +474,6 @@ def volume_distance(basis: BallBasis, x: int, ball_id: int) -> float:
     if not mask.any():
         raise NoContainingBall(f"no ball contains ball {ball_id} and atom {x}")
     return float(basis.mu[mask].min())
-
-
-def volume_distance_all(basis: BallBasis, ball_id: int) -> np.ndarray:
-    """Vector of d(x, B) over every atom x (vectorized for interval bases)."""
-    if basis.interval:
-        out = np.empty(basis.n_atoms)
-        for x in range(basis.n_atoms):
-            out[x] = volume_distance(basis, x, ball_id)
-        return out
-    return np.array([volume_distance(basis, x, ball_id) for x in range(basis.n_atoms)])
 
 
 def exhausting_sequence(basis: BallBasis) -> list[Ball]:

@@ -20,10 +20,6 @@ from .errors import (AlphaViolated, ConstructionFailure, NestingViolated,
 from .space import BallBasis, as_atom_array
 
 
-def _measure(basis: BallBasis, members: np.ndarray) -> float:
-    return float(basis.space.weights[members].sum())
-
-
 # -- greedy Vitali selection ---------------------------------------------------
 
 
@@ -171,15 +167,6 @@ class SparseTree:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    def descendants(self, i: int) -> list[int]:
-        out = []
-        stack = list(self.children[i])
-        while stack:
-            j = stack.pop()
-            out.append(j)
-            stack.extend(self.children[j])
-        return out
-
     def to_json(self) -> str:
         recs = []
         for i in range(self.n_nodes):
@@ -194,14 +181,6 @@ class SparseTree:
                            "sparse_gamma": self.sparse_gamma,
                            "certified": self.sparseness_certified,
                            "nodes": recs}, indent=1)
-
-    def edge_list(self) -> str:
-        lines = []
-        for i in range(self.n_nodes):
-            p = self.parent[i]
-            if p is not None:
-                lines.append(f"ball_{self.nodes[p]} -> ball_{self.nodes[i]}")
-        return "\n".join(lines)
 
 
 def _node_rank(basis: BallBasis, bid: int, R: float) -> int:

@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import ConfigError, InfZero, ZeroBmoNorm
 from .space import BallBasis
-from .functional import (Params, VecFunction, alpha_oscillation, bmo_norm,
-                         maximal, median)
+from .functional import (Params, VecFunction, alpha_oscillation,
+                         ball_integrals, bmo_norm, maximal, mean_deviation,
+                         median)
 from .operators import OperatorDescriptor, truncate
 from .domination import fit_exponential_rate
 
@@ -309,12 +310,10 @@ def john_nirenberg_report(f: VecFunction, basis: BallBasis,
     for b in basis.balls:
         ms = b.members
         ww = w[ms]
-        mu = float(ww.sum())
         vals = f.values[ms]
         _, med = median(f, ms, basis)
         dev_m = np.linalg.norm(vals - med[None, :], axis=1)
-        avg = (vals * ww[:, None]).sum(axis=0) / mu
-        dev_a = np.linalg.norm(vals - avg[None, :], axis=1)
+        mu, dev_a = mean_deviation(vals, ww)
         for j, t in enumerate(levels):
             tail_med[j] = max(tail_med[j], float(ww[dev_m > t * norm].sum() / mu))
             tail_avg[j] = max(tail_avg[j], float(ww[dev_a > t * norm].sum() / mu))
@@ -412,15 +411,7 @@ def strong_domination_check(f: VecFunction, g: VecFunction, basis: BallBasis,
 
 
 def _ball_average(vals: np.ndarray, basis: BallBasis) -> np.ndarray:
-    w = basis.space.weights
-    out = np.empty(basis.n_balls)
-    if basis.interval:
-        pre = np.concatenate([[0.0], np.cumsum(vals * w)])
-        out = (pre[basis.hi + 1] - pre[basis.lo]) / basis.mu
-    else:
-        for b in basis.balls:
-            out[b.id] = float((vals[b.members] * w[b.members]).sum()) / b.measure
-    return out
+    return ball_integrals(vals * basis.space.weights, basis) / basis.mu
 
 
 def _weighted_norm_ratio(T: OperatorDescriptor, weight: Weight,

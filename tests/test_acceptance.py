@@ -2,6 +2,7 @@
 baselines (tests/baselines/acceptance.json, regenerated by
 scripts/freeze_baselines.py). Each test prints one PASS/FAIL line."""
 
+import hashlib
 import json
 import os
 import time
@@ -42,6 +43,16 @@ def sig(x):
 def grid_full(basis):
     return int(np.flatnonzero((basis.lo == 0)
                               & (basis.hi == basis.n_atoms - 1))[0])
+
+
+def bundle_sha256(out_dir):
+    """sha256 over the report bundle, as scripts/freeze_baselines.py takes it."""
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(out_dir)):
+        h.update(name.encode() + b"\0")
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
 
 
 def report(num, desc, ok):
@@ -360,7 +371,7 @@ def test_criterion_12_modulation_and_truncation(baselines):
            ok and elapsed < 60.0)
 
 
-def test_criterion_13_cli_end_to_end(tmp_path):
+def test_criterion_13_cli_end_to_end(tmp_path, baselines):
     t0 = time.perf_counter()
     ok = True
     root = os.path.join(HERE, "..")
@@ -371,10 +382,12 @@ def test_criterion_13_cli_end_to_end(tmp_path):
             out = str(tmp_path / f"{name}-{run}")
             ok &= cli_main(["all", "--config", cfg, "--out", out]) == 0
             outs.append(out)
+        ok &= bundle_sha256(outs[0]) == baselines["cli_bundle_sha256"][name]
         for fn in sorted(os.listdir(outs[0])):
             with open(os.path.join(outs[0], fn), "rb") as fa, \
                  open(os.path.join(outs[1], fn), "rb") as fb:
                 ok &= fa.read() == fb.read()
     elapsed = time.perf_counter() - t0
     report(13, "CLI 'all' exits 0 on shipped configs with byte-identical "
-               "reports across same-seed runs", ok and elapsed < 900.0)
+               "reports across same-seed runs, equal to the frozen bundles",
+           ok and elapsed < 900.0)

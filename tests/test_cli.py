@@ -92,6 +92,25 @@ class TestMain:
         assert main(["all", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("basis", [
+        {"kind": "dyadic", "size": 99},
+        {"kind": "dyadic", "size": "x"},
+        {"kind": "dyadic"},
+    ], ids=["out_of_range", "not_integer", "missing"])
+    def test_bad_basis_size_exit_two(self, tmp_path, capsys, basis):
+        path = write_cfg(tmp_path, small_cfg(tmp_path / "out", basis=basis))
+        assert main(["check-basis", "--config", path]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_non_integer_env_seed_exit_two(self, tmp_path, capsys,
+                                           monkeypatch):
+        cfg = small_cfg(tmp_path / "out")
+        del cfg["seed"]
+        path = write_cfg(tmp_path, cfg)
+        monkeypatch.setenv("BALLBASIS_SEED", "five")
+        assert main(["check-basis", "--config", path]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_failed_checks_exit_one(self, tmp_path, capsys):
         cfg = small_cfg(tmp_path / "out",
                         sparsify={"alpha": 0.5, "families": 1})

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ballbasis import (NotComparable, Params, VecFunction, build_dyadic,
-                       build_grid, conditional_expectation, delta,
+from ballbasis import (Ball, BallBasis, NotComparable, Params, VecFunction,
+                       build_dyadic, build_grid, conditional_expectation, delta,
                        discrete_hilbert, estimate_bo_constants,
                        identity_operator, martingale_transform, maximal,
                        maximal_modulation, riesz_potential, sparse_operator,
@@ -32,10 +32,28 @@ class TestMartingaleTransform:
         assert np.allclose(out.values, 0.0)
 
     def test_kernel_consistency(self, dyadic6, rng):
-        eps = rng.integers(0, 2, size=dyadic6.n_balls) * 2 - 1
-        T = martingale_transform(dyadic6, eps)
-        f = VecFunction(rng.normal(size=64))
-        assert np.allclose(T.apply(f).values, T.apply_kernel(f).values)
+        # M_eps f = sum over non-leaf A of eps_A (sum over children C of
+        # f_C 1_C - f_A 1_A), with f_B the block average
+        b = dyadic6
+        eps = rng.integers(0, 2, size=b.n_balls) * 2 - 1
+        T = martingale_transform(b, eps)
+        f = rng.normal(size=64)
+        w = b.space.weights
+
+        def block_average(bid):
+            m = b.balls[bid].members
+            out = np.zeros(64)
+            out[m] = (f[m] * w[m]).sum() / w[m].sum()
+            return out
+
+        want = np.zeros(64)
+        for a in range(b.n_balls):
+            kids = [c for c in range(b.n_balls)
+                    if b.contains(c, a) and b.mu[c] == b.mu[a] / 2]
+            if kids:
+                want += eps[a] * (sum(block_average(c) for c in kids)
+                                  - block_average(a))
+        assert np.allclose(T.apply(VecFunction(f)).values[:, 0], want)
 
     def test_linearity(self, dyadic6, rng):
         eps = rng.integers(0, 2, size=dyadic6.n_balls) * 2 - 1
@@ -136,8 +154,10 @@ class TestDiscreteHilbert:
 
     def test_kernel_consistency(self, grid16, rng):
         H = discrete_hilbert(grid16)
-        f = VecFunction(rng.normal(size=16))
-        assert np.allclose(H.apply(f).values, H.apply_kernel(f).values)
+        f = rng.normal(size=16)
+        want = [sum(f[y] / (x - y) for y in range(16) if y != x)
+                for x in range(16)]
+        assert np.allclose(H.apply(VecFunction(f)).values[:, 0], want)
 
 
 class TestTruncate:
@@ -158,6 +178,11 @@ class TestTruncate:
             if 0 not in star:
                 best = max(best, 1.0 / 8.0)
         assert out[8] == pytest.approx(best)
+
+    def test_square_function_truncation_nonzero(self, dyadic8, rng):
+        T = truncate(square_function(dyadic8))
+        out = T.apply(VecFunction(rng.normal(size=256))).norms()
+        assert np.any(out > 0)
 
     def test_sublinear(self, grid16, rng):
         T = truncate(discrete_hilbert(grid16))
@@ -245,9 +270,57 @@ class TestEstimateConstants:
         assert 0 < c.L0 < 10
         assert np.isfinite(c.L2)
 
+    def test_bo_constants_computed_once(self, dyadic6, rng):
+        eps = rng.integers(0, 2, size=dyadic6.n_balls) * 2 - 1
+        T = martingale_transform(dyadic6, eps)
+        c = T.bo_constants(8, 3)
+        assert T.bo_constants(8, 3) is c
+        fresh = estimate_bo_constants(T, dyadic6, budget=8, seed=3)
+        assert (c.L0, c.L1, c.L2) == (fresh.L0, fresh.L1, fresh.L2)
+
     def test_determinism(self, dyadic6, rng):
         eps = rng.integers(0, 2, size=dyadic6.n_balls) * 2 - 1
         T = martingale_transform(dyadic6, eps)
         a = estimate_bo_constants(T, dyadic6, budget=8, seed=3)
         b = estimate_bo_constants(T, dyadic6, budget=8, seed=3)
         assert (a.L0, a.L1, a.L2) == (b.L0, b.L1, b.L2)
+
+
+class TestRelabelledAtoms:
+    """Permuting the atom labels of build_dyadic(7) makes every ball a
+    non-interval; the results must be the relabelled interval-path results."""
+
+    @pytest.fixture(scope="class")
+    def bases(self):
+        base = build_dyadic(7)
+        perm = np.random.default_rng(5).permutation(base.n_atoms)
+        balls = [Ball(b.id, np.sort(perm[b.members]), b.measure)
+                 for b in base.balls]
+        relabelled = BallBasis(base.space, balls, base.hull, K=base.K,
+                               eta=base.eta)
+        assert not relabelled.interval
+        return base, relabelled, perm
+
+    def test_maximal(self, bases, rng):
+        base, relabelled, perm = bases
+        f = rng.normal(size=(base.n_atoms, 1))
+        g = np.empty_like(f)
+        g[perm] = f
+        p = Params.classical_profile(1.0)
+        for kwargs in ({"p": p}, {"p": p, "mode": "sharp"},
+                       {"mode": "alpha", "alpha": 0.5}):
+            want = maximal(VecFunction(f), base, **kwargs)
+            got = maximal(VecFunction(g), relabelled, **kwargs)[perm]
+            assert np.all(want > 0)
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_truncated_sparse_operator(self, bases, rng):
+        base, relabelled, perm = bases
+        ids = rng.choice(base.n_balls, size=8, replace=False)
+        f = rng.normal(size=(base.n_atoms, 1))
+        g = np.empty_like(f)
+        g[perm] = f
+        want = truncate(sparse_operator(base, ids)).apply(VecFunction(f))
+        got = truncate(sparse_operator(relabelled, ids)).apply(VecFunction(g))
+        assert np.any(want.values > 0)
+        assert np.allclose(got.values[perm], want.values, rtol=1e-12, atol=0.0)
