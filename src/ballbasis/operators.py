@@ -67,7 +67,20 @@ class OperatorDescriptor:
 
 
 def _require_dyadic(basis: BallBasis):
-    if basis.kind != "dyadic":
+    """The dyadic operators read ball 2^g - 1 + j (j < 2^g) as the atoms
+    [j n/2^g, (j+1) n/2^g) of generation g, so a basis that claims
+    kind="dyadic" must have that layout too."""
+    n = basis.n_atoms
+    ok = (basis.kind == "dyadic" and basis.interval and n & (n - 1) == 0
+          and basis.n_balls == 2 * n - 1)
+    if ok:
+        gens = np.arange(n.bit_length())
+        g = np.repeat(gens, 1 << gens)
+        width = n >> g
+        lo = (np.arange(basis.n_balls) + 1 - (1 << g)) * width
+        ok = bool(np.array_equal(basis.lo, lo)
+                  and np.array_equal(basis.hi, lo + width - 1))
+    if not ok:
         raise ValueError("operator needs a martingale (dyadic) basis")
 
 
@@ -133,18 +146,20 @@ def square_function(basis: BallBasis) -> OperatorDescriptor:
     _require_dyadic(basis)
     levels = dyadic_levels(basis)
     w = basis.space.weights
+    n = basis.n_atoms
 
     def apply_fn(f):
         # E_{g+1} f - E_g f at x involves only the ball containing x, so the
-        # generation sums recover the individual Delta_A terms pointwise
+        # generation sums recover the individual Delta_A terms pointwise.
+        # Generation g is 2^g consecutive blocks of n >> g atoms (checked by
+        # _require_dyadic), so one reshape gives every block sum of the level
         prev = None
-        acc = np.zeros(basis.n_atoms)
+        acc = np.zeros(n)
+        wf = f.values * w[:, None]
         for g in range(levels + 1):
-            cur = np.empty_like(f.values)
-            for bid in _level_slices(basis, g):
-                lo, hi = int(basis.lo[bid]), int(basis.hi[bid])
-                seg = f.values[lo:hi + 1]
-                cur[lo:hi + 1] = (seg * w[lo:hi + 1, None]).sum(axis=0) / basis.mu[bid]
+            sums = wf.reshape(1 << g, n >> g, -1).sum(axis=1)
+            mu = basis.mu[(1 << g) - 1:(1 << (g + 1)) - 1, None]
+            cur = np.repeat(sums / mu, n >> g, axis=0)
             if prev is not None:
                 diff = cur - prev
                 if f.norm_kind == "euclidean":
@@ -510,6 +525,7 @@ def estimate_bo_constants(T: OperatorDescriptor, basis: BallBasis,
             witnesses["L2"] = {"ball": bid, "grown": b2}
 
     # ---- R5 probe along the exhausting sequence ----
+    # imported at call time, so a patched space.exhausting_sequence is seen
     from .space import exhausting_sequence
     chain = exhausting_sequence(basis)
     last = chain[-1]

@@ -13,6 +13,38 @@ def span_ball(basis, lo, hi):
     return int(np.flatnonzero((basis.lo == lo) & (basis.hi == hi))[0])
 
 
+def _square_function_by_balls(basis, f):
+    """Sf by a Python loop over the balls of every dyadic generation: the
+    reference the per-level block sums of square_function must equal bitwise."""
+    levels = basis.n_atoms.bit_length() - 1
+    w = basis.space.weights
+    prev = None
+    acc = np.zeros(basis.n_atoms)
+    for g in range(levels + 1):
+        cur = np.empty_like(f.values)
+        for bid in range((1 << g) - 1, (1 << (g + 1)) - 1):
+            lo, hi = int(basis.lo[bid]), int(basis.hi[bid])
+            seg = f.values[lo:hi + 1]
+            cur[lo:hi + 1] = (seg * w[lo:hi + 1, None]).sum(axis=0) / basis.mu[bid]
+        if prev is not None:
+            diff = cur - prev
+            if f.norm_kind == "euclidean":
+                d = np.linalg.norm(diff, axis=1)
+            else:
+                d = np.abs(diff).max(axis=1)
+            acc += d ** 2
+        prev = cur
+    return np.sqrt(acc)[:, None]
+
+
+def _relabelled(basis, seed, kind=None):
+    """basis with its atoms relabelled by a seeded permutation."""
+    perm = np.random.default_rng(seed).permutation(basis.n_atoms)
+    balls = [Ball(b.id, np.sort(perm[b.members]), b.measure) for b in basis.balls]
+    return BallBasis(basis.space, balls, basis.hull, K=basis.K, eta=basis.eta,
+                     kind=kind), perm
+
+
 class TestMartingaleTransform:
     def test_haar_step(self):
         b = build_dyadic(1)
@@ -92,6 +124,90 @@ class TestSquareFunction:
         both = S.apply(VecFunction(f + g)).norms()
         split = S.apply(VecFunction(f)).norms() + S.apply(VecFunction(g)).norms()
         assert np.all(both <= split + 1e-10)
+
+    @pytest.mark.parametrize("levels", range(9))
+    def test_equals_per_ball_loop(self, levels):
+        b = build_dyadic(levels)
+        S = square_function(b)
+        rng = np.random.default_rng(levels)
+        for dim in (1, 3):
+            for values in (rng.normal(size=(b.n_atoms, dim)),
+                           rng.choice([-1.0, 1.0], size=(b.n_atoms, dim))):
+                for norm_kind in ("max", "euclidean"):
+                    f = VecFunction(values, norm_kind)
+                    assert np.array_equal(S.apply(f).values,
+                                          _square_function_by_balls(b, f))
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_sum_of_martingale_differences(self, dim, rng):
+        # Sf(x)^2 = sum over non-leaf A of ||Delta_A f(x)||^2, with
+        # Delta_A f = sum over children C of f_C 1_C - f_A 1_A
+        b = build_dyadic(5)
+        S = square_function(b)
+        f = rng.normal(size=(b.n_atoms, dim))
+        w = b.space.weights
+
+        def block_average(bid):
+            m = b.balls[bid].members
+            out = np.zeros_like(f)
+            out[m] = (f[m] * w[m, None]).sum(axis=0) / w[m].sum()
+            return out
+
+        for norm_kind in ("max", "euclidean"):
+            want = np.zeros(b.n_atoms)
+            for a in range(b.n_balls // 2):  # heap order: the non-leaf balls
+                delta_a = (block_average(2 * a + 1) + block_average(2 * a + 2)
+                           - block_average(a))
+                want += VecFunction(delta_a, norm_kind).norms() ** 2
+            got = S.apply(VecFunction(f, norm_kind)).values[:, 0]
+            assert np.allclose(got, np.sqrt(want), rtol=1e-12, atol=1e-15)
+
+
+class TestDyadicLayout:
+    """A basis may claim kind="dyadic"; the dyadic operators accept it only
+    with build_dyadic's layout of generations and spans."""
+
+    DYADIC_OPERATORS = pytest.mark.parametrize("make", [
+        square_function,
+        lambda b: martingale_transform(b, np.ones(b.n_balls)),
+        lambda b: conditional_expectation(b, 1),
+    ], ids=["square_function", "martingale_transform", "conditional_expectation"])
+
+    def test_build_dyadic_accepted(self):
+        for levels in range(11):
+            b = build_dyadic(levels)
+            square_function(b)
+            martingale_transform(b, np.ones(b.n_balls))
+            conditional_expectation(b, 0)
+
+    @DYADIC_OPERATORS
+    def test_relabelled_atoms_rejected(self, dyadic4, make):
+        b, _ = _relabelled(dyadic4, seed=11, kind="dyadic")
+        assert not b.interval
+        with pytest.raises(ValueError, match="dyadic"):
+            make(b)
+
+    @DYADIC_OPERATORS
+    def test_balls_out_of_heap_order_rejected(self, dyadic4, make):
+        # every ball still an interval, but generation 1 lists its balls
+        # right to left
+        b = dyadic4
+        balls = list(b.balls)
+        balls[1], balls[2] = (Ball(1, b.balls[2].members, b.mu[2]),
+                              Ball(2, b.balls[1].members, b.mu[1]))
+        swapped = BallBasis(b.space, balls, b.hull, K=b.K, eta=b.eta,
+                            kind="dyadic")
+        assert swapped.interval
+        with pytest.raises(ValueError, match="dyadic"):
+            make(swapped)
+
+    @DYADIC_OPERATORS
+    def test_wrong_ball_count_rejected(self, dyadic4, make):
+        b = dyadic4
+        short = BallBasis(b.space, b.balls[:-1], b.hull[:-1], K=b.K,
+                          eta=b.eta, kind="dyadic")
+        with pytest.raises(ValueError, match="dyadic"):
+            make(short)
 
 
 class TestSparseOperator:
@@ -293,11 +409,7 @@ class TestRelabelledAtoms:
     @pytest.fixture(scope="class")
     def bases(self):
         base = build_dyadic(7)
-        perm = np.random.default_rng(5).permutation(base.n_atoms)
-        balls = [Ball(b.id, np.sort(perm[b.members]), b.measure)
-                 for b in base.balls]
-        relabelled = BallBasis(base.space, balls, base.hull, K=base.K,
-                               eta=base.eta)
+        relabelled, perm = _relabelled(base, seed=5)
         assert not relabelled.interval
         return base, relabelled, perm
 
