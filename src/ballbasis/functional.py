@@ -68,9 +68,7 @@ class VecFunction:
         return self.dim == 1
 
     def norms(self) -> np.ndarray:
-        if self.norm_kind == "euclidean":
-            return np.linalg.norm(self.values, axis=1)
-        return np.abs(self.values).max(axis=1)
+        return vector_norms(self.values, self.norm_kind)
 
     def norm_of(self, vec) -> float:
         vec = np.atleast_1d(np.asarray(vec, dtype=float))
@@ -160,15 +158,22 @@ def oscillation_stats(f: VecFunction, members) -> tuple[float, float, float]:
     return osc, sup, inf
 
 
-def mean_deviation(vals: np.ndarray, ww: np.ndarray,
-                   norm_kind: str = "euclidean") -> tuple[float, np.ndarray]:
-    """(mu(E), ||f - f_E|| at each atom of E) from f's values and the atom
-    weights on a set E."""
-    mu = ww.sum()
-    dev = vals - (vals * ww[:, None]).sum(axis=0) / mu
+def vector_norms(vals: np.ndarray, norm_kind: str) -> np.ndarray:
+    """Norm of each vector along the last axis."""
     if norm_kind == "euclidean":
-        return mu, np.linalg.norm(dev, axis=1)
-    return mu, np.abs(dev).max(axis=1)
+        return np.linalg.norm(vals, axis=-1)
+    return np.abs(vals).max(axis=-1)
+
+
+def mean_deviation(vals: np.ndarray, ww: np.ndarray, norm_kind: str = "euclidean"
+                   ) -> tuple[float | np.ndarray, np.ndarray]:
+    """(mu(E), ||f - f_E|| at each atom of E) from f's values (L, d) and the
+    atom weights (L,) on a set E of L atoms; leading axes of both stack sets
+    of equal size, giving mu of shape (...) and deviations (..., L)."""
+    mu = ww.sum(axis=-1)
+    mean = (vals * ww[..., None]).sum(axis=-2, keepdims=True)
+    return mu, vector_norms(vals - mean / np.asarray(mu)[..., None, None],
+                            norm_kind)
 
 
 def mean_oscillation(f: VecFunction, members, r: float, mode: str = "sharp",
@@ -373,15 +378,13 @@ def sharp_all(f: VecFunction, basis: BallBasis, r: float = 1.0) -> np.ndarray:
     """<f>_{#,B} for every basis ball."""
     w = basis.space.weights
     out = np.empty(basis.n_balls)
-    for i in range(basis.n_balls):
-        if basis.interval:
-            sl = slice(int(basis.lo[i]), int(basis.hi[i]) + 1)
-            vals, ww = f.values[sl], w[sl]
-        else:
-            members = basis.balls[i].members
-            vals, ww = f.values[members], w[members]
-        mu, d = mean_deviation(vals, ww, f.norm_kind)
-        out[i] = ((d ** r * ww).sum() / mu) ** (1.0 / r)
+    for ids, idx in basis.size_groups():
+        ww = w[idx]
+        mu, d = mean_deviation(f.values[idx], ww, f.norm_kind)
+        out[ids] = (d ** r * ww).sum(axis=1) / mu
+    if r != 1.0:
+        # scalar pow per ball: numpy's array ** rounds differently
+        out = np.array([v ** (1.0 / r) for v in out])
     return out
 
 
@@ -422,13 +425,8 @@ def maximal(f: VecFunction, basis: BallBasis, p: Params | None = None,
 def _max_over_containing_balls(basis: BallBasis, vals: np.ndarray,
                                out: np.ndarray) -> np.ndarray:
     """out[x] = max(out[x], max of vals[B] over balls B containing x)."""
-    if basis.interval:
-        for i in range(basis.n_balls):
-            sl = slice(int(basis.lo[i]), int(basis.hi[i]) + 1)
-            np.maximum(out[sl], vals[i], out=out[sl])
-    else:
-        for b in basis.balls:
-            out[b.members] = np.maximum(out[b.members], vals[b.id])
+    for ids, idx in basis.size_groups():
+        np.maximum.at(out, idx, vals[ids][:, None])
     return out
 
 

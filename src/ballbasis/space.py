@@ -106,6 +106,7 @@ class BallBasis:
             and len({(int(a), int(b)) for a, b in zip(lo, hi)}) == self.n_balls
         )
         self._member_matrix = None
+        self._size_groups = None
         self._star_lo = None
         self._star_hi = None
         self._star_sets = {}
@@ -139,6 +140,24 @@ class BallBasis:
                 m[b.id, b.members] = True
             self._member_matrix = m
         return self._member_matrix
+
+    def size_groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(ball ids, (m, L) matrix of their member atoms) for each distinct
+        ball size L, in increasing L; row k lists the members of ball ids[k].
+
+        Built on first use and kept; the arrays are read-only.
+        """
+        if self._size_groups is None:
+            sizes = np.array([len(b.members) for b in self.balls])
+            groups = []
+            for size in np.unique(sizes):
+                ids = np.flatnonzero(sizes == size)
+                idx = np.stack([self.balls[i].members for i in ids])
+                ids.setflags(write=False)
+                idx.setflags(write=False)
+                groups.append((ids, idx))
+            self._size_groups = groups
+        return self._size_groups
 
     # -- star / hull -----------------------------------------------------
 

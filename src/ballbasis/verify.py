@@ -18,7 +18,7 @@ from .errors import ConfigError, InfZero, ZeroBmoNorm
 from .space import BallBasis
 from .functional import (Params, VecFunction, alpha_oscillation,
                          ball_integrals, bmo_norm, maximal, mean_deviation,
-                         median)
+                         median, vector_norms)
 from .operators import OperatorDescriptor, truncate
 from .domination import fit_exponential_rate
 
@@ -296,6 +296,15 @@ def exp_decay_report(T: OperatorDescriptor, f: VecFunction, b_id: int,
 # -- John-Nirenberg -----------------------------------------------------------------
 
 
+def _tail_fractions(dev: np.ndarray, ww: np.ndarray, mu: np.ndarray,
+                    thresholds: np.ndarray) -> np.ndarray:
+    """max over balls of mu({dev > t}) / mu(B) for each threshold t, from
+    deviations and weights (m, L) and measures (m,) of m balls of L atoms."""
+    above = dev[:, None, :] > thresholds[None, :, None]
+    mass = np.where(above, ww[:, None, :], 0.0).sum(axis=2)
+    return (mass / mu[:, None]).max(axis=0)
+
+
 def john_nirenberg_report(f: VecFunction, basis: BallBasis,
                           t_max: int = 64) -> Report:
     """Worst-ball tails of ||f - center|| / ||f||_BMO for median and average
@@ -305,18 +314,17 @@ def john_nirenberg_report(f: VecFunction, basis: BallBasis,
         raise ZeroBmoNorm("f is constant on every ball")
     w = basis.space.weights
     levels = list(range(0, t_max + 1))
+    thresholds = np.arange(t_max + 1) * norm
     tail_med = np.zeros(len(levels))
     tail_avg = np.zeros(len(levels))
-    for b in basis.balls:
-        ms = b.members
-        ww = w[ms]
-        vals = f.values[ms]
-        _, med = median(f, ms, basis)
-        dev_m = np.linalg.norm(vals - med[None, :], axis=1)
-        mu, dev_a = mean_deviation(vals, ww)
-        for j, t in enumerate(levels):
-            tail_med[j] = max(tail_med[j], float(ww[dev_m > t * norm].sum() / mu))
-            tail_avg[j] = max(tail_avg[j], float(ww[dev_a > t * norm].sum() / mu))
+    for ids, idx in basis.size_groups():
+        ww = w[idx]
+        vals = f.values[idx]
+        meds = np.stack([median(f, basis.balls[i].members, basis)[1] for i in ids])
+        dev_m = vector_norms(vals - meds[:, None, :], f.norm_kind)
+        mu, dev_a = mean_deviation(vals, ww, f.norm_kind)
+        tail_med = np.maximum(tail_med, _tail_fractions(dev_m, ww, mu, thresholds))
+        tail_avg = np.maximum(tail_avg, _tail_fractions(dev_a, ww, mu, thresholds))
     rate_med = fit_exponential_rate(levels, tail_med)
     rate_avg = fit_exponential_rate(levels, tail_avg)
     nz = int(np.count_nonzero(tail_med))

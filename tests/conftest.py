@@ -1,7 +1,38 @@
 import numpy as np
 import pytest
 
-from ballbasis import build_dyadic, build_grid
+from ballbasis import Ball, BallBasis, MeasureSpace, build_dyadic, build_grid
+
+
+def _relabelled(basis, seed, kind=None):
+    """basis with its atoms relabelled by a seeded permutation."""
+    perm = np.random.default_rng(seed).permutation(basis.n_atoms)
+    balls = [Ball(b.id, np.sort(perm[b.members]), b.measure) for b in basis.balls]
+    return BallBasis(basis.space, balls, basis.hull, K=basis.K, eta=basis.eta,
+                     kind=kind), perm
+
+
+def _reweighted(basis, seed):
+    """basis with the same balls over seeded atom weights in [0.5, 2)."""
+    space = MeasureSpace(np.random.default_rng(seed).uniform(0.5, 2.0, basis.n_atoms))
+    balls = [Ball(b.id, b.members, space.measure(b.members)) for b in basis.balls]
+    return BallBasis(space, balls, basis.hull, K=basis.K, eta=basis.eta)
+
+
+STAT_BASES = {
+    "grid40": lambda: build_grid(40),
+    "dyadic7": lambda: build_dyadic(7),
+    "dyadic7_relabelled": lambda: _relabelled(build_dyadic(7), seed=5)[0],
+    "grid40_weighted": lambda: _reweighted(build_grid(40), seed=7),
+}
+
+
+@pytest.fixture(scope="session", params=sorted(STAT_BASES))
+def stat_basis(request):
+    """The bases the size-grouped ball statistics are checked on: a complete
+    grid, a dyadic basis, the same with atoms relabelled (no ball an
+    interval) and a grid with non-uniform atom weights."""
+    return STAT_BASES[request.param]()
 
 
 @pytest.fixture(scope="session")

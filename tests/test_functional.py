@@ -8,9 +8,41 @@ from ballbasis import (EmptySet, IncompleteFamily, Params, RegularityViolation,
                        bmo_norm, build_dyadic, build_grid,
                        build_regular_family, general_maximal, maximal,
                        mean_oscillation, median, sharp_all, sup_sharp_all)
-from ballbasis.functional import oscillation_stats
+from ballbasis.functional import _max_over_containing_balls, oscillation_stats
 
 CLASSICAL = Params.classical_profile(1.0)
+
+
+def _norms(vals, norm_kind):
+    if norm_kind == "euclidean":
+        return np.linalg.norm(vals, axis=1)
+    return np.abs(vals).max(axis=1)
+
+
+def _sharp_all_by_balls(f, basis, r):
+    """<f>_{#,B} by a Python loop over the balls, slicing interval balls:
+    the reference the size-grouped sharp_all must equal bitwise."""
+    w = basis.space.weights
+    out = np.empty(basis.n_balls)
+    for i in range(basis.n_balls):
+        if basis.interval:
+            sl = slice(int(basis.lo[i]), int(basis.hi[i]) + 1)
+            vals, ww = f.values[sl], w[sl]
+        else:
+            members = basis.balls[i].members
+            vals, ww = f.values[members], w[members]
+        mu = ww.sum()
+        d = _norms(vals - (vals * ww[:, None]).sum(axis=0) / mu, f.norm_kind)
+        out[i] = ((d ** r * ww).sum() / mu) ** (1.0 / r)
+    return out
+
+
+def _scatter_max_by_balls(basis, vals, out):
+    """out[x] = max(out[x], vals[B]) over the balls B containing x, one ball
+    at a time: the reference for the size-grouped scatter-max."""
+    for b in basis.balls:
+        out[b.members] = np.maximum(out[b.members], vals[b.id])
+    return out
 
 
 def indicator(n, atoms):
@@ -290,6 +322,39 @@ class TestSharpBounds:
         sharp = sharp_all(f, dyadic4, 1.0)
         sups = sup_sharp_all(f, dyadic4, 1.0)
         assert np.all(sups >= sharp - 1e-12)
+
+
+class TestGroupedStatistics:
+    """The size-grouped kernels against the per-ball loops they replaced."""
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("norm_kind", ["euclidean", "max"])
+    @pytest.mark.parametrize("r", [1.0, 1.5, 2.0])
+    def test_sharp_all_equals_per_ball_loop(self, stat_basis, dim, norm_kind, r):
+        rng = np.random.default_rng(dim)
+        f = VecFunction(rng.normal(size=(stat_basis.n_atoms, dim)), norm_kind)
+        assert f.values.flags.c_contiguous
+        want = _sharp_all_by_balls(f, stat_basis, r)
+        assert np.array_equal(sharp_all(f, stat_basis, r), want)
+
+    @pytest.mark.parametrize("basis", [build_grid(48), build_dyadic(7)],
+                             ids=["grid48", "dyadic7"])
+    @pytest.mark.parametrize("norm_kind", ["euclidean", "max"])
+    def test_sharp_all_layout_independent(self, basis, norm_kind):
+        vals = np.random.default_rng(3).normal(size=(basis.n_atoms, 3))
+        c = VecFunction(np.ascontiguousarray(vals), norm_kind)
+        fortran = VecFunction(np.asfortranarray(vals), norm_kind)
+        assert not fortran.values.flags.c_contiguous
+        assert np.array_equal(sharp_all(c, basis), sharp_all(fortran, basis))
+
+    @pytest.mark.parametrize("initial", [0.0, -np.inf])
+    def test_scatter_max_equals_per_ball_loop(self, stat_basis, initial):
+        vals = np.random.default_rng(4).normal(size=stat_basis.n_balls)
+        want = _scatter_max_by_balls(stat_basis, vals,
+                                     np.full(stat_basis.n_atoms, initial))
+        got = _max_over_containing_balls(stat_basis, vals,
+                                         np.full(stat_basis.n_atoms, initial))
+        assert np.array_equal(got, want)
 
 
 class TestSerialization:

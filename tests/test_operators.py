@@ -8,6 +8,8 @@ from ballbasis import (Ball, BallBasis, NotComparable, Params, VecFunction,
                        maximal_modulation, riesz_potential, sparse_operator,
                        square_function, truncate, zero_operator)
 
+from conftest import _relabelled
+
 
 def span_ball(basis, lo, hi):
     return int(np.flatnonzero((basis.lo == lo) & (basis.hi == hi))[0])
@@ -35,14 +37,6 @@ def _square_function_by_balls(basis, f):
             acc += d ** 2
         prev = cur
     return np.sqrt(acc)[:, None]
-
-
-def _relabelled(basis, seed, kind=None):
-    """basis with its atoms relabelled by a seeded permutation."""
-    perm = np.random.default_rng(seed).permutation(basis.n_atoms)
-    balls = [Ball(b.id, np.sort(perm[b.members]), b.measure) for b in basis.balls]
-    return BallBasis(basis.space, balls, basis.hull, K=basis.K, eta=basis.eta,
-                     kind=kind), perm
 
 
 class TestMartingaleTransform:

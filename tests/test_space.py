@@ -7,6 +7,8 @@ from ballbasis import (BallBasis, NoContainingBall, build_dyadic, build_grid,
                        check_axioms, doubling_chain, enlarge,
                        exhausting_sequence, volume_distance)
 
+from conftest import STAT_BASES
+
 
 def ball_by_span(basis, lo, hi):
     ids = np.flatnonzero((basis.lo == lo) & (basis.hi == hi))
@@ -65,6 +67,23 @@ class TestBuilders:
             build_grid(1)
         with pytest.raises(ValueError):
             build_grid(513)
+
+
+class TestSizeGroups:
+    @pytest.mark.parametrize("make", list(STAT_BASES.values()), ids=list(STAT_BASES))
+    def test_contract(self, make):
+        b = make()
+        assert b._size_groups is None  # lazy: set-up does not pay for it
+        groups = b.size_groups()
+        ids = np.concatenate([g_ids for g_ids, _ in groups])
+        assert np.array_equal(np.sort(ids), np.arange(b.n_balls))
+        sizes = [idx.shape[1] for _, idx in groups]
+        assert sizes == sorted(set(sizes))
+        for g_ids, idx in groups:
+            assert idx.shape[0] == len(g_ids)
+            for i, row in zip(g_ids, idx):
+                assert np.array_equal(row, b.balls[i].members)
+        assert b.size_groups() is groups
 
 
 class TestEnlarge:

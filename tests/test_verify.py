@@ -5,13 +5,44 @@ import pytest
 
 from ballbasis import (ConfigError, Corpus, InfZero, Params, VecFunction,
                        Weight, ZeroBmoNorm, ap_characteristics,
-                       bmo_bounded_report, conditional_expectation,
+                       bmo_bounded_report, bmo_norm, conditional_expectation,
                        discrete_hilbert, estimate_bo_constants,
                        exp_decay_report, good_lambda_report, identity_operator,
                        john_nirenberg_report, martingale_transform, maximal,
-                       strong_domination_check, weak_type_report,
+                       median, strong_domination_check, weak_type_report,
                        zero_operator)
 from ballbasis.verify import _weighted_norm_ratio, round_sig
+
+
+def _jn_tails_by_balls(f, basis, t_max=64):
+    """Median- and average-centred John-Nirenberg tails by a Python loop over
+    the balls and the levels t, in f's own norm: the reference for the
+    size-grouped tails of john_nirenberg_report."""
+    def norms(v):
+        if f.norm_kind == "euclidean":
+            return np.linalg.norm(v, axis=1)
+        return np.abs(v).max(axis=1)
+
+    norm = bmo_norm(f, basis)
+    w = basis.space.weights
+    tail_med = np.zeros(t_max + 1)
+    tail_avg = np.zeros(t_max + 1)
+    for b in basis.balls:
+        ww = w[b.members]
+        vals = f.values[b.members]
+        _, med = median(f, b.members, basis)
+        mu = ww.sum()
+        dev_m = norms(vals - med[None, :])
+        dev_a = norms(vals - (vals * ww[:, None]).sum(axis=0) / mu)
+        for t in range(t_max + 1):
+            tail_med[t] = max(tail_med[t], float(ww[dev_m > t * norm].sum() / mu))
+            tail_avg[t] = max(tail_avg[t], float(ww[dev_a > t * norm].sum() / mu))
+    return tail_med, tail_avg
+
+
+def _report_tails(rep):
+    return tuple(np.array([r.value for r in rep.rows if r.statistic == stat])
+                 for stat in ("tail_median_center", "tail_average_center"))
 
 
 class TestCorpus:
@@ -151,6 +182,30 @@ class TestJohnNirenberg:
     def test_constant_rejected(self, dyadic6):
         with pytest.raises(ZeroBmoNorm):
             john_nirenberg_report(VecFunction(np.ones(64)), dyadic6)
+
+    @pytest.mark.parametrize("norm_kind", ["euclidean", "max"])
+    def test_tails_equal_per_ball_loop(self, stat_basis, norm_kind):
+        vals = np.random.default_rng(6).lognormal(size=stat_basis.n_atoms)
+        f = VecFunction(vals, norm_kind)
+        got = _report_tails(john_nirenberg_report(f, stat_basis))
+        want = _jn_tails_by_balls(f, stat_basis)
+        uniform = np.all(stat_basis.space.weights == stat_basis.space.weights[0])
+        for g, w in zip(got, want):
+            assert np.any(w > 0)
+            if uniform:
+                assert np.array_equal(g, w)
+            else:
+                # masked sums in another order: within an ulp or so
+                assert np.allclose(g, w, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("norm_kind", ["euclidean", "max"])
+    def test_vector_tails_in_own_norm(self, dyadic3, norm_kind, dim):
+        f = VecFunction(np.random.default_rng(8).normal(size=(8, dim)), norm_kind)
+        got = _report_tails(john_nirenberg_report(f, dyadic3))
+        want = _jn_tails_by_balls(f, dyadic3)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 class TestBmoBounded:
