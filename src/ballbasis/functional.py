@@ -121,17 +121,9 @@ def average(f: VecFunction, members, p: Params, mode: str = "plain",
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def ball_integrals(mass: np.ndarray, basis: BallBasis) -> np.ndarray:
-    """sum over x in B of mass[x], for every basis ball at once."""
-    if basis.interval:
-        pre = np.concatenate([[0.0], np.cumsum(mass)])
-        return pre[basis.hi + 1] - pre[basis.lo]
-    return basis.member_matrix() @ mass
-
-
 def ball_averages_all(f: VecFunction, basis: BallBasis, p: Params) -> np.ndarray:
     """<f>_B for every basis ball at once."""
-    ints = ball_integrals(f.norms() ** p.r * basis.space.weights, basis)
+    ints = basis.ball_integrals(f.norms() ** p.r * basis.space.weights)
     ints = np.maximum(ints, 0.0)
     return basis.mu ** (-p.rho) * ints ** p.varrho
 
@@ -413,7 +405,7 @@ def maximal(f: VecFunction, basis: BallBasis, p: Params | None = None,
     elif mode == "alpha":
         if alpha is None or not (0 <= alpha < 1):
             raise ValueError("alpha mode needs 0 <= alpha < dimension (=1)")
-        vals = basis.mu ** (alpha - 1.0) * ball_integrals(f.norms() * w, basis)
+        vals = basis.mu ** (alpha - 1.0) * basis.ball_integrals(f.norms() * w)
     elif mode == "sharp":
         r = p.r if p is not None else 1.0
         vals = sharp_all(f, basis, r)
@@ -447,10 +439,6 @@ class RegularFamily:
 
 def cover_measure_table(basis: BallBasis) -> np.ndarray:
     """table[a, b] = min measure of a ball covering the span [a, b] (interval bases)."""
-    if basis._cover_table is not None:
-        return basis._cover_table
-    if not basis.interval:
-        raise ValueError("cover table only defined for interval bases")
     n = basis.n_atoms
     table = np.full((n, n), np.inf)
     by_lo = [[] for _ in range(n)]
@@ -464,16 +452,16 @@ def cover_measure_table(basis: BallBasis) -> np.ndarray:
                 m_hi[h] = basis.mu[i]
         # suffix-min over hi >= b of min measure among balls with lo <= a
         table[a] = np.minimum.accumulate(m_hi[::-1])[::-1]
-    basis._cover_table = table
     return table
 
 
 def volume_distance_matrix(basis: BallBasis) -> np.ndarray:
-    """d(x, B) for every atom x (columns) and ball B (rows)."""
+    """d(x, B) for every atom x (columns) and ball B (rows); inf where no ball
+    contains both."""
     if basis._vdist_matrix is not None:
         return basis._vdist_matrix
     n = basis.n_atoms
-    out = np.empty((basis.n_balls, n))
+    out = np.full((basis.n_balls, n), np.inf)
     if basis.interval:
         table = cover_measure_table(basis)
         xs = np.arange(n)
@@ -482,9 +470,10 @@ def volume_distance_matrix(basis: BallBasis) -> np.ndarray:
             b = np.maximum(xs, basis.hi[i])
             out[i] = table[a, b]
     else:
-        from .space import volume_distance
         for i in range(basis.n_balls):
-            out[i] = [volume_distance(basis, x, i) for x in range(n)]
+            for j in basis.supersets(i):
+                m = basis.balls[j].members
+                out[i, m] = np.minimum(out[i, m], basis.mu[j])
     basis._vdist_matrix = out
     return out
 

@@ -7,10 +7,15 @@ K (hull constant) and eta (doubling constant, optional).  The star of a ball,
     star(B) = union of all balls A with mu(A) <= 2 mu(B) and A
               intersecting B,
 
-is computed exactly.  Bases whose balls are all contiguous atom ranges
-("interval bases", which covers both shipped builders) get vectorized star /
-superset machinery; anything else falls back to a membership-matrix path meant
-for small, hand-built bases.
+is computed exactly.
+
+Every ball query is answered by `BallBasis` on top of one containment test:
+a ball contains a set when its atom span [lo, hi] covers the set's span and,
+unless every ball is a contiguous atom range (`interval`), its row of the
+membership matrix covers the set.  Interval bases (both shipped builders)
+never build that matrix; on any other basis (relabelled atoms, hand-built
+JSON) the same queries give the same answers from an n_balls x n_atoms
+boolean matrix built on first use.
 """
 
 from __future__ import annotations
@@ -63,10 +68,6 @@ class Ball:
     members: np.ndarray  # sorted atom ids
     measure: float
 
-    @property
-    def member_set(self) -> frozenset:
-        return frozenset(int(a) for a in self.members)
-
     def __contains__(self, atom: int) -> bool:
         i = np.searchsorted(self.members, atom)
         return i < len(self.members) and self.members[i] == atom
@@ -94,8 +95,8 @@ class BallBasis:
         self.mu = np.array([b.measure for b in self.balls])
         lo = np.array([b.members[0] for b in self.balls], dtype=np.int64)
         hi = np.array([b.members[-1] for b in self.balls], dtype=np.int64)
-        sizes = np.array([len(b.members) for b in self.balls], dtype=np.int64)
-        self.interval = bool(np.all(hi - lo + 1 == sizes))
+        self.sizes = np.array([len(b.members) for b in self.balls], dtype=np.int64)
+        self.interval = bool(np.all(hi - lo + 1 == self.sizes))
         self.lo = lo
         self.hi = hi
         # complete unit grid: every span present exactly once, unit weights
@@ -106,18 +107,12 @@ class BallBasis:
             and len({(int(a), int(b)) for a, b in zip(lo, hi)}) == self.n_balls
         )
         self._member_matrix = None
+        self._star_matrix = None
         self._size_groups = None
         self._star_lo = None
         self._star_hi = None
         self._star_sets = {}
-        self._cover_table = None   # functional.cover_measure_table
         self._vdist_matrix = None  # functional.volume_distance_matrix
-        self._span_index = {}
-        for b in self.balls:
-            key = (int(lo[b.id]), int(hi[b.id]))
-            old = self._span_index.get(key)
-            if old is None or self.mu[b.id] < self.mu[old]:
-                self._span_index[key] = b.id
 
     # -- basic accessors -------------------------------------------------
 
@@ -148,16 +143,38 @@ class BallBasis:
         Built on first use and kept; the arrays are read-only.
         """
         if self._size_groups is None:
-            sizes = np.array([len(b.members) for b in self.balls])
             groups = []
-            for size in np.unique(sizes):
-                ids = np.flatnonzero(sizes == size)
+            for size in np.unique(self.sizes):
+                ids = np.flatnonzero(self.sizes == size)
                 idx = np.stack([self.balls[i].members for i in ids])
                 ids.setflags(write=False)
                 idx.setflags(write=False)
                 groups.append((ids, idx))
             self._size_groups = groups
         return self._size_groups
+
+    # -- sums over balls and stars ------------------------------------------
+
+    def ball_integrals(self, mass: np.ndarray) -> np.ndarray:
+        """sum over x in B of mass[x], for every ball at once."""
+        if self.interval:
+            pre = np.concatenate([[0.0], np.cumsum(mass)])
+            return pre[self.hi + 1] - pre[self.lo]
+        return self.member_matrix() @ mass
+
+    def star_sums(self, v: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Row k: sum over y in star(B) of v[y] for the ball B = ids[k]
+        (v has one row per atom)."""
+        if self.interval:
+            slo, shi = self.star_spans()
+            pre = np.concatenate([np.zeros((1,) + v.shape[1:]), np.cumsum(v, axis=0)])
+            return pre[shi[ids] + 1] - pre[slo[ids]]
+        if self._star_matrix is None:
+            s = np.zeros((self.n_balls, self.n_atoms), dtype=bool)
+            for i in range(self.n_balls):
+                s[i, self.star_members(i)] = True
+            self._star_matrix = s
+        return self._star_matrix[ids] @ v
 
     # -- star / hull -----------------------------------------------------
 
@@ -187,16 +204,9 @@ class BallBasis:
         if self.interval:
             slo, shi = self.star_spans()
             return np.arange(slo[ball_id], shi[ball_id] + 1)
-        cached = self._star_sets.get(ball_id)
-        if cached is not None:
-            return cached
-        m = self.member_matrix()
-        b = self.ball(ball_id)
-        touches = m[:, b.members].any(axis=1)
-        qualifies = touches & (self.mu <= 2 * self.mu[ball_id])
-        members = np.flatnonzero(m[qualifies].any(axis=0))
-        self._star_sets[ball_id] = members
-        return members
+        if ball_id not in self._star_sets:
+            self._star_sets[ball_id] = self.star_of_set(self.ball(ball_id).members)
+        return self._star_sets[ball_id]
 
     def star_of_set(self, members) -> np.ndarray:
         """The star rule applied to an arbitrary set S:
@@ -204,29 +214,10 @@ class BallBasis:
         arr = np.asarray(members, dtype=np.int64)
         if arr.size == 0:
             return arr
-        m_s = self.measure(arr)
-        if self.interval:
-            covered = np.zeros(self.n_atoms, dtype=bool)
-            covered[arr] = True
-            contiguous = arr.size == int(arr.max()) - int(arr.min()) + 1
-            if contiguous:
-                mask = ((self.mu <= 2 * m_s) & (self.lo <= int(arr.max()))
-                        & (self.hi >= int(arr.min())))
-            else:
-                mask = (self.mu <= 2 * m_s) & np.array(
-                    [covered[self.lo[i]:self.hi[i] + 1].any() for i in range(self.n_balls)])
-            if mask.any():
-                diff = np.zeros(self.n_atoms + 1, dtype=np.int64)
-                np.add.at(diff, self.lo[mask], 1)
-                np.add.at(diff, self.hi[mask] + 1, -1)
-                covered |= np.cumsum(diff[:-1]) > 0
-            return np.flatnonzero(covered)
         m = self.member_matrix()
-        touches = m[:, arr].any(axis=1) & (self.mu <= 2 * m_s)
-        union = np.zeros(self.n_atoms, dtype=bool)
+        touches = m[:, arr].any(axis=1) & (self.mu <= 2 * self.measure(arr))
+        union = m[touches].any(axis=0)
         union[arr] = True
-        if touches.any():
-            union |= m[touches].any(axis=0)
         return np.flatnonzero(union)
 
     def star2_members(self, ball_id: int) -> np.ndarray:
@@ -241,48 +232,42 @@ class BallBasis:
 
     # -- containment queries ----------------------------------------------
 
+    def _containing(self, arr: np.ndarray) -> np.ndarray:
+        """Mask of the balls that contain every atom of the nonempty array arr."""
+        mask = (self.lo <= arr.min()) & (self.hi >= arr.max())
+        if not self.interval:
+            mask &= self.member_matrix()[:, arr].all(axis=1)
+        return mask
+
     def balls_containing_atom(self, atom: int) -> np.ndarray:
-        if self.interval:
-            return np.flatnonzero((self.lo <= atom) & (self.hi >= atom))
-        return np.flatnonzero(self.member_matrix()[:, atom])
+        return np.flatnonzero(self._containing(np.array([atom])))
 
     def balls_containing_set(self, members) -> np.ndarray:
         arr = np.asarray(members, dtype=np.int64)
         if arr.size == 0:
             raise EmptySet("containment query over an empty set")
-        if self.interval:
-            a, b = int(arr.min()), int(arr.max())
-            return np.flatnonzero((self.lo <= a) & (self.hi >= b))
-        return np.flatnonzero(self.member_matrix()[:, arr].all(axis=1))
+        return np.flatnonzero(self._containing(arr))
 
     def supersets(self, ball_id: int, strict: bool = False) -> np.ndarray:
-        ids = self.balls_containing_set(self.balls[ball_id].members)
+        ids = np.flatnonzero(self._containing(self.balls[ball_id].members))
         if strict:
-            if self.interval:
-                keep = (self.lo[ids] < self.lo[ball_id]) | (self.hi[ids] > self.hi[ball_id])
-            else:
-                sz = np.array([len(self.balls[i].members) for i in ids])
-                keep = sz > len(self.balls[ball_id].members)
-            ids = ids[keep]
+            ids = ids[self.sizes[ids] > self.sizes[ball_id]]
         return ids
+
+    def smallest_strict_superset(self, ball_id: int) -> int | None:
+        """The strict superset of least measure (least id among ties), or
+        None if no ball strictly contains this one."""
+        ids = self.supersets(ball_id, strict=True)
+        return int(ids[np.argmin(self.mu[ids])]) if ids.size else None
 
     def contains(self, inner_id: int, outer_id: int) -> bool:
         """True iff ball inner is a subset of ball outer."""
-        if self.interval:
-            return bool(self.lo[outer_id] <= self.lo[inner_id]
-                        and self.hi[outer_id] >= self.hi[inner_id])
-        a = self.balls[inner_id].member_set
-        return a <= self.balls[outer_id].member_set
+        return bool(self._containing(self.balls[inner_id].members)[outer_id])
 
     def full_ball_id(self) -> int | None:
         """A ball containing every atom, if one exists."""
-        for i in range(self.n_balls):
-            if self.interval:
-                if self.lo[i] == 0 and self.hi[i] == self.n_atoms - 1:
-                    return i
-            elif len(self.balls[i].members) == self.n_atoms:
-                return i
-        return None
+        ids = np.flatnonzero(self.sizes == self.n_atoms)
+        return int(ids[0]) if ids.size else None
 
     # -- serialization -----------------------------------------------------
 
@@ -293,6 +278,7 @@ class BallBasis:
             "hull": [int(h) for h in self.hull],
             "K": self.K,
             "eta": self.eta,
+            "kind": self.kind,
         }
         return json.dumps(doc)
 
@@ -304,7 +290,8 @@ class BallBasis:
         for i, members in enumerate(doc["balls"]):
             arr = as_atom_array(members)
             balls.append(Ball(i, arr, space.measure(arr)))
-        return cls(space, balls, doc["hull"], doc["K"], doc.get("eta"))
+        return cls(space, balls, doc["hull"], doc["K"], doc.get("eta"),
+                   doc.get("kind"))
 
 
 # -- builders ---------------------------------------------------------------
@@ -399,71 +386,31 @@ def check_axioms(basis: BallBasis) -> AxiomReport:
         common = m.T @ m  # atoms x atoms: number of shared balls
         b2_pass = bool(np.all(common > 0))
 
-    # B4: stored hull must contain the star with mu(hull) <= K mu(B);
+    # B4: the stored hull must contain the star with mu(hull) <= K mu(B), and
     # k_min is what the best possible hull assignment would achieve.
+    # Doubling: the largest mu(A)/mu(B), A the smallest strict superset of B,
+    # over the balls B whose star is not X.
     hull_failures = []
     k_min = 0.0
-    n = basis.n_atoms
-    if basis.interval:
-        slo, shi = basis.star_spans()
-        hlo, hhi = basis.lo[basis.hull], basis.hi[basis.hull]
-        hmu = basis.mu[basis.hull]
-        bad = ~((hlo <= slo) & (hhi >= shi) & (hmu <= basis.K * basis.mu + 1e-12))
-        hull_failures = [int(i) for i in np.flatnonzero(bad)]
-        for i in range(basis.n_balls):
-            key = (int(slo[i]), int(shi[i]))
-            j = basis._span_index.get(key)
-            if j is not None:
-                best = basis.mu[j]
-            else:
-                mask = (basis.lo <= slo[i]) & (basis.hi >= shi[i])
-                if not mask.any():
-                    hull_failures.append(i)
-                    continue
-                best = basis.mu[mask].min()
-            k_min = max(k_min, best / basis.mu[i])
-    else:
-        m = basis.member_matrix()
-        for i in range(basis.n_balls):
-            star = basis.star_members(i)
-            hull_set = basis.hull_ball(i).members
-            if not (set(star) <= set(int(a) for a in hull_set)
-                    and basis.hull_ball(i).measure <= basis.K * basis.mu[i] + 1e-12):
-                hull_failures.append(i)
-            covering = np.flatnonzero(m[:, star].all(axis=1))
-            if covering.size == 0:
-                hull_failures.append(i)
-                continue
-            k_min = max(k_min, basis.mu[covering].min() / basis.mu[i])
-
-    # doubling: minimal eta over balls with star != X
     eta_min = 0.0
     eta_counterexample = None
     for i in range(basis.n_balls):
-        if basis.interval:
-            slo, shi = basis.star_spans()
-            star_is_x = (slo[i] == 0) and (shi[i] == n - 1)
+        star = basis.star_members(i)
+        covering = basis._containing(star)
+        h = basis.hull[i]
+        if not (covering[h] and basis.mu[h] <= basis.K * basis.mu[i] + 1e-12):
+            hull_failures.append(i)
+        if covering.any():
+            k_min = max(k_min, basis.mu[covering].min() / basis.mu[i])
         else:
-            star_is_x = len(basis.star_members(i)) == n
-        if star_is_x:
+            hull_failures.append(i)
+        if star.size == basis.n_atoms:
             continue
-        if basis.interval:
-            mask = ((basis.lo <= basis.lo[i]) & (basis.hi >= basis.hi[i])
-                    & ((basis.lo < basis.lo[i]) | (basis.hi > basis.hi[i])))
-            if basis.complete_grid:
-                ratio = (basis.mu[i] + 1.0) / basis.mu[i]
-            elif mask.any():
-                ratio = basis.mu[mask].min() / basis.mu[i]
-            else:
-                eta_counterexample = i
-                continue
+        nxt = basis.smallest_strict_superset(i)
+        if nxt is None:
+            eta_counterexample = i
         else:
-            ids = basis.supersets(i, strict=True)
-            if ids.size == 0:
-                eta_counterexample = i
-                continue
-            ratio = basis.mu[ids].min() / basis.mu[i]
-        eta_min = max(eta_min, ratio)
+            eta_min = max(eta_min, basis.mu[nxt] / basis.mu[i])
     if eta_counterexample is not None:
         eta_min = None
 
@@ -480,16 +427,7 @@ def volume_distance(basis: BallBasis, x: int, ball_id: int) -> float:
     """d(x, B) = smallest measure of a ball containing B and x."""
     if not (0 <= x < basis.n_atoms):
         raise NoContainingBall(f"atom {x} outside the space")
-    if basis.interval:
-        a = min(int(basis.lo[ball_id]), x)
-        b = max(int(basis.hi[ball_id]), x)
-        mask = (basis.lo <= a) & (basis.hi >= b)
-        if not mask.any():
-            raise NoContainingBall(f"no ball contains ball {ball_id} and atom {x}")
-        return float(basis.mu[mask].min())
-    m = basis.member_matrix()
-    members = basis.balls[ball_id].members
-    mask = m[:, members].all(axis=1) & m[:, x]
+    mask = basis._containing(np.append(basis.ball(ball_id).members, x))
     if not mask.any():
         raise NoContainingBall(f"no ball contains ball {ball_id} and atom {x}")
     return float(basis.mu[mask].min())
@@ -502,24 +440,18 @@ def exhausting_sequence(basis: BallBasis) -> list[Ball]:
     containing atom 0; verified to end at a ball containing every other ball.
     """
     start_ids = basis.balls_containing_atom(0)
-    order = sorted(start_ids, key=lambda i: (basis.mu[i], i))
-    cur = order[0]
-    chain = [cur]
-    while True:
-        ids = basis.supersets(cur, strict=True)
-        if ids.size == 0:
-            break
-        nxt = min(ids, key=lambda i: (basis.mu[i], i))
-        chain.append(int(nxt))
-        cur = int(nxt)
+    chain = [int(start_ids[np.argmin(basis.mu[start_ids])])]
+    while (nxt := basis.smallest_strict_superset(chain[-1])) is not None:
+        chain.append(nxt)
     last = chain[-1]
     star = basis.star_members(last)
     if len(star) != basis.n_atoms:
         raise PostconditionFailure("exhausting sequence does not reach a star covering X",
                                    witness=last)
-    for i in range(basis.n_balls):
-        if not basis.contains(i, last):
-            raise PostconditionFailure("a ball escapes every chain element", witness=i)
+    # star(last) = X, so every ball lies inside last iff last is X itself
+    if basis.sizes[last] != basis.n_atoms:
+        i = next(i for i in range(basis.n_balls) if not basis.contains(i, last))
+        raise PostconditionFailure("a ball escapes every chain element", witness=i)
     return [basis.balls[i] for i in chain]
 
 

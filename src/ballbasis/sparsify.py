@@ -104,11 +104,10 @@ def child_cover(basis: BallBasis, F, E) -> list[int]:
         m = basis.balls[g].members
         if float(w[m[f_mask[m]]].sum()) >= basis.mu[g] / 2.0:
             # half-density survives on the hull itself: grow once (doubling)
-            sups = basis.supersets(g, strict=True)
-            if sups.size == 0:
+            g2 = basis.smallest_strict_superset(g)
+            if g2 is None:
                 raise PostconditionFailure(
                     "cannot enlarge a maximal hull ball", witness=g)
-            g2 = int(min(sups, key=lambda i: (basis.mu[i], i)))
             if basis.eta is not None and basis.mu[g2] > basis.eta * basis.mu[g] + 1e-12:
                 raise PostconditionFailure(
                     "doubling enlargement exceeded eta", witness=(g, g2))

@@ -16,9 +16,8 @@ import numpy as np
 
 from .errors import ConfigError, InfZero, ZeroBmoNorm
 from .space import BallBasis
-from .functional import (Params, VecFunction, alpha_oscillation,
-                         ball_integrals, bmo_norm, maximal, mean_deviation,
-                         median, vector_norms)
+from .functional import (Params, VecFunction, alpha_oscillation, bmo_norm,
+                         maximal, mean_deviation, median, vector_norms)
 from .operators import OperatorDescriptor, truncate
 from .domination import fit_exponential_rate
 
@@ -419,7 +418,7 @@ def strong_domination_check(f: VecFunction, g: VecFunction, basis: BallBasis,
 
 
 def _ball_average(vals: np.ndarray, basis: BallBasis) -> np.ndarray:
-    return ball_integrals(vals * basis.space.weights, basis) / basis.mu
+    return basis.ball_integrals(vals * basis.space.weights) / basis.mu
 
 
 def _weighted_norm_ratio(T: OperatorDescriptor, weight: Weight,

@@ -5,11 +5,14 @@ from ballbasis import Ball, BallBasis, MeasureSpace, build_dyadic, build_grid
 
 
 def _relabelled(basis, seed, kind=None):
-    """basis with its atoms relabelled by a seeded permutation."""
+    """basis with its atoms relabelled by a seeded permutation: atom a becomes
+    atom perm[a] and keeps its weight; balls keep their ids and measures."""
     perm = np.random.default_rng(seed).permutation(basis.n_atoms)
+    weights = np.empty_like(basis.space.weights)
+    weights[perm] = basis.space.weights
     balls = [Ball(b.id, np.sort(perm[b.members]), b.measure) for b in basis.balls]
-    return BallBasis(basis.space, balls, basis.hull, K=basis.K, eta=basis.eta,
-                     kind=kind), perm
+    return BallBasis(MeasureSpace(weights), balls, basis.hull, K=basis.K,
+                     eta=basis.eta, kind=kind), perm
 
 
 def _reweighted(basis, seed):

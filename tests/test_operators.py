@@ -396,6 +396,20 @@ class TestEstimateConstants:
         assert (a.L0, a.L1, a.L2) == (b.L0, b.L1, b.L2)
 
 
+def _truncate_by_balls(T, f):
+    """T*f(x) = max over balls B containing x of ||T(f 1_{X minus B*})(x)||,
+    one application of T per ball: the definition truncate must equal."""
+    basis = T.basis
+    out = np.zeros(basis.n_atoms)
+    for bid in range(basis.n_balls):
+        keep = np.ones(basis.n_atoms)
+        keep[basis.star_members(bid)] = 0.0
+        tfb = T.apply(VecFunction(f.values * keep[:, None], f.norm_kind)).norms()
+        members = basis.balls[bid].members
+        out[members] = np.maximum(out[members], tfb[members])
+    return out
+
+
 class TestRelabelledAtoms:
     """Permuting the atom labels of build_dyadic(7) makes every ball a
     non-interval; the results must be the relabelled interval-path results."""
@@ -420,13 +434,19 @@ class TestRelabelledAtoms:
             assert np.all(want > 0)
             assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
-    def test_truncated_sparse_operator(self, bases, rng):
+    @pytest.mark.parametrize("norm", ["euclidean", "max"])
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("op", ["sparse", "identity"])
+    def test_truncated_sparse_operator(self, bases, rng, op, dim, norm):
         base, relabelled, perm = bases
         ids = rng.choice(base.n_balls, size=8, replace=False)
-        f = rng.normal(size=(base.n_atoms, 1))
+        make = {"sparse": lambda b: sparse_operator(b, ids),
+                "identity": identity_operator}[op]
+        f = rng.normal(size=(base.n_atoms, dim))
         g = np.empty_like(f)
         g[perm] = f
-        want = truncate(sparse_operator(base, ids)).apply(VecFunction(f))
-        got = truncate(sparse_operator(relabelled, ids)).apply(VecFunction(g))
-        assert np.any(want.values > 0)
-        assert np.allclose(got.values[perm], want.values, rtol=1e-12, atol=0.0)
+        want = _truncate_by_balls(make(base), VecFunction(f, norm))
+        assert np.any(want > 0) == (op == "sparse")
+        for basis, h, order in ((base, f, slice(None)), (relabelled, g, perm)):
+            got = truncate(make(basis)).apply(VecFunction(h, norm)).values[order, 0]
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)

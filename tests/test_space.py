@@ -1,13 +1,19 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ballbasis import (BallBasis, NoContainingBall, build_dyadic, build_grid,
+from ballbasis import (Ball, BallBasis, MeasureSpace, NoContainingBall,
+                       PostconditionFailure, build_dyadic, build_grid,
                        check_axioms, doubling_chain, enlarge,
-                       exhausting_sequence, volume_distance)
+                       exhausting_sequence, square_function, volume_distance)
+from ballbasis.functional import volume_distance_matrix
 
-from conftest import STAT_BASES
+from conftest import STAT_BASES, _relabelled, _reweighted
 
 
 def ball_by_span(basis, lo, hi):
@@ -148,6 +154,11 @@ class TestVolumeDistance:
         with pytest.raises(NoContainingBall):
             volume_distance(grid8, 99, 0)
 
+    def test_bad_ball(self, grid8):
+        for ball_id in (-1, grid8.n_balls):
+            with pytest.raises(KeyError):
+                volume_distance(grid8, 0, ball_id)
+
     def test_antitone_in_ball(self, grid16):
         # d(x, A) <= d(x, B) whenever A is inside B
         inner = ball_by_span(grid16, 4, 5)
@@ -167,6 +178,14 @@ class TestExhaustingSequence:
     def test_grid_chain(self):
         chain = exhausting_sequence(build_grid(4))
         assert list(chain[-1].members) == [0, 1, 2, 3]
+
+    def test_ball_escaping_the_chain(self):
+        # {0,1} is maximal and its star is X, yet {1,2} is not inside it
+        balls = [Ball(0, np.array([0, 1]), 2.0), Ball(1, np.array([1, 2]), 2.0)]
+        basis = BallBasis(MeasureSpace(np.ones(3)), balls, [0, 1], K=2.0)
+        with pytest.raises(PostconditionFailure, match="escapes") as err:
+            exhausting_sequence(basis)
+        assert err.value.witness == 1
 
 
 class TestDoublingChain:
@@ -226,3 +245,94 @@ class TestSerialization:
         assert again.to_json() == text
         assert again.n_balls == dyadic3.n_balls
         assert np.array_equal(again.hull, dyadic3.hull)
+        assert again.kind == "dyadic"
+        square_function(again)  # a dyadic operator accepts the copy
+
+    def test_document_without_kind(self, dyadic3):
+        doc = json.loads(dyadic3.to_json())
+        del doc["kind"]
+        assert BallBasis.from_json(json.dumps(doc)).kind is None
+
+
+class TestRelabelledQueries:
+    """Every ball query on a basis and on its copy with atoms relabelled
+    (where balls need not be atom intervals) agrees up to the relabelling."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(base=st.one_of(st.integers(2, 24).map(build_grid),
+                          st.integers(0, 6).map(build_dyadic)),
+           reweight=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_queries_agree(self, base, reweight, seed):
+        if reweight:
+            base = _reweighted(base, seed)
+        rel, perm = _relabelled(base, seed)
+        rng = np.random.default_rng(seed)
+        n, nb = base.n_atoms, base.n_balls
+
+        for x in range(n):
+            assert np.array_equal(base.balls_containing_atom(x),
+                                  rel.balls_containing_atom(perm[x]))
+        for _ in range(8):
+            s = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            assert np.array_equal(base.balls_containing_set(s),
+                                  rel.balls_containing_set(perm[s]))
+            assert np.array_equal(np.sort(perm[base.star_of_set(np.sort(s))]),
+                                  rel.star_of_set(np.sort(perm[s])))
+        for i in range(nb):
+            for strict in (False, True):
+                assert np.array_equal(base.supersets(i, strict),
+                                      rel.supersets(i, strict))
+            sup = base.supersets(i, strict=True)
+            least = min(sup, key=lambda j: (base.mu[j], j)) if sup.size else None
+            assert base.smallest_strict_superset(i) == least
+            assert rel.smallest_strict_superset(i) == least
+            assert np.array_equal(np.sort(perm[base.star_members(i)]),
+                                  rel.star_members(i))
+        for i, j in rng.integers(0, nb, size=(32, 2)):
+            assert base.contains(i, j) == rel.contains(i, j)
+            assert rel.contains(i, j) == (j in rel.supersets(i))
+        assert base.full_ball_id() == rel.full_ball_id()
+        for i, x in zip(rng.integers(0, nb, 16), rng.integers(0, n, 16)):
+            assert volume_distance(base, x, i) == volume_distance(rel, perm[x], i)
+        assert np.array_equal(volume_distance_matrix(rel)[:, perm],
+                              volume_distance_matrix(base))
+        a, b = check_axioms(base), check_axioms(rel)
+        assert (a.k_min, a.eta_min, a.hull_failures) == (b.k_min, b.eta_min,
+                                                         b.hull_failures)
+
+        # positive values, so no sum is the difference of large terms
+        mass = rng.uniform(0.5, 2.0, size=(n, 3))
+        moved = np.empty_like(mass)
+        moved[perm] = mass
+        assert np.allclose(rel.ball_integrals(moved[:, 0]),
+                           base.ball_integrals(mass[:, 0]), rtol=1e-12, atol=0.0)
+        ids = rng.integers(0, nb, size=min(nb, 10))
+        assert np.allclose(rel.star_sums(moved, ids), base.star_sums(mass, ids),
+                           rtol=1e-12, atol=0.0)
+
+
+# Outside space.py, code reads the basis layout (interval flag, star spans,
+# membership matrix) only here:
+LAYOUT_ATTRS = {"interval", "star_spans", "member_matrix"}
+LAYOUT_READS = sorted([
+    # the dyadic operators index balls by generation, so check that layout
+    ("operators", "_require_dyadic", "interval"),
+    # the exact L1 pass runs on interval bases only (peak memory)
+    ("operators", "estimate_bo_constants", "interval"),
+    # the cover table is indexed by atom spans
+    ("functional", "volume_distance_matrix", "interval"),
+])
+
+
+def test_layout_reads_stay_in_space():
+    reads = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "ballbasis").glob("*.py")):
+        if path.name == "space.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr in LAYOUT_ATTRS:
+                    reads.append((path.stem, getattr(top, "name", "<module>"),
+                                  node.attr))
+    assert sorted(reads) == LAYOUT_READS
