@@ -120,9 +120,12 @@ def build_basis(cfg: dict):
     kind = cfg["basis"]["kind"]
     size = cfg["basis"]["size"]
     try:
-        return build_dyadic(size) if kind == "dyadic" else build_grid(size)
+        basis = build_dyadic(size) if kind == "dyadic" else build_grid(size)
     except ValueError as exc:
         raise ConfigError(f"basis.size {size} out of range: {exc}")
+    if basis.n_atoms < 2:  # the test-function suites need two atoms
+        raise ConfigError(f"basis.size {size} out of range: need at least 2 atoms")
+    return basis
 
 
 def build_operator(spec: dict, basis, seed: int) -> OperatorDescriptor:
@@ -220,11 +223,8 @@ def run_estimate(cfg: dict, basis, ops) -> list[Report]:
                 CaseRow(op.name, "L2", c.L2, True),
                 CaseRow(op.name, "total", c.total, True)]
         summary = {"operator": op.name, "L0": c.L0, "L1": c.L1, "L2": c.L2,
-                   "total": c.total, "method": c.method}
-        if c.r4_constant is not None:
-            summary["R4"] = c.r4_constant
-        if c.r5_value is not None:
-            summary["R5"] = c.r5_value
+                   "total": c.total, "method": c.method,
+                   "R4": c.r4_constant, "R5": c.r5_value}
         out.append(Report(f"estimate/{op.name}", True, summary, rows))
     return out
 
@@ -297,7 +297,7 @@ def run_dominate(cfg: dict, basis, ops) -> list[Report]:
 def run_mean_osc(cfg: dict, basis, ops) -> list[Report]:
     if basis.eta is None or not cfg["mean_osc"].get("enabled", True):
         return []
-    family = [op for op in ops if op.linear and op.params.classical]
+    family = [op for op in ops if op.restricted]
     if not family:
         return []
     beta = float(cfg["mean_osc"]["beta"])
@@ -385,7 +385,7 @@ def run_verify(cfg: dict, basis, ops, suite_filter: str | None = None
             rep.name = f"exp_decay/{op.name}"
             out.append(rep)
         if basis.eta is not None:
-            fam = [op for op in ops if op.linear and op.params.classical]
+            fam = [op for op in ops if op.restricted]
             if fam:
                 mm = maximal_modulation(fam)
                 rep = exp_decay_report(mm, f, b_id, basis, "vs_sharp")

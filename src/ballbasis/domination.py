@@ -21,7 +21,8 @@ from .errors import (BetaOutOfRange, ConstructionFailure, LambdaExhausted,
                      NotDoubling, NotRestricted)
 from .functional import (VecFunction, alpha_core, alpha_oscillation, average,
                          maximal, mean_oscillation, median)
-from .operators import BOConstants, OperatorDescriptor, truncate
+from .operators import (BOConstants, OperatorDescriptor, maximal_modulation,
+                        truncate)
 from .space import BallBasis
 from .sparsify import disjointify, sparsify_tree
 
@@ -347,10 +348,8 @@ def _check_restricted(family: list[OperatorDescriptor],
     if not family:
         raise NotRestricted("empty family")
     for t, c in zip(family, consts):
-        if not t.linear:
-            raise NotRestricted(f"{t.name} is not linear")
-        if not t.params.classical:
-            raise NotRestricted(f"{t.name} lacks the classical profile")
+        if not t.restricted:
+            raise NotRestricted(f"{t.name} is not linear with the classical profile")
         if not c.restricted.get("R4_log_constant_finite", False):
             raise NotRestricted(f"{t.name} has no finite log-localization constant")
         if "R5_far_field_osc" not in c.restricted:
@@ -373,9 +372,7 @@ def restricted_osc_bound(family: list[OperatorDescriptor], f: VecFunction,
     _check_restricted(family, consts)
     b_id = int(b_id)
     members = basis.balls[b_id].members
-    tf = np.zeros(basis.n_atoms)
-    for t in family:
-        np.maximum(tf, t.apply(f).norms(), out=tf)
+    tf = maximal_modulation(family).apply(f).values[:, 0]
     lhs = alpha_oscillation(VecFunction(tf), members, beta, basis)
     r = family[0].params.r
     l0 = max(c.L0 for c in consts)
@@ -406,9 +403,7 @@ def dominate_mean_osc(family: list[OperatorDescriptor], f: VecFunction,
         consts = [t.bo_constants(budget, seed) for t in family]
     _check_restricted(family, consts)
     b_id = int(b_id)
-    tf = np.zeros(basis.n_atoms)
-    for t in family:
-        np.maximum(tf, t.apply(f).norms(), out=tf)
+    tf = maximal_modulation(family).apply(f).values[:, 0]
     tf_fn = VecFunction(tf)
     inner = lerner_decompose(tf_fn, b_id, beta, basis)
 

@@ -143,10 +143,7 @@ def oscillation_stats(f: VecFunction, members) -> tuple[float, float, float]:
         for i in range(len(arr)):
             diffs = vals[i + 1:] - vals[i]
             if len(diffs):
-                if f.norm_kind == "euclidean":
-                    osc = max(osc, float(np.linalg.norm(diffs, axis=1).max()))
-                else:
-                    osc = max(osc, float(np.abs(diffs).max()))
+                osc = max(osc, float(vector_norms(diffs, f.norm_kind).max()))
     return osc, sup, inf
 
 

@@ -16,39 +16,42 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotComparable
-from .functional import Params, VecFunction, volume_distance_matrix
+from .functional import Params, VecFunction, vector_norms, volume_distance_matrix
 from .space import BallBasis
 
 
 class OperatorDescriptor:
-    """An operator on functions over the basis atoms.
+    """An operator on functions over the basis atoms, its structure declared
+    once.  Either it has a kernel, Tf(x) = sum_y K(x, y) f(y) w(y): it is then
+    linear, truncate works from the kernel, and apply_fn, if given, is only a
+    faster way to the same values.  Or apply_fn gives Tf, and truncate_fn,
+    if given, the truncation T*f as an (atoms,) array (see truncate)."""
 
-    Without apply_fn the operator is its kernel: Tf(x) = sum_y K(x, y) f(y) w(y).
-    """
-
-    def __init__(self, name: str, basis: BallBasis, apply_fn, params: Params,
-                 linear: bool, kernel: np.ndarray | None = None,
-                 strong_sublinear: bool = True, scalar_output: bool = False,
-                 members=None):
+    def __init__(self, name: str, basis: BallBasis, params: Params,
+                 kernel: np.ndarray | None = None, apply_fn=None,
+                 truncate_fn=None):
         self.name = name
         self.basis = basis
-        self._apply_fn = apply_fn
         self.params = params
-        self.linear = linear
         self.kernel = kernel
-        self.strong_sublinear = strong_sublinear
-        self.scalar_output = scalar_output
-        self.members = members  # sub-descriptors for modulation families
+        self._apply_fn = apply_fn
+        self._truncate_fn = truncate_fn
         self._bo_constants: dict = {}  # (budget, seed) -> BOConstants
+
+    @property
+    def linear(self) -> bool:
+        return self.kernel is not None
+
+    @property
+    def restricted(self) -> bool:
+        """Linear with the classical profile (the mean-oscillation results)."""
+        return self.linear and self.params.classical
 
     def apply(self, f: VecFunction) -> VecFunction:
         if self._apply_fn is None:
             w = self.basis.space.weights
             return VecFunction(self.kernel @ (f.values * w[:, None]), f.norm_kind)
-        out = self._apply_fn(f)
-        if not isinstance(out, VecFunction):
-            out = VecFunction(out, f.norm_kind)
-        return out
+        return self._apply_fn(f)
 
     def bo_constants(self, budget: int, seed: int) -> BOConstants:
         """estimate_bo_constants(self, self.basis, budget, seed), computed once
@@ -66,10 +69,10 @@ class OperatorDescriptor:
 # -- shipped operator constructors ------------------------------------------------
 
 
-def _require_dyadic(basis: BallBasis):
-    """The dyadic operators read ball 2^g - 1 + j (j < 2^g) as the atoms
-    [j n/2^g, (j+1) n/2^g) of generation g, so a basis that claims
-    kind="dyadic" must have that layout too."""
+def dyadic_levels(basis: BallBasis) -> int:
+    """The generations below the root.  The dyadic operators read ball
+    2^g - 1 + j (j < 2^g) as the atoms [j n/2^g, (j+1) n/2^g) of generation
+    g, so a basis that claims kind="dyadic" must have that layout too."""
     n = basis.n_atoms
     ok = (basis.kind == "dyadic" and basis.interval and n & (n - 1) == 0
           and basis.n_balls == 2 * n - 1)
@@ -82,6 +85,7 @@ def _require_dyadic(basis: BallBasis):
                   and np.array_equal(basis.hi, lo + width - 1))
     if not ok:
         raise ValueError("operator needs a martingale (dyadic) basis")
+    return n.bit_length() - 1
 
 
 def _require_grid(basis: BallBasis):
@@ -89,35 +93,32 @@ def _require_grid(basis: BallBasis):
         raise ValueError("operator needs a 1-d grid basis")
 
 
-def dyadic_levels(basis: BallBasis) -> int:
-    _require_dyadic(basis)
-    return int(round(math.log2(basis.n_atoms)))
-
-
 def _level_slices(basis: BallBasis, g: int):
     """Ball ids of dyadic generation g."""
     return range((1 << g) - 1, (1 << (g + 1)) - 1)
 
 
+def _by_generation(basis: BallBasis, levels: int, v: np.ndarray) -> np.ndarray:
+    """Row g: at each atom x, v[B] for x's generation-g ball B (v per ball)."""
+    n = basis.n_atoms
+    return np.stack([np.repeat(v[(1 << g) - 1:(1 << (g + 1)) - 1], n >> g, axis=0)
+                     for g in range(levels + 1)])
+
+
 def conditional_expectation(basis: BallBasis, level: int) -> OperatorDescriptor:
     """E_level f = sum over generation-level balls of f_B 1_B."""
-    _require_dyadic(basis)
     levels = dyadic_levels(basis)
     if not (0 <= level <= levels):
         raise ValueError("level out of range")
-    n = basis.n_atoms
-    kernel = np.zeros((n, n))
-    for bid in _level_slices(basis, level):
-        lo, hi = int(basis.lo[bid]), int(basis.hi[bid])
-        kernel[lo:hi + 1, lo:hi + 1] = 1.0 / basis.mu[bid]
-    return OperatorDescriptor(f"cond_exp[{level}]", basis, None,
-                              Params.classical_profile(1.0), linear=True,
-                              kernel=kernel)
+    width = basis.n_atoms >> level  # block diagonal, one block per ball
+    kernel = np.kron(np.diag(1.0 / basis.mu[_level_slices(basis, level)]),
+                     np.ones((width, width)))
+    return OperatorDescriptor(f"cond_exp[{level}]", basis,
+                              Params.classical_profile(1.0), kernel=kernel)
 
 
 def martingale_transform(basis: BallBasis, eps) -> OperatorDescriptor:
     """M_eps f = sum over non-leaf balls A of eps_A Delta_A f."""
-    _require_dyadic(basis)
     levels = dyadic_levels(basis)
     non_leaf = [bid for g in range(levels) for bid in _level_slices(basis, g)]
     if hasattr(eps, "__getitem__") and not isinstance(eps, dict):
@@ -136,43 +137,49 @@ def martingale_transform(basis: BallBasis, eps) -> OperatorDescriptor:
             blo, bhi = int(basis.lo[b]), int(basis.hi[b])
             kernel[blo:bhi + 1, blo:bhi + 1] += sign / basis.mu[b]
             kernel[blo:bhi + 1, alo:ahi + 1] -= sign / basis.mu[a]
-    return OperatorDescriptor("martingale_transform", basis, None,
-                              Params(r=1.0, rho=1.0, varrho=1.0), linear=True,
-                              kernel=kernel)
+    return OperatorDescriptor("martingale_transform", basis,
+                              Params(r=1.0, rho=1.0, varrho=1.0), kernel=kernel)
 
 
 def square_function(basis: BallBasis) -> OperatorDescriptor:
     """Sf = (sum over A of ||Delta_A f||^2)^(1/2)."""
-    _require_dyadic(basis)
     levels = dyadic_levels(basis)
-    w = basis.space.weights
     n = basis.n_atoms
+    mu = _by_generation(basis, levels, basis.mu)[:, :, None]
+    # B* is B or an ancestor (the star rule adds the nested balls of measure
+    # <= 2 mu(B)); star_gen[g, x]: its generation for x's generation-g ball
+    star_size = basis.star_sums(np.ones(n), np.arange(basis.n_balls))
+    star_gen = _by_generation(basis, levels,
+                              np.round(np.log2(n / star_size)).astype(np.int64))
+
+    def block_sums(f):
+        # Generation g is 2^g consecutive blocks of n >> g atoms (checked by
+        # dyadic_levels), so one reshape gives every block sum of the level
+        wf = f.values * basis.space.weights[:, None]
+        return _by_generation(basis, levels, np.concatenate(
+            [wf.reshape(1 << g, n >> g, -1).sum(axis=1) for g in range(levels + 1)]))
+
+    def square(means, norm_kind):
+        # E_{g+1} f - E_g f at x involves only the ball containing x, so the
+        # generation means recover the individual Delta_A terms pointwise
+        return np.sqrt((vector_norms(means[1:] - means[:-1], norm_kind) ** 2).sum(axis=0))
 
     def apply_fn(f):
-        # E_{g+1} f - E_g f at x involves only the ball containing x, so the
-        # generation sums recover the individual Delta_A terms pointwise.
-        # Generation g is 2^g consecutive blocks of n >> g atoms (checked by
-        # _require_dyadic), so one reshape gives every block sum of the level
-        prev = None
-        acc = np.zeros(n)
-        wf = f.values * w[:, None]
-        for g in range(levels + 1):
-            sums = wf.reshape(1 << g, n >> g, -1).sum(axis=1)
-            mu = basis.mu[(1 << g) - 1:(1 << (g + 1)) - 1, None]
-            cur = np.repeat(sums / mu, n >> g, axis=0)
-            if prev is not None:
-                diff = cur - prev
-                if f.norm_kind == "euclidean":
-                    d = np.linalg.norm(diff, axis=1)
-                else:
-                    d = np.abs(diff).max(axis=1)
-                acc += d ** 2
-            prev = cur
-        return VecFunction(np.sqrt(acc), f.norm_kind)
+        return VecFunction(square(block_sums(f) / mu, f.norm_kind), f.norm_kind)
 
-    return OperatorDescriptor("square_function", basis, apply_fn,
-                              Params(r=1.0, rho=1.0, varrho=1.0), linear=False,
-                              scalar_output=True)
+    def truncate_fn(f):
+        # For x in B with B* at generation p, f 1_{X minus B*} has the block
+        # sum s_k - s_p on x's generation-k ball for k <= p and 0 below, so
+        # T(f 1_{X minus B*})(x) comes from the means c_k = (s_k - s_p)/mu_k
+        s = block_sums(f)
+        by_star = np.zeros((levels + 1, n))
+        for p in range(1, levels + 1):
+            by_star[p] = square((s[:p + 1] - s[p]) / mu[:p + 1], f.norm_kind)
+        return np.take_along_axis(by_star, star_gen, axis=0).max(axis=0)
+
+    return OperatorDescriptor("square_function", basis,
+                              Params(r=1.0, rho=1.0, varrho=1.0),
+                              apply_fn=apply_fn, truncate_fn=truncate_fn)
 
 
 def sparse_operator(basis: BallBasis, ball_ids, rho: float = 1.0) -> OperatorDescriptor:
@@ -183,9 +190,8 @@ def sparse_operator(basis: BallBasis, ball_ids, rho: float = 1.0) -> OperatorDes
     for bid in ball_ids:
         members = basis.balls[int(bid)].members
         kernel[np.ix_(members, members)] += basis.mu[int(bid)] ** (-rho)
-    return OperatorDescriptor("sparse_operator", basis, None,
-                              Params(r=1.0, rho=rho, varrho=1.0), linear=True,
-                              kernel=kernel)
+    return OperatorDescriptor("sparse_operator", basis,
+                              Params(r=1.0, rho=rho, varrho=1.0), kernel=kernel)
 
 
 def riesz_potential(basis: BallBasis, alpha: float) -> OperatorDescriptor:
@@ -197,9 +203,9 @@ def riesz_potential(basis: BallBasis, alpha: float) -> OperatorDescriptor:
     idx = np.arange(n)
     dist = np.maximum(np.abs(idx[:, None] - idx[None, :]), 1.0)
     kernel = dist ** (alpha - 1.0)
-    return OperatorDescriptor(f"riesz[{alpha}]", basis, None,
+    return OperatorDescriptor(f"riesz[{alpha}]", basis,
                               Params(r=1.0, rho=1.0 - alpha, varrho=1.0),
-                              linear=True, kernel=kernel)
+                              kernel=kernel)
 
 
 def discrete_hilbert(basis: BallBasis) -> OperatorDescriptor:
@@ -210,61 +216,59 @@ def discrete_hilbert(basis: BallBasis) -> OperatorDescriptor:
     diff = idx[:, None] - idx[None, :]
     with np.errstate(divide="ignore"):
         kernel = np.where(diff == 0, 0.0, 1.0 / np.where(diff == 0, 1, diff))
-    return OperatorDescriptor("discrete_hilbert", basis, None,
-                              Params.classical_profile(1.0), linear=True,
-                              kernel=kernel)
+    return OperatorDescriptor("discrete_hilbert", basis,
+                              Params.classical_profile(1.0), kernel=kernel)
 
 
 def identity_operator(basis: BallBasis) -> OperatorDescriptor:
     w = basis.space.weights
     kernel = np.diag(1.0 / w)
-    return OperatorDescriptor("identity", basis, lambda f: f,
-                              Params.classical_profile(1.0), linear=True,
-                              kernel=kernel)
+    return OperatorDescriptor("identity", basis, Params.classical_profile(1.0),
+                              kernel=kernel, apply_fn=lambda f: f)
 
 
 def zero_operator(basis: BallBasis) -> OperatorDescriptor:
     n = basis.n_atoms
     return OperatorDescriptor(
-        "zero", basis, lambda f: VecFunction(np.zeros((n, f.dim)), f.norm_kind),
-        Params.classical_profile(1.0), linear=True, kernel=np.zeros((n, n)))
+        "zero", basis, Params.classical_profile(1.0), kernel=np.zeros((n, n)),
+        apply_fn=lambda f: VecFunction(np.zeros((n, f.dim)), f.norm_kind))
 
 
 # -- truncation and modulation ---------------------------------------------------
 
 
-def truncate(T: OperatorDescriptor) -> OperatorDescriptor:
-    """T*f(x) = sup over balls B containing x of ||T(f 1_{X minus B*})(x)||."""
+def _kernel_truncation(T: OperatorDescriptor, f: VecFunction) -> np.ndarray:
+    """T*f of a kernel operator: T(f 1_{X minus B*})(x) is Tf(x) minus the
+    sum over y in B* of K(x, y) f(y) w(y)."""
     basis = T.basis
-    n = basis.n_atoms
-    w = basis.space.weights
+    tf = T.apply(f).values
+    g = f.values * basis.space.weights[:, None]
+    out = np.zeros(basis.n_atoms)
+    for x in range(basis.n_atoms):
+        ids = basis.balls_containing_atom(x)
+        contrib = tf[x][None, :] - basis.star_sums(T.kernel[x][:, None] * g, ids)
+        vals = vector_norms(contrib, f.norm_kind)
+        out[x] = vals.max() if len(vals) else 0.0
+    return out
 
-    def apply_fn(f):
-        out = np.zeros(n)
-        if T.kernel is not None:
-            tf = T.apply(f).values
-            g = f.values * w[:, None]
-            for x in range(n):
-                ids = basis.balls_containing_atom(x)
-                contrib = tf[x][None, :] - basis.star_sums(T.kernel[x][:, None] * g, ids)
-                if f.norm_kind == "euclidean":
-                    vals = np.linalg.norm(contrib, axis=1)
-                else:
-                    vals = np.abs(contrib).max(axis=1)
-                out[x] = vals.max() if len(vals) else 0.0
-            return VecFunction(out, f.norm_kind)
-        for bid in range(basis.n_balls):
-            star = basis.star_members(bid)
-            mask = np.ones(n)
-            mask[star] = 0.0
-            tfb = T.apply(VecFunction(f.values * mask[:, None], f.norm_kind))
-            members = basis.balls[bid].members
-            out[members] = np.maximum(out[members], tfb.norms()[members])
-        return VecFunction(out, f.norm_kind)
 
-    return OperatorDescriptor(f"trunc({T.name})", basis, apply_fn, T.params,
-                              linear=False, strong_sublinear=T.linear,
-                              scalar_output=True, members=[T])
+def _truncation(T: OperatorDescriptor):
+    """f -> T*f as an (atoms,) array from T's declared structure, or None."""
+    return T._truncate_fn if T.kernel is None else lambda f: _kernel_truncation(T, f)
+
+
+def truncate(T: OperatorDescriptor) -> OperatorDescriptor:
+    """T*f(x) = sup over balls B containing x of ||T(f 1_{X minus B*})(x)||.
+
+    Read from T's declared structure, never by applying T once per ball: a
+    kernel gives star sums subtracted from Tf, other operators give their
+    truncate_fn, and an operator with neither raises ValueError."""
+    star = _truncation(T)
+    if star is None:
+        raise ValueError(f"{T.name} declares neither a kernel nor a truncation")
+    return OperatorDescriptor(
+        f"trunc({T.name})", T.basis, T.params,
+        apply_fn=lambda f: VecFunction(star(f), f.norm_kind))
 
 
 def maximal_modulation(family: list[OperatorDescriptor]) -> OperatorDescriptor:
@@ -280,18 +284,25 @@ def maximal_modulation(family: list[OperatorDescriptor]) -> OperatorDescriptor:
             np.maximum(out, t.apply(f).norms(), out=out)
         return VecFunction(out, f.norm_kind)
 
-    return OperatorDescriptor(f"modulation[{len(family)}]", basis, apply_fn,
-                              family[0].params, linear=False,
-                              strong_sublinear=all(t.linear for t in family),
-                              scalar_output=True, members=list(family))
+    # the sup over members commutes with the sup over balls in T*
+    stars = [_truncation(t) for t in family]
+
+    def truncate_fn(f):
+        out = np.zeros(basis.n_atoms)
+        for star in stars:
+            np.maximum(out, star(f), out=out)
+        return out
+
+    return OperatorDescriptor(
+        f"modulation[{len(family)}]", basis, family[0].params, apply_fn=apply_fn,
+        truncate_fn=truncate_fn if all(s is not None for s in stars) else None)
 
 
 # -- the Delta(A, B) connectivity functional ----------------------------------------
 
 
 def _exactly_estimable(T: OperatorDescriptor) -> bool:
-    return bool(T.linear and T.kernel is not None and T.params.classical
-                and T.params.r == 1.0)
+    return T.restricted and T.params.r == 1.0
 
 
 def delta(T: OperatorDescriptor, a_id: int, b_id: int, seed: int = 0,
@@ -345,10 +356,10 @@ class BOConstants:
     L1: float
     L2: float
     method: str
+    r4_constant: float
+    r5_value: float
     witnesses: dict = field(default_factory=dict)
     restricted: dict = field(default_factory=dict)
-    r4_constant: float | None = None
-    r5_value: float | None = None
 
     @property
     def total(self) -> float:
@@ -449,18 +460,16 @@ def estimate_bo_constants(T: OperatorDescriptor, basis: BallBasis,
                 continue  # star is X: nothing lives outside it
             cols = T.kernel[basis.balls[bid].members]
             osc = cols.max(axis=0) - cols.min(axis=0)
-            outside = np.ones(n, dtype=bool)
-            outside[star] = False
             d = dmat[bid]
             ratios = osc * d
-            ratios[~outside] = 0.0
+            ratios[star] = 0.0
             y = int(np.argmax(ratios))
             if ratios[y] > l1:
                 l1 = float(ratios[y])
                 witnesses["L1"] = {"ball": bid, "atom": y}
             logw = np.log1p(d / basis.mu[bid])
             r4_ratios = osc * d * logw
-            r4_ratios[~outside] = 0.0
+            r4_ratios[star] = 0.0
             y4 = int(np.argmax(r4_ratios))
             if r4_ratios[y4] > r4:
                 r4 = float(r4_ratios[y4])
@@ -471,11 +480,10 @@ def estimate_bo_constants(T: OperatorDescriptor, basis: BallBasis,
         bid = int(bid)
         members = basis.balls[bid].members
         star = basis.star_members(bid)
-        outside = np.setdiff1d(np.arange(n), star)
-        if outside.size == 0:
+        if star.size == n:
             continue
-        mask = np.zeros(n)
-        mask[outside] = 1.0
+        mask = np.ones(n)
+        mask[star] = 0.0
         sup_ids = basis.supersets(bid)
         for fi, v in enumerate(suite):
             rv = v * mask
@@ -529,8 +537,6 @@ def estimate_bo_constants(T: OperatorDescriptor, basis: BallBasis,
         r5 = max(r5, _osc_on(t_last, basis.balls[int(bid)].members))
 
     restricted = {
-        "R2_linear": bool(T.linear),
-        "R3_classical": bool(p.classical),
         "R4_log_constant_finite": bool(math.isfinite(r4)),
         "R5_far_field_osc": float(r5),
     }

@@ -395,7 +395,7 @@ def strong_domination_check(f: VecFunction, g: VecFunction, basis: BallBasis,
         profile.append(float(beta))
         rows.append(CaseRow(f"alpha={a:g}", "beta", float(beta), True))
     _, med = median(f, members, basis)
-    dev = np.linalg.norm(f.values - med[None, :], axis=1)
+    dev = vector_norms(f.values - med[None, :], f.norm_kind)
     gn = g.norms()
     w = basis.space.weights
     ww = w[members]
@@ -428,7 +428,7 @@ def _weighted_norm_ratio(T: OperatorDescriptor, weight: Weight,
     when p = q = 2 and T is a kernel operator, corpus max otherwise."""
     w_atom = basis.space.weights
     wv = weight.w
-    if T.linear and T.kernel is not None and p == 2.0 and q == 2.0:
+    if T.linear and p == 2.0 and q == 2.0:
         # conjugate by the weight: B g = w T(g/w) acts on plain L^2(mu)
         kmat = np.abs(np.asarray(T.kernel, dtype=float))
         bmat = (wv[:, None] / wv[None, :]) * kmat * w_atom[None, :]

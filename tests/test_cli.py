@@ -96,7 +96,8 @@ class TestMain:
         {"kind": "dyadic", "size": 99},
         {"kind": "dyadic", "size": "x"},
         {"kind": "dyadic"},
-    ], ids=["out_of_range", "not_integer", "missing"])
+        {"kind": "dyadic", "size": 0},
+    ], ids=["out_of_range", "not_integer", "missing", "one_atom"])
     def test_bad_basis_size_exit_two(self, tmp_path, capsys, basis):
         path = write_cfg(tmp_path, small_cfg(tmp_path / "out", basis=basis))
         assert main(["check-basis", "--config", path]) == 2

@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ballbasis import (Ball, BallBasis, NotComparable, Params, VecFunction,
-                       build_dyadic, build_grid, conditional_expectation, delta,
+from ballbasis import (Ball, BallBasis, MeasureSpace, NotComparable,
+                       OperatorDescriptor, Params, VecFunction, build_dyadic,
+                       build_grid, conditional_expectation, delta,
                        discrete_hilbert, estimate_bo_constants,
                        identity_operator, martingale_transform, maximal,
                        maximal_modulation, riesz_potential, sparse_operator,
@@ -450,3 +454,120 @@ class TestRelabelledAtoms:
         for basis, h, order in ((base, f, slice(None)), (relabelled, g, perm)):
             got = truncate(make(basis)).apply(VecFunction(h, norm)).values[order, 0]
             assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def _dyadic_operators(basis, rng):
+    """Every shipped constructor that takes a dyadic basis, conditional
+    expectations at every level."""
+    levels = basis.n_atoms.bit_length() - 1
+    eps = rng.integers(0, 2, size=basis.n_balls) * 2 - 1
+    ids = rng.choice(basis.n_balls, size=min(4, basis.n_balls), replace=False)
+    return ([conditional_expectation(basis, k) for k in range(levels + 1)]
+            + [martingale_transform(basis, eps), square_function(basis),
+               sparse_operator(basis, ids), identity_operator(basis),
+               zero_operator(basis)])
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "max"])
+@pytest.mark.parametrize("dim", [1, 3])
+class TestTruncationByStructure:
+    """truncate reads each operator's declared structure (kernel, square
+    function, modulation family); every shipped constructor must give the
+    per-ball definition."""
+
+    @staticmethod
+    def _check(ops, rng, dim, norm):
+        for T in ops:
+            f = VecFunction(rng.normal(size=(T.basis.n_atoms, dim)), norm)
+            got = truncate(T).apply(f).values[:, 0]
+            want = _truncate_by_balls(T, f)
+            # where T(f 1_{X minus B*}) cancels to 0 exactly in the reference,
+            # star sums leave rounding of the size of f
+            atol = 1e-12 * np.abs(f.values).max()
+            assert np.allclose(got, want, rtol=1e-12, atol=atol), T.name
+
+    @pytest.mark.parametrize("levels", range(8))
+    def test_dyadic_constructors(self, rng, dim, norm, levels):
+        self._check(_dyadic_operators(build_dyadic(levels), rng), rng, dim, norm)
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_grid_kernels(self, rng, dim, norm, n):
+        g = build_grid(n)
+        ops = [discrete_hilbert(g), riesz_potential(g, 0.5)]
+        self._check(ops + [maximal_modulation(ops)], rng, dim, norm)
+
+    @pytest.mark.parametrize("levels", [0, 3, 6])
+    def test_expectation_family(self, rng, dim, norm, levels):
+        b = build_dyadic(levels)
+        fam = [conditional_expectation(b, k) for k in range(levels + 1)]
+        self._check([maximal_modulation(fam)], rng, dim, norm)
+
+    def test_star_above_parent(self, rng, dim, norm):
+        # uneven weights: some stars are the ball itself or a grandparent
+        base = build_dyadic(6)
+        space = MeasureSpace(np.random.default_rng(3).uniform(0.05, 3.0, 64) ** 3)
+        balls = [Ball(b.id, b.members, space.measure(b.members))
+                 for b in base.balls]
+        b = BallBasis(space, balls, base.hull, K=base.K, eta=base.eta,
+                      kind="dyadic")
+        sizes = [len(b.star_members(i)) for i in range(1, b.n_balls)]
+        assert sizes != [2 * len(b.balls[i].members) for i in range(1, b.n_balls)]
+        ops = _dyadic_operators(b, rng)
+        self._check(ops + [maximal_modulation(ops[:3])], rng, dim, norm)
+
+
+class TestTruncationCost:
+    def test_apply_calls(self, monkeypatch, dyadic8, rng):
+        """truncate(T).apply calls OperatorDescriptor.apply at most once per
+        member of T, plus its own call."""
+        calls = []
+        orig = OperatorDescriptor.apply
+        monkeypatch.setattr(OperatorDescriptor, "apply",
+                            lambda self, f: calls.append(self) or orig(self, f))
+        fam = [conditional_expectation(dyadic8, k) for k in range(9)]
+        f = VecFunction(rng.normal(size=256))
+        for T, members in ((square_function(dyadic8), 1),
+                           (martingale_transform(dyadic8, np.ones(511)), 1),
+                           (maximal_modulation(fam), len(fam))):
+            star = truncate(T)
+            calls.clear()
+            star.apply(f)
+            assert len(calls) <= members + 1, T.name
+
+    def test_apply_only_rejected(self, dyadic3):
+        T = OperatorDescriptor("apply_only", dyadic3,
+                               Params.classical_profile(1.0),
+                               apply_fn=lambda f: f)
+        with pytest.raises(ValueError):
+            truncate(T)
+        with pytest.raises(ValueError):
+            truncate(maximal_modulation([identity_operator(dyadic3), T]))
+
+
+# Outside operators.py only this function reads an operator's kernel (it
+# needs the matrix); nothing else builds a descriptor or reads its structure.
+STRUCTURE_READS = [("verify", "_weighted_norm_ratio", "kernel")]
+
+
+def test_structure_reads_stay_in_operators():
+    reads = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "ballbasis").glob("*.py")):
+        if path.name == "operators.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            where = (path.stem, getattr(top, "name", "<module>"))
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "OperatorDescriptor"):
+                    reads.append(where + ("OperatorDescriptor()",))
+                elif isinstance(node, ast.Attribute) and node.attr in (
+                        "kernel", "_apply_fn", "_truncate_fn"):
+                    reads.append(where + (node.attr,))
+                elif isinstance(node, ast.Compare):
+                    sides = [node.left, *node.comparators]
+                    if (any(getattr(x, "attr", None) == "kernel" for x in sides)
+                            and any(isinstance(x, ast.Constant) and x.value is None
+                                    for x in sides)):
+                        reads.append(where + ("kernel vs None",))
+    assert sorted(reads) == STRUCTURE_READS

@@ -316,7 +316,7 @@ class TestRelabelledQueries:
 LAYOUT_ATTRS = {"interval", "star_spans", "member_matrix"}
 LAYOUT_READS = sorted([
     # the dyadic operators index balls by generation, so check that layout
-    ("operators", "_require_dyadic", "interval"),
+    ("operators", "dyadic_levels", "interval"),
     # the exact L1 pass runs on interval bases only (peak memory)
     ("operators", "estimate_bo_constants", "interval"),
     # the cover table is indexed by atom spans

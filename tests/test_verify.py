@@ -246,6 +246,17 @@ class TestStrongDomination:
         with pytest.raises(InfZero):
             strong_domination_check(f, g, dyadic6, dyadic6.full_ball_id())
 
+    def test_vector_tails_in_own_norm(self, dyadic3):
+        f = VecFunction(np.random.default_rng(4).normal(size=(8, 3)), "max")
+        g = VecFunction(np.full(8, 0.3))
+        full = dyadic3.full_ball_id()
+        rep = strong_domination_check(f, g, dyadic3, full)
+        tails = [r.value for r in rep.rows if r.statistic == "tail_fraction"]
+        _, med = median(f, dyadic3.balls[full].members, dyadic3)
+        dev = np.abs(f.values - med).max(axis=1)
+        assert tails == [float(np.mean(dev > t * 0.3)) for t in range(65)]
+        assert tails[3] == 0.75  # 0.875 in the euclidean norm
+
 
 class TestMuckenhoupt:
     def test_unit_weight(self, dyadic4):
