@@ -70,12 +70,6 @@ class VecFunction:
     def norms(self) -> np.ndarray:
         return vector_norms(self.values, self.norm_kind)
 
-    def norm_of(self, vec) -> float:
-        vec = np.atleast_1d(np.asarray(vec, dtype=float))
-        if self.norm_kind == "euclidean":
-            return float(np.linalg.norm(vec))
-        return float(np.abs(vec).max())
-
     def to_json(self) -> str:
         return json.dumps({
             "dim": self.dim,
@@ -205,12 +199,12 @@ def _subset_oscillations(f: VecFunction, arr, w):
         osc = np.where(S, v, -np.inf).max(axis=1) - np.where(S, v, np.inf).min(axis=1)
         osc = np.where(np.isfinite(osc), osc, 0.0)
     else:
+        dist = vector_norms(vals[:, None] - vals[None, :], f.norm_kind)
         osc = np.zeros(len(S))
         for i in range(m):
             for j in range(i + 1, m):
-                d = f.norm_of(vals[i] - vals[j])
                 both = S[:, i] & S[:, j]
-                osc[both] = np.maximum(osc[both], d)
+                osc[both] = np.maximum(osc[both], dist[i, j])
     return S, S @ w, osc
 
 

@@ -384,7 +384,7 @@ def structured_suite(basis: BallBasis, budget: int, seed: int) -> list[np.ndarra
         v[i:j + 1] = 1.0
         funcs.append(v)
     for _ in range(k):  # haar-like: split a random block into +/- halves
-        i = int(rng.integers(0, n - 1))
+        i = int(rng.integers(0, max(1, n - 1)))
         width = int(rng.integers(1, max(2, n // 4)))
         j = min(n, i + 2 * width)
         v = np.zeros(n)
@@ -411,13 +411,16 @@ def estimate_bo_constants(T: OperatorDescriptor, basis: BallBasis,
                           budget: int = 32, seed: int = 0) -> BOConstants:
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if basis is not T.basis:
+        raise ValueError(f"{T.name} is defined on another basis ({T.basis.n_atoms} "
+                         f"atoms) than the one given ({basis.n_atoms} atoms)")
     exact = _exactly_estimable(T)
     p = T.params
     w = basis.space.weights
     n = basis.n_atoms
     witnesses: dict = {}
 
-    suite = structured_suite(basis, budget, seed)
+    suite = np.array(structured_suite(basis, budget, seed))
     ball_ids = _sample_ball_ids(basis, max(budget, 16), seed)
 
     # ---- L0: weak-type constant over restricted functions ----
@@ -475,7 +478,11 @@ def estimate_bo_constants(T: OperatorDescriptor, basis: BallBasis,
                 r4 = float(r4_ratios[y4])
                 witnesses["R4"] = {"ball": bid, "atom": y4}
     # monte-carlo localization pass (also for exact operators: the suite is
-    # shared with modulation families so their estimates stay comparable)
+    # shared with modulation families so their estimates stay comparable).
+    # Per sampled ball, the sums of every suite function over its supersets
+    # come one size group at a time; the powers stay scalar, since numpy's
+    # array ** rounds differently
+    mu_rho = np.array([m ** (-p.rho) for m in basis.mu.tolist()])
     for bid in ball_ids:
         bid = int(bid)
         members = basis.balls[bid].members
@@ -484,24 +491,27 @@ def estimate_bo_constants(T: OperatorDescriptor, basis: BallBasis,
             continue
         mask = np.ones(n)
         mask[star] = 0.0
-        sup_ids = basis.supersets(bid)
-        for fi, v in enumerate(suite):
-            rv = v * mask
-            if not np.any(rv):
-                continue
-            f = VecFunction(rv)
-            denom = 0.0
-            r4_denom = 0.0
-            for aid in sup_ids:
-                aid = int(aid)
-                am = basis.balls[aid].members
-                avg = basis.mu[aid] ** (-p.rho) * float(
-                    (np.abs(rv[am]) ** p.r * w[am]).sum()) ** p.varrho
-                denom = max(denom, avg)
-                r4_denom = max(r4_denom, avg / math.log1p(basis.mu[aid] / basis.mu[bid]))
+        rvs = suite * mask
+        mass = np.abs(rvs) ** p.r * w
+        is_sup = np.zeros(basis.n_balls, dtype=bool)
+        is_sup[basis.supersets(bid)] = True
+        sup, sums = [], []
+        for ids, idx in basis.size_groups():
+            rows = is_sup[ids]
+            if rows.any():
+                sup.append(ids[rows])
+                # C-ordered blocks, so each sum rounds like the ball's own
+                sums.append(np.take(mass, idx[rows], axis=1).sum(axis=-1))
+        sup = np.concatenate(sup)
+        mu_sup = mu_rho[sup]
+        logs = np.array([math.log1p(q) for q in (basis.mu[sup] / basis.mu[bid]).tolist()])
+        for fi, row in enumerate(np.concatenate(sums, axis=1)):
+            avg = mu_sup * np.array([s ** p.varrho for s in row.tolist()])
+            denom = float(avg.max())
             if denom == 0:
                 continue
-            tv = T.apply(f).norms()
+            r4_denom = float((avg / logs).max())
+            tv = T.apply(VecFunction(rvs[fi])).norms()
             osc = _osc_on(tv, members)
             if osc / denom > l1:
                 l1 = osc / denom

@@ -8,7 +8,8 @@ from ballbasis import (EmptySet, IncompleteFamily, Params, RegularityViolation,
                        bmo_norm, build_dyadic, build_grid,
                        build_regular_family, general_maximal, maximal,
                        mean_oscillation, median, sharp_all, sup_sharp_all)
-from ballbasis.functional import _max_over_containing_balls, oscillation_stats
+from ballbasis.functional import (_max_over_containing_balls, oscillation_stats,
+                                  vector_norms)
 
 CLASSICAL = Params.classical_profile(1.0)
 
@@ -174,6 +175,18 @@ class TestAlphaOscillation:
         a = alpha_oscillation(f, full, 0.6, dyadic3)
         g = VecFunction(-2.0 * f.values)
         assert alpha_oscillation(g, full, 0.6, dyadic3) == pytest.approx(2 * a)
+
+    @pytest.mark.parametrize("norm_kind", ["euclidean", "max"])
+    def test_oracle_distance_is_vector_norm(self, norm_kind):
+        # only the pair has mass > 0.6 mu(B): its oscillation is the distance
+        # of the two values, in the norm every other statistic uses
+        b = build_dyadic(1)
+        rng = np.random.default_rng(0)
+        for dim in range(2, 9):
+            for _ in range(20):
+                vals = rng.normal(size=(2, dim))
+                got = alpha_oscillation(VecFunction(vals, norm_kind), [0, 1], 0.6, b)
+                assert got == vector_norms(vals[0] - vals[1], norm_kind)
 
 
 class TestAlphaCore:
