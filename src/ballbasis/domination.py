@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BetaOutOfRange, ConstructionFailure, LambdaExhausted,
-                     NotDoubling, NotRestricted)
+from .errors import (AlphaViolated, BetaOutOfRange, ConstructionFailure,
+                     LambdaExhausted, NotDoubling, NotRestricted)
 from .functional import (VecFunction, alpha_core, alpha_oscillation, average,
-                         maximal, mean_oscillation, median)
+                         maximal, median, sup_sharp_all)
 from .operators import (BOConstants, OperatorDescriptor, maximal_modulation,
                         truncate)
 from .space import BallBasis
@@ -182,15 +182,9 @@ def dominate_bo(T: OperatorDescriptor, consts: BOConstants, f: VecFunction,
             try:
                 tree = sparsify_tree(basis, f_map, b_id, alpha_threshold,
                                      tolerant=False)
-            except ConstructionFailure as err:
+            except (ConstructionFailure, AlphaViolated) as err:  # raise lambda
                 last_error = err
                 continue
-            except Exception as err:  # AlphaViolated and kin: raise lambda
-                from .errors import AlphaViolated
-                if isinstance(err, AlphaViolated):
-                    last_error = err
-                    continue
-                raise
 
         sets = [basis.balls[nb].members for nb in tree.nodes]
         e_sets = []
@@ -378,8 +372,7 @@ def restricted_osc_bound(family: list[OperatorDescriptor], f: VecFunction,
     l0 = max(c.L0 for c in consts)
     l1 = max(c.L1 for c in consts)
     coeff = l0 * (1.0 - beta) ** (-1.0 / r) + l1
-    sharp = mean_oscillation(f, members, r, mode="sup_sharp", basis=basis)
-    rhs = coeff * float(sharp)
+    rhs = coeff * float(sup_sharp_all(f, basis, r)[b_id])
     if lhs == 0.0:
         ratio = 0.0
     elif rhs == 0.0:
@@ -408,9 +401,7 @@ def dominate_mean_osc(family: list[OperatorDescriptor], f: VecFunction,
     inner = lerner_decompose(tf_fn, b_id, beta, basis)
 
     r = family[0].params.r
-    fam_sets = [basis.balls[g].members for g in inner.family]
-    terms = [float(mean_oscillation(f, ms, r, mode="sup_sharp", basis=basis))
-             for ms in fam_sets]
+    terms = sup_sharp_all(f, basis, r)[inner.family].tolist()
     members = basis.balls[b_id].members
     lhs = np.abs(tf - float(inner.center[0]))
     bound = SparseBound(basis=basis, family=list(inner.family),

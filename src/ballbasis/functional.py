@@ -161,7 +161,8 @@ def mean_deviation(vals: np.ndarray, ww: np.ndarray, norm_kind: str = "euclidean
 
 def mean_oscillation(f: VecFunction, members, r: float, mode: str = "sharp",
                      basis: BallBasis | None = None):
-    """f_B (mode=mean), <f>_{#,B} (sharp) or its sup over containing balls."""
+    """f_B (mode=mean) or <f>_{#,B} (mode=sharp) over the atom set; the sup
+    of <f>_{#,A} over the balls A containing each ball is sup_sharp_all."""
     if r < 1:
         raise ValueError("mean oscillation needs r >= 1")
     arr = as_atom_array(members)
@@ -175,10 +176,6 @@ def mean_oscillation(f: VecFunction, members, r: float, mode: str = "sharp",
     if mode == "sharp":
         mu, d = mean_deviation(f.values[arr], w, f.norm_kind)
         return float(((d ** r * w).sum() / mu) ** (1.0 / r))
-    if mode == "sup_sharp":
-        ids = basis.balls_containing_set(arr)
-        return max(mean_oscillation(f, basis.balls[i].members, r, "sharp", basis)
-                   for i in ids)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -373,12 +370,7 @@ def sharp_all(f: VecFunction, basis: BallBasis, r: float = 1.0) -> np.ndarray:
 
 def sup_sharp_all(f: VecFunction, basis: BallBasis, r: float = 1.0) -> np.ndarray:
     """<f>*_{#,B} = max over balls A containing B of <f>_{#,A}, per ball."""
-    sharp = sharp_all(f, basis, r)
-    out = np.empty(basis.n_balls)
-    for i in range(basis.n_balls):
-        ids = basis.supersets(i)
-        out[i] = sharp[ids].max()
-    return out
+    return basis.superset_max(sharp_all(f, basis, r))
 
 
 def maximal(f: VecFunction, basis: BallBasis, p: Params | None = None,
@@ -430,20 +422,11 @@ class RegularFamily:
 
 def cover_measure_table(basis: BallBasis) -> np.ndarray:
     """table[a, b] = min measure of a ball covering the span [a, b] (interval bases)."""
-    n = basis.n_atoms
-    table = np.full((n, n), np.inf)
-    by_lo = [[] for _ in range(n)]
-    for i in range(basis.n_balls):
-        by_lo[int(basis.lo[i])].append(i)
-    m_hi = np.full(n, np.inf)
-    for a in range(n):
-        for i in by_lo[a]:
-            h = int(basis.hi[i])
-            if basis.mu[i] < m_hi[h]:
-                m_hi[h] = basis.mu[i]
-        # suffix-min over hi >= b of min measure among balls with lo <= a
-        table[a] = np.minimum.accumulate(m_hi[::-1])[::-1]
-    return table
+    table = np.full((basis.n_atoms, basis.n_atoms), np.inf)
+    np.minimum.at(table, (basis.lo, basis.hi), basis.mu)
+    # min over balls with lo <= a, then over those with hi >= b
+    table = np.minimum.accumulate(table, axis=0)
+    return np.minimum.accumulate(table[:, ::-1], axis=1)[:, ::-1]
 
 
 def volume_distance_matrix(basis: BallBasis) -> np.ndarray:

@@ -148,7 +148,7 @@ def square_function(basis: BallBasis) -> OperatorDescriptor:
     mu = _by_generation(basis, levels, basis.mu)[:, :, None]
     # B* is B or an ancestor (the star rule adds the nested balls of measure
     # <= 2 mu(B)); star_gen[g, x]: its generation for x's generation-g ball
-    star_size = basis.star_sums(np.ones(n), np.arange(basis.n_balls))
+    star_size = np.array([basis.star_members(i).size for i in range(basis.n_balls)])
     star_gen = _by_generation(basis, levels,
                               np.round(np.log2(n / star_size)).astype(np.int64))
 
@@ -239,16 +239,13 @@ def zero_operator(basis: BallBasis) -> OperatorDescriptor:
 
 def _kernel_truncation(T: OperatorDescriptor, f: VecFunction) -> np.ndarray:
     """T*f of a kernel operator: T(f 1_{X minus B*})(x) is Tf(x) minus the
-    sum over y in B* of K(x, y) f(y) w(y)."""
+    sum over y in B* of K(x, y) f(y) w(y), at every (ball, member) pair."""
     basis = T.basis
     tf = T.apply(f).values
     g = f.values * basis.space.weights[:, None]
     out = np.zeros(basis.n_atoms)
-    for x in range(basis.n_atoms):
-        ids = basis.balls_containing_atom(x)
-        contrib = tf[x][None, :] - basis.star_sums(T.kernel[x][:, None] * g, ids)
-        vals = vector_norms(contrib, f.norm_kind)
-        out[x] = vals.max() if len(vals) else 0.0
+    for (ids, idx), sums in zip(basis.size_groups(), basis.member_star_sums(T.kernel, g)):
+        np.maximum.at(out, idx, vector_norms(tf[idx] - sums, f.norm_kind))
     return out
 
 

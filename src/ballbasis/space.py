@@ -31,8 +31,7 @@ from .errors import EmptySet, NoContainingBall, NotDoubling, PostconditionFailur
 
 def as_atom_array(members) -> np.ndarray:
     """Normalize an atom collection to a sorted unique int array."""
-    arr = np.asarray(sorted(set(int(a) for a in members)), dtype=np.int64)
-    return arr
+    return np.unique(np.asarray(members, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -162,19 +161,39 @@ class BallBasis:
             return pre[self.hi + 1] - pre[self.lo]
         return self.member_matrix() @ mass
 
-    def star_sums(self, v: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """Row k: sum over y in star(B) of v[y] for the ball B = ids[k]
-        (v has one row per atom)."""
+    def member_star_sums(self, kernel: np.ndarray, v: np.ndarray) -> list[np.ndarray]:
+        """For each size group (ids, idx), an (m, L, d) array: entry [k, l] is
+        the sum over y in star(ids[k]) of kernel[x, y] v[y] at the member
+        x = idx[k, l] (v has one row per atom)."""
         if self.interval:
             slo, shi = self.star_spans()
-            pre = np.concatenate([np.zeros((1,) + v.shape[1:]), np.cumsum(v, axis=0)])
-            return pre[shi[ids] + 1] - pre[slo[ids]]
+            pre = np.zeros((self.n_atoms, self.n_atoms + 1, v.shape[1]))
+            np.multiply(kernel[:, :, None], v[None], out=pre[:, 1:])
+            np.cumsum(pre[:, 1:], axis=1, out=pre[:, 1:])  # in place: one n x n x d array
+            return [pre[idx, shi[ids, None] + 1] - pre[idx, slo[ids, None]]
+                    for ids, idx in self.size_groups()]
         if self._star_matrix is None:
             s = np.zeros((self.n_balls, self.n_atoms), dtype=bool)
             for i in range(self.n_balls):
                 s[i, self.star_members(i)] = True
             self._star_matrix = s
-        return self._star_matrix[ids] @ v
+        return [np.matmul(kernel[idx], self._star_matrix[ids, :, None] * v)
+                for ids, idx in self.size_groups()]
+
+    def superset_max(self, vals: np.ndarray) -> np.ndarray:
+        """out[i] = max of vals[A] over the balls A containing ball i: the
+        containment test of _containing, one size group at a time."""
+        # balls in decreasing vals, so a row's first containing ball is its max
+        order = np.argsort(-vals, kind="stable")
+        lo, hi = self.lo[order], self.hi[order]
+        members = None if self.interval else self.member_matrix()[order]
+        out = np.empty(self.n_balls)
+        for ids, idx in self.size_groups():
+            mask = (lo <= self.lo[ids, None]) & (hi >= self.hi[ids, None])
+            if members is not None:
+                mask &= members[:, idx].all(axis=2).T
+            out[ids] = vals[order[mask.argmax(axis=1)]]
+        return out
 
     # -- star / hull -----------------------------------------------------
 

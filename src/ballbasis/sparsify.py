@@ -73,36 +73,28 @@ def child_cover(basis: BallBasis, F, E) -> list[int]:
         raise ValueError("E must be a subset of F")
     if E.size == 0:
         return []
-    w = basis.space.weights
-    f_mask = np.zeros(basis.n_atoms, dtype=bool)
-    f_mask[F] = True
-    mu_f = float(w[F].sum())
-
-    picked: dict[int, None] = {}
-    for x in E:
-        cands = basis.balls_containing_atom(int(x))
-        best = -1
-        best_key = None
-        for c in cands:
-            c = int(c)
-            m = basis.balls[c].members
-            if float(w[m[f_mask[m]]].sum()) >= basis.mu[c] / 2.0:
-                key = (-basis.mu[c], c)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = c
-        if best >= 0:
-            picked[best] = None
-    if not picked:
+    dense = _half_dense(basis, F)
+    mu_f = float(basis.space.weights[F].sum())
+    # each atom's ball: the dense ball containing it of least rank in the
+    # (-mu, id) order, i.e. of largest measure; rank n_balls = not dense
+    order = np.lexsort((np.arange(basis.n_balls), -basis.mu))
+    rank = np.empty(basis.n_balls, dtype=np.int64)
+    rank[order] = np.arange(basis.n_balls)
+    rank[~dense] = basis.n_balls
+    best = np.full(basis.n_atoms, basis.n_balls)
+    for ids, idx in basis.size_groups():
+        np.minimum.at(best, idx, rank[ids][:, None])
+    hits = best[E]
+    picked = order[np.unique(hits[hits < basis.n_balls])]
+    if not picked.size:
         raise PostconditionFailure("no density ball found for any atom of E",
                                    witness=E[:5].tolist())
-    disjoint = vitali_cover(basis, [], list(picked))
+    disjoint = vitali_cover(basis, [], picked)
     out = []
     enlarged = False
     for b in disjoint:
         g = int(basis.hull[b])
-        m = basis.balls[g].members
-        if float(w[m[f_mask[m]]].sum()) >= basis.mu[g] / 2.0:
+        if dense[g]:
             # half-density survives on the hull itself: grow once (doubling)
             g2 = basis.smallest_strict_superset(g)
             if g2 is None:
@@ -134,13 +126,18 @@ def child_cover(basis: BallBasis, F, E) -> list[int]:
         raise PostconditionFailure("mass bound violated",
                                    witness={"total": total, "bound": bound})
     for g in out:
-        for gp in basis.supersets(g, strict=True):
-            gp = int(gp)
-            m = basis.balls[gp].members
-            if float(w[m[f_mask[m]]].sum()) >= basis.mu[gp] / 2.0:
-                raise PostconditionFailure("half-density persists above a cover ball",
-                                           witness=(g, gp))
+        above = basis.supersets(g, strict=True)
+        if dense[above].any():
+            raise PostconditionFailure("half-density persists above a cover ball",
+                                       witness=(g, int(above[dense[above]][0])))
     return out
+
+
+def _half_dense(basis: BallBasis, F: np.ndarray) -> np.ndarray:
+    """Mask of the balls B with mu(B intersect F) >= mu(B)/2."""
+    f_mask = np.zeros(basis.n_atoms)
+    f_mask[F] = 1.0
+    return basis.ball_integrals(f_mask * basis.space.weights) >= basis.mu / 2.0
 
 
 # -- sparse tree ---------------------------------------------------------------
@@ -406,22 +403,15 @@ def _verify_sparse_tree(basis, und, node_balls, parent, children, rank,
         raise ConstructionFailure(
             f"child mass ratio {worst:g} exceeds {bound:g}")
     # half-density above every child node ball
-    f_masks: dict[int, np.ndarray] = {}
+    dense: dict[int, np.ndarray] = {}
     for j, p in enumerate(parent):
         if p is None:
             continue
         fb = node_balls[p]
-        if fb not in f_masks:
-            mask = np.zeros(basis.n_atoms, dtype=bool)
-            mask[get_f(fb)] = True
-            f_masks[fb] = mask
-        mask = f_masks[fb]
-        for gp in basis.supersets(node_balls[j], strict=True):
-            gp = int(gp)
-            m = basis.balls[gp].members
-            if float(w[m[mask[m]]].sum()) >= basis.mu[gp] / 2.0:
-                raise ConstructionFailure(
-                    f"half-density fails above child node {j}")
+        if fb not in dense:
+            dense[fb] = _half_dense(basis, get_f(fb))
+        if dense[fb][basis.supersets(node_balls[j], strict=True)].any():
+            raise ConstructionFailure(f"half-density fails above child node {j}")
     # witness size and parity disjointness
     for j in range(len(und)):
         if float(w[witness[j]].sum()) < basis.mu[und[j]] / 2.0 - 1e-12:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from ballbasis import (BetaOutOfRange, NotRestricted, VecFunction,
+from ballbasis import (AlphaViolated, BetaOutOfRange, BOConstants,
+                       ConstructionFailure, NotRestricted, OperatorDescriptor,
+                       Params, VecFunction,
                        conditional_expectation, discrete_hilbert, dominate_bo,
                        dominate_mean_osc, estimate_bo_constants,
                        fit_exponential_rate, lerner_decompose,
@@ -80,6 +82,42 @@ class TestDominateBO:
         rep = verify_sparse_bound(bound, T.apply(f), b)
         assert rep.margin_min < 0
         assert not rep.passed
+
+
+class TestDominateBOErrors:
+    """An error raised while the exceptional sets are built: the tree's own
+    failures raise lambda, anything else propagates."""
+
+    @staticmethod
+    def _failing(basis, error, times):
+        calls = []
+
+        def apply_fn(f):
+            calls.append(f)
+            if len(calls) <= times:
+                raise error
+            return VecFunction(np.zeros((basis.n_atoms, f.dim)), f.norm_kind)
+
+        n = basis.n_atoms
+        return OperatorDescriptor("failing", basis, Params.classical_profile(1.0),
+                                  kernel=np.zeros((n, n)), apply_fn=apply_fn)
+
+    @pytest.mark.parametrize("error", [AlphaViolated("too large"),
+                                       ConstructionFailure("stuck")])
+    def test_tree_failure_raises_lambda(self, dyadic6, error):
+        T = self._failing(dyadic6, error, times=1)
+        c = BOConstants(L0=1.0, L1=0.0, L2=0.0, method="test", r4_constant=0.0,
+                        r5_value=0.0)
+        bound = dominate_bo(T, c, VecFunction(np.ones(64)), 0, dyadic6)
+        assert bound.details["lambda"] == 20.0
+
+    @pytest.mark.parametrize("error", [RuntimeError("boom"), ValueError("bad")])
+    def test_other_error_propagates(self, dyadic6, error):
+        T = self._failing(dyadic6, error, times=1)
+        c = BOConstants(L0=1.0, L1=0.0, L2=0.0, method="test", r4_constant=0.0,
+                        r5_value=0.0)
+        with pytest.raises(type(error), match=str(error)):
+            dominate_bo(T, c, VecFunction(np.ones(64)), 0, dyadic6)
 
 
 class TestLerner:

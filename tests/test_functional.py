@@ -8,8 +8,8 @@ from ballbasis import (EmptySet, IncompleteFamily, Params, RegularityViolation,
                        bmo_norm, build_dyadic, build_grid,
                        build_regular_family, general_maximal, maximal,
                        mean_oscillation, median, sharp_all, sup_sharp_all)
-from ballbasis.functional import (_max_over_containing_balls, oscillation_stats,
-                                  vector_norms)
+from ballbasis.functional import (_max_over_containing_balls, cover_measure_table,
+                                  oscillation_stats, vector_norms)
 
 CLASSICAL = Params.classical_profile(1.0)
 
@@ -44,6 +44,28 @@ def _scatter_max_by_balls(basis, vals, out):
     for b in basis.balls:
         out[b.members] = np.maximum(out[b.members], vals[b.id])
     return out
+
+
+def _sup_sharp_by_recursion(f, basis, r):
+    """The removed sup_sharp mode of mean_oscillation, per ball: the max of
+    the sharp mean over every ball containing the ball's members (each
+    ball's sharp mean computed once)."""
+    sharp = [mean_oscillation(f, b.members, r, basis=basis) for b in basis.balls]
+    return np.array([max(sharp[j] for j in basis.balls_containing_set(b.members))
+                     for b in basis.balls])
+
+
+def _cover_measure_table_by_lo(basis):
+    """The removed per-lo loop: for each a, the least measure per hi among
+    balls with lo <= a, then its suffix minimum over hi >= b."""
+    n = basis.n_atoms
+    table = np.full((n, n), np.inf)
+    m_hi = np.full(n, np.inf)
+    for a in range(n):
+        for i in np.flatnonzero(basis.lo == a):
+            m_hi[basis.hi[i]] = min(m_hi[basis.hi[i]], basis.mu[i])
+        table[a] = np.minimum.accumulate(m_hi[::-1])[::-1]
+    return table
 
 
 def indicator(n, atoms):
@@ -359,6 +381,19 @@ class TestGroupedStatistics:
         fortran = VecFunction(np.asfortranarray(vals), norm_kind)
         assert not fortran.values.flags.c_contiguous
         assert np.array_equal(sharp_all(c, basis), sharp_all(fortran, basis))
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("norm_kind", ["euclidean", "max"])
+    @pytest.mark.parametrize("r", [1.0, 1.5, 2.0])
+    def test_sup_sharp_equals_recursion(self, stat_basis, dim, norm_kind, r):
+        rng = np.random.default_rng(dim + 10)
+        f = VecFunction(rng.normal(size=(stat_basis.n_atoms, dim)), norm_kind)
+        want = _sup_sharp_by_recursion(f, stat_basis, r)
+        assert np.array_equal(sup_sharp_all(f, stat_basis, r), want)
+
+    def test_cover_table_equals_per_lo_loop(self, stat_basis):
+        assert np.array_equal(cover_measure_table(stat_basis),
+                              _cover_measure_table_by_lo(stat_basis))
 
     @pytest.mark.parametrize("initial", [0.0, -np.inf])
     def test_scatter_max_equals_per_ball_loop(self, stat_basis, initial):

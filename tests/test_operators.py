@@ -13,6 +13,7 @@ from ballbasis import (Ball, BallBasis, MeasureSpace, NotComparable,
                        maximal_modulation, riesz_potential, sparse_operator,
                        square_function, truncate, zero_operator)
 from ballbasis import operators
+from ballbasis.functional import vector_norms
 from ballbasis.operators import _osc_on, _sample_ball_ids, structured_suite
 
 from conftest import _relabelled
@@ -546,6 +547,50 @@ def _truncate_by_balls(T, f):
         members = basis.balls[bid].members
         out[members] = np.maximum(out[members], tfb[members])
     return out
+
+
+def _kernel_truncation_by_atoms(T, f):
+    """The removed per-atom loop of the kernel truncation: at each atom x, Tf(x)
+    minus the sum of K(x, y) f(y) w(y) over the star of each ball containing x,
+    a prefix-sum difference on interval bases and a plain sum otherwise."""
+    basis = T.basis
+    tf = T.apply(f).values
+    g = f.values * basis.space.weights[:, None]
+    out = np.zeros(basis.n_atoms)
+    for x in range(basis.n_atoms):
+        v = T.kernel[x][:, None] * g
+        pre = np.concatenate([np.zeros((1, v.shape[1])), np.cumsum(v, axis=0)])
+        sums = []
+        for b in basis.balls_containing_atom(x):
+            star = basis.star_members(b)
+            sums.append(pre[star[-1] + 1] - pre[star[0]] if basis.interval
+                        else v[star].sum(axis=0))
+        out[x] = vector_norms(tf[x][None, :] - np.array(sums), f.norm_kind).max()
+    return out
+
+
+class TestKernelTruncationPass:
+    @pytest.mark.parametrize("norm", ["euclidean", "max"])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_equals_per_atom_loop(self, stat_basis, dim, norm):
+        rng = np.random.default_rng(dim)
+        n = stat_basis.n_atoms
+        ops = [sparse_operator(stat_basis, rng.choice(stat_basis.n_balls, 8)),
+               identity_operator(stat_basis),
+               OperatorDescriptor("dense", stat_basis, Params.classical_profile(1.0),
+                                  kernel=rng.normal(size=(n, n)))]
+        if stat_basis.kind == "grid":
+            ops.append(discrete_hilbert(stat_basis))
+        f = VecFunction(rng.normal(size=(n, dim)), norm)
+        for T in ops:
+            got = truncate(T).apply(f).values[:, 0]
+            want = _kernel_truncation_by_atoms(T, f)
+            if stat_basis.interval:
+                assert np.array_equal(got, want), T.name
+            else:
+                # the star sums of the relabelled basis are matrix products
+                atol = 1e-12 * np.abs(f.values).max()
+                assert np.allclose(got, want, rtol=1e-12, atol=atol), T.name
 
 
 class TestRelabelledAtoms:

@@ -12,6 +12,7 @@ from ballbasis import (Ball, BallBasis, MeasureSpace, NoContainingBall,
                        check_axioms, doubling_chain, enlarge,
                        exhausting_sequence, square_function, volume_distance)
 from ballbasis.functional import volume_distance_matrix
+from ballbasis.space import as_atom_array
 
 from conftest import STAT_BASES, _relabelled, _reweighted
 
@@ -73,6 +74,20 @@ class TestBuilders:
             build_grid(1)
         with pytest.raises(ValueError):
             build_grid(513)
+
+
+class TestAsAtomArray:
+    @pytest.mark.parametrize("members", [
+        np.array([3, 1, 2]), np.array([0, 5, 9], dtype=np.int32), [4, 4, 0, 2, 2],
+        range(7), range(10, 2, -3), [9, 8, 7, 1], (2, 2, 2), [], np.array([]),
+        np.arange(0), np.array([1.0, 3.0, 3.0]), [np.int64(6), 0],
+    ], ids=lambda m: repr(m))
+    def test_sorted_unique_int64(self, members):
+        # the set-and-sort normalization this one numpy call replaced
+        want = np.asarray(sorted(set(int(a) for a in members)), dtype=np.int64)
+        got = as_atom_array(members)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 class TestSizeGroups:
@@ -306,9 +321,24 @@ class TestRelabelledQueries:
         moved[perm] = mass
         assert np.allclose(rel.ball_integrals(moved[:, 0]),
                            base.ball_integrals(mass[:, 0]), rtol=1e-12, atol=0.0)
-        ids = rng.integers(0, nb, size=min(nb, 10))
-        assert np.allclose(rel.star_sums(moved, ids), base.star_sums(mass, ids),
-                           rtol=1e-12, atol=0.0)
+        kernel = rng.uniform(0.5, 2.0, size=(n, n))
+        moved_kernel = np.empty_like(kernel)
+        moved_kernel[np.ix_(perm, perm)] = kernel
+        sums = {}
+        for basis, k, v in ((base, kernel, mass), (rel, moved_kernel, moved)):
+            # (ball, atom, component) array of the star sums at members
+            dense = np.full((nb, n, 3), np.nan)
+            for (ids, idx), s in zip(basis.size_groups(),
+                                     basis.member_star_sums(k, v)):
+                dense[ids[:, None], idx] = s
+            sums[basis] = dense
+        assert np.array_equal(np.isnan(sums[rel][:, perm]), np.isnan(sums[base]))
+        assert np.allclose(sums[rel][:, perm], sums[base], rtol=1e-12, atol=0.0,
+                           equal_nan=True)
+        vals = rng.normal(size=nb)
+        assert np.array_equal(rel.superset_max(vals), base.superset_max(vals))
+        assert np.array_equal(base.superset_max(vals),
+                              [vals[base.supersets(i)].max() for i in range(nb)])
 
 
 # Outside space.py, code reads the basis layout (interval flag, star spans,
@@ -336,3 +366,43 @@ def test_layout_reads_stay_in_space():
                     reads.append((path.stem, getattr(top, "name", "<module>"),
                                   node.attr))
     assert sorted(reads) == LAYOUT_READS
+
+
+# Outside space.py, the per-ball containment queries are called only here;
+# everything else takes containing balls one size group at a time.
+CONTAINMENT_QUERIES = {"balls_containing_atom", "balls_containing_set",
+                       "supersets", "smallest_strict_superset"}
+CONTAINMENT_CALLS = sorted([
+    # repair of the few atoms the tolerant tree left uncovered
+    ("domination", "lerner_decompose", "balls_containing_atom"),
+    # sup mode of one average
+    ("functional", "average", "balls_containing_set"),
+    # the non-interval distance rows (the interval path reads the cover table)
+    ("functional", "volume_distance_matrix", "supersets"),
+    # the growth condition is checked per (ball, superset) pair
+    ("functional", "build_regular_family", "supersets"),
+    # an explicit complete family is checked per atom
+    ("functional", "general_maximal", "balls_containing_atom"),
+    # the Monte-Carlo L1 pass and the L2 pass, per sampled ball
+    ("operators", "estimate_bo_constants", "supersets"),
+    ("operators", "estimate_bo_constants", "smallest_strict_superset"),
+    # the doubling growth and the half-density postcondition, per output ball
+    ("sparsify", "child_cover", "smallest_strict_superset"),
+    ("sparsify", "child_cover", "supersets"),
+    # the half-density postcondition, per tree node
+    ("sparsify", "_verify_sparse_tree", "supersets"),
+])
+
+
+def test_containment_calls_stay_listed():
+    calls = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "ballbasis").glob("*.py")):
+        if path.name == "space.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr in CONTAINMENT_QUERIES:
+                    calls.append((path.stem, getattr(top, "name", "<module>"),
+                                  node.attr))
+    assert sorted(calls) == CONTAINMENT_CALLS

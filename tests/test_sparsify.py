@@ -1,9 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
-from ballbasis import (NestingViolated, NotACover, build_dyadic, child_cover,
-                       disjointify, sparsify_tree, vitali_cover)
+import ballbasis.sparsify
+from ballbasis import (BallBasis, ConstructionFailure, NestingViolated,
+                       NotACover, PostconditionFailure, build_dyadic,
+                       child_cover, disjointify, sparsify_tree, vitali_cover)
 from ballbasis.cli import make_f_family
+from ballbasis.sparsify import _verify_sparse_tree
 
 
 def span_ball(basis, lo, hi):
@@ -70,6 +75,76 @@ class TestChildCover:
             mu_f = float(w[F].sum())
             eta = 2.0
             assert total <= 2 * eta * dyadic8.K * mu_f + 1e-12
+
+
+def _child_cover_picks_by_atoms(basis, F, E):
+    """The removed per-atom scan of child_cover: for each atom of E, among the
+    balls containing it that meet F in at least half their measure, the one
+    least in (-mu, id) order."""
+    w = basis.space.weights
+    f_mask = np.zeros(basis.n_atoms, dtype=bool)
+    f_mask[F] = True
+    picked = set()
+    for x in E:
+        keys = []
+        for c in basis.balls_containing_atom(int(x)):
+            m = basis.balls[c].members
+            if float(w[m[f_mask[m]]].sum()) >= basis.mu[c] / 2.0:
+                keys.append((-basis.mu[c], int(c)))
+        if keys:
+            picked.add(min(keys)[1])
+    return np.array(sorted(picked), dtype=np.int64)
+
+
+class TestChildCoverPicks:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_per_atom_scan(self, stat_basis, seed, monkeypatch):
+        picks = []
+        vitali = ballbasis.sparsify.vitali_cover
+        monkeypatch.setattr(ballbasis.sparsify, "vitali_cover",
+                            lambda b, E, G: picks.append(np.sort(G)) or vitali(b, E, G))
+        rng = np.random.default_rng(seed)
+        for density in (0.05, 0.2, 0.5):
+            F = np.flatnonzero(rng.random(stat_basis.n_atoms) < density)
+            if F.size == 0:
+                continue
+            E = F[rng.random(F.size) < 0.5]
+            if E.size == 0:
+                continue
+            picks.clear()
+            try:
+                child_cover(stat_basis, F, E)
+            except PostconditionFailure:
+                pass  # the picks are made before any postcondition
+            assert len(picks) == 1
+            assert np.array_equal(picks[0], _child_cover_picks_by_atoms(stat_basis, F, E))
+
+
+class TestHalfDensityPostconditions:
+    """dyadic 3: ball 1 = [0, 4), 3 = [0, 2), 7 = {0}; with F = {0, 1} the
+    balls 7, 3 and 1 meet F in at least half their measure."""
+
+    def test_child_cover_dense_above_cover_ball(self, dyadic3):
+        # hull(1) pointed at 7, inside ball 1: 7 is dense, so it grows to 3,
+        # which ball 1 still contains
+        doc = json.loads(dyadic3.to_json())
+        doc["hull"][1] = 7
+        broken = BallBasis.from_json(json.dumps(doc))
+        with pytest.raises(PostconditionFailure, match="half-density persists") as err:
+            child_cover(broken, [0, 1], [0])
+        assert err.value.witness == (3, 1)
+        assert child_cover(dyadic3, [0, 1], [0]) == [0]
+
+    def test_sparse_tree_dense_above_child_node(self, dyadic3):
+        # a hand-built tree: root node 0 with F = {0, 1} and child node 3;
+        # nesting, coverage and the child mass bound hold, ball 1 is dense
+        f_sets = {0: np.array([0, 1]), 3: np.array([], dtype=np.int64)}
+        args = ([0, 3], [0, 3], [None, 0], [[1], []], [0, -2],
+                [np.arange(2, 8), np.arange(2)], f_sets.__getitem__, 0.01, {})
+        with pytest.raises(ConstructionFailure, match="above child node 1"):
+            _verify_sparse_tree(dyadic3, *args)
+        f_sets[0] = np.array([0])  # ball 1 is no longer dense: the tree passes
+        _verify_sparse_tree(dyadic3, *args)
 
 
 class TestSparsifyTree:
