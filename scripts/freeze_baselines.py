@@ -58,21 +58,21 @@ def thm7_battery():
     b10 = build_dyadic(10)
     eps = np.random.default_rng([100]).integers(0, 2, size=b10.n_balls) * 2 - 1
     T = martingale_transform(b10, eps)
-    c = estimate_bo_constants(T, b10, budget=8, seed=0)
+    c = estimate_bo_constants(T, budget=8, seed=0)
     vals = []
     for i in range(50):
         f = VecFunction(np.random.default_rng([7, i]).normal(size=1024))
-        vals.append(sig(dominate_bo(T, c, f, b10.full_ball_id(), b10).constant))
+        vals.append(sig(dominate_bo(T, c, f, b10.full_ball_id()).constant))
     out["thm7_martingale"] = vals
 
     g = build_grid(128)
     R = riesz_potential(g, 0.5)
-    cr = estimate_bo_constants(R, g, budget=8, seed=0)
+    cr = estimate_bo_constants(R, budget=8, seed=0)
     full = grid_full(g)
     vals = []
     for i in range(50):
         f = VecFunction(np.random.default_rng([8, i]).normal(size=128))
-        vals.append(sig(dominate_bo(R, cr, f, full, g).constant))
+        vals.append(sig(dominate_bo(R, cr, f, full).constant))
     out["thm7_riesz"] = vals
     return out
 
@@ -82,7 +82,7 @@ def t3_t8_battery():
            "t3_lerner_hilbert": [], "t8_meanosc_hilbert": []}
     b8 = build_dyadic(8)
     fam = [conditional_expectation(b8, k) for k in range(9)]
-    consts = [estimate_bo_constants(t, b8, budget=8, seed=0) for t in fam]
+    consts = [estimate_bo_constants(t, budget=8, seed=0) for t in fam]
     full = b8.full_ball_id()
     for i in range(50):
         f = VecFunction(np.random.default_rng([9, i]).normal(size=256))
@@ -92,11 +92,11 @@ def t3_t8_battery():
         out["t3_lerner_ek"].append(
             sig(lerner_decompose(VecFunction(tf), full, 0.75, b8).constant))
         out["t8_meanosc_ek"].append(
-            sig(dominate_mean_osc(fam, f, full, b8, consts=consts).constant))
+            sig(dominate_mean_osc(fam, f, full, consts=consts).constant))
 
     g = build_grid(128)
     H = discrete_hilbert(g)
-    ch = [estimate_bo_constants(H, g, budget=8, seed=0)]
+    ch = [estimate_bo_constants(H, budget=8, seed=0)]
     full = grid_full(g)
     for i in range(50):
         f = VecFunction(np.random.default_rng([10, i]).normal(size=128))
@@ -104,7 +104,7 @@ def t3_t8_battery():
         out["t3_lerner_hilbert"].append(
             sig(lerner_decompose(VecFunction(tf), full, 0.75, g).constant))
         out["t8_meanosc_hilbert"].append(
-            sig(dominate_mean_osc([H], f, full, g, consts=ch).constant))
+            sig(dominate_mean_osc([H], f, full, consts=ch).constant))
     return out
 
 
@@ -112,11 +112,11 @@ def good_lambda_baseline():
     b8 = build_dyadic(8)
     eps = np.random.default_rng([100]).integers(0, 2, size=b8.n_balls) * 2 - 1
     T = martingale_transform(b8, eps)
-    c = estimate_bo_constants(T, b8, budget=8, seed=0)
+    c = estimate_bo_constants(T, budget=8, seed=0)
     corpus = Corpus(seed=11, generators=["random_signs", "indicators",
                                          "delta_combs", "log_samples",
                                          "haar_mixtures"], size=8)
-    rep = good_lambda_report(T, c, corpus, b8, c=0.5)
+    rep = good_lambda_report(T, c, corpus, c=0.5)
     return sig(rep.summary["max_ratio"])
 
 
@@ -159,8 +159,8 @@ def tstar_ratios():
     }
     out = {}
     for name, (T, basis) in ops.items():
-        c = estimate_bo_constants(T, basis, budget=8, seed=0)
-        ct = estimate_bo_constants(truncate(T), basis, budget=2, seed=0)
+        c = estimate_bo_constants(T, budget=8, seed=0)
+        ct = estimate_bo_constants(truncate(T), budget=2, seed=0)
         denom = c.L0 + c.L1
         out[name] = sig(ct.total / denom if denom > 0 else 0.0)
     return out

@@ -50,6 +50,9 @@ _OP_KEYS = {
     "sparse": {"kind", "name", "seed", "count", "rho"},
 }
 
+_SUITES = ("weak_type", "good_lambda", "exp_decay", "john_nirenberg", "bmo",
+           "strong_domination", "ap")
+
 _DEFAULTS = {
     "seed": 0,
     "out": "reports",
@@ -59,16 +62,40 @@ _DEFAULTS = {
     "sparsify": {"alpha": 0.002, "families": 5},
     "dominate": {"cases": 3, "ball": "full"},
     "mean_osc": {"beta": 0.75, "cases": 3, "enabled": True},
-    "verify": {"suites": ["weak_type", "good_lambda", "exp_decay",
-                          "john_nirenberg", "bmo", "strong_domination", "ap"],
-               "thresholds": {}, "weight": {"kind": "unit"}, "p": 2.0},
+    "verify": {"suites": list(_SUITES), "thresholds": {},
+               "weight": {"kind": "unit"}, "p": 2.0},
 }
+
+# (section, key) -> (test, the values it admits); a too large sparsify.alpha
+# is a run that fails, not a bad value
+_RANGES = {
+    ("corpus", "size"): (lambda v: v >= 0, ">= 0"),
+    ("estimate", "budget"): (lambda v: v >= 1, ">= 1"),
+    ("sparsify", "alpha"): (lambda v: v > 0, "> 0"),
+    ("sparsify", "families"): (lambda v: v >= 0, ">= 0"),
+    ("dominate", "cases"): (lambda v: v >= 0, ">= 0"),
+    ("mean_osc", "beta"): (lambda v: 0.5 < v < 1, "in (1/2, 1)"),
+    ("mean_osc", "cases"): (lambda v: v >= 0, ">= 0"),
+    ("verify", "p"): (lambda v: v > 1, "> 1"),
+}
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string", list: "a list", dict: "an object"}
 
 
 def _check_keys(section: str, given: dict, allowed: set):
     extra = set(given) - allowed
     if extra:
         raise ConfigError(f"unknown keys in {section}: {sorted(extra)}")
+
+
+def _check_type(name: str, value, default):
+    """value must have the JSON type of default; a number is a float."""
+    kind = type(default)
+    ok = isinstance(value, bool) if kind is bool else (
+        not isinstance(value, bool)
+        and isinstance(value, (int, float) if kind is float else kind))
+    if not ok:
+        raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
 def load_config(path: str) -> dict:
@@ -84,6 +111,7 @@ def load_config(path: str) -> dict:
     _check_keys("config", raw, _TOP_KEYS)
     if "basis" not in raw:
         raise ConfigError("config needs a 'basis' section")
+    _check_type("basis", raw["basis"], {})
     _check_keys("basis", raw["basis"], {"kind", "size"})
     if raw["basis"].get("kind") not in ("dyadic", "grid"):
         raise ConfigError("basis.kind must be 'dyadic' or 'grid'")
@@ -93,13 +121,29 @@ def load_config(path: str) -> dict:
 
     cfg = {}
     for key, default in _DEFAULTS.items():
+        cfg[key] = raw.get(key, default)
+        _check_type(key, cfg[key], default)
         if isinstance(default, dict):
-            cfg[key] = dict(default)
-            if key in raw:
-                _check_keys(key, raw[key], set(default))
-                cfg[key].update(raw[key])
-        else:
-            cfg[key] = raw.get(key, default)
+            _check_keys(key, cfg[key], set(default))
+            cfg[key] = {**default, **cfg[key]}
+            for k, v in cfg[key].items():
+                if (key, k) != ("dominate", "ball"):  # "full" or a ball id
+                    _check_type(f"{key}.{k}", v, default[k])
+    for (key, k), (ok, admits) in _RANGES.items():
+        if not ok(cfg[key][k]):
+            raise ConfigError(f"{key}.{k} must be {admits}, got {cfg[key][k]!r}")
+    unknown = [s for s in cfg["verify"]["suites"] if s not in _SUITES]
+    if unknown:
+        raise ConfigError(f"unknown verify suites {unknown}; known: {list(_SUITES)}")
+    for name, bound in cfg["verify"]["thresholds"].items():
+        _check_type(f"verify.thresholds.{name}", bound, 0.0)
+    weight = cfg["verify"]["weight"]
+    _check_keys("verify.weight", weight, {"kind", "value", "exponent"})
+    for k in ("value", "exponent"):
+        if k in weight:
+            _check_type(f"verify.weight.{k}", weight[k], 0.0)
+    for g in cfg["corpus"]["generators"]:
+        _check_type("corpus generator", g, "")
     env_seed = os.environ.get("BALLBASIS_SEED")
     if env_seed is not None and "seed" not in raw:
         try:
@@ -109,6 +153,7 @@ def load_config(path: str) -> dict:
                 f"BALLBASIS_SEED must be an integer, got {env_seed!r}")
     cfg["basis"] = raw["basis"]
     for spec in cfg["operators"]:
+        _check_type("operator entry", spec, {})
         kind = spec.get("kind")
         if kind not in _OP_KEYS:
             raise ConfigError(f"unknown operator kind {kind!r}")
@@ -129,7 +174,19 @@ def build_basis(cfg: dict):
 
 
 def build_operator(spec: dict, basis, seed: int) -> OperatorDescriptor:
+    """The operator spec names, on basis; a spec the constructors reject
+    (a value out of range, the wrong basis kind) raises ConfigError."""
     kind = spec["kind"]
+    try:
+        op = _construct(kind, spec, basis, seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"operator {spec.get('name', kind)}: {exc}")
+    if "name" in spec:
+        op.name = spec["name"]
+    return op
+
+
+def _construct(kind: str, spec: dict, basis, seed: int) -> OperatorDescriptor:
     if kind == "martingale_transform":
         rng = np.random.default_rng([seed, int(spec.get("eps_seed", 1))])
         eps = rng.integers(0, 2, size=basis.n_balls) * 2 - 1
@@ -158,15 +215,17 @@ def build_operator(spec: dict, basis, seed: int) -> OperatorDescriptor:
         op = sparse_operator(basis, ids, float(spec.get("rho", 1.0)))
     else:
         raise ConfigError(f"unknown operator kind {kind!r}")
-    if "name" in spec:
-        op.name = spec["name"]
     return op
 
 
 def _resolve_ball(spec, basis) -> int:
     if spec == "full":
         return basis.full_ball_id()
-    return int(spec)
+    if isinstance(spec, bool) or not isinstance(spec, int) or not (
+            0 <= spec < basis.n_balls):
+        raise ConfigError(f"dominate.ball must be 'full' or a ball id in "
+                          f"[0, {basis.n_balls}), got {spec!r}")
+    return spec
 
 
 def seeded_function(basis, seed: int, tag: int) -> VecFunction:
@@ -275,7 +334,7 @@ def run_dominate(cfg: dict, basis, ops) -> list[Report]:
             vals[members, 0] = rng.normal(size=len(members))
             f = VecFunction(vals)
             try:
-                bound = dominate_bo(op, consts, f, b_id, basis)
+                bound = dominate_bo(op, consts, f, b_id)
                 c = bound.constant
                 ratio = bound.details["enclosing_ratio"]
                 rate = bound.details["overlap_rate"]
@@ -312,8 +371,7 @@ def run_mean_osc(cfg: dict, basis, ops) -> list[Report]:
     for i in range(cases):
         f = seeded_function(basis, seed, 37 + i)
         try:
-            bound = dominate_mean_osc(family, f, b_id, basis, beta=beta,
-                                      consts=consts)
+            bound = dominate_mean_osc(family, f, b_id, beta=beta, consts=consts)
             c = bound.constant
             ok = True
         except BallBasisError:
@@ -372,8 +430,7 @@ def run_verify(cfg: dict, basis, ops, suite_filter: str | None = None
 
     if "good_lambda" in suites:
         for op in ops:
-            rep = good_lambda_report(op, op.bo_constants(budget, seed),
-                                     corpus, basis,
+            rep = good_lambda_report(op, op.bo_constants(budget, seed), corpus,
                                      threshold=thr.get("good_lambda", math.inf))
             rep.name = f"good_lambda/{op.name}"
             out.append(rep)
@@ -381,14 +438,14 @@ def run_verify(cfg: dict, basis, ops, suite_filter: str | None = None
     if "exp_decay" in suites:
         f = seeded_function(basis, seed, 41)
         for op in ops:
-            rep = exp_decay_report(op, f, b_id, basis, "vs_maximal")
+            rep = exp_decay_report(op, f, b_id, "vs_maximal")
             rep.name = f"exp_decay/{op.name}"
             out.append(rep)
         if basis.eta is not None:
             fam = [op for op in ops if op.restricted]
             if fam:
                 mm = maximal_modulation(fam)
-                rep = exp_decay_report(mm, f, b_id, basis, "vs_sharp")
+                rep = exp_decay_report(mm, f, b_id, "vs_sharp")
                 rep.name = "exp_decay/modulated_vs_sharp"
                 out.append(rep)
 
@@ -422,49 +479,45 @@ def run_verify(cfg: dict, basis, ops, suite_filter: str | None = None
 # -- emission -----------------------------------------------------------------------
 
 
-def emit_report(reports: list[Report], out_dir: str,
-                formats=("json", "csv", "text")) -> list[str]:
-    """Write the report bundle; identical inputs produce byte-identical files."""
+def emit_report(reports: list[Report], out_dir: str) -> list[str]:
+    """Write the report bundle (report.json, report.csv, one tail CSV per
+    report with a tail, summary.txt); identical inputs produce byte-identical
+    files."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    if "json" in formats:
-        doc = {"reports": [json.loads(r.to_json()) for r in reports],
-               "passed": all(r.passed for r in reports)}
-        path = os.path.join(out_dir, "report.json")
-        with open(path, "w") as fh:
-            fh.write(json.dumps(doc, indent=1))
-            fh.write("\n")
-        written.append(path)
-    if "csv" in formats:
-        path = os.path.join(out_dir, "report.csv")
-        with open(path, "w") as fh:
-            fh.write("report,case,statistic,value,pass\n")
-            for r in reports:
-                for line in r.csv_lines()[1:]:
-                    fh.write(f"{r.name},{line}\n")
-        written.append(path)
+    doc = {"reports": [json.loads(r.to_json()) for r in reports],
+           "passed": all(r.passed for r in reports)}
+    path = os.path.join(out_dir, "report.json")
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=1))
+        fh.write("\n")
+    written = [path]
+    path = os.path.join(out_dir, "report.csv")
+    with open(path, "w") as fh:
+        fh.write("report,case,statistic,value,pass\n")
         for r in reports:
-            tail = r.summary.get("tail")
-            if tail:
-                safe = r.name.replace("/", "_")
-                path = os.path.join(out_dir, f"{safe}_tail.csv")
-                with open(path, "w") as fh:
-                    fh.write("t,count,fraction\n")
-                    for t, c, fr in zip(tail["t"], tail["count"],
-                                        tail["fraction"]):
-                        fh.write(f"{t},{c},{_clean(float(fr))}\n")
-                written.append(path)
-    if "text" in formats:
-        path = os.path.join(out_dir, "summary.txt")
-        with open(path, "w") as fh:
-            for r in reports:
-                status = "PASS" if r.passed else "FAIL"
-                keys = {k: _clean(v) for k, v in r.summary.items()
-                        if not isinstance(v, (dict, list))}
-                body = " ".join(f"{k}={v}" for k, v in keys.items())
-                fh.write(f"{status} {r.name} {body}\n")
-            fh.write("PASS\n" if all(r.passed for r in reports) else "FAIL\n")
-        written.append(path)
+            for line in r.csv_lines()[1:]:
+                fh.write(f"{r.name},{line}\n")
+    written.append(path)
+    for r in reports:
+        tail = r.summary.get("tail")
+        if tail:
+            safe = r.name.replace("/", "_")
+            path = os.path.join(out_dir, f"{safe}_tail.csv")
+            with open(path, "w") as fh:
+                fh.write("t,count,fraction\n")
+                for t, c, fr in zip(tail["t"], tail["count"], tail["fraction"]):
+                    fh.write(f"{t},{c},{_clean(float(fr))}\n")
+            written.append(path)
+    path = os.path.join(out_dir, "summary.txt")
+    with open(path, "w") as fh:
+        for r in reports:
+            status = "PASS" if r.passed else "FAIL"
+            keys = {k: _clean(v) for k, v in r.summary.items()
+                    if not isinstance(v, (dict, list))}
+            body = " ".join(f"{k}={v}" for k, v in keys.items())
+            fh.write(f"{status} {r.name} {body}\n")
+        fh.write("PASS\n" if all(r.passed for r in reports) else "FAIL\n")
+    written.append(path)
     return written
 
 

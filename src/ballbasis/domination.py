@@ -140,43 +140,43 @@ def _min_constant(lhs: np.ndarray, rhs: np.ndarray, members: np.ndarray,
 
 
 def dominate_bo(T: OperatorDescriptor, consts: BOConstants, f: VecFunction,
-                b_id: int, basis: BallBasis, lambda0: float = 10.0,
-                alpha_threshold: float | None = None,
-                max_doublings: int = 40) -> SparseBound:
-    """Dominate ||Tf|| pointwise on a ball by fractional means over a sparse
-    family, doubling lambda until the exceptional sets are admissible."""
+                b_id: int) -> SparseBound:
+    """Dominate ||Tf|| pointwise on a ball of T's basis by fractional means
+    over a sparse family: lambda starts at 10 and doubles, at most 40 times,
+    until the exceptional sets are admissible at alpha = 1/(10 K^3)."""
+    basis = T.basis
     b_id = int(b_id)
     members = basis.balls[b_id].members
     supp = np.flatnonzero(f.norms() > 0)
     if np.setdiff1d(supp, members).size:
         raise ValueError("f must be supported on the ball")
-    K = basis.K
-    if alpha_threshold is None:
-        alpha_threshold = 1.0 / (10.0 * K ** 3)
+    alpha_threshold = 1.0 / (10.0 * basis.K ** 3)
     L = consts.total
     scale = L if L > 0 else 1.0
     t_star = truncate(T)
     p = T.params
     n = basis.n_atoms
+    # per ball B, gamma = max(||T g||, T* g, L M g) and <f>_{(B*)*} for
+    # g = f 1_{(B*)*}; neither depends on lambda
+    gamma_cache: dict[int, tuple[np.ndarray, float]] = {}
+
+    def f_map(bid: int) -> np.ndarray:
+        """F_B at the lambda of the current attempt."""
+        bid = int(bid)
+        if bid not in gamma_cache:
+            star2 = basis.star2_members(bid)
+            mask = np.zeros(n)
+            mask[star2] = 1.0
+            fm = VecFunction(f.values * mask[:, None], f.norm_kind)
+            gamma = np.maximum(T.apply(fm).norms(), t_star.apply(fm).norms())
+            gamma = np.maximum(gamma, scale * maximal(fm, basis, p))
+            gamma_cache[bid] = gamma, average(f, star2, p, basis=basis)
+        gamma, avg = gamma_cache[bid]
+        return np.flatnonzero(gamma > scale * lam * avg)
 
     last_error: Exception | None = None
-    for k in range(max_doublings + 1):
-        lam = lambda0 * (2.0 ** k)
-        gamma_cache: dict[int, np.ndarray] = {}
-
-        def f_map(bid: int, _lam=lam, _cache=gamma_cache) -> np.ndarray:
-            bid = int(bid)
-            if bid not in _cache:
-                star2 = basis.star2_members(bid)
-                mask = np.zeros(n)
-                mask[star2] = 1.0
-                fm = VecFunction(f.values * mask[:, None], f.norm_kind)
-                gamma = np.maximum(T.apply(fm).norms(), t_star.apply(fm).norms())
-                gamma = np.maximum(gamma, scale * maximal(fm, basis, p))
-                avg = average(f, star2, p, basis=basis)
-                _cache[bid] = np.flatnonzero(gamma > scale * _lam * avg)
-            return _cache[bid]
-
+    for k in range(41):
+        lam = 10.0 * (2.0 ** k)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             try:
@@ -217,8 +217,8 @@ def dominate_bo(T: OperatorDescriptor, consts: BOConstants, f: VecFunction,
         bound.details["overlap_rate"] = report.rate
         bound.details["enclosing_ratio"] = report.enclosing_ratio
         return bound
-    raise LambdaExhausted(f"no admissible lambda within {max_doublings} "
-                          f"doublings (last: {last_error})")
+    raise LambdaExhausted(f"no admissible lambda within 40 doublings "
+                          f"(last: {last_error})")
 
 
 # -- Lerner-type oscillation decomposition -----------------------------------------
@@ -337,10 +337,17 @@ class OscReport:
                            "constants": self.constants})
 
 
-def _check_restricted(family: list[OperatorDescriptor],
-                      consts: list[BOConstants]):
+def _family_basis(family: list[OperatorDescriptor]) -> BallBasis:
+    """The basis of a nonempty family, which must be doubling."""
     if not family:
         raise NotRestricted("empty family")
+    if family[0].basis.eta is None:
+        raise NotDoubling("a modulated family needs a doubling basis")
+    return family[0].basis
+
+
+def _check_restricted(family: list[OperatorDescriptor],
+                      consts: list[BOConstants]):
     for t, c in zip(family, consts):
         if not t.restricted:
             raise NotRestricted(f"{t.name} is not linear with the classical profile")
@@ -351,18 +358,15 @@ def _check_restricted(family: list[OperatorDescriptor],
 
 
 def restricted_osc_bound(family: list[OperatorDescriptor], f: VecFunction,
-                         b_id: int, beta: float, basis: BallBasis,
-                         consts: list[BOConstants] | None = None,
-                         admissible: float = math.inf,
-                         budget: int = 16, seed: int = 0) -> OscReport:
-    """Compare the beta-oscillation of the modulated family against the
-    weak-type and localization constants times the sharp mean."""
-    if basis.eta is None:
-        raise NotDoubling("restricted oscillation bound needs a doubling basis")
+                         b_id: int, beta: float, admissible: float = math.inf,
+                         budget: int = 16) -> OscReport:
+    """Compare the beta-oscillation of the modulated family on a ball of its
+    basis against the weak-type and localization constants (budget, seed 0)
+    times the sharp mean."""
+    basis = _family_basis(family)
     if not (0.5 < beta < 1.0):
         raise BetaOutOfRange("beta must lie in (1/2, 1)")
-    if consts is None:
-        consts = [t.bo_constants(budget, seed) for t in family]
+    consts = [t.bo_constants(budget, 0) for t in family]
     _check_restricted(family, consts)
     b_id = int(b_id)
     members = basis.balls[b_id].members
@@ -385,15 +389,15 @@ def restricted_osc_bound(family: list[OperatorDescriptor], f: VecFunction,
 
 
 def dominate_mean_osc(family: list[OperatorDescriptor], f: VecFunction,
-                      b_id: int, basis: BallBasis, beta: float = 0.75,
+                      b_id: int, beta: float = 0.75,
                       consts: list[BOConstants] | None = None,
-                      budget: int = 16, seed: int = 0) -> SparseBound:
-    """Dominate |max_a ||T_a f|| - median| pointwise by sharp mean
-    oscillations of f over a sparse family."""
-    if basis.eta is None:
-        raise NotDoubling("mean-oscillation domination needs a doubling basis")
+                      budget: int = 16) -> SparseBound:
+    """Dominate |max_a ||T_a f|| - median| pointwise on a ball of the
+    family's basis by sharp mean oscillations of f over a sparse family; the
+    constants are estimated at (budget, seed 0) unless given."""
+    basis = _family_basis(family)
     if consts is None:
-        consts = [t.bo_constants(budget, seed) for t in family]
+        consts = [t.bo_constants(budget, 0) for t in family]
     _check_restricted(family, consts)
     b_id = int(b_id)
     tf = maximal_modulation(family).apply(f).values[:, 0]

@@ -374,21 +374,15 @@ def sup_sharp_all(f: VecFunction, basis: BallBasis, r: float = 1.0) -> np.ndarra
 
 
 def maximal(f: VecFunction, basis: BallBasis, p: Params | None = None,
-            mode: str = "fractional_basis", alpha: float | None = None) -> np.ndarray:
+            mode: str = "fractional_basis") -> np.ndarray:
     """Per-atom sup over containing balls of a ball functional.
 
-    fractional_basis: sup <f>_B; sharp: sup <f>_{#,B} (exponent p.r);
-    alpha: sup mu(B)^(alpha-1) int_B ||f|| (grid dimension 1).
+    fractional_basis: sup <f>_B; sharp: sup <f>_{#,B} (exponent p.r).
     """
-    w = basis.space.weights
     if mode == "fractional_basis":
         if p is None:
             raise ValueError("fractional_basis mode needs Params")
         vals = ball_averages_all(f, basis, p)
-    elif mode == "alpha":
-        if alpha is None or not (0 <= alpha < 1):
-            raise ValueError("alpha mode needs 0 <= alpha < dimension (=1)")
-        vals = basis.mu ** (alpha - 1.0) * basis.ball_integrals(f.norms() * w)
     elif mode == "sharp":
         r = p.r if p is not None else 1.0
         vals = sharp_all(f, basis, r)
@@ -413,7 +407,6 @@ class RegularFamily:
     basis: BallBasis
     kernels: np.ndarray      # n_balls x n_atoms, each row has weighted mass 1
     omega: object            # callable modulus
-    omega_name: str
     omega_norm: float        # 1 + int_0^1 omega(t) log(1/t)/t dt
     c1: float
     c2: float
@@ -452,20 +445,18 @@ def volume_distance_matrix(basis: BallBasis) -> np.ndarray:
     return out
 
 
-def omega_norm(omega, samples=(1e-6, 1e-9, 1e-12)) -> float:
-    """1 + int_0^1 omega(t) log(1/t)/t dt, with a numeric divergence guard."""
+def omega_norm(omega) -> float:
+    """1 + int_0^1 omega(t) log(1/t)/t dt, with a numeric divergence guard:
+    the integral from 1e-6 and from 1e-12 must agree."""
     def integrand(t):
         return omega(t) * math.log(1.0 / t) / t
-    vals = []
-    for eps in samples:
-        v, _ = quad(integrand, eps, 1.0, limit=200)
-        vals.append(v)
+    vals = [quad(integrand, eps, 1.0, limit=200)[0] for eps in (1e-6, 1e-12)]
     if vals[-1] - vals[0] > 1e-2 * max(1.0, abs(vals[0])):
         raise ValueError("omega norm diverges: ||omega|| = inf")
     return 1.0 + vals[-1]
 
 
-def build_regular_family(basis: BallBasis, omega=None, omega_name: str = "t") -> RegularFamily:
+def build_regular_family(basis: BallBasis, omega=None) -> RegularFamily:
     """Poisson-type kernels psi_B(x) = mu(B)/(mu(B)+d(x,B))^2, normalized.
 
     All three regularity conditions are re-verified numerically; violations
@@ -515,13 +506,14 @@ def build_regular_family(basis: BallBasis, omega=None, omega_name: str = "t") ->
                 raise RegularityViolation("growth condition failed",
                                           witness=(i, j, ratio))
     return RegularFamily(basis=basis, kernels=kernels, omega=omega,
-                         omega_name=omega_name, omega_norm=float(norm_w),
+                         omega_norm=float(norm_w),
                          c1=float(c1), c2=float(c2), growth_measured=float(growth))
 
 
-def general_maximal(f: VecFunction, fam: RegularFamily, complete=None,
-                    eta_complete: float = 1.0) -> np.ndarray:
-    """M^{phi,G} f(x) = sup over B in complete(x) of int ||f|| phi_B."""
+def general_maximal(f: VecFunction, fam: RegularFamily, complete=None) -> np.ndarray:
+    """M^{phi,G} f(x) = sup over B in complete(x) of int ||f|| phi_B; every
+    ball A containing x must lie in a member of complete(x) of measure at
+    most mu(A)."""
     basis = fam.basis
     w = basis.space.weights
     vals = fam.kernels @ (f.norms() * w)
@@ -535,9 +527,9 @@ def general_maximal(f: VecFunction, fam: RegularFamily, complete=None,
                 raise IncompleteFamily(f"ball {i} in complete({x}) misses the atom")
         for a in basis.balls_containing_atom(x):
             if not any(basis.contains(int(a), i)
-                       and basis.mu[i] <= eta_complete * basis.mu[int(a)] * (1 + 1e-12)
+                       and basis.mu[i] <= basis.mu[int(a)] * (1 + 1e-12)
                        for i in ids):
                 raise IncompleteFamily(
-                    f"no eta-dominating member of complete({x}) covers ball {int(a)}")
+                    f"no member of complete({x}) covers ball {int(a)} at its measure")
         out[x] = max(vals[i] for i in ids)
     return out

@@ -54,12 +54,12 @@ class OperatorDescriptor:
         return self._apply_fn(f)
 
     def bo_constants(self, budget: int, seed: int) -> BOConstants:
-        """estimate_bo_constants(self, self.basis, budget, seed), computed once
+        """estimate_bo_constants(self, budget, seed), computed once
         per (budget, seed) for this operator."""
         key = (int(budget), int(seed))
         if key not in self._bo_constants:
             self._bo_constants[key] = estimate_bo_constants(
-                self, self.basis, budget=key[0], seed=key[1])
+                self, budget=key[0], seed=key[1])
         return self._bo_constants[key]
 
     def __repr__(self):
@@ -93,7 +93,7 @@ def _require_grid(basis: BallBasis):
         raise ValueError("operator needs a 1-d grid basis")
 
 
-def _level_slices(basis: BallBasis, g: int):
+def _level_slices(g: int):
     """Ball ids of dyadic generation g."""
     return range((1 << g) - 1, (1 << (g + 1)) - 1)
 
@@ -111,7 +111,7 @@ def conditional_expectation(basis: BallBasis, level: int) -> OperatorDescriptor:
     if not (0 <= level <= levels):
         raise ValueError("level out of range")
     width = basis.n_atoms >> level  # block diagonal, one block per ball
-    kernel = np.kron(np.diag(1.0 / basis.mu[_level_slices(basis, level)]),
+    kernel = np.kron(np.diag(1.0 / basis.mu[_level_slices(level)]),
                      np.ones((width, width)))
     return OperatorDescriptor(f"cond_exp[{level}]", basis,
                               Params.classical_profile(1.0), kernel=kernel)
@@ -120,7 +120,7 @@ def conditional_expectation(basis: BallBasis, level: int) -> OperatorDescriptor:
 def martingale_transform(basis: BallBasis, eps) -> OperatorDescriptor:
     """M_eps f = sum over non-leaf balls A of eps_A Delta_A f."""
     levels = dyadic_levels(basis)
-    non_leaf = [bid for g in range(levels) for bid in _level_slices(basis, g)]
+    non_leaf = [bid for g in range(levels) for bid in _level_slices(g)]
     if hasattr(eps, "__getitem__") and not isinstance(eps, dict):
         eps = {bid: eps[k] for k, bid in enumerate(non_leaf)}
     missing = [bid for bid in non_leaf if bid not in eps]
@@ -302,9 +302,9 @@ def _exactly_estimable(T: OperatorDescriptor) -> bool:
     return T.restricted and T.params.r == 1.0
 
 
-def delta(T: OperatorDescriptor, a_id: int, b_id: int, seed: int = 0,
-          trials: int = 20) -> float:
-    """Delta_T(A,B) = sup over x in A, f of ||T(f 1_{B* minus A*})(x)|| / <f>_{B*}."""
+def delta(T: OperatorDescriptor, a_id: int, b_id: int, seed: int = 0) -> float:
+    """Delta_T(A,B) = sup over x in A, f of ||T(f 1_{B* minus A*})(x)|| / <f>_{B*};
+    a Monte-Carlo lower bound over deltas and 20 seeded functions unless exact."""
     basis = T.basis
     if not basis.contains(a_id, b_id):
         raise NotComparable("need A contained in B")
@@ -328,7 +328,7 @@ def delta(T: OperatorDescriptor, a_id: int, b_id: int, seed: int = 0,
         v = np.zeros(n)
         v[y] = 1.0
         cands.append(v)
-    for _ in range(trials):
+    for _ in range(20):
         v = np.zeros(n)
         v[support] = rng.normal(size=support.size)
         cands.append(v)
@@ -404,13 +404,12 @@ def _osc_on(vals: np.ndarray, members) -> float:
     return float(seg.max() - seg.min())
 
 
-def estimate_bo_constants(T: OperatorDescriptor, basis: BallBasis,
-                          budget: int = 32, seed: int = 0) -> BOConstants:
+def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
+                          seed: int = 0) -> BOConstants:
+    """L0, L1 and L2 of T on its own basis, each with a witness."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if basis is not T.basis:
-        raise ValueError(f"{T.name} is defined on another basis ({T.basis.n_atoms} "
-                         f"atoms) than the one given ({basis.n_atoms} atoms)")
+    basis = T.basis
     exact = _exactly_estimable(T)
     p = T.params
     w = basis.space.weights

@@ -12,10 +12,12 @@ is computed exactly.
 Every ball query is answered by `BallBasis` on top of one containment test:
 a ball contains a set when its atom span [lo, hi] covers the set's span and,
 unless every ball is a contiguous atom range (`interval`), its row of the
-membership matrix covers the set.  Interval bases (both shipped builders)
-never build that matrix; on any other basis (relabelled atoms, hand-built
-JSON) the same queries give the same answers from an n_balls x n_atoms
-boolean matrix built on first use.
+n_balls x n_atoms boolean membership matrix covers the set; the matrix is
+built on first use.  Interval bases (both shipped builders) answer
+containment, ball sums and stars from atom spans; there only `star_of_set`
+(so `star2_members`, which the dominate stage reads) and the B2 scan of
+`check_axioms` on a basis with no full ball build the matrix.  On any other
+basis (relabelled atoms, hand-built JSON) every query reads it.
 """
 
 from __future__ import annotations

@@ -435,14 +435,14 @@ class MartingaleFamily:
         return json.dumps({"shrink": [[int(a) for a in s] for s in self.shrink]})
 
 
-def disjointify(sets, parent, E_map, weights=None, order=None) -> MartingaleFamily:
+def disjointify(sets, parent, E_map, weights=None) -> MartingaleFamily:
     """Shrink a nested family of atom sets so the shrunken pieces respect the
     tree: children stay inside parents, unrelated nodes become disjoint, and
     the union of (shrunken set intersect E) is preserved.
 
     sets: list of atom arrays; parent: list of node index or None; E_map:
-    list of atom arrays with E_i inside sets[i].  Processing order defaults
-    to decreasing measure with ties by node index.
+    list of atom arrays with E_i inside sets[i].  Nodes are processed in
+    decreasing measure (unit atom weights if none are given), ties by index.
     """
     n = len(sets)
     sets = [as_atom_array(s) for s in sets]
@@ -478,10 +478,8 @@ def disjointify(sets, parent, E_map, weights=None, order=None) -> MartingaleFami
         m[e] = True
         e_masks.append(m)
 
-    if order is None:
-        mus = [float(weights[s].sum()) for s in sets]
-        order = sorted(range(n), key=lambda i: (-mus[i], i))
-    for stage in order:
+    mus = [float(weights[s].sum()) for s in sets]
+    for stage in sorted(range(n), key=lambda i: (-mus[i], i)):
         carve = cur[stage] & e_masks[stage]
         if not carve.any():
             continue

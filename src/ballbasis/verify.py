@@ -22,16 +22,14 @@ from .operators import OperatorDescriptor, truncate
 from .domination import fit_exponential_rate
 
 
-def round_sig(x, digits: int = 12):
+def round_sig(x):
     """Round a float through a 12-significant-digit decimal string.
 
     Reports pass every float through this before serialization so that
     regenerated runs compare byte-identically.
     """
-    if isinstance(x, float):
-        if math.isfinite(x):
-            return float(f"%.{digits}g" % x)
-        return x
+    if isinstance(x, float) and math.isfinite(x):
+        return float("%.12g" % x)
     return x
 
 
@@ -166,7 +164,7 @@ class Weight:
 # -- weak type ----------------------------------------------------------------------
 
 
-def _apply(op, f: VecFunction, basis: BallBasis) -> np.ndarray:
+def _apply(op, f: VecFunction) -> np.ndarray:
     if hasattr(op, "apply"):
         return op.apply(f).norms()
     return np.asarray(op(f), dtype=float)
@@ -184,7 +182,7 @@ def weak_type_report(op, corpus: Corpus, basis: BallBasis, p: Params,
     rows = []
     worst = 0.0
     for cid, f in corpus.cases(basis.n_atoms):
-        out = _apply(op, f, basis)
+        out = _apply(op, f)
         denom = float(np.sum(f.norms() ** p.r * w)) ** (p.varrho / p.rho)
         ratio = 0.0
         if denom > 0:
@@ -206,10 +204,11 @@ def weak_type_report(op, corpus: Corpus, basis: BallBasis, p: Params,
 
 
 def good_lambda_report(T: OperatorDescriptor, consts, corpus: Corpus,
-                       basis: BallBasis, c: float = 0.5,
-                       threshold: float = math.inf) -> Report:
+                       c: float = 0.5, threshold: float = math.inf) -> Report:
     """Compare mu{T*f > lambda, Mf < delta lambda} against mu{||Tf|| > lambda/2}
-    with delta = c/(L0 + L1), scanning lambda at distinct T*f values."""
+    on T's basis with delta = c/(L0 + L1), scanning lambda at distinct T*f
+    values."""
+    basis = T.basis
     delta = c / (consts.L0 + consts.L1) if (consts.L0 + consts.L1) > 0 else math.inf
     tstar = truncate(T)
     w = basis.space.weights
@@ -241,9 +240,10 @@ def good_lambda_report(T: OperatorDescriptor, consts, corpus: Corpus,
 
 
 def _tail_profile(target: np.ndarray, ref: np.ndarray, members,
-                  w: np.ndarray) -> tuple[list, list, int]:
-    """Integer-level tail mu{x in B: target > t ref}/mu(B); atoms with
-    ref = 0 but target > 0 are counted as violations."""
+                  w: np.ndarray) -> tuple[list, list, list, int]:
+    """(levels, fractions, counts, violations) of the integer-level tail
+    mu{x in B: target > t ref}/mu(B); atoms with ref = 0 but target > 0 are
+    counted as violations."""
     tv = target[members]
     rv = ref[members]
     ww = w[members]
@@ -262,9 +262,11 @@ def _tail_profile(target: np.ndarray, ref: np.ndarray, members,
 
 
 def exp_decay_report(T: OperatorDescriptor, f: VecFunction, b_id: int,
-                     basis: BallBasis, mode: str = "vs_maximal") -> Report:
+                     mode: str = "vs_maximal") -> Report:
     """Tail of ||Tf|| against Mf (vs_maximal) or of |Tf - median| against the
-    sharp maximal function (vs_sharp); reports the fitted exponential rate."""
+    sharp maximal function (vs_sharp) on a ball of T's basis; reports the
+    fitted exponential rate."""
+    basis = T.basis
     if mode not in ("vs_maximal", "vs_sharp"):
         raise ConfigError(f"unknown mode {mode!r}")
     members = basis.balls[int(b_id)].members
@@ -294,6 +296,9 @@ def exp_decay_report(T: OperatorDescriptor, f: VecFunction, b_id: int,
 
 # -- John-Nirenberg -----------------------------------------------------------------
 
+# the last integer level of the John-Nirenberg and strong-domination tails
+T_MAX = 64
+
 
 def _tail_fractions(dev: np.ndarray, ww: np.ndarray, mu: np.ndarray,
                     thresholds: np.ndarray) -> np.ndarray:
@@ -304,16 +309,15 @@ def _tail_fractions(dev: np.ndarray, ww: np.ndarray, mu: np.ndarray,
     return (mass / mu[:, None]).max(axis=0)
 
 
-def john_nirenberg_report(f: VecFunction, basis: BallBasis,
-                          t_max: int = 64) -> Report:
-    """Worst-ball tails of ||f - center|| / ||f||_BMO for median and average
-    centers, with an exponential fit on each."""
+def john_nirenberg_report(f: VecFunction, basis: BallBasis) -> Report:
+    """Worst-ball tails of ||f - center|| / ||f||_BMO at the levels 0..T_MAX
+    for median and average centers, with an exponential fit on each."""
     norm = bmo_norm(f, basis)
     if norm <= 0:
         raise ZeroBmoNorm("f is constant on every ball")
     w = basis.space.weights
-    levels = list(range(0, t_max + 1))
-    thresholds = np.arange(t_max + 1) * norm
+    levels = list(range(0, T_MAX + 1))
+    thresholds = np.arange(T_MAX + 1) * norm
     tail_med = np.zeros(len(levels))
     tail_avg = np.zeros(len(levels))
     for ids, idx in basis.size_groups():
@@ -333,7 +337,7 @@ def john_nirenberg_report(f: VecFunction, basis: BallBasis,
     consistent = all(
         tail_avg[2 * t] <= tail_med[t] + 1e-12
         and tail_med[2 * t] <= tail_avg[t] + 1e-12
-        for t in range(4, t_max // 2 + 1))
+        for t in range(4, T_MAX // 2 + 1))
     passed = rate_med > 0 and rate_avg > 0 and consistent
     rows = [CaseRow(f"t={t}", "tail_median_center", float(tail_med[j]), True)
             for j, t in enumerate(levels)]
@@ -364,7 +368,7 @@ def bmo_bounded_report(op, corpus: Corpus, basis: BallBasis,
             denom = float(f.norms().max())
         if denom <= 0:
             continue
-        out = _apply(op, f, basis)
+        out = _apply(op, f)
         num = bmo_norm(VecFunction(out[:, None]), basis)
         ratio = num / denom
         rows.append(CaseRow(cid, "bmo_ratio", float(ratio), ratio <= threshold))
@@ -379,18 +383,17 @@ def bmo_bounded_report(op, corpus: Corpus, basis: BallBasis,
 
 
 def strong_domination_check(f: VecFunction, g: VecFunction, basis: BallBasis,
-                            b_id: int, alphas=None, t_max: int = 64) -> Report:
-    """Profile beta(alpha) = OSC_{B,alpha}(f) / INF_B(g) over an alpha grid,
-    then the tail of ||f - median|| against lambda ||g||."""
+                            b_id: int) -> Report:
+    """Profile beta(alpha) = OSC_{B,alpha}(f) / INF_B(g) over alpha = 1/20,
+    ..., 19/20, then the tail of ||f - median|| against lambda ||g|| at the
+    levels lambda = 0..T_MAX."""
     members = basis.balls[int(b_id)].members
     inf_g = float(g.norms()[members].min())
     if inf_g <= 0:
         raise InfZero("g vanishes somewhere on the ball")
-    if alphas is None:
-        alphas = [k / 20.0 for k in range(1, 20)]
     rows = []
     profile = []
-    for a in alphas:
+    for a in (k / 20.0 for k in range(1, 20)):
         beta = alpha_oscillation(f, members, a, basis) / inf_g
         profile.append(float(beta))
         rows.append(CaseRow(f"alpha={a:g}", "beta", float(beta), True))
@@ -400,7 +403,7 @@ def strong_domination_check(f: VecFunction, g: VecFunction, basis: BallBasis,
     w = basis.space.weights
     ww = w[members]
     mu = float(ww.sum())
-    levels = list(range(0, t_max + 1))
+    levels = list(range(0, T_MAX + 1))
     fracs = []
     for t in levels:
         mask = dev[members] > t * gn[members]
@@ -421,11 +424,12 @@ def _ball_average(vals: np.ndarray, basis: BallBasis) -> np.ndarray:
     return basis.ball_integrals(vals * basis.space.weights) / basis.mu
 
 
-def _weighted_norm_ratio(T: OperatorDescriptor, weight: Weight,
-                         basis: BallBasis, p: float, q: float,
-                         corpus: Corpus | None, iters: int = 60) -> float:
-    """Estimate ||T||_{L^q(w^q) -> L^p(w^p)}; power iteration on |kernel|
-    when p = q = 2 and T is a kernel operator, corpus max otherwise."""
+def _weighted_norm_ratio(T: OperatorDescriptor, weight: Weight, p: float,
+                         q: float, corpus: Corpus | None) -> float:
+    """Estimate ||T||_{L^q(w^q) -> L^p(w^p)} on T's basis; 60 power
+    iterations on |kernel| when p = q = 2 and T is a kernel operator, corpus
+    max otherwise."""
+    basis = T.basis
     w_atom = basis.space.weights
     wv = weight.w
     if T.linear and p == 2.0 and q == 2.0:
@@ -435,7 +439,7 @@ def _weighted_norm_ratio(T: OperatorDescriptor, weight: Weight,
         rng = np.random.default_rng(0)
         v = rng.normal(size=basis.n_atoms)
         v /= math.sqrt(float((v * v * w_atom).sum()))
-        for _ in range(iters):
+        for _ in range(60):
             u = bmat @ v
             v = (bmat.T @ (u * w_atom)) / w_atom
             nrm = math.sqrt(float((v * v * w_atom).sum()))
@@ -485,8 +489,7 @@ def ap_characteristics(w: Weight, basis: BallBasis, p: float,
                "witness_ball": arg}
     rows = [CaseRow("characteristic", name, char, True)]
     if op is not None:
-        ratio = _weighted_norm_ratio(op, w, basis, p, q if q is not None else p,
-                                     corpus)
+        ratio = _weighted_norm_ratio(op, w, p, q if q is not None else p, corpus)
         summary["norm_ratio_estimate"] = ratio
         summary["ratio_over_characteristic"] = (ratio / char if char > 0
                                                 else math.inf)

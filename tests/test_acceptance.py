@@ -207,21 +207,21 @@ def test_criterion_07_pointwise_domination(baselines):
     b10 = build_dyadic(10)
     eps = np.random.default_rng([100]).integers(0, 2, size=b10.n_balls) * 2 - 1
     T = martingale_transform(b10, eps)
-    c = estimate_bo_constants(T, b10, budget=8, seed=0)
+    c = estimate_bo_constants(T, budget=8, seed=0)
     for i in range(50):
         f = VecFunction(np.random.default_rng([7, i]).normal(size=1024))
-        bound = dominate_bo(T, c, f, b10.full_ball_id(), b10)
+        bound = dominate_bo(T, c, f, b10.full_ball_id())
         rep = verify_sparse_bound(bound, T.apply(f), b10.full_ball_id())
         ok &= rep.passed and rep.enclosing_ratio <= b10.K ** 3 + 1e-9
         ok &= rep.rate > 0
         ok &= sig(bound.constant) == baselines["thm7_martingale"][i]
     g = build_grid(128)
     R = riesz_potential(g, 0.5)
-    cr = estimate_bo_constants(R, g, budget=8, seed=0)
+    cr = estimate_bo_constants(R, budget=8, seed=0)
     full = grid_full(g)
     for i in range(50):
         f = VecFunction(np.random.default_rng([8, i]).normal(size=128))
-        bound = dominate_bo(R, cr, f, full, g)
+        bound = dominate_bo(R, cr, f, full)
         rep = verify_sparse_bound(bound, R.apply(f), full)
         ok &= rep.passed and rep.enclosing_ratio <= g.K ** 3 + 1e-9
         ok &= rep.rate > 0
@@ -236,7 +236,7 @@ def test_criterion_08_oscillation_domination(baselines):
     ok = True
     b8 = build_dyadic(8)
     fam = [conditional_expectation(b8, k) for k in range(9)]
-    consts = [estimate_bo_constants(t, b8, budget=8, seed=0) for t in fam]
+    consts = [estimate_bo_constants(t, budget=8, seed=0) for t in fam]
     full = b8.full_ball_id()
     for i in range(50):
         f = VecFunction(np.random.default_rng([9, i]).normal(size=256))
@@ -247,13 +247,13 @@ def test_criterion_08_oscillation_domination(baselines):
         lhs = np.abs(tf - float(lb.center[0]))
         ok &= verify_sparse_bound(lb, lhs, full).passed
         ok &= sig(lb.constant) == baselines["t3_lerner_ek"][i]
-        mo = dominate_mean_osc(fam, f, full, b8, consts=consts)
+        mo = dominate_mean_osc(fam, f, full, consts=consts)
         lhs = np.abs(tf - float(mo.center[0]))
         ok &= verify_sparse_bound(mo, lhs, full).passed
         ok &= sig(mo.constant) == baselines["t8_meanosc_ek"][i]
     g = build_grid(128)
     H = discrete_hilbert(g)
-    ch = [estimate_bo_constants(H, g, budget=8, seed=0)]
+    ch = [estimate_bo_constants(H, budget=8, seed=0)]
     full = grid_full(g)
     for i in range(50):
         f = VecFunction(np.random.default_rng([10, i]).normal(size=128))
@@ -262,7 +262,7 @@ def test_criterion_08_oscillation_domination(baselines):
         lhs = np.abs(tf - float(lb.center[0]))
         ok &= verify_sparse_bound(lb, lhs, full).passed
         ok &= sig(lb.constant) == baselines["t3_lerner_hilbert"][i]
-        mo = dominate_mean_osc([H], f, full, g, consts=ch)
+        mo = dominate_mean_osc([H], f, full, consts=ch)
         lhs = np.abs(tf - float(mo.center[0]))
         ok &= verify_sparse_bound(mo, lhs, full).passed
         ok &= sig(mo.constant) == baselines["t8_meanosc_hilbert"][i]
@@ -276,9 +276,9 @@ def test_criterion_09_good_lambda(baselines):
     b8 = build_dyadic(8)
     eps = np.random.default_rng([100]).integers(0, 2, size=b8.n_balls) * 2 - 1
     T = martingale_transform(b8, eps)
-    c = estimate_bo_constants(T, b8, budget=8, seed=0)
+    c = estimate_bo_constants(T, budget=8, seed=0)
     corpus = Corpus(seed=11, generators=FIVE_KINDS, size=8)
-    rep = good_lambda_report(T, c, corpus, b8, c=0.5)
+    rep = good_lambda_report(T, c, corpus, c=0.5)
     ok = sig(rep.summary["max_ratio"]) == baselines["good_lambda_max"]
     ok &= np.isfinite(rep.summary["max_ratio"])
     elapsed = time.perf_counter() - t0
@@ -298,11 +298,11 @@ def test_criterion_10_exponential_decay():
                (riesz_potential(g, 0.5), g, grid_full(g))]
     for T, basis, ball in shipped:
         f = VecFunction(np.random.default_rng([20]).normal(size=basis.n_atoms))
-        rep = exp_decay_report(T, f, ball, basis)
+        rep = exp_decay_report(T, f, ball)
         ok &= rep.summary["rate"] > 0
     f = VecFunction(np.random.default_rng([21]).normal(size=256))
     rep = exp_decay_report(conditional_expectation(b8, 4), f,
-                           b8.full_ball_id(), b8, mode="vs_sharp")
+                           b8.full_ball_id(), mode="vs_sharp")
     ok &= rep.summary["rate"] > 0
     g256 = build_grid(256)
     logf = VecFunction(np.log(256.0 / (np.arange(256) + 1.0)))
@@ -348,9 +348,9 @@ def test_criterion_12_modulation_and_truncation(baselines):
     t0 = time.perf_counter()
     b6 = build_dyadic(6)
     fam = [conditional_expectation(b6, k) for k in range(7)]
-    member_l1 = [estimate_bo_constants(t, b6, budget=8, seed=0).L1
+    member_l1 = [estimate_bo_constants(t, budget=8, seed=0).L1
                  for t in fam]
-    mod_l1 = estimate_bo_constants(maximal_modulation(fam), b6, budget=8,
+    mod_l1 = estimate_bo_constants(maximal_modulation(fam), budget=8,
                                    seed=0).L1
     ok = mod_l1 <= max(member_l1) + 1e-9
     b8 = build_dyadic(8)
@@ -360,8 +360,8 @@ def test_criterion_12_modulation_and_truncation(baselines):
            "hilbert": (discrete_hilbert(g), g),
            "riesz": (riesz_potential(g, 0.5), g)}
     for name, (T, basis) in ops.items():
-        c = estimate_bo_constants(T, basis, budget=8, seed=0)
-        ct = estimate_bo_constants(truncate(T), basis, budget=2, seed=0)
+        c = estimate_bo_constants(T, budget=8, seed=0)
+        ct = estimate_bo_constants(truncate(T), budget=2, seed=0)
         denom = c.L0 + c.L1
         ratio = ct.total / denom if denom > 0 else 0.0
         ok &= float(sig(ratio)) <= float(baselines["tstar_ratio"][name])

@@ -103,6 +103,34 @@ class TestMain:
         assert main(["check-basis", "--config", path]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides", [
+        {"basis": 5},
+        {"estimate": 5},
+        {"operators": [5]},
+        {"estimate": {"budget": 0}},
+        {"sparsify": {"alpha": -1, "families": 1}},
+        {"corpus": {"generators": ["random_signs"], "size": "abc"}},
+        {"dominate": {"cases": 1, "ball": 999}},
+        {"mean_osc": {"beta": 2}},
+        {"basis": {"kind": "dyadic", "size": 3},
+         "operators": [{"kind": "conditional_expectation", "level": 9}]},
+        {"basis": {"kind": "grid", "size": 8},
+         "operators": [{"kind": "riesz_potential", "alpha": 2}]},
+        {"operators": [{"kind": "sparse", "rho": 0}]},
+        {"basis": {"kind": "grid", "size": 8},
+         "operators": [{"kind": "square_function"}]},
+        {"operators": [{"kind": "riesz_potential"}]},
+        {"verify": {"suites": ["nope"]}},
+    ], ids=["basis_not_object", "section_not_object", "operator_not_object",
+            "budget_zero", "alpha_negative", "corpus_size_string",
+            "ball_out_of_range", "beta_above_one", "level_out_of_range",
+            "riesz_alpha_two", "sparse_rho_zero", "square_function_on_grid",
+            "riesz_on_dyadic", "unknown_suite"])
+    def test_bad_value_exit_two(self, tmp_path, capsys, overrides):
+        path = write_cfg(tmp_path, small_cfg(tmp_path / "out", **overrides))
+        assert main(["all", "--config", path]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_non_integer_env_seed_exit_two(self, tmp_path, capsys,
                                            monkeypatch):
         cfg = small_cfg(tmp_path / "out")

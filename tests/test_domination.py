@@ -1,5 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+
+from ballbasis import domination
 
 from ballbasis import (AlphaViolated, BetaOutOfRange, BOConstants,
                        ConstructionFailure, NotRestricted, OperatorDescriptor,
@@ -28,18 +32,18 @@ class TestFitRate:
 class TestDominateBO:
     def test_zero_operator(self, dyadic6):
         T = zero_operator(dyadic6)
-        c = estimate_bo_constants(T, dyadic6, budget=4)
+        c = estimate_bo_constants(T, budget=4)
         f = VecFunction(np.ones(64))
-        bound = dominate_bo(T, c, f, dyadic6.full_ball_id(), dyadic6)
+        bound = dominate_bo(T, c, f, dyadic6.full_ball_id())
         assert bound.constant == 0.0
 
     def test_martingale_verified(self, dyadic8, rng):
         eps = rng.integers(0, 2, size=dyadic8.n_balls) * 2 - 1
         T = martingale_transform(dyadic8, eps)
-        c = estimate_bo_constants(T, dyadic8, budget=8)
+        c = estimate_bo_constants(T, budget=8)
         b = dyadic8.full_ball_id()
         f = VecFunction(rng.normal(size=256))
-        bound = dominate_bo(T, c, f, b, dyadic8)
+        bound = dominate_bo(T, c, f, b)
         rep = verify_sparse_bound(bound, T.apply(f), b)
         assert rep.passed
         assert rep.enclosing_ratio <= dyadic8.K ** 3 + 1e-9
@@ -47,37 +51,37 @@ class TestDominateBO:
 
     def test_riesz_verified(self, grid128, rng):
         R = riesz_potential(grid128, 0.5)
-        c = estimate_bo_constants(R, grid128, budget=8)
+        c = estimate_bo_constants(R, budget=8)
         b = span_ball(grid128, 0, 127)
         f = VecFunction(np.abs(rng.normal(size=128)))
-        bound = dominate_bo(R, c, f, b, grid128)
+        bound = dominate_bo(R, c, f, b)
         rep = verify_sparse_bound(bound, R.apply(f), b)
         assert rep.passed
 
     def test_scale_invariance(self, dyadic6, rng):
         eps = rng.integers(0, 2, size=dyadic6.n_balls) * 2 - 1
         T = martingale_transform(dyadic6, eps)
-        c = estimate_bo_constants(T, dyadic6, budget=8)
+        c = estimate_bo_constants(T, budget=8)
         b = dyadic6.full_ball_id()
         f = rng.normal(size=64)
-        b1 = dominate_bo(T, c, VecFunction(f), b, dyadic6)
-        b2 = dominate_bo(T, c, VecFunction(1000.0 * f), b, dyadic6)
+        b1 = dominate_bo(T, c, VecFunction(f), b)
+        b2 = dominate_bo(T, c, VecFunction(1000.0 * f), b)
         assert b1.constant == pytest.approx(b2.constant, rel=1e-8)
 
     def test_support_guard(self, dyadic6):
         T = zero_operator(dyadic6)
-        c = estimate_bo_constants(T, dyadic6, budget=4)
+        c = estimate_bo_constants(T, budget=4)
         f = VecFunction(np.ones(64))
         with pytest.raises(ValueError):
-            dominate_bo(T, c, f, span_ball(dyadic6, 0, 31), dyadic6)
+            dominate_bo(T, c, f, span_ball(dyadic6, 0, 31))
 
     def test_corrupted_constant_fails(self, dyadic6, rng):
         eps = rng.integers(0, 2, size=dyadic6.n_balls) * 2 - 1
         T = martingale_transform(dyadic6, eps)
-        c = estimate_bo_constants(T, dyadic6, budget=8)
+        c = estimate_bo_constants(T, budget=8)
         b = dyadic6.full_ball_id()
         f = VecFunction(rng.normal(size=64))
-        bound = dominate_bo(T, c, f, b, dyadic6)
+        bound = dominate_bo(T, c, f, b)
         bound.constant *= 1e-6
         rep = verify_sparse_bound(bound, T.apply(f), b)
         assert rep.margin_min < 0
@@ -108,8 +112,39 @@ class TestDominateBOErrors:
         T = self._failing(dyadic6, error, times=1)
         c = BOConstants(L0=1.0, L1=0.0, L2=0.0, method="test", r4_constant=0.0,
                         r5_value=0.0)
-        bound = dominate_bo(T, c, VecFunction(np.ones(64)), 0, dyadic6)
+        bound = dominate_bo(T, c, VecFunction(np.ones(64)), 0)
         assert bound.details["lambda"] == 20.0
+
+    def test_gamma_once_per_ball(self, dyadic6, rng, monkeypatch):
+        """gamma and the (B*)* average do not depend on lambda, so a doubling
+        only re-thresholds them: each ball's maximal runs once per call."""
+        eps = rng.integers(0, 2, size=dyadic6.n_balls) * 2 - 1
+        T = martingale_transform(dyadic6, eps)
+        c = estimate_bo_constants(T, budget=4)
+        trees = []
+        sparsify_tree = domination.sparsify_tree
+
+        def fail_first(*args, **kwargs):
+            trees.append(sparsify_tree(*args, **kwargs))
+            if len(trees) == 1:
+                raise ConstructionFailure("forced doubling")
+            return trees[-1]
+
+        # gamma of ball B is computed right after B's (B*)* is read
+        last_ball = []
+        star2_members = dyadic6.star2_members
+        evaluated = Counter()
+        maximal = domination.maximal
+        monkeypatch.setattr(domination, "sparsify_tree", fail_first)
+        monkeypatch.setattr(dyadic6, "star2_members",
+                            lambda bid: last_ball.append(bid) or star2_members(bid))
+        monkeypatch.setattr(domination, "maximal", lambda *args: evaluated.update(
+            [last_ball[-1]]) or maximal(*args))
+        b = dyadic6.full_ball_id()
+        bound = dominate_bo(T, c, VecFunction(rng.normal(size=64)), b)
+        assert bound.details["lambda"] == 20.0
+        assert len(trees) == 2 and evaluated
+        assert set(evaluated.values()) == {1}
 
     @pytest.mark.parametrize("error", [RuntimeError("boom"), ValueError("bad")])
     def test_other_error_propagates(self, dyadic6, error):
@@ -117,7 +152,7 @@ class TestDominateBOErrors:
         c = BOConstants(L0=1.0, L1=0.0, L2=0.0, method="test", r4_constant=0.0,
                         r5_value=0.0)
         with pytest.raises(type(error), match=str(error)):
-            dominate_bo(T, c, VecFunction(np.ones(64)), 0, dyadic6)
+            dominate_bo(T, c, VecFunction(np.ones(64)), 0)
 
 
 class TestLerner:
@@ -167,7 +202,7 @@ class TestRestrictedOsc:
         fam = [zero_operator(dyadic6)]
         f = VecFunction(np.ones(64))
         rep = restricted_osc_bound(fam, f, dyadic6.full_ball_id(), 0.75,
-                                   dyadic6, budget=4)
+                                   budget=4)
         assert rep.ratio == 0.0
         assert rep.passed
 
@@ -175,7 +210,7 @@ class TestRestrictedOsc:
         fam = [conditional_expectation(dyadic8, k) for k in range(9)]
         f = VecFunction(rng.normal(size=256))
         rep = restricted_osc_bound(fam, f, dyadic8.full_ball_id(), 0.75,
-                                   dyadic8, budget=8, admissible=1.0)
+                                   budget=8, admissible=1.0)
         assert rep.passed
         assert rep.lhs <= rep.rhs
 
@@ -183,28 +218,26 @@ class TestRestrictedOsc:
         fam = [discrete_hilbert(grid128)]
         f = VecFunction(rng.normal(size=128))
         rep = restricted_osc_bound(fam, f, span_ball(grid128, 0, 127), 0.75,
-                                   grid128, budget=8, admissible=1.0)
+                                   budget=8, admissible=1.0)
         assert rep.passed
 
     def test_empty_family_rejected(self, dyadic6):
         with pytest.raises(NotRestricted):
             restricted_osc_bound([], VecFunction(np.ones(64)),
-                                 dyadic6.full_ball_id(), 0.75, dyadic6)
+                                 dyadic6.full_ball_id(), 0.75)
 
     def test_nonclassical_rejected(self, grid16):
         fam = [riesz_potential(grid16, 0.5)]
         with pytest.raises(NotRestricted):
             restricted_osc_bound(fam, VecFunction(np.ones(16)),
-                                 span_ball(grid16, 0, 15), 0.75, grid16,
-                                 budget=4)
+                                 span_ball(grid16, 0, 15), 0.75, budget=4)
 
 
 class TestDominateMeanOsc:
     def test_constant_input(self, dyadic6):
         fam = [conditional_expectation(dyadic6, k) for k in range(7)]
         f = VecFunction(np.full(64, 2.0))
-        bound = dominate_mean_osc(fam, f, dyadic6.full_ball_id(), dyadic6,
-                                  budget=4)
+        bound = dominate_mean_osc(fam, f, dyadic6.full_ball_id(), budget=4)
         tf = np.full(64, 2.0)
         lhs = np.abs(tf - float(bound.center[0]))
         rep = verify_sparse_bound(bound, lhs, dyadic6.full_ball_id())
@@ -214,7 +247,7 @@ class TestDominateMeanOsc:
         fam = [conditional_expectation(dyadic8, k) for k in range(9)]
         f = VecFunction(rng.normal(size=256))
         b = dyadic8.full_ball_id()
-        bound = dominate_mean_osc(fam, f, b, dyadic8, budget=8)
+        bound = dominate_mean_osc(fam, f, b, budget=8)
         tf = np.zeros(256)
         for t in fam:
             np.maximum(tf, t.apply(f).norms(), out=tf)

@@ -406,3 +406,58 @@ def test_containment_calls_stay_listed():
                     calls.append((path.stem, getattr(top, "name", "<module>"),
                                   node.attr))
     assert sorted(calls) == CONTAINMENT_CALLS
+
+
+# A defaulted parameter that no call sets is a constant in disguise: every
+# default of a def in src/ballbasis must be passed, by keyword or position, by
+# some call in these directories.  Calls are matched by name alone, and a call
+# of a class counts for its __init__.
+CALLER_DIRS = ("src", "tests", "scripts", "perfbench")
+
+
+def _defaulted_params():
+    """(module, def name, parameter, positional index or None if keyword-only)
+    for every defaulted parameter; a method's index skips self or cls."""
+    out = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "ballbasis").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(fn): cls.name for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            name = owner[id(fn)] if fn.name == "__init__" else fn.name
+            pos = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+            skip = 1 if id(fn) in owner else 0
+            first = len(pos) - len(fn.args.defaults)
+            out += [(path.stem, name, pos[i], i - skip) for i in range(first, len(pos))]
+            out += [(path.stem, name, a.arg, None)
+                    for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                    if d is not None]
+    return out
+
+
+def _call_arguments():
+    """Per called name: the most positional arguments of any call (up to the
+    first *args), and every keyword any call passes."""
+    n_pos, keywords = {}, {}
+    for top in CALLER_DIRS:
+        for path in sorted((Path(__file__).parents[1] / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                starred = [isinstance(a, ast.Starred) for a in node.args]
+                count = starred.index(True) if any(starred) else len(starred)
+                n_pos[name] = max(n_pos.get(name, 0), count)
+                keywords.setdefault(name, set()).update(
+                    k.arg for k in node.keywords if k.arg is not None)
+    return n_pos, keywords
+
+
+def test_every_default_is_set_by_a_caller():
+    n_pos, keywords = _call_arguments()
+    unset = [(mod, fn, arg) for mod, fn, arg, i in _defaulted_params()
+             if arg not in keywords.get(fn, ())
+             and (i is None or n_pos.get(fn, 0) <= i)]
+    assert unset == []

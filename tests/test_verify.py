@@ -115,19 +115,19 @@ class TestGoodLambda:
     def test_martingale(self, dyadic6, rng):
         eps = rng.integers(0, 2, size=dyadic6.n_balls) * 2 - 1
         T = martingale_transform(dyadic6, eps)
-        c = estimate_bo_constants(T, dyadic6, budget=8)
+        c = estimate_bo_constants(T, budget=8)
         corpus = Corpus(seed=5, generators=["haar_mixtures"], size=6)
-        rep = good_lambda_report(T, c, corpus, dyadic6, threshold=64.0)
+        rep = good_lambda_report(T, c, corpus, threshold=64.0)
         assert rep.passed
         assert np.isfinite(rep.summary["delta"])
 
     def test_deterministic(self, dyadic6, rng):
         eps = rng.integers(0, 2, size=dyadic6.n_balls) * 2 - 1
         T = martingale_transform(dyadic6, eps)
-        c = estimate_bo_constants(T, dyadic6, budget=8)
+        c = estimate_bo_constants(T, budget=8)
         corpus = Corpus(seed=5, generators=["haar_mixtures"], size=4)
-        r1 = good_lambda_report(T, c, corpus, dyadic6)
-        r2 = good_lambda_report(T, c, corpus, dyadic6)
+        r1 = good_lambda_report(T, c, corpus)
+        r2 = good_lambda_report(T, c, corpus)
         assert r1.to_json() == r2.to_json()
 
 
@@ -135,7 +135,7 @@ class TestExpDecay:
     def test_identity_tail_vanishes(self, dyadic6, rng):
         T = identity_operator(dyadic6)
         f = VecFunction(rng.normal(size=64))
-        rep = exp_decay_report(T, f, dyadic6.full_ball_id(), dyadic6)
+        rep = exp_decay_report(T, f, dyadic6.full_ball_id())
         assert rep.passed
         assert rep.summary["rate"] > 0
 
@@ -143,7 +143,7 @@ class TestExpDecay:
         eps = rng.integers(0, 2, size=dyadic8.n_balls) * 2 - 1
         T = martingale_transform(dyadic8, eps)
         f = VecFunction(rng.normal(size=256))
-        rep = exp_decay_report(T, f, dyadic8.full_ball_id(), dyadic8)
+        rep = exp_decay_report(T, f, dyadic8.full_ball_id())
         assert rep.summary["rate"] > 0
         tail = rep.summary["tail"]
         assert set(tail) == {"t", "count", "fraction"}
@@ -151,7 +151,7 @@ class TestExpDecay:
     def test_vs_sharp_mode(self, dyadic8, rng):
         fam = [conditional_expectation(dyadic8, k) for k in range(9)]
         f = VecFunction(rng.normal(size=256))
-        rep = exp_decay_report(fam[4], f, dyadic8.full_ball_id(), dyadic8,
+        rep = exp_decay_report(fam[4], f, dyadic8.full_ball_id(),
                                mode="vs_sharp")
         assert rep.summary["rate"] > 0
 
@@ -159,7 +159,7 @@ class TestExpDecay:
         with pytest.raises(ConfigError):
             exp_decay_report(identity_operator(dyadic6),
                              VecFunction(np.ones(64)),
-                             dyadic6.full_ball_id(), dyadic6, mode="banana")
+                             dyadic6.full_ball_id(), mode="banana")
 
 
 class TestJohnNirenberg:
@@ -280,7 +280,7 @@ class TestMuckenhoupt:
     def test_power_iteration_matches_svd(self, grid16):
         H = discrete_hilbert(grid16)
         w = Weight(1.0 + 0.5 * np.sin(np.arange(16)))
-        got = _weighted_norm_ratio(H, w, grid16, 2.0, 2.0, None)
+        got = _weighted_norm_ratio(H, w, 2.0, 2.0, None)
         kmat = np.abs(np.asarray(H.kernel, dtype=float))
         wa = grid16.space.weights
         bmat = (w.w[:, None] / w.w[None, :]) * kmat * wa[None, :]
