@@ -13,9 +13,9 @@ from .space import (AxiomReport, Ball, BallBasis, MeasureSpace, build_dyadic,
                     exhausting_sequence, volume_distance)
 from .functional import (Params, RegularFamily, VecFunction, alpha_core,
                          alpha_oscillation, average, ball_averages_all,
-                         bmo_norm, build_regular_family, general_maximal,
-                         maximal, mean_oscillation, median, sharp_all,
-                         sup_sharp_all)
+                         bmo_norm, build_regular_family, fit_exponential_rate,
+                         general_maximal, maximal, mean_oscillation, median,
+                         sharp_all, sup_sharp_all)
 from .operators import (BOConstants, OperatorDescriptor,
                         conditional_expectation, delta, discrete_hilbert,
                         estimate_bo_constants, identity_operator,
@@ -25,9 +25,8 @@ from .operators import (BOConstants, OperatorDescriptor,
 from .sparsify import (MartingaleFamily, SparseTree, child_cover, disjointify,
                        sparsify_tree, vitali_cover)
 from .domination import (OscReport, SparseBound, VerificationReport,
-                         dominate_bo, dominate_mean_osc, fit_exponential_rate,
-                         lerner_decompose, restricted_osc_bound,
-                         verify_sparse_bound)
+                         dominate_bo, dominate_mean_osc, lerner_decompose,
+                         restricted_osc_bound, verify_sparse_bound)
 from .verify import (Corpus, Report, Weight, ap_characteristics,
                      bmo_bounded_report, exp_decay_report, good_lambda_report,
                      john_nirenberg_report, strong_domination_check,

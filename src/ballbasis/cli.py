@@ -69,13 +69,13 @@ _DEFAULTS = {
 # (section, key) -> (test, the values it admits); a too large sparsify.alpha
 # is a run that fails, not a bad value
 _RANGES = {
-    ("corpus", "size"): (lambda v: v >= 0, ">= 0"),
+    ("corpus", "size"): (lambda v: v >= 1, ">= 1"),
     ("estimate", "budget"): (lambda v: v >= 1, ">= 1"),
     ("sparsify", "alpha"): (lambda v: v > 0, "> 0"),
-    ("sparsify", "families"): (lambda v: v >= 0, ">= 0"),
-    ("dominate", "cases"): (lambda v: v >= 0, ">= 0"),
+    ("sparsify", "families"): (lambda v: v >= 1, ">= 1"),
+    ("dominate", "cases"): (lambda v: v >= 1, ">= 1"),
     ("mean_osc", "beta"): (lambda v: 0.5 < v < 1, "in (1/2, 1)"),
-    ("mean_osc", "cases"): (lambda v: v >= 0, ">= 0"),
+    ("mean_osc", "cases"): (lambda v: v >= 1, ">= 1"),
     ("verify", "p"): (lambda v: v > 1, "> 1"),
 }
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",

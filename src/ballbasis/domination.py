@@ -20,11 +20,12 @@ import numpy as np
 from .errors import (AlphaViolated, BetaOutOfRange, ConstructionFailure,
                      LambdaExhausted, NotDoubling, NotRestricted)
 from .functional import (VecFunction, alpha_core, alpha_oscillation, average,
-                         maximal, median, sup_sharp_all)
+                         fit_exponential_rate, level_tail, maximal, median,
+                         sup_sharp_all)
 from .operators import (BOConstants, OperatorDescriptor, maximal_modulation,
                         truncate)
 from .space import BallBasis
-from .sparsify import disjointify, sparsify_tree
+from .sparsify import atom_rows, disjointify, sparsify_tree
 
 
 @dataclass
@@ -83,18 +84,6 @@ class VerificationReport:
             "rate": self.rate, "passed": self.passed})
 
 
-def fit_exponential_rate(levels, fractions) -> float:
-    """Least-squares slope of log(fraction) against the level; a tail with at
-    most one nonzero bin decays faster than any exponential here (rate inf)."""
-    pts = [(t, fr) for t, fr in zip(levels, fractions) if fr > 0]
-    if len(pts) <= 1:
-        return math.inf
-    xs = np.array([p[0] for p in pts], dtype=float)
-    ys = np.log(np.array([p[1] for p in pts]))
-    slope = np.polyfit(xs, ys, 1)[0]
-    return float(-slope)
-
-
 def verify_sparse_bound(bound: SparseBound, target, b_id: int) -> VerificationReport:
     """Check the domination pointwise on a ball, and the enclosure and
     overlap-decay side conditions."""
@@ -107,14 +96,10 @@ def verify_sparse_bound(bound: SparseBound, target, b_id: int) -> VerificationRe
     margins = rhs[members] - target[members]
     ratio = basis.mu[int(bound.enclosing)] / basis.mu[int(b_id)]
     counts = bound.overlap_counts()
-    w = basis.space.weights
-    mu_b = basis.mu[int(b_id)]
-    levels = list(range(0, int(counts.max()) + 1)) if counts.size else [0]
-    tail = []
-    for t in levels:
-        above = counts > t
-        tail.append((t, float(w[above].sum() / mu_b)))
-    rate = fit_exponential_rate([t for t, _ in tail], [fr for _, fr in tail])
+    fracs = level_tail(counts, 1, basis.space.weights, basis.mu[int(b_id)],
+                       int(counts.max()))
+    tail = list(enumerate(fracs.tolist()))
+    rate = fit_exponential_rate(range(len(tail)), fracs)
     passed = bool(margins.min() >= -1e-9 and rate > 0)
     return VerificationReport(margin_min=float(margins.min()),
                               margin_median=float(np.median(margins)),
@@ -137,6 +122,19 @@ def _min_constant(lhs: np.ndarray, rhs: np.ndarray, members: np.ndarray,
             f"{what}: positive target with empty sparse sum",
             transcript=[f"atom {members[live][rhs[live] <= 0][0]}"])
     return float((lhs[live] / rhs[live]).max())
+
+
+def _certify(bound: SparseBound, lhs: np.ndarray, b_id: int,
+             what: str) -> VerificationReport:
+    """Set the bound's constant to the least one making lhs <= constant * rhs
+    on the ball, verify the bound there and record its overlap rate."""
+    members = bound.basis.balls[b_id].members
+    bound.constant = _min_constant(lhs, bound.rhs_values(), members, what)
+    report = verify_sparse_bound(bound, lhs, b_id)
+    if report.margin_min < -1e-9:
+        raise ConstructionFailure("emitted bound failed verification")
+    bound.details["overlap_rate"] = report.rate
+    return report
 
 
 def dominate_bo(T: OperatorDescriptor, consts: BOConstants, f: VecFunction,
@@ -187,14 +185,9 @@ def dominate_bo(T: OperatorDescriptor, consts: BOConstants, f: VecFunction,
                 continue
 
         sets = [basis.balls[nb].members for nb in tree.nodes]
-        e_sets = []
-        for nb in tree.nodes:
-            fa = f_map(nb)
-            keep = np.ones(n, dtype=bool)
-            keep[fa] = False
-            m = basis.balls[nb].members
-            e_sets.append(m[keep[m]])
-        fam = disjointify(sets, tree.parent, e_sets, weights=basis.space.weights)
+        e_rows = atom_rows(n, sets) & ~atom_rows(n, [f_map(nb) for nb in tree.nodes])
+        fam = disjointify(sets, tree.parent, [np.flatnonzero(r) for r in e_rows],
+                          weights=basis.space.weights)
 
         terms = [average(f, basis.balls[nb].members, p, basis=basis)
                  for nb in tree.nodes]
@@ -205,16 +198,10 @@ def dominate_bo(T: OperatorDescriptor, consts: BOConstants, f: VecFunction,
                             details={"lambda": lam, "nodes": tree.n_nodes,
                                      "alpha_threshold": alpha_threshold,
                                      "admissible_alpha": tree.admissible})
-        rhs = bound.rhs_values()
-        c_main = _min_constant(T.apply(f).norms(), rhs, members, "dominate_bo")
-        c_trunc = _min_constant(t_star.apply(f).norms(), rhs, members,
-                                "dominate_bo truncated")
-        bound.constant = c_main
-        bound.details["constant_truncated"] = c_trunc
-        report = verify_sparse_bound(bound, T.apply(f), b_id)
-        if report.margin_min < -1e-9:
-            raise ConstructionFailure("emitted bound failed verification")
-        bound.details["overlap_rate"] = report.rate
+        report = _certify(bound, T.apply(f).norms(), b_id, "dominate_bo")
+        bound.details["constant_truncated"] = _min_constant(
+            t_star.apply(f).norms(), bound.rhs_values(), members,
+            "dominate_bo truncated")
         bound.details["enclosing_ratio"] = report.enclosing_ratio
         return bound
     raise LambdaExhausted(f"no admissible lambda within 40 doublings "
@@ -256,9 +243,11 @@ def lerner_decompose(f: VecFunction, a0: int, beta: float,
 
     node_balls = list(tree.nodes)
     parents: list[int | None] = list(tree.parent)
-    m_sets = [basis.balls[int(basis.hull[nb])].members for nb in node_balls]
-    repaired = 0
-    for x in tree.constants.get("uncovered", []):
+    uncovered = tree.constants.get("uncovered", [])
+    # one row per hull set: the tree nodes, then one per repaired atom
+    rows = atom_rows(n, [basis.balls[int(basis.hull[nb])].members
+                         for nb in node_balls] + [[]] * len(uncovered))
+    for x in uncovered:
         # attach the smallest ball whose exceptional set misses the atom
         cands = sorted(basis.balls_containing_atom(int(x)),
                        key=lambda c: (basis.mu[c], c))
@@ -271,24 +260,22 @@ def lerner_decompose(f: VecFunction, a0: int, beta: float,
             raise ConstructionFailure(
                 f"atom {x} lies in every exceptional set; raise beta")
         ms = basis.balls[int(basis.hull[pick])].members
-        host = None
-        for j in sorted(range(len(node_balls)),
-                        key=lambda j: (basis.mu[node_balls[j]], j)):
-            if not np.setdiff1d(ms, m_sets[j]).size:
-                host = j
-                break
-        if host is None:
+        # the host: the least node, by (measure, index), whose set holds ms
+        j = len(node_balls)
+        hosts = sorted(np.flatnonzero(rows[:j, ms].all(axis=1)),
+                       key=lambda h: (basis.mu[node_balls[h]], h))
+        if not hosts:
             raise ConstructionFailure(
                 f"no tree node encloses the repair ball for atom {x}")
         node_balls.append(pick)
-        parents.append(host)
-        m_sets.append(ms)
-        repaired += 1
+        parents.append(int(hosts[0]))
+        rows[j, ms] = True
 
-    for j, p in enumerate(parents):
-        if p is not None and np.setdiff1d(m_sets[j], m_sets[p]).size:
-            raise ConstructionFailure(
-                "hull nesting failed; beta too far from 1 for this basis")
+    up = [j if p is None else p for j, p in enumerate(parents)]
+    if (rows & ~rows[up]).any():
+        raise ConstructionFailure(
+            "hull nesting failed; beta too far from 1 for this basis")
+    m_sets = [np.flatnonzero(r) for r in rows]
     e_sets = [core_of(nb) for nb in node_balls]
     fam = disjointify(m_sets, parents, e_sets, weights=basis.space.weights)
 
@@ -302,21 +289,11 @@ def lerner_decompose(f: VecFunction, a0: int, beta: float,
                         constant=0.0, kind="alpha_oscillation", terms=terms,
                         center=med_rep,
                         details={"beta": beta, "nodes": len(node_balls),
-                                 "repaired": repaired, "alpha": alpha})
-    members = basis.balls[a0].members
-    bound.constant = _min_constant(lhs, bound.rhs_values(), members,
-                                   "lerner_decompose")
-    star_a0 = basis.star_members(a0)
-    covered = np.zeros(n, dtype=bool)
-    for ms in m_sets:
-        covered[ms] = True
-    bound.details["family_in_star"] = bool(
-        not np.flatnonzero(covered).size or
-        not np.setdiff1d(np.flatnonzero(covered), star_a0).size)
-    report = verify_sparse_bound(bound, lhs, a0)
-    if report.margin_min < -1e-9:
-        raise ConstructionFailure("emitted bound failed verification")
-    bound.details["overlap_rate"] = report.rate
+                                 "repaired": len(uncovered), "alpha": alpha})
+    outside = np.ones(n, dtype=bool)
+    outside[basis.star_members(a0)] = False
+    bound.details["family_in_star"] = not (rows & outside).any()
+    _certify(bound, lhs, a0, "lerner_decompose")
     return bound
 
 
@@ -406,7 +383,6 @@ def dominate_mean_osc(family: list[OperatorDescriptor], f: VecFunction,
 
     r = family[0].params.r
     terms = sup_sharp_all(f, basis, r)[inner.family].tolist()
-    members = basis.balls[b_id].members
     lhs = np.abs(tf - float(inner.center[0]))
     bound = SparseBound(basis=basis, family=list(inner.family),
                         indicators=inner.indicators,
@@ -414,10 +390,5 @@ def dominate_mean_osc(family: list[OperatorDescriptor], f: VecFunction,
                         kind="mean_oscillation", terms=terms,
                         center=inner.center,
                         details={"beta": beta, "nodes": len(inner.family)})
-    bound.constant = _min_constant(lhs, bound.rhs_values(), members,
-                                   "dominate_mean_osc")
-    report = verify_sparse_bound(bound, lhs, b_id)
-    if report.margin_min < -1e-9:
-        raise ConstructionFailure("emitted bound failed verification")
-    bound.details["overlap_rate"] = report.rate
+    _certify(bound, lhs, b_id, "dominate_mean_osc")
     return bound

@@ -1,7 +1,8 @@
 """Scalar functionals over vector-valued functions on a ball-basis space.
 
 Fractional averages, oscillations, alpha-oscillations, medians, BMO norms,
-maximal functions, and omega-regular kernel families.
+maximal functions, integer-level tails and their exponential rates, and
+omega-regular kernel families.
 """
 
 from __future__ import annotations
@@ -397,6 +398,31 @@ def _max_over_containing_balls(basis: BallBasis, vals: np.ndarray,
     for ids, idx in basis.size_groups():
         np.maximum.at(out, idx, vals[ids][:, None])
     return out
+
+
+# -- integer-level tails ------------------------------------------------------------
+
+
+def level_tail(x: np.ndarray, g, w: np.ndarray, mu, top: int) -> np.ndarray:
+    """mu{x > t g} / mu at the integer levels t = 0, ..., top.  Atoms lie on
+    the last axis of x and w, g is a scalar or one value per atom, and mu
+    holds one measure per row of x; the levels lie on the last axis of the
+    result."""
+    above = x[..., None, :] > np.arange(top + 1)[:, None] * g
+    return (np.where(above, w[..., None, :], 0.0).sum(axis=-1)
+            / np.expand_dims(mu, -1))
+
+
+def fit_exponential_rate(levels, fractions) -> float:
+    """Least-squares slope of log(fraction) against the level; a tail with at
+    most one nonzero bin decays faster than any exponential here (rate inf)."""
+    pts = [(t, fr) for t, fr in zip(levels, fractions) if fr > 0]
+    if len(pts) <= 1:
+        return math.inf
+    xs = np.array([p[0] for p in pts], dtype=float)
+    ys = np.log(np.array([p[1] for p in pts]))
+    slope = np.polyfit(xs, ys, 1)[0]
+    return float(-slope)
 
 
 # -- omega-regular families ------------------------------------------------------

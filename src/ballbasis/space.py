@@ -87,7 +87,9 @@ class BallBasis:
         self.eta = None if eta is None else float(eta)
         if len(self.hull) != len(self.balls):
             raise ValueError("hull map must cover every ball")
-        for b in self.balls:
+        for pos, b in enumerate(self.balls):
+            if b.id != pos:
+                raise ValueError(f"ball id {b.id} listed at position {pos}")
             if len(b.members) == 0:
                 raise ValueError(f"ball {b.id} is empty (axiom B1)")
 

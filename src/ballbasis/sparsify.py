@@ -20,6 +20,45 @@ from .errors import (AlphaViolated, ConstructionFailure, NestingViolated,
 from .space import BallBasis, as_atom_array
 
 
+# -- atom rows -----------------------------------------------------------------
+
+
+def atom_rows(n_atoms: int, sets) -> np.ndarray:
+    """Boolean (len(sets), n_atoms) matrix with one row per atom set."""
+    rows = np.zeros((len(sets), n_atoms), dtype=bool)
+    for row, s in zip(rows, sets):
+        row[s] = True
+    return rows
+
+
+def _meet(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entry (i, j) is True iff row i of a and row j of b share an atom (the
+    counts are exact in float32 below 2**24 atoms)."""
+    return (a.astype(np.float32) @ b.T.astype(np.float32)) > 0
+
+
+def _ancestors(up: np.ndarray) -> np.ndarray:
+    """Boolean (n, n) matrix whose row i marks node i and its ancestors, from
+    the parent of each node (a root is its own parent), by pointer doubling."""
+    anc = np.eye(len(up), dtype=bool)
+    for _ in range(len(up).bit_length()):
+        anc |= anc[up]
+        up = up[up]
+    return anc
+
+
+def _first_fit(rows: np.ndarray) -> np.ndarray:
+    """Greedy first fit: mask of the rows, taken in order, that meet no
+    earlier row kept."""
+    keep = np.zeros(len(rows), dtype=bool)
+    blocked = np.zeros(rows.shape[1], dtype=bool)
+    for i, row in enumerate(rows):
+        keep[i] = not (blocked & row).any()
+        if keep[i]:
+            blocked |= row
+    return keep
+
+
 # -- greedy Vitali selection ---------------------------------------------------
 
 
@@ -30,27 +69,16 @@ def vitali_cover(basis: BallBasis, E, G) -> list[int]:
     sup, trivially), ties broken by ascending ball id.
     """
     E = as_atom_array(E)
-    ids = [int(g) for g in G]
-    if E.size:
-        covered = np.zeros(basis.n_atoms, dtype=bool)
-        for g in ids:
-            covered[basis.balls[g].members] = True
-        missing = E[~covered[E]]
-        if missing.size:
-            raise NotACover(f"atoms {missing[:5].tolist()} not covered by the family")
-    order = sorted(ids, key=lambda g: (-basis.mu[g], g))
-    taken: list[int] = []
-    blocked = np.zeros(basis.n_atoms, dtype=bool)
-    for g in order:
-        if blocked[basis.balls[g].members].any():
-            continue
-        taken.append(g)
-        blocked[basis.balls[g].members] = True
+    order = sorted((int(g) for g in G), key=lambda g: (-basis.mu[g], g))
+    rows = atom_rows(basis.n_atoms, [basis.balls[g].members for g in order])
+    missing = E[~rows.any(axis=0)[E]]
+    if missing.size:
+        raise NotACover(f"atoms {missing[:5].tolist()} not covered by the family")
+    taken = [g for g, kept in zip(order, _first_fit(rows)) if kept]
     # postconditions: disjointness is by construction; star coverage asserted
-    star_cover = np.zeros(basis.n_atoms, dtype=bool)
-    for g in taken:
-        star_cover[basis.star_members(g)] = True
-    if E.size and not star_cover[E].all():
+    star_cover = atom_rows(basis.n_atoms,
+                           [basis.star_members(g) for g in taken]).any(axis=0)
+    if not star_cover[E].all():
         raise PostconditionFailure("stars of the selection do not cover E",
                                    witness=E[~star_cover[E]][:5].tolist())
     return taken
@@ -106,16 +134,13 @@ def child_cover(basis: BallBasis, F, E) -> list[int]:
             g = g2
             enlarged = True
         out.append(g)
-    e_mask = np.zeros(basis.n_atoms, dtype=bool)
-    e_mask[E] = True
-    out = [g for g in out if e_mask[basis.balls[g].members].any()]
     out.sort(key=lambda g: (-basis.mu[g], g))
+    rows = atom_rows(basis.n_atoms, [basis.balls[g].members for g in out])
+    meets_e = rows[:, E].any(axis=1)
+    out = [g for g, m in zip(out, meets_e) if m]
 
-    covered = np.zeros(basis.n_atoms, dtype=bool)
-    total = 0.0
-    for g in out:
-        covered[basis.balls[g].members] = True
-        total += basis.mu[g]
+    covered = rows[meets_e].any(axis=0)
+    total = sum(basis.mu[g] for g in out)
     if not covered[E].all():
         raise PostconditionFailure("cover misses atoms of E",
                                    witness=E[~covered[E]][:5].tolist())
@@ -251,7 +276,10 @@ def sparsify_tree(basis: BallBasis, F_map, a0: int, alpha: float,
 
     R = K * K
     rank = [_node_rank(basis, b, R) for b in und]
-    alive = [True] * len(und)
+    ranks = np.array(rank)
+    n = len(und)
+    rows = atom_rows(basis.n_atoms, [basis.balls[b].members for b in und])
+    alive = np.ones(n, dtype=bool)
 
     run_removals = admissible or not tolerant
     if run_removals:
@@ -260,68 +288,47 @@ def sparsify_tree(basis: BallBasis, F_map, a0: int, alpha: float,
                 raise ConstructionFailure(
                     f"rank did not drop from node {p} to {i}",
                     transcript=transcript)
-
-        def kill(i: int):
-            alive[i] = False
-            for j in children[i]:
-                if alive[j]:
-                    kill(j)
-
-        def star2(node: int) -> np.ndarray:
-            return basis.star2_members(und[node])
-
+        up = np.array([i if p is None else p for i, p in enumerate(parent)])
+        anc = _ancestors(up)
         k0 = rank[0]
         kmin = min(rank)
+        # the wedge window above node a: the ranks two or more clear of both
+        # a and its parent; as the windows along a chain are disjoint and
+        # ordered by rank, each is labelled by 1 + rank[a] - kmin
+        levels = np.arange(kmin, k0 + 1)
+        top = np.where(up == np.arange(n), kmin - 1, ranks[up] - 2)
+        window = ((ranks[:, None] + 2 <= levels) & (levels <= top[:, None])
+                  ) * (1.0 + ranks - kmin)[:, None]
+        order = sorted(range(n), key=lambda i: (-basis.mu[und[i]], und[i], i))
         for k in range(k0 - 1, kmin - 1, -1):
-            bucket = [i for i in range(len(und)) if alive[i] and rank[i] == k]
-            bucket.sort(key=lambda i: (-basis.mu[und[i]], und[i], i))
-            # removal via a higher ball wedged strictly between the ranks of
-            # consecutive ancestors
-            for i in bucket:
-                if not alive[i]:
-                    continue
-                s2 = None
-                hit = False
-                anc = i
-                while parent[anc] is not None and not hit:
-                    lo_rank, hi_rank = rank[anc], rank[parent[anc]]
-                    if hi_rank - lo_rank > 3:  # room for a rank strictly between
-                        if s2 is None:
-                            s2 = star2(i)
-                        for b in range(len(und)):
-                            if not alive[b] or b == i:
-                                continue
-                            if not (lo_rank + 2 <= rank[b] <= hi_rank - 2):
-                                continue
-                            if np.intersect1d(s2, basis.balls[und[b]].members).size:
-                                hit = True
-                                transcript.append(f"wedge pass removed node {i} via {b}")
-                                break
-                    anc = parent[anc]
-                if hit:
-                    kill(i)
+            bucket = np.array([i for i in order if alive[i] and rank[i] == k],
+                              dtype=np.int64)
+            # removal via a live node ranked in the window above any node on
+            # the bucket node's ancestor chain (itself included) whose double
+            # star it meets; only ranks >= k + 2 are read, and this pass
+            # kills ranks <= k, so the whole bucket is one mask; the first
+            # window up the chain names the node, then the least index
+            label = (anc[bucket].astype(float) @ window)[:, ranks - kmin]
+            star2 = atom_rows(basis.n_atoms,
+                              [basis.star2_members(und[i]) for i in bucket])
+            hit = (label > 0) & alive & _meet(star2, rows)
+            via = np.where(hit, label * n + np.arange(n), np.inf).argmin(axis=1)
+            wedged = hit.any(axis=1)
+            transcript += [f"wedge pass removed node {i} via {b}"
+                           for i, b in zip(bucket[wedged], via[wedged])]
+            alive &= ~anc[:, bucket[wedged]].any(axis=1)
             # disjointification of the remaining bucket by greedy selection
-            bucket = [i for i in range(len(und)) if alive[i] and rank[i] == k]
-            bucket.sort(key=lambda i: (-basis.mu[und[i]], und[i], i))
-            blocked = np.zeros(basis.n_atoms, dtype=bool)
-            for i in bucket:
-                m = basis.balls[und[i]].members
-                if blocked[m].any():
-                    transcript.append(f"disjointing pass removed node {i}")
-                    kill(i)
-                else:
-                    blocked[m] = True
+            bucket = bucket[alive[bucket]]
+            dropped = bucket[~_first_fit(rows[bucket])]
+            transcript += [f"disjointing pass removed node {i}" for i in dropped]
+            alive &= ~anc[:, dropped].any(axis=1)
 
-    # compact the surviving nodes
-    keep = [i for i in range(len(und)) if alive[i]]
-    remap = {i: j for j, i in enumerate(keep)}
+    # compact the surviving nodes; a survivor's ancestors all survive
+    keep = np.flatnonzero(alive)
+    remap = np.cumsum(alive) - 1
     n_und = [und[i] for i in keep]
-    n_parent: list[int | None] = []
-    for i in keep:
-        p = parent[i]
-        while p is not None and not alive[p]:
-            p = parent[p]
-        n_parent.append(remap[p] if p is not None else None)
+    n_parent = [None if parent[i] is None else int(remap[parent[i]])
+                for i in keep]
     n_children: list[list[int]] = [[] for _ in keep]
     for j, p in enumerate(n_parent):
         if p is not None:
@@ -329,17 +336,11 @@ def sparsify_tree(basis: BallBasis, F_map, a0: int, alpha: float,
     n_rank = [rank[i] for i in keep]
     node_balls = [int(basis.hull[int(basis.hull[b])]) for b in n_und]
 
-    # witnesses: the part of each underlying ball not covered by much smaller
-    # survivors that meet it
-    witness: list[np.ndarray] = []
-    for j, b in enumerate(n_und):
-        m = basis.balls[b].members
-        cut = np.zeros(basis.n_atoms, dtype=bool)
-        for j2, g in enumerate(n_und):
-            if n_rank[j2] < n_rank[j] - 1:
-                gm = basis.balls[g].members
-                cut[gm] = True
-        witness.append(m[~cut[m]])
+    # witnesses: the part of each underlying ball not covered by the
+    # survivors ranked more than one below it
+    kept = rows[keep]
+    below = ranks[keep][None, :] < ranks[keep][:, None] - 1
+    witness = [np.flatnonzero(r) for r in kept & ~_meet(below, kept.T)]
 
     certified = bool(run_removals)
     constants: dict = {"threshold": threshold, "R": R}
@@ -360,13 +361,9 @@ def sparsify_tree(basis: BallBasis, F_map, a0: int, alpha: float,
 
 
 def _uncovered_atoms(basis: BallBasis, node_balls, a0: int, get_f) -> list[int]:
-    covered = np.zeros(basis.n_atoms, dtype=bool)
-    for nb in node_balls:
-        m = basis.balls[nb].members
-        fs = get_f(nb)
-        keep = np.ones(basis.n_atoms, dtype=bool)
-        keep[fs] = False
-        covered[m[keep[m]]] = True
+    n = basis.n_atoms
+    covered = (atom_rows(n, [basis.balls[nb].members for nb in node_balls])
+               & ~atom_rows(n, [get_f(nb) for nb in node_balls])).any(axis=0)
     seed = basis.balls[int(a0)].members
     return [int(a) for a in seed[~covered[seed]]]
 
@@ -416,12 +413,12 @@ def _verify_sparse_tree(basis, und, node_balls, parent, children, rank,
     for j in range(len(und)):
         if float(w[witness[j]].sum()) < basis.mu[und[j]] / 2.0 - 1e-12:
             raise ConstructionFailure(f"witness of node {j} below half mass")
-    for j in range(len(und)):
-        for j2 in range(j + 1, len(und)):
-            if rank[j] == rank[j2] or abs(rank[j] - rank[j2]) > 1:
-                if np.intersect1d(witness[j], witness[j2]).size:
-                    raise ConstructionFailure(
-                        f"witnesses of nodes {j},{j2} overlap")
+    gap = np.abs(np.subtract.outer(rank, rank))
+    rows = atom_rows(basis.n_atoms, witness)
+    clash = np.triu(_meet(rows, rows) & (gap != 1), k=1)
+    if clash.any():
+        j, j2 = np.argwhere(clash)[0]
+        raise ConstructionFailure(f"witnesses of nodes {j},{j2} overlap")
 
 
 # -- martingale disjointification ---------------------------------------------------
@@ -449,69 +446,42 @@ def disjointify(sets, parent, E_map, weights=None) -> MartingaleFamily:
     E = [as_atom_array(e) for e in E_map]
     if len(E) != n or len(parent) != n:
         raise ValueError("sets, parent and E_map must have equal length")
-    n_atoms = 1 + max((int(s.max()) for s in sets if s.size), default=0)
-    for i, p in enumerate(parent):
-        if p is not None and np.setdiff1d(sets[i], sets[int(p)]).size:
+    n_atoms = 1 + max((int(s.max()) for s in sets + E if s.size), default=0)
+    rows = atom_rows(n_atoms, sets)
+    e_rows = atom_rows(n_atoms, E)
+    up = np.array([i if p is None else int(p) for i, p in enumerate(parent)],
+                  dtype=np.int64)
+    loose = (rows & ~rows[up]).any(axis=1)
+    stray = (e_rows & ~rows).any(axis=1)
+    if (loose | stray).any():
+        i = int(np.argmax(loose | stray))
+        if loose[i]:
             raise NestingViolated(f"node {i} not inside its parent")
-        if np.setdiff1d(E[i], sets[i]).size:
-            raise ValueError(f"E[{i}] not inside its set")
+        raise ValueError(f"E[{i}] not inside its set")
     if weights is None:
         weights = np.ones(n_atoms)
-    desc: list[set[int]] = [set() for _ in range(n)]
-    for i, p in enumerate(parent):
-        q = p
-        while q is not None:
-            desc[int(q)].add(i)
-            q = parent[int(q)]
+    anc = _ancestors(up)
 
-    cur = []
-    u_mask = np.zeros(n_atoms, dtype=bool)
-    for e in E:
-        u_mask[e] = True
-    for s in sets:  # normalization: drop the part no E set can ever claim
-        m = np.zeros(n_atoms, dtype=bool)
-        m[s] = True
-        cur.append(m & u_mask)
-    e_masks = []
-    for e in E:
-        m = np.zeros(n_atoms, dtype=bool)
-        m[e] = True
-        e_masks.append(m)
-
+    union = e_rows.any(axis=0)
+    cur = rows & union  # normalization: drop the part no E set can ever claim
     mus = [float(weights[s].sum()) for s in sets]
     for stage in sorted(range(n), key=lambda i: (-mus[i], i)):
-        carve = cur[stage] & e_masks[stage]
-        if not carve.any():
-            continue
-        for a in range(n):
-            if a == stage or stage in desc[a]:
-                continue  # the node itself and its ancestors keep the piece
-            cur[a] &= ~carve
-
-    shrink = [np.flatnonzero(m).astype(np.int64) for m in cur]
+        # the node itself and its ancestors keep the piece
+        cur[~anc[stage]] &= ~(cur[stage] & e_rows[stage])
 
     # invariants, asserted exactly
-    for i, p in enumerate(parent):
-        if p is not None and np.setdiff1d(shrink[i], shrink[int(p)]).size:
-            raise PostconditionFailure("child shrink left its parent shrink",
-                                       witness=i)
-    for i in range(n):
-        for j in range(i + 1, n):
-            related = j in desc[i] or i in desc[j]
-            if not related and np.intersect1d(shrink[i], shrink[j]).size:
-                raise PostconditionFailure("unrelated shrinks overlap",
-                                           witness=(i, j))
-    got = np.zeros(n_atoms, dtype=bool)
-    pieces = []
-    for i in range(n):
-        piece = cur[i] & e_masks[i]
-        pieces.append(piece)
-        got |= piece
-    if not np.array_equal(got, u_mask):
+    left = (cur & ~cur[up]).any(axis=1)
+    if left.any():
+        raise PostconditionFailure("child shrink left its parent shrink",
+                                   witness=int(np.argmax(left)))
+    clash = np.triu(_meet(cur, cur) & ~(anc | anc.T), k=1)
+    if clash.any():
+        i, j = np.argwhere(clash)[0]
+        raise PostconditionFailure("unrelated shrinks overlap",
+                                   witness=(int(i), int(j)))
+    pieces = cur & e_rows
+    if not np.array_equal(pieces.any(axis=0), union):
         raise PostconditionFailure("union of E pieces not preserved")
-    acc = np.zeros(n_atoms, dtype=bool)
-    for piece in pieces:
-        if (acc & piece).any():
-            raise PostconditionFailure("E pieces overlap")
-        acc |= piece
-    return MartingaleFamily(shrink=shrink)
+    if (pieces.sum(axis=0) > 1).any():
+        raise PostconditionFailure("E pieces overlap")
+    return MartingaleFamily(shrink=[np.flatnonzero(m) for m in cur])

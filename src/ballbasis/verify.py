@@ -17,9 +17,9 @@ import numpy as np
 from .errors import ConfigError, InfZero, ZeroBmoNorm
 from .space import BallBasis
 from .functional import (Params, VecFunction, alpha_oscillation, bmo_norm,
-                         maximal, mean_deviation, median, vector_norms)
+                         fit_exponential_rate, level_tail, maximal,
+                         mean_deviation, median, vector_norms)
 from .operators import OperatorDescriptor, truncate
-from .domination import fit_exponential_rate
 
 
 def round_sig(x):
@@ -255,10 +255,9 @@ def _tail_profile(target: np.ndarray, ref: np.ndarray, members,
     ratios = tv[live] / rv[live]
     tmax = int(math.ceil(float(ratios.max()))) + 1
     tmax = min(tmax, 10_000)
-    levels = list(range(0, tmax + 1))
-    fracs = [float(ww[live][ratios > t].sum() / mu) for t in levels]
-    counts = [int(np.count_nonzero(ratios > t)) for t in levels]
-    return levels, fracs, counts, bad
+    fracs = level_tail(ratios, 1.0, ww[live], mu, tmax).tolist()
+    counts = level_tail(ratios, 1.0, np.ones(ratios.size), 1.0, tmax)
+    return list(range(tmax + 1)), fracs, counts.astype(int).tolist(), bad
 
 
 def exp_decay_report(T: OperatorDescriptor, f: VecFunction, b_id: int,
@@ -300,15 +299,6 @@ def exp_decay_report(T: OperatorDescriptor, f: VecFunction, b_id: int,
 T_MAX = 64
 
 
-def _tail_fractions(dev: np.ndarray, ww: np.ndarray, mu: np.ndarray,
-                    thresholds: np.ndarray) -> np.ndarray:
-    """max over balls of mu({dev > t}) / mu(B) for each threshold t, from
-    deviations and weights (m, L) and measures (m,) of m balls of L atoms."""
-    above = dev[:, None, :] > thresholds[None, :, None]
-    mass = np.where(above, ww[:, None, :], 0.0).sum(axis=2)
-    return (mass / mu[:, None]).max(axis=0)
-
-
 def john_nirenberg_report(f: VecFunction, basis: BallBasis) -> Report:
     """Worst-ball tails of ||f - center|| / ||f||_BMO at the levels 0..T_MAX
     for median and average centers, with an exponential fit on each."""
@@ -317,7 +307,6 @@ def john_nirenberg_report(f: VecFunction, basis: BallBasis) -> Report:
         raise ZeroBmoNorm("f is constant on every ball")
     w = basis.space.weights
     levels = list(range(0, T_MAX + 1))
-    thresholds = np.arange(T_MAX + 1) * norm
     tail_med = np.zeros(len(levels))
     tail_avg = np.zeros(len(levels))
     for ids, idx in basis.size_groups():
@@ -326,8 +315,8 @@ def john_nirenberg_report(f: VecFunction, basis: BallBasis) -> Report:
         meds = np.stack([median(f, basis.balls[i].members, basis)[1] for i in ids])
         dev_m = vector_norms(vals - meds[:, None, :], f.norm_kind)
         mu, dev_a = mean_deviation(vals, ww, f.norm_kind)
-        tail_med = np.maximum(tail_med, _tail_fractions(dev_m, ww, mu, thresholds))
-        tail_avg = np.maximum(tail_avg, _tail_fractions(dev_a, ww, mu, thresholds))
+        tail_med = np.maximum(tail_med, level_tail(dev_m, norm, ww, mu, T_MAX).max(axis=0))
+        tail_avg = np.maximum(tail_avg, level_tail(dev_a, norm, ww, mu, T_MAX).max(axis=0))
     rate_med = fit_exponential_rate(levels, tail_med)
     rate_avg = fit_exponential_rate(levels, tail_avg)
     nz = int(np.count_nonzero(tail_med))
@@ -399,15 +388,10 @@ def strong_domination_check(f: VecFunction, g: VecFunction, basis: BallBasis,
         rows.append(CaseRow(f"alpha={a:g}", "beta", float(beta), True))
     _, med = median(f, members, basis)
     dev = vector_norms(f.values - med[None, :], f.norm_kind)
-    gn = g.norms()
-    w = basis.space.weights
-    ww = w[members]
-    mu = float(ww.sum())
+    ww = basis.space.weights[members]
     levels = list(range(0, T_MAX + 1))
-    fracs = []
-    for t in levels:
-        mask = dev[members] > t * gn[members]
-        fracs.append(float(ww[mask].sum() / mu))
+    fracs = level_tail(dev[members], g.norms()[members], ww, float(ww.sum()),
+                       T_MAX).tolist()
     rate = fit_exponential_rate(levels, fracs)
     rows += [CaseRow(f"lambda={t}", "tail_fraction", fr, True)
              for t, fr in zip(levels, fracs)]

@@ -121,11 +121,16 @@ class TestMain:
          "operators": [{"kind": "square_function"}]},
         {"operators": [{"kind": "riesz_potential"}]},
         {"verify": {"suites": ["nope"]}},
+        {"corpus": {"generators": ["random_signs"], "size": 0}},
+        {"sparsify": {"alpha": 0.002, "families": 0}},
+        {"dominate": {"cases": 0, "ball": "full"}},
+        {"mean_osc": {"beta": 0.75, "cases": 0}},
     ], ids=["basis_not_object", "section_not_object", "operator_not_object",
             "budget_zero", "alpha_negative", "corpus_size_string",
             "ball_out_of_range", "beta_above_one", "level_out_of_range",
             "riesz_alpha_two", "sparse_rho_zero", "square_function_on_grid",
-            "riesz_on_dyadic", "unknown_suite"])
+            "riesz_on_dyadic", "unknown_suite", "corpus_size_zero",
+            "families_zero", "dominate_cases_zero", "mean_osc_cases_zero"])
     def test_bad_value_exit_two(self, tmp_path, capsys, overrides):
         path = write_cfg(tmp_path, small_cfg(tmp_path / "out", **overrides))
         assert main(["all", "--config", path]) == 2

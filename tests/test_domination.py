@@ -255,3 +255,31 @@ class TestDominateMeanOsc:
         rep = verify_sparse_bound(bound, lhs, b)
         assert rep.passed
         assert bound.details["overlap_rate"] > 0
+
+
+class TestEmittedBoundCertified:
+    """With its least constant halved, each sparse bound fails its own
+    pointwise verification: the check can fail."""
+
+    @staticmethod
+    def _run(name, basis, rng):
+        f = VecFunction(rng.normal(size=basis.n_atoms))
+        b = basis.full_ball_id()
+        if name == "dominate_bo":
+            eps = rng.integers(0, 2, size=basis.n_balls) * 2 - 1
+            T = martingale_transform(basis, eps)
+            return dominate_bo(T, estimate_bo_constants(T, budget=4), f, b)
+        if name == "lerner_decompose":
+            return lerner_decompose(f, b, 0.75, basis)
+        fam = [conditional_expectation(basis, k) for k in range(7)]
+        return dominate_mean_osc(fam, f, b, budget=4)
+
+    @pytest.mark.parametrize("name", ["dominate_bo", "lerner_decompose",
+                                      "dominate_mean_osc"])
+    def test_halved_constant_fails(self, dyadic6, name, monkeypatch):
+        assert self._run(name, dyadic6, np.random.default_rng(3)).constant > 0
+        least = domination._min_constant
+        monkeypatch.setattr(domination, "_min_constant", lambda lhs, rhs, members, what:
+                            least(lhs, rhs, members, what) / (2.0 if what == name else 1.0))
+        with pytest.raises(ConstructionFailure, match="^emitted bound failed verification$"):
+            self._run(name, dyadic6, np.random.default_rng(3))

@@ -75,6 +75,16 @@ class TestBuilders:
         with pytest.raises(ValueError):
             build_grid(513)
 
+    def test_ball_id_must_be_its_position(self):
+        # listed the other way round, member_matrix filled row 0 with ball
+        # {0, 2} while balls_containing_atom(1) read position 0, ball 1
+        space = MeasureSpace(np.ones(4))
+        balls = [Ball(1, np.array([0, 2]), 2.0), Ball(0, np.arange(4), 4.0)]
+        with pytest.raises(ValueError, match="ball id 1 listed at position 0"):
+            BallBasis(space, balls, [1, 1], K=2.0)
+        basis = BallBasis(space, balls[::-1], [0, 0], K=2.0)
+        assert basis.balls_containing_atom(1).tolist() == [0]
+
 
 class TestAsAtomArray:
     @pytest.mark.parametrize("members", [
@@ -406,6 +416,29 @@ def test_containment_calls_stay_listed():
                     calls.append((path.stem, getattr(top, "name", "<module>"),
                                   node.attr))
     assert sorted(calls) == CONTAINMENT_CALLS
+
+
+# The set-theoretic layer works on boolean atom rows: no per-pair set
+# operation, i.e. no np.intersect1d or np.setdiff1d inside two nested loops.
+LOOP_NODES = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+              ast.GeneratorExp)
+
+
+def test_no_set_operations_in_nested_loops():
+    nested = []
+
+    def visit(node, depth, path):
+        for child in ast.iter_child_nodes(node):
+            d = depth + isinstance(child, LOOP_NODES)
+            if (isinstance(child, ast.Call) and d >= 2
+                    and getattr(child.func, "attr", None) in ("intersect1d", "setdiff1d")):
+                nested.append((path.stem, child.lineno))
+            visit(child, d, path)
+
+    for name in ("sparsify.py", "domination.py"):
+        path = Path(__file__).parents[1] / "src" / "ballbasis" / name
+        visit(ast.parse(path.read_text()), 0, path)
+    assert nested == []
 
 
 # A defaulted parameter that no call sets is a constant in disguise: every
