@@ -3,19 +3,17 @@ bounded-oscillation operator constants, pointwise sparse domination, and an
 empirical inequality harness."""
 
 from .errors import (AlphaViolated, BallBasisError, BetaOutOfRange,
-                     ConfigError, ConstructionFailure, EmptySet,
-                     IncompleteFamily, InfZero, LambdaExhausted, NestingViolated,
-                     NoContainingBall, NotACover, NotComparable, NotDoubling,
-                     NotRestricted, OracleTooLarge, PostconditionFailure,
-                     RegularityViolation, ZeroBmoNorm)
+                     ConfigError, ConstructionFailure, EmptySet, InfZero,
+                     LambdaExhausted, NestingViolated, NotACover,
+                     NotComparable, NotDoubling, NotRestricted, OracleTooLarge,
+                     PostconditionFailure, RegularityViolation, ZeroBmoNorm)
 from .space import (AxiomReport, Ball, BallBasis, MeasureSpace, build_dyadic,
-                    build_grid, check_axioms, doubling_chain, enlarge,
-                    exhausting_sequence, volume_distance)
+                    build_grid, check_axioms, exhausting_sequence)
 from .functional import (Params, RegularFamily, VecFunction, alpha_core,
                          alpha_oscillation, average, ball_averages_all,
                          bmo_norm, build_regular_family, fit_exponential_rate,
-                         general_maximal, maximal, mean_oscillation, median,
-                         sharp_all, sup_sharp_all)
+                         general_maximal, maximal, median, sharp_all,
+                         sup_sharp_all)
 from .operators import (BOConstants, OperatorDescriptor,
                         conditional_expectation, delta, discrete_hilbert,
                         estimate_bo_constants, identity_operator,
@@ -24,9 +22,9 @@ from .operators import (BOConstants, OperatorDescriptor,
                         truncate, zero_operator)
 from .sparsify import (MartingaleFamily, SparseTree, child_cover, disjointify,
                        sparsify_tree, vitali_cover)
-from .domination import (OscReport, SparseBound, VerificationReport,
-                         dominate_bo, dominate_mean_osc, lerner_decompose,
-                         restricted_osc_bound, verify_sparse_bound)
+from .domination import (SparseBound, VerificationReport, dominate_bo,
+                         dominate_mean_osc, lerner_decompose,
+                         verify_sparse_bound)
 from .verify import (Corpus, Report, Weight, ap_characteristics,
                      bmo_bounded_report, exp_decay_report, good_lambda_report,
                      john_nirenberg_report, strong_domination_check,

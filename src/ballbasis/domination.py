@@ -11,7 +11,6 @@ every measured constant is the minimal one making the bound pass.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -86,7 +85,8 @@ class VerificationReport:
 
 def verify_sparse_bound(bound: SparseBound, target, b_id: int) -> VerificationReport:
     """Check the domination pointwise on a ball, and the enclosure and
-    overlap-decay side conditions."""
+    overlap-decay side conditions; the overlap tail is mu{x in B: more than
+    t indicators hold x} / mu(B)."""
     basis = bound.basis
     if isinstance(target, VecFunction):
         target = target.norms()
@@ -95,9 +95,9 @@ def verify_sparse_bound(bound: SparseBound, target, b_id: int) -> VerificationRe
     rhs = bound.constant * bound.rhs_values()
     margins = rhs[members] - target[members]
     ratio = basis.mu[int(bound.enclosing)] / basis.mu[int(b_id)]
-    counts = bound.overlap_counts()
-    fracs = level_tail(counts, 1, basis.space.weights, basis.mu[int(b_id)],
-                       int(counts.max()))
+    counts = bound.overlap_counts()[members]
+    fracs = level_tail(counts, 1, basis.space.weights[members],
+                       basis.mu[int(b_id)], int(counts.max()))
     tail = list(enumerate(fracs.tolist()))
     rate = fit_exponential_rate(range(len(tail)), fracs)
     passed = bool(margins.min() >= -1e-9 and rate > 0)
@@ -297,21 +297,7 @@ def lerner_decompose(f: VecFunction, a0: int, beta: float,
     return bound
 
 
-# -- restricted oscillation bound and modulated mean-oscillation domination ------------
-
-
-@dataclass
-class OscReport:
-    lhs: float
-    rhs: float
-    ratio: float
-    constants: dict
-    passed: bool
-
-    def to_json(self) -> str:
-        return json.dumps({"lhs": self.lhs, "rhs": self.rhs,
-                           "ratio": self.ratio, "passed": self.passed,
-                           "constants": self.constants})
+# -- modulated mean-oscillation domination ------------------------------------------
 
 
 def _family_basis(family: list[OperatorDescriptor]) -> BallBasis:
@@ -334,47 +320,14 @@ def _check_restricted(family: list[OperatorDescriptor],
             raise NotRestricted(f"{t.name} has no far-field probe")
 
 
-def restricted_osc_bound(family: list[OperatorDescriptor], f: VecFunction,
-                         b_id: int, beta: float, admissible: float = math.inf,
-                         budget: int = 16) -> OscReport:
-    """Compare the beta-oscillation of the modulated family on a ball of its
-    basis against the weak-type and localization constants (budget, seed 0)
-    times the sharp mean."""
-    basis = _family_basis(family)
-    if not (0.5 < beta < 1.0):
-        raise BetaOutOfRange("beta must lie in (1/2, 1)")
-    consts = [t.bo_constants(budget, 0) for t in family]
-    _check_restricted(family, consts)
-    b_id = int(b_id)
-    members = basis.balls[b_id].members
-    tf = maximal_modulation(family).apply(f).values[:, 0]
-    lhs = alpha_oscillation(VecFunction(tf), members, beta, basis)
-    r = family[0].params.r
-    l0 = max(c.L0 for c in consts)
-    l1 = max(c.L1 for c in consts)
-    coeff = l0 * (1.0 - beta) ** (-1.0 / r) + l1
-    rhs = coeff * float(sup_sharp_all(f, basis, r)[b_id])
-    if lhs == 0.0:
-        ratio = 0.0
-    elif rhs == 0.0:
-        ratio = math.inf
-    else:
-        ratio = lhs / rhs
-    return OscReport(lhs=float(lhs), rhs=float(rhs), ratio=float(ratio),
-                     constants={"L0": l0, "L1": l1, "coeff": coeff},
-                     passed=bool(ratio <= admissible))
-
-
 def dominate_mean_osc(family: list[OperatorDescriptor], f: VecFunction,
-                      b_id: int, beta: float = 0.75,
-                      consts: list[BOConstants] | None = None,
-                      budget: int = 16) -> SparseBound:
+                      b_id: int, consts: list[BOConstants],
+                      beta: float = 0.75) -> SparseBound:
     """Dominate |max_a ||T_a f|| - median| pointwise on a ball of the
-    family's basis by sharp mean oscillations of f over a sparse family; the
-    constants are estimated at (budget, seed 0) unless given."""
+    family's basis by sharp mean oscillations of f over a sparse family;
+    consts are the members' BO constants, which must certify the
+    restricted (R4, R5) conditions."""
     basis = _family_basis(family)
-    if consts is None:
-        consts = [t.bo_constants(budget, 0) for t in family]
     _check_restricted(family, consts)
     b_id = int(b_id)
     tf = maximal_modulation(family).apply(f).values[:, 0]

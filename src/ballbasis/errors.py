@@ -9,10 +9,6 @@ class EmptySet(BallBasisError):
     pass
 
 
-class NoContainingBall(BallBasisError):
-    pass
-
-
 class NotDoubling(BallBasisError):
     pass
 
@@ -25,10 +21,6 @@ class RegularityViolation(BallBasisError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class IncompleteFamily(BallBasisError):
-    pass
 
 
 class NotACover(BallBasisError):

@@ -1,8 +1,8 @@
 """Scalar functionals over vector-valued functions on a ball-basis space.
 
-Fractional averages, oscillations, alpha-oscillations, medians, BMO norms,
-maximal functions, integer-level tails and their exponential rates, and
-omega-regular kernel families.
+Fractional averages, mean oscillations, alpha-oscillations, medians, BMO
+norms, maximal functions, integer-level tails and their exponential rates, and
+omega-regular kernel families for omega(t) = t.
 """
 
 from __future__ import annotations
@@ -12,10 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import (EmptySet, IncompleteFamily, NotDoubling, OracleTooLarge,
-                     RegularityViolation)
+from .errors import EmptySet, NotDoubling, OracleTooLarge, RegularityViolation
 from .space import BallBasis, as_atom_array
 
 
@@ -90,30 +88,15 @@ class VecFunction:
 # -- averages and oscillations -------------------------------------------------
 
 
-def average(f: VecFunction, members, p: Params, mode: str = "plain",
-            basis: BallBasis | None = None) -> float:
-    """Fractional mean <f>_B = mu(B)^(-rho) (int_B ||f||^r)^varrho.
-
-    mode="sup" maximizes over all basis balls containing the set.
-    """
+def average(f: VecFunction, members, p: Params, basis: BallBasis) -> float:
+    """Fractional mean <f>_B = mu(B)^(-rho) (int_B ||f||^r)^varrho."""
     arr = as_atom_array(members)
     if arr.size == 0:
         raise EmptySet("average over an empty set")
-    if mode == "plain":
-        w = basis.space.weights if basis is not None else None
-        if w is None:
-            raise ValueError("plain average needs the basis for weights")
-        mass = float((f.norms()[arr] ** p.r * w[arr]).sum())
-        mu = float(w[arr].sum())
-        return mu ** (-p.rho) * mass ** p.varrho
-    if mode == "sup":
-        if basis is None:
-            raise ValueError("sup mode needs the basis")
-        ids = basis.balls_containing_set(arr)
-        if ids.size == 0:
-            raise EmptySet("no basis ball contains the set")
-        return max(average(f, basis.balls[i].members, p, "plain", basis) for i in ids)
-    raise ValueError(f"unknown mode {mode!r}")
+    w = basis.space.weights
+    mass = float((f.norms()[arr] ** p.r * w[arr]).sum())
+    mu = float(w[arr].sum())
+    return mu ** (-p.rho) * mass ** p.varrho
 
 
 def ball_averages_all(f: VecFunction, basis: BallBasis, p: Params) -> np.ndarray:
@@ -121,25 +104,6 @@ def ball_averages_all(f: VecFunction, basis: BallBasis, p: Params) -> np.ndarray
     ints = basis.ball_integrals(f.norms() ** p.r * basis.space.weights)
     ints = np.maximum(ints, 0.0)
     return basis.mu ** (-p.rho) * ints ** p.varrho
-
-
-def oscillation_stats(f: VecFunction, members) -> tuple[float, float, float]:
-    """(OSC_B, SUP_B, INF_B) of f over the set."""
-    arr = as_atom_array(members)
-    if arr.size == 0:
-        raise EmptySet("oscillation over an empty set")
-    norms = f.norms()[arr]
-    sup, inf = float(norms.max()), float(norms.min())
-    vals = f.values[arr]
-    if f.scalar:
-        osc = float(vals.max() - vals.min())
-    else:
-        osc = 0.0
-        for i in range(len(arr)):
-            diffs = vals[i + 1:] - vals[i]
-            if len(diffs):
-                osc = max(osc, float(vector_norms(diffs, f.norm_kind).max()))
-    return osc, sup, inf
 
 
 def vector_norms(vals: np.ndarray, norm_kind: str) -> np.ndarray:
@@ -160,24 +124,17 @@ def mean_deviation(vals: np.ndarray, ww: np.ndarray, norm_kind: str = "euclidean
                             norm_kind)
 
 
-def mean_oscillation(f: VecFunction, members, r: float, mode: str = "sharp",
-                     basis: BallBasis | None = None):
-    """f_B (mode=mean) or <f>_{#,B} (mode=sharp) over the atom set; the sup
-    of <f>_{#,A} over the balls A containing each ball is sup_sharp_all."""
+def mean_oscillation(f: VecFunction, members, r: float, basis: BallBasis) -> float:
+    """<f>_{#,E} = ((1/mu(E)) int_E ||f - f_E||^r)^(1/r) over one atom set:
+    the per-set form of sharp_all, which the tests compare against."""
     if r < 1:
         raise ValueError("mean oscillation needs r >= 1")
     arr = as_atom_array(members)
     if arr.size == 0:
         raise EmptySet("mean oscillation over an empty set")
-    if basis is None:
-        raise ValueError("needs the basis for weights")
     w = basis.space.weights[arr]
-    if mode == "mean":
-        return (f.values[arr] * w[:, None]).sum(axis=0) / float(w.sum())
-    if mode == "sharp":
-        mu, d = mean_deviation(f.values[arr], w, f.norm_kind)
-        return float(((d ** r * w).sum() / mu) ** (1.0 / r))
-    raise ValueError(f"unknown mode {mode!r}")
+    mu, d = mean_deviation(f.values[arr], w, f.norm_kind)
+    return float(((d ** r * w).sum() / mu) ** (1.0 / r))
 
 
 # -- alpha-oscillation and medians ---------------------------------------------
@@ -374,19 +331,16 @@ def sup_sharp_all(f: VecFunction, basis: BallBasis, r: float = 1.0) -> np.ndarra
     return basis.superset_max(sharp_all(f, basis, r))
 
 
-def maximal(f: VecFunction, basis: BallBasis, p: Params | None = None,
+def maximal(f: VecFunction, basis: BallBasis, p: Params,
             mode: str = "fractional_basis") -> np.ndarray:
     """Per-atom sup over containing balls of a ball functional.
 
     fractional_basis: sup <f>_B; sharp: sup <f>_{#,B} (exponent p.r).
     """
     if mode == "fractional_basis":
-        if p is None:
-            raise ValueError("fractional_basis mode needs Params")
         vals = ball_averages_all(f, basis, p)
     elif mode == "sharp":
-        r = p.r if p is not None else 1.0
-        vals = sharp_all(f, basis, r)
+        vals = sharp_all(f, basis, p.r)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return _max_over_containing_balls(basis, vals, np.zeros(basis.n_atoms))
@@ -425,15 +379,13 @@ def fit_exponential_rate(levels, fractions) -> float:
     return float(-slope)
 
 
-# -- omega-regular families ------------------------------------------------------
+# -- omega-regular families (omega(t) = t) ----------------------------------------
 
 
 @dataclass
 class RegularFamily:
     basis: BallBasis
     kernels: np.ndarray      # n_balls x n_atoms, each row has weighted mass 1
-    omega: object            # callable modulus
-    omega_norm: float        # 1 + int_0^1 omega(t) log(1/t)/t dt
     c1: float
     c2: float
     growth_measured: float   # minimal multiplier in condition (2) against gamma(u)=u
@@ -471,28 +423,15 @@ def volume_distance_matrix(basis: BallBasis) -> np.ndarray:
     return out
 
 
-def omega_norm(omega) -> float:
-    """1 + int_0^1 omega(t) log(1/t)/t dt, with a numeric divergence guard:
-    the integral from 1e-6 and from 1e-12 must agree."""
-    def integrand(t):
-        return omega(t) * math.log(1.0 / t) / t
-    vals = [quad(integrand, eps, 1.0, limit=200)[0] for eps in (1e-6, 1e-12)]
-    if vals[-1] - vals[0] > 1e-2 * max(1.0, abs(vals[0])):
-        raise ValueError("omega norm diverges: ||omega|| = inf")
-    return 1.0 + vals[-1]
-
-
-def build_regular_family(basis: BallBasis, omega=None) -> RegularFamily:
-    """Poisson-type kernels psi_B(x) = mu(B)/(mu(B)+d(x,B))^2, normalized.
+def build_regular_family(basis: BallBasis) -> RegularFamily:
+    """Poisson-type kernels psi_B(x) = mu(B)/(mu(B)+d(x,B))^2, normalized,
+    with the modulus omega(t) = t.
 
     All three regularity conditions are re-verified numerically; violations
     raise RegularityViolation with a witness.
     """
     if basis.eta is None:
         raise NotDoubling("regular families need a doubling basis")
-    if omega is None:
-        omega = lambda t: t
-    norm_w = omega_norm(omega)
 
     dmat = volume_distance_matrix(basis)
     w = basis.space.weights
@@ -504,13 +443,13 @@ def build_regular_family(basis: BallBasis, omega=None) -> RegularFamily:
     if not np.allclose(kernels @ w, 1.0, rtol=1e-10, atol=1e-12):
         raise RegularityViolation("kernel mass differs from 1", witness=None)
 
-    # condition (y4): c1 1_B/mu(B) <= phi_B <= c2 omega(mu(B)/d)/d
+    # condition (y4): c1 1_B/mu(B) <= phi_B <= c2 omega(mu(B)/d)/d = c2 mu(B)/d^2
     c1 = math.inf
     c2 = 0.0
     for i in range(basis.n_balls):
         members = basis.balls[i].members
         c1 = min(c1, float((kernels[i, members] * basis.mu[i]).min()))
-        envelope = np.array([omega(basis.mu[i] / d) / d for d in dmat[i]])
+        envelope = basis.mu[i] / dmat[i] / dmat[i]
         if np.any(envelope <= 0):
             raise RegularityViolation("zero envelope", witness=(i,))
         c2 = max(c2, float((kernels[i] / envelope).max()))
@@ -531,31 +470,12 @@ def build_regular_family(basis: BallBasis, omega=None) -> RegularFamily:
             if ratio > bound * (1 + 1e-9):
                 raise RegularityViolation("growth condition failed",
                                           witness=(i, j, ratio))
-    return RegularFamily(basis=basis, kernels=kernels, omega=omega,
-                         omega_norm=float(norm_w),
-                         c1=float(c1), c2=float(c2), growth_measured=float(growth))
+    return RegularFamily(basis=basis, kernels=kernels, c1=float(c1), c2=float(c2),
+                         growth_measured=float(growth))
 
 
-def general_maximal(f: VecFunction, fam: RegularFamily, complete=None) -> np.ndarray:
-    """M^{phi,G} f(x) = sup over B in complete(x) of int ||f|| phi_B; every
-    ball A containing x must lie in a member of complete(x) of measure at
-    most mu(A)."""
+def general_maximal(f: VecFunction, fam: RegularFamily) -> np.ndarray:
+    """M^{phi} f(x) = sup over the balls B containing x of int ||f|| phi_B."""
     basis = fam.basis
-    w = basis.space.weights
-    vals = fam.kernels @ (f.norms() * w)
-    out = np.full(basis.n_atoms, -np.inf)
-    if complete is None:
-        return _max_over_containing_balls(basis, vals, out)
-    for x in range(basis.n_atoms):
-        ids = [int(i) for i in complete[x]]
-        for i in ids:
-            if x not in basis.balls[i]:
-                raise IncompleteFamily(f"ball {i} in complete({x}) misses the atom")
-        for a in basis.balls_containing_atom(x):
-            if not any(basis.contains(int(a), i)
-                       and basis.mu[i] <= basis.mu[int(a)] * (1 + 1e-12)
-                       for i in ids):
-                raise IncompleteFamily(
-                    f"no member of complete({x}) covers ball {int(a)} at its measure")
-        out[x] = max(vals[i] for i in ids)
-    return out
+    vals = fam.kernels @ (f.norms() * basis.space.weights)
+    return _max_over_containing_balls(basis, vals, np.full(basis.n_atoms, -np.inf))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySet, NoContainingBall, NotDoubling, PostconditionFailure
+from .errors import PostconditionFailure
 
 
 def as_atom_array(members) -> np.ndarray:
@@ -52,10 +52,6 @@ class MeasureSpace:
     def n_atoms(self) -> int:
         return len(self.weights)
 
-    @property
-    def total(self) -> float:
-        return float(self.weights.sum())
-
     def measure(self, members) -> float:
         arr = np.asarray(members, dtype=np.int64)
         if arr.size == 0:
@@ -68,10 +64,6 @@ class Ball:
     id: int
     members: np.ndarray  # sorted atom ids
     measure: float
-
-    def __contains__(self, atom: int) -> bool:
-        i = np.searchsorted(self.members, atom)
-        return i < len(self.members) and self.members[i] == atom
 
 
 class BallBasis:
@@ -247,12 +239,6 @@ class BallBasis:
         """(B*)* -- the star rule iterated once on the set B*."""
         return self.star_of_set(self.star_members(ball_id))
 
-    def hull_ball(self, ball_id: int) -> Ball:
-        return self.balls[self.hull[ball_id]]
-
-    def hull2_ball(self, ball_id: int) -> Ball:
-        return self.balls[self.hull[self.hull[ball_id]]]
-
     # -- containment queries ----------------------------------------------
 
     def _containing(self, arr: np.ndarray) -> np.ndarray:
@@ -264,12 +250,6 @@ class BallBasis:
 
     def balls_containing_atom(self, atom: int) -> np.ndarray:
         return np.flatnonzero(self._containing(np.array([atom])))
-
-    def balls_containing_set(self, members) -> np.ndarray:
-        arr = np.asarray(members, dtype=np.int64)
-        if arr.size == 0:
-            raise EmptySet("containment query over an empty set")
-        return np.flatnonzero(self._containing(arr))
 
     def supersets(self, ball_id: int, strict: bool = False) -> np.ndarray:
         ids = np.flatnonzero(self._containing(self.balls[ball_id].members))
@@ -362,19 +342,6 @@ def build_grid(n: int) -> BallBasis:
 # -- operations ---------------------------------------------------------------
 
 
-def enlarge(basis: BallBasis, ball_id: int, mode: str):
-    """star/star2 return atom arrays; hull/hull2 return Ball objects."""
-    if mode == "star":
-        return basis.star_members(ball_id)
-    if mode == "star2":
-        return basis.star2_members(ball_id)
-    if mode == "hull":
-        return basis.hull_ball(ball_id)
-    if mode == "hull2":
-        return basis.hull2_ball(ball_id)
-    raise ValueError(f"unknown enlarge mode {mode!r}")
-
-
 @dataclass
 class AxiomReport:
     b1_pass: bool
@@ -446,16 +413,6 @@ def check_axioms(basis: BallBasis) -> AxiomReport:
     )
 
 
-def volume_distance(basis: BallBasis, x: int, ball_id: int) -> float:
-    """d(x, B) = smallest measure of a ball containing B and x."""
-    if not (0 <= x < basis.n_atoms):
-        raise NoContainingBall(f"atom {x} outside the space")
-    mask = basis._containing(np.append(basis.ball(ball_id).members, x))
-    if not mask.any():
-        raise NoContainingBall(f"no ball contains ball {ball_id} and atom {x}")
-    return float(basis.mu[mask].min())
-
-
 def exhausting_sequence(basis: BallBasis) -> list[Ball]:
     """Increasing ball chain whose last element has star = X.
 
@@ -476,33 +433,3 @@ def exhausting_sequence(basis: BallBasis) -> list[Ball]:
         i = next(i for i in range(basis.n_balls) if not basis.contains(i, last))
         raise PostconditionFailure("a ball escapes every chain element", witness=i)
     return [basis.balls[i] for i in chain]
-
-
-def doubling_chain(basis: BallBasis, a_id: int, b_id: int) -> dict:
-    """Chain A = A_0 < A_1 < ... < A_n = hull(B) with bounded measure ratios."""
-    if basis.eta is None:
-        raise NotDoubling("basis has no doubling constant")
-    if not basis.contains(a_id, b_id):
-        raise ValueError("need A contained in B")
-    target = int(basis.hull[b_id])
-    chain = [a_id]
-    cur = a_id
-    max_ratio = 1.0
-    while cur != target and not (basis.contains(target, cur) and basis.contains(cur, target)):
-        ids = basis.supersets(cur, strict=True)
-        ids = [int(i) for i in ids if basis.contains(i, target)]
-        if not ids:
-            if basis.contains(target, cur):
-                break
-            raise PostconditionFailure("chain stuck before reaching hull(B)", witness=cur)
-        nxt = min(ids, key=lambda i: (basis.mu[i], i))
-        max_ratio = max(max_ratio, basis.mu[nxt] / basis.mu[cur])
-        chain.append(nxt)
-        cur = nxt
-    bound = basis.eta * basis.K
-    return {
-        "chain": [basis.balls[i] for i in chain],
-        "max_ratio": float(max_ratio),
-        "ratio_bound": float(bound),
-        "length": len(chain) - 1,
-    }

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -182,7 +182,8 @@ class SparseTree:
     alpha: float
     admissible: bool
     sparseness_certified: bool
-    constants: dict = field(default_factory=dict)
+    transcript: list[str]          # one line per dropped child and removed node
+    constants: dict
 
     @property
     def n_nodes(self) -> int:
@@ -357,7 +358,8 @@ def sparsify_tree(basis: BallBasis, F_map, a0: int, alpha: float,
                       underlying=n_und, parent=n_parent, children=n_children,
                       rank=n_rank, witness=witness, sparse_gamma=gamma,
                       alpha=alpha, admissible=admissible,
-                      sparseness_certified=certified, constants=constants)
+                      sparseness_certified=certified, transcript=transcript,
+                      constants=constants)
 
 
 def _uncovered_atoms(basis: BallBasis, node_balls, a0: int, get_f) -> list[int]:

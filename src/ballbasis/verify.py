@@ -135,15 +135,13 @@ class Corpus:
     size: int
 
     def __post_init__(self):
-        for g in self.generators:
-            kind = g if isinstance(g, str) else g.get("kind")
+        for kind in self.generators:
             if kind not in _KIND_CODE:
                 raise ConfigError(f"unknown generator kind {kind!r}")
 
     def cases(self, n_atoms: int):
         """Yield (case_id, VecFunction) pairs in deterministic order."""
-        for g in self.generators:
-            kind = g if isinstance(g, str) else g["kind"]
+        for kind in self.generators:
             for i in range(self.size):
                 vals = _gen_case(kind, self.seed, i, n_atoms)
                 yield f"{kind}/{i}", VecFunction(vals[:, None])
@@ -408,74 +406,15 @@ def _ball_average(vals: np.ndarray, basis: BallBasis) -> np.ndarray:
     return basis.ball_integrals(vals * basis.space.weights) / basis.mu
 
 
-def _weighted_norm_ratio(T: OperatorDescriptor, weight: Weight, p: float,
-                         q: float, corpus: Corpus | None) -> float:
-    """Estimate ||T||_{L^q(w^q) -> L^p(w^p)} on T's basis; 60 power
-    iterations on |kernel| when p = q = 2 and T is a kernel operator, corpus
-    max otherwise."""
-    basis = T.basis
-    w_atom = basis.space.weights
-    wv = weight.w
-    if T.linear and p == 2.0 and q == 2.0:
-        # conjugate by the weight: B g = w T(g/w) acts on plain L^2(mu)
-        kmat = np.abs(np.asarray(T.kernel, dtype=float))
-        bmat = (wv[:, None] / wv[None, :]) * kmat * w_atom[None, :]
-        rng = np.random.default_rng(0)
-        v = rng.normal(size=basis.n_atoms)
-        v /= math.sqrt(float((v * v * w_atom).sum()))
-        for _ in range(60):
-            u = bmat @ v
-            v = (bmat.T @ (u * w_atom)) / w_atom
-            nrm = math.sqrt(float((v * v * w_atom).sum()))
-            if nrm == 0:
-                return 0.0
-            v /= nrm
-        u = bmat @ v
-        return math.sqrt(float((u * u * w_atom).sum()))
-    if corpus is None:
-        return math.nan
-    best = 0.0
-    for _, f in corpus.cases(basis.n_atoms):
-        denom = float(((f.norms() * wv) ** q * w_atom).sum()) ** (1.0 / q)
-        if denom <= 0:
-            continue
-        out = T.apply(f).norms()
-        num = float(((out * wv) ** p * w_atom).sum()) ** (1.0 / p)
-        best = max(best, num / denom)
-    return best
-
-
-def ap_characteristics(w: Weight, basis: BallBasis, p: float,
-                       q: float | None = None,
-                       op: OperatorDescriptor | None = None,
-                       corpus: Corpus | None = None) -> Report:
-    """[w]_{A_p} (q omitted) or [w]_{A_{p,q}}: exact sup over balls of the
-    defining products, optionally with an estimated operator-norm ratio."""
+def ap_characteristics(w: Weight, basis: BallBasis, p: float) -> Report:
+    """[w]_{A_p}: the exact sup over balls of <w>_B <w^(-1/(p-1))>_B^(p-1)."""
     if p <= 1:
         raise ConfigError("p must exceed 1")
-    if q is not None and q <= p:
-        raise ConfigError("q must exceed p")
-    wv = w.w
-    if q is None:
-        a1 = _ball_average(wv, basis)
-        a2 = _ball_average(wv ** (-1.0 / (p - 1.0)), basis)
-        per_ball = a1 * a2 ** (p - 1.0)
-        name = "A_p"
-    else:
-        pprime = p / (p - 1.0)
-        a1 = _ball_average(wv ** q, basis)
-        a2 = _ball_average(wv ** (-pprime), basis)
-        per_ball = a1 * a2 ** (q / pprime)
-        name = "A_pq"
+    a1 = _ball_average(w.w, basis)
+    a2 = _ball_average(w.w ** (-1.0 / (p - 1.0)), basis)
+    per_ball = a1 * a2 ** (p - 1.0)
     char = float(per_ball.max())
-    arg = int(per_ball.argmax())
-    summary = {"characteristic": char, "kind": name, "p": p, "q": q,
-               "witness_ball": arg}
-    rows = [CaseRow("characteristic", name, char, True)]
-    if op is not None:
-        ratio = _weighted_norm_ratio(op, w, p, q if q is not None else p, corpus)
-        summary["norm_ratio_estimate"] = ratio
-        summary["ratio_over_characteristic"] = (ratio / char if char > 0
-                                                else math.inf)
-        rows.append(CaseRow("norm_ratio", "estimate", float(ratio), True))
-    return Report("muckenhoupt", True, summary, rows)
+    summary = {"characteristic": char, "kind": "A_p", "p": p, "q": None,
+               "witness_ball": int(per_ball.argmax())}
+    return Report("muckenhoupt", True, summary,
+                  [CaseRow("characteristic", "A_p", char, True)])

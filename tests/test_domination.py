@@ -11,8 +11,8 @@ from ballbasis import (AlphaViolated, BetaOutOfRange, BOConstants,
                        conditional_expectation, discrete_hilbert, dominate_bo,
                        dominate_mean_osc, estimate_bo_constants,
                        fit_exponential_rate, lerner_decompose,
-                       martingale_transform, restricted_osc_bound,
-                       riesz_potential, verify_sparse_bound, zero_operator)
+                       martingale_transform, riesz_potential,
+                       verify_sparse_bound, zero_operator)
 
 
 def span_ball(basis, lo, hi):
@@ -197,47 +197,36 @@ class TestLerner:
             lerner_decompose(f, dyadic6.full_ball_id(), 1.0, dyadic6)
 
 
-class TestRestrictedOsc:
-    def test_zero_family(self, dyadic6):
-        fam = [zero_operator(dyadic6)]
-        f = VecFunction(np.ones(64))
-        rep = restricted_osc_bound(fam, f, dyadic6.full_ball_id(), 0.75,
-                                   budget=4)
-        assert rep.ratio == 0.0
-        assert rep.passed
+class TestOverlapTail:
+    """The overlap tail of verify_sparse_bound is a fraction of mu(B): on
+    ball 1 of dyadic 8 the family reaches past the ball, and only the atoms
+    of B count."""
 
-    def test_expectation_family(self, dyadic8, rng):
-        fam = [conditional_expectation(dyadic8, k) for k in range(9)]
-        f = VecFunction(rng.normal(size=256))
-        rep = restricted_osc_bound(fam, f, dyadic8.full_ball_id(), 0.75,
-                                   budget=8, admissible=1.0)
-        assert rep.passed
-        assert rep.lhs <= rep.rhs
-
-    def test_hilbert(self, grid128, rng):
-        fam = [discrete_hilbert(grid128)]
-        f = VecFunction(rng.normal(size=128))
-        rep = restricted_osc_bound(fam, f, span_ball(grid128, 0, 127), 0.75,
-                                   budget=8, admissible=1.0)
-        assert rep.passed
-
-    def test_empty_family_rejected(self, dyadic6):
-        with pytest.raises(NotRestricted):
-            restricted_osc_bound([], VecFunction(np.ones(64)),
-                                 dyadic6.full_ball_id(), 0.75)
-
-    def test_nonclassical_rejected(self, grid16):
-        fam = [riesz_potential(grid16, 0.5)]
-        with pytest.raises(NotRestricted):
-            restricted_osc_bound(fam, VecFunction(np.ones(16)),
-                                 span_ball(grid16, 0, 15), 0.75, budget=4)
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", ["lerner_decompose", "dominate_bo"])
+    def test_counts_inside_the_ball(self, dyadic8, name, seed):
+        members = dyadic8.balls[1].members
+        vals = np.zeros(dyadic8.n_atoms)
+        vals[members] = np.random.default_rng(seed).normal(size=members.size)
+        f = VecFunction(vals)
+        if name == "lerner_decompose":
+            bound = lerner_decompose(f, 1, 0.75, dyadic8)
+            target = np.abs(vals - float(bound.center[0]))
+        else:
+            T = martingale_transform(dyadic8, np.ones(dyadic8.n_balls))
+            bound = dominate_bo(T, estimate_bo_constants(T, budget=4), f, 1)
+            target = T.apply(f).norms()
+        rep = verify_sparse_bound(bound, target, 1)
+        assert rep.tail[0] == (0, 1.0)
+        assert all(0.0 <= fr <= 1.0 for _, fr in rep.tail)
 
 
 class TestDominateMeanOsc:
     def test_constant_input(self, dyadic6):
         fam = [conditional_expectation(dyadic6, k) for k in range(7)]
         f = VecFunction(np.full(64, 2.0))
-        bound = dominate_mean_osc(fam, f, dyadic6.full_ball_id(), budget=4)
+        bound = dominate_mean_osc(fam, f, dyadic6.full_ball_id(),
+                                  consts=[t.bo_constants(4, 0) for t in fam])
         tf = np.full(64, 2.0)
         lhs = np.abs(tf - float(bound.center[0]))
         rep = verify_sparse_bound(bound, lhs, dyadic6.full_ball_id())
@@ -247,7 +236,8 @@ class TestDominateMeanOsc:
         fam = [conditional_expectation(dyadic8, k) for k in range(9)]
         f = VecFunction(rng.normal(size=256))
         b = dyadic8.full_ball_id()
-        bound = dominate_mean_osc(fam, f, b, budget=8)
+        bound = dominate_mean_osc(fam, f, b,
+                                  consts=[t.bo_constants(8, 0) for t in fam])
         tf = np.zeros(256)
         for t in fam:
             np.maximum(tf, t.apply(f).norms(), out=tf)
@@ -255,6 +245,18 @@ class TestDominateMeanOsc:
         rep = verify_sparse_bound(bound, lhs, b)
         assert rep.passed
         assert bound.details["overlap_rate"] > 0
+
+    def test_empty_family_rejected(self, dyadic6):
+        with pytest.raises(NotRestricted):
+            dominate_mean_osc([], VecFunction(np.ones(64)),
+                              dyadic6.full_ball_id(), consts=[])
+
+    def test_nonclassical_rejected(self, grid16):
+        fam = [riesz_potential(grid16, 0.5)]
+        with pytest.raises(NotRestricted):
+            dominate_mean_osc(fam, VecFunction(np.ones(16)),
+                              span_ball(grid16, 0, 15),
+                              consts=[t.bo_constants(4, 0) for t in fam])
 
 
 class TestEmittedBoundCertified:
@@ -272,7 +274,8 @@ class TestEmittedBoundCertified:
         if name == "lerner_decompose":
             return lerner_decompose(f, b, 0.75, basis)
         fam = [conditional_expectation(basis, k) for k in range(7)]
-        return dominate_mean_osc(fam, f, b, budget=4)
+        return dominate_mean_osc(fam, f, b,
+                                 consts=[t.bo_constants(4, 0) for t in fam])
 
     @pytest.mark.parametrize("name", ["dominate_bo", "lerner_decompose",
                                       "dominate_mean_osc"])

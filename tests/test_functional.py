@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballbasis import (EmptySet, IncompleteFamily, Params, RegularityViolation,
-                       VecFunction, alpha_core, alpha_oscillation, average,
-                       bmo_norm, build_dyadic, build_grid,
-                       build_regular_family, general_maximal, maximal,
-                       mean_oscillation, median, sharp_all, sup_sharp_all)
+from ballbasis import (Ball, BallBasis, EmptySet, MeasureSpace, Params,
+                       RegularityViolation, VecFunction, alpha_core,
+                       alpha_oscillation, average, bmo_norm, build_dyadic,
+                       build_grid, build_regular_family, general_maximal,
+                       maximal, median, sharp_all, sup_sharp_all)
 from ballbasis.functional import (_max_over_containing_balls, cover_measure_table,
-                                  oscillation_stats, vector_norms)
+                                  mean_oscillation, vector_norms)
 
 CLASSICAL = Params.classical_profile(1.0)
 
@@ -48,11 +48,19 @@ def _scatter_max_by_balls(basis, vals, out):
 
 def _sup_sharp_by_recursion(f, basis, r):
     """The removed sup_sharp mode of mean_oscillation, per ball: the max of
-    the sharp mean over every ball containing the ball's members (each
-    ball's sharp mean computed once)."""
+    the sharp mean over every ball containing the ball (each ball's sharp
+    mean computed once)."""
     sharp = [mean_oscillation(f, b.members, r, basis=basis) for b in basis.balls]
-    return np.array([max(sharp[j] for j in basis.balls_containing_set(b.members))
+    return np.array([max(sharp[j] for j in basis.supersets(b.id))
                      for b in basis.balls])
+
+
+def _oscillation(f, members):
+    """OSC_E(f), the largest distance between two values of f on E, by a
+    loop over the pairs: the reference for alpha_core and median."""
+    vals = f.values[np.unique(members)]
+    return max((float(vector_norms(vals[i + 1:] - vals[i], f.norm_kind).max())
+                for i in range(len(vals) - 1)), default=0.0)
 
 
 def _cover_measure_table_by_lo(basis):
@@ -87,13 +95,6 @@ class TestAverage:
             got = average(f, b.members, CLASSICAL, basis=dyadic3)
             assert got == pytest.approx(3.5)
 
-    def test_sup_mode(self, dyadic3):
-        f = indicator(8, [0])
-        second = np.flatnonzero((dyadic3.lo == 1) & (dyadic3.hi == 1))[0]
-        got = average(f, dyadic3.balls[second].members, CLASSICAL,
-                      mode="sup", basis=dyadic3)
-        assert got == pytest.approx(0.5)
-
     def test_empty(self, dyadic3):
         with pytest.raises(EmptySet):
             average(VecFunction(np.ones(8)), [], CLASSICAL, basis=dyadic3)
@@ -107,25 +108,22 @@ class TestAverage:
         assert b == pytest.approx(3.0 * a)
 
 
-class TestOscillationStats:
+class TestOscillationReference:
     def test_constant(self):
-        osc, sup, inf = oscillation_stats(VecFunction(np.ones(4)), [0, 1, 2, 3])
-        assert osc == 0.0
+        assert _oscillation(VecFunction(np.ones(4)), [0, 1, 2, 3]) == 0.0
 
     def test_scalar_values(self):
         f = VecFunction(np.array([1.0, 1.0, 5.0]))
-        osc, sup, inf = oscillation_stats(f, [0, 1, 2])
-        assert (osc, sup, inf) == (4.0, 5.0, 1.0)
+        assert _oscillation(f, [0, 1, 2]) == 4.0
+        assert _oscillation(f, [2]) == 0.0
 
     def test_euclidean_pair(self):
         f = VecFunction(np.array([[0.0, 0.0], [3.0, 4.0]]))
-        osc, sup, inf = oscillation_stats(f, [0, 1])
-        assert osc == 5.0
+        assert _oscillation(f, [0, 1]) == 5.0
 
     def test_osc_le_two_sup(self, rng):
         f = VecFunction(rng.normal(size=(16, 2)))
-        osc, sup, _ = oscillation_stats(f, list(range(16)))
-        assert osc <= 2 * sup + 1e-12
+        assert _oscillation(f, list(range(16))) <= 2 * f.norms().max() + 1e-12
 
 
 class TestMeanOscillation:
@@ -143,13 +141,14 @@ class TestMeanOscillation:
     def test_half_ball_average_gap(self, dyadic4, rng):
         # |f_A - f_B| <= (mu(B)/mu(A))^(1/r) * sharp(B) for A half of B
         f = VecFunction(rng.normal(size=16))
+        w = dyadic4.space.weights
         for r in (1.0, 2.0):
             for b in dyadic4.balls:
                 if len(b.members) < 2:
                     continue
                 half = b.members[: len(b.members) // 2]
-                fa = np.ravel(mean_oscillation(f, half, r, mode="mean", basis=dyadic4))[0]
-                fb = np.ravel(mean_oscillation(f, b.members, r, mode="mean", basis=dyadic4))[0]
+                fa, fb = (float(f.values[m, 0] @ w[m] / w[m].sum())
+                          for m in (half, b.members))
                 sharp = mean_oscillation(f, b.members, r, basis=dyadic4)
                 ratio = (dyadic4.measure(b.members) / dyadic4.measure(half))
                 assert abs(fa - fb) <= ratio ** (1.0 / r) * sharp + 1e-12
@@ -217,8 +216,7 @@ class TestAlphaCore:
         full = dyadic3.balls[dyadic3.full_ball_id()].members
         atoms, osc = alpha_core(f, full, 0.6, dyadic3)
         assert dyadic3.measure(atoms) > 0.6
-        got, _, _ = oscillation_stats(f, atoms)
-        assert got <= osc + 1e-12
+        assert _oscillation(f, atoms) <= osc + 1e-12
 
     def test_slack_grows_mass(self, dyadic3, rng):
         f = VecFunction(rng.normal(size=8))
@@ -226,8 +224,7 @@ class TestAlphaCore:
         tight, osc = alpha_core(f, full, 0.6, dyadic3, slack=1.0)
         fat, _ = alpha_core(f, full, 0.6, dyadic3, slack=2.0)
         assert dyadic3.measure(fat) >= dyadic3.measure(tight)
-        got, _, _ = oscillation_stats(f, fat)
-        assert got <= 2.0 * osc + 1e-12
+        assert _oscillation(f, fat) <= 2.0 * osc + 1e-12
 
     def test_bad_slack(self, dyadic3):
         with pytest.raises(ValueError):
@@ -260,8 +257,7 @@ class TestMedian:
         f = VecFunction(rng.normal(size=8))
         full = dyadic3.balls[dyadic3.full_ball_id()].members
         med, _ = median(f, full, dyadic3)
-        osc, _, _ = oscillation_stats(f, med)
-        assert osc <= 4.0 * alpha_oscillation(f, full, 0.5, dyadic3) + 1e-12
+        assert _oscillation(f, med) <= 4.0 * alpha_oscillation(f, full, 0.5, dyadic3) + 1e-12
 
 
 class TestBmoNorm:
@@ -323,9 +319,14 @@ class TestRegularFamily:
         assert fam.kernels.shape == (31, 16)
         assert fam.c1 >= (1 + dyadic4.K) ** -2 - 1e-12
 
-    def test_divergent_modulus_rejected(self, dyadic4):
-        with pytest.raises((ValueError, RegularityViolation)):
-            build_regular_family(dyadic4, omega=lambda t: 1.0)
+    def test_unreachable_atom_rejected(self):
+        # no ball holds {0,1} and the atom 2: d = inf there, and the
+        # envelope omega(mu/d)/d vanishes
+        balls = [Ball(0, np.array([0, 1]), 2.0), Ball(1, np.array([1, 2]), 2.0)]
+        basis = BallBasis(MeasureSpace(np.ones(3)), balls, [0, 1], K=2.0, eta=2.0)
+        with pytest.raises(RegularityViolation, match="zero envelope") as err:
+            build_regular_family(basis)
+        assert err.value.witness == (0,)
 
 
 class TestGeneralMaximal:
@@ -342,13 +343,6 @@ class TestGeneralMaximal:
         for x in range(8):
             ids = grid8.balls_containing_atom(x)
             assert out[x] == pytest.approx(vals[ids].max())
-
-    def test_incomplete_family(self, grid8):
-        fam = build_regular_family(grid8)
-        smallest = {x: [int(np.flatnonzero((grid8.lo == x) & (grid8.hi == x))[0])]
-                    for x in range(8)}
-        with pytest.raises(IncompleteFamily):
-            general_maximal(VecFunction(np.ones(8)), fam, complete=smallest)
 
 
 class TestSharpBounds:

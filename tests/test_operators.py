@@ -718,9 +718,9 @@ class TestTruncationCost:
             truncate(maximal_modulation([identity_operator(dyadic3), T]))
 
 
-# Outside operators.py only this function reads an operator's kernel (it
-# needs the matrix); nothing else builds a descriptor or reads its structure.
-STRUCTURE_READS = [("verify", "_weighted_norm_ratio", "kernel")]
+# Outside operators.py nothing builds a descriptor or reads its structure
+# (kernel, apply_fn, truncate_fn).
+STRUCTURE_READS = []
 
 
 def test_structure_reads_stay_in_operators():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -446,6 +447,37 @@ class TestSetRowsEqualPairLoops:
         for got, ref in zip(tree.witness, want["witness"]):
             assert np.array_equal(got, ref)
         assert tree.constants["child_mass_ratio"] >= 0.0
+
+    @pytest.mark.parametrize("levels,alpha,seed", PAIR_CASES)
+    def test_transcript_counts_removals(self, levels, alpha, seed):
+        basis = build_dyadic(levels)
+        f_map = _cluster_family(basis, alpha, seed)
+        _, removed = _sparsify_tree_by_pairs(basis, f_map, basis.full_ball_id(), alpha)
+        with pytest.warns(UserWarning, match="guaranteed threshold"):
+            tree = sparsify_tree(basis, f_map, basis.full_ball_id(), alpha)
+        for name in ("wedge", "disjointing"):
+            lines = [ln for ln in tree.transcript
+                     if ln.startswith(f"{name} pass removed node ")]
+            assert len(lines) == removed[name]
+
+    @pytest.mark.parametrize("levels,alpha,seed", FAILING_CASES)
+    def test_tolerant_transcript_names_dropped_children(self, levels, alpha, seed):
+        # the child that stops the strict construction is the first one the
+        # tolerant construction drops; alpha is inadmissible, so no removal
+        # pass runs and every line is a dropped child
+        basis = build_dyadic(levels)
+        f_map = _cluster_family(basis, alpha, seed)
+        want, _ = _sparsify_tree_by_pairs(basis, f_map, basis.full_ball_id(), alpha)
+        with pytest.warns(UserWarning, match="guaranteed threshold"):
+            tree = sparsify_tree(basis, f_map, basis.full_ball_id(), alpha,
+                                 tolerant=True)
+        dropped = [re.fullmatch(r"dropped non-shrinking child (\d+) of (\d+)", ln)
+                   for ln in tree.transcript]
+        assert dropped and all(dropped)
+        g, a = dropped[0].groups()
+        assert want["error"].startswith(f"child ball {g} does not shrink below "
+                                        f"its parent {a};")
+        assert all(basis.mu[int(m[1])] >= basis.mu[int(m[2])] for m in dropped)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_witness_parity(self, dyadic3, seed):
