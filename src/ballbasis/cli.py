@@ -38,16 +38,14 @@ from .verify import (CaseRow, Corpus, Report, Weight, _clean,
 
 _TOP_KEYS = {"basis", "seed", "out", "operators", "corpus", "estimate",
              "sparsify", "dominate", "mean_osc", "verify"}
-_OP_KEYS = {
-    "martingale_transform": {"kind", "name", "eps_seed"},
-    "square_function": {"kind", "name"},
-    "conditional_expectation": {"kind", "name", "level"},
-    "ek_maximal": {"kind", "name"},
-    "discrete_hilbert": {"kind", "name"},
-    "riesz_potential": {"kind", "name", "alpha"},
-    "identity": {"kind", "name"},
-    "zero": {"kind", "name"},
-    "sparse": {"kind", "name", "seed", "count", "rho"},
+# operator kind -> the keys its spec may set besides kind and name, with defaults
+_OP_DEFAULTS = {
+    "martingale_transform": {"eps_seed": 1},
+    "conditional_expectation": {"level": 0},
+    "riesz_potential": {"alpha": 0.5},
+    "sparse": {"seed": 2, "count": 8, "rho": 1.0},
+    "square_function": {}, "ek_maximal": {}, "discrete_hilbert": {},
+    "identity": {}, "zero": {},
 }
 
 _SUITES = ("weak_type", "good_lambda", "exp_decay", "john_nirenberg", "bmo",
@@ -155,9 +153,15 @@ def load_config(path: str) -> dict:
     for spec in cfg["operators"]:
         _check_type("operator entry", spec, {})
         kind = spec.get("kind")
-        if kind not in _OP_KEYS:
+        if kind not in _OP_DEFAULTS:
             raise ConfigError(f"unknown operator kind {kind!r}")
-        _check_keys(f"operator {kind}", spec, _OP_KEYS[kind])
+        defaults = {"kind": kind, "name": "", **_OP_DEFAULTS[kind]}
+        _check_keys(f"operator {kind}", spec, set(defaults))
+        for k, default in defaults.items():
+            _check_type(f"operator {kind}.{k}", spec.get(k, default), default)
+        if spec.get("count", 1) < 1:
+            raise ConfigError(f"operator sparse.count must be >= 1, "
+                              f"got {spec['count']!r}")
     return cfg
 
 
@@ -187,35 +191,32 @@ def build_operator(spec: dict, basis, seed: int) -> OperatorDescriptor:
 
 
 def _construct(kind: str, spec: dict, basis, seed: int) -> OperatorDescriptor:
+    v = {**_OP_DEFAULTS[kind], **spec}
     if kind == "martingale_transform":
-        rng = np.random.default_rng([seed, int(spec.get("eps_seed", 1))])
+        rng = np.random.default_rng([seed, v["eps_seed"]])
         eps = rng.integers(0, 2, size=basis.n_balls) * 2 - 1
-        op = martingale_transform(basis, eps)
+        return martingale_transform(basis, eps)
     elif kind == "square_function":
-        op = square_function(basis)
+        return square_function(basis)
     elif kind == "conditional_expectation":
-        op = conditional_expectation(basis, int(spec.get("level", 0)))
+        return conditional_expectation(basis, v["level"])
     elif kind == "ek_maximal":
         fam = [conditional_expectation(basis, k)
                for k in range(dyadic_levels(basis) + 1)]
-        op = maximal_modulation(fam)
+        return maximal_modulation(fam)
     elif kind == "discrete_hilbert":
-        op = discrete_hilbert(basis)
+        return discrete_hilbert(basis)
     elif kind == "riesz_potential":
-        op = riesz_potential(basis, float(spec.get("alpha", 0.5)))
+        return riesz_potential(basis, float(v["alpha"]))
     elif kind == "identity":
-        op = identity_operator(basis)
+        return identity_operator(basis)
     elif kind == "zero":
-        op = zero_operator(basis)
-    elif kind == "sparse":
-        rng = np.random.default_rng([seed, int(spec.get("seed", 2))])
-        count = int(spec.get("count", 8))
-        ids = np.sort(rng.choice(basis.n_balls, size=min(count, basis.n_balls),
+        return zero_operator(basis)
+    else:  # sparse
+        rng = np.random.default_rng([seed, v["seed"]])
+        ids = np.sort(rng.choice(basis.n_balls, size=min(v["count"], basis.n_balls),
                                  replace=False))
-        op = sparse_operator(basis, ids, float(spec.get("rho", 1.0)))
-    else:
-        raise ConfigError(f"unknown operator kind {kind!r}")
-    return op
+        return sparse_operator(basis, ids, float(v["rho"]))
 
 
 def _resolve_ball(spec, basis) -> int:

@@ -280,7 +280,7 @@ def lerner_decompose(f: VecFunction, a0: int, beta: float,
     fam = disjointify(m_sets, parents, e_sets, weights=basis.space.weights)
 
     terms = [alpha_oscillation(f, ms, beta, basis) for ms in m_sets]
-    med_set, med_rep = median(f, basis.balls[a0].members, basis)
+    _, med_rep = median(f, basis.balls[a0].members, basis)
     dev = f.values - med_rep[None, :]
     lhs = VecFunction(dev, f.norm_kind).norms()
     bound = SparseBound(basis=basis, family=[int(basis.hull[nb]) for nb in node_balls],

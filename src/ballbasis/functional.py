@@ -170,43 +170,88 @@ def _min_osc(masses, osc, need: float) -> float:
     return float(osc[ok].min())
 
 
-def alpha_oscillation(f: VecFunction, members, alpha: float,
-                      basis: BallBasis | None = None, method: str = "auto") -> float:
-    """OSC_{B,alpha}: smallest oscillation on a subset of mass > alpha*mu(B)."""
+def _query_atoms(members, alpha: float, basis: BallBasis, what: str):
+    """members as an atom array, and its weights, after the shared checks."""
     if not (0 < alpha < 1):
         raise ValueError("alpha must lie in (0,1)")
     arr = as_atom_array(members)
     if arr.size == 0:
-        raise EmptySet("alpha-oscillation over an empty set")
-    if basis is None:
-        raise ValueError("needs the basis for weights")
-    w = basis.space.weights[arr]
-    if method == "exhaustive" or (method == "auto" and not f.scalar):
+        raise EmptySet(f"{what} over an empty set")
+    return arr, basis.space.weights[arr]
+
+
+def _use_oracle(f: VecFunction, method: str) -> bool:
+    return method == "exhaustive" or (method == "auto" and not f.scalar)
+
+
+class _SortedWindows:
+    """Scalar f on a stack of equal-size atom sets idx (m, L): per row the
+    stable sort order of f, the sorted values sv and the prefix masses pre.
+    The window (i, j) of a row has width sv[j] - sv[i] and mass pre[j+1] -
+    pre[i]; each query answers for every row and every start i at once."""
+
+    def __init__(self, f: VecFunction, idx: np.ndarray, weights: np.ndarray):
+        v = f.values[idx, 0]
+        self.order = np.argsort(v, axis=-1, kind="stable")
+        self.sv = np.take_along_axis(v, self.order, -1)
+        ws = np.take_along_axis(weights[idx], self.order, -1)
+        self.pre = np.concatenate([np.zeros((len(idx), 1)),
+                                   np.cumsum(ws, axis=-1)], axis=-1)
+        self.start = np.arange(idx.shape[1])
+
+    def _first(self, over) -> np.ndarray:
+        """Per row and start i, the least end j >= i with over(j) (L where
+        none): over is monotone in j, so one bisection serves every start."""
+        L = self.sv.shape[1]
+        lo = np.broadcast_to(self.start, self.sv.shape)
+        hi = np.full(self.sv.shape, L)
+        while (live := lo < hi).any():
+            mid = (lo + hi) // 2
+            hit = live & over(np.minimum(mid, L - 1))
+            hi = np.where(hit, mid, hi)
+            lo = np.where(live & ~hit, mid + 1, lo)
+        return lo
+
+    def mass(self, ends: np.ndarray) -> np.ndarray:
+        """Mass of the window from each start i to ends[:, i]."""
+        return np.take_along_axis(self.pre, ends + 1, -1) - self.pre[:, :-1]
+
+    def longest(self, width: np.ndarray) -> np.ndarray:
+        """Per start, the end of the longest window of width <= width[row]."""
+        sv = self.sv
+        return self._first(lambda j: np.take_along_axis(sv, j, -1) - sv
+                           > width[:, None]) - 1
+
+    def alpha_osc(self, alpha: float) -> np.ndarray:
+        """OSC_alpha per row: the least width of a window of mass over alpha*mu."""
+        L = self.sv.shape[1]
+        ends = self._first(lambda j: self.mass(j) > alpha * self.pre[:, -1:])
+        widths = np.take_along_axis(self.sv, np.minimum(ends, L - 1), -1) - self.sv
+        osc = np.where(ends < L, widths, np.inf).min(axis=-1)
+        if np.isinf(osc).any():
+            raise EmptySet("no subset exceeds the alpha mass threshold")
+        return osc
+
+
+def alpha_oscillation(f: VecFunction, members, alpha: float,
+                      basis: BallBasis, method: str = "auto") -> float:
+    """OSC_{B,alpha}: smallest oscillation on a subset of mass > alpha*mu(B)."""
+    arr, w = _query_atoms(members, alpha, basis, "alpha-oscillation")
+    if _use_oracle(f, method):
         _, masses, osc = _subset_oscillations(f, arr, w)
         return _min_osc(masses, osc, alpha * w.sum())
-    best = alpha_oscillation_raw(f, arr, w, alpha)
-    if math.isinf(best):
-        raise EmptySet("no subset exceeds the alpha mass threshold")
-    return best
+    return float(_SortedWindows(f, arr[None], basis.space.weights).alpha_osc(alpha)[0])
 
 
 def alpha_core(f: VecFunction, members, alpha: float, basis: BallBasis,
                slack: float = 1.0) -> tuple[np.ndarray, float]:
-    """An achieving set for the alpha-oscillation: atoms of mass exceeding
-    alpha*mu(B) whose oscillation is at most slack*OSC_{B,alpha}(f).
-
-    With slack = 1 the minimal window is returned (oscillation exactly the
-    alpha-oscillation); larger slack returns the maximal-mass qualifying set,
-    so constants pick up their full support.  Returns (atoms, OSC_{B,alpha}).
-    """
-    if not (0 < alpha < 1):
-        raise ValueError("alpha must lie in (0,1)")
+    """The first set of largest mass among those of mass exceeding
+    alpha*mu(B) and oscillation at most slack*OSC_{B,alpha}(f), so a slack
+    above 1 lets constants pick up their full support.  Returns (atoms,
+    OSC_{B,alpha})."""
     if slack < 1.0:
         raise ValueError("slack must be at least 1")
-    arr = as_atom_array(members)
-    if arr.size == 0:
-        raise EmptySet("alpha-core over an empty set")
-    w = basis.space.weights[arr]
+    arr, w = _query_atoms(members, alpha, basis, "alpha-core")
     if not f.scalar:
         S, masses, osc = _subset_oscillations(f, arr, w)
         need = alpha * w.sum()
@@ -214,94 +259,48 @@ def alpha_core(f: VecFunction, members, alpha: float, basis: BallBasis,
         hits = np.flatnonzero((masses > need) & (osc <= slack * target + 1e-15))
         pick = int(hits[np.argmax(masses[hits])])
         return arr[S[pick]], float(target)
-    best = alpha_oscillation_raw(f, arr, w, alpha)
-    if math.isinf(best):
-        raise EmptySet("no subset exceeds the alpha mass threshold")
-    order, sv, pre = _sorted_prefix(f, arr, w)
-    need = alpha * pre[-1]
-    # widest-mass window of width slack*best (first such window on ties)
-    best_mass = -1.0
-    best_ij = None
-    for i, j in _value_windows(sv, slack * best + 1e-15):
-        mass = pre[j + 1] - pre[i]
-        if mass > need and mass > best_mass + 1e-15:
-            best_mass = mass
-            best_ij = (i, j)
-    i, j = best_ij
-    return np.sort(arr[order[i:j + 1]]), best
+    t = _SortedWindows(f, arr[None], basis.space.weights)
+    best = t.alpha_osc(alpha)
+    ends = t.longest(slack * best + 1e-15)
+    # the window achieving best fits, so the largest mass is over alpha*mu
+    i = int(np.argmax(t.mass(ends)[0]))
+    return np.sort(arr[t.order[0, i:ends[0, i] + 1]]), float(best[0])
 
 
-def _sorted_prefix(f: VecFunction, arr, w):
-    """Stable sort order of scalar f on arr, the sorted values, and the
-    prefix sums of the weights in that order."""
-    v = f.values[arr, 0]
-    order = np.argsort(v, kind="stable")
-    return order, v[order], np.concatenate([[0.0], np.cumsum(w[order])])
-
-
-def _value_windows(sv: np.ndarray, width: float):
-    """For each i, (i, j) with sv[i..j] the longest run of the sorted values
-    sv that starts at i and spans at most width."""
-    j = 0
-    for i in range(len(sv)):
-        j = max(j, i)
-        while j + 1 < len(sv) and sv[j + 1] - sv[i] <= width:
-            j += 1
-        yield i, j
-
-
-def _scalar_median_set(f: VecFunction, arr, w) -> np.ndarray:
-    osc0 = 2.0 * alpha_oscillation_raw(f, arr, w, 0.5)
-    order, sv, pre = _sorted_prefix(f, arr, w)
-    half = 0.5 * pre[-1]
-    marked = np.zeros(len(arr), dtype=bool)
-    for i, j in _value_windows(sv, osc0):
-        if pre[j + 1] - pre[i] > half:
-            marked[order[i:j + 1]] = True
-    return arr[marked]
-
-
-def alpha_oscillation_raw(f: VecFunction, arr, w, alpha: float) -> float:
-    """Fast-path alpha-oscillation on pre-resolved atoms/weights (scalar f)."""
-    _, sv, pre = _sorted_prefix(f, arr, w)
-    need = alpha * pre[-1]
-    best = math.inf
-    j = 0
-    for i in range(len(sv)):
-        j = max(j, i)
-        while j < len(sv) and pre[j + 1] - pre[i] <= need:
-            j += 1
-        if j == len(sv):
-            break
-        best = min(best, float(sv[j] - sv[i]))
-    return best
+def medians(f: VecFunction, idx: np.ndarray, basis: BallBasis,
+            method: str) -> tuple[np.ndarray, np.ndarray]:
+    """Median cores of a stack of equal-size atom sets idx (m, L), as an
+    (m, L) mask over idx, and their representatives (m, d): f at the lowest
+    atom of each core.  See median."""
+    w = basis.space.weights
+    if _use_oracle(f, method):
+        cores = np.zeros(idx.shape, dtype=bool)
+        for k, arr in enumerate(idx):
+            S, masses, osc = _subset_oscillations(f, arr, w[arr])
+            need = 0.5 * w[arr].sum()
+            cores[k] = S[(masses > need)
+                         & (osc <= 2.0 * _min_osc(masses, osc, need))].any(axis=0)
+    else:
+        t = _SortedWindows(f, idx, w)
+        ends = t.longest(2.0 * t.alpha_osc(0.5))
+        starts = t.mass(ends) > 0.5 * t.pre[:, -1:]
+        # sorted position k is in a qualifying window iff some qualifying
+        # start i <= k has its end at k or beyond
+        reach = np.maximum.accumulate(np.where(starts, ends, -1), axis=-1)
+        cores = np.zeros(idx.shape, dtype=bool)
+        np.put_along_axis(cores, t.order, reach >= t.start, -1)
+    if not cores.any(axis=-1).all():
+        raise EmptySet("median core came out empty")
+    return cores, f.values[np.where(cores, idx, basis.n_atoms).min(axis=-1)]
 
 
 def median(f: VecFunction, members, basis: BallBasis,
            method: str = "auto") -> tuple[np.ndarray, np.ndarray]:
-    """Median core M_f(B) plus a deterministic representative value.
-
-    M_f(B) is the union of all E inside B with mu(E) > mu(B)/2 and
-    OSC_E(f) <= 2 OSC_{B,1/2}(f); the representative is f at the lowest
-    member id.
-    """
-    arr = as_atom_array(members)
-    if arr.size == 0:
-        raise EmptySet("median over an empty set")
-    w = basis.space.weights[arr]
-    if method == "exhaustive" or (method == "auto" and not f.scalar):
-        S, masses, osc = _subset_oscillations(f, arr, w)
-        need = 0.5 * w.sum()
-        osc0 = 2.0 * _min_osc(masses, osc, need)
-        qual = (masses > need) & (osc <= osc0)
-        marked = S[qual].any(axis=0) if qual.any() else np.zeros(len(arr), dtype=bool)
-        med = arr[marked]
-    else:
-        med = _scalar_median_set(f, arr, w)
-    if len(med) == 0:
-        raise EmptySet("median core came out empty")
-    rep = f.values[int(med.min())].copy()
-    return med, rep
+    """Median core M_f(B), the union of all E inside B with mu(E) > mu(B)/2
+    and OSC_E(f) <= 2 OSC_{B,1/2}(f), and f at its lowest member id."""
+    arr, _ = _query_atoms(members, 0.5, basis, "median")
+    cores, reps = medians(f, arr[None], basis, method)
+    return arr[cores[0]], reps[0]
 
 
 # -- BMO and maximal functions --------------------------------------------------

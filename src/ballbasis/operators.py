@@ -118,17 +118,14 @@ def conditional_expectation(basis: BallBasis, level: int) -> OperatorDescriptor:
 
 
 def martingale_transform(basis: BallBasis, eps) -> OperatorDescriptor:
-    """M_eps f = sum over non-leaf balls A of eps_A Delta_A f."""
-    levels = dyadic_levels(basis)
-    non_leaf = [bid for g in range(levels) for bid in _level_slices(g)]
-    if hasattr(eps, "__getitem__") and not isinstance(eps, dict):
-        eps = {bid: eps[k] for k, bid in enumerate(non_leaf)}
-    missing = [bid for bid in non_leaf if bid not in eps]
-    if missing:
-        raise ValueError(f"eps missing for non-leaf balls {missing[:5]}")
+    """M_eps f = sum over non-leaf balls A of eps_A Delta_A f, with eps_A =
+    eps[A]: the non-leaf balls are ids 0 .. n-2 in heap order."""
+    dyadic_levels(basis)  # raises unless the basis is dyadic
     n = basis.n_atoms
+    if len(eps) < n - 1:
+        raise ValueError(f"eps needs {n - 1} signs, one per non-leaf ball")
     kernel = np.zeros((n, n))
-    for a in non_leaf:
+    for a in range(n - 1):
         alo, ahi = int(basis.lo[a]), int(basis.hi[a])
         sign = float(eps[a])
         if sign not in (-1.0, 1.0):
@@ -148,7 +145,8 @@ def square_function(basis: BallBasis) -> OperatorDescriptor:
     mu = _by_generation(basis, levels, basis.mu)[:, :, None]
     # B* is B or an ancestor (the star rule adds the nested balls of measure
     # <= 2 mu(B)); star_gen[g, x]: its generation for x's generation-g ball
-    star_size = np.array([basis.star_members(i).size for i in range(basis.n_balls)])
+    slo, shi = basis.star_spans()
+    star_size = shi - slo + 1
     star_gen = _by_generation(basis, levels,
                               np.round(np.log2(n / star_size)).astype(np.int64))
 

@@ -18,7 +18,7 @@ from .errors import ConfigError, InfZero, ZeroBmoNorm
 from .space import BallBasis
 from .functional import (Params, VecFunction, alpha_oscillation, bmo_norm,
                          fit_exponential_rate, level_tail, maximal,
-                         mean_deviation, median, vector_norms)
+                         mean_deviation, median, medians, vector_norms)
 from .operators import OperatorDescriptor, truncate
 
 
@@ -307,10 +307,10 @@ def john_nirenberg_report(f: VecFunction, basis: BallBasis) -> Report:
     levels = list(range(0, T_MAX + 1))
     tail_med = np.zeros(len(levels))
     tail_avg = np.zeros(len(levels))
-    for ids, idx in basis.size_groups():
+    for _, idx in basis.size_groups():
         ww = w[idx]
         vals = f.values[idx]
-        meds = np.stack([median(f, basis.balls[i].members, basis)[1] for i in ids])
+        _, meds = medians(f, idx, basis, "auto")
         dev_m = vector_norms(vals - meds[:, None, :], f.norm_kind)
         mu, dev_a = mean_deviation(vals, ww, f.norm_kind)
         tail_med = np.maximum(tail_med, level_tail(dev_m, norm, ww, mu, T_MAX).max(axis=0))

@@ -86,3 +86,73 @@ def grid128():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+# -- scalar two-pointer loops ------------------------------------------------
+# One loop per query over the stably sorted values of scalar f on an atom set
+# arr with weights w: the reference the sorted-window queries of
+# ballbasis.functional must equal bitwise.
+
+
+def _sorted_prefix(f, arr, w):
+    """Stable sort order of scalar f on arr, the sorted values, and the
+    prefix sums of the weights in that order."""
+    v = f.values[arr, 0]
+    order = np.argsort(v, kind="stable")
+    return order, v[order], np.concatenate([[0.0], np.cumsum(w[order])])
+
+
+def _value_windows(sv, width):
+    """For each i, (i, j) with sv[i..j] the longest run of the sorted values
+    sv that starts at i and spans at most width."""
+    j = 0
+    for i in range(len(sv)):
+        j = max(j, i)
+        while j + 1 < len(sv) and sv[j + 1] - sv[i] <= width:
+            j += 1
+        yield i, j
+
+
+def alpha_oscillation_by_loop(f, arr, w, alpha):
+    """The least width of a run of sorted values of mass over alpha*mu."""
+    _, sv, pre = _sorted_prefix(f, arr, w)
+    need = alpha * pre[-1]
+    best = float("inf")
+    j = 0
+    for i in range(len(sv)):
+        j = max(j, i)
+        while j < len(sv) and pre[j + 1] - pre[i] <= need:
+            j += 1
+        if j == len(sv):
+            break
+        best = min(best, float(sv[j] - sv[i]))
+    return best
+
+
+def alpha_core_by_loop(f, arr, w, alpha, slack):
+    """The first run of largest mass among the runs of mass over alpha*mu
+    and width at most slack times the alpha-oscillation."""
+    best = alpha_oscillation_by_loop(f, arr, w, alpha)
+    order, sv, pre = _sorted_prefix(f, arr, w)
+    need = alpha * pre[-1]
+    best_mass, best_ij = -1.0, None
+    for i, j in _value_windows(sv, slack * best + 1e-15):
+        mass = pre[j + 1] - pre[i]
+        if mass > need and mass > best_mass:
+            best_mass, best_ij = mass, (i, j)
+    i, j = best_ij
+    return np.sort(arr[order[i:j + 1]]), best
+
+
+def median_by_loop(f, arr, w):
+    """The median core (every run of mass over mu/2 and width at most twice
+    the 1/2-oscillation) and f at its lowest atom."""
+    osc0 = 2.0 * alpha_oscillation_by_loop(f, arr, w, 0.5)
+    order, sv, pre = _sorted_prefix(f, arr, w)
+    half = 0.5 * pre[-1]
+    marked = np.zeros(len(arr), dtype=bool)
+    for i, j in _value_windows(sv, osc0):
+        if pre[j + 1] - pre[i] > half:
+            marked[order[i:j + 1]] = True
+    med = arr[marked]
+    return med, f.values[int(med.min())].copy()

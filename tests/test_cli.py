@@ -136,6 +136,21 @@ class TestMain:
         assert main(["all", "--config", path]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "sparse", "count": 2.5},
+        {"kind": "sparse", "count": True},
+        {"kind": "sparse", "count": 0},
+        {"kind": "martingale_transform", "eps_seed": True},
+        {"kind": "conditional_expectation", "level": 1.7},
+        {"kind": "identity", "name": 5},
+    ], ids=["count_float", "count_bool", "count_zero", "eps_seed_bool",
+            "level_float", "name_not_string"])
+    def test_bad_operator_value_exit_two(self, tmp_path, capsys, spec):
+        path = write_cfg(tmp_path, small_cfg(tmp_path / "out", operators=[spec]))
+        assert main(["all", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "Traceback" not in err
+
     def test_non_integer_env_seed_exit_two(self, tmp_path, capsys,
                                            monkeypatch):
         cfg = small_cfg(tmp_path / "out")

@@ -9,7 +9,8 @@ from ballbasis import (Ball, BallBasis, EmptySet, MeasureSpace, Params,
                        build_grid, build_regular_family, general_maximal,
                        maximal, median, sharp_all, sup_sharp_all)
 from ballbasis.functional import (_max_over_containing_balls, cover_measure_table,
-                                  mean_oscillation, vector_norms)
+                                  mean_oscillation, medians, vector_norms)
+from conftest import alpha_core_by_loop, alpha_oscillation_by_loop, median_by_loop
 
 CLASSICAL = Params.classical_profile(1.0)
 
@@ -258,6 +259,43 @@ class TestMedian:
         full = dyadic3.balls[dyadic3.full_ball_id()].members
         med, _ = median(f, full, dyadic3)
         assert _oscillation(f, med) <= 4.0 * alpha_oscillation(f, full, 0.5, dyadic3) + 1e-12
+
+
+class TestSortedWindows:
+    """The sorted-window queries against the scalar two-pointer loops, on
+    every ball: bitwise equal, ties in f included."""
+
+    @staticmethod
+    def _functions(basis):
+        rng = np.random.default_rng(11)
+        return [VecFunction(rng.lognormal(size=basis.n_atoms)),
+                VecFunction(rng.integers(0, 4, size=basis.n_atoms).astype(float))]
+
+    def test_alpha_oscillation_and_core(self, stat_basis):
+        w = stat_basis.space.weights
+        for f in self._functions(stat_basis):
+            for b in stat_basis.balls:
+                m = b.members
+                for alpha in (0.1, 0.5, 0.75, 0.9):
+                    osc = alpha_oscillation(f, m, alpha, stat_basis)
+                    assert osc == alpha_oscillation_by_loop(f, m, w[m], alpha)
+                for slack in (1.0, 2.0):
+                    atoms, osc = alpha_core(f, m, 0.75, stat_basis, slack=slack)
+                    want, want_osc = alpha_core_by_loop(f, m, w[m], 0.75, slack)
+                    assert np.array_equal(atoms, want) and osc == want_osc
+
+    def test_median_per_ball_and_stacked(self, stat_basis):
+        w = stat_basis.space.weights
+        for f in self._functions(stat_basis):
+            for ids, idx in stat_basis.size_groups():
+                cores, reps = medians(f, idx, stat_basis, "auto")
+                for k, i in enumerate(ids):
+                    m = stat_basis.balls[i].members
+                    want, want_rep = median_by_loop(f, m, w[m])
+                    med, rep = median(f, m, stat_basis)
+                    assert np.array_equal(med, want) and np.array_equal(rep, want_rep)
+                    assert np.array_equal(idx[k][cores[k]], want)
+                    assert np.array_equal(reps[k], want_rep)
 
 
 class TestBmoNorm:

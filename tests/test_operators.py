@@ -65,6 +65,12 @@ class TestMartingaleTransform:
         out = T.apply(VecFunction(np.full(64, 5.0)))
         assert np.allclose(out.values, 0.0)
 
+    def test_short_sign_sequence(self, dyadic6):
+        # one sign per non-leaf ball, ids 0 .. 62
+        with pytest.raises(ValueError, match="non-leaf"):
+            martingale_transform(dyadic6, np.ones(62))
+        martingale_transform(dyadic6, np.ones(63))
+
     def test_kernel_consistency(self, dyadic6, rng):
         # M_eps f = sum over non-leaf A of eps_A (sum over children C of
         # f_C 1_C - f_A 1_A), with f_B the block average

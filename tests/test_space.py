@@ -335,6 +335,8 @@ LAYOUT_READS = sorted([
     ("operators", "dyadic_levels", "interval"),
     # the exact L1 pass runs on interval bases only (peak memory)
     ("operators", "estimate_bo_constants", "interval"),
+    # star generations are star-span widths (dyadic_levels checked the layout)
+    ("operators", "square_function", "star_spans"),
     # the cover table is indexed by atom spans
     ("functional", "volume_distance_matrix", "interval"),
 ])
@@ -455,21 +457,36 @@ LOOP_NODES = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
               ast.GeneratorExp)
 
 
-def test_no_set_operations_in_nested_loops():
-    nested = []
+def _looped_calls(names, min_depth, files):
+    """(module, line) of each call of one of names, as a function or a
+    method, that sits inside at least min_depth loops or comprehensions."""
+    found = []
 
     def visit(node, depth, path):
         for child in ast.iter_child_nodes(node):
             d = depth + isinstance(child, LOOP_NODES)
-            if (isinstance(child, ast.Call) and d >= 2
-                    and getattr(child.func, "attr", None) in ("intersect1d", "setdiff1d")):
-                nested.append((path.stem, child.lineno))
+            func = getattr(child, "func", None)
+            if (isinstance(child, ast.Call) and d >= min_depth and names
+                    & {getattr(func, "id", None), getattr(func, "attr", None)}):
+                found.append((path.stem, child.lineno))
             visit(child, d, path)
 
-    for name in ("sparsify.py", "domination.py"):
-        path = Path(__file__).parents[1] / "src" / "ballbasis" / name
+    for path in files:
         visit(ast.parse(path.read_text()), 0, path)
-    assert nested == []
+    return found
+
+
+def test_no_set_operations_in_nested_loops():
+    src = Path(__file__).parents[1] / "src" / "ballbasis"
+    assert _looped_calls({"intersect1d", "setdiff1d"}, 2,
+                         [src / "sparsify.py", src / "domination.py"]) == []
+
+
+# A median is a per-set statistic with a stacked form (functional.medians):
+# no median( call sits inside a loop or comprehension in src/ballbasis.
+def test_no_median_in_loops():
+    src = Path(__file__).parents[1] / "src" / "ballbasis"
+    assert _looped_calls({"median"}, 1, sorted(src.glob("*.py"))) == []
 
 
 # A defaulted parameter that no call sets is a constant in disguise: every

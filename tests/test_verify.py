@@ -12,11 +12,13 @@ from ballbasis import (ConfigError, Corpus, InfZero, Params, VecFunction,
                        median, strong_domination_check, weak_type_report,
                        zero_operator)
 from ballbasis.verify import round_sig
+from conftest import median_by_loop
 
 
 def _jn_tails_by_balls(f, basis, t_max=64):
     """Median- and average-centred John-Nirenberg tails by a Python loop over
-    the balls and the levels t, in f's own norm: the reference for the
+    the balls and the levels t, in f's own norm, with each median from the
+    scalar two-pointer loop or the exhaustive oracle: the reference for the
     size-grouped tails of john_nirenberg_report."""
     def norms(v):
         if f.norm_kind == "euclidean":
@@ -30,7 +32,10 @@ def _jn_tails_by_balls(f, basis, t_max=64):
     for b in basis.balls:
         ww = w[b.members]
         vals = f.values[b.members]
-        _, med = median(f, b.members, basis)
+        if f.scalar:
+            _, med = median_by_loop(f, b.members, ww)
+        else:
+            _, med = median(f, b.members, basis, method="exhaustive")
         mu = ww.sum()
         dev_m = norms(vals - med[None, :])
         dev_a = norms(vals - (vals * ww[:, None]).sum(axis=0) / mu)
