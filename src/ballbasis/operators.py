@@ -25,7 +25,12 @@ class OperatorDescriptor:
     once.  Either it has a kernel, Tf(x) = sum_y K(x, y) f(y) w(y): it is then
     linear, truncate works from the kernel, and apply_fn, if given, is only a
     faster way to the same values.  Or apply_fn gives Tf, and truncate_fn,
-    if given, the truncation T*f as an (atoms,) array (see truncate)."""
+    if given, the truncation T*f as an (atoms,) array (see truncate).
+
+    Operators apply to stacks: a (k, atoms, dim) array of k functions of one
+    norm kind.  apply_fn(stack, norm_kind) returns the (k, atoms, dim') stack
+    of their images, and each row must equal bitwise what that row gives
+    alone, so a caller may stack any rows it likes."""
 
     def __init__(self, name: str, basis: BallBasis, params: Params,
                  kernel: np.ndarray | None = None, apply_fn=None,
@@ -47,11 +52,19 @@ class OperatorDescriptor:
         """Linear with the classical profile (the mean-oscillation results)."""
         return self.linear and self.params.classical
 
-    def apply(self, f: VecFunction) -> VecFunction:
+    def apply_stack(self, stack: np.ndarray, norm_kind: str) -> np.ndarray:
+        """T of every row of a (k, atoms, dim) stack.  A kernel goes through
+        numpy's stacked matmul, one matrix-vector product per row, which
+        rounds each row as a lone product does; one (atoms, k) matrix product
+        would not."""
         if self._apply_fn is None:
             w = self.basis.space.weights
-            return VecFunction(self.kernel @ (f.values * w[:, None]), f.norm_kind)
-        return self._apply_fn(f)
+            return self.kernel @ (stack * w[:, None])
+        return self._apply_fn(stack, norm_kind)
+
+    def apply(self, f: VecFunction) -> VecFunction:
+        return VecFunction(self.apply_stack(f.values[None], f.norm_kind)[0],
+                           f.norm_kind)
 
     def bo_constants(self, budget: int, seed: int) -> BOConstants:
         """estimate_bo_constants(self, budget, seed), computed once
@@ -142,7 +155,7 @@ def square_function(basis: BallBasis) -> OperatorDescriptor:
     """Sf = (sum over A of ||Delta_A f||^2)^(1/2)."""
     levels = dyadic_levels(basis)
     n = basis.n_atoms
-    mu = _by_generation(basis, levels, basis.mu)[:, :, None]
+    mu = [basis.mu[_level_slices(g)][:, None] for g in range(levels + 1)]
     # B* is B or an ancestor (the star rule adds the nested balls of measure
     # <= 2 mu(B)); star_gen[g, x]: its generation for x's generation-g ball
     slo, shi = basis.star_spans()
@@ -150,29 +163,43 @@ def square_function(basis: BallBasis) -> OperatorDescriptor:
     star_gen = _by_generation(basis, levels,
                               np.round(np.log2(n / star_size)).astype(np.int64))
 
-    def block_sums(f):
+    def block_sums(stack):
         # Generation g is 2^g consecutive blocks of n >> g atoms (checked by
-        # dyadic_levels), so one reshape gives every block sum of the level
-        wf = f.values * basis.space.weights[:, None]
-        return _by_generation(basis, levels, np.concatenate(
-            [wf.reshape(1 << g, n >> g, -1).sum(axis=1) for g in range(levels + 1)]))
+        # dyadic_levels), so one reshape gives every block sum of the level:
+        # entry g is (k, 2^g, dim)
+        wf = stack * basis.space.weights[:, None]
+        return [wf.reshape(len(wf), 1 << g, n >> g, -1).sum(axis=2)
+                for g in range(levels + 1)]
 
-    def square(means, norm_kind):
+    def square(means, norm_kind, width):
         # E_{g+1} f - E_g f at x involves only the ball containing x, so the
-        # generation means recover the individual Delta_A terms pointwise
-        return np.sqrt((vector_norms(means[1:] - means[:-1], norm_kind) ** 2).sum(axis=0))
+        # means per ball of successive generations (each (k, balls, dim),
+        # every one a refinement of the one before) recover the individual
+        # Delta_A terms; they are summed in generation order at width columns
+        acc = np.zeros((len(means[0]), width))
+        for prev, cur in zip(means, means[1:]):
+            step = cur - np.repeat(prev, cur.shape[1] // prev.shape[1], axis=1)
+            acc += np.repeat(vector_norms(step, norm_kind) ** 2,
+                             width // cur.shape[1], axis=1)
+        return np.sqrt(acc)
 
-    def apply_fn(f):
-        return VecFunction(square(block_sums(f) / mu, f.norm_kind), f.norm_kind)
+    def apply_fn(stack, norm_kind):
+        means = [s / m for s, m in zip(block_sums(stack), mu)]
+        return square(means, norm_kind, n)[..., None]
 
     def truncate_fn(f):
         # For x in B with B* at generation p, f 1_{X minus B*} has the block
         # sum s_k - s_p on x's generation-k ball for k <= p and 0 below, so
-        # T(f 1_{X minus B*})(x) comes from the means c_k = (s_k - s_p)/mu_k
-        s = block_sums(f)
-        by_star = np.zeros((levels + 1, n))
+        # T(f 1_{X minus B*})(x) comes from the means c_k = (s_k - s_p)/mu_k,
+        # each constant on the balls of generation p
+        s = block_sums(f.values[None])
+        by_star = [np.zeros(1)]  # per ball of generation p, heap order
         for p in range(1, levels + 1):
-            by_star[p] = square((s[:p + 1] - s[p]) / mu[:p + 1], f.norm_kind)
+            means = [(np.repeat(s[k], 1 << (p - k), axis=1) - s[p])
+                     / np.repeat(mu[k], 1 << (p - k), axis=0)
+                     for k in range(p + 1)]
+            by_star.append(square(means, f.norm_kind, 1 << p)[0])
+        by_star = _by_generation(basis, levels, np.concatenate(by_star))
         return np.take_along_axis(by_star, star_gen, axis=0).max(axis=0)
 
     return OperatorDescriptor("square_function", basis,
@@ -222,14 +249,14 @@ def identity_operator(basis: BallBasis) -> OperatorDescriptor:
     w = basis.space.weights
     kernel = np.diag(1.0 / w)
     return OperatorDescriptor("identity", basis, Params.classical_profile(1.0),
-                              kernel=kernel, apply_fn=lambda f: f)
+                              kernel=kernel, apply_fn=lambda stack, norm_kind: stack)
 
 
 def zero_operator(basis: BallBasis) -> OperatorDescriptor:
     n = basis.n_atoms
     return OperatorDescriptor(
         "zero", basis, Params.classical_profile(1.0), kernel=np.zeros((n, n)),
-        apply_fn=lambda f: VecFunction(np.zeros((n, f.dim)), f.norm_kind))
+        apply_fn=lambda stack, norm_kind: np.zeros_like(stack))
 
 
 # -- truncation and modulation ---------------------------------------------------
@@ -261,9 +288,11 @@ def truncate(T: OperatorDescriptor) -> OperatorDescriptor:
     star = _truncation(T)
     if star is None:
         raise ValueError(f"{T.name} declares neither a kernel nor a truncation")
+    # its callers pass one row at a time, so the rows are mapped one by one
     return OperatorDescriptor(
         f"trunc({T.name})", T.basis, T.params,
-        apply_fn=lambda f: VecFunction(star(f), f.norm_kind))
+        apply_fn=lambda stack, norm_kind: np.stack(
+            [star(VecFunction(v, norm_kind)) for v in stack])[..., None])
 
 
 def maximal_modulation(family: list[OperatorDescriptor]) -> OperatorDescriptor:
@@ -273,11 +302,12 @@ def maximal_modulation(family: list[OperatorDescriptor]) -> OperatorDescriptor:
     if any(t.basis is not basis for t in family):
         raise ValueError("family members must share the basis")
 
-    def apply_fn(f):
-        out = np.zeros(basis.n_atoms)
+    def apply_fn(stack, norm_kind):
+        out = np.zeros(stack.shape[:2])
         for t in family:
-            np.maximum(out, t.apply(f).norms(), out=out)
-        return VecFunction(out, f.norm_kind)
+            np.maximum(out, vector_norms(t.apply_stack(stack, norm_kind), norm_kind),
+                       out=out)
+        return out[..., None]
 
     # the sup over members commutes with the sup over balls in T*
     stars = [_truncation(t) for t in family]
@@ -294,6 +324,11 @@ def maximal_modulation(family: list[OperatorDescriptor]) -> OperatorDescriptor:
 
 
 # -- the Delta(A, B) connectivity functional ----------------------------------------
+
+# the suite has four kinds of at most _SUITE_PER_KIND functions each, and no
+# stack the estimator applies is wider than the widest suite
+_SUITE_PER_KIND = 8
+_STACK_ROWS = 4 * _SUITE_PER_KIND
 
 
 def _exactly_estimable(T: OperatorDescriptor) -> bool:
@@ -316,29 +351,23 @@ def delta(T: OperatorDescriptor, a_id: int, b_id: int, seed: int = 0) -> float:
     if _exactly_estimable(T):
         sub = np.abs(T.kernel[np.ix_(members_a, support)])
         return float(mu_bstar * sub.max())
-    # monte-carlo lower bound over deltas and random test functions
+    # monte-carlo lower bound over deltas and random test functions, applied
+    # in stacks no wider than the widest suite
     rng = np.random.default_rng([seed, a_id, b_id])
     w = basis.space.weights
-    best = 0.0
-    n = basis.n_atoms
-    cands = []
-    for y in support:
-        v = np.zeros(n)
-        v[y] = 1.0
-        cands.append(v)
-    for _ in range(20):
-        v = np.zeros(n)
-        v[support] = rng.normal(size=support.size)
-        cands.append(v)
+    cands = np.zeros((support.size + 20, basis.n_atoms))
+    cands[np.arange(support.size), support] = 1.0
+    cands[support.size:, support] = rng.normal(size=(20, support.size))
     p = T.params
-    for v in cands:
-        f = VecFunction(v)
-        denom = mu_bstar ** (-p.rho) * float(
-            (np.abs(v[b_star]) ** p.r * w[b_star]).sum()) ** p.varrho
-        if denom == 0:
-            continue
-        val = T.apply(f).norms()[members_a].max()
-        best = max(best, float(val) / denom)
+    masses = (np.abs(np.take(cands, b_star, axis=1)) ** p.r * w[b_star]).sum(axis=1)
+    denoms = [mu_bstar ** (-p.rho) * m ** p.varrho for m in masses.tolist()]
+    rows = [i for i, d in enumerate(denoms) if d != 0]
+    best = 0.0
+    for start in range(0, len(rows), _STACK_ROWS):
+        chunk = rows[start:start + _STACK_ROWS]
+        tv = vector_norms(T.apply_stack(cands[chunk, :, None], "euclidean"), "euclidean")
+        for i, val in zip(chunk, tv[:, members_a].max(axis=1).tolist()):
+            best = max(best, val / denoms[i])
     return best
 
 
@@ -367,7 +396,7 @@ def structured_suite(basis: BallBasis, budget: int, seed: int) -> list[np.ndarra
     rng = np.random.default_rng([int(seed), 20260823])
     n = basis.n_atoms
     funcs = []
-    k = max(1, min(8, budget))
+    k = max(1, min(_SUITE_PER_KIND, budget))
     for _ in range(k):
         funcs.append(rng.choice([-1.0, 1.0], size=n))
     for _ in range(k):
@@ -404,7 +433,14 @@ def _osc_on(vals: np.ndarray, members) -> float:
 
 def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
                           seed: int = 0) -> BOConstants:
-    """L0, L1 and L2 of T on its own basis, each with a witness."""
+    """L0, L1 and L2 of T on its own basis, each with a witness.
+
+    T is applied to stacks (see OperatorDescriptor): once per sampled ball
+    in the L0 pass and once per sampled ball in the Monte-Carlo L1 pass, each
+    time to the suite functions that probe that ball; in delta to at most
+    _STACK_ROWS candidates at a time; and once to probe R5.  Each row rounds
+    as it would alone, so the constants and witnesses are those of one apply
+    per function."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     basis = T.basis
@@ -418,30 +454,36 @@ def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
     ball_ids = _sample_ball_ids(basis, max(budget, 16), seed)
 
     # ---- L0: weak-type constant over restricted functions ----
+    # one stacked apply per ball, on the suite rows that do not vanish on it;
+    # the witness is the first (ball, suite index) of largest ratio
     l0 = 0.0
     for bid in ball_ids:
-        members = basis.balls[int(bid)].members
-        mu_b = basis.mu[int(bid)]
-        for fi, v in enumerate(suite):
-            rv = np.zeros(n)
-            rv[members] = v[members]
-            f = VecFunction(rv)
-            denom = mu_b ** (-p.rho) * float(
-                (np.abs(rv[members]) ** p.r * w[members]).sum()) ** p.varrho
-            if denom == 0:
-                continue
-            tn = T.apply(f).norms()[members]
-            order = np.argsort(tn)[::-1]
-            sorted_vals = tn[order]
-            tail_mass = np.cumsum(w[members][order])
-            pos = sorted_vals > 0
-            if not pos.any():
-                continue
-            ratios = (sorted_vals[pos] / denom) * (tail_mass[pos] / mu_b) ** p.rho
-            cand = float(ratios.max())
-            if cand > l0:
-                l0 = cand
-                witnesses["L0"] = {"ball": int(bid), "suite_index": fi}
+        bid = int(bid)
+        members = basis.balls[bid].members
+        mu_b = basis.mu[bid]
+        wm = w[members]
+        # C-ordered rows, so each row sum rounds like a lone function's
+        on_ball = np.take(suite, members, axis=1)
+        masses = (np.abs(on_ball) ** p.r * wm).sum(axis=1)
+        mu_b_rho = mu_b ** (-p.rho)
+        denoms = np.array([mu_b_rho * m ** p.varrho for m in masses.tolist()])
+        rows = np.flatnonzero(denoms != 0)
+        if rows.size == 0:
+            continue
+        rvs = np.zeros((rows.size, n))
+        rvs[:, members] = on_ball[rows]
+        tn = vector_norms(T.apply_stack(rvs[..., None], "euclidean"),
+                          "euclidean")[:, members]
+        # a row's ratios where Tf is 0 are 0, so they never win a strict >
+        order = np.argsort(tn, axis=1)[:, ::-1]
+        sorted_vals = np.take_along_axis(tn, order, axis=1)
+        tail_mass = np.cumsum(wm[order], axis=1)
+        ratios = (sorted_vals / denoms[rows, None]) * (tail_mass / mu_b) ** p.rho
+        cands = ratios.max(axis=1)
+        i = int(np.argmax(cands))
+        if cands[i] > l0:
+            l0 = float(cands[i])
+            witnesses["L0"] = {"ball": bid, "suite_index": int(rows[i])}
 
     # ---- L1: localization constant off the star ----
     l1 = 0.0
@@ -499,19 +541,22 @@ def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
         sup = np.concatenate(sup)
         mu_sup = mu_rho[sup]
         logs = np.array([math.log1p(q) for q in (basis.mu[sup] / basis.mu[bid]).tolist()])
-        for fi, row in enumerate(np.concatenate(sums, axis=1)):
+        denoms, r4_denoms = [], []
+        for row in np.concatenate(sums, axis=1):
             avg = mu_sup * np.array([s ** p.varrho for s in row.tolist()])
-            denom = float(avg.max())
-            if denom == 0:
-                continue
-            r4_denom = float((avg / logs).max())
-            tv = T.apply(VecFunction(rvs[fi])).norms()
-            osc = _osc_on(tv, members)
-            if osc / denom > l1:
-                l1 = osc / denom
+            denoms.append(float(avg.max()))
+            r4_denoms.append(float((avg / logs).max()))
+        rows = [fi for fi, d in enumerate(denoms) if d != 0]
+        if not rows:
+            continue
+        tv = vector_norms(T.apply_stack(rvs[rows, :, None], "euclidean"),
+                          "euclidean")[:, members]
+        for fi, osc in zip(rows, (tv.max(axis=1) - tv.min(axis=1)).tolist()):
+            if osc / denoms[fi] > l1:
+                l1 = osc / denoms[fi]
                 witnesses["L1"] = {"ball": bid, "suite_index": fi}
-            if r4_denom > 0 and osc / r4_denom > r4:
-                r4 = osc / r4_denom
+            if r4_denoms[fi] > 0 and osc / r4_denoms[fi] > r4:
+                r4 = osc / r4_denoms[fi]
                 witnesses["R4"] = {"ball": bid, "suite_index": fi}
 
     # ---- L2: connectivity via a grown ball per base ball ----

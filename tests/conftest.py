@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ballbasis import Ball, BallBasis, MeasureSpace, build_dyadic, build_grid
+from ballbasis import (Ball, BallBasis, MeasureSpace, VecFunction, build_dyadic,
+                       build_grid)
 
 
 def _relabelled(basis, seed, kind=None):
@@ -156,3 +157,173 @@ def median_by_loop(f, arr, w):
             marked[order[i:j + 1]] = True
     med = arr[marked]
     return med, f.values[int(med.min())].copy()
+
+
+# -- one operator apply per function --------------------------------------------
+# The estimator as one T.apply per (sampled ball, suite function) in the L0
+# and Monte-Carlo L1 passes and one per candidate in delta: the reference the
+# stacked applies of ballbasis.operators must equal bitwise.
+
+
+def delta_by_loop(T, a_id, b_id, seed):
+    """operators.delta, its Monte-Carlo candidates applied one at a time."""
+    from ballbasis.operators import _exactly_estimable
+
+    basis = T.basis
+    a_star = basis.star_members(a_id)
+    b_star = basis.star_members(b_id)
+    support = np.setdiff1d(b_star, a_star)
+    if support.size == 0:
+        return 0.0
+    mu_bstar = basis.measure(b_star)
+    members_a = basis.balls[a_id].members
+    if _exactly_estimable(T):
+        return float(mu_bstar * np.abs(T.kernel[np.ix_(members_a, support)]).max())
+    rng = np.random.default_rng([seed, a_id, b_id])
+    w = basis.space.weights
+    n = basis.n_atoms
+    cands = []
+    for y in support:
+        v = np.zeros(n)
+        v[y] = 1.0
+        cands.append(v)
+    for _ in range(20):
+        v = np.zeros(n)
+        v[support] = rng.normal(size=support.size)
+        cands.append(v)
+    p = T.params
+    best = 0.0
+    for v in cands:
+        denom = mu_bstar ** (-p.rho) * float(
+            (np.abs(v[b_star]) ** p.r * w[b_star]).sum()) ** p.varrho
+        if denom == 0:
+            continue
+        val = T.apply(VecFunction(v)).norms()[members_a].max()
+        best = max(best, float(val) / denom)
+    return best
+
+
+def estimate_by_loop(T, budget, seed):
+    """operators.estimate_bo_constants with one T.apply per function."""
+    import math
+
+    from ballbasis.functional import volume_distance_matrix
+    from ballbasis.operators import (BOConstants, _exactly_estimable, _osc_on,
+                                     _sample_ball_ids, structured_suite)
+    from ballbasis.space import exhausting_sequence
+
+    basis = T.basis
+    exact = _exactly_estimable(T)
+    p = T.params
+    w = basis.space.weights
+    n = basis.n_atoms
+    witnesses = {}
+    suite = np.array(structured_suite(basis, budget, seed))
+    ball_ids = _sample_ball_ids(basis, max(budget, 16), seed)
+
+    l0 = 0.0
+    for bid in ball_ids:
+        members = basis.balls[int(bid)].members
+        mu_b = basis.mu[int(bid)]
+        for fi, v in enumerate(suite):
+            rv = np.zeros(n)
+            rv[members] = v[members]
+            denom = mu_b ** (-p.rho) * float(
+                (np.abs(rv[members]) ** p.r * w[members]).sum()) ** p.varrho
+            if denom == 0:
+                continue
+            tn = T.apply(VecFunction(rv)).norms()[members]
+            order = np.argsort(tn)[::-1]
+            sorted_vals = tn[order]
+            tail_mass = np.cumsum(w[members][order])
+            pos = sorted_vals > 0
+            if not pos.any():
+                continue
+            ratios = (sorted_vals[pos] / denom) * (tail_mass[pos] / mu_b) ** p.rho
+            cand = float(ratios.max())
+            if cand > l0:
+                l0 = cand
+                witnesses["L0"] = {"ball": int(bid), "suite_index": fi}
+
+    l1 = 0.0
+    r4 = 0.0
+    if exact and basis.interval:
+        dmat = volume_distance_matrix(basis)
+        for bid in range(basis.n_balls):
+            star = basis.star_members(bid)
+            if star.size == n:
+                continue
+            cols = T.kernel[basis.balls[bid].members]
+            osc = cols.max(axis=0) - cols.min(axis=0)
+            d = dmat[bid]
+            ratios = osc * d
+            ratios[star] = 0.0
+            y = int(np.argmax(ratios))
+            if ratios[y] > l1:
+                l1 = float(ratios[y])
+                witnesses["L1"] = {"ball": bid, "atom": y}
+            r4_ratios = osc * d * np.log1p(d / basis.mu[bid])
+            r4_ratios[star] = 0.0
+            y4 = int(np.argmax(r4_ratios))
+            if r4_ratios[y4] > r4:
+                r4 = float(r4_ratios[y4])
+                witnesses["R4"] = {"ball": bid, "atom": y4}
+    mu_rho = np.array([m ** (-p.rho) for m in basis.mu.tolist()])
+    for bid in ball_ids:
+        bid = int(bid)
+        members = basis.balls[bid].members
+        star = basis.star_members(bid)
+        if star.size == n:
+            continue
+        mask = np.ones(n)
+        mask[star] = 0.0
+        rvs = suite * mask
+        mass = np.abs(rvs) ** p.r * w
+        is_sup = np.zeros(basis.n_balls, dtype=bool)
+        is_sup[basis.supersets(bid)] = True
+        sup, sums = [], []
+        for ids, idx in basis.size_groups():
+            rows = is_sup[ids]
+            if rows.any():
+                sup.append(ids[rows])
+                sums.append(np.take(mass, idx[rows], axis=1).sum(axis=-1))
+        sup = np.concatenate(sup)
+        mu_sup = mu_rho[sup]
+        logs = np.array([math.log1p(q) for q in (basis.mu[sup] / basis.mu[bid]).tolist()])
+        for fi, row in enumerate(np.concatenate(sums, axis=1)):
+            avg = mu_sup * np.array([s ** p.varrho for s in row.tolist()])
+            denom = float(avg.max())
+            if denom == 0:
+                continue
+            r4_denom = float((avg / logs).max())
+            osc = _osc_on(T.apply(VecFunction(rvs[fi])).norms(), members)
+            if osc / denom > l1:
+                l1 = osc / denom
+                witnesses["L1"] = {"ball": bid, "suite_index": fi}
+            if r4_denom > 0 and osc / r4_denom > r4:
+                r4 = osc / r4_denom
+                witnesses["R4"] = {"ball": bid, "suite_index": fi}
+
+    l2 = 0.0
+    for bid in ball_ids:
+        bid = int(bid)
+        if len(basis.star_members(bid)) == n:
+            continue
+        b2 = basis.smallest_strict_superset(bid)
+        if b2 is None:
+            continue
+        val = delta_by_loop(T, bid, b2, seed)
+        if val > l2:
+            l2 = val
+            witnesses["L2"] = {"ball": bid, "grown": b2}
+
+    ones = np.zeros(n)
+    ones[exhausting_sequence(basis)[-1].members] = 1.0
+    t_last = T.apply(VecFunction(ones)).norms()
+    r5 = max([0.0] + [_osc_on(t_last, basis.balls[int(b)].members) for b in ball_ids])
+    restricted = {"R4_log_constant_finite": bool(math.isfinite(r4)),
+                  "R5_far_field_osc": float(r5)}
+    return BOConstants(L0=float(l0), L1=float(l1), L2=float(l2),
+                       method="exact_linear_r1" if exact else "monte_carlo",
+                       witnesses=witnesses, restricted=restricted,
+                       r4_constant=float(r4), r5_value=float(r5))

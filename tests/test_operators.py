@@ -12,11 +12,12 @@ from ballbasis import (Ball, BallBasis, MeasureSpace, NotComparable,
                        identity_operator, martingale_transform, maximal,
                        maximal_modulation, riesz_potential, sparse_operator,
                        square_function, truncate, zero_operator)
-from ballbasis import operators
+from ballbasis import cli, operators
+from ballbasis.errors import ConfigError
 from ballbasis.functional import vector_norms
 from ballbasis.operators import _osc_on, _sample_ball_ids, structured_suite
 
-from conftest import _relabelled
+from conftest import _relabelled, estimate_by_loop
 
 
 def span_ball(basis, lo, hi):
@@ -717,11 +718,106 @@ class TestTruncationCost:
     def test_apply_only_rejected(self, dyadic3):
         T = OperatorDescriptor("apply_only", dyadic3,
                                Params.classical_profile(1.0),
-                               apply_fn=lambda f: f)
+                               apply_fn=lambda stack, norm_kind: stack)
         with pytest.raises(ValueError):
             truncate(T)
         with pytest.raises(ValueError):
             truncate(maximal_modulation([identity_operator(dyadic3), T]))
+
+
+def _shipped_operators(basis, seed):
+    """One operator of every kind a config may name (ek_maximal among them)
+    that accepts basis, built as the CLI builds it."""
+    ops = []
+    for kind in cli._OP_DEFAULTS:
+        try:
+            ops.append(cli.build_operator({"kind": kind}, basis, seed))
+        except ConfigError:
+            pass
+    return ops
+
+
+def _stack_cases(basis):
+    """Every shipped kind on basis, a modulation of two of them, and the
+    truncation of each."""
+    ops = _shipped_operators(basis, 0)
+    ops.append(maximal_modulation(ops[:2]))
+    return ops + [truncate(T) for T in ops]
+
+
+class TestStackedApply:
+    @pytest.mark.parametrize("norm", ["euclidean", "max"])
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("make", [lambda: build_dyadic(8), lambda: build_grid(64)],
+                             ids=["dyadic8", "grid64"])
+    def test_rows_equal_single_applies(self, make, dim, norm):
+        """Each row of a stacked apply is bitwise the apply of that row
+        alone (a (atoms, k) matrix product instead of one matrix-vector
+        product per row breaks this)."""
+        basis = make()
+        rng = np.random.default_rng(dim)
+        stack = rng.normal(size=(5, basis.n_atoms, dim))
+        ops = _stack_cases(basis)
+        # seven shipped kinds take a dyadic basis and five a grid, each with
+        # its truncation and a modulation of two
+        assert len(ops) == {"dyadic": 16, "grid": 12}[basis.kind]
+        for T in ops:
+            got = T.apply_stack(stack, norm)
+            assert got.shape[0] == len(stack), T.name
+            for row, v in zip(got, stack):
+                assert np.array_equal(row, T.apply(VecFunction(v, norm)).values), T.name
+
+
+class TestEstimateByStacks:
+    """estimate_bo_constants applies T to stacks of suite functions and of
+    delta candidates; the constants and witnesses must be those of one apply
+    per function (conftest.estimate_by_loop)."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("budget", [1, 8])
+    def test_equals_one_apply_per_function(self, stat_basis, budget, seed):
+        ops = _shipped_operators(stat_basis, seed)
+        assert {"sparse_operator", "identity", "zero"} <= {T.name for T in ops}
+        for T in ops:
+            assert estimate_bo_constants(T, budget, seed) == estimate_by_loop(
+                T, budget, seed), T.name
+
+    def test_non_classical_powers(self, grid16):
+        # the kernels of TestLocalizationPass.test_non_classical_powers, whose
+        # denominators round differently under numpy's array **
+        rng = np.random.default_rng(11)
+        for seed in range(30):
+            kernel = rng.normal(size=(16, 16))
+            for p in (Params(r=2.0, rho=0.5, varrho=0.5),
+                      Params(r=1.5, rho=0.3, varrho=0.9)):
+                T = OperatorDescriptor("kernel", grid16, p, kernel=kernel)
+                assert estimate_bo_constants(T, 4, seed) == estimate_by_loop(T, 4, seed)
+
+    @pytest.mark.parametrize("kind,make", [("martingale_transform", lambda: build_dyadic(8)),
+                                           ("square_function", lambda: build_dyadic(8)),
+                                           ("discrete_hilbert", lambda: build_grid(64))])
+    def test_stacked_applies(self, monkeypatch, kind, make):
+        """At most two stacked applies per sampled ball (L0 and the
+        Monte-Carlo L1 pass), one for R5, and per delta call one for every
+        len(suite) of its candidates (a delta per atom of B* minus A* and 20
+        random functions); no stack wider than the suite."""
+        basis = make()
+        T = cli.build_operator({"kind": kind}, basis, 0)
+        widths, deltas = [], []
+        orig_apply, orig_delta = OperatorDescriptor.apply_stack, operators.delta
+        monkeypatch.setattr(OperatorDescriptor, "apply_stack", lambda self, stack, nk: (
+            self is T and widths.append(len(stack))) or orig_apply(self, stack, nk))
+        monkeypatch.setattr(operators, "delta", lambda *args, **kw: (
+            deltas.append(args[1:3])) or orig_delta(*args, **kw))
+        estimate_bo_constants(T, budget=8, seed=0)
+        rows = len(structured_suite(basis, 8, 0))
+        support = [np.setdiff1d(basis.star_members(b), basis.star_members(a)).size
+                   for a, b in deltas]
+        bound = (2 * len(_sample_ball_ids(basis, 16, 0)) + 1
+                 + sum(math.ceil((s + 20) / rows) for s in support))
+        assert len(deltas) > 0
+        assert 0 < len(widths) <= bound
+        assert max(widths) <= rows
 
 
 # Outside operators.py nothing builds a descriptor or reads its structure
