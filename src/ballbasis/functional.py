@@ -348,9 +348,8 @@ def maximal(f: VecFunction, basis: BallBasis, p: Params,
 def _max_over_containing_balls(basis: BallBasis, vals: np.ndarray,
                                out: np.ndarray) -> np.ndarray:
     """out[x] = max(out[x], max of vals[B] over balls B containing x)."""
-    for ids, idx in basis.size_groups():
-        np.maximum.at(out, idx, vals[ids][:, None])
-    return out
+    pairs = basis.pair_index()
+    return pairs.reduce(np.maximum, vals[pairs.ball], out, 0, basis.n_atoms)
 
 
 # -- integer-level tails ------------------------------------------------------------

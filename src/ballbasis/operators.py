@@ -268,9 +268,11 @@ def _kernel_truncation(T: OperatorDescriptor, f: VecFunction) -> np.ndarray:
     basis = T.basis
     tf = T.apply(f).values
     g = f.values * basis.space.weights[:, None]
+    pairs = basis.pair_index()
     out = np.zeros(basis.n_atoms)
-    for (ids, idx), sums in zip(basis.size_groups(), basis.member_star_sums(T.kernel, g)):
-        np.maximum.at(out, idx, vector_norms(tf[idx] - sums, f.norm_kind))
+    for lo, hi, sums in basis.member_star_sums(T.kernel, g):
+        norms = vector_norms(tf[pairs.members(lo, hi)] - sums, f.norm_kind)
+        pairs.reduce(np.maximum, norms, out, lo, hi)
     return out
 
 

@@ -18,6 +18,11 @@ containment, ball sums and stars from atom spans; there only `star_of_set`
 (so `star2_members`, which the dominate stage reads) and the B2 scan of
 `check_axioms` on a basis with no full ball build the matrix.  On any other
 basis (relabelled atoms, hand-built JSON) every query reads it.
+
+A per-atom reduction over the balls containing each atom (maximal
+functions, T*, child covers) reads one more index, `PairIndex`: every
+(ball, member) pair sorted by atom, so the reduction is one gather and one
+`ufunc.reduceat`.
 """
 
 from __future__ import annotations
@@ -57,6 +62,60 @@ class MeasureSpace:
         if arr.size == 0:
             return 0.0
         return float(self.weights[arr].sum())
+
+
+# Bound on the elements of any array one block of star sums builds: the
+# prefix rows of the block's atoms plus its (ball, member) pairs, times d.
+BLOCK_ELEMS = 1 << 14
+
+
+class PairIndex:
+    """Every (ball, member) pair of `BallBasis.size_groups()`, stably sorted
+    by atom: the balls containing atom x are ball[offsets[x]:offsets[x+1]].
+
+    `order[k]` is the position of pair k in the flat size-group order (each
+    group's (m, L) matrix row by row, groups in turn); it is kept only for
+    non-interval bases, whose star sums come in that order.
+    """
+
+    def __init__(self, groups, n_atoms: int, keep_order: bool):
+        atom = np.concatenate([idx.ravel().astype(np.int32) for _, idx in groups])
+        self.counts = np.bincount(atom, minlength=n_atoms)
+        order = np.argsort(atom, kind="stable")
+        del atom  # int32 keys, freed before the gather: a smaller transient peak
+        self.ball = np.concatenate([np.repeat(ids.astype(np.int32), idx.shape[1])
+                                    for ids, idx in groups])[order]
+        self.offsets = np.concatenate([[0], np.cumsum(self.counts)])
+        self.order = order if keep_order else None
+        for a in (self.ball, self.counts, self.offsets, order):
+            a.setflags(write=False)
+
+    def members(self, lo: int, hi: int) -> np.ndarray:
+        """The atom of each pair of the atoms lo <= x < hi."""
+        return np.repeat(np.arange(lo, hi), self.counts[lo:hi])
+
+    def reduce(self, ufunc, vals: np.ndarray, out: np.ndarray, lo: int,
+               hi: int) -> np.ndarray:
+        """out[x] = ufunc(out[x], ufunc of vals over the pairs of x) for
+        lo <= x < hi; vals holds the pairs of exactly those atoms, in order."""
+        live = self.counts[lo:hi] > 0
+        block = out[lo:hi]
+        block[live] = ufunc(block[live], ufunc.reduceat(
+            vals, self.offsets[lo:hi][live] - self.offsets[lo]))
+        return out
+
+    def blocks(self, row_elems: int, pair_elems: int):
+        """Runs (lo, hi) of whole atoms covering every atom, each as long as
+        row_elems per atom plus pair_elems per pair stay within BLOCK_ELEMS
+        (one atom at least)."""
+        cost = np.cumsum(row_elems + pair_elems * self.counts)
+        lo = 0
+        while lo < len(cost):
+            spent = cost[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(cost, spent + BLOCK_ELEMS,
+                                                 side="right")))
+            yield lo, hi
+            lo = hi
 
 
 @dataclass(frozen=True)
@@ -104,6 +163,7 @@ class BallBasis:
         self._member_matrix = None
         self._star_matrix = None
         self._size_groups = None
+        self._pair_index = None
         self._star_lo = None
         self._star_hi = None
         self._star_sets = {}
@@ -148,6 +208,14 @@ class BallBasis:
             self._size_groups = groups
         return self._size_groups
 
+    def pair_index(self) -> PairIndex:
+        """The (ball, member) pairs of size_groups() in atom order; built on
+        first use and kept."""
+        if self._pair_index is None:
+            self._pair_index = PairIndex(self.size_groups(), self.n_atoms,
+                                         keep_order=not self.interval)
+        return self._pair_index
+
     # -- sums over balls and stars ------------------------------------------
 
     def ball_integrals(self, mass: np.ndarray) -> np.ndarray:
@@ -157,24 +225,38 @@ class BallBasis:
             return pre[self.hi + 1] - pre[self.lo]
         return self.member_matrix() @ mass
 
-    def member_star_sums(self, kernel: np.ndarray, v: np.ndarray) -> list[np.ndarray]:
-        """For each size group (ids, idx), an (m, L, d) array: entry [k, l] is
-        the sum over y in star(ids[k]) of kernel[x, y] v[y] at the member
-        x = idx[k, l] (v has one row per atom)."""
+    def member_star_sums(self, kernel: np.ndarray, v: np.ndarray):
+        """Yield (lo, hi, sums) over runs of whole atoms lo <= x < hi: row k
+        of sums is the sum over y in star(B) of kernel[x, y] v[y] for the k-th
+        (ball B, member x) pair of those atoms in pair_index() order (v has
+        one row per atom).
+
+        Interval bases build, block by block, only the prefix rows of the
+        block's atoms; other bases take one star-masked product per size
+        group, as a single block."""
+        pairs = self.pair_index()
+        n, d = self.n_atoms, v.shape[1]
         if self.interval:
             slo, shi = self.star_spans()
-            pre = np.zeros((self.n_atoms, self.n_atoms + 1, v.shape[1]))
-            np.multiply(kernel[:, :, None], v[None], out=pre[:, 1:])
-            np.cumsum(pre[:, 1:], axis=1, out=pre[:, 1:])  # in place: one n x n x d array
-            return [pre[idx, shi[ids, None] + 1] - pre[idx, slo[ids, None]]
-                    for ids, idx in self.size_groups()]
+            for lo, hi in pairs.blocks((n + 1) * d, d):
+                pre = np.zeros((hi - lo, n + 1, d))
+                np.multiply(kernel[lo:hi, :, None], v[None], out=pre[:, 1:])
+                np.cumsum(pre[:, 1:], axis=1, out=pre[:, 1:])  # in place
+                rows = pairs.members(lo, hi) - lo
+                ball = pairs.ball[pairs.offsets[lo]:pairs.offsets[hi]]
+                sums = pre[rows, shi[ball] + 1]
+                sums -= pre[rows, slo[ball]]
+                yield lo, hi, sums
+            return
         if self._star_matrix is None:
             s = np.zeros((self.n_balls, self.n_atoms), dtype=bool)
             for i in range(self.n_balls):
                 s[i, self.star_members(i)] = True
             self._star_matrix = s
-        return [np.matmul(kernel[idx], self._star_matrix[ids, :, None] * v)
-                for ids, idx in self.size_groups()]
+        sums = np.concatenate([
+            np.matmul(kernel[idx], self._star_matrix[ids, :, None] * v).reshape(-1, d)
+            for ids, idx in self.size_groups()])
+        yield 0, n, sums[pairs.order]
 
     def superset_max(self, vals: np.ndarray) -> np.ndarray:
         """out[i] = max of vals[A] over the balls A containing ball i: the

@@ -87,6 +87,19 @@ def vitali_cover(basis: BallBasis, E, G) -> list[int]:
 # -- density-based child cover ---------------------------------------------------
 
 
+def _dense_ranks(basis: BallBasis, dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, best): the balls in (-mu, id) order, and each atom's ball,
+    the dense ball containing it of least rank in that order, i.e. of
+    largest measure; rank n_balls = no dense ball contains the atom."""
+    order = np.lexsort((np.arange(basis.n_balls), -basis.mu))
+    rank = np.empty(basis.n_balls, dtype=np.int64)
+    rank[order] = np.arange(basis.n_balls)
+    rank[~dense] = basis.n_balls
+    pairs = basis.pair_index()
+    best = np.full(basis.n_atoms, basis.n_balls)
+    return order, pairs.reduce(np.minimum, rank[pairs.ball], best, 0, basis.n_atoms)
+
+
 def child_cover(basis: BallBasis, F, E) -> list[int]:
     """Cover E by hull balls of near-maximal half-density balls of F.
 
@@ -103,15 +116,7 @@ def child_cover(basis: BallBasis, F, E) -> list[int]:
         return []
     dense = _half_dense(basis, F)
     mu_f = float(basis.space.weights[F].sum())
-    # each atom's ball: the dense ball containing it of least rank in the
-    # (-mu, id) order, i.e. of largest measure; rank n_balls = not dense
-    order = np.lexsort((np.arange(basis.n_balls), -basis.mu))
-    rank = np.empty(basis.n_balls, dtype=np.int64)
-    rank[order] = np.arange(basis.n_balls)
-    rank[~dense] = basis.n_balls
-    best = np.full(basis.n_atoms, basis.n_balls)
-    for ids, idx in basis.size_groups():
-        np.minimum.at(best, idx, rank[ids][:, None])
+    order, best = _dense_ranks(basis, dense)
     hits = best[E]
     picked = order[np.unique(hits[hits < basis.n_balls])]
     if not picked.size:

@@ -3,6 +3,7 @@ import pytest
 
 from ballbasis import (Ball, BallBasis, MeasureSpace, VecFunction, build_dyadic,
                        build_grid)
+from ballbasis.functional import vector_norms
 
 
 def _relabelled(basis, seed, kind=None):
@@ -37,6 +38,18 @@ def stat_basis(request):
     grid, a dyadic basis, the same with atoms relabelled (no ball an
     interval) and a grid with non-uniform atom weights."""
     return STAT_BASES[request.param]()
+
+
+SCATTER_BASES = {**STAT_BASES,
+                 "grid64": lambda: build_grid(64),
+                 "dyadic10": lambda: build_dyadic(10)}
+
+
+@pytest.fixture(scope="session", params=sorted(SCATTER_BASES))
+def scatter_basis(request):
+    """The stat bases and two whose (ball, member) pairs span several blocks
+    of star sums: build_grid(64) (45,760 pairs) and build_dyadic(10)."""
+    return SCATTER_BASES[request.param]()
 
 
 @pytest.fixture(scope="session")
@@ -157,6 +170,53 @@ def median_by_loop(f, arr, w):
             marked[order[i:j + 1]] = True
     med = arr[marked]
     return med, f.values[int(med.min())].copy()
+
+
+# -- per-size-group scatters ----------------------------------------------------
+# One np.minimum.at / np.maximum.at per size group, the star sums of a group
+# as one (m, L, d) array: the reference the atom-ordered pair index of
+# ballbasis.space must equal bitwise.
+
+
+def kernel_truncation_by_groups(T, f):
+    """T*f of a kernel operator: Tf minus the star sums at each (ball,
+    member) pair of a size group, from one n x (n+1) x d prefix array on
+    interval bases and one star-masked product per group otherwise."""
+    basis = T.basis
+    n = basis.n_atoms
+    tf = T.apply(f).values
+    g = f.values * basis.space.weights[:, None]
+    groups = basis.size_groups()
+    if basis.interval:
+        slo, shi = basis.star_spans()
+        pre = np.zeros((n, n + 1, g.shape[1]))
+        np.multiply(T.kernel[:, :, None], g[None], out=pre[:, 1:])
+        np.cumsum(pre[:, 1:], axis=1, out=pre[:, 1:])
+        group_sums = [pre[idx, shi[ids, None] + 1] - pre[idx, slo[ids, None]]
+                      for ids, idx in groups]
+    else:
+        star = np.zeros((basis.n_balls, n), dtype=bool)
+        for i in range(basis.n_balls):
+            star[i, basis.star_members(i)] = True
+        group_sums = [np.matmul(T.kernel[idx], star[ids, :, None] * g)
+                      for ids, idx in groups]
+    out = np.zeros(n)
+    for (ids, idx), sums in zip(groups, group_sums):
+        np.maximum.at(out, idx, vector_norms(tf[idx] - sums, f.norm_kind))
+    return out
+
+
+def dense_ranks_by_groups(basis, dense):
+    """sparsify._dense_ranks: each atom's least (-mu, id) rank of a dense
+    ball containing it, n_balls if none."""
+    order = np.lexsort((np.arange(basis.n_balls), -basis.mu))
+    rank = np.empty(basis.n_balls, dtype=np.int64)
+    rank[order] = np.arange(basis.n_balls)
+    rank[~dense] = basis.n_balls
+    best = np.full(basis.n_atoms, basis.n_balls)
+    for ids, idx in basis.size_groups():
+        np.minimum.at(best, idx, rank[ids][:, None])
+    return order, best
 
 
 # -- one operator apply per function --------------------------------------------

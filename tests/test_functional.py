@@ -8,8 +8,9 @@ from ballbasis import (Ball, BallBasis, EmptySet, MeasureSpace, Params,
                        alpha_oscillation, average, bmo_norm, build_dyadic,
                        build_grid, build_regular_family, general_maximal,
                        maximal, median, sharp_all, sup_sharp_all)
-from ballbasis.functional import (_max_over_containing_balls, cover_measure_table,
-                                  mean_oscillation, medians, vector_norms)
+from ballbasis.functional import (_max_over_containing_balls, ball_averages_all,
+                                  cover_measure_table, mean_oscillation, medians,
+                                  vector_norms)
 from conftest import alpha_core_by_loop, alpha_oscillation_by_loop, median_by_loop
 
 CLASSICAL = Params.classical_profile(1.0)
@@ -435,6 +436,15 @@ class TestGroupedStatistics:
         got = _max_over_containing_balls(stat_basis, vals,
                                          np.full(stat_basis.n_atoms, initial))
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("norm_kind", ["euclidean", "max"])
+    def test_maximal_equals_per_ball_loop(self, scatter_basis, norm_kind):
+        n = scatter_basis.n_atoms
+        f = VecFunction(np.random.default_rng(5).normal(size=(n, 3)), norm_kind)
+        for mode, vals in (("fractional_basis", ball_averages_all(f, scatter_basis, CLASSICAL)),
+                           ("sharp", sharp_all(f, scatter_basis, CLASSICAL.r))):
+            want = _scatter_max_by_balls(scatter_basis, vals, np.zeros(n))
+            assert np.array_equal(maximal(f, scatter_basis, CLASSICAL, mode), want)
 
 
 class TestSerialization:

@@ -1,5 +1,6 @@
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from ballbasis.errors import ConfigError
 from ballbasis.functional import vector_norms
 from ballbasis.operators import _osc_on, _sample_ball_ids, structured_suite
 
-from conftest import _relabelled, estimate_by_loop
+from conftest import _relabelled, estimate_by_loop, kernel_truncation_by_groups
 
 
 def span_ball(basis, lo, hi):
@@ -595,6 +596,26 @@ class TestKernelTruncationPass:
                 atol = 1e-12 * np.abs(f.values).max()
                 assert np.allclose(got, want, rtol=1e-12, atol=atol), T.name
 
+    @pytest.mark.parametrize("norm", ["euclidean", "max"])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_equals_per_group_scatter(self, scatter_basis, dim, norm):
+        basis = scatter_basis
+        rng = np.random.default_rng(dim)
+        n = basis.n_atoms
+        ops = [sparse_operator(basis, rng.choice(basis.n_balls, 8)),
+               identity_operator(basis),
+               OperatorDescriptor("dense", basis, Params.classical_profile(1.0),
+                                  kernel=rng.normal(size=(n, n)))]
+        if basis.kind == "grid":
+            ops += [discrete_hilbert(basis), riesz_potential(basis, 0.5)]
+        if basis.kind == "dyadic":
+            ops.append(martingale_transform(
+                basis, rng.integers(0, 2, size=basis.n_balls) * 2 - 1))
+        f = VecFunction(rng.normal(size=(n, dim)), norm)
+        for T in ops:
+            assert np.array_equal(truncate(T).apply(f).values[:, 0],
+                                  kernel_truncation_by_groups(T, f)), T.name
+
 
 class TestRelabelledAtoms:
     """Permuting the atom labels of build_dyadic(7) makes every ball a
@@ -714,6 +735,21 @@ class TestTruncationCost:
             calls.clear()
             star.apply(f)
             assert len(calls) <= members + 1, T.name
+
+    def test_truncated_apply_memory(self, dyadic10, rng):
+        """A truncated kernel apply builds the star-sum prefix rows block by
+        block: on 1,024 atoms its traced peak stays under 1 MB, where one
+        n x (n+1) prefix array alone is 8.4 MB."""
+        star = truncate(martingale_transform(dyadic10, np.ones(dyadic10.n_balls)))
+        f = VecFunction(rng.normal(size=dyadic10.n_atoms))
+        star.apply(f)  # the per-basis indexes are built once, outside the trace
+        tracemalloc.start()
+        try:
+            star.apply(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_apply_only_rejected(self, dyadic3):
         T = OperatorDescriptor("apply_only", dyadic3,

@@ -14,9 +14,9 @@ from ballbasis import (Ball, BallBasis, MeasureSpace, PostconditionFailure,
                        build_dyadic, build_grid, check_axioms,
                        exhausting_sequence, square_function)
 from ballbasis.functional import volume_distance_matrix
-from ballbasis.space import as_atom_array
+from ballbasis.space import BLOCK_ELEMS, as_atom_array
 
-from conftest import STAT_BASES, _relabelled, _reweighted
+from conftest import SCATTER_BASES, STAT_BASES, _relabelled, _reweighted
 
 
 def ball_by_span(basis, lo, hi):
@@ -124,6 +124,47 @@ class TestSizeGroups:
             for i, row in zip(g_ids, idx):
                 assert np.array_equal(row, b.balls[i].members)
         assert b.size_groups() is groups
+
+
+@pytest.mark.parametrize("make", list(SCATTER_BASES.values()), ids=list(SCATTER_BASES))
+class TestPairIndex:
+    def test_contract(self, make):
+        b = make()
+        assert b._pair_index is None  # lazy: set-up does not pay for it
+        pairs = b.pair_index()
+        assert pairs.ball.dtype == np.int32
+        assert (pairs.order is None) == b.interval
+        for x in range(b.n_atoms):
+            got = pairs.ball[pairs.offsets[x]:pairs.offsets[x + 1]]
+            want = b.balls_containing_atom(x)
+            # size-group order within an atom: by size, then by id
+            assert np.array_equal(got, want[np.lexsort((want, b.sizes[want]))])
+        assert np.array_equal(pairs.members(0, b.n_atoms),
+                              np.repeat(np.arange(b.n_atoms), pairs.counts))
+        if pairs.order is not None:
+            flat = [(i, a) for ids, idx in b.size_groups()
+                    for i, row in zip(ids, idx) for a in row]
+            assert [flat[k] for k in pairs.order] == list(
+                zip(pairs.ball, pairs.members(0, b.n_atoms)))
+        assert b.pair_index() is pairs
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_blocks(self, make, d):
+        b = make()
+        n = b.n_atoms
+        pairs = b.pair_index()
+        runs = list(pairs.blocks((n + 1) * d, d))
+        assert [lo for lo, _ in runs] == [0] + [hi for _, hi in runs[:-1]]
+        assert runs[-1][1] == n
+
+        def cost(lo, hi):
+            return ((hi - lo) * (n + 1) + pairs.offsets[hi] - pairs.offsets[lo]) * d
+
+        for lo, hi in runs:
+            assert hi == lo + 1 or cost(lo, hi) <= BLOCK_ELEMS
+            assert hi == n or cost(lo, hi + 1) > BLOCK_ELEMS
+        if n >= 64:
+            assert len(runs) > 1
 
 
 class TestStar:
@@ -314,9 +355,10 @@ class TestRelabelledQueries:
         for basis, k, v in ((base, kernel, mass), (rel, moved_kernel, moved)):
             # (ball, atom, component) array of the star sums at members
             dense = np.full((nb, n, 3), np.nan)
-            for (ids, idx), s in zip(basis.size_groups(),
-                                     basis.member_star_sums(k, v)):
-                dense[ids[:, None], idx] = s
+            pairs = basis.pair_index()
+            for lo, hi, s in basis.member_star_sums(k, v):
+                span = slice(pairs.offsets[lo], pairs.offsets[hi])
+                dense[pairs.ball[span], pairs.members(lo, hi)] = s
             sums[basis] = dense
         assert np.array_equal(np.isnan(sums[rel][:, perm]), np.isnan(sums[base]))
         assert np.allclose(sums[rel][:, perm], sums[base], rtol=1e-12, atol=0.0,
@@ -487,6 +529,14 @@ def test_no_set_operations_in_nested_loops():
 def test_no_median_in_loops():
     src = Path(__file__).parents[1] / "src" / "ballbasis"
     assert _looped_calls({"median"}, 1, sorted(src.glob("*.py"))) == []
+
+
+# A reduction over the balls containing each atom is one gather and one
+# ufunc.reduceat over BallBasis.pair_index(): no ufunc.at( call sits inside a
+# loop or comprehension in src/ballbasis.
+def test_no_scatter_at_in_loops():
+    src = Path(__file__).parents[1] / "src" / "ballbasis"
+    assert _looped_calls({"at"}, 1, sorted(src.glob("*.py"))) == []
 
 
 # A defaulted parameter that no call sets is a constant in disguise: every

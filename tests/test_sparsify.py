@@ -9,7 +9,9 @@ from ballbasis import (BallBasis, ConstructionFailure, NestingViolated,
                        NotACover, PostconditionFailure, build_dyadic,
                        child_cover, disjointify, sparsify_tree, vitali_cover)
 from ballbasis.cli import make_f_family
-from ballbasis.sparsify import _verify_sparse_tree
+from ballbasis.sparsify import _dense_ranks, _half_dense, _verify_sparse_tree
+
+from conftest import dense_ranks_by_groups
 
 
 def span_ball(basis, lo, hi):
@@ -119,6 +121,27 @@ class TestChildCoverPicks:
                 pass  # the picks are made before any postcondition
             assert len(picks) == 1
             assert np.array_equal(picks[0], _child_cover_picks_by_atoms(stat_basis, F, E))
+
+
+class TestDenseRanks:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_per_group_scatter(self, scatter_basis, seed, monkeypatch):
+        basis = scatter_basis
+        rng = np.random.default_rng(seed)
+        F = np.flatnonzero(rng.random(basis.n_atoms) < 0.3)
+        E = F[rng.random(F.size) < 0.5]
+        for dense in (rng.random(basis.n_balls) < 0.2, _half_dense(basis, F),
+                      np.zeros(basis.n_balls, dtype=bool)):
+            got, want = _dense_ranks(basis, dense), dense_ranks_by_groups(basis, dense)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        covers = []
+        for ranks in (_dense_ranks, dense_ranks_by_groups):
+            monkeypatch.setattr(ballbasis.sparsify, "_dense_ranks", ranks)
+            try:
+                covers.append(child_cover(basis, F, E))
+            except PostconditionFailure as exc:
+                covers.append(str(exc))
+        assert covers[0] == covers[1]
 
 
 class TestHalfDensityPostconditions:
