@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySet, NotDoubling, OracleTooLarge, RegularityViolation
-from .space import BallBasis, as_atom_array
+from .space import BLOCK_ELEMS, BallBasis, as_atom_array
 
 
 @dataclass(frozen=True)
@@ -312,16 +312,26 @@ def bmo_norm(f: VecFunction, basis: BallBasis) -> float:
 
 
 def sharp_all(f: VecFunction, basis: BallBasis, r: float = 1.0) -> np.ndarray:
-    """<f>_{#,B} for every basis ball."""
+    """<f>_{#,B} for every basis ball: the one-row call of sharp_all_stack."""
+    return sharp_all_stack(f.values[None], f.norm_kind, basis, r)[0]
+
+
+def sharp_all_stack(stack: np.ndarray, norm_kind: str, basis: BallBasis,
+                    r: float) -> np.ndarray:
+    """(k, n_balls): <f>_{#,B} for every row f of a (k, atoms, dim) stack of
+    one norm kind and every basis ball; each row equals bitwise what that
+    row gives alone."""
     w = basis.space.weights
-    out = np.empty(basis.n_balls)
+    out = np.empty((len(stack), basis.n_balls))
     for ids, idx in basis.size_groups():
         ww = w[idx]
-        mu, d = mean_deviation(f.values[idx], ww, f.norm_kind)
-        out[ids] = (d ** r * ww).sum(axis=1) / mu
+        # np.take gives C-ordered rows, which round like a lone function's;
+        # stack[:, idx] puts the stack axis innermost
+        mu, d = mean_deviation(np.take(stack, idx, axis=1), ww, norm_kind)
+        out[:, ids] = (d ** r * ww).sum(axis=-1) / mu
     if r != 1.0:
-        # scalar pow per ball: numpy's array ** rounds differently
-        out = np.array([v ** (1.0 / r) for v in out])
+        # scalar pow per value: numpy's array ** rounds differently
+        out = np.array([v ** (1.0 / r) for v in out.ravel()]).reshape(out.shape)
     return out
 
 
@@ -389,30 +399,25 @@ class RegularFamily:
     growth_measured: float   # minimal multiplier in condition (2) against gamma(u)=u
 
 
-def cover_measure_table(basis: BallBasis) -> np.ndarray:
-    """table[a, b] = min measure of a ball covering the span [a, b] (interval bases)."""
-    table = np.full((basis.n_atoms, basis.n_atoms), np.inf)
-    np.minimum.at(table, (basis.lo, basis.hi), basis.mu)
-    # min over balls with lo <= a, then over those with hi >= b
-    table = np.minimum.accumulate(table, axis=0)
-    return np.minimum.accumulate(table[:, ::-1], axis=1)[:, ::-1]
-
-
 def volume_distance_matrix(basis: BallBasis) -> np.ndarray:
     """d(x, B) for every atom x (columns) and ball B (rows); inf where no ball
     contains both."""
     if basis._vdist_matrix is not None:
         return basis._vdist_matrix
     n = basis.n_atoms
-    out = np.full((basis.n_balls, n), np.inf)
     if basis.interval:
-        table = cover_measure_table(basis)
+        # the least ball holding B and x covers the span of both: one gather
+        # from the cover table per block of rows, each index array within
+        # BLOCK_ELEMS elements
+        table = basis.cover_table()
         xs = np.arange(n)
-        for i in range(basis.n_balls):
-            a = np.minimum(xs, basis.lo[i])
-            b = np.maximum(xs, basis.hi[i])
-            out[i] = table[a, b]
+        out = np.empty((basis.n_balls, n))
+        rows = max(1, BLOCK_ELEMS // n)
+        for s in range(0, basis.n_balls, rows):
+            out[s:s + rows] = table[np.minimum(xs, basis.lo[s:s + rows, None]),
+                                    np.maximum(xs, basis.hi[s:s + rows, None])]
     else:
+        out = np.full((basis.n_balls, n), np.inf)
         for i in range(basis.n_balls):
             for j in basis.supersets(i):
                 m = basis.balls[j].members

@@ -9,15 +9,19 @@ K (hull constant) and eta (doubling constant, optional).  The star of a ball,
 
 is computed exactly.
 
-Every ball query is answered by `BallBasis` on top of one containment test:
-a ball contains a set when its atom span [lo, hi] covers the set's span and,
-unless every ball is a contiguous atom range (`interval`), its row of the
-n_balls x n_atoms boolean membership matrix covers the set; the matrix is
-built on first use.  Interval bases (both shipped builders) answer
-containment, ball sums and stars from atom spans; there only `star_of_set`
-(so `star2_members`, which the dominate stage reads) and the B2 scan of
+Every ball query is answered by `BallBasis` on top of one containment test,
+taken for a stack of equal-size atom sets at once: a ball contains a set when
+its atom span [lo, hi] covers the set's span and, unless every ball is a
+contiguous atom range (`interval`), its row of the n_balls x n_atoms boolean
+membership matrix covers the set; the matrix is built on first use.
+Interval bases (both shipped builders) answer containment, ball sums and
+stars from atom spans, and the axiom check from the cover table (the least
+measure of a ball covering each atom span); there only `star_of_set` (so
+`star2_members`, which the dominate stage reads) and the B2 scan of
 `check_axioms` on a basis with no full ball build the matrix.  On any other
-basis (relabelled atoms, hand-built JSON) every query reads it.
+basis (relabelled atoms, hand-built JSON) every query reads it, and the axiom
+check takes one stacked containment test per size group and per star-size
+group.
 
 A per-atom reduction over the balls containing each atom (maximal
 functions, T*, child covers) reads one more index, `PairIndex`: every
@@ -28,7 +32,6 @@ functions, T*, child covers) reads one more index, `PairIndex`: every
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +67,9 @@ class MeasureSpace:
         return float(self.weights[arr].sum())
 
 
-# Bound on the elements of any array one block of star sums builds: the
-# prefix rows of the block's atoms plus its (ball, member) pairs, times d.
+# Bound on the elements of any array one block of star sums builds (the
+# prefix rows of the block's atoms plus its (ball, member) pairs, times d),
+# and of the index arrays of one block of volume-distance rows.
 BLOCK_ELEMS = 1 << 14
 
 
@@ -164,6 +168,7 @@ class BallBasis:
         self._star_matrix = None
         self._size_groups = None
         self._pair_index = None
+        self._cover_table = None
         self._star_lo = None
         self._star_hi = None
         self._star_sets = {}
@@ -216,6 +221,21 @@ class BallBasis:
                                          keep_order=not self.interval)
         return self._pair_index
 
+    def cover_table(self) -> np.ndarray:
+        """table[a, b] = least measure of a ball whose span covers the atom
+        span [a, b], inf where none does (on interval bases: of a ball
+        containing [a, b]).  Built on first use and kept; read-only."""
+        if self._cover_table is None:
+            table = np.full((self.n_atoms, self.n_atoms), np.inf)
+            np.minimum.at(table, (self.lo, self.hi), self.mu)
+            # min over balls with lo <= a, then over those with hi >= b; in
+            # place, so the build holds one n_atoms x n_atoms array
+            np.minimum.accumulate(table, axis=0, out=table)
+            np.minimum.accumulate(table[:, ::-1], axis=1, out=table[:, ::-1])
+            table.setflags(write=False)
+            self._cover_table = table
+        return self._cover_table
+
     # -- sums over balls and stars ------------------------------------------
 
     def ball_integrals(self, mass: np.ndarray) -> np.ndarray:
@@ -258,19 +278,23 @@ class BallBasis:
             for ids, idx in self.size_groups()])
         yield 0, n, sums[pairs.order]
 
-    def superset_max(self, vals: np.ndarray) -> np.ndarray:
-        """out[i] = max of vals[A] over the balls A containing ball i: the
-        containment test of _containing, one size group at a time."""
+    def superset_max(self, vals: np.ndarray, groups=None,
+                     strict: bool = False) -> np.ndarray:
+        """out[ids] = max of vals[A] over the balls A containing each row of
+        idx, for each (ids, idx) of groups ((m, L) stacks of sorted atom
+        sets; size_groups() by default, so out[i] is the max over the
+        supersets of ball i), over balls of more than L atoms only if strict;
+        -inf where no ball qualifies.  One _containing test per group."""
         # balls in decreasing vals, so a row's first containing ball is its max
         order = np.argsort(-vals, kind="stable")
-        lo, hi = self.lo[order], self.hi[order]
-        members = None if self.interval else self.member_matrix()[order]
-        out = np.empty(self.n_balls)
-        for ids, idx in self.size_groups():
-            mask = (lo <= self.lo[ids, None]) & (hi >= self.hi[ids, None])
-            if members is not None:
-                mask &= members[:, idx].all(axis=2).T
-            out[ids] = vals[order[mask.argmax(axis=1)]]
+        out = np.full(self.n_balls, -np.inf)
+        for ids, idx in self.size_groups() if groups is None else groups:
+            mask = self._containing(idx, order)
+            if strict:
+                mask &= self.sizes[order] > idx.shape[1]
+            first = mask.argmax(axis=1)
+            found = mask[np.arange(len(ids)), first]
+            out[ids] = np.where(found, vals[order[first]], -np.inf)
         return out
 
     # -- star / hull -----------------------------------------------------
@@ -288,10 +312,14 @@ class BallBasis:
         star_lo = np.empty(self.n_balls, dtype=np.int64)
         star_hi = np.empty(self.n_balls, dtype=np.int64)
         lo, hi, mu = self.lo, self.hi, self.mu
-        for i in range(self.n_balls):
-            mask = (mu <= 2 * mu[i]) & (lo <= hi[i]) & (hi >= lo[i])
-            star_lo[i] = lo[mask].min()
-            star_hi[i] = hi[mask].max()
+        for ids, _ in self.size_groups():
+            # (m, n_balls): the balls A in the star rule of each ball of the group
+            mask = ((mu <= 2 * mu[ids, None]) & (lo <= hi[ids, None])
+                    & (hi >= lo[ids, None]))
+            star_lo[ids] = np.min(np.broadcast_to(lo, mask.shape), axis=1,
+                                  where=mask, initial=n)
+            star_hi[ids] = np.max(np.broadcast_to(hi, mask.shape), axis=1,
+                                  where=mask, initial=-1)
         self._star_lo = star_lo
         self._star_hi = star_hi
         return star_lo, star_hi
@@ -323,18 +351,20 @@ class BallBasis:
 
     # -- containment queries ----------------------------------------------
 
-    def _containing(self, arr: np.ndarray) -> np.ndarray:
-        """Mask of the balls that contain every atom of the nonempty array arr."""
-        mask = (self.lo <= arr.min()) & (self.hi >= arr.max())
+    def _containing(self, idx: np.ndarray, balls=slice(None)) -> np.ndarray:
+        """(m, k) mask: whether ball balls[j] (every ball, in id order, by
+        default) contains every atom of row r of idx, an (m, L) stack of
+        sorted atom sets."""
+        mask = (self.lo[balls] <= idx[:, :1]) & (self.hi[balls] >= idx[:, -1:])
         if not self.interval:
-            mask &= self.member_matrix()[:, arr].all(axis=1)
+            mask &= self.member_matrix()[balls][:, idx].all(axis=2).T
         return mask
 
     def balls_containing_atom(self, atom: int) -> np.ndarray:
-        return np.flatnonzero(self._containing(np.array([atom])))
+        return np.flatnonzero(self._containing(np.array([[atom]]))[0])
 
     def supersets(self, ball_id: int, strict: bool = False) -> np.ndarray:
-        ids = np.flatnonzero(self._containing(self.balls[ball_id].members))
+        ids = np.flatnonzero(self._containing(self.balls[ball_id].members[None])[0])
         if strict:
             ids = ids[self.sizes[ids] > self.sizes[ball_id]]
         return ids
@@ -347,7 +377,7 @@ class BallBasis:
 
     def contains(self, inner_id: int, outer_id: int) -> bool:
         """True iff ball inner is a subset of ball outer."""
-        return bool(self._containing(self.balls[inner_id].members)[outer_id])
+        return bool(self._containing(self.balls[inner_id].members[None])[0, outer_id])
 
     def full_ball_id(self) -> int | None:
         """A ball containing every atom, if one exists."""
@@ -442,12 +472,16 @@ class AxiomReport:
 
 def check_axioms(basis: BallBasis) -> AxiomReport:
     """Recompute B1/B2/B4 and the doubling constant from scratch."""
-    b1_failures = []
-    for b in basis.balls:
-        recomputed = basis.space.measure(b.members)
-        if len(b.members) == 0 or b.measure <= 0 or not math.isclose(
-                b.measure, recomputed, rel_tol=1e-12, abs_tol=0.0):
-            b1_failures.append(b.id)
+    mu, h, n = basis.mu, basis.hull, basis.n_atoms
+    # B1: each stored measure against its recomputed row sum, as math.isclose
+    # with rel_tol 1e-12 and abs_tol 0 would compare them
+    sums = np.empty(basis.n_balls)
+    for ids, idx in basis.size_groups():
+        sums[ids] = basis.space.weights[idx].sum(axis=1)
+    diff = np.abs(sums - mu)
+    close = (mu == sums) | (np.isfinite(mu) & np.isfinite(sums) & (
+        (diff <= np.abs(1e-12 * sums)) | (diff <= np.abs(1e-12 * mu))))
+    b1_failures = np.flatnonzero((mu <= 0) | ~close).tolist()
     b1_pass = not b1_failures and bool(np.all(basis.space.weights > 0))
 
     # B2: a full ball settles it; otherwise do the pairwise scan (desk scale)
@@ -458,39 +492,53 @@ def check_axioms(basis: BallBasis) -> AxiomReport:
         common = m.T @ m  # atoms x atoms: number of shared balls
         b2_pass = bool(np.all(common > 0))
 
+    # Per ball: the least measure of a ball containing the star (inf if
+    # none), whether the stored hull contains the star, whether the star is
+    # X, and the least measure of a strict superset (inf if none).
+    if basis.interval:
+        table = basis.cover_table()
+        slo, shi = basis.star_spans()
+        cover_mu = table[slo, shi]
+        hull_ok = (basis.lo[h] <= slo) & (basis.hi[h] >= shi)
+        star_full = shi - slo + 1 == n
+        # a strict superset of [lo, hi] covers [lo - 1, hi] or [lo, hi + 1]
+        # (the indices wrap at the ends, where np.where drops them)
+        lo, hi = basis.lo, basis.hi
+        next_mu = np.minimum(np.where(lo > 0, table[lo - 1, hi], np.inf),
+                             np.where(hi < n - 1, table[lo, (hi + 1) % n], np.inf))
+    else:
+        stars = [basis.star_members(i) for i in range(basis.n_balls)]
+        star_size = np.array([s.size for s in stars])
+        star_groups = [(ids, np.stack([stars[i] for i in ids])) for ids in
+                       (np.flatnonzero(star_size == s) for s in np.unique(star_size))]
+        # least measure = -(max of -mu) over the containing balls
+        cover_mu = -basis.superset_max(-mu, star_groups)
+        hull_ok = np.empty(basis.n_balls, dtype=bool)
+        for ids, idx in star_groups:
+            hull_ok[ids] = basis.member_matrix()[h[ids, None], idx].all(axis=1)
+        star_full = star_size == n
+        next_mu = -basis.superset_max(-mu, basis.size_groups(), strict=True)
+
     # B4: the stored hull must contain the star with mu(hull) <= K mu(B), and
     # k_min is what the best possible hull assignment would achieve.
+    covered = np.isfinite(cover_mu)
+    hull_failures = np.flatnonzero(
+        ~(hull_ok & (mu[h] <= basis.K * mu + 1e-12)) | ~covered).tolist()
+    # fmax skips a 0/0 ratio (a zero-measure ball), as a running max from 0 does
+    k_min = float(np.fmax.reduce(cover_mu[covered] / mu[covered], initial=0.0))
     # Doubling: the largest mu(A)/mu(B), A the smallest strict superset of B,
-    # over the balls B whose star is not X.
-    hull_failures = []
-    k_min = 0.0
-    eta_min = 0.0
-    eta_counterexample = None
-    for i in range(basis.n_balls):
-        star = basis.star_members(i)
-        covering = basis._containing(star)
-        h = basis.hull[i]
-        if not (covering[h] and basis.mu[h] <= basis.K * basis.mu[i] + 1e-12):
-            hull_failures.append(i)
-        if covering.any():
-            k_min = max(k_min, basis.mu[covering].min() / basis.mu[i])
-        else:
-            hull_failures.append(i)
-        if star.size == basis.n_atoms:
-            continue
-        nxt = basis.smallest_strict_superset(i)
-        if nxt is None:
-            eta_counterexample = i
-        else:
-            eta_min = max(eta_min, basis.mu[nxt] / basis.mu[i])
-    if eta_counterexample is not None:
-        eta_min = None
+    # over the balls B whose star is not X; the last ball with no strict
+    # superset is the counterexample.
+    open_ = ~star_full
+    stuck = np.flatnonzero(open_ & np.isinf(next_mu))
+    eta_counterexample = int(stuck[-1]) if stuck.size else None
+    eta_min = None if stuck.size else float(
+        np.fmax.reduce(next_mu[open_] / mu[open_], initial=0.0))
 
     return AxiomReport(
         b1_pass=b1_pass, b1_failures=b1_failures, b2_pass=b2_pass,
-        k_min=float(k_min), hull_valid=not hull_failures,
-        hull_failures=sorted(set(hull_failures)),
-        eta_min=None if eta_min is None else float(eta_min),
+        k_min=k_min, hull_valid=not hull_failures,
+        hull_failures=hull_failures, eta_min=eta_min,
         eta_counterexample=eta_counterexample,
     )
 

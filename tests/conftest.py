@@ -387,3 +387,85 @@ def estimate_by_loop(T, budget, seed):
                        method="exact_linear_r1" if exact else "monte_carlo",
                        witnesses=witnesses, restricted=restricted,
                        r4_constant=float(r4), r5_value=float(r5))
+
+
+# -- per-ball axiom check and per-case BMO suite ------------------------------
+
+
+def check_axioms_by_loop(basis):
+    """space.check_axioms with one containment mask per star and one strict
+    superset search per ball: the reference the cover-table and stacked
+    containment paths must equal."""
+    import math
+
+    from ballbasis.space import AxiomReport
+
+    def containing(arr):
+        mask = (basis.lo <= arr.min()) & (basis.hi >= arr.max())
+        return mask & basis.member_matrix()[:, arr].all(axis=1)
+
+    b1_failures = []
+    for b in basis.balls:
+        recomputed = basis.space.measure(b.members)
+        if len(b.members) == 0 or b.measure <= 0 or not math.isclose(
+                b.measure, recomputed, rel_tol=1e-12, abs_tol=0.0):
+            b1_failures.append(b.id)
+    b1_pass = not b1_failures and bool(np.all(basis.space.weights > 0))
+    if basis.full_ball_id() is not None:
+        b2_pass = True
+    else:
+        m = basis.member_matrix().astype(np.float64)
+        b2_pass = bool(np.all(m.T @ m > 0))
+
+    hull_failures = []
+    k_min = 0.0
+    eta_min = 0.0
+    eta_counterexample = None
+    for i in range(basis.n_balls):
+        star = basis.star_members(i)
+        covering = containing(star)
+        h = basis.hull[i]
+        if not (covering[h] and basis.mu[h] <= basis.K * basis.mu[i] + 1e-12):
+            hull_failures.append(i)
+        if covering.any():
+            k_min = max(k_min, basis.mu[covering].min() / basis.mu[i])
+        else:
+            hull_failures.append(i)
+        if star.size == basis.n_atoms:
+            continue
+        strict = np.flatnonzero(containing(basis.balls[i].members)
+                                & (basis.sizes > basis.sizes[i]))
+        if strict.size == 0:
+            eta_counterexample = i
+        else:
+            eta_min = max(eta_min, basis.mu[strict].min() / basis.mu[i])
+    if eta_counterexample is not None:
+        eta_min = None
+    return AxiomReport(
+        b1_pass=b1_pass, b1_failures=b1_failures, b2_pass=b2_pass,
+        k_min=float(k_min), hull_valid=not hull_failures,
+        hull_failures=sorted(set(hull_failures)),
+        eta_min=None if eta_min is None else float(eta_min),
+        eta_counterexample=eta_counterexample,
+    )
+
+
+def bmo_bounded_by_loop(op, corpus, basis, mode, threshold):
+    """verify.bmo_bounded_report with one apply and two bmo_norm calls per
+    corpus case."""
+    from ballbasis.functional import bmo_norm
+    from ballbasis.verify import CaseRow, Report, _apply
+
+    rows = []
+    worst = 0.0
+    for cid, f in corpus.cases(basis.n_atoms):
+        denom = bmo_norm(f, basis) if mode == "bmo" else float(f.norms().max())
+        if denom <= 0:
+            continue
+        out = _apply(op, f)
+        ratio = bmo_norm(VecFunction(out[:, None]), basis) / denom
+        rows.append(CaseRow(cid, "bmo_ratio", float(ratio), ratio <= threshold))
+        worst = max(worst, ratio)
+    return Report("bmo_bounded", all(r.passed for r in rows),
+                  {"max_ratio": worst, "mode": mode, "threshold": threshold,
+                   "cases": len(rows)}, rows)

@@ -9,7 +9,7 @@ from ballbasis import (Ball, BallBasis, EmptySet, MeasureSpace, Params,
                        build_grid, build_regular_family, general_maximal,
                        maximal, median, sharp_all, sup_sharp_all)
 from ballbasis.functional import (_max_over_containing_balls, ball_averages_all,
-                                  cover_measure_table, mean_oscillation, medians,
+                                  mean_oscillation, medians, sharp_all_stack,
                                   vector_norms)
 from conftest import alpha_core_by_loop, alpha_oscillation_by_loop, median_by_loop
 
@@ -405,6 +405,18 @@ class TestGroupedStatistics:
         want = _sharp_all_by_balls(f, stat_basis, r)
         assert np.array_equal(sharp_all(f, stat_basis, r), want)
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("norm_kind", ["euclidean", "max"])
+    @pytest.mark.parametrize("r", [1.0, 2.0])
+    def test_sharp_stack_rows_equal_single_calls(self, stat_basis, dim, norm_kind, r):
+        stack = np.random.default_rng(dim + 20).normal(size=(5, stat_basis.n_atoms, dim))
+        stack[2] = 1.5  # a constant row: every sharp mean is 0
+        got = sharp_all_stack(stack, norm_kind, stat_basis, r)
+        assert got.shape == (5, stat_basis.n_balls)
+        for row, vals in zip(got, stack):
+            assert np.array_equal(row, sharp_all(VecFunction(vals, norm_kind),
+                                                 stat_basis, r))
+
     @pytest.mark.parametrize("basis", [build_grid(48), build_dyadic(7)],
                              ids=["grid48", "dyadic7"])
     @pytest.mark.parametrize("norm_kind", ["euclidean", "max"])
@@ -425,7 +437,7 @@ class TestGroupedStatistics:
         assert np.array_equal(sup_sharp_all(f, stat_basis, r), want)
 
     def test_cover_table_equals_per_lo_loop(self, stat_basis):
-        assert np.array_equal(cover_measure_table(stat_basis),
+        assert np.array_equal(stat_basis.cover_table(),
                               _cover_measure_table_by_lo(stat_basis))
 
     @pytest.mark.parametrize("initial", [0.0, -np.inf])

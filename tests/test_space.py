@@ -16,7 +16,8 @@ from ballbasis import (Ball, BallBasis, MeasureSpace, PostconditionFailure,
 from ballbasis.functional import volume_distance_matrix
 from ballbasis.space import BLOCK_ELEMS, as_atom_array
 
-from conftest import SCATTER_BASES, STAT_BASES, _relabelled, _reweighted
+from conftest import (SCATTER_BASES, STAT_BASES, _relabelled, _reweighted,
+                      check_axioms_by_loop)
 
 
 def ball_by_span(basis, lo, hi):
@@ -168,6 +169,16 @@ class TestPairIndex:
 
 
 class TestStar:
+    def test_star_spans_equal_per_ball_loop(self, scatter_basis):
+        lo, hi, mu = scatter_basis.lo, scatter_basis.hi, scatter_basis.mu
+        want_lo, want_hi = [], []
+        for i in range(scatter_basis.n_balls):
+            mask = (mu <= 2 * mu[i]) & (lo <= hi[i]) & (hi >= lo[i])
+            want_lo.append(lo[mask].min())
+            want_hi.append(hi[mask].max())
+        got_lo, got_hi = scatter_basis.star_spans()
+        assert np.array_equal(got_lo, want_lo) and np.array_equal(got_hi, want_hi)
+
     def test_dyadic_smallest_ball_star(self, dyadic3):
         b = ball_by_span(dyadic3, 0, 0)
         assert list(dyadic3.star_members(b)) == [0, 1]
@@ -199,6 +210,59 @@ class TestCheckAxioms:
         rep = check_axioms(broken)
         assert not rep.hull_valid
         assert victim in rep.hull_failures
+
+    def test_equals_per_ball_loop(self, scatter_basis):
+        assert check_axioms(scatter_basis) == check_axioms_by_loop(scatter_basis)
+
+    @pytest.mark.parametrize("relabel", [False, True], ids=["interval", "relabelled"])
+    @pytest.mark.parametrize("case", ["hull_to_self", "zero_weight",
+                                      "measure_off", "no_full_ball"])
+    def test_failing_basis_equals_per_ball_loop(self, case, relabel):
+        basis = _failing_basis(case, relabel)
+        assert basis.interval is not relabel
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero-measure ball
+            rep = check_axioms(basis)
+            assert rep == check_axioms_by_loop(basis)
+        assert not rep.passed
+        if case == "no_full_ball":
+            # every ball lacks a strict superset; the last one is reported
+            assert rep.eta_min is None and rep.eta_counterexample == 3
+            assert rep.hull_failures == [0, 1, 2, 3]
+
+
+def _failing_basis(case, relabel):
+    """A small hand-built basis that fails the axiom check; relabel moves
+    atom a to perm[a] so that no ball of two or more atoms is an interval."""
+    if case == "no_full_ball":
+        # [0, 1] and [1, 2] overlap and no ball covers their union; [3, 4]
+        # and [4, 5] likewise: stars not X with no covering ball, and no
+        # ball with a strict superset
+        weights = np.ones(6)
+        members = [[0, 1], [1, 2], [3, 4], [4, 5]]
+        hull = [0, 1, 2, 3]
+    else:
+        base = build_dyadic(3)
+        weights = base.space.weights.copy()
+        members = [b.members for b in base.balls]
+        hull = base.hull.copy()
+    n = len(weights)
+    if case == "hull_to_self":
+        hull[7] = 7  # a leaf, whose star is its parent
+    if case == "zero_weight":
+        weights[5] = 0.0  # MeasureSpace refuses it, so it is set below
+    perm = np.array([0, 4, 2, 6, 1, 5, 3, 7] if n == 8 else [0, 3, 1, 4, 2, 5])
+    if relabel:
+        moved = np.empty_like(weights)
+        moved[perm] = weights
+        weights = moved
+        members = [np.sort(perm[np.asarray(m)]) for m in members]
+    space = MeasureSpace(np.ones(n))
+    space.weights[:] = weights
+    balls = [Ball(i, np.asarray(m, dtype=np.int64), space.measure(m))
+             for i, m in enumerate(members)]
+    if case == "measure_off":
+        balls[3] = Ball(3, balls[3].members, balls[3].measure + 1e-9)
+    return BallBasis(space, balls, hull, K=2.0, eta=2.0)
 
 
 class TestVolumeDistance:
@@ -316,7 +380,8 @@ class TestRelabelledQueries:
                                   rel.balls_containing_atom(perm[x]))
         for _ in range(8):
             s = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
-            assert np.array_equal(base._containing(s), rel._containing(perm[s]))
+            assert np.array_equal(base._containing(np.sort(s)[None]),
+                                  rel._containing(np.sort(perm[s])[None]))
             assert np.array_equal(np.sort(perm[base.star_of_set(np.sort(s))]),
                                   rel.star_of_set(np.sort(perm[s])))
         for i in range(nb):
@@ -499,9 +564,10 @@ LOOP_NODES = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
               ast.GeneratorExp)
 
 
-def _looped_calls(names, min_depth, files):
+def _looped_calls(names, min_depth, files, function=None):
     """(module, line) of each call of one of names, as a function or a
-    method, that sits inside at least min_depth loops or comprehensions."""
+    method, that sits inside at least min_depth loops or comprehensions;
+    with function, only calls inside the top-level defs of that name."""
     found = []
 
     def visit(node, depth, path):
@@ -514,7 +580,10 @@ def _looped_calls(names, min_depth, files):
             visit(child, d, path)
 
     for path in files:
-        visit(ast.parse(path.read_text()), 0, path)
+        tree = ast.parse(path.read_text())
+        for top in tree.body if function else [tree]:
+            if function is None or getattr(top, "name", None) == function:
+                visit(top, 0, path)
     return found
 
 
@@ -537,6 +606,24 @@ def test_no_median_in_loops():
 def test_no_scatter_at_in_loops():
     src = Path(__file__).parents[1] / "src" / "ballbasis"
     assert _looped_calls({"at"}, 1, sorted(src.glob("*.py"))) == []
+
+
+# The BMO norms of a stack of functions are one functional.sharp_all_stack
+# pass: no bmo_norm( or sharp_all( call sits inside a loop or comprehension
+# in src/ballbasis.
+def test_no_sharp_statistics_in_loops():
+    src = Path(__file__).parents[1] / "src" / "ballbasis"
+    assert _looped_calls({"bmo_norm", "sharp_all"}, 1, sorted(src.glob("*.py"))) == []
+
+
+# check_axioms reads containment from the cover table or one stacked test per
+# group (superset_max): no per-ball containment query sits in a loop inside
+# it.  exhausting_sequence's chain walk is per ball by nature.
+def test_no_containment_queries_in_axiom_loops():
+    src = Path(__file__).parents[1] / "src" / "ballbasis"
+    names = {"_containing", "supersets", "smallest_strict_superset"}
+    assert _looped_calls(names, 1, [src / "space.py"], "check_axioms") == []
+    assert _looped_calls(names, 1, [src / "space.py"], "exhausting_sequence") != []
 
 
 # A defaulted parameter that no call sets is a constant in disguise: every

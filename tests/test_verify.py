@@ -9,10 +9,10 @@ from ballbasis import (ConfigError, Corpus, InfZero, Params, VecFunction,
                        discrete_hilbert, estimate_bo_constants,
                        exp_decay_report, good_lambda_report, identity_operator,
                        john_nirenberg_report, martingale_transform, maximal,
-                       median, strong_domination_check, weak_type_report,
-                       zero_operator)
+                       median, square_function, strong_domination_check,
+                       truncate, weak_type_report, zero_operator)
 from ballbasis.verify import round_sig
-from conftest import median_by_loop
+from conftest import bmo_bounded_by_loop, median_by_loop
 
 
 def _jn_tails_by_balls(f, basis, t_max=64):
@@ -211,6 +211,60 @@ class TestJohnNirenberg:
         want = _jn_tails_by_balls(f, dyadic3)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+class _CorpusWithDegenerateCases:
+    """A seeded corpus followed by a constant case (BMO norm 0) and the zero
+    function (sup norm 0); only_degenerate drops the seeded cases."""
+
+    def __init__(self, corpus, only_degenerate=False):
+        self.corpus = corpus
+        self.only_degenerate = only_degenerate
+
+    def cases(self, n):
+        if not self.only_degenerate:
+            yield from self.corpus.cases(n)
+        yield "constant", VecFunction(np.full(n, 2.0))
+        yield "zero", VecFunction(np.zeros(n))
+
+
+def _bmo_operator(name, dyadic6, grid16):
+    """(operator, basis): descriptors (linear, nonlinear, truncated) and a
+    plain callable."""
+    if name == "martingale":
+        eps = np.random.default_rng(2).integers(0, 2, size=dyadic6.n_balls) * 2 - 1
+        return martingale_transform(dyadic6, eps), dyadic6
+    if name == "square":
+        return square_function(dyadic6), dyadic6
+    if name == "hilbert_star":
+        return truncate(discrete_hilbert(grid16)), grid16
+    return (lambda f: maximal(f, grid16, Params.classical_profile(1.0))), grid16
+
+
+class TestBmoByStacks:
+    """bmo_bounded_report's two stacked passes against one apply and two
+    bmo_norm calls per corpus case."""
+
+    @pytest.mark.parametrize("mode", ["bmo", "linf"])
+    @pytest.mark.parametrize("name", ["martingale", "square", "hilbert_star",
+                                      "maximal"])
+    def test_equals_per_case_loop(self, dyadic6, grid16, mode, name):
+        op, basis = _bmo_operator(name, dyadic6, grid16)
+        corpus = _CorpusWithDegenerateCases(Corpus(
+            seed=9, generators=["haar_mixtures", "indicators", "delta_combs"], size=4))
+        rep = bmo_bounded_report(op, corpus, basis, mode, 2.0)
+        assert rep == bmo_bounded_by_loop(op, corpus, basis, mode, 2.0)
+        kept = [row.case for row in rep.rows]
+        assert ("constant" in kept) == (mode == "linf") and "zero" not in kept
+        assert len(kept) >= 12
+
+    @pytest.mark.parametrize("mode", ["bmo", "linf"])
+    def test_degenerate_corpus(self, dyadic6, grid16, mode):
+        op, basis = _bmo_operator("square", dyadic6, grid16)
+        corpus = _CorpusWithDegenerateCases(None, only_degenerate=True)
+        rep = bmo_bounded_report(op, corpus, basis, mode, 2.0)
+        assert rep == bmo_bounded_by_loop(op, corpus, basis, mode, 2.0)
+        assert rep.summary["cases"] == (mode == "linf")
 
 
 class TestBmoBounded:
