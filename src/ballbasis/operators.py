@@ -23,9 +23,10 @@ from .space import BallBasis
 class OperatorDescriptor:
     """An operator on functions over the basis atoms, its structure declared
     once.  Either it has a kernel, Tf(x) = sum_y K(x, y) f(y) w(y): it is then
-    linear, truncate works from the kernel, and apply_fn, if given, is only a
-    faster way to the same values.  Or apply_fn gives Tf, and truncate_fn,
-    if given, the truncation T*f as an (atoms,) array (see truncate).
+    linear, and apply_fn, if given, is only a faster way to the same values.
+    Or apply_fn gives Tf.  truncate_fn, if given, gives the truncation T*f as
+    an (atoms,) array (see truncate) and takes precedence over the kernel;
+    the kernel then stays for the exact passes (delta, the exact L1 pass).
 
     Operators apply to stacks: a (k, atoms, dim) array of k functions of one
     norm kind.  apply_fn(stack, norm_kind) returns the (k, atoms, dim') stack
@@ -208,15 +209,67 @@ def square_function(basis: BallBasis) -> OperatorDescriptor:
 
 
 def sparse_operator(basis: BallBasis, ball_ids, rho: float = 1.0) -> OperatorDescriptor:
+    """A_S f = sum over the listed balls A (repeats kept) of
+    mu(A)^-rho (sum over A of f w) 1_A.  Tf and T*f are read from the ball
+    list; the kernel serves the exact passes."""
     if not (0 < rho <= 1):
         raise ValueError("rho must lie in (0,1]")
-    n = basis.n_atoms
+    n, nb = basis.n_atoms, basis.n_balls
+    w = basis.space.weights
+    listed = [(basis.balls[int(bid)].members, basis.mu[int(bid)] ** (-rho))
+              for bid in ball_ids]
     kernel = np.zeros((n, n))
-    for bid in ball_ids:
-        members = basis.balls[int(bid)].members
-        kernel[np.ix_(members, members)] += basis.mu[int(bid)] ** (-rho)
+    for members, c in listed:
+        kernel[np.ix_(members, members)] += c
+
+    def apply_fn(stack, norm_kind):
+        g = stack * w[:, None]
+        out = np.zeros_like(g)
+        for members, c in listed:
+            # a running sum adds each row's terms in atom order, as alone
+            out[:, members] += c * np.cumsum(g[:, members], axis=1)[:, -1:]
+        return out
+
+    index = []
+
+    def build_index():
+        # per listed ball A: the (bin, atom) terms of the sums of g over the
+        # atoms of A in B* for every ball B (bin B) and over A (bin nb), each
+        # in atom order; and the pairs (B, x) of pair_index() with x in A
+        stars = [basis.star_members(i) for i in range(nb)]
+        star_atom = np.concatenate(stars)
+        star_ball = np.repeat(np.arange(nb), [s.size for s in stars])
+        pairs = basis.pair_index()
+        pair_atom = pairs.members(0, n)
+        for members, _ in listed:
+            inside = np.zeros(n, dtype=bool)
+            inside[members] = True
+            sel = inside[star_atom]
+            pos = np.flatnonzero(inside[pair_atom])
+            index.append((np.concatenate([star_ball[sel], np.full(members.size, nb)]),
+                          np.concatenate([star_atom[sel], members]),
+                          pos, pairs.ball[pos]))
+
+    def truncate_fn(f):
+        # T(f 1_{X minus B*})(x) = sum over listed A containing x of
+        # mu(A)^-rho (sum of g over A minus sum over the atoms of A in B*),
+        # g = f w.  Both sums add in atom order (bincount), so where A lies
+        # in B* they are equal and the term is exactly 0
+        if not index:
+            build_index()
+        g = f.values * w[:, None]
+        pairs = basis.pair_index()
+        vals = np.zeros((len(pairs.ball), g.shape[1]))
+        for (_, c), (bins, atoms, pos, ball) in zip(listed, index):
+            sums = np.stack([np.bincount(bins, weights=g[atoms, k], minlength=nb + 1)
+                             for k in range(g.shape[1])], axis=1)
+            vals[pos] += c * (sums[nb] - sums[ball])
+        return pairs.reduce(np.maximum, vector_norms(vals, f.norm_kind),
+                            np.zeros(n), 0, n)
+
     return OperatorDescriptor("sparse_operator", basis,
-                              Params(r=1.0, rho=rho, varrho=1.0), kernel=kernel)
+                              Params(r=1.0, rho=rho, varrho=1.0), kernel=kernel,
+                              apply_fn=apply_fn, truncate_fn=truncate_fn)
 
 
 def riesz_potential(basis: BallBasis, alpha: float) -> OperatorDescriptor:
@@ -245,18 +298,24 @@ def discrete_hilbert(basis: BallBasis) -> OperatorDescriptor:
                               Params.classical_profile(1.0), kernel=kernel)
 
 
+# The identity and zero operators truncate to 0: B lies in B*, so
+# T(f 1_{X minus B*}) vanishes on B.
+
+
 def identity_operator(basis: BallBasis) -> OperatorDescriptor:
     w = basis.space.weights
     kernel = np.diag(1.0 / w)
     return OperatorDescriptor("identity", basis, Params.classical_profile(1.0),
-                              kernel=kernel, apply_fn=lambda stack, norm_kind: stack)
+                              kernel=kernel, apply_fn=lambda stack, norm_kind: stack,
+                              truncate_fn=lambda f: np.zeros(basis.n_atoms))
 
 
 def zero_operator(basis: BallBasis) -> OperatorDescriptor:
     n = basis.n_atoms
     return OperatorDescriptor(
         "zero", basis, Params.classical_profile(1.0), kernel=np.zeros((n, n)),
-        apply_fn=lambda stack, norm_kind: np.zeros_like(stack))
+        apply_fn=lambda stack, norm_kind: np.zeros_like(stack),
+        truncate_fn=lambda f: np.zeros(n))
 
 
 # -- truncation and modulation ---------------------------------------------------
@@ -278,15 +337,17 @@ def _kernel_truncation(T: OperatorDescriptor, f: VecFunction) -> np.ndarray:
 
 def _truncation(T: OperatorDescriptor):
     """f -> T*f as an (atoms,) array from T's declared structure, or None."""
-    return T._truncate_fn if T.kernel is None else lambda f: _kernel_truncation(T, f)
+    if T._truncate_fn is None and T.kernel is not None:
+        return lambda f: _kernel_truncation(T, f)
+    return T._truncate_fn
 
 
 def truncate(T: OperatorDescriptor) -> OperatorDescriptor:
     """T*f(x) = sup over balls B containing x of ||T(f 1_{X minus B*})(x)||.
 
     Read from T's declared structure, never by applying T once per ball: a
-    kernel gives star sums subtracted from Tf, other operators give their
-    truncate_fn, and an operator with neither raises ValueError."""
+    declared truncate_fn gives it, else a kernel gives star sums subtracted
+    from Tf, and an operator with neither raises ValueError."""
     star = _truncation(T)
     if star is None:
         raise ValueError(f"{T.name} declares neither a kernel nor a truncation")
@@ -362,7 +423,7 @@ def delta(T: OperatorDescriptor, a_id: int, b_id: int, seed: int = 0) -> float:
     cands[support.size:, support] = rng.normal(size=(20, support.size))
     p = T.params
     masses = (np.abs(np.take(cands, b_star, axis=1)) ** p.r * w[b_star]).sum(axis=1)
-    denoms = [mu_bstar ** (-p.rho) * m ** p.varrho for m in masses.tolist()]
+    denoms = (mu_bstar ** (-p.rho) * _power(masses, p.varrho)).tolist()
     rows = [i for i, d in enumerate(denoms) if d != 0]
     best = 0.0
     for start in range(0, len(rows), _STACK_ROWS):
@@ -421,6 +482,14 @@ def structured_suite(basis: BallBasis, budget: int, seed: int) -> list[np.ndarra
     return funcs
 
 
+def _power(vals: np.ndarray, exponent: float) -> np.ndarray:
+    """vals ** exponent, one scalar power at a time, since numpy's array **
+    rounds differently; the power 1, which is exact, is skipped."""
+    if exponent == 1.0:
+        return vals
+    return np.array([v ** exponent for v in vals.tolist()])
+
+
 def _sample_ball_ids(basis: BallBasis, budget: int, seed: int) -> np.ndarray:
     if basis.n_balls <= budget:
         return np.arange(basis.n_balls)
@@ -468,7 +537,7 @@ def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
         on_ball = np.take(suite, members, axis=1)
         masses = (np.abs(on_ball) ** p.r * wm).sum(axis=1)
         mu_b_rho = mu_b ** (-p.rho)
-        denoms = np.array([mu_b_rho * m ** p.varrho for m in masses.tolist()])
+        denoms = mu_b_rho * _power(masses, p.varrho)
         rows = np.flatnonzero(denoms != 0)
         if rows.size == 0:
             continue
@@ -545,7 +614,7 @@ def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
         logs = np.array([math.log1p(q) for q in (basis.mu[sup] / basis.mu[bid]).tolist()])
         denoms, r4_denoms = [], []
         for row in np.concatenate(sums, axis=1):
-            avg = mu_sup * np.array([s ** p.varrho for s in row.tolist()])
+            avg = mu_sup * _power(row, p.varrho)
             denoms.append(float(avg.max()))
             r4_denoms.append(float((avg / logs).max()))
         rows = [fi for fi, d in enumerate(denoms) if d != 0]

@@ -10,23 +10,23 @@ K (hull constant) and eta (doubling constant, optional).  The star of a ball,
 is computed exactly.
 
 Every ball query is answered by `BallBasis` on top of one containment test,
-taken for a stack of equal-size atom sets at once: a ball contains a set when
-its atom span [lo, hi] covers the set's span and, unless every ball is a
-contiguous atom range (`interval`), its row of the n_balls x n_atoms boolean
-membership matrix covers the set; the matrix is built on first use.
-Interval bases (both shipped builders) answer containment, ball sums and
-stars from atom spans, and the axiom check from the cover table (the least
-measure of a ball covering each atom span); there only `star_of_set` (so
-`star2_members`, which the dominate stage reads) and the B2 scan of
-`check_axioms` on a basis with no full ball build the matrix.  On any other
-basis (relabelled atoms, hand-built JSON) every query reads it, and the axiom
-check takes one stacked containment test per size group and per star-size
-group.
+taken for a stack of equal-size atom sets at once.  Interval bases (every
+ball a contiguous atom range; both shipped builders) answer it from atom
+spans: a ball contains a set when its span [lo, hi] covers the set's span.
+They answer ball sums and stars from atom spans too, and the axiom check
+from the cover table (the least measure of a ball covering each atom span).
 
-A per-atom reduction over the balls containing each atom (maximal
-functions, T*, child covers) reads one more index, `PairIndex`: every
-(ball, member) pair sorted by atom, so the reduction is one gather and one
-`ufunc.reduceat`.
+Any other basis (relabelled atoms, hand-built JSON) answers containment and
+stars from `PairIndex`, every (ball, member) pair sorted by atom: a ball
+contains an L-atom set when L of its pairs fall in the set, and the balls
+that meet a set are the balls of its atoms' pairs.  The same index serves a
+per-atom reduction over the balls containing each atom (maximal functions,
+T*, child covers): one gather and one `ufunc.reduceat`.
+
+The n_balls x n_atoms boolean membership matrix is built on first use and
+serves only `ball_integrals` and the hull check on non-interval bases, the
+B2 scan of `check_axioms` on a basis with no full ball, and `star_of_set`
+on interval bases (so `star2_members`, which the dominate stage reads).
 """
 
 from __future__ import annotations
@@ -73,6 +73,12 @@ class MeasureSpace:
 BLOCK_ELEMS = 1 << 14
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """starts[i] + k for 0 <= k < counts[i], for each i in turn."""
+    ends = np.cumsum(counts)
+    return np.arange(int(counts.sum())) - np.repeat(ends - counts - starts, counts)
+
+
 class PairIndex:
     """Every (ball, member) pair of `BallBasis.size_groups()`, stably sorted
     by atom: the balls containing atom x are ball[offsets[x]:offsets[x+1]].
@@ -97,6 +103,10 @@ class PairIndex:
     def members(self, lo: int, hi: int) -> np.ndarray:
         """The atom of each pair of the atoms lo <= x < hi."""
         return np.repeat(np.arange(lo, hi), self.counts[lo:hi])
+
+    def balls_of(self, atoms: np.ndarray) -> np.ndarray:
+        """The ball of each pair of each of atoms, atom by atom."""
+        return self.ball[_ranges(self.offsets[atoms], self.counts[atoms])]
 
     def reduce(self, ufunc, vals: np.ndarray, out: np.ndarray, lo: int,
                hi: int) -> np.ndarray:
@@ -172,6 +182,7 @@ class BallBasis:
         self._star_lo = None
         self._star_hi = None
         self._star_sets = {}
+        self._member_lists = None  # (every ball's members in id order, starts)
         self._vdist_matrix = None  # functional.volume_distance_matrix
 
     # -- basic accessors -------------------------------------------------
@@ -339,9 +350,20 @@ class BallBasis:
         arr = np.asarray(members, dtype=np.int64)
         if arr.size == 0:
             return arr
-        m = self.member_matrix()
-        touches = m[:, arr].any(axis=1) & (self.mu <= 2 * self.measure(arr))
-        union = m[touches].any(axis=0)
+        if self.interval:
+            m = self.member_matrix()
+            touches = m[:, arr].any(axis=1) & (self.mu <= 2 * self.measure(arr))
+            union = m[touches].any(axis=0)
+        else:
+            touches = np.zeros(self.n_balls, dtype=bool)
+            touches[self.pair_index().balls_of(arr)] = True
+            ids = np.flatnonzero(touches & (self.mu <= 2 * self.measure(arr)))
+            if self._member_lists is None:
+                self._member_lists = (np.concatenate([b.members for b in self.balls]),
+                                      np.cumsum(self.sizes) - self.sizes)
+            atoms, starts = self._member_lists
+            union = np.zeros(self.n_atoms, dtype=bool)
+            union[atoms[_ranges(starts[ids], self.sizes[ids])]] = True
         union[arr] = True
         return np.flatnonzero(union)
 
@@ -355,10 +377,19 @@ class BallBasis:
         """(m, k) mask: whether ball balls[j] (every ball, in id order, by
         default) contains every atom of row r of idx, an (m, L) stack of
         sorted atom sets."""
-        mask = (self.lo[balls] <= idx[:, :1]) & (self.hi[balls] >= idx[:, -1:])
-        if not self.interval:
-            mask &= self.member_matrix()[balls][:, idx].all(axis=2).T
-        return mask
+        if self.interval:
+            return (self.lo[balls] <= idx[:, :1]) & (self.hi[balls] >= idx[:, -1:])
+        # A ball contains an L-atom set iff L of its pairs fall in the set:
+        # a (row, ball) key sorted, each run of L equal keys is a containment
+        pairs = self.pair_index()
+        m, size = idx.shape
+        key = np.repeat(np.arange(m) * self.n_balls,
+                        pairs.counts[idx].sum(axis=1)) + pairs.balls_of(idx.ravel())
+        key.sort()
+        runs = key[size - 1:]
+        mask = np.zeros(m * self.n_balls, dtype=bool)
+        mask[runs[runs == key[:len(runs)]]] = True
+        return mask.reshape(m, self.n_balls)[:, balls]
 
     def balls_containing_atom(self, atom: int) -> np.ndarray:
         return np.flatnonzero(self._containing(np.array([[atom]]))[0])

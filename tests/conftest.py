@@ -389,20 +389,57 @@ def estimate_by_loop(T, budget, seed):
                        r4_constant=float(r4), r5_value=float(r5))
 
 
+# -- membership-matrix containment and stars ---------------------------------
+# Containment and stars read from the n_balls x n_atoms membership matrix:
+# the reference the pair-index answers of BallBasis must equal on
+# non-interval bases.
+
+
+def containing_by_matrix(basis, idx, balls=slice(None)):
+    """BallBasis._containing: (m, k) mask of whether ball balls[j] contains
+    every atom of row r of idx, an (m, L) stack of sorted atom sets."""
+    mask = (basis.lo[balls] <= idx[:, :1]) & (basis.hi[balls] >= idx[:, -1:])
+    return mask & basis.member_matrix()[balls][:, idx].all(axis=2).T
+
+
+def star_of_set_by_matrix(basis, members):
+    """BallBasis.star_of_set: S together with every ball A such that
+    mu(A) <= 2 mu(S) and A meets S."""
+    arr = np.asarray(members, dtype=np.int64)
+    if arr.size == 0:
+        return arr
+    m = basis.member_matrix()
+    touches = m[:, arr].any(axis=1) & (basis.mu <= 2 * basis.measure(arr))
+    union = m[touches].any(axis=0)
+    union[arr] = True
+    return np.flatnonzero(union)
+
+
+def superset_max_by_matrix(basis, vals, strict=False):
+    """BallBasis.superset_max over the supersets of every ball."""
+    out = np.full(basis.n_balls, -np.inf)
+    for i, b in enumerate(basis.balls):
+        mask = containing_by_matrix(basis, b.members[None])[0]
+        if strict:
+            mask &= basis.sizes > basis.sizes[i]
+        if mask.any():
+            out[i] = vals[mask].max()
+    return out
+
+
 # -- per-ball axiom check and per-case BMO suite ------------------------------
 
 
 def check_axioms_by_loop(basis):
-    """space.check_axioms with one containment mask per star and one strict
-    superset search per ball: the reference the cover-table and stacked
-    containment paths must equal."""
+    """space.check_axioms with one membership-matrix star and containment
+    mask per ball and one strict superset search per ball: the reference the
+    cover-table and stacked containment paths must equal."""
     import math
 
     from ballbasis.space import AxiomReport
 
     def containing(arr):
-        mask = (basis.lo <= arr.min()) & (basis.hi >= arr.max())
-        return mask & basis.member_matrix()[:, arr].all(axis=1)
+        return containing_by_matrix(basis, arr[None])[0]
 
     b1_failures = []
     for b in basis.balls:
@@ -422,7 +459,7 @@ def check_axioms_by_loop(basis):
     eta_min = 0.0
     eta_counterexample = None
     for i in range(basis.n_balls):
-        star = basis.star_members(i)
+        star = star_of_set_by_matrix(basis, basis.balls[i].members)
         covering = containing(star)
         h = basis.hull[i]
         if not (covering[h] and basis.mu[h] <= basis.K * basis.mu[i] + 1e-12):

@@ -18,7 +18,8 @@ from ballbasis.errors import ConfigError
 from ballbasis.functional import vector_norms
 from ballbasis.operators import _osc_on, _sample_ball_ids, structured_suite
 
-from conftest import _relabelled, estimate_by_loop, kernel_truncation_by_groups
+from conftest import (_relabelled, _reweighted, estimate_by_loop,
+                      kernel_truncation_by_groups)
 
 
 def span_ball(basis, lo, hi):
@@ -573,14 +574,19 @@ def _kernel_truncation_by_atoms(T, f):
     return out
 
 
+def _dense(T):
+    """T as a plain kernel operator: its kernel alone declares its structure."""
+    return OperatorDescriptor(f"dense {T.name}", T.basis, T.params, kernel=T.kernel)
+
+
 class TestKernelTruncationPass:
     @pytest.mark.parametrize("norm", ["euclidean", "max"])
     @pytest.mark.parametrize("dim", [1, 3])
     def test_equals_per_atom_loop(self, stat_basis, dim, norm):
         rng = np.random.default_rng(dim)
         n = stat_basis.n_atoms
-        ops = [sparse_operator(stat_basis, rng.choice(stat_basis.n_balls, 8)),
-               identity_operator(stat_basis),
+        ops = [_dense(sparse_operator(stat_basis, rng.choice(stat_basis.n_balls, 8))),
+               _dense(identity_operator(stat_basis)),
                OperatorDescriptor("dense", stat_basis, Params.classical_profile(1.0),
                                   kernel=rng.normal(size=(n, n)))]
         if stat_basis.kind == "grid":
@@ -602,8 +608,8 @@ class TestKernelTruncationPass:
         basis = scatter_basis
         rng = np.random.default_rng(dim)
         n = basis.n_atoms
-        ops = [sparse_operator(basis, rng.choice(basis.n_balls, 8)),
-               identity_operator(basis),
+        ops = [_dense(sparse_operator(basis, rng.choice(basis.n_balls, 8))),
+               _dense(identity_operator(basis)),
                OperatorDescriptor("dense", basis, Params.classical_profile(1.0),
                                   kernel=rng.normal(size=(n, n)))]
         if basis.kind == "grid":
@@ -615,6 +621,44 @@ class TestKernelTruncationPass:
         for T in ops:
             assert np.array_equal(truncate(T).apply(f).values[:, 0],
                                   kernel_truncation_by_groups(T, f)), T.name
+
+
+class TestStructuredOperators:
+    """sparse_operator, identity_operator and zero_operator apply and
+    truncate from their structure (ball list, T*f = 0); both must give what
+    their dense kernel gives."""
+
+    @pytest.mark.parametrize("rho", [1.0, 0.5])
+    @pytest.mark.parametrize("norm", ["euclidean", "max"])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_equal_dense_kernel(self, scatter_basis, dim, norm, rho):
+        basis = scatter_basis
+        rng = np.random.default_rng(dim)
+        ids = rng.choice(basis.n_balls, size=8, replace=True)
+        ids = np.concatenate([ids, ids[:2]])  # repeated ids count twice
+        f = VecFunction(rng.normal(size=(basis.n_atoms, dim)), norm)
+        atol = 1e-12 * np.abs(f.values).max()
+        for T in (sparse_operator(basis, ids, rho), identity_operator(basis),
+                  zero_operator(basis)):
+            dense = _dense(T)
+            assert np.allclose(T.apply(f).values, dense.apply(f).values,
+                               rtol=1e-12, atol=atol), T.name
+            got = truncate(T).apply(f).values[:, 0]
+            assert np.allclose(got, truncate(dense).apply(f).values[:, 0],
+                               rtol=1e-12, atol=atol), T.name
+            assert np.any(got > 0) == (T.name == "sparse_operator"), T.name
+
+    @pytest.mark.parametrize("make", [lambda: _reweighted(build_grid(40), seed=7),
+                                      lambda: _relabelled(build_dyadic(7), seed=5)[0]],
+                             ids=["grid40_weighted", "dyadic7_relabelled"])
+    def test_vanishing_truncations_exact(self, make, rng):
+        """T*f of the identity and zero operators is exactly 0, where star
+        sums of their kernels leave rounding residue."""
+        basis = make()
+        f = VecFunction(rng.normal(size=(basis.n_atoms, 2)))
+        for T in (identity_operator(basis), zero_operator(basis)):
+            assert np.array_equal(truncate(T).apply(f).values,
+                                  np.zeros((basis.n_atoms, 1))), T.name
 
 
 class TestRelabelledAtoms:
@@ -743,6 +787,23 @@ class TestTruncationCost:
         star = truncate(martingale_transform(dyadic10, np.ones(dyadic10.n_balls)))
         f = VecFunction(rng.normal(size=dyadic10.n_atoms))
         star.apply(f)  # the per-basis indexes are built once, outside the trace
+        tracemalloc.start()
+        try:
+            star.apply(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_truncated_sparse_apply_memory(self, rng):
+        """A truncated sparse operator reads its star sums from the stars'
+        atom lists: on build_dyadic(10) with relabelled atoms (no ball an
+        interval) its traced peak stays under 1 MB, where the star-masked
+        kernel products took 17 MB."""
+        basis = _relabelled(build_dyadic(10), seed=5)[0]
+        star = truncate(sparse_operator(basis, rng.choice(basis.n_balls, 8)))
+        f = VecFunction(rng.normal(size=basis.n_atoms))
+        star.apply(f)  # the per-basis and per-operator indexes, outside the trace
         tracemalloc.start()
         try:
             star.apply(f)

@@ -11,13 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ballbasis import (Ball, BallBasis, MeasureSpace, PostconditionFailure,
-                       build_dyadic, build_grid, check_axioms,
-                       exhausting_sequence, square_function)
+                       VecFunction, build_dyadic, build_grid, check_axioms,
+                       exhausting_sequence, identity_operator, sparse_operator,
+                       square_function, truncate, zero_operator)
 from ballbasis.functional import volume_distance_matrix
 from ballbasis.space import BLOCK_ELEMS, as_atom_array
 
 from conftest import (SCATTER_BASES, STAT_BASES, _relabelled, _reweighted,
-                      check_axioms_by_loop)
+                      check_axioms_by_loop, containing_by_matrix,
+                      star_of_set_by_matrix, superset_max_by_matrix)
 
 
 def ball_by_span(basis, lo, hi):
@@ -142,6 +144,9 @@ class TestPairIndex:
             assert np.array_equal(got, want[np.lexsort((want, b.sizes[want]))])
         assert np.array_equal(pairs.members(0, b.n_atoms),
                               np.repeat(np.arange(b.n_atoms), pairs.counts))
+        atoms = np.random.default_rng(0).choice(b.n_atoms, size=5)
+        assert np.array_equal(pairs.balls_of(atoms), np.concatenate(
+            [pairs.ball[pairs.offsets[x]:pairs.offsets[x + 1]] for x in atoms]))
         if pairs.order is not None:
             flat = [(i, a) for ids, idx in b.size_groups()
                     for i, row in zip(ids, idx) for a in row]
@@ -432,6 +437,84 @@ class TestRelabelledQueries:
         assert np.array_equal(rel.superset_max(vals), base.superset_max(vals))
         assert np.array_equal(base.superset_max(vals),
                               [vals[base.supersets(i)].max() for i in range(nb)])
+
+
+@st.composite
+def non_interval_bases(draw):
+    """Random balls over 3 to 12 atoms of random weights: overlapping,
+    mostly not nested, repeats possible, a full ball present or absent, and
+    at least one ball not an atom interval; random hull map."""
+    n = draw(st.integers(3, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sets = [np.flatnonzero(rng.random(n) < rng.uniform(0.1, 0.9))
+            for _ in range(draw(st.integers(1, 14)))]
+    sets = [s for s in sets if 0 < s.size < n]
+    if all(s[-1] - s[0] + 1 == s.size for s in sets):
+        sets.append(np.array([0, n - 1]))
+    if draw(st.booleans()):
+        sets.insert(int(rng.integers(0, len(sets) + 1)), np.arange(n))
+    space = MeasureSpace(rng.uniform(0.5, 2.0, n))
+    balls = [Ball(i, s, space.measure(s)) for i, s in enumerate(sets)]
+    return BallBasis(space, balls, rng.integers(0, len(balls), len(balls)), K=3.0)
+
+
+class TestPairIndexContainment:
+    """On non-interval bases containment and stars come from the pair
+    index; they must equal the membership-matrix answers."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(basis=non_interval_bases(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_membership_matrix(self, basis, seed):
+        assert not basis.interval
+        rng = np.random.default_rng(seed)
+        n, nb = basis.n_atoms, basis.n_balls
+        for i, b in enumerate(basis.balls):
+            inside = containing_by_matrix(basis, b.members[None])[0]
+            for strict in (False, True):
+                want = inside & (basis.sizes > basis.sizes[i]) if strict else inside
+                assert np.array_equal(basis.supersets(i, strict), np.flatnonzero(want))
+            for j in range(nb):
+                assert basis.contains(i, j) == inside[j]
+            assert np.array_equal(basis.star_members(i),
+                                  star_of_set_by_matrix(basis, b.members))
+        for x in range(n):
+            assert np.array_equal(basis.balls_containing_atom(x), np.flatnonzero(
+                containing_by_matrix(basis, np.array([[x]]))[0]))
+        for _ in range(6):
+            size = int(rng.integers(1, n + 1))
+            idx = np.sort(np.stack([rng.choice(n, size, replace=False)
+                                    for _ in range(3)]), axis=1)
+            order = rng.permutation(nb)
+            assert np.array_equal(basis._containing(idx, order),
+                                  containing_by_matrix(basis, idx, order))
+            assert np.array_equal(basis.star_of_set(idx[0]),
+                                  star_of_set_by_matrix(basis, idx[0]))
+        vals = rng.normal(size=nb)
+        for strict in (False, True):
+            assert np.array_equal(basis.superset_max(vals, strict=strict),
+                                  superset_max_by_matrix(basis, vals, strict))
+        assert check_axioms(basis) == check_axioms_by_loop(basis)
+
+    def test_no_membership_matrix(self, monkeypatch, rng):
+        """Containment, stars and the truncations of the sparse, identity
+        and zero operators never build the membership matrix."""
+        basis = _relabelled(build_dyadic(7), seed=5)[0]
+
+        def refuse(self):
+            raise AssertionError("membership matrix built")
+
+        monkeypatch.setattr(BallBasis, "member_matrix", refuse)
+        for i in (0, 3, 100):
+            basis.supersets(i)
+            basis.supersets(i, strict=True)
+            basis.contains(i, 0)
+            basis.star_of_set(basis.balls[i].members)
+        basis.balls_containing_atom(5)
+        basis.superset_max(rng.normal(size=basis.n_balls), strict=True)
+        f = VecFunction(rng.normal(size=(basis.n_atoms, 2)))
+        for T in (sparse_operator(basis, rng.choice(basis.n_balls, 8)),
+                  identity_operator(basis), zero_operator(basis)):
+            truncate(T).apply(f)
 
 
 # Outside space.py, code reads the basis layout (interval flag, star spans,
