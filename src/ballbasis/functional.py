@@ -365,14 +365,27 @@ def _max_over_containing_balls(basis: BallBasis, vals: np.ndarray,
 # -- integer-level tails ------------------------------------------------------------
 
 
+# levels of one level_tail mask
+TAIL_LEVELS = 8
+
+
 def level_tail(x: np.ndarray, g, w: np.ndarray, mu, top: int) -> np.ndarray:
     """mu{x > t g} / mu at the integer levels t = 0, ..., top.  Atoms lie on
-    the last axis of x and w, g is a scalar or one value per atom, and mu
-    holds one measure per row of x; the levels lie on the last axis of the
-    result."""
-    above = x[..., None, :] > np.arange(top + 1)[:, None] * g
-    return (np.where(above, w[..., None, :], 0.0).sum(axis=-1)
-            / np.expand_dims(mu, -1))
+    the last axis of x and w, g >= 0 is a scalar or one value per atom, and
+    mu holds one measure per row of x; the levels lie on the last axis of
+    the result.
+
+    As g >= 0, an atom above a level is above every lower one, so the
+    levels are taken TAIL_LEVELS at a time up to the first run with no atom
+    above any of them: every later sum is 0."""
+    sums = np.zeros(np.broadcast_shapes(x.shape, w.shape)[:-1] + (top + 1,))
+    for t in range(0, top + 1, TAIL_LEVELS):
+        levels = np.arange(t, min(t + TAIL_LEVELS, top + 1))
+        above = x[..., None, :] > levels[:, None] * g
+        if not above.any():
+            break
+        sums[..., t:t + TAIL_LEVELS] = np.where(above, w[..., None, :], 0.0).sum(axis=-1)
+    return sums / np.expand_dims(mu, -1)
 
 
 def fit_exponential_rate(levels, fractions) -> float:

@@ -236,9 +236,8 @@ def sparse_operator(basis: BallBasis, ball_ids, rho: float = 1.0) -> OperatorDes
         # per listed ball A: the (bin, atom) terms of the sums of g over the
         # atoms of A in B* for every ball B (bin B) and over A (bin nb), each
         # in atom order; and the pairs (B, x) of pair_index() with x in A
-        stars = [basis.star_members(i) for i in range(nb)]
-        star_atom = np.concatenate(stars)
-        star_ball = np.repeat(np.arange(nb), [s.size for s in stars])
+        star_atom, offsets = basis.star_lists()
+        star_ball = np.repeat(np.arange(nb), np.diff(offsets))
         pairs = basis.pair_index()
         pair_atom = pairs.members(0, n)
         for members, _ in listed:

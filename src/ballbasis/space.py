@@ -23,15 +23,23 @@ that meet a set are the balls of its atoms' pairs.  The same index serves a
 per-atom reduction over the balls containing each atom (maximal functions,
 T*, child covers): one gather and one `ufunc.reduceat`.
 
-The n_balls x n_atoms boolean membership matrix is built on first use and
-serves only `ball_integrals` and the hull check on non-interval bases, the
-B2 scan of `check_axioms` on a basis with no full ball, and `star_of_set`
-on interval bases (so `star2_members`, which the dominate stage reads).
+Every ball's star is kept as one CSR, `star_lists()`, built on first use:
+from the star spans on interval bases, otherwise in one pass per size group
+over the pair index.  The axiom check, the sparse operator's truncation and
+`star_members` read it.
+
+On non-interval bases the ball sums read one float64 membership matrix,
+built from the member lists on first use and kept; the hull check of
+`check_axioms` reads it too, and so does the B2 scan on a basis with no full
+ball.  The boolean `member_matrix` serves only `star_of_set` on interval
+bases (so `star2_members`, which the dominate stage reads).
 """
 
 from __future__ import annotations
 
 import json
+import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +87,37 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(int(counts.sum())) - np.repeat(ends - counts - starts, counts)
 
 
+def _blocks(cost: np.ndarray):
+    """Runs (lo, hi) covering range(len(cost)), cost the running total of
+    the elements each item builds, each run within BLOCK_ELEMS (one item at
+    least)."""
+    lo = 0
+    while lo < len(cost):
+        spent = cost[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(cost, spent + BLOCK_ELEMS,
+                                             side="right")))
+        yield lo, hi
+        lo = hi
+
+
+def _scatter_rows(atoms: np.ndarray, offsets: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Set row i of the zero matrix out to 1 at atoms[offsets[i]:offsets[i+1]],
+    for every row; returns out."""
+    rows, n = out.shape
+    out.ravel()[np.repeat(np.arange(rows) * n, np.diff(offsets)) + atoms] = 1
+    return out
+
+
+def _mapped_zeros(shape: tuple[int, int]) -> np.ndarray:
+    """A float64 zero array in an anonymous memory map of its own, for a
+    matrix kept as long as its basis.  glibc serves a block the size of one
+    it has just unmapped from the heap, where a kept block pins the memory
+    freed around it: a dyadic-permuted benchmark worker, which builds a basis
+    per pipeline, peaked at 54.4 MB resident with np.zeros and 52.0 MB so."""
+    buf = mmap.mmap(-1, max(math.prod(shape), 1) * 8)
+    return np.frombuffer(buf, dtype=np.float64).reshape(shape)
+
+
 class PairIndex:
     """Every (ball, member) pair of `BallBasis.size_groups()`, stably sorted
     by atom: the balls containing atom x are ball[offsets[x]:offsets[x+1]].
@@ -122,14 +161,7 @@ class PairIndex:
         """Runs (lo, hi) of whole atoms covering every atom, each as long as
         row_elems per atom plus pair_elems per pair stay within BLOCK_ELEMS
         (one atom at least)."""
-        cost = np.cumsum(row_elems + pair_elems * self.counts)
-        lo = 0
-        while lo < len(cost):
-            spent = cost[lo - 1] if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(cost, spent + BLOCK_ELEMS,
-                                                 side="right")))
-            yield lo, hi
-            lo = hi
+        return _blocks(np.cumsum(row_elems + pair_elems * self.counts))
 
 
 @dataclass(frozen=True)
@@ -175,14 +207,15 @@ class BallBasis:
             and len({(int(a), int(b)) for a, b in zip(lo, hi)}) == self.n_balls
         )
         self._member_matrix = None
+        self._member_floats = None  # member_matrix as float64 (sums, hull, B2)
         self._star_matrix = None
         self._size_groups = None
         self._pair_index = None
         self._cover_table = None
         self._star_lo = None
         self._star_hi = None
-        self._star_sets = {}
-        self._member_lists = None  # (every ball's members in id order, starts)
+        self._star_lists = None
+        self._member_csr = None
         self._vdist_matrix = None  # functional.volume_distance_matrix
 
     # -- basic accessors -------------------------------------------------
@@ -206,6 +239,17 @@ class BallBasis:
                 m[b.id, b.members] = True
             self._member_matrix = m
         return self._member_matrix
+
+    def _member_lists(self) -> tuple[np.ndarray, np.ndarray]:
+        """(atoms, offsets): ball i's members are atoms[offsets[i]:offsets[i+1]].
+        Built on first use and kept; read-only."""
+        if self._member_csr is None:
+            atoms = np.concatenate([b.members for b in self.balls])
+            offsets = np.concatenate([[0], np.cumsum(self.sizes)])
+            for a in (atoms, offsets):
+                a.setflags(write=False)
+            self._member_csr = atoms, offsets
+        return self._member_csr
 
     def size_groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(ball ids, (m, L) matrix of their member atoms) for each distinct
@@ -254,7 +298,18 @@ class BallBasis:
         if self.interval:
             pre = np.concatenate([[0.0], np.cumsum(mass)])
             return pre[self.hi + 1] - pre[self.lo]
-        return self.member_matrix() @ mass
+        return self._member_float_matrix() @ mass
+
+    def _member_float_matrix(self) -> np.ndarray:
+        """member_matrix() as float64 0/1, scattered from the member lists;
+        built on first use and kept, read-only.  One gemv over it gives the
+        ball sums, bitwise the sums of the boolean matrix cast per call."""
+        if self._member_floats is None:
+            m = _scatter_rows(*self._member_lists(),
+                              _mapped_zeros((self.n_balls, self.n_atoms)))
+            m.setflags(write=False)
+            self._member_floats = m
+        return self._member_floats
 
     def member_star_sums(self, kernel: np.ndarray, v: np.ndarray):
         """Yield (lo, hi, sums) over runs of whole atoms lo <= x < hi: row k
@@ -280,10 +335,8 @@ class BallBasis:
                 yield lo, hi, sums
             return
         if self._star_matrix is None:
-            s = np.zeros((self.n_balls, self.n_atoms), dtype=bool)
-            for i in range(self.n_balls):
-                s[i, self.star_members(i)] = True
-            self._star_matrix = s
+            self._star_matrix = _scatter_rows(*self.star_lists(),
+                                              np.zeros((self.n_balls, n), dtype=bool))
         sums = np.concatenate([
             np.matmul(kernel[idx], self._star_matrix[ids, :, None] * v).reshape(-1, d)
             for ids, idx in self.size_groups()])
@@ -340,9 +393,72 @@ class BallBasis:
         if self.interval:
             slo, shi = self.star_spans()
             return np.arange(slo[ball_id], shi[ball_id] + 1)
-        if ball_id not in self._star_sets:
-            self._star_sets[ball_id] = self.star_of_set(self.ball(ball_id).members)
-        return self._star_sets[ball_id]
+        self.ball(ball_id)  # KeyError on an unknown id
+        atoms, offsets = self.star_lists()
+        return atoms[offsets[ball_id]:offsets[ball_id + 1]]
+
+    def star_lists(self) -> tuple[np.ndarray, np.ndarray]:
+        """(atoms, offsets): star(B_i) is atoms[offsets[i]:offsets[i+1]],
+        sorted.  Built on first use and kept; read-only.
+
+        Interval bases read it off the star spans.  Other bases take each
+        size group in row blocks within BLOCK_ELEMS: the balls meeting each
+        row come from the pair index, those of measure at most twice the
+        row's are kept, and their members are scattered into the block's
+        (rows, atoms) mask."""
+        if self._star_lists is None:
+            if self.interval:
+                slo, shi = self.star_spans()
+                size = shi - slo + 1
+                atoms = _ranges(slo, size)
+            else:
+                size, atoms = self._star_pass()
+            offsets = np.concatenate([[0], np.cumsum(size)])
+            for a in (atoms, offsets):
+                a.setflags(write=False)
+            self._star_lists = atoms, offsets
+        return self._star_lists
+
+    def _star_pass(self) -> tuple[np.ndarray, np.ndarray]:
+        """(star size of every ball, the atoms of every star) on a
+        non-interval basis; the star of ball i is the star_of_set of its
+        members, and the atoms come ball after ball in id order."""
+        n, nb = self.n_atoms, self.n_balls
+        pairs = self.pair_index()
+        members, starts = self._member_lists()
+        size = np.empty(nb, dtype=np.int64)
+        done, parts = [], []  # ball ids and star atoms, block by block
+        for ids, idx in self.size_groups():
+            # the row measure star_of_set compares with
+            twice = 2 * self.space.weights[idx].sum(axis=1)
+            npairs = pairs.counts[idx].sum(axis=1)
+            # a block's ball mask, star mask and pair keys each stay within
+            # BLOCK_ELEMS
+            for r0, r1 in _blocks(np.cumsum(np.maximum(npairs, max(nb, n)))):
+                rows, m = idx[r0:r1], r1 - r0
+                # (row, ball) masks and (row, atom) masks, flat; the 1-d
+                # nonzero is many times faster than the 2-d one
+                meets = np.zeros(m * nb, dtype=bool)
+                meets[np.repeat(np.arange(0, m * nb, nb), npairs[r0:r1])
+                      + pairs.balls_of(rows.ravel())] = True
+                row, ball = np.divmod(meets.nonzero()[0], nb)
+                keep = self.mu[ball] <= twice[r0 + row]
+                row, ball = row[keep], ball[keep]
+                star = np.zeros(m * n, dtype=bool)
+                star[np.arange(0, m * n, n)[:, None] + rows] = True
+                span = self.sizes[ball]
+                for c0, c1 in _blocks(np.cumsum(span)):
+                    star[np.repeat(row[c0:c1] * n, span[c0:c1])
+                         + members[_ranges(starts[ball[c0:c1]], span[c0:c1])]] = True
+                row, atom = np.divmod(star.nonzero()[0], n)
+                size[ids[r0:r1]] = np.bincount(row, minlength=m)
+                done.append(ids[r0:r1])
+                parts.append(atom)
+        done = np.concatenate(done)
+        ends = np.cumsum(size)
+        atoms = np.empty(int(ends[-1]), dtype=np.int64)
+        atoms[_ranges(ends[done] - size[done], size[done])] = np.concatenate(parts)
+        return size, atoms
 
     def star_of_set(self, members) -> np.ndarray:
         """The star rule applied to an arbitrary set S:
@@ -358,10 +474,7 @@ class BallBasis:
             touches = np.zeros(self.n_balls, dtype=bool)
             touches[self.pair_index().balls_of(arr)] = True
             ids = np.flatnonzero(touches & (self.mu <= 2 * self.measure(arr)))
-            if self._member_lists is None:
-                self._member_lists = (np.concatenate([b.members for b in self.balls]),
-                                      np.cumsum(self.sizes) - self.sizes)
-            atoms, starts = self._member_lists
+            atoms, starts = self._member_lists()
             union = np.zeros(self.n_atoms, dtype=bool)
             union[atoms[_ranges(starts[ids], self.sizes[ids])]] = True
         union[arr] = True
@@ -519,7 +632,7 @@ def check_axioms(basis: BallBasis) -> AxiomReport:
     if basis.full_ball_id() is not None:
         b2_pass = True
     else:
-        m = basis.member_matrix().astype(np.float64)
+        m = basis._member_float_matrix()
         common = m.T @ m  # atoms x atoms: number of shared balls
         b2_pass = bool(np.all(common > 0))
 
@@ -538,15 +651,19 @@ def check_axioms(basis: BallBasis) -> AxiomReport:
         next_mu = np.minimum(np.where(lo > 0, table[lo - 1, hi], np.inf),
                              np.where(hi < n - 1, table[lo, (hi + 1) % n], np.inf))
     else:
-        stars = [basis.star_members(i) for i in range(basis.n_balls)]
-        star_size = np.array([s.size for s in stars])
-        star_groups = [(ids, np.stack([stars[i] for i in ids])) for ids in
-                       (np.flatnonzero(star_size == s) for s in np.unique(star_size))]
+        atoms, offsets = basis.star_lists()
+        star_size = np.diff(offsets)
+        star_groups = []
+        for size in np.unique(star_size):
+            ids = np.flatnonzero(star_size == size)
+            star_groups.append(
+                (ids, atoms[_ranges(offsets[ids], star_size[ids])].reshape(-1, size)))
         # least measure = -(max of -mu) over the containing balls
         cover_mu = -basis.superset_max(-mu, star_groups)
+        members = basis._member_float_matrix()
         hull_ok = np.empty(basis.n_balls, dtype=bool)
         for ids, idx in star_groups:
-            hull_ok[ids] = basis.member_matrix()[h[ids, None], idx].all(axis=1)
+            hull_ok[ids] = members[h[ids, None], idx].all(axis=1)
         star_full = star_size == n
         next_mu = -basis.superset_max(-mu, basis.size_groups(), strict=True)
 

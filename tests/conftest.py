@@ -219,6 +219,17 @@ def dense_ranks_by_groups(basis, dense):
     return order, best
 
 
+# -- every level of a tail at once ----------------------------------------------
+
+
+def level_tail_by_mask(x, g, w, mu, top):
+    """functional.level_tail with the mask of every level built at once: the
+    reference its early stop must equal bitwise."""
+    above = x[..., None, :] > np.arange(top + 1)[:, None] * g
+    return (np.where(above, w[..., None, :], 0.0).sum(axis=-1)
+            / np.expand_dims(mu, -1))
+
+
 # -- one operator apply per function --------------------------------------------
 # The estimator as one T.apply per (sampled ball, suite function) in the L0
 # and Monte-Carlo L1 passes and one per candidate in delta: the reference the

@@ -8,10 +8,11 @@ from ballbasis import (Ball, BallBasis, EmptySet, MeasureSpace, Params,
                        alpha_oscillation, average, bmo_norm, build_dyadic,
                        build_grid, build_regular_family, general_maximal,
                        maximal, median, sharp_all, sup_sharp_all)
-from ballbasis.functional import (_max_over_containing_balls, ball_averages_all,
-                                  mean_oscillation, medians, sharp_all_stack,
-                                  vector_norms)
-from conftest import alpha_core_by_loop, alpha_oscillation_by_loop, median_by_loop
+from ballbasis.functional import (TAIL_LEVELS, _max_over_containing_balls,
+                                  ball_averages_all, level_tail, mean_oscillation,
+                                  medians, sharp_all_stack, vector_norms)
+from conftest import (alpha_core_by_loop, alpha_oscillation_by_loop,
+                      level_tail_by_mask, median_by_loop)
 
 CLASSICAL = Params.classical_profile(1.0)
 
@@ -457,6 +458,46 @@ class TestGroupedStatistics:
                            ("sharp", sharp_all(f, scatter_basis, CLASSICAL.r))):
             want = _scatter_max_by_balls(scatter_basis, vals, np.zeros(n))
             assert np.array_equal(maximal(f, scatter_basis, CLASSICAL, mode), want)
+
+
+class TestLevelTail:
+    """The early-stopping level_tail equals the all-levels mask bitwise."""
+
+    @pytest.mark.parametrize("top", [0, 3, TAIL_LEVELS, 64])
+    def test_equals_mask_of_every_level(self, rng, top):
+        x = rng.lognormal(size=(5, 9))
+        x[1, 2] = 3.0 * 0.75  # on the level t = 3 of g = 0.75
+        x[2] = 0.0            # an all-zero row
+        w = rng.uniform(0.5, 2.0, size=(5, 9))
+        mu = w.sum(axis=1)
+        g = rng.uniform(0.5, 2.0, size=9)
+        g[[0, 4]] = 0.0       # atoms above every level wherever x > 0
+        cases = [(x, 0.75, w, mu),                   # (m, L) stack, scalar g
+                 (x, g, w, mu),                      # per-atom g with zeros
+                 (x[0], 0.75, w[0], float(mu[0])),   # one row
+                 (x[2], 1.0, w[2], float(mu[2])),    # all zero
+                 (np.zeros((3, 4)), 1.0, np.ones((3, 4)), np.full(3, 4.0)),
+                 (np.arange(12.0).reshape(3, 4), 1, np.ones((3, 4)),
+                  np.full(3, 4.0))]                  # integer levels hit exactly
+        for args in cases:
+            got = level_tail(*args, top)
+            assert got.shape == level_tail_by_mask(*args, top).shape
+            assert np.array_equal(got, level_tail_by_mask(*args, top))
+
+    def test_stops_after_last_level_above(self, rng, monkeypatch):
+        """A tail that ends below level TAIL_LEVELS builds one chunk of
+        levels, not 65."""
+        built = []
+        where = np.where
+
+        def counting(cond, *args):
+            built.append(cond.shape)
+            return where(cond, *args)
+
+        monkeypatch.setattr(np, "where", counting)
+        x = rng.uniform(0.0, 2.0, size=(4, 6))
+        level_tail(x, 1.0, np.ones((4, 6)), np.full(4, 6.0), 64)
+        assert built == [(4, TAIL_LEVELS, 6)]
 
 
 class TestSerialization:

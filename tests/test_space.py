@@ -184,6 +184,53 @@ class TestStar:
         got_lo, got_hi = scatter_basis.star_spans()
         assert np.array_equal(got_lo, want_lo) and np.array_equal(got_hi, want_hi)
 
+    def test_star_lists_equal_matrix_stars(self, scatter_basis):
+        _assert_star_lists_by_matrix(scatter_basis)
+
+    @pytest.mark.parametrize("base", [lambda: build_dyadic(10), lambda: build_grid(48)],
+                             ids=["dyadic10", "grid48"])
+    def test_star_pass_spans_several_blocks(self, base):
+        """Relabelled dyadic 10: its L = 1 group, 1,024 rows of a 2,047-ball
+        mask, takes many row blocks.  Relabelled grid 48: the full ball's
+        star gathers the members of all 1,176 balls (19,600 atoms), more
+        than one chunk of BLOCK_ELEMS."""
+        basis = _relabelled(base(), seed=3)[0]
+        assert not basis.interval
+        many_rows = 1024 * basis.n_balls > 8 * BLOCK_ELEMS  # dyadic 10's L = 1
+        many_chunks = basis.sizes.sum() > BLOCK_ELEMS        # grid 48's full ball
+        assert many_rows or many_chunks
+        _assert_star_lists_by_matrix(basis)
+
+    @pytest.mark.parametrize("relabel", [False, True], ids=["interval", "relabelled"])
+    def test_star_lists_contract(self, relabel):
+        """Built on first use, not with the basis; kept and read-only; the
+        offsets step by the star sizes."""
+        basis = build_dyadic(5)
+        if relabel:
+            basis = _relabelled(basis, seed=2)[0]
+        assert basis._star_lists is None
+        atoms, offsets = basis.star_lists()
+        assert basis.star_lists()[0] is atoms
+        assert not atoms.flags.writeable and not offsets.flags.writeable
+        assert offsets[0] == 0 and offsets[-1] == atoms.size
+        assert np.array_equal(np.diff(offsets), [basis.star_members(i).size
+                                                 for i in range(basis.n_balls)])
+
+    def test_star_pass_memory(self):
+        """Every star of relabelled dyadic 11 and grid 48, from a fresh
+        basis, within 4 MB of traced peak allocation."""
+        import tracemalloc
+
+        for base in (build_dyadic(11), build_grid(48)):
+            basis = _relabelled(base, seed=5)[0]
+            tracemalloc.start()
+            try:
+                basis.star_lists()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 << 20
+
     def test_dyadic_smallest_ball_star(self, dyadic3):
         b = ball_by_span(dyadic3, 0, 0)
         assert list(dyadic3.star_members(b)) == [0, 1]
@@ -477,6 +524,8 @@ class TestPairIndexContainment:
                 assert basis.contains(i, j) == inside[j]
             assert np.array_equal(basis.star_members(i),
                                   star_of_set_by_matrix(basis, b.members))
+        _assert_star_lists_by_matrix(basis)
+        _assert_ball_integrals_by_matrix(basis, rng)
         for x in range(n):
             assert np.array_equal(basis.balls_containing_atom(x), np.flatnonzero(
                 containing_by_matrix(basis, np.array([[x]]))[0]))
@@ -496,14 +545,17 @@ class TestPairIndexContainment:
         assert check_axioms(basis) == check_axioms_by_loop(basis)
 
     def test_no_membership_matrix(self, monkeypatch, rng):
-        """Containment, stars and the truncations of the sparse, identity
-        and zero operators never build the membership matrix."""
+        """The axiom check, ball sums, containment, stars and the
+        truncations of the sparse, identity and zero operators never build
+        the boolean membership matrix."""
         basis = _relabelled(build_dyadic(7), seed=5)[0]
 
         def refuse(self):
             raise AssertionError("membership matrix built")
 
         monkeypatch.setattr(BallBasis, "member_matrix", refuse)
+        check_axioms(basis)
+        basis.ball_integrals(rng.normal(size=basis.n_atoms))
         for i in (0, 3, 100):
             basis.supersets(i)
             basis.supersets(i, strict=True)
@@ -515,6 +567,50 @@ class TestPairIndexContainment:
         for T in (sparse_operator(basis, rng.choice(basis.n_balls, 8)),
                   identity_operator(basis), zero_operator(basis)):
             truncate(T).apply(f)
+
+    def test_no_star_of_set_per_ball(self, monkeypatch, rng):
+        """The axiom check and the first truncated sparse apply read every
+        star from star_lists(), not one star_of_set per ball."""
+        basis = _relabelled(build_dyadic(7), seed=5)[0]
+        calls = []
+        star_of_set = BallBasis.star_of_set
+
+        def counting(self, members):
+            calls.append(len(members))
+            return star_of_set(self, members)
+
+        monkeypatch.setattr(BallBasis, "star_of_set", counting)
+        check_axioms(basis)
+        f = VecFunction(rng.normal(size=(basis.n_atoms, 2)))
+        truncate(sparse_operator(basis, rng.choice(basis.n_balls, 8))).apply(f)
+        assert calls == []
+
+    @pytest.mark.parametrize("make", [
+        lambda: _relabelled(build_dyadic(7), seed=5)[0],
+        lambda: _relabelled(_reweighted(build_grid(24), seed=7), seed=4)[0]],
+        ids=["dyadic7", "grid24_weighted"])
+    def test_ball_integrals_equal_cast_matrix(self, make, rng):
+        basis = make()
+        assert not basis.interval
+        _assert_ball_integrals_by_matrix(basis, rng)
+
+
+def _assert_star_lists_by_matrix(basis):
+    """star_lists() holds, ball by ball, the membership-matrix star."""
+    atoms, offsets = basis.star_lists()
+    for i, b in enumerate(basis.balls):
+        assert np.array_equal(atoms[offsets[i]:offsets[i + 1]],
+                              star_of_set_by_matrix(basis, b.members))
+
+
+def _assert_ball_integrals_by_matrix(basis, rng):
+    """ball_integrals on a non-interval basis equals the gemv over the cast
+    boolean membership matrix bitwise, on the first call and on the cached
+    matrix."""
+    for _ in range(2):
+        mass = rng.normal(size=basis.n_atoms)
+        assert np.array_equal(basis.ball_integrals(mass),
+                              basis.member_matrix().astype(np.float64) @ mass)
 
 
 # Outside space.py, code reads the basis layout (interval flag, star spans,
