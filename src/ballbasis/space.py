@@ -24,22 +24,21 @@ per-atom reduction over the balls containing each atom (maximal functions,
 T*, child covers): one gather and one `ufunc.reduceat`.
 
 Every ball's star is kept as one CSR, `star_lists()`, built on first use:
-from the star spans on interval bases, otherwise in one pass per size group
-over the pair index.  The axiom check, the sparse operator's truncation and
-`star_members` read it.
+from the star spans on interval bases, otherwise by the star rule for a
+stack of atom sets over the pair index, taken per size group in row blocks;
+`star_of_set` is its one-row call.  The axiom check, the sparse operator's
+truncation and `star_members` read the CSR.
 
 On non-interval bases the ball sums read one float64 membership matrix,
 built from the member lists on first use and kept; the hull check of
 `check_axioms` reads it too, and so does the B2 scan on a basis with no full
-ball.  The boolean `member_matrix` serves only `star_of_set` on interval
-bases (so `star2_members`, which the dominate stage reads).
+ball.  The boolean `member_matrix` serves only interval bases: `star_of_set`
+(so `star2_members`, which the dominate stage reads) and the B2 scan.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,16 +105,6 @@ def _scatter_rows(atoms: np.ndarray, offsets: np.ndarray, out: np.ndarray) -> np
     rows, n = out.shape
     out.ravel()[np.repeat(np.arange(rows) * n, np.diff(offsets)) + atoms] = 1
     return out
-
-
-def _mapped_zeros(shape: tuple[int, int]) -> np.ndarray:
-    """A float64 zero array in an anonymous memory map of its own, for a
-    matrix kept as long as its basis.  glibc serves a block the size of one
-    it has just unmapped from the heap, where a kept block pins the memory
-    freed around it: a dyadic-permuted benchmark worker, which builds a basis
-    per pipeline, peaked at 54.4 MB resident with np.zeros and 52.0 MB so."""
-    buf = mmap.mmap(-1, max(math.prod(shape), 1) * 8)
-    return np.frombuffer(buf, dtype=np.float64).reshape(shape)
 
 
 class PairIndex:
@@ -207,7 +196,7 @@ class BallBasis:
             and len({(int(a), int(b)) for a, b in zip(lo, hi)}) == self.n_balls
         )
         self._member_matrix = None
-        self._member_floats = None  # member_matrix as float64 (sums, hull, B2)
+        self._member_floats = None  # as float64, non-interval (sums, hull, B2)
         self._star_matrix = None
         self._size_groups = None
         self._pair_index = None
@@ -234,9 +223,11 @@ class BallBasis:
 
     def member_matrix(self) -> np.ndarray:
         if self._member_matrix is None:
+            # by size group: no member lists kept for it (interval bases
+            # read nothing else of them)
             m = np.zeros((self.n_balls, self.n_atoms), dtype=bool)
-            for b in self.balls:
-                m[b.id, b.members] = True
+            for ids, idx in self.size_groups():
+                m[ids[:, None], idx] = True
             self._member_matrix = m
         return self._member_matrix
 
@@ -306,7 +297,7 @@ class BallBasis:
         ball sums, bitwise the sums of the boolean matrix cast per call."""
         if self._member_floats is None:
             m = _scatter_rows(*self._member_lists(),
-                              _mapped_zeros((self.n_balls, self.n_atoms)))
+                              np.zeros((self.n_balls, self.n_atoms)))
             m.setflags(write=False)
             self._member_floats = m
         return self._member_floats
@@ -401,11 +392,9 @@ class BallBasis:
         """(atoms, offsets): star(B_i) is atoms[offsets[i]:offsets[i+1]],
         sorted.  Built on first use and kept; read-only.
 
-        Interval bases read it off the star spans.  Other bases take each
-        size group in row blocks within BLOCK_ELEMS: the balls meeting each
-        row come from the pair index, those of measure at most twice the
-        row's are kept, and their members are scattered into the block's
-        (rows, atoms) mask."""
+        Interval bases read it off the star spans.  Other bases pass each
+        size group's member rows to _star_rows in blocks within
+        BLOCK_ELEMS."""
         if self._star_lists is None:
             if self.interval:
                 slo, shi = self.star_spans()
@@ -421,37 +410,20 @@ class BallBasis:
 
     def _star_pass(self) -> tuple[np.ndarray, np.ndarray]:
         """(star size of every ball, the atoms of every star) on a
-        non-interval basis; the star of ball i is the star_of_set of its
-        members, and the atoms come ball after ball in id order."""
+        non-interval basis: each size group's member rows go through
+        _star_rows in row blocks, and the atoms come ball after ball in id
+        order."""
         n, nb = self.n_atoms, self.n_balls
-        pairs = self.pair_index()
-        members, starts = self._member_lists()
+        counts = self.pair_index().counts
         size = np.empty(nb, dtype=np.int64)
         done, parts = [], []  # ball ids and star atoms, block by block
         for ids, idx in self.size_groups():
-            # the row measure star_of_set compares with
-            twice = 2 * self.space.weights[idx].sum(axis=1)
-            npairs = pairs.counts[idx].sum(axis=1)
             # a block's ball mask, star mask and pair keys each stay within
             # BLOCK_ELEMS
+            npairs = counts[idx].sum(axis=1)
             for r0, r1 in _blocks(np.cumsum(np.maximum(npairs, max(nb, n)))):
-                rows, m = idx[r0:r1], r1 - r0
-                # (row, ball) masks and (row, atom) masks, flat; the 1-d
-                # nonzero is many times faster than the 2-d one
-                meets = np.zeros(m * nb, dtype=bool)
-                meets[np.repeat(np.arange(0, m * nb, nb), npairs[r0:r1])
-                      + pairs.balls_of(rows.ravel())] = True
-                row, ball = np.divmod(meets.nonzero()[0], nb)
-                keep = self.mu[ball] <= twice[r0 + row]
-                row, ball = row[keep], ball[keep]
-                star = np.zeros(m * n, dtype=bool)
-                star[np.arange(0, m * n, n)[:, None] + rows] = True
-                span = self.sizes[ball]
-                for c0, c1 in _blocks(np.cumsum(span)):
-                    star[np.repeat(row[c0:c1] * n, span[c0:c1])
-                         + members[_ranges(starts[ball[c0:c1]], span[c0:c1])]] = True
-                row, atom = np.divmod(star.nonzero()[0], n)
-                size[ids[r0:r1]] = np.bincount(row, minlength=m)
+                row, atom = self._star_rows(idx[r0:r1])
+                size[ids[r0:r1]] = np.bincount(row, minlength=r1 - r0)
                 done.append(ids[r0:r1])
                 parts.append(atom)
         done = np.concatenate(done)
@@ -459,6 +431,32 @@ class BallBasis:
         atoms = np.empty(int(ends[-1]), dtype=np.int64)
         atoms[_ranges(ends[done] - size[done], size[done])] = np.concatenate(parts)
         return size, atoms
+
+    def _star_rows(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(row, atom) of every atom in the star rule of each row of idx, an
+        (m, L) stack of atom sets, in row then atom order (non-interval
+        bases): the row with every ball A that meets it and has mu(A) at most
+        twice the row's measure."""
+        n, nb = self.n_atoms, self.n_balls
+        m = len(idx)
+        pairs = self.pair_index()
+        members, starts = self._member_lists()
+        twice = 2 * self.space.weights[idx].sum(axis=1)
+        # (row, ball) and (row, atom) masks, flat; the 1-d nonzero is many
+        # times faster than the 2-d one
+        meets = np.zeros(m * nb, dtype=bool)
+        meets[np.repeat(np.arange(0, m * nb, nb), pairs.counts[idx].sum(axis=1))
+              + pairs.balls_of(idx.ravel())] = True
+        row, ball = np.divmod(meets.nonzero()[0], nb)
+        keep = self.mu[ball] <= twice[row]
+        row, ball = row[keep], ball[keep]
+        star = np.zeros(m * n, dtype=bool)
+        star[np.arange(0, m * n, n)[:, None] + idx] = True
+        span = self.sizes[ball]
+        for c0, c1 in _blocks(np.cumsum(span)):
+            star[np.repeat(row[c0:c1] * n, span[c0:c1])
+                 + members[_ranges(starts[ball[c0:c1]], span[c0:c1])]] = True
+        return np.divmod(star.nonzero()[0], n)
 
     def star_of_set(self, members) -> np.ndarray:
         """The star rule applied to an arbitrary set S:
@@ -470,15 +468,9 @@ class BallBasis:
             m = self.member_matrix()
             touches = m[:, arr].any(axis=1) & (self.mu <= 2 * self.measure(arr))
             union = m[touches].any(axis=0)
-        else:
-            touches = np.zeros(self.n_balls, dtype=bool)
-            touches[self.pair_index().balls_of(arr)] = True
-            ids = np.flatnonzero(touches & (self.mu <= 2 * self.measure(arr)))
-            atoms, starts = self._member_lists()
-            union = np.zeros(self.n_atoms, dtype=bool)
-            union[atoms[_ranges(starts[ids], self.sizes[ids])]] = True
-        union[arr] = True
-        return np.flatnonzero(union)
+            union[arr] = True
+            return np.flatnonzero(union)
+        return self._star_rows(arr[None, :])[1]
 
     def star2_members(self, ball_id: int) -> np.ndarray:
         """(B*)* -- the star rule iterated once on the set B*."""
@@ -632,7 +624,9 @@ def check_axioms(basis: BallBasis) -> AxiomReport:
     if basis.full_ball_id() is not None:
         b2_pass = True
     else:
-        m = basis._member_float_matrix()
+        # the kept float matrix where the ball sums read it, else a cast
+        m = (basis.member_matrix().astype(np.float64) if basis.interval
+             else basis._member_float_matrix())
         common = m.T @ m  # atoms x atoms: number of shared balls
         b2_pass = bool(np.all(common > 0))
 
