@@ -4,9 +4,14 @@ Every quantity here is deterministic given the seeds below, so reruns must
 reproduce the stored values exactly (12 significant digits). Run from the
 repository root:
 
-    python3 scripts/freeze_baselines.py
+    python3 scripts/freeze_baselines.py          # rewrite the frozen file
+    python3 scripts/freeze_baselines.py --check  # compare, writing nothing
+
+With --check the document is regenerated in memory and compared with the
+frozen file: each key that differs is printed and the exit status is 1.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -28,7 +33,7 @@ from ballbasis.cli import main as cli_main
 from ballbasis.cli import make_f_family
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
-OUT = os.path.join(ROOT, "tests", "baselines", "acceptance.json")
+OUT = os.path.normpath(os.path.join(ROOT, "tests", "baselines", "acceptance.json"))
 # the shipped configs that 'ballbasis all' passes on (acceptance criterion 13)
 CLI_CONFIGS = ("dyadic-martingale", "grid-hilbert")
 
@@ -187,7 +192,7 @@ def cli_bundle_digests():
     return out
 
 
-def main():
+def build_doc():
     doc = {"p11_node_counts": p11_node_counts()}
     doc.update(thm7_battery())
     doc.update(t3_t8_battery())
@@ -195,12 +200,46 @@ def main():
     doc.update(bmo_baselines())
     doc["tstar_ratio"] = tstar_ratios()
     doc["cli_bundle_sha256"] = cli_bundle_digests()
+    return doc
+
+
+def differing_keys(new, old, prefix=""):
+    """The keys whose values differ between two documents, nested objects
+    compared key by key (dotted paths)."""
+    out = []
+    for key in sorted(set(new) | set(old)):
+        path = f"{prefix}{key}"
+        a, b = new.get(key), old.get(key)
+        if isinstance(a, dict) and isinstance(b, dict):
+            out += differing_keys(a, b, path + ".")
+        elif a != b:
+            out.append(path)
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the frozen file instead of writing it")
+    args = parser.parse_args(argv)
+    # through JSON, so the comparison sees exactly what the file would hold
+    doc = json.loads(json.dumps(build_doc()))
+    if args.check:
+        with open(OUT) as fh:
+            frozen = json.load(fh)
+        diff = differing_keys(doc, frozen)
+        for key in diff:
+            print(f"differs: {key}")
+        print(f"{len(diff)} keys differ from {OUT}" if diff
+              else f"baselines match {OUT}")
+        return 1 if diff else 0
     os.makedirs(os.path.dirname(OUT), exist_ok=True)
     with open(OUT, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     print(f"wrote {OUT}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

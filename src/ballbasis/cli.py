@@ -50,6 +50,14 @@ _OP_DEFAULTS = {
 
 _SUITES = ("weak_type", "good_lambda", "exp_decay", "john_nirenberg", "bmo",
            "strong_domination", "ap")
+# the suites run_verify reads a threshold for
+_THRESHOLD_SUITES = {"weak_type", "good_lambda", "bmo"}
+# the stages that emit one report per operator, named <stage>/<operator name>
+_OPERATOR_REPORTS = ("estimate", "dominate", "weak_type", "good_lambda",
+                     "exp_decay", "bmo")
+# the reports run_verify names without an operator
+_FIXED_REPORTS = ("weak_type/maximal_rho1", "weak_type/maximal_rho0.5",
+                  "exp_decay/modulated_vs_sharp")
 
 _DEFAULTS = {
     "seed": 0,
@@ -133,8 +141,11 @@ def load_config(path: str) -> dict:
     unknown = [s for s in cfg["verify"]["suites"] if s not in _SUITES]
     if unknown:
         raise ConfigError(f"unknown verify suites {unknown}; known: {list(_SUITES)}")
+    _check_keys("verify.thresholds", cfg["verify"]["thresholds"], _THRESHOLD_SUITES)
     for name, bound in cfg["verify"]["thresholds"].items():
         _check_type(f"verify.thresholds.{name}", bound, 0.0)
+        if math.isnan(bound):
+            raise ConfigError(f"verify.thresholds.{name} must be a number, got NaN")
     weight = cfg["verify"]["weight"]
     _check_keys("verify.weight", weight, {"kind", "value", "exponent"})
     for k in ("value", "exponent"):
@@ -217,6 +228,22 @@ def _construct(kind: str, spec: dict, basis, seed: int) -> OperatorDescriptor:
         ids = np.sort(rng.choice(basis.n_balls, size=min(v["count"], basis.n_balls),
                                  replace=False))
         return sparse_operator(basis, ids, float(v["rho"]))
+
+
+def _check_report_names(ops) -> None:
+    """Raise ConfigError unless every operator has a name and every report
+    of a run, and so every tail file (its name with / mapped to _), has a
+    name of its own."""
+    if any(not op.name for op in ops):
+        raise ConfigError("operator names must not be empty")
+    seen = {}
+    for name in list(_FIXED_REPORTS) + [f"{stage}/{op.name}" for op in ops
+                                        for stage in _OPERATOR_REPORTS]:
+        file = name.replace("/", "_")
+        if file in seen:
+            raise ConfigError(f"reports {seen[file]!r} and {name!r} would share "
+                              f"the name {file!r}; give the operators distinct names")
+        seen[file] = name
 
 
 def _resolve_ball(spec, basis) -> int:
@@ -421,7 +448,7 @@ def run_verify(cfg: dict, basis, ops, suite_filter: str | None = None
         for prm in (Params.classical_profile(1.0), Params(1.0, 0.5, 1.0)):
             mx = lambda f, prm=prm: maximal(f, basis, prm)
             rep = weak_type_report(mx, corpus, basis, prm, bound=basis.K)
-            rep.name = f"weak_type/maximal_rho{prm.rho:g}"
+            rep.name = f"weak_type/maximal_rho{prm.rho:g}"  # see _FIXED_REPORTS
             out.append(rep)
         for op in ops:
             rep = weak_type_report(op, corpus, basis, op.params,
@@ -532,6 +559,7 @@ def run_experiment(command: str, cfg: dict, suite: str | None = None) -> tuple[l
     basis = build_basis(cfg)
     ops = [build_operator(spec, basis, int(cfg["seed"]))
            for spec in cfg["operators"]]
+    _check_report_names(ops)
     reports: list[Report] = []
     if command in ("check-basis", "all"):
         reports += run_check_basis(cfg, basis)

@@ -170,9 +170,11 @@ def _min_osc(masses, osc, need: float) -> float:
     return float(osc[ok].min())
 
 
-def _query_atoms(members, alpha: float, basis: BallBasis, what: str):
-    """members as an atom array, and its weights, after the shared checks."""
-    if not (0 < alpha < 1):
+def _query_atoms(members, alpha, basis: BallBasis, what: str):
+    """members as an atom array, and its weights, after the shared checks
+    (alpha one value or several)."""
+    alpha = np.asarray(alpha)
+    if not np.all((alpha > 0) & (alpha < 1)):
         raise ValueError("alpha must lie in (0,1)")
     arr = as_atom_array(members)
     if arr.size == 0:
@@ -222,10 +224,12 @@ class _SortedWindows:
         return self._first(lambda j: np.take_along_axis(sv, j, -1) - sv
                            > width[:, None]) - 1
 
-    def alpha_osc(self, alpha: float) -> np.ndarray:
-        """OSC_alpha per row: the least width of a window of mass over alpha*mu."""
+    def alpha_osc(self, alpha) -> np.ndarray:
+        """OSC_alpha per row: the least width of a window of mass over
+        alpha*mu, alpha one value or one per row."""
         L = self.sv.shape[1]
-        ends = self._first(lambda j: self.mass(j) > alpha * self.pre[:, -1:])
+        need = np.reshape(alpha, (-1, 1)) * self.pre[:, -1:]
+        ends = self._first(lambda j: self.mass(j) > need)
         widths = np.take_along_axis(self.sv, np.minimum(ends, L - 1), -1) - self.sv
         osc = np.where(ends < L, widths, np.inf).min(axis=-1)
         if np.isinf(osc).any():
@@ -236,11 +240,19 @@ class _SortedWindows:
 def alpha_oscillation(f: VecFunction, members, alpha: float,
                       basis: BallBasis, method: str = "auto") -> float:
     """OSC_{B,alpha}: smallest oscillation on a subset of mass > alpha*mu(B)."""
-    arr, w = _query_atoms(members, alpha, basis, "alpha-oscillation")
+    return float(alpha_oscillations(f, members, [alpha], basis, method)[0])
+
+
+def alpha_oscillations(f: VecFunction, members, alphas, basis: BallBasis,
+                       method: str = "auto") -> np.ndarray:
+    """OSC_{B,alpha} for each of alphas on one atom set, from one table: the
+    sorted windows of the set repeated once per alpha, or one subset oracle."""
+    arr, w = _query_atoms(members, alphas, basis, "alpha-oscillation")
     if _use_oracle(f, method):
         _, masses, osc = _subset_oscillations(f, arr, w)
-        return _min_osc(masses, osc, alpha * w.sum())
-    return float(_SortedWindows(f, arr[None], basis.space.weights).alpha_osc(alpha)[0])
+        return np.array([_min_osc(masses, osc, a * w.sum()) for a in alphas])
+    rows = np.repeat(arr[None], len(alphas), axis=0)
+    return _SortedWindows(f, rows, basis.space.weights).alpha_osc(alphas)
 
 
 def alpha_core(f: VecFunction, members, alpha: float, basis: BallBasis,

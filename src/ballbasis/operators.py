@@ -17,21 +17,22 @@ import numpy as np
 
 from .errors import NotComparable
 from .functional import Params, VecFunction, vector_norms, volume_distance_matrix
-from .space import BallBasis
+from .space import BLOCK_ELEMS, BallBasis
 
 
 class OperatorDescriptor:
     """An operator on functions over the basis atoms, its structure declared
     once.  Either it has a kernel, Tf(x) = sum_y K(x, y) f(y) w(y): it is then
     linear, and apply_fn, if given, is only a faster way to the same values.
-    Or apply_fn gives Tf.  truncate_fn, if given, gives the truncation T*f as
-    an (atoms,) array (see truncate) and takes precedence over the kernel;
-    the kernel then stays for the exact passes (delta, the exact L1 pass).
+    Or apply_fn gives Tf.  truncate_fn, if given, gives the truncation T*f
+    (see truncate) and takes precedence over the kernel; the kernel then
+    stays for the exact passes (delta, the exact L1 pass).
 
     Operators apply to stacks: a (k, atoms, dim) array of k functions of one
     norm kind.  apply_fn(stack, norm_kind) returns the (k, atoms, dim') stack
-    of their images, and each row must equal bitwise what that row gives
-    alone, so a caller may stack any rows it likes."""
+    of their images, and truncate_fn(stack, norm_kind) returns T*f of every
+    row as a (k, atoms) array.  Each row of either must equal bitwise what
+    that row gives alone, so a caller may stack any rows it likes."""
 
     def __init__(self, name: str, basis: BallBasis, params: Params,
                  kernel: np.ndarray | None = None, apply_fn=None,
@@ -112,13 +113,6 @@ def _level_slices(g: int):
     return range((1 << g) - 1, (1 << (g + 1)) - 1)
 
 
-def _by_generation(basis: BallBasis, levels: int, v: np.ndarray) -> np.ndarray:
-    """Row g: at each atom x, v[B] for x's generation-g ball B (v per ball)."""
-    n = basis.n_atoms
-    return np.stack([np.repeat(v[(1 << g) - 1:(1 << (g + 1)) - 1], n >> g, axis=0)
-                     for g in range(levels + 1)])
-
-
 def conditional_expectation(basis: BallBasis, level: int) -> OperatorDescriptor:
     """E_level f = sum over generation-level balls of f_B 1_B."""
     levels = dyadic_levels(basis)
@@ -158,11 +152,13 @@ def square_function(basis: BallBasis) -> OperatorDescriptor:
     n = basis.n_atoms
     mu = [basis.mu[_level_slices(g)][:, None] for g in range(levels + 1)]
     # B* is B or an ancestor (the star rule adds the nested balls of measure
-    # <= 2 mu(B)); star_gen[g, x]: its generation for x's generation-g ball
+    # <= 2 mu(B)): for ball B at generation g and place j, the ancestor at
+    # generation p is 2^p - 1 + (j >> (g - p))
     slo, shi = basis.star_spans()
-    star_size = shi - slo + 1
-    star_gen = _by_generation(basis, levels,
-                              np.round(np.log2(n / star_size)).astype(np.int64))
+    gen = np.repeat(np.arange(levels + 1), 1 << np.arange(levels + 1))
+    star_gen = np.round(np.log2(n / (shi - slo + 1))).astype(np.int64)
+    star_id = ((1 << star_gen) - 1
+               + ((np.arange(basis.n_balls) + 1 - (1 << gen)) >> (gen - star_gen)))
 
     def block_sums(stack):
         # Generation g is 2^g consecutive blocks of n >> g atoms (checked by
@@ -188,20 +184,26 @@ def square_function(basis: BallBasis) -> OperatorDescriptor:
         means = [s / m for s, m in zip(block_sums(stack), mu)]
         return square(means, norm_kind, n)[..., None]
 
-    def truncate_fn(f):
+    def truncate_fn(stack, norm_kind):
         # For x in B with B* at generation p, f 1_{X minus B*} has the block
-        # sum s_k - s_p on x's generation-k ball for k <= p and 0 below, so
-        # T(f 1_{X minus B*})(x) comes from the means c_k = (s_k - s_p)/mu_k,
+        # sum s_q - s_p on x's generation-q ball for q <= p and 0 below, so
+        # T(f 1_{X minus B*})(x) comes from the means c_q = (s_q - s_p)/mu_q,
         # each constant on the balls of generation p
-        s = block_sums(f.values[None])
-        by_star = [np.zeros(1)]  # per ball of generation p, heap order
+        s = block_sums(stack)
+        by_star = [np.zeros((len(stack), 1))]  # per ball of generation p, heap order
         for p in range(1, levels + 1):
-            means = [(np.repeat(s[k], 1 << (p - k), axis=1) - s[p])
-                     / np.repeat(mu[k], 1 << (p - k), axis=0)
-                     for k in range(p + 1)]
-            by_star.append(square(means, f.norm_kind, 1 << p)[0])
-        by_star = _by_generation(basis, levels, np.concatenate(by_star))
-        return np.take_along_axis(by_star, star_gen, axis=0).max(axis=0)
+            means = [(np.repeat(s[q], 1 << (p - q), axis=1) - s[p])
+                     / np.repeat(mu[q], 1 << (p - q), axis=0)
+                     for q in range(p + 1)]
+            by_star.append(square(means, norm_kind, 1 << p))
+        # (k, balls): each ball B's value, that of the ball B*; T*f at x is
+        # the max over x's balls, one per generation
+        by_ball = np.concatenate(by_star, axis=1)[:, star_id]
+        out = np.zeros((len(stack), n))
+        for g in range(levels + 1):
+            np.maximum(out, np.repeat(by_ball[:, (1 << g) - 1:(1 << (g + 1)) - 1],
+                                      n >> g, axis=1), out=out)
+        return out
 
     return OperatorDescriptor("square_function", basis,
                               Params(r=1.0, rho=1.0, varrho=1.0),
@@ -249,22 +251,31 @@ def sparse_operator(basis: BallBasis, ball_ids, rho: float = 1.0) -> OperatorDes
                           np.concatenate([star_atom[sel], members]),
                           pos, pairs.ball[pos]))
 
-    def truncate_fn(f):
+    def star_rows(stack, norm_kind):
         # T(f 1_{X minus B*})(x) = sum over listed A containing x of
         # mu(A)^-rho (sum of g over A minus sum over the atoms of A in B*),
         # g = f w.  Both sums add in atom order (bincount), so where A lies
         # in B* they are equal and the term is exactly 0
+        k, _, d = stack.shape
+        # column j of g is component j % d of row j // d
+        g = (stack * w[:, None]).transpose(1, 0, 2).reshape(n, k * d)
+        pairs = basis.pair_index()
+        vals = np.zeros((len(pairs.ball), k * d))
+        for (_, c), (bins, atoms, pos, ball) in zip(listed, index):
+            sums = np.stack([np.bincount(bins, weights=g[atoms, j], minlength=nb + 1)
+                             for j in range(k * d)], axis=1)
+            vals[pos] += c * (sums[nb] - sums[ball])
+        norms = vector_norms(vals.reshape(-1, k, d), norm_kind)
+        return pairs.reduce(np.maximum, norms, np.zeros((n, k)), 0, n).T
+
+    def truncate_fn(stack, norm_kind):
         if not index:
             build_index()
-        g = f.values * w[:, None]
-        pairs = basis.pair_index()
-        vals = np.zeros((len(pairs.ball), g.shape[1]))
-        for (_, c), (bins, atoms, pos, ball) in zip(listed, index):
-            sums = np.stack([np.bincount(bins, weights=g[atoms, k], minlength=nb + 1)
-                             for k in range(g.shape[1])], axis=1)
-            vals[pos] += c * (sums[nb] - sums[ball])
-        return pairs.reduce(np.maximum, vector_norms(vals, f.norm_kind),
-                            np.zeros(n), 0, n)
+        # the rows in runs whose (pair, component) values stay within
+        # BLOCK_ELEMS
+        step = max(1, BLOCK_ELEMS // (len(basis.pair_index().ball) * stack.shape[2]))
+        return np.concatenate([star_rows(stack[i:i + step], norm_kind)
+                               for i in range(0, len(stack), step)])
 
     return OperatorDescriptor("sparse_operator", basis,
                               Params(r=1.0, rho=rho, varrho=1.0), kernel=kernel,
@@ -306,7 +317,7 @@ def identity_operator(basis: BallBasis) -> OperatorDescriptor:
     kernel = np.diag(1.0 / w)
     return OperatorDescriptor("identity", basis, Params.classical_profile(1.0),
                               kernel=kernel, apply_fn=lambda stack, norm_kind: stack,
-                              truncate_fn=lambda f: np.zeros(basis.n_atoms))
+                              truncate_fn=lambda stack, norm_kind: np.zeros(stack.shape[:2]))
 
 
 def zero_operator(basis: BallBasis) -> OperatorDescriptor:
@@ -314,30 +325,36 @@ def zero_operator(basis: BallBasis) -> OperatorDescriptor:
     return OperatorDescriptor(
         "zero", basis, Params.classical_profile(1.0), kernel=np.zeros((n, n)),
         apply_fn=lambda stack, norm_kind: np.zeros_like(stack),
-        truncate_fn=lambda f: np.zeros(n))
+        truncate_fn=lambda stack, norm_kind: np.zeros(stack.shape[:2]))
 
 
 # -- truncation and modulation ---------------------------------------------------
 
 
-def _kernel_truncation(T: OperatorDescriptor, f: VecFunction) -> np.ndarray:
-    """T*f of a kernel operator: T(f 1_{X minus B*})(x) is Tf(x) minus the
-    sum over y in B* of K(x, y) f(y) w(y), at every (ball, member) pair."""
+def _kernel_truncation(T: OperatorDescriptor, stack: np.ndarray,
+                       norm_kind: str) -> np.ndarray:
+    """T*f of a kernel operator for each row f of a (k, atoms, dim) stack, as
+    (k, atoms): T(f 1_{X minus B*})(x) is Tf(x) minus the sum over y in B*
+    of K(x, y) f(y) w(y), at every (ball, member) pair.  One pass of star
+    sums serves every row."""
     basis = T.basis
-    tf = T.apply(f).values
-    g = f.values * basis.space.weights[:, None]
+    k, n, _ = stack.shape
+    # (atoms, k, dim): the rows side by side at each atom
+    tf = T.apply_stack(stack, norm_kind).transpose(1, 0, 2)
+    g = (stack * basis.space.weights[:, None]).transpose(1, 0, 2)
     pairs = basis.pair_index()
-    out = np.zeros(basis.n_atoms)
+    out = np.zeros((n, k))
     for lo, hi, sums in basis.member_star_sums(T.kernel, g):
-        norms = vector_norms(tf[pairs.members(lo, hi)] - sums, f.norm_kind)
+        norms = vector_norms(tf[pairs.members(lo, hi)] - sums, norm_kind)
         pairs.reduce(np.maximum, norms, out, lo, hi)
-    return out
+    return out.T
 
 
 def _truncation(T: OperatorDescriptor):
-    """f -> T*f as an (atoms,) array from T's declared structure, or None."""
+    """(stack, norm_kind) -> T*f of every row as (k, atoms), from T's
+    declared structure, or None."""
     if T._truncate_fn is None and T.kernel is not None:
-        return lambda f: _kernel_truncation(T, f)
+        return lambda stack, norm_kind: _kernel_truncation(T, stack, norm_kind)
     return T._truncate_fn
 
 
@@ -346,15 +363,15 @@ def truncate(T: OperatorDescriptor) -> OperatorDescriptor:
 
     Read from T's declared structure, never by applying T once per ball: a
     declared truncate_fn gives it, else a kernel gives star sums subtracted
-    from Tf, and an operator with neither raises ValueError."""
+    from Tf, and an operator with neither raises ValueError.  Both act on a
+    whole (k, atoms, dim) stack at once, and the truncation's apply returns
+    the (k, atoms, 1) stack of T*f."""
     star = _truncation(T)
     if star is None:
         raise ValueError(f"{T.name} declares neither a kernel nor a truncation")
-    # its callers pass one row at a time, so the rows are mapped one by one
     return OperatorDescriptor(
         f"trunc({T.name})", T.basis, T.params,
-        apply_fn=lambda stack, norm_kind: np.stack(
-            [star(VecFunction(v, norm_kind)) for v in stack])[..., None])
+        apply_fn=lambda stack, norm_kind: star(stack, norm_kind)[..., None])
 
 
 def maximal_modulation(family: list[OperatorDescriptor]) -> OperatorDescriptor:
@@ -374,10 +391,10 @@ def maximal_modulation(family: list[OperatorDescriptor]) -> OperatorDescriptor:
     # the sup over members commutes with the sup over balls in T*
     stars = [_truncation(t) for t in family]
 
-    def truncate_fn(f):
-        out = np.zeros(basis.n_atoms)
+    def truncate_fn(stack, norm_kind):
+        out = np.zeros(stack.shape[:2])
         for star in stars:
-            np.maximum(out, star(f), out=out)
+            np.maximum(out, star(stack, norm_kind), out=out)
         return out
 
     return OperatorDescriptor(
@@ -586,9 +603,13 @@ def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
     # monte-carlo localization pass (also for exact operators: the suite is
     # shared with modulation families so their estimates stay comparable).
     # Per sampled ball, the sums of every suite function over its supersets
-    # come one size group at a time; the powers stay scalar, since numpy's
-    # array ** rounds differently
+    # come one size group at a time, from the groups that hold one; the
+    # powers stay scalar, since numpy's array ** rounds differently
     mu_rho = np.array([m ** (-p.rho) for m in basis.mu.tolist()])
+    groups = basis.size_groups()
+    group_of = np.empty(basis.n_balls, dtype=np.intp)
+    for gi, (ids, _) in enumerate(groups):
+        group_of[ids] = gi
     for bid in ball_ids:
         bid = int(bid)
         members = basis.balls[bid].members
@@ -599,29 +620,32 @@ def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
         mask[star] = 0.0
         rvs = suite * mask
         mass = np.abs(rvs) ** p.r * w
+        sup_ids = basis.supersets(bid)
         is_sup = np.zeros(basis.n_balls, dtype=bool)
-        is_sup[basis.supersets(bid)] = True
+        is_sup[sup_ids] = True
         sup, sums = [], []
-        for ids, idx in basis.size_groups():
+        held = np.bincount(group_of[sup_ids], minlength=len(groups))
+        for gi in np.flatnonzero(held).tolist():
+            ids, idx = groups[gi]
             rows = is_sup[ids]
-            if rows.any():
-                sup.append(ids[rows])
-                # C-ordered blocks, so each sum rounds like the ball's own
-                sums.append(np.take(mass, idx[rows], axis=1).sum(axis=-1))
+            sup.append(ids[rows])
+            # C-ordered blocks, so each sum rounds like the ball's own
+            sums.append(np.take(mass, idx[rows], axis=1).sum(axis=-1))
         sup = np.concatenate(sup)
-        mu_sup = mu_rho[sup]
         logs = np.array([math.log1p(q) for q in (basis.mu[sup] / basis.mu[bid]).tolist()])
-        denoms, r4_denoms = [], []
-        for row in np.concatenate(sums, axis=1):
-            avg = mu_sup * _power(row, p.varrho)
-            denoms.append(float(avg.max()))
-            r4_denoms.append(float((avg / logs).max()))
-        rows = [fi for fi, d in enumerate(denoms) if d != 0]
-        if not rows:
+        # (suite, supersets), a fresh array, scaled and divided in place
+        avg = _power(np.concatenate(sums, axis=1).ravel(), p.varrho).reshape(len(suite), -1)
+        avg *= mu_rho[sup]
+        denoms = avg.max(axis=1)
+        avg /= logs
+        r4_denoms = avg.max(axis=1).tolist()
+        rows = np.flatnonzero(denoms != 0)
+        if not rows.size:
             continue
+        denoms = denoms.tolist()
         tv = vector_norms(T.apply_stack(rvs[rows, :, None], "euclidean"),
                           "euclidean")[:, members]
-        for fi, osc in zip(rows, (tv.max(axis=1) - tv.min(axis=1)).tolist()):
+        for fi, osc in zip(rows.tolist(), (tv.max(axis=1) - tv.min(axis=1)).tolist()):
             if osc / denoms[fi] > l1:
                 l1 = osc / denoms[fi]
                 witnesses["L1"] = {"ball": bid, "suite_index": fi}

@@ -305,33 +305,39 @@ class BallBasis:
     def member_star_sums(self, kernel: np.ndarray, v: np.ndarray):
         """Yield (lo, hi, sums) over runs of whole atoms lo <= x < hi: row k
         of sums is the sum over y in star(B) of kernel[x, y] v[y] for the k-th
-        (ball B, member x) pair of those atoms in pair_index() order (v has
-        one row per atom).
+        (ball B, member x) pair of those atoms in pair_index() order.  v has
+        one row per atom and the components of a function on its last axis;
+        axes between stack several functions, and sums has them too.
 
         Interval bases build, block by block, only the prefix rows of the
-        block's atoms; other bases take one star-masked product per size
-        group, as a single block."""
+        block's atoms, for every function at once; other bases take one
+        star-masked product per size group and function, as a single block,
+        so each function's sums round as they do alone."""
         pairs = self.pair_index()
-        n, d = self.n_atoms, v.shape[1]
+        n = self.n_atoms
         if self.interval:
+            c = v[0].size
+            cols = v.reshape(n, c)
             slo, shi = self.star_spans()
-            for lo, hi in pairs.blocks((n + 1) * d, d):
-                pre = np.zeros((hi - lo, n + 1, d))
-                np.multiply(kernel[lo:hi, :, None], v[None], out=pre[:, 1:])
+            for lo, hi in pairs.blocks((n + 1) * c, c):
+                pre = np.zeros((hi - lo, n + 1, c))
+                np.multiply(kernel[lo:hi, :, None], cols[None], out=pre[:, 1:])
                 np.cumsum(pre[:, 1:], axis=1, out=pre[:, 1:])  # in place
                 rows = pairs.members(lo, hi) - lo
                 ball = pairs.ball[pairs.offsets[lo]:pairs.offsets[hi]]
                 sums = pre[rows, shi[ball] + 1]
                 sums -= pre[rows, slo[ball]]
-                yield lo, hi, sums
+                yield lo, hi, sums.reshape((-1,) + v.shape[1:])
             return
         if self._star_matrix is None:
             self._star_matrix = _scatter_rows(*self.star_lists(),
                                               np.zeros((self.n_balls, n), dtype=bool))
-        sums = np.concatenate([
-            np.matmul(kernel[idx], self._star_matrix[ids, :, None] * v).reshape(-1, d)
-            for ids, idx in self.size_groups()])
-        yield 0, n, sums[pairs.order]
+        d = v.shape[-1]
+        funcs = v.reshape(n, -1, d)
+        sums = np.stack([np.concatenate([
+            np.matmul(kernel[idx], self._star_matrix[ids, :, None] * funcs[:, j]).reshape(-1, d)
+            for ids, idx in self.size_groups()]) for j in range(funcs.shape[1])], axis=1)
+        yield 0, n, sums[pairs.order].reshape((-1,) + v.shape[1:])
 
     def superset_max(self, vals: np.ndarray, groups=None,
                      strict: bool = False) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, InfZero, ZeroBmoNorm
 from .space import BallBasis
-from .functional import (Params, VecFunction, alpha_oscillation, bmo_norm,
+from .functional import (Params, VecFunction, alpha_oscillations, bmo_norm,
                          fit_exponential_rate, level_tail, maximal,
                          mean_deviation, median, medians, sharp_all_stack,
                          vector_norms)
@@ -169,19 +169,39 @@ def _apply(op, f: VecFunction) -> np.ndarray:
     return np.asarray(op(f), dtype=float)
 
 
+# every corpus case is a scalar VecFunction
+_CORPUS_NORM = "euclidean"
+
+
+def _corpus_stack(corpus: Corpus, n: int) -> tuple[list, np.ndarray]:
+    """The (case id, VecFunction) pairs of the corpus and their (k, n, 1)
+    stack."""
+    cases = list(corpus.cases(n))
+    return cases, np.array([f.values for _, f in cases]).reshape(len(cases), n, 1)
+
+
+def _output_norms(op, stack: np.ndarray) -> np.ndarray:
+    """(k, atoms): ||op f|| for each row f of a corpus stack, from one
+    stacked apply of a descriptor; a plain callable is called row by row."""
+    if isinstance(op, OperatorDescriptor) and len(stack):
+        return vector_norms(op.apply_stack(stack, _CORPUS_NORM), _CORPUS_NORM)
+    return np.array([_apply(op, VecFunction(v, _CORPUS_NORM))
+                     for v in stack]).reshape(stack.shape[:2])
+
+
 def weak_type_report(op, corpus: Corpus, basis: BallBasis, p: Params,
                      bound: float | None = None) -> Report:
     """Sup over lambda of lambda^(1/rho) mu{out > lambda} / (int ||f||^r)^(vrho/rho).
 
     Lambda is scanned at every distinct positive output value; the sup of the
     left side on each plateau is attained at the value itself (measure of the
-    closed superlevel set).
+    closed superlevel set).  A descriptor applies once to the corpus stack.
     """
     w = basis.space.weights
     rows = []
     worst = 0.0
-    for cid, f in corpus.cases(basis.n_atoms):
-        out = _apply(op, f)
+    cases, stack = _corpus_stack(corpus, basis.n_atoms)
+    for (cid, f), out in zip(cases, _output_norms(op, stack)):
         denom = float(np.sum(f.norms() ** p.r * w)) ** (p.varrho / p.rho)
         ratio = 0.0
         if denom > 0:
@@ -206,16 +226,15 @@ def good_lambda_report(T: OperatorDescriptor, consts, corpus: Corpus,
                        c: float = 0.5, threshold: float = math.inf) -> Report:
     """Compare mu{T*f > lambda, Mf < delta lambda} against mu{||Tf|| > lambda/2}
     on T's basis with delta = c/(L0 + L1), scanning lambda at distinct T*f
-    values."""
+    values.  T and its truncation apply once each to the corpus stack."""
     basis = T.basis
     delta = c / (consts.L0 + consts.L1) if (consts.L0 + consts.L1) > 0 else math.inf
-    tstar = truncate(T)
     w = basis.space.weights
     rows = []
     worst = 0.0
-    for cid, f in corpus.cases(basis.n_atoms):
-        tf = T.apply(f).norms()
-        ts = tstar.apply(f).norms()
+    cases, stack = _corpus_stack(corpus, basis.n_atoms)
+    outs = zip(cases, _output_norms(T, stack), _output_norms(truncate(T), stack))
+    for (cid, f), tf, ts in outs:
         mf = maximal(f, basis, T.params)
         ratio = 0.0
         for lam in np.unique(ts):
@@ -351,22 +370,16 @@ def bmo_bounded_report(op, corpus: Corpus, basis: BallBasis,
     stack of the kept cases, a plain callable case by case."""
     if mode not in ("bmo", "linf"):
         raise ConfigError(f"unknown mode {mode!r}")
-    n = basis.n_atoms
-    cases = list(corpus.cases(n))
-    norm_kind = "euclidean"  # every corpus case is a scalar VecFunction
-    stack = np.array([f.values for _, f in cases]).reshape(len(cases), n, 1)
+    cases, stack = _corpus_stack(corpus, basis.n_atoms)
     if mode == "bmo":
-        denoms = sharp_all_stack(stack, norm_kind, basis, 1.0).max(axis=1)
+        denoms = sharp_all_stack(stack, _CORPUS_NORM, basis, 1.0).max(axis=1)
     else:
-        denoms = vector_norms(stack, norm_kind).max(axis=1)
+        denoms = vector_norms(stack, _CORPUS_NORM).max(axis=1)
     keep = np.flatnonzero(denoms > 0)
-    if isinstance(op, OperatorDescriptor) and keep.size:
-        outs = vector_norms(op.apply_stack(stack[keep], norm_kind), norm_kind)
-    else:
-        outs = np.array([_apply(op, cases[i][1]) for i in keep]).reshape(len(keep), n)
+    outs = _output_norms(op, stack[keep])
     if not np.all(np.isfinite(outs)):
         raise ValueError("function values must be finite")
-    nums = sharp_all_stack(outs[:, :, None], norm_kind, basis, 1.0).max(axis=1)
+    nums = sharp_all_stack(outs[:, :, None], _CORPUS_NORM, basis, 1.0).max(axis=1)
     rows = []
     worst = 0.0
     for i, num in zip(keep, nums.tolist()):
@@ -391,12 +404,10 @@ def strong_domination_check(f: VecFunction, g: VecFunction, basis: BallBasis,
     inf_g = float(g.norms()[members].min())
     if inf_g <= 0:
         raise InfZero("g vanishes somewhere on the ball")
-    rows = []
-    profile = []
-    for a in (k / 20.0 for k in range(1, 20)):
-        beta = alpha_oscillation(f, members, a, basis) / inf_g
-        profile.append(float(beta))
-        rows.append(CaseRow(f"alpha={a:g}", "beta", float(beta), True))
+    alphas = [k / 20.0 for k in range(1, 20)]
+    profile = (alpha_oscillations(f, members, alphas, basis) / inf_g).tolist()
+    rows = [CaseRow(f"alpha={a:g}", "beta", beta, True)
+            for a, beta in zip(alphas, profile)]
     _, med = median(f, members, basis)
     dev = vector_norms(f.values - med[None, :], f.norm_kind)
     ww = basis.space.weights[members]

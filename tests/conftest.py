@@ -517,3 +517,85 @@ def bmo_bounded_by_loop(op, corpus, basis, mode, threshold):
     return Report("bmo_bounded", all(r.passed for r in rows),
                   {"max_ratio": worst, "mode": mode, "threshold": threshold,
                    "cases": len(rows)}, rows)
+
+
+# -- one apply per corpus case and one table per alpha ---------------------------
+# The weak-type and good-lambda reports with one apply of T (and of T*) per
+# corpus case, and the strong-domination profile with one alpha_oscillation
+# per alpha: the references the stacked passes of ballbasis.verify must
+# equal.
+
+
+def weak_type_by_cases(op, corpus, basis, p, bound):
+    """verify.weak_type_report with one apply per corpus case."""
+    from ballbasis.verify import CaseRow, Report, _apply
+
+    w = basis.space.weights
+    rows = []
+    worst = 0.0
+    for cid, f in corpus.cases(basis.n_atoms):
+        out = _apply(op, f)
+        denom = float(np.sum(f.norms() ** p.r * w)) ** (p.varrho / p.rho)
+        ratio = 0.0
+        if denom > 0:
+            for v in np.unique(out):
+                if v <= 0:
+                    continue
+                mass = float(w[out >= v].sum())
+                ratio = max(ratio, v ** (1.0 / p.rho) * mass / denom)
+        ok = True if bound is None else ratio <= bound
+        rows.append(CaseRow(cid, "weak_type_ratio", float(ratio), ok))
+        worst = max(worst, ratio)
+    return Report("weak_type", all(r.passed for r in rows),
+                  {"max_ratio": worst, "bound": bound,
+                   "r": p.r, "varrho": p.varrho, "rho": p.rho}, rows)
+
+
+def good_lambda_by_cases(T, consts, corpus, c, threshold):
+    """verify.good_lambda_report with one apply of T and one of truncate(T)
+    per corpus case."""
+    import math
+
+    from ballbasis import maximal, truncate
+    from ballbasis.verify import CaseRow, Report
+
+    basis = T.basis
+    delta = c / (consts.L0 + consts.L1) if (consts.L0 + consts.L1) > 0 else math.inf
+    tstar = truncate(T)
+    w = basis.space.weights
+    rows = []
+    worst = 0.0
+    for cid, f in corpus.cases(basis.n_atoms):
+        tf = T.apply(f).norms()
+        ts = tstar.apply(f).norms()
+        mf = maximal(f, basis, T.params)
+        ratio = 0.0
+        for lam in np.unique(ts):
+            if lam <= 0:
+                continue
+            lhs = float(w[(ts > lam) & (mf < delta * lam)].sum())
+            if lhs == 0.0:
+                continue
+            rhs = float(w[tf > lam / 2.0].sum())
+            ratio = max(ratio, lhs / rhs if rhs > 0 else math.inf)
+        rows.append(CaseRow(cid, "good_lambda_ratio", float(ratio),
+                            ratio <= threshold))
+        worst = max(worst, ratio)
+    return Report("good_lambda", all(r.passed for r in rows),
+                  {"max_ratio": worst, "delta": delta, "c": c,
+                   "threshold": threshold}, rows)
+
+
+def alpha_profile_by_alphas(f, g, basis, b_id):
+    """The beta rows of verify.strong_domination_check, one
+    alpha_oscillation per alpha."""
+    from ballbasis import alpha_oscillation
+    from ballbasis.verify import CaseRow
+
+    members = basis.balls[int(b_id)].members
+    inf_g = float(g.norms()[members].min())
+    rows = []
+    for a in (k / 20.0 for k in range(1, 20)):
+        beta = alpha_oscillation(f, members, a, basis) / inf_g
+        rows.append(CaseRow(f"alpha={a:g}", "beta", float(beta), True))
+    return rows

@@ -391,3 +391,38 @@ def test_criterion_13_cli_end_to_end(tmp_path, baselines):
     report(13, "CLI 'all' exits 0 on shipped configs with byte-identical "
                "reports across same-seed runs, equal to the frozen bundles",
            ok and elapsed < 900.0)
+
+
+def _freeze_script():
+    import importlib.util
+
+    path = os.path.join(HERE, "..", "scripts", "freeze_baselines.py")
+    spec = importlib.util.spec_from_file_location("freeze_baselines", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("moved", [None, ("good_lambda_max",), ("tstar_ratio", "hilbert")],
+                         ids=["unmoved", "top_level_key", "nested_key"])
+def test_freeze_check_names_moved_keys(monkeypatch, capsys, baselines, moved):
+    """freeze_baselines.py --check compares a regenerated document with the
+    frozen file: it names each moved key and exits 1, and writes nothing."""
+    script = _freeze_script()
+    doc = json.loads(json.dumps(baselines))
+    if moved is not None:
+        *outer, key = moved
+        target = doc[outer[0]] if outer else doc
+        target[key] = "moved"
+    monkeypatch.setattr(script, "build_doc", lambda: doc)
+    with open(BASELINES, "rb") as fh:
+        before = fh.read()
+    status = script.main(["--check"])
+    out = capsys.readouterr().out
+    with open(BASELINES, "rb") as fh:
+        assert fh.read() == before
+    if moved is None:
+        assert status == 0 and "differs" not in out
+    else:
+        assert status == 1
+        assert out.splitlines()[0] == "differs: " + ".".join(moved)

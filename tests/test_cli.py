@@ -151,6 +151,49 @@ class TestMain:
         err = capsys.readouterr().err
         assert "config error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("thresholds", [{"good_lamda": 64.0},
+                                            {"exp_decay": 1.0},
+                                            {"bmo": float("nan")}],
+                             ids=["misspelled_suite", "unread_suite", "nan"])
+    def test_bad_threshold_exit_two(self, tmp_path, capsys, thresholds):
+        """A threshold no suite reads would leave its suite ungated, and a
+        NaN one fails every row; both are config errors."""
+        cfg = small_cfg(tmp_path / "out")
+        cfg["verify"]["thresholds"] = thresholds
+        path = write_cfg(tmp_path, cfg)  # json writes float("nan") as NaN
+        assert main(["all", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("operators", [
+        [{"kind": "identity", "name": "a"}, {"kind": "zero", "name": "a"}],
+        [{"kind": "sparse"}, {"kind": "sparse", "seed": 3}],
+        [{"kind": "identity", "name": "a/b"}, {"kind": "zero", "name": "a_b"}],
+        [{"kind": "identity", "name": ""}],
+        [{"kind": "identity", "name": "maximal_rho1"}],
+        [{"kind": "zero", "name": "modulated_vs_sharp"}],
+    ], ids=["same_name", "two_unnamed_sparse", "same_tail_file", "empty_name",
+            "fixed_weak_type_name", "fixed_exp_decay_name"])
+    def test_colliding_report_names_exit_two(self, tmp_path, capsys, operators):
+        """Two reports of one name, or two tail files of one name (where the
+        second would overwrite the first), exit 2 before any stage runs."""
+        path = write_cfg(tmp_path, small_cfg(tmp_path / "out", operators=operators))
+        assert main(["all", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_distinct_names_accepted(self, tmp_path):
+        ops = [{"kind": "identity", "name": "a"}, {"kind": "zero", "name": "b"},
+               {"kind": "sparse"}]
+        path = write_cfg(tmp_path, small_cfg(tmp_path / "out", operators=ops))
+        assert main(["verify", "--config", path]) == 0
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        names = [r["name"] for r in doc["reports"]]
+        assert len(set(names)) == len(names)
+        assert "exp_decay/sparse_operator" in names
+
     def test_non_integer_env_seed_exit_two(self, tmp_path, capsys,
                                            monkeypatch):
         cfg = small_cfg(tmp_path / "out")

@@ -795,6 +795,20 @@ class TestTruncationCost:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_stacked_truncated_apply_memory(self, dyadic10, rng):
+        """Twelve rows truncated in one call share each block of prefix rows:
+        on 1,024 atoms the traced peak still stays under 1 MB."""
+        star = truncate(martingale_transform(dyadic10, np.ones(dyadic10.n_balls)))
+        stack = rng.normal(size=(12, dyadic10.n_atoms, 1))
+        star.apply_stack(stack, "euclidean")  # indexes built outside the trace
+        tracemalloc.start()
+        try:
+            star.apply_stack(stack, "euclidean")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_truncated_sparse_apply_memory(self, rng):
         """A truncated sparse operator reads its star sums from the stars'
         atom lists: on build_dyadic(10) with relabelled atoms (no ball an
@@ -863,6 +877,34 @@ class TestStackedApply:
             assert got.shape[0] == len(stack), T.name
             for row, v in zip(got, stack):
                 assert np.array_equal(row, T.apply(VecFunction(v, norm)).values), T.name
+
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_dyadic(10), lambda: build_grid(64),
+        lambda: _relabelled(build_dyadic(7), seed=5)[0]],
+        ids=["dyadic10", "grid64", "dyadic7_relabelled"])
+    def test_twelve_truncated_rows(self, make):
+        """A 12-row truncated apply spans many blocks of prefix rows (on
+        build_dyadic(10) each block is one atom); each row must still be
+        bitwise the truncation of that row alone."""
+        basis = make()
+        rng = np.random.default_rng(12)
+        if basis.kind == "grid":
+            ops = [discrete_hilbert(basis), riesz_potential(basis, 0.5)]
+        elif basis.interval:
+            ops = [martingale_transform(basis, np.ones(basis.n_balls)),
+                   square_function(basis)]
+        else:
+            # a plain kernel takes the star-masked products of non-interval bases
+            ops = [_dense(sparse_operator(basis, rng.choice(basis.n_balls, 8)))]
+        ops.append(sparse_operator(basis, rng.choice(basis.n_balls, 8)))
+        for dim in (1, 2):
+            stack = rng.normal(size=(12, basis.n_atoms, dim))
+            for T in map(truncate, ops):
+                got = T.apply_stack(stack, "euclidean")
+                assert got.shape == (12, basis.n_atoms, 1), T.name
+                for row, v in zip(got, stack):
+                    assert np.array_equal(row, T.apply(VecFunction(v)).values), T.name
 
 
 class TestEstimateByStacks:

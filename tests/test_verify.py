@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ballbasis import (ConfigError, Corpus, InfZero, Params, VecFunction,
+                       build_dyadic, build_grid,
                        Weight, ZeroBmoNorm, ap_characteristics,
                        bmo_bounded_report, bmo_norm, conditional_expectation,
                        discrete_hilbert, estimate_bo_constants,
@@ -11,8 +12,11 @@ from ballbasis import (ConfigError, Corpus, InfZero, Params, VecFunction,
                        john_nirenberg_report, martingale_transform, maximal,
                        median, square_function, strong_domination_check,
                        truncate, weak_type_report, zero_operator)
+from ballbasis import cli, functional, maximal_modulation
+from ballbasis.operators import OperatorDescriptor
 from ballbasis.verify import round_sig
-from conftest import bmo_bounded_by_loop, median_by_loop
+from conftest import (_relabelled, alpha_profile_by_alphas, bmo_bounded_by_loop,
+                      good_lambda_by_cases, median_by_loop, weak_type_by_cases)
 
 
 def _jn_tails_by_balls(f, basis, t_max=64):
@@ -134,6 +138,95 @@ class TestGoodLambda:
         r1 = good_lambda_report(T, c, corpus)
         r2 = good_lambda_report(T, c, corpus)
         assert r1.to_json() == r2.to_json()
+
+
+REPORT_BASES = {
+    "dyadic6": lambda: build_dyadic(6),
+    "grid16": lambda: build_grid(16),
+    "dyadic7_relabelled": lambda: _relabelled(build_dyadic(7), seed=5)[0],
+}
+
+
+@pytest.fixture(scope="module", params=sorted(REPORT_BASES))
+def report_basis(request):
+    return REPORT_BASES[request.param]()
+
+
+def _report_operators(basis):
+    """Every shipped kind that accepts basis, built as the CLI builds it, and
+    a modulation of the first two."""
+    ops = []
+    for kind in cli._OP_DEFAULTS:
+        try:
+            ops.append(cli.build_operator({"kind": kind}, basis, 0))
+        except ConfigError:
+            pass
+    return ops + [maximal_modulation(ops[:2])]
+
+
+def _report_corpus():
+    return _CorpusWithDegenerateCases(Corpus(
+        seed=4, generators=["random_signs", "indicators", "delta_combs",
+                            "haar_mixtures"], size=3))
+
+
+class TestReportsByStacks:
+    """weak_type_report and good_lambda_report apply T (and T*) once to the
+    corpus stack; the reports must equal those of one apply per case
+    (conftest.weak_type_by_cases, good_lambda_by_cases)."""
+
+    def test_weak_type_equals_per_case_loop(self, report_basis):
+        basis = report_basis
+        corpus = _report_corpus()
+        ops = _report_operators(basis)
+        p = Params.classical_profile(1.0)
+        cases = ops + [truncate(ops[0]),
+                       lambda f: maximal(f, basis, Params(1.0, 0.5, 1.0))]
+        ratios = []
+        for op in cases:
+            params = getattr(op, "params", p)
+            rep = weak_type_report(op, corpus, basis, params, 2.0)
+            assert rep == weak_type_by_cases(op, corpus, basis, params, 2.0), op
+            ratios.append(rep.summary["max_ratio"])
+        assert {row.case for row in rep.rows} >= {"constant", "zero"}
+        assert sum(r > 0 for r in ratios) >= len(ratios) - 1  # the zero operator
+
+    def test_good_lambda_equals_per_case_loop(self, report_basis):
+        # good_lambda truncates T, so it takes descriptors that declare a
+        # truncation: a truncation declares none, a plain callable no basis
+        basis = report_basis
+        corpus = _report_corpus()
+        for T in _report_operators(basis):
+            consts = T.bo_constants(2, 0)
+            # c = 8 keeps the comparison from being vacuous: every operator
+            # but the two that truncate to 0 has a case with a ratio above 0
+            rep = good_lambda_report(T, consts, corpus, 8.0, 1.5)
+            assert rep == good_lambda_by_cases(T, consts, corpus, 8.0, 1.5), T.name
+            assert (rep.summary["max_ratio"] > 0) == (T.name not in ("identity", "zero"))
+
+    @pytest.mark.parametrize("kind,make", [("square_function", lambda: build_dyadic(6)),
+                                           ("discrete_hilbert", lambda: build_grid(16))])
+    def test_one_stacked_apply_per_report(self, monkeypatch, kind, make):
+        """One apply_stack of T and one of truncate(T) per report, each over
+        every case (a kernel truncation applies T once more inside); no
+        OperatorDescriptor.apply per case."""
+        basis = make()
+        T = cli.build_operator({"kind": kind}, basis, 0)
+        corpus = _report_corpus()
+        k = len(list(corpus.cases(basis.n_atoms)))
+        consts = estimate_bo_constants(T, budget=2)
+        calls = []
+        orig = OperatorDescriptor.apply_stack
+        monkeypatch.setattr(OperatorDescriptor, "apply_stack", lambda self, stack, nk: (
+            calls.append((self.name, len(stack)))) or orig(self, stack, nk))
+        monkeypatch.setattr(OperatorDescriptor, "apply", None)
+        weak_type_report(T, corpus, basis, T.params)
+        assert calls == [(T.name, k)]
+        calls.clear()
+        good_lambda_report(T, consts, corpus)
+        assert calls.count((f"trunc({T.name})", k)) == 1
+        assert 1 <= calls.count((T.name, k)) <= 2
+        assert len(calls) == {"square_function": 2, "discrete_hilbert": 3}[kind]
 
 
 class TestExpDecay:
@@ -304,6 +397,39 @@ class TestStrongDomination:
         g = VecFunction(np.zeros(64))
         with pytest.raises(InfZero):
             strong_domination_check(f, g, dyadic6, dyadic6.full_ball_id())
+
+    @pytest.mark.parametrize("make,dim", [
+        (lambda: build_dyadic(6), 1), (lambda: build_grid(16), 1),
+        (lambda: _relabelled(build_dyadic(7), seed=5)[0], 1),
+        (lambda: build_dyadic(4), 2)], ids=["dyadic6", "grid16", "dyadic7_relabelled",
+                                             "dyadic4_vector"])
+    def test_alpha_profile_equals_per_alpha_loop(self, make, dim):
+        """The 19 beta rows come from one table (sorted windows of the ball
+        repeated per alpha, or one subset oracle for a vector f) and equal
+        one alpha_oscillation per alpha."""
+        basis = make()
+        vals = np.random.default_rng(6).normal(size=(basis.n_atoms, dim))
+        f = VecFunction(np.where(vals > 1.0, 1.0, vals))  # ties among the values
+        g = VecFunction(np.abs(vals[:, 0]) + 0.1)
+        for b_id in (basis.full_ball_id(), basis.n_balls // 2):
+            rep = strong_domination_check(f, g, basis, b_id)
+            assert rep.rows[:19] == alpha_profile_by_alphas(f, g, basis, b_id)
+            assert rep.summary["beta_max"] == max(r.value for r in rep.rows[:19])
+
+    def test_one_sorted_window_table(self, monkeypatch, dyadic6, rng):
+        """The profile is one 19-row table; the median builds the only other."""
+        built = []
+        orig = functional._SortedWindows
+
+        class Counting(orig):
+            def __init__(self, f, idx, weights):
+                built.append(len(idx))
+                super().__init__(f, idx, weights)
+
+        monkeypatch.setattr(functional, "_SortedWindows", Counting)
+        f = VecFunction(np.abs(rng.normal(size=64)) + 0.1)
+        strong_domination_check(f, f, dyadic6, dyadic6.full_ball_id())
+        assert sorted(built) == [1, 19]
 
     def test_vector_tails_in_own_norm(self, dyadic3):
         f = VecFunction(np.random.default_rng(4).normal(size=(8, 3)), "max")
