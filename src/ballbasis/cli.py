@@ -104,6 +104,13 @@ def _check_type(name: str, value, default):
         raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
+def _check_seed(name: str, seed: int) -> int:
+    """seed, which numpy's generators take only when non-negative."""
+    if seed < 0:
+        raise ConfigError(f"{name} must be >= 0, got {seed!r}")
+    return seed
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -151,12 +158,16 @@ def load_config(path: str) -> dict:
     for k in ("value", "exponent"):
         if k in weight:
             _check_type(f"verify.weight.{k}", weight[k], 0.0)
+            if not math.isfinite(weight[k]):
+                raise ConfigError(f"verify.weight.{k} must be finite, "
+                                  f"got {weight[k]!r}")
     for g in cfg["corpus"]["generators"]:
         _check_type("corpus generator", g, "")
+    _check_seed("seed", cfg["seed"])
     env_seed = os.environ.get("BALLBASIS_SEED")
     if env_seed is not None and "seed" not in raw:
         try:
-            cfg["seed"] = int(env_seed)
+            cfg["seed"] = _check_seed("BALLBASIS_SEED", int(env_seed))
         except ValueError:
             raise ConfigError(
                 f"BALLBASIS_SEED must be an integer, got {env_seed!r}")
@@ -424,7 +435,8 @@ def _build_weight(spec: dict, basis) -> Weight:
         w[: n // 2] = float(spec.get("value", 2.0))
         return Weight(w)
     if kind == "power":
-        return Weight((1.0 + np.arange(n)) ** float(spec.get("exponent", 0.3)))
+        with np.errstate(over="ignore"):  # an overflow is an inf Weight rejects
+            return Weight((1.0 + np.arange(n)) ** float(spec.get("exponent", 0.3)))
     raise ConfigError(f"unknown weight kind {kind!r}")
 
 
@@ -593,7 +605,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg["seed"] = args.seed
+            cfg["seed"] = _check_seed("--seed", args.seed)
         if args.out is not None:
             cfg["out"] = args.out
         reports, files = run_experiment(args.command, cfg, suite=args.suite)

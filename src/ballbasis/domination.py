@@ -10,7 +10,6 @@ every measured constant is the minimal one making the bound pass.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -51,20 +50,6 @@ class SparseBound:
             out[ind] += 1
         return out
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "kind": self.kind,
-            "family": [int(b) for b in self.family],
-            "indicators": [[int(a) for a in ind] for ind in self.indicators],
-            "enclosing": int(self.enclosing),
-            "constant": self.constant,
-            "terms": list(map(float, self.terms)),
-            "center": None if self.center is None else
-                      [float(c) for c in np.atleast_1d(self.center)],
-            "details": {k: v for k, v in self.details.items()
-                        if isinstance(v, (int, float, str, bool))},
-        }, indent=1)
-
 
 @dataclass
 class VerificationReport:
@@ -74,13 +59,6 @@ class VerificationReport:
     tail: list[tuple[int, float]]     # (level, fraction above level)
     rate: float
     passed: bool
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "margin_min": self.margin_min, "margin_median": self.margin_median,
-            "enclosing_ratio": self.enclosing_ratio,
-            "tail": [[int(t), float(fr)] for t, fr in self.tail],
-            "rate": self.rate, "passed": self.passed})
 
 
 def verify_sparse_bound(bound: SparseBound, target, b_id: int) -> VerificationReport:

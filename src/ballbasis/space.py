@@ -25,15 +25,15 @@ T*, child covers): one gather and one `ufunc.reduceat`.
 
 Every ball's star is kept as one CSR, `star_lists()`, built on first use:
 from the star spans on interval bases, otherwise by the star rule for a
-stack of atom sets over the pair index, taken per size group in row blocks;
-`star_of_set` is its one-row call.  The axiom check, the sparse operator's
-truncation and `star_members` read the CSR.
+stack of atom sets over the pair index, taken per size group in row blocks.
+The axiom check, the sparse operator's truncation and `star_members` read
+the CSR.  `star_of_set` is the one-row star rule on non-interval bases; on
+interval bases it finds the balls meeting the set by `searchsorted` on
+their spans and unions them with a difference array.
 
-On non-interval bases the ball sums read one float64 membership matrix,
-built from the member lists on first use and kept; the hull check of
-`check_axioms` reads it too, and so does the B2 scan on a basis with no full
-ball.  The boolean `member_matrix` serves only interval bases: `star_of_set`
-(so `star2_members`, which the dominate stage reads) and the B2 scan.
+`member_matrix()` is the one membership matrix, float64 0/1, built on first
+use and kept: the non-interval ball sums and hull check read it, and so
+does the B2 scan on a basis with no full ball.
 """
 
 from __future__ import annotations
@@ -196,7 +196,6 @@ class BallBasis:
             and len({(int(a), int(b)) for a, b in zip(lo, hi)}) == self.n_balls
         )
         self._member_matrix = None
-        self._member_floats = None  # as float64, non-interval (sums, hull, B2)
         self._star_matrix = None
         self._size_groups = None
         self._pair_index = None
@@ -222,12 +221,12 @@ class BallBasis:
         return self.space.measure(members)
 
     def member_matrix(self) -> np.ndarray:
+        """(n_balls, n_atoms) float64 0/1: row i is ball i's indicator.
+        Scattered from the member lists on first use and kept; read-only."""
         if self._member_matrix is None:
-            # by size group: no member lists kept for it (interval bases
-            # read nothing else of them)
-            m = np.zeros((self.n_balls, self.n_atoms), dtype=bool)
-            for ids, idx in self.size_groups():
-                m[ids[:, None], idx] = True
+            m = _scatter_rows(*self._member_lists(),
+                              np.zeros((self.n_balls, self.n_atoms)))
+            m.setflags(write=False)
             self._member_matrix = m
         return self._member_matrix
 
@@ -289,18 +288,7 @@ class BallBasis:
         if self.interval:
             pre = np.concatenate([[0.0], np.cumsum(mass)])
             return pre[self.hi + 1] - pre[self.lo]
-        return self._member_float_matrix() @ mass
-
-    def _member_float_matrix(self) -> np.ndarray:
-        """member_matrix() as float64 0/1, scattered from the member lists;
-        built on first use and kept, read-only.  One gemv over it gives the
-        ball sums, bitwise the sums of the boolean matrix cast per call."""
-        if self._member_floats is None:
-            m = _scatter_rows(*self._member_lists(),
-                              np.zeros((self.n_balls, self.n_atoms)))
-            m.setflags(write=False)
-            self._member_floats = m
-        return self._member_floats
+        return self.member_matrix() @ mass
 
     def member_star_sums(self, kernel: np.ndarray, v: np.ndarray):
         """Yield (lo, hi, sums) over runs of whole atoms lo <= x < hi: row k
@@ -467,16 +455,20 @@ class BallBasis:
     def star_of_set(self, members) -> np.ndarray:
         """The star rule applied to an arbitrary set S:
         S together with every ball A such that mu(A) <= 2 mu(S), A meets S."""
-        arr = np.asarray(members, dtype=np.int64)
+        arr = as_atom_array(members)
         if arr.size == 0:
             return arr
-        if self.interval:
-            m = self.member_matrix()
-            touches = m[:, arr].any(axis=1) & (self.mu <= 2 * self.measure(arr))
-            union = m[touches].any(axis=0)
-            union[arr] = True
-            return np.flatnonzero(union)
-        return self._star_rows(arr[None, :])[1]
+        if not self.interval:
+            return self._star_rows(arr[None, :])[1]
+        # [lo, hi] meets S iff the first atom of S at or after lo is <= hi
+        n = self.n_atoms
+        first = np.append(arr, n)[np.searchsorted(arr, self.lo)]
+        keep = (first <= self.hi) & (self.mu <= 2 * self.measure(arr))
+        # the union of the kept spans: +1 at each lo, -1 past each hi
+        cover = np.cumsum(np.bincount(self.lo[keep], minlength=n)
+                          - np.bincount(self.hi[keep] + 1, minlength=n + 1)[:n])
+        cover[arr] = 1
+        return np.flatnonzero(cover)
 
     def star2_members(self, ball_id: int) -> np.ndarray:
         """(B*)* -- the star rule iterated once on the set B*."""
@@ -630,9 +622,7 @@ def check_axioms(basis: BallBasis) -> AxiomReport:
     if basis.full_ball_id() is not None:
         b2_pass = True
     else:
-        # the kept float matrix where the ball sums read it, else a cast
-        m = (basis.member_matrix().astype(np.float64) if basis.interval
-             else basis._member_float_matrix())
+        m = basis.member_matrix()
         common = m.T @ m  # atoms x atoms: number of shared balls
         b2_pass = bool(np.all(common > 0))
 
@@ -660,7 +650,7 @@ def check_axioms(basis: BallBasis) -> AxiomReport:
                 (ids, atoms[_ranges(offsets[ids], star_size[ids])].reshape(-1, size)))
         # least measure = -(max of -mu) over the containing balls
         cover_mu = -basis.superset_max(-mu, star_groups)
-        members = basis._member_float_matrix()
+        members = basis.member_matrix()
         hull_ok = np.empty(basis.n_balls, dtype=bool)
         for ids, idx in star_groups:
             hull_ok[ids] = members[h[ids, None], idx].all(axis=1)

@@ -435,9 +435,6 @@ def _verify_sparse_tree(basis, und, node_balls, parent, children, rank,
 class MartingaleFamily:
     shrink: list[np.ndarray]
 
-    def to_json(self) -> str:
-        return json.dumps({"shrink": [[int(a) for a in s] for s in self.shrink]})
-
 
 def disjointify(sets, parent, E_map, weights=None) -> MartingaleFamily:
     """Shrink a nested family of atom sets so the shrunken pieces respect the

@@ -150,14 +150,14 @@ class Corpus:
 
 @dataclass
 class Weight:
-    """Strictly positive weight on atoms."""
+    """Strictly positive, finite weight on atoms."""
 
     w: np.ndarray
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=float)
-        if np.any(self.w <= 0):
-            raise ConfigError("weights must be strictly positive")
+        if not np.all(np.isfinite(self.w) & (self.w > 0)):
+            raise ConfigError("weights must be finite and strictly positive")
 
 
 # -- weak type ----------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -401,25 +403,40 @@ def estimate_by_loop(T, budget, seed):
 
 
 # -- membership-matrix containment and stars ---------------------------------
-# Containment and stars read from the n_balls x n_atoms membership matrix:
-# the reference the pair-index answers of BallBasis must equal on
-# non-interval bases.
+# Containment and stars read from an n_balls x n_atoms boolean membership
+# matrix built here, ball by ball: the reference the span and pair-index
+# answers of BallBasis must equal.  No reference reads the basis's own
+# member_matrix().
+
+_MEMBERSHIP = weakref.WeakKeyDictionary()
+
+
+def membership_by_loop(basis):
+    """(n_balls, n_atoms) bool: row i marks the members of basis.balls[i].
+    Built once per basis and kept for the basis's lifetime."""
+    if basis not in _MEMBERSHIP:
+        m = np.zeros((basis.n_balls, basis.n_atoms), dtype=bool)
+        for i, b in enumerate(basis.balls):
+            m[i, b.members] = True
+        _MEMBERSHIP[basis] = m
+    return _MEMBERSHIP[basis]
 
 
 def containing_by_matrix(basis, idx, balls=slice(None)):
     """BallBasis._containing: (m, k) mask of whether ball balls[j] contains
     every atom of row r of idx, an (m, L) stack of sorted atom sets."""
     mask = (basis.lo[balls] <= idx[:, :1]) & (basis.hi[balls] >= idx[:, -1:])
-    return mask & basis.member_matrix()[balls][:, idx].all(axis=2).T
+    return mask & membership_by_loop(basis)[balls][:, idx].all(axis=2).T
 
 
 def star_of_set_by_matrix(basis, members):
     """BallBasis.star_of_set: S together with every ball A such that
-    mu(A) <= 2 mu(S) and A meets S."""
-    arr = np.asarray(members, dtype=np.int64)
+    mu(A) <= 2 mu(S) and A meets S; S is the set of the given atoms, so
+    order and repeats do not matter."""
+    arr = np.array(sorted(set(int(a) for a in members)), dtype=np.int64)
     if arr.size == 0:
         return arr
-    m = basis.member_matrix()
+    m = membership_by_loop(basis)
     touches = m[:, arr].any(axis=1) & (basis.mu <= 2 * basis.measure(arr))
     union = m[touches].any(axis=0)
     union[arr] = True
@@ -462,7 +479,7 @@ def check_axioms_by_loop(basis):
     if basis.full_ball_id() is not None:
         b2_pass = True
     else:
-        m = basis.member_matrix().astype(np.float64)
+        m = membership_by_loop(basis).astype(np.float64)
         b2_pass = bool(np.all(m.T @ m > 0))
 
     hull_failures = []

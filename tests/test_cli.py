@@ -203,6 +203,46 @@ class TestMain:
         assert main(["check-basis", "--config", path]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["config", "env", "flag"])
+    def test_negative_seed_exit_two(self, tmp_path, capsys, monkeypatch,
+                                    source):
+        """numpy's generators take no negative seed: one from the config,
+        from BALLBASIS_SEED or from --seed is a config error."""
+        cfg = small_cfg(tmp_path / "out")
+        flags = []
+        if source == "config":
+            cfg["seed"] = -1
+        elif source == "env":
+            del cfg["seed"]
+            monkeypatch.setenv("BALLBASIS_SEED", "-1")
+        else:
+            flags = ["--seed", "-1"]
+        path = write_cfg(tmp_path, cfg)
+        assert main(["all", "--config", path, *flags]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "seed" in err.lower()
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("basis, weight", [
+        ({"kind": "dyadic", "size": 4},
+         {"kind": "power", "exponent": float("nan")}),
+        ({"kind": "dyadic", "size": 4},
+         {"kind": "half", "value": float("inf")}),
+        ({"kind": "grid", "size": 64}, {"kind": "power", "exponent": 400.0}),
+    ], ids=["nan_exponent", "infinite_value", "overflowing_exponent"])
+    def test_non_finite_weight_exit_two(self, tmp_path, capsys, basis, weight):
+        """A NaN or infinite weight would give an A_p characteristic of nan
+        that passes; 64 ** 400 overflows to inf."""
+        cfg = small_cfg(tmp_path / "out", basis=basis, operators=[])
+        cfg["verify"]["suites"] = ["ap"]
+        cfg["verify"]["weight"] = weight
+        path = write_cfg(tmp_path, cfg)  # json writes NaN and Infinity
+        assert main(["verify", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_failed_checks_exit_one(self, tmp_path, capsys):
         cfg = small_cfg(tmp_path / "out",
                         sparsify={"alpha": 0.5, "families": 1})

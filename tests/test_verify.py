@@ -461,6 +461,13 @@ class TestMuckenhoupt:
         with pytest.raises(ConfigError):
             Weight(np.zeros(16))
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_weight_entries_finite_and_positive(self, bad):
+        w = np.ones(16)
+        w[5] = bad
+        with pytest.raises(ConfigError, match="finite and strictly positive"):
+            Weight(w)
+
 
 class TestRoundSig:
     def test_round_trip(self):
