@@ -66,8 +66,8 @@ _DEFAULTS = {
     "corpus": {"generators": ["random_signs", "haar_mixtures"], "size": 8},
     "estimate": {"budget": 8},
     "sparsify": {"alpha": 0.002, "families": 5},
-    "dominate": {"cases": 3, "ball": "full"},
-    "mean_osc": {"beta": 0.75, "cases": 3, "enabled": True},
+    "dominate": {"cases": 3},
+    "mean_osc": {"beta": 0.75, "cases": 3},
     "verify": {"suites": list(_SUITES), "thresholds": {},
                "weight": {"kind": "unit"}, "p": 2.0},
 }
@@ -140,8 +140,7 @@ def load_config(path: str) -> dict:
             _check_keys(key, cfg[key], set(default))
             cfg[key] = {**default, **cfg[key]}
             for k, v in cfg[key].items():
-                if (key, k) != ("dominate", "ball"):  # "full" or a ball id
-                    _check_type(f"{key}.{k}", v, default[k])
+                _check_type(f"{key}.{k}", v, default[k])
     for (key, k), (ok, admits) in _RANGES.items():
         if not ok(cfg[key][k]):
             raise ConfigError(f"{key}.{k} must be {admits}, got {cfg[key][k]!r}")
@@ -257,16 +256,6 @@ def _check_report_names(ops) -> None:
         seen[file] = name
 
 
-def _resolve_ball(spec, basis) -> int:
-    if spec == "full":
-        return basis.full_ball_id()
-    if isinstance(spec, bool) or not isinstance(spec, int) or not (
-            0 <= spec < basis.n_balls):
-        raise ConfigError(f"dominate.ball must be 'full' or a ball id in "
-                          f"[0, {basis.n_balls}), got {spec!r}")
-    return spec
-
-
 def seeded_function(basis, seed: int, tag: int) -> VecFunction:
     rng = np.random.default_rng([seed, tag])
     return VecFunction(rng.normal(size=(basis.n_atoms, 1)))
@@ -283,14 +272,7 @@ def make_f_family(basis, alpha: float, seed: int):
         ms = basis.balls[int(ball_id)].members
         order = ms[np.argsort(noise[ms], kind="stable")]
         budget = alpha * basis.mu[int(ball_id)]
-        take = []
-        acc = 0.0
-        for a in order:
-            if acc + w[a] >= budget:
-                break
-            acc += w[a]
-            take.append(int(a))
-        return np.array(sorted(take), dtype=np.int64)
+        return np.sort(order[np.cumsum(w[order]) < budget])
 
     return f_map
 
@@ -359,7 +341,7 @@ def run_dominate(cfg: dict, basis, ops) -> list[Report]:
     cases = int(cfg["dominate"]["cases"])
     seed = int(cfg["seed"])
     budget = int(cfg["estimate"]["budget"])
-    b_id = _resolve_ball(cfg["dominate"]["ball"], basis)
+    b_id = basis.full_ball_id()
     members = basis.balls[b_id].members
     out = []
     for op in ops:
@@ -393,7 +375,7 @@ def run_dominate(cfg: dict, basis, ops) -> list[Report]:
 
 
 def run_mean_osc(cfg: dict, basis, ops) -> list[Report]:
-    if basis.eta is None or not cfg["mean_osc"].get("enabled", True):
+    if basis.eta is None:
         return []
     family = [op for op in ops if op.restricted]
     if not family:

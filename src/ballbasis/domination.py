@@ -54,7 +54,6 @@ class SparseBound:
 @dataclass
 class VerificationReport:
     margin_min: float
-    margin_median: float
     enclosing_ratio: float
     tail: list[tuple[int, float]]     # (level, fraction above level)
     rate: float
@@ -80,7 +79,6 @@ def verify_sparse_bound(bound: SparseBound, target, b_id: int) -> VerificationRe
     rate = fit_exponential_rate(range(len(tail)), fracs)
     passed = bool(margins.min() >= -1e-9 and rate > 0)
     return VerificationReport(margin_min=float(margins.min()),
-                              margin_median=float(np.median(margins)),
                               enclosing_ratio=float(ratio), tail=tail,
                               rate=rate, passed=passed)
 

@@ -7,7 +7,6 @@ omega-regular kernel families for omega(t) = t.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -68,21 +67,6 @@ class VecFunction:
 
     def norms(self) -> np.ndarray:
         return vector_norms(self.values, self.norm_kind)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "dim": self.dim,
-            "norm": self.norm_kind,
-            "values": [[float(x) for x in row] for row in self.values],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "VecFunction":
-        doc = json.loads(text)
-        f = cls(np.asarray(doc["values"], dtype=float), doc["norm"])
-        if f.dim != doc["dim"]:
-            raise ValueError("dim field does not match values")
-        return f
 
 
 # -- averages and oscillations -------------------------------------------------

@@ -16,7 +16,7 @@ spans: a ball contains a set when its span [lo, hi] covers the set's span.
 They answer ball sums and stars from atom spans too, and the axiom check
 from the cover table (the least measure of a ball covering each atom span).
 
-Any other basis (relabelled atoms, hand-built JSON) answers containment and
+Any other basis (relabelled atoms, hand-built) answers containment and
 stars from `PairIndex`, every (ball, member) pair sorted by atom: a ball
 contains an L-atom set when L of its pairs fall in the set, and the balls
 that meet a set are the balls of its atoms' pairs.  The same index serves a
@@ -38,7 +38,6 @@ does the B2 scan on a basis with no full ball.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -375,10 +374,10 @@ class BallBasis:
 
     def star_members(self, ball_id: int) -> np.ndarray:
         """Exact star B* as a sorted atom array."""
+        self.ball(ball_id)  # KeyError on an unknown id
         if self.interval:
             slo, shi = self.star_spans()
             return np.arange(slo[ball_id], shi[ball_id] + 1)
-        self.ball(ball_id)  # KeyError on an unknown id
         atoms, offsets = self.star_lists()
         return atoms[offsets[ball_id]:offsets[ball_id + 1]]
 
@@ -517,30 +516,6 @@ class BallBasis:
         """A ball containing every atom, if one exists."""
         ids = np.flatnonzero(self.sizes == self.n_atoms)
         return int(ids[0]) if ids.size else None
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> str:
-        doc = {
-            "atoms": [float(w) for w in self.space.weights],
-            "balls": [[int(a) for a in b.members] for b in self.balls],
-            "hull": [int(h) for h in self.hull],
-            "K": self.K,
-            "eta": self.eta,
-            "kind": self.kind,
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "BallBasis":
-        doc = json.loads(text)
-        space = MeasureSpace(np.asarray(doc["atoms"], dtype=float))
-        balls = []
-        for i, members in enumerate(doc["balls"]):
-            arr = as_atom_array(members)
-            balls.append(Ball(i, arr, space.measure(arr)))
-        return cls(space, balls, doc["hull"], doc["K"], doc.get("eta"),
-                   doc.get("kind"))
 
 
 # -- builders ---------------------------------------------------------------

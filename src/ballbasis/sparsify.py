@@ -8,7 +8,6 @@ failures raise with a witness rather than returning a silently wrong family.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -122,7 +121,7 @@ def child_cover(basis: BallBasis, F, E) -> list[int]:
     if not picked.size:
         raise PostconditionFailure("no density ball found for any atom of E",
                                    witness=E[:5].tolist())
-    disjoint = vitali_cover(basis, [], picked)
+    disjoint = vitali_cover(basis, E[hits < basis.n_balls], picked)
     out = []
     enlarged = False
     for b in disjoint:
@@ -180,11 +179,7 @@ class SparseTree:
     nodes: list[int]               # node ball ids (double hulls)
     underlying: list[int]          # the covered balls the nodes enclose
     parent: list[int | None]       # indices into nodes
-    children: list[list[int]]
-    rank: list[int]
     witness: list[np.ndarray]
-    sparse_gamma: float
-    alpha: float
     admissible: bool
     sparseness_certified: bool
     transcript: list[str]          # one line per dropped child and removed node
@@ -193,21 +188,6 @@ class SparseTree:
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
-
-    def to_json(self) -> str:
-        recs = []
-        for i in range(self.n_nodes):
-            recs.append({
-                "ball": int(self.nodes[i]),
-                "underlying": int(self.underlying[i]),
-                "parent": None if self.parent[i] is None else int(self.parent[i]),
-                "rank": int(self.rank[i]),
-                "witness": [int(a) for a in self.witness[i]],
-            })
-        return json.dumps({"root": int(self.root), "alpha": self.alpha,
-                           "sparse_gamma": self.sparse_gamma,
-                           "certified": self.sparseness_certified,
-                           "nodes": recs}, indent=1)
 
 
 def _node_rank(basis: BallBasis, bid: int, R: float) -> int:
@@ -249,7 +229,6 @@ def sparsify_tree(basis: BallBasis, F_map, a0: int, alpha: float,
     # phase 1: the raw generation tree over the underlying balls
     und: list[int] = [int(a0)]
     parent: list[int | None] = [None]
-    children: list[list[int]] = [[]]
     transcript: list[str] = []
     queue = [0]
     while queue:
@@ -273,8 +252,6 @@ def sparsify_tree(basis: BallBasis, F_map, a0: int, alpha: float,
             j = len(und)
             und.append(int(g))
             parent.append(i)
-            children.append([])
-            children[i].append(j)
             queue.append(j)
         if len(und) > 50 * basis.n_balls + 1000:
             raise ConstructionFailure("tree growth out of control",
@@ -358,11 +335,9 @@ def sparsify_tree(basis: BallBasis, F_map, a0: int, alpha: float,
         # of raising
         constants["uncovered"] = _uncovered_atoms(basis, node_balls, a0, get_f)
         constants["coverage_certified"] = len(constants["uncovered"]) == 0
-    gamma = 0.5 if certified else 0.0
     return SparseTree(basis=basis, root=node_balls[0], nodes=node_balls,
-                      underlying=n_und, parent=n_parent, children=n_children,
-                      rank=n_rank, witness=witness, sparse_gamma=gamma,
-                      alpha=alpha, admissible=admissible,
+                      underlying=n_und, parent=n_parent, witness=witness,
+                      admissible=admissible,
                       sparseness_certified=certified, transcript=transcript,
                       constants=constants)
 

@@ -163,12 +163,6 @@ class Weight:
 # -- weak type ----------------------------------------------------------------------
 
 
-def _apply(op, f: VecFunction) -> np.ndarray:
-    if hasattr(op, "apply"):
-        return op.apply(f).norms()
-    return np.asarray(op(f), dtype=float)
-
-
 # every corpus case is a scalar VecFunction
 _CORPUS_NORM = "euclidean"
 
@@ -185,7 +179,7 @@ def _output_norms(op, stack: np.ndarray) -> np.ndarray:
     stacked apply of a descriptor; a plain callable is called row by row."""
     if isinstance(op, OperatorDescriptor) and len(stack):
         return vector_norms(op.apply_stack(stack, _CORPUS_NORM), _CORPUS_NORM)
-    return np.array([_apply(op, VecFunction(v, _CORPUS_NORM))
+    return np.array([np.asarray(op(VecFunction(v, _CORPUS_NORM)), dtype=float)
                      for v in stack]).reshape(stack.shape[:2])
 
 

@@ -515,11 +515,18 @@ def check_axioms_by_loop(basis):
     )
 
 
+def _apply_norms(op, f):
+    """||op f||: a descriptor's apply, or a plain callable's output."""
+    if hasattr(op, "apply"):
+        return op.apply(f).norms()
+    return np.asarray(op(f), dtype=float)
+
+
 def bmo_bounded_by_loop(op, corpus, basis, mode, threshold):
     """verify.bmo_bounded_report with one apply and two bmo_norm calls per
     corpus case."""
     from ballbasis.functional import bmo_norm
-    from ballbasis.verify import CaseRow, Report, _apply
+    from ballbasis.verify import CaseRow, Report
 
     rows = []
     worst = 0.0
@@ -527,7 +534,7 @@ def bmo_bounded_by_loop(op, corpus, basis, mode, threshold):
         denom = bmo_norm(f, basis) if mode == "bmo" else float(f.norms().max())
         if denom <= 0:
             continue
-        out = _apply(op, f)
+        out = _apply_norms(op, f)
         ratio = bmo_norm(VecFunction(out[:, None]), basis) / denom
         rows.append(CaseRow(cid, "bmo_ratio", float(ratio), ratio <= threshold))
         worst = max(worst, ratio)
@@ -545,13 +552,13 @@ def bmo_bounded_by_loop(op, corpus, basis, mode, threshold):
 
 def weak_type_by_cases(op, corpus, basis, p, bound):
     """verify.weak_type_report with one apply per corpus case."""
-    from ballbasis.verify import CaseRow, Report, _apply
+    from ballbasis.verify import CaseRow, Report
 
     w = basis.space.weights
     rows = []
     worst = 0.0
     for cid, f in corpus.cases(basis.n_atoms):
-        out = _apply(op, f)
+        out = _apply_norms(op, f)
         denom = float(np.sum(f.norms() ** p.r * w)) ** (p.varrho / p.rho)
         ratio = 0.0
         if denom > 0:
@@ -616,3 +623,27 @@ def alpha_profile_by_alphas(f, g, basis, b_id):
         beta = alpha_oscillation(f, members, a, basis) / inf_g
         rows.append(CaseRow(f"alpha={a:g}", "beta", float(beta), True))
     return rows
+
+
+# -- exceptional sets atom by atom -------------------------------------------------
+
+
+def f_family_by_loop(basis, alpha, seed):
+    """cli.make_f_family taking each ball's atoms in noise order, one at a
+    time, while the running mass stays below alpha mu(B)."""
+    noise = np.random.default_rng([seed, 17]).random(basis.n_atoms)
+    w = basis.space.weights
+
+    def f_map(ball_id):
+        ms = basis.balls[int(ball_id)].members
+        budget = alpha * basis.mu[int(ball_id)]
+        take = []
+        acc = 0.0
+        for a in ms[np.argsort(noise[ms], kind="stable")]:
+            if acc + w[a] >= budget:
+                break
+            acc += w[a]
+            take.append(int(a))
+        return np.array(sorted(take), dtype=np.int64)
+
+    return f_map

@@ -19,7 +19,7 @@ def small_cfg(out_dir, **overrides):
         "corpus": {"generators": ["random_signs"], "size": 3},
         "estimate": {"budget": 4},
         "sparsify": {"alpha": 0.002, "families": 2},
-        "dominate": {"cases": 2, "ball": "full"},
+        "dominate": {"cases": 2},
         "verify": {"suites": ["weak_type", "exp_decay"],
                    "thresholds": {}, "weight": {"kind": "unit"}, "p": 2.0},
     }
@@ -45,6 +45,14 @@ class TestLoadConfig:
         cfg["operators"][0]["extra"] = True
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path, cfg))
+
+    @pytest.mark.parametrize("section", [{"dominate": {"cases": 1, "ball": "full"}},
+                                         {"mean_osc": {"enabled": True}}],
+                             ids=["dominate_ball", "mean_osc_enabled"])
+    def test_retired_keys_rejected(self, tmp_path, section):
+        """dominate and mean_osc always run on the full ball."""
+        with pytest.raises(ConfigError, match="unknown keys"):
+            load_config(write_cfg(tmp_path, small_cfg(tmp_path / "out", **section)))
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -110,7 +118,6 @@ class TestMain:
         {"estimate": {"budget": 0}},
         {"sparsify": {"alpha": -1, "families": 1}},
         {"corpus": {"generators": ["random_signs"], "size": "abc"}},
-        {"dominate": {"cases": 1, "ball": 999}},
         {"mean_osc": {"beta": 2}},
         {"basis": {"kind": "dyadic", "size": 3},
          "operators": [{"kind": "conditional_expectation", "level": 9}]},
@@ -123,11 +130,11 @@ class TestMain:
         {"verify": {"suites": ["nope"]}},
         {"corpus": {"generators": ["random_signs"], "size": 0}},
         {"sparsify": {"alpha": 0.002, "families": 0}},
-        {"dominate": {"cases": 0, "ball": "full"}},
+        {"dominate": {"cases": 0}},
         {"mean_osc": {"beta": 0.75, "cases": 0}},
     ], ids=["basis_not_object", "section_not_object", "operator_not_object",
             "budget_zero", "alpha_negative", "corpus_size_string",
-            "ball_out_of_range", "beta_above_one", "level_out_of_range",
+            "beta_above_one", "level_out_of_range",
             "riesz_alpha_two", "sparse_rho_zero", "square_function_on_grid",
             "riesz_on_dyadic", "unknown_suite", "corpus_size_zero",
             "families_zero", "dominate_cases_zero", "mean_osc_cases_zero"])

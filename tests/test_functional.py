@@ -498,11 +498,3 @@ class TestLevelTail:
         x = rng.uniform(0.0, 2.0, size=(4, 6))
         level_tail(x, 1.0, np.ones((4, 6)), np.full(4, 6.0), 64)
         assert built == [(4, TAIL_LEVELS, 6)]
-
-
-class TestSerialization:
-    def test_round_trip(self, rng):
-        f = VecFunction(rng.normal(size=(8, 2)), norm_kind="max")
-        g = VecFunction.from_json(f.to_json())
-        assert np.array_equal(g.values, f.values)
-        assert g.norm_kind == "max"

@@ -1,4 +1,3 @@
-import json
 import re
 
 import numpy as np
@@ -7,11 +6,13 @@ import pytest
 import ballbasis.sparsify
 from ballbasis import (BallBasis, ConstructionFailure, NestingViolated,
                        NotACover, PostconditionFailure, build_dyadic,
-                       child_cover, disjointify, sparsify_tree, vitali_cover)
+                       build_grid, child_cover, disjointify, sparsify_tree,
+                       vitali_cover)
 from ballbasis.cli import make_f_family
 from ballbasis.sparsify import _dense_ranks, _half_dense, _verify_sparse_tree
 
-from conftest import dense_ranks_by_groups
+from conftest import (_relabelled, _reweighted, dense_ranks_by_groups,
+                      f_family_by_loop)
 
 
 def span_ball(basis, lo, hi):
@@ -49,6 +50,18 @@ class TestVitali:
 class TestChildCover:
     def test_empty_target(self, dyadic3):
         assert child_cover(dyadic3, [0, 1], []) == []
+
+    def test_vitali_star_cover_checked(self, grid16, monkeypatch):
+        """The Vitali step checks its star cover on the atoms of E in a
+        picked ball: with each star cut down to its ball, atom 8 of
+        E = F = {2, 5, 8} lies in a picked ball outside every star."""
+        child_cover(grid16, [2, 5, 8], [2, 5, 8])
+        monkeypatch.setattr(BallBasis, "star_members",
+                            lambda self, b: self.balls[b].members)
+        with pytest.raises(PostconditionFailure,
+                           match="stars of the selection") as err:
+            child_cover(grid16, [2, 5, 8], [2, 5, 8])
+        assert err.value.witness == [8]
 
     def test_single_atom(self, dyadic6):
         got = child_cover(dyadic6, [5], [5])
@@ -151,9 +164,10 @@ class TestHalfDensityPostconditions:
     def test_child_cover_dense_above_cover_ball(self, dyadic3):
         # hull(1) pointed at 7, inside ball 1: 7 is dense, so it grows to 3,
         # which ball 1 still contains
-        doc = json.loads(dyadic3.to_json())
-        doc["hull"][1] = 7
-        broken = BallBasis.from_json(json.dumps(doc))
+        hull = dyadic3.hull.copy()
+        hull[1] = 7
+        broken = BallBasis(dyadic3.space, dyadic3.balls, hull, K=dyadic3.K,
+                           eta=dyadic3.eta)
         with pytest.raises(PostconditionFailure, match="half-density persists") as err:
             child_cover(broken, [0, 1], [0])
         assert err.value.witness == (3, 1)
@@ -218,13 +232,25 @@ class TestSparsifyTree:
         assert tree.constants["coverage_certified"] == (
             len(tree.constants["uncovered"]) == 0)
 
-    def test_json_round_trippable(self, dyadic6):
-        tree = sparsify_tree(dyadic6, lambda b: np.array([], dtype=np.int64),
-                             dyadic6.full_ball_id(), 1e-4)
-        import json
-        doc = json.loads(tree.to_json())
-        assert doc["root"] == tree.root
-        assert len(doc["nodes"]) == tree.n_nodes
+
+class TestFFamily:
+    @pytest.mark.parametrize("base", [
+        lambda: build_dyadic(6), lambda: build_grid(24),
+        lambda: _reweighted(build_grid(24), seed=4),
+        lambda: _relabelled(build_dyadic(7), seed=5)[0],
+        lambda: _reweighted(build_dyadic(6), seed=6),
+    ], ids=["dyadic6", "grid24", "grid24_weighted", "dyadic7_relabelled",
+            "dyadic6_weighted"])
+    def test_equals_atom_loop(self, base):
+        """One cumsum per ball takes the same atoms, as int64, as the loop
+        that adds them one at a time."""
+        basis = base()
+        for alpha in (1 / 2000, 0.002, 0.1, 0.5, 0.999, 1.0):
+            got = make_f_family(basis, alpha, 3)
+            want = f_family_by_loop(basis, alpha, 3)
+            for b in range(basis.n_balls):
+                g = got(b)
+                assert g.dtype == np.int64 and np.array_equal(g, want(b))
 
 
 class TestDisjointify:
@@ -379,10 +405,7 @@ def _sparsify_tree_by_pairs(basis, F_map, a0, alpha):
                 cut[basis.balls[und[j2]].members] = True
         witness.append(m[~cut[m]])
     return {"nodes": [int(basis.hull[basis.hull[b]]) for b in n_und],
-            "underlying": n_und, "parent": n_parent,
-            "children": [[c for c, p in enumerate(n_parent) if p == j]
-                         for j in range(len(keep))],
-            "rank": [rank[i] for i in keep], "witness": witness}, removed
+            "underlying": n_und, "parent": n_parent, "witness": witness}, removed
 
 
 def _witness_clash_by_pairs(rank, witness):
@@ -464,7 +487,7 @@ class TestSetRowsEqualPairLoops:
                 return
         assert (levels, alpha, seed) in PAIR_CASES
         assert removed["wedge"] >= 1 and removed["disjointing"] >= 1
-        for key in ("nodes", "underlying", "parent", "children", "rank"):
+        for key in ("nodes", "underlying", "parent"):
             assert getattr(tree, key) == want[key]
         assert len(tree.witness) == len(want["witness"])
         for got, ref in zip(tree.witness, want["witness"]):
