@@ -93,6 +93,8 @@ def ball_averages_all(f: VecFunction, basis: BallBasis, p: Params) -> np.ndarray
 def vector_norms(vals: np.ndarray, norm_kind: str) -> np.ndarray:
     """Norm of each vector along the last axis."""
     if norm_kind == "euclidean":
+        if vals.shape[-1] == 1:  # what linalg.norm gives, without its reduce
+            return np.sqrt(vals[..., 0] ** 2)
         return np.linalg.norm(vals, axis=-1)
     return np.abs(vals).max(axis=-1)
 
@@ -174,13 +176,14 @@ class _SortedWindows:
     """Scalar f on a stack of equal-size atom sets idx (m, L): per row the
     stable sort order of f, the sorted values sv and the prefix masses pre.
     The window (i, j) of a row has width sv[j] - sv[i] and mass pre[j+1] -
-    pre[i]; each query answers for every row and every start i at once."""
+    pre[i]; each query answers for every row and every start i at once.
+    An entry n_atoms of idx is a pad, of value +inf and weight 0."""
 
     def __init__(self, f: VecFunction, idx: np.ndarray, weights: np.ndarray):
-        v = f.values[idx, 0]
+        v = np.append(f.values[:, 0], np.inf)[idx]
         self.order = np.argsort(v, axis=-1, kind="stable")
         self.sv = np.take_along_axis(v, self.order, -1)
-        ws = np.take_along_axis(weights[idx], self.order, -1)
+        ws = np.take_along_axis(np.append(weights, 0.0)[idx], self.order, -1)
         self.pre = np.concatenate([np.zeros((len(idx), 1)),
                                    np.cumsum(ws, axis=-1)], axis=-1)
         self.start = np.arange(idx.shape[1])
@@ -267,7 +270,7 @@ def medians(f: VecFunction, idx: np.ndarray, basis: BallBasis,
             method: str) -> tuple[np.ndarray, np.ndarray]:
     """Median cores of a stack of equal-size atom sets idx (m, L), as an
     (m, L) mask over idx, and their representatives (m, d): f at the lowest
-    atom of each core.  See median."""
+    atom of each core.  See median; no core holds a pad (_SortedWindows)."""
     w = basis.space.weights
     if _use_oracle(f, method):
         cores = np.zeros(idx.shape, dtype=bool)
@@ -297,6 +300,29 @@ def median(f: VecFunction, members, basis: BallBasis,
     arr, _ = _query_atoms(members, 0.5, basis, "median")
     cores, reps = medians(f, arr[None], basis, method)
     return arr[cores[0]], reps[0]
+
+
+def ball_medians(f: VecFunction, basis: BallBasis) -> np.ndarray:
+    """(n_balls, d): f's median representative on every ball, one medians
+    call per block of consecutive size groups padded to the widest (a window
+    starting on a pad has mass 0; every other ends before the pads).  A block
+    holds BLOCK_ELEMS // 4 padded elements or one group, and one group if f
+    is a vector (the subset oracle)."""
+    groups = basis.size_groups()
+    cap = BLOCK_ELEMS // 4 if f.scalar else 0
+    out = np.empty((basis.n_balls, f.dim))
+    start, rows = 0, 0
+    for end, (ids, idx) in enumerate(groups, 1):
+        rows += len(ids)
+        if end < len(groups) and (rows + len(groups[end][0])) * groups[end][1].shape[1] <= cap:
+            continue
+        block = groups[start:end]  # idx, the last, is the widest
+        stack = np.concatenate([np.pad(g, ((0, 0), (0, idx.shape[1] - g.shape[1])),
+                                       constant_values=basis.n_atoms) for _, g in block])
+        with np.errstate(invalid="ignore"):  # inf - inf at a pad start
+            out[np.concatenate([g for g, _ in block])] = medians(f, stack, basis, "auto")[1]
+        start, rows = end, 0
+    return out
 
 
 # -- BMO and maximal functions --------------------------------------------------

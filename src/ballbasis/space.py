@@ -13,8 +13,8 @@ Every ball query is answered by `BallBasis` on top of one containment test,
 taken for a stack of equal-size atom sets at once.  Interval bases (every
 ball a contiguous atom range; both shipped builders) answer it from atom
 spans: a ball contains a set when its span [lo, hi] covers the set's span.
-They answer ball sums and stars from atom spans too, and the axiom check
-from the cover table (the least measure of a ball covering each atom span).
+They answer ball sums and stars from atom spans too, and superset maxima
+and the axiom check's cover queries by one sweep over lo.
 
 Any other basis (relabelled atoms, hand-built) answers containment and
 stars from `PairIndex`, every (ball, member) pair sorted by atom: a ball
@@ -332,17 +332,69 @@ class BallBasis:
         idx, for each (ids, idx) of groups ((m, L) stacks of sorted atom
         sets; size_groups() by default, so out[i] is the max over the
         supersets of ball i), over balls of more than L atoms only if strict;
-        -inf where no ball qualifies.  One _containing test per group."""
-        # balls in decreasing vals, so a row's first containing ball is its max
-        order = np.argsort(-vals, kind="stable")
+        -inf where no ball qualifies.
+
+        Interval bases answer all rows in one _cover_max sweep; the strict
+        supersets of a contiguous row [a, b] cover [a - 1, b] or [a, b + 1],
+        and a non-contiguous row has no containing ball of its own size."""
         out = np.full(self.n_balls, -np.inf)
-        for ids, idx in self.size_groups() if groups is None else groups:
-            mask = self._containing(idx, order)
-            if strict:
-                mask &= self.sizes[order] > idx.shape[1]
-            first = mask.argmax(axis=1)
-            found = mask[np.arange(len(ids)), first]
-            out[ids] = np.where(found, vals[order[first]], -np.inf)
+        if not self.interval:
+            for ids, idx in self.size_groups() if groups is None else groups:
+                mask = self._containing(idx)
+                if strict:
+                    mask &= self.sizes > idx.shape[1]
+                out[ids] = np.max(np.broadcast_to(vals, mask.shape), axis=-1,
+                                  where=mask, initial=-np.inf)
+            return out
+        if groups is None:  # the rows are the balls, spanning [lo, hi]
+            ids, a, b, contiguous = slice(None), self.lo, self.hi, True
+        else:
+            ids, a, b, contiguous = (np.concatenate(c) for c in zip(*[
+                (g, idx[:, 0], idx[:, -1], idx[:, -1] - idx[:, 0] < idx.shape[1])
+                for g, idx in groups]))
+        best = self._cover_max(vals, a - strict * contiguous, b)
+        if strict:
+            np.maximum(best, self._cover_max(vals, a, b + contiguous), out=best)
+        out[ids] = best
+        return out
+
+    def _cover_max(self, vals: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per query k, the max of vals[A] over the balls A with lo <= a[k]
+        and hi >= b[k] (interval bases; -1 <= a < n, 0 <= b <= n for n
+        atoms), -inf where none.  A sweep over lo upward keeps a prefix max
+        over the columns n - hi; a block is a run of lo values, a row each,
+        over the columns its balls and queries use, within BLOCK_ELEMS."""
+        n = self.n_atoms
+        # one value per distinct (lo, hi), so a block's writes never collide
+        key, pair = np.unique(self.lo * n + self.hi, return_inverse=True)
+        top = np.full(len(key), -np.inf)
+        np.maximum.at(top, pair, vals)
+        lo, col = key // n, n - key % n
+        queries = np.argsort(a, kind="stable")  # those with a = -1 come first, unread
+        pair_start = np.searchsorted(lo, np.arange(n + 1))
+        query_start = np.searchsorted(a[queries], np.arange(n + 1))
+        events = pair_start + query_start
+        out = np.full(len(a), -np.inf)
+        carry = np.full(n + 1, -np.inf)
+        s = 0
+        while s < n:
+            ends = np.arange(s + 1, min(n, s + BLOCK_ELEMS) + 1)
+            cost = (ends - s) * np.minimum(n + 1, events[ends] - events[s])
+            e = int(ends[max(0, np.searchsorted(cost, BLOCK_ELEMS, side="right") - 1)])
+            p = slice(pair_start[s], pair_start[e])
+            q = queries[query_start[s]:query_start[e]]
+            used = np.zeros(n + 1, dtype=bool)
+            used[col[p]] = used[n - b[q]] = True
+            cols, rank = np.flatnonzero(used), np.cumsum(used) - 1
+            block = np.full((e - s, len(cols)), -np.inf)
+            block[lo[p] - s, rank[col[p]]] = top[p]
+            np.maximum(block[0], carry[cols], out=block[0])
+            np.maximum.accumulate(block, axis=0, out=block)
+            np.maximum.accumulate(block, axis=1, out=block)
+            out[q] = block[a[q] - s, rank[n - b[q]]]
+            carry[cols] = block[-1]  # each at least the carry it replaces
+            np.maximum.accumulate(carry, out=carry)
+            s = e
         return out
 
     # -- star / hull -----------------------------------------------------
@@ -475,12 +527,11 @@ class BallBasis:
 
     # -- containment queries ----------------------------------------------
 
-    def _containing(self, idx: np.ndarray, balls=slice(None)) -> np.ndarray:
-        """(m, k) mask: whether ball balls[j] (every ball, in id order, by
-        default) contains every atom of row r of idx, an (m, L) stack of
-        sorted atom sets."""
+    def _containing(self, idx: np.ndarray) -> np.ndarray:
+        """(m, n_balls) mask: whether ball j contains every atom of row r of
+        idx, an (m, L) stack of sorted atom sets."""
         if self.interval:
-            return (self.lo[balls] <= idx[:, :1]) & (self.hi[balls] >= idx[:, -1:])
+            return (self.lo <= idx[:, :1]) & (self.hi >= idx[:, -1:])
         # A ball contains an L-atom set iff L of its pairs fall in the set:
         # a (row, ball) key sorted, each run of L equal keys is a containment
         pairs = self.pair_index()
@@ -491,7 +542,7 @@ class BallBasis:
         runs = key[size - 1:]
         mask = np.zeros(m * self.n_balls, dtype=bool)
         mask[runs[runs == key[:len(runs)]]] = True
-        return mask.reshape(m, self.n_balls)[:, balls]
+        return mask.reshape(m, self.n_balls)
 
     def balls_containing_atom(self, atom: int) -> np.ndarray:
         return np.flatnonzero(self._containing(np.array([[atom]]))[0])
@@ -603,18 +654,13 @@ def check_axioms(basis: BallBasis) -> AxiomReport:
 
     # Per ball: the least measure of a ball containing the star (inf if
     # none), whether the stored hull contains the star, whether the star is
-    # X, and the least measure of a strict superset (inf if none).
+    # X, and the least measure of a strict superset (inf if none); a least
+    # measure is -(max of -mu) over the containing balls.
     if basis.interval:
-        table = basis.cover_table()
         slo, shi = basis.star_spans()
-        cover_mu = table[slo, shi]
+        cover_mu = -basis._cover_max(-mu, slo, shi)
         hull_ok = (basis.lo[h] <= slo) & (basis.hi[h] >= shi)
         star_full = shi - slo + 1 == n
-        # a strict superset of [lo, hi] covers [lo - 1, hi] or [lo, hi + 1]
-        # (the indices wrap at the ends, where np.where drops them)
-        lo, hi = basis.lo, basis.hi
-        next_mu = np.minimum(np.where(lo > 0, table[lo - 1, hi], np.inf),
-                             np.where(hi < n - 1, table[lo, (hi + 1) % n], np.inf))
     else:
         atoms, offsets = basis.star_lists()
         star_size = np.diff(offsets)
@@ -623,14 +669,13 @@ def check_axioms(basis: BallBasis) -> AxiomReport:
             ids = np.flatnonzero(star_size == size)
             star_groups.append(
                 (ids, atoms[_ranges(offsets[ids], star_size[ids])].reshape(-1, size)))
-        # least measure = -(max of -mu) over the containing balls
         cover_mu = -basis.superset_max(-mu, star_groups)
         members = basis.member_matrix()
         hull_ok = np.empty(basis.n_balls, dtype=bool)
         for ids, idx in star_groups:
             hull_ok[ids] = members[h[ids, None], idx].all(axis=1)
         star_full = star_size == n
-        next_mu = -basis.superset_max(-mu, basis.size_groups(), strict=True)
+    next_mu = -basis.superset_max(-mu, strict=True)
 
     # B4: the stored hull must contain the star with mu(hull) <= K mu(B), and
     # k_min is what the best possible hull assignment would achieve.

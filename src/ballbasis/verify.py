@@ -16,10 +16,9 @@ import numpy as np
 
 from .errors import ConfigError, InfZero, ZeroBmoNorm
 from .space import BallBasis
-from .functional import (Params, VecFunction, alpha_oscillations, bmo_norm,
-                         fit_exponential_rate, level_tail, maximal,
-                         mean_deviation, median, medians, sharp_all_stack,
-                         vector_norms)
+from .functional import (Params, VecFunction, alpha_oscillations, ball_medians,
+                         bmo_norm, fit_exponential_rate, level_tail, maximal,
+                         mean_deviation, median, sharp_all_stack, vector_norms)
 from .operators import OperatorDescriptor, truncate
 
 
@@ -321,11 +320,11 @@ def john_nirenberg_report(f: VecFunction, basis: BallBasis) -> Report:
     levels = list(range(0, T_MAX + 1))
     tail_med = np.zeros(len(levels))
     tail_avg = np.zeros(len(levels))
-    for _, idx in basis.size_groups():
+    meds = ball_medians(f, basis)
+    for ids, idx in basis.size_groups():
         ww = w[idx]
         vals = f.values[idx]
-        _, meds = medians(f, idx, basis, "auto")
-        dev_m = vector_norms(vals - meds[:, None, :], f.norm_kind)
+        dev_m = vector_norms(vals - meds[ids, None, :], f.norm_kind)
         mu, dev_a = mean_deviation(vals, ww, f.norm_kind)
         tail_med = np.maximum(tail_med, level_tail(dev_m, norm, ww, mu, T_MAX).max(axis=0))
         tail_avg = np.maximum(tail_avg, level_tail(dev_a, norm, ww, mu, T_MAX).max(axis=0))

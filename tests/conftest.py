@@ -5,7 +5,7 @@ import pytest
 
 from ballbasis import (Ball, BallBasis, MeasureSpace, VecFunction, build_dyadic,
                        build_grid)
-from ballbasis.functional import vector_norms
+from ballbasis.functional import medians, vector_norms
 
 
 def _relabelled(basis, seed, kind=None):
@@ -172,6 +172,24 @@ def median_by_loop(f, arr, w):
             marked[order[i:j + 1]] = True
     med = arr[marked]
     return med, f.values[int(med.min())].copy()
+
+
+def tied_values(n, seed):
+    """Seeded values on n atoms with ties, a constant run and +-1e-170."""
+    v = np.round(np.random.default_rng(seed).normal(size=n), 1)
+    v[n // 4:n // 2] = v[n // 4]
+    v[::7] = 1e-170
+    v[3::7] = -1e-170
+    return v
+
+
+def ball_medians_by_groups(f, basis):
+    """functional.ball_medians as one medians call per size group, no row
+    padded: the reference the blocks of several groups must equal."""
+    out = np.empty((basis.n_balls, f.dim))
+    for ids, idx in basis.size_groups():
+        out[ids] = medians(f, idx, basis, "auto")[1]
+    return out
 
 
 # -- per-size-group scatters ----------------------------------------------------
@@ -452,6 +470,23 @@ def superset_max_by_matrix(basis, vals, strict=False):
             mask &= basis.sizes > basis.sizes[i]
         if mask.any():
             out[i] = vals[mask].max()
+    return out
+
+
+def superset_max_by_argmax(basis, vals, groups=None, strict=False):
+    """BallBasis.superset_max as one containment mask per group over the
+    balls in decreasing vals (stable order), whose first containing ball
+    holds the max: the reference the interval sweep and the masked max of
+    the other bases must equal."""
+    order = np.argsort(-vals, kind="stable")
+    out = np.full(basis.n_balls, -np.inf)
+    for ids, idx in basis.size_groups() if groups is None else groups:
+        mask = basis._containing(idx)[:, order]
+        if strict:
+            mask &= basis.sizes[order] > idx.shape[1]
+        first = mask.argmax(axis=1)
+        found = mask[np.arange(len(ids)), first]
+        out[ids] = np.where(found, vals[order[first]], -np.inf)
     return out
 
 

@@ -8,11 +8,15 @@ from ballbasis import (Ball, BallBasis, EmptySet, MeasureSpace, Params,
                        alpha_oscillation, average, bmo_norm, build_dyadic,
                        build_grid, build_regular_family, general_maximal,
                        maximal, median, sharp_all, sup_sharp_all)
+from ballbasis import functional
 from ballbasis.functional import (TAIL_LEVELS, _max_over_containing_balls,
-                                  ball_averages_all, level_tail, mean_oscillation,
-                                  medians, sharp_all_stack, vector_norms)
+                                  ball_averages_all, ball_medians, level_tail,
+                                  mean_oscillation, medians, sharp_all_stack,
+                                  vector_norms)
+from ballbasis.space import BLOCK_ELEMS
 from conftest import (alpha_core_by_loop, alpha_oscillation_by_loop,
-                      level_tail_by_mask, median_by_loop)
+                      ball_medians_by_groups, level_tail_by_mask, median_by_loop,
+                      tied_values)
 
 CLASSICAL = Params.classical_profile(1.0)
 
@@ -298,6 +302,62 @@ class TestSortedWindows:
                     assert np.array_equal(med, want) and np.array_equal(rep, want_rep)
                     assert np.array_equal(idx[k][cores[k]], want)
                     assert np.array_equal(reps[k], want_rep)
+
+
+    def test_ball_medians_equal_per_group_calls(self, stat_basis):
+        """The padded blocks of size groups give every representative of
+        the per-group calls bitwise, and of the two-pointer loop."""
+        w = stat_basis.space.weights
+        tied = VecFunction(tied_values(stat_basis.n_atoms, 2))
+        for f in self._functions(stat_basis) + [tied]:
+            got = ball_medians(f, stat_basis)
+            assert np.array_equal(got, ball_medians_by_groups(f, stat_basis))
+            for b in stat_basis.balls[::17]:
+                want = median_by_loop(f, b.members, w[b.members])[1]
+                assert np.array_equal(got[b.id], want)
+
+    @pytest.mark.parametrize("make, calls", [(lambda: build_grid(31), 3),
+                                             (lambda: build_grid(64), 15),
+                                             (lambda: build_dyadic(8), 3)],
+                             ids=["grid31", "grid64", "dyadic8"])
+    def test_ball_medians_blocks(self, make, calls, monkeypatch):
+        """Several size groups share a medians call, each call within
+        BLOCK_ELEMS // 4 padded elements unless it is one group; a vector f
+        takes one call per group."""
+        basis = make()
+        widths = []
+
+        def counting(f, idx, basis, method):
+            widths.append((idx.size, len(np.unique(np.sum(idx < basis.n_atoms, axis=1)))))
+            return medians(f, idx, basis, method)
+
+        monkeypatch.setattr(functional, "medians", counting)
+        f = VecFunction(np.random.default_rng(3).lognormal(size=basis.n_atoms))
+        got = ball_medians(f, basis)
+        assert len(widths) == calls < len(basis.size_groups())
+        assert all(size <= BLOCK_ELEMS // 4 or groups == 1 for size, groups in widths)
+        monkeypatch.undo()
+        assert np.array_equal(got, ball_medians_by_groups(f, basis))
+
+    def test_ball_medians_vector_per_group(self, dyadic4):
+        f = VecFunction(np.random.default_rng(5).normal(size=(16, 2)), "max")
+        assert np.array_equal(ball_medians(f, dyadic4), ball_medians_by_groups(f, dyadic4))
+
+
+class TestVectorNorms:
+    def test_one_component_equals_linalg_norm(self):
+        """The euclidean norm of one component is bitwise what
+        np.linalg.norm gives: underflow to 0, signed zeros, inf and nan."""
+        x = np.array([1.5, -2.25, 1e-170, -1e-170, 0.0, -0.0, np.inf, -np.inf,
+                      np.nan, 1e-300, 7.0e150])
+        rand = np.random.default_rng(0).normal(size=(4, 50, 1))
+        for vals in (x[:, None], x.reshape(1, -1, 1), rand, x[:1]):
+            got = vector_norms(vals, "euclidean")
+            want = np.linalg.norm(vals, axis=-1)
+            assert type(got) is type(want) and got.dtype == want.dtype
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestBmoNorm:

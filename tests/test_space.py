@@ -18,13 +18,14 @@ from ballbasis import (Ball, BallBasis, MeasureSpace, OperatorDescriptor,
                        riesz_potential, sparse_operator, square_function,
                        truncate, zero_operator)
 from ballbasis.cli import main
-from ballbasis.functional import volume_distance_matrix
-from ballbasis.space import BLOCK_ELEMS, as_atom_array
+from ballbasis.functional import sharp_all, volume_distance_matrix
+from ballbasis.space import BLOCK_ELEMS, _ranges, as_atom_array
 
 from conftest import (SCATTER_BASES, STAT_BASES, _relabelled, _reweighted,
                       check_axioms_by_loop, containing_by_matrix,
                       membership_by_loop, star_of_set_by_matrix,
-                      superset_max_by_matrix)
+                      superset_max_by_argmax, superset_max_by_matrix,
+                      tied_values)
 
 
 def ball_by_span(basis, lo, hi):
@@ -534,15 +535,17 @@ class TestPairIndexContainment:
             size = int(rng.integers(1, n + 1))
             idx = np.sort(np.stack([rng.choice(n, size, replace=False)
                                     for _ in range(3)]), axis=1)
-            order = rng.permutation(nb)
-            assert np.array_equal(basis._containing(idx, order),
-                                  containing_by_matrix(basis, idx, order))
+            assert np.array_equal(basis._containing(idx),
+                                  containing_by_matrix(basis, idx))
             assert np.array_equal(basis.star_of_set(idx[0]),
                                   star_of_set_by_matrix(basis, idx[0]))
         vals = rng.normal(size=nb)
+        rows = [(np.arange(min(3, nb)), idx[:nb])]
         for strict in (False, True):
             assert np.array_equal(basis.superset_max(vals, strict=strict),
                                   superset_max_by_matrix(basis, vals, strict))
+            assert np.array_equal(basis.superset_max(vals, rows, strict),
+                                  superset_max_by_argmax(basis, vals, rows, strict))
         assert check_axioms(basis) == check_axioms_by_loop(basis)
 
     def test_no_membership_matrix(self, monkeypatch, rng):
@@ -656,6 +659,92 @@ def interval_bases(draw):
     balls = [Ball(i, np.arange(lo, hi + 1), space.measure(np.arange(lo, hi + 1)))
              for i, (lo, hi) in enumerate(spans)]
     return BallBasis(space, balls, np.zeros(len(balls), dtype=np.int64), K=3.0)
+
+
+def _duplicate_spans_basis(seed):
+    """Seeded atom spans over 13 atoms of random weights, none of them every
+    atom, the first six listed twice: an interval basis with repeated spans
+    and no full ball."""
+    rng = np.random.default_rng(seed)
+    space = MeasureSpace(rng.uniform(0.5, 2.0, 13))
+    spans = np.sort(rng.integers(0, 13, size=(30, 2)), axis=1)
+    spans = spans[spans[:, 1] - spans[:, 0] < 12]
+    spans = np.concatenate([spans, spans[:6]])
+    balls = [Ball(i, np.arange(lo, hi + 1), space.measure(np.arange(lo, hi + 1)))
+             for i, (lo, hi) in enumerate(spans)]
+    return BallBasis(space, balls, np.zeros(len(balls), dtype=np.int64), K=3.0)
+
+
+SWEEP_BASES = {
+    "grid31": lambda: build_grid(31),
+    "grid32": lambda: build_grid(32),
+    "dyadic7": lambda: build_dyadic(7),
+    "duplicate_spans": lambda: _duplicate_spans_basis(3),
+    "grid24_weighted": lambda: _reweighted(build_grid(24), seed=7),
+    "dyadic7_permuted": lambda: _relabelled(build_dyadic(7), seed=5)[0],
+}
+
+
+class TestSupersetMaxSweep:
+    """Interval bases take superset maxima by one sweep over lo, the other
+    bases by one masked max per group: both equal the argmax reference
+    bitwise, for every ball and for stacks of other atom sets."""
+
+    @staticmethod
+    def _star_groups(basis):
+        """Every ball's star as a row, grouped by star size (rows that are not
+        atom intervals off interval bases)."""
+        atoms, offsets = basis.star_lists()
+        size = np.diff(offsets)
+        return [(ids, atoms[_ranges(offsets[ids], size[ids])].reshape(-1, k))
+                for k in np.unique(size) for ids in [np.flatnonzero(size == k)]]
+
+    @staticmethod
+    def _set_groups(basis, rng):
+        """Four groups of four seeded atom sets of 2 to 5 atoms (mostly not
+        atom intervals) on 16 distinct ball ids."""
+        ids = rng.permutation(basis.n_balls)[:16].reshape(4, 4)
+        return [(ids[k - 2], np.sort(np.stack(
+            [rng.choice(basis.n_atoms, k, replace=False) for _ in range(4)]), axis=1))
+            for k in range(2, 6)]
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_BASES))
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_equals_argmax_reference(self, name, strict):
+        basis = SWEEP_BASES[name]()
+        rng = np.random.default_rng(4)
+        sharp = sharp_all(VecFunction(tied_values(basis.n_atoms, 1)), basis)
+        assert (sharp == 0).any() and len(np.unique(sharp)) < basis.n_balls
+        for vals in (np.round(rng.normal(size=basis.n_balls), 1), sharp, -basis.mu):
+            for groups in (None, self._star_groups(basis), self._set_groups(basis, rng)):
+                assert np.array_equal(basis.superset_max(vals, groups, strict),
+                                      superset_max_by_argmax(basis, vals, groups, strict))
+
+    @pytest.mark.parametrize("levels", [9, 11])
+    def test_permuted_dyadic_axioms(self, levels, monkeypatch):
+        """check_axioms on permuted dyadic bases (masked maxima) equals the
+        interval basis (the sweep), and both equal the argmax reference."""
+        base = build_dyadic(levels)
+        rel = _relabelled(base, seed=0)[0]
+        got = check_axioms(rel)
+        assert got == check_axioms(base)
+        monkeypatch.setattr(BallBasis, "superset_max", superset_max_by_argmax)
+        assert got == check_axioms(rel) == check_axioms(base)
+
+    def test_grid256_memory(self):
+        """superset_max on build_grid(256) (32,896 balls) builds no mask
+        over the balls: a traced peak under 4 MB, strict or not."""
+        basis = build_grid(256)
+        vals = np.random.default_rng(0).normal(size=basis.n_balls)
+        basis.superset_max(vals)
+        for strict in (False, True):
+            tracemalloc.start()
+            try:
+                basis.superset_max(vals, strict=strict)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 << 20, (strict, peak)
 
 
 class TestIntervalStarOfSet:
@@ -939,6 +1028,13 @@ def test_no_set_operations_in_nested_loops():
 def test_no_median_in_loops():
     src = Path(__file__).parents[1] / "src" / "ballbasis"
     assert _looped_calls({"median"}, 1, sorted(src.glob("*.py"))) == []
+
+
+# Every ball's median representative comes from one functional.ball_medians
+# call: no medians( call sits inside a loop or comprehension in verify.py.
+def test_no_medians_in_verify_loops():
+    src = Path(__file__).parents[1] / "src" / "ballbasis"
+    assert _looped_calls({"medians"}, 1, [src / "verify.py"]) == []
 
 
 # A reduction over the balls containing each atom is one gather and one

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,6 +281,22 @@ class TestJohnNirenberg:
     def test_constant_rejected(self, dyadic6):
         with pytest.raises(ZeroBmoNorm):
             john_nirenberg_report(VecFunction(np.ones(64)), dyadic6)
+
+    @pytest.mark.parametrize("n, bound", [(64, 1 << 20), (256, 3 << 20)])
+    def test_memory(self, n, bound):
+        """The median representatives of every ball come one block of padded
+        rows at a time: a traced peak under 1 MB on grid 64 and 3 MB on
+        grid 256, with the size groups built beforehand."""
+        basis = build_grid(n)
+        basis.size_groups()
+        f = VecFunction(np.log(n / (np.arange(n) + 1.0)))
+        tracemalloc.start()
+        try:
+            john_nirenberg_report(f, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, peak
 
     @pytest.mark.parametrize("norm_kind", ["euclidean", "max"])
     def test_tails_equal_per_ball_loop(self, stat_basis, norm_kind):
