@@ -26,8 +26,8 @@ from .domination import (SparseBound, VerificationReport, dominate_bo,
                          dominate_mean_osc, lerner_decompose,
                          verify_sparse_bound)
 from .verify import (Corpus, Report, Weight, ap_characteristics,
-                     bmo_bounded_report, exp_decay_report, good_lambda_report,
-                     john_nirenberg_report, strong_domination_check,
-                     weak_type_report)
+                     bmo_bounded_report, bmo_bounded_reports, exp_decay_report,
+                     good_lambda_report, john_nirenberg_report,
+                     strong_domination_check, weak_type_report)
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from .operators import (OperatorDescriptor, conditional_expectation,
 from .sparsify import sparsify_tree
 from .domination import dominate_bo, dominate_mean_osc
 from .verify import (CaseRow, Corpus, Report, Weight, _clean,
-                     ap_characteristics, bmo_bounded_report, exp_decay_report,
+                     ap_characteristics, bmo_bounded_reports, exp_decay_report,
                      good_lambda_report, john_nirenberg_report,
                      strong_domination_check, weak_type_report)
 
@@ -479,9 +479,9 @@ def run_verify(cfg: dict, basis, ops, suite_filter: str | None = None
         out.append(rep)
 
     if "bmo" in suites:
-        for op in ops:
-            rep = bmo_bounded_report(op, corpus, basis,
-                                     threshold=thr.get("bmo", math.inf))
+        reps = bmo_bounded_reports(ops, corpus, basis,
+                                   threshold=thr.get("bmo", math.inf))
+        for op, rep in zip(ops, reps):
             rep.name = f"bmo/{op.name}"
             out.append(rep)
 

@@ -580,26 +580,36 @@ def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
     # n_balls x n distance matrix) and a 17% slower pipeline
     if exact and basis.interval:
         dmat = volume_distance_matrix(basis)
-        for bid in range(basis.n_balls):
-            star = basis.star_members(bid)
-            if star.size == n:
-                continue  # star is X: nothing lives outside it
-            cols = T.kernel[basis.balls[bid].members]
-            osc = cols.max(axis=0) - cols.min(axis=0)
-            d = dmat[bid]
-            ratios = osc * d
-            ratios[star] = 0.0
-            y = int(np.argmax(ratios))
-            if ratios[y] > l1:
-                l1 = float(ratios[y])
-                witnesses["L1"] = {"ball": bid, "atom": y}
-            logw = np.log1p(d / basis.mu[bid])
-            r4_ratios = osc * d * logw
-            r4_ratios[star] = 0.0
-            y4 = int(np.argmax(r4_ratios))
-            if r4_ratios[y4] > r4:
-                r4 = float(r4_ratios[y4])
-                witnesses["R4"] = {"ball": bid, "atom": y4}
+        slo, shi = basis.star_spans()
+        xs = np.arange(n)
+        # per ball, its largest L1 ratio osc*d and R4 ratio osc*d*log1p(d/mu)
+        # off its star, and the first atom of each; 0 for a ball whose star
+        # is X (nothing lives outside it) and for a row holding a NaN, which
+        # max returns and no > takes
+        best = np.zeros((2, basis.n_balls))
+        atom = np.zeros((2, basis.n_balls), dtype=np.intp)
+        for ids, idx in basis.size_groups():
+            keep = shi[ids] - slo[ids] + 1 < n
+            ids, idx = ids[keep], idx[keep]
+            # the gathered kernel rows of a block stay within BLOCK_ELEMS
+            step = max(1, BLOCK_ELEMS // (idx.shape[1] * n))
+            for s in range(0, len(ids), step):
+                b = ids[s:s + step]
+                cols = T.kernel[idx[s:s + step]]
+                d = dmat[b]
+                stats = np.empty((2, len(b), n))
+                np.multiply(cols.max(axis=1) - cols.min(axis=1), d, out=stats[0])
+                np.multiply(stats[0], np.log1p(d / basis.mu[b, None]), out=stats[1])
+                np.copyto(stats, 0.0, where=(xs >= slo[b, None]) & (xs <= shi[b, None]))
+                best[:, b] = np.fmax(stats.max(axis=2), 0.0)
+                atom[:, b] = stats.argmax(axis=2)
+        # the least ball of largest ratio, as a scan in id order with > keeps
+        top = best.max(axis=1)
+        for k, key in enumerate(("L1", "R4")):
+            if top[k] > 0:
+                bid = int(np.flatnonzero(best[k] == top[k])[0])
+                witnesses[key] = {"ball": bid, "atom": int(atom[k, bid])}
+        l1, r4 = float(top[0]), float(top[1])
     # monte-carlo localization pass (also for exact operators: the suite is
     # shared with modulation families so their estimates stay comparable).
     # Per sampled ball, the sums of every suite function over its supersets

@@ -352,15 +352,18 @@ def john_nirenberg_report(f: VecFunction, basis: BallBasis) -> Report:
 # -- BMO boundedness ----------------------------------------------------------------
 
 
-def bmo_bounded_report(op, corpus: Corpus, basis: BallBasis,
-                       mode: str = "bmo",
-                       threshold: float = math.inf) -> Report:
-    """Max over the corpus of ||op f||_BMO / ||f||_BMO (mode "bmo") or
-    / ||f||_inf (mode "linf"); degenerate 0/0 inputs are excluded.
+def bmo_bounded_reports(ops, corpus: Corpus, basis: BallBasis,
+                        mode: str = "bmo",
+                        threshold: float = math.inf) -> list[Report]:
+    """For each of ops, in order: the max over the corpus of
+    ||op f||_BMO / ||f||_BMO (mode "bmo") or / ||f||_inf (mode "linf"), a
+    case passing when its ratio is at most threshold; degenerate 0/0 inputs
+    are excluded.
 
-    The BMO norms of the whole corpus come from one sharp_all_stack pass,
-    and those of the outputs from another; a descriptor applies once to the
-    stack of the kept cases, a plain callable case by case."""
+    The norms of the corpus are computed once for every operator (its BMO
+    norms in one sharp_all_stack pass), and those of each operator's outputs
+    in another; a descriptor applies once to the stack of the kept cases, a
+    plain callable case by case."""
     if mode not in ("bmo", "linf"):
         raise ConfigError(f"unknown mode {mode!r}")
     cases, stack = _corpus_stack(corpus, basis.n_atoms)
@@ -369,20 +372,29 @@ def bmo_bounded_report(op, corpus: Corpus, basis: BallBasis,
     else:
         denoms = vector_norms(stack, _CORPUS_NORM).max(axis=1)
     keep = np.flatnonzero(denoms > 0)
-    outs = _output_norms(op, stack[keep])
-    if not np.all(np.isfinite(outs)):
-        raise ValueError("function values must be finite")
-    nums = sharp_all_stack(outs[:, :, None], _CORPUS_NORM, basis, 1.0).max(axis=1)
-    rows = []
-    worst = 0.0
-    for i, num in zip(keep, nums.tolist()):
-        ratio = num / float(denoms[i])
-        rows.append(CaseRow(cases[i][0], "bmo_ratio", ratio, ratio <= threshold))
-        worst = max(worst, ratio)
-    passed = all(r.passed for r in rows)
-    return Report("bmo_bounded", passed,
-                  {"max_ratio": worst, "mode": mode, "threshold": threshold,
-                   "cases": len(rows)}, rows)
+    reports = []
+    for op in ops:
+        outs = _output_norms(op, stack[keep])
+        if not np.all(np.isfinite(outs)):
+            raise ValueError("function values must be finite")
+        nums = sharp_all_stack(outs[:, :, None], _CORPUS_NORM, basis, 1.0).max(axis=1)
+        rows = []
+        worst = 0.0
+        for i, num in zip(keep, nums.tolist()):
+            ratio = num / float(denoms[i])
+            rows.append(CaseRow(cases[i][0], "bmo_ratio", ratio, ratio <= threshold))
+            worst = max(worst, ratio)
+        passed = all(r.passed for r in rows)
+        reports.append(Report("bmo_bounded", passed,
+                              {"max_ratio": worst, "mode": mode,
+                               "threshold": threshold, "cases": len(rows)}, rows))
+    return reports
+
+
+def bmo_bounded_report(op, corpus: Corpus, basis: BallBasis,
+                       mode: str = "bmo") -> Report:
+    """The bmo_bounded_reports report of op alone, with no threshold."""
+    return bmo_bounded_reports([op], corpus, basis, mode)[0]
 
 
 # -- strong domination --------------------------------------------------------------

@@ -558,8 +558,8 @@ def _apply_norms(op, f):
 
 
 def bmo_bounded_by_loop(op, corpus, basis, mode, threshold):
-    """verify.bmo_bounded_report with one apply and two bmo_norm calls per
-    corpus case."""
+    """One report of verify.bmo_bounded_reports, with one apply and two
+    bmo_norm calls per corpus case."""
     from ballbasis.functional import bmo_norm
     from ballbasis.verify import CaseRow, Report
 

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ballbasis import (Ball, BallBasis, MeasureSpace, NotComparable,
                        OperatorDescriptor, Params, VecFunction, build_dyadic,
@@ -957,6 +959,68 @@ class TestEstimateByStacks:
         assert len(deltas) > 0
         assert 0 < len(widths) <= bound
         assert max(widths) <= rows
+
+    def test_star_members_per_sampled_ball(self, monkeypatch):
+        """The exact L1/R4 pass reads the star spans one size group at a
+        time, so on build_grid(64) only the sampled balls' passes call
+        star_members (a ball-by-ball exact pass calls it for each of the
+        2,080 balls)."""
+        basis = build_grid(64)
+        T = discrete_hilbert(basis)
+        calls = []
+        orig = BallBasis.star_members
+        monkeypatch.setattr(BallBasis, "star_members", lambda self, b: (
+            calls.append(b)) or orig(self, b))
+        estimate_bo_constants(T, budget=8, seed=0)
+        assert 0 < len(calls) <= 3 * len(_sample_ball_ids(basis, 16, 0))
+
+
+@st.composite
+def repeated_span_bases(draw):
+    """Random atom spans over 1 to 16 atoms of random weights, some listed
+    twice, with a ball of every atom appended or not."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 16))
+    space = MeasureSpace(rng.uniform(0.5, 2.0, n))
+    spans = np.sort(rng.integers(0, n, size=(draw(st.integers(1, 20)), 2)), axis=1)
+    full = np.array([[0, n - 1]] * draw(st.integers(0, 1)), dtype=np.int64)
+    spans = np.concatenate([spans, spans[:draw(st.integers(0, 4))], full.reshape(-1, 2)])
+    balls = [Ball(i, np.arange(lo, hi + 1), space.measure(np.arange(lo, hi + 1)))
+             for i, (lo, hi) in enumerate(spans)]
+    return BallBasis(space, balls, np.zeros(len(balls), dtype=np.int64), K=3.0)
+
+
+class TestExactLocalizationPass:
+    """The exact L1/R4 pass by size group against the ball-by-ball scan of
+    conftest.estimate_by_loop."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(basis=repeated_span_bases(), seed=st.integers(0, 2 ** 32 - 1),
+           zeroed=st.integers(0, 3))
+    def test_equals_ball_by_ball_scan(self, basis, seed, zeroed):
+        # small integer entries and zeroed blocks make equal ratios within a
+        # row, and repeated spans equal rows of distinct balls
+        rng = np.random.default_rng(seed)
+        n = basis.n_atoms
+        kernel = rng.integers(-3, 4, size=(n, n)).astype(float)
+        for _ in range(zeroed):
+            r = np.sort(rng.integers(0, n, size=2))
+            c = np.sort(rng.integers(0, n, size=2))
+            kernel[r[0]:r[1] + 1, c[0]:c[1] + 1] = 0.0
+        T = OperatorDescriptor("kernel", basis, Params.classical_profile(1.0),
+                               kernel=kernel)
+        with pytest.MonkeyPatch.context() as mp:
+            if basis.sizes.max() < n:
+                # no exhausting sequence without a ball of every atom: R5 is
+                # probed on the widest ball, and the distances to atoms no
+                # ball shares with B are inf, so a ratio 0 * inf makes a NaN
+                # row, which the scan never takes
+                mp.setattr("ballbasis.space.exhausting_sequence", lambda b: [
+                    b.balls[int(np.argmax(b.sizes))]])
+            with np.errstate(invalid="ignore"):
+                got = estimate_bo_constants(T, 2, seed % 7)
+                assert got == estimate_by_loop(T, 2, seed % 7)
+        assert got.method == "exact_linear_r1"
 
 
 # Outside operators.py nothing builds a descriptor or reads its structure

@@ -834,6 +834,8 @@ LAYOUT_READS = sorted([
     ("operators", "dyadic_levels", "interval"),
     # the exact L1 pass runs on interval bases only (peak memory)
     ("operators", "estimate_bo_constants", "interval"),
+    # the exact L1 pass masks each ball's star span, a size group at a time
+    ("operators", "estimate_bo_constants", "star_spans"),
     # star generations are star-span widths (dyadic_levels checked the layout)
     ("operators", "square_function", "star_spans"),
     # the cover table is indexed by atom spans

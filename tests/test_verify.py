@@ -1,5 +1,7 @@
 import json
+import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,13 +9,14 @@ import pytest
 from ballbasis import (ConfigError, Corpus, InfZero, Params, VecFunction,
                        build_dyadic, build_grid,
                        Weight, ZeroBmoNorm, ap_characteristics,
-                       bmo_bounded_report, bmo_norm, conditional_expectation,
+                       bmo_bounded_report, bmo_bounded_reports, bmo_norm,
+                       conditional_expectation,
                        discrete_hilbert, estimate_bo_constants,
                        exp_decay_report, good_lambda_report, identity_operator,
                        john_nirenberg_report, martingale_transform, maximal,
                        median, square_function, strong_domination_check,
                        truncate, weak_type_report, zero_operator)
-from ballbasis import cli, functional, maximal_modulation
+from ballbasis import cli, functional, maximal_modulation, verify
 from ballbasis.operators import OperatorDescriptor
 from ballbasis.verify import round_sig
 from conftest import (_relabelled, alpha_profile_by_alphas, bmo_bounded_by_loop,
@@ -352,7 +355,7 @@ def _bmo_operator(name, dyadic6, grid16):
 
 
 class TestBmoByStacks:
-    """bmo_bounded_report's two stacked passes against one apply and two
+    """bmo_bounded_reports' two stacked passes against one apply and two
     bmo_norm calls per corpus case."""
 
     @pytest.mark.parametrize("mode", ["bmo", "linf"])
@@ -362,8 +365,10 @@ class TestBmoByStacks:
         op, basis = _bmo_operator(name, dyadic6, grid16)
         corpus = _CorpusWithDegenerateCases(Corpus(
             seed=9, generators=["haar_mixtures", "indicators", "delta_combs"], size=4))
-        rep = bmo_bounded_report(op, corpus, basis, mode, 2.0)
+        rep = bmo_bounded_reports([op], corpus, basis, mode, 2.0)[0]
         assert rep == bmo_bounded_by_loop(op, corpus, basis, mode, 2.0)
+        assert bmo_bounded_report(op, corpus, basis, mode) == bmo_bounded_by_loop(
+            op, corpus, basis, mode, math.inf)
         kept = [row.case for row in rep.rows]
         assert ("constant" in kept) == (mode == "linf") and "zero" not in kept
         assert len(kept) >= 12
@@ -372,9 +377,47 @@ class TestBmoByStacks:
     def test_degenerate_corpus(self, dyadic6, grid16, mode):
         op, basis = _bmo_operator("square", dyadic6, grid16)
         corpus = _CorpusWithDegenerateCases(None, only_degenerate=True)
-        rep = bmo_bounded_report(op, corpus, basis, mode, 2.0)
+        rep = bmo_bounded_reports([op], corpus, basis, mode, 2.0)[0]
         assert rep == bmo_bounded_by_loop(op, corpus, basis, mode, 2.0)
         assert rep.summary["cases"] == (mode == "linf")
+
+    @pytest.mark.parametrize("mode", ["bmo", "linf"])
+    def test_corpus_norms_once_for_all_ops(self, monkeypatch, dyadic6, grid16, mode):
+        """bmo_bounded_reports: the corpus norms once for every operator, and
+        one sharp_all_stack of each operator's outputs; each report is the
+        per-case loop's."""
+        ops = [_bmo_operator(name, dyadic6, grid16)[0]
+               for name in ("hilbert_star", "maximal")] + [discrete_hilbert(grid16)]
+        corpus = _CorpusWithDegenerateCases(Corpus(
+            seed=9, generators=["haar_mixtures", "delta_combs"], size=4))
+        calls = []
+        orig = verify.sharp_all_stack
+        monkeypatch.setattr(verify, "sharp_all_stack", lambda *args: (
+            calls.append(len(args[0]))) or orig(*args))
+        reps = bmo_bounded_reports(ops, corpus, grid16, mode, 2.0)
+        assert reps == [bmo_bounded_by_loop(op, corpus, grid16, mode, 2.0) for op in ops]
+        assert len(calls) == len(ops) + (mode == "bmo")
+
+    def test_bmo_suite_on_shipped_config(self, monkeypatch):
+        """run_verify's bmo suite on the grid-hilbert config calls
+        sharp_all_stack once for the corpus and once per operator."""
+        cfg = cli.load_config(str(Path(__file__).parents[1] / "configs"
+                                  / "grid-hilbert.json"))
+        basis = cli.build_basis(cfg)
+        ops = [cli.build_operator(spec, basis, cfg["seed"]) for spec in cfg["operators"]]
+        calls = []
+        orig = verify.sharp_all_stack
+        monkeypatch.setattr(verify, "sharp_all_stack", lambda *args: (
+            calls.append(len(args[0]))) or orig(*args))
+        reps = cli.run_verify(cfg, basis, ops, suite_filter="bmo")
+        assert len(calls) == 1 + len(ops)
+        corpus = Corpus(cfg["seed"], cfg["corpus"]["generators"], cfg["corpus"]["size"])
+        threshold = cfg["verify"]["thresholds"]["bmo"]
+        assert len(reps) == len(ops)
+        for op, rep in zip(ops, reps):
+            ref = bmo_bounded_by_loop(op, corpus, basis, "bmo", threshold)
+            ref.name = f"bmo/{op.name}"
+            assert rep == ref
 
 
 class TestBmoBounded:
@@ -383,15 +426,15 @@ class TestBmoBounded:
         T = martingale_transform(dyadic6, eps)
         corpus = Corpus(seed=9, generators=["haar_mixtures", "indicators"],
                         size=6)
-        rep = bmo_bounded_report(T, corpus, dyadic6, threshold=16.0)
+        rep = bmo_bounded_reports([T], corpus, dyadic6, threshold=16.0)[0]
         assert rep.passed
         assert rep.summary["max_ratio"] < 16.0
 
     def test_linf_mode(self, grid16):
         H = discrete_hilbert(grid16)
         corpus = Corpus(seed=9, generators=["delta_combs"], size=6)
-        rep = bmo_bounded_report(H, corpus, grid16, mode="linf",
-                                 threshold=64.0)
+        rep = bmo_bounded_reports([H], corpus, grid16, mode="linf",
+                                  threshold=64.0)[0]
         assert rep.passed
 
 
