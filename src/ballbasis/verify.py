@@ -372,23 +372,27 @@ def bmo_bounded_reports(ops, corpus: Corpus, basis: BallBasis,
     else:
         denoms = vector_norms(stack, _CORPUS_NORM).max(axis=1)
     keep = np.flatnonzero(denoms > 0)
-    reports = []
-    for op in ops:
-        outs = _output_norms(op, stack[keep])
-        if not np.all(np.isfinite(outs)):
-            raise ValueError("function values must be finite")
-        nums = sharp_all_stack(outs[:, :, None], _CORPUS_NORM, basis, 1.0).max(axis=1)
-        rows = []
-        worst = 0.0
-        for i, num in zip(keep, nums.tolist()):
-            ratio = num / float(denoms[i])
-            rows.append(CaseRow(cases[i][0], "bmo_ratio", ratio, ratio <= threshold))
-            worst = max(worst, ratio)
-        passed = all(r.passed for r in rows)
-        reports.append(Report("bmo_bounded", passed,
-                              {"max_ratio": worst, "mode": mode,
-                               "threshold": threshold, "cases": len(rows)}, rows))
-    return reports
+    return [_bmo_report(op, [cases[i][0] for i in keep], stack[keep], denoms[keep],
+                        basis, mode, threshold) for op in ops]
+
+
+def _bmo_report(op, case_ids: list, stack: np.ndarray, denoms: np.ndarray,
+                basis: BallBasis, mode: str, threshold: float) -> Report:
+    """The bmo_bounded report of op on the kept corpus cases (their ids,
+    stack and norms)."""
+    outs = _output_norms(op, stack)
+    if not np.all(np.isfinite(outs)):
+        raise ValueError("function values must be finite")
+    nums = sharp_all_stack(outs[:, :, None], _CORPUS_NORM, basis, 1.0).max(axis=1)
+    rows = []
+    worst = 0.0
+    for cid, num, denom in zip(case_ids, nums.tolist(), denoms.tolist()):
+        ratio = num / denom
+        rows.append(CaseRow(cid, "bmo_ratio", ratio, ratio <= threshold))
+        worst = max(worst, ratio)
+    return Report("bmo_bounded", all(r.passed for r in rows),
+                  {"max_ratio": worst, "mode": mode, "threshold": threshold,
+                   "cases": len(rows)}, rows)
 
 
 def bmo_bounded_report(op, corpus: Corpus, basis: BallBasis,
