@@ -241,11 +241,16 @@ def _construct(kind: str, spec: dict, basis, seed: int) -> OperatorDescriptor:
 
 
 def _check_report_names(ops) -> None:
-    """Raise ConfigError unless every operator has a name and every report
-    of a run, and so every tail file (its name with / mapped to _), has a
-    name of its own."""
+    """Raise ConfigError unless every operator has a name that fits one
+    field of report.csv and summary.txt (printable, no comma or whitespace)
+    and every report of a run, and so every tail file (its name with /
+    mapped to _), has a name of its own."""
     if any(not op.name for op in ops):
         raise ConfigError("operator names must not be empty")
+    for op in ops:
+        if not op.name.isprintable() or any(c == "," or c.isspace() for c in op.name):
+            raise ConfigError(f"operator name {op.name!r} must be printable, "
+                              f"with no comma or whitespace")
     seen = {}
     for name in list(_FIXED_REPORTS) + [f"{stage}/{op.name}" for op in ops
                                         for stage in _OPERATOR_REPORTS]:

@@ -462,7 +462,6 @@ class BOConstants:
     r4_constant: float
     r5_value: float
     witnesses: dict = field(default_factory=dict)
-    restricted: dict = field(default_factory=dict)
 
     @property
     def total(self) -> float:
@@ -689,11 +688,7 @@ def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
     for bid in ball_ids:
         r5 = max(r5, _osc_on(t_last, basis.balls[int(bid)].members))
 
-    restricted = {
-        "R4_log_constant_finite": bool(math.isfinite(r4)),
-        "R5_far_field_osc": float(r5),
-    }
     return BOConstants(L0=float(l0), L1=float(l1), L2=float(l2),
                        method="exact_linear_r1" if exact else "monte_carlo",
-                       witnesses=witnesses, restricted=restricted,
+                       witnesses=witnesses,
                        r4_constant=float(r4), r5_value=float(r5))

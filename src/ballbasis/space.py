@@ -13,8 +13,9 @@ Every ball query is answered by `BallBasis` on top of one containment test,
 taken for a stack of equal-size atom sets at once.  Interval bases (every
 ball a contiguous atom range; both shipped builders) answer it from atom
 spans: a ball contains a set when its span [lo, hi] covers the set's span.
-They answer ball sums and stars from atom spans too, and superset maxima
-and the axiom check's cover queries by one sweep over lo.
+They answer ball sums from atom spans too.  One prefix-max sweep,
+`_sweep_max`, answers their superset maxima and the axiom check's cover
+queries (run over lo) and their star spans (run over the measure rank).
 
 Any other basis (relabelled atoms, hand-built) answers containment and
 stars from `PairIndex`, every (ball, member) pair sorted by atom: a ball
@@ -106,6 +107,47 @@ def _scatter_rows(atoms: np.ndarray, offsets: np.ndarray, out: np.ndarray) -> np
     return out
 
 
+def _sweep_max(x: np.ndarray, y: np.ndarray, vals: np.ndarray, a: np.ndarray,
+               b: np.ndarray, n: int) -> np.ndarray:
+    """Per query k, the max of vals[j] over the points j with x[j] <= a[k]
+    and y[j] >= b[k] (0 <= x, y < n; 0 <= b <= n), -inf where none; a
+    query with a[k] outside [0, n) is never read and gets -inf.  A sweep
+    over x upward keeps a prefix max over the columns n - y; a block is a
+    run of x values, a row each, over the columns its points and queries
+    use, within BLOCK_ELEMS."""
+    # one value per distinct (x, y), so a block's writes never collide
+    key, pair = np.unique(x * n + y, return_inverse=True)
+    top = np.full(len(key), -np.inf)
+    np.maximum.at(top, pair, vals)
+    x, col = key // n, n - key % n
+    queries = np.argsort(a, kind="stable")  # those with a < 0 come first, unread
+    pair_start = np.searchsorted(x, np.arange(n + 1))
+    query_start = np.searchsorted(a[queries], np.arange(n + 1))
+    events = pair_start + query_start
+    out = np.full(len(a), -np.inf)
+    carry = np.full(n + 1, -np.inf)
+    s = 0
+    while s < n:
+        ends = np.arange(s + 1, min(n, s + BLOCK_ELEMS) + 1)
+        cost = (ends - s) * np.minimum(n + 1, events[ends] - events[s])
+        e = int(ends[max(0, np.searchsorted(cost, BLOCK_ELEMS, side="right") - 1)])
+        p = slice(pair_start[s], pair_start[e])
+        q = queries[query_start[s]:query_start[e]]
+        used = np.zeros(n + 1, dtype=bool)
+        used[col[p]] = used[n - b[q]] = True
+        cols, rank = np.flatnonzero(used), np.cumsum(used) - 1
+        block = np.full((e - s, len(cols)), -np.inf)
+        block[x[p] - s, rank[col[p]]] = top[p]
+        np.maximum(block[0], carry[cols], out=block[0])
+        np.maximum.accumulate(block, axis=0, out=block)
+        np.maximum.accumulate(block, axis=1, out=block)
+        out[q] = block[a[q] - s, rank[n - b[q]]]
+        carry[cols] = block[-1]  # each at least the carry it replaces
+        np.maximum.accumulate(carry, out=carry)
+        s = e
+    return out
+
+
 class PairIndex:
     """Every (ball, member) pair of `BallBasis.size_groups()`, stably sorted
     by atom: the balls containing atom x are ball[offsets[x]:offsets[x+1]].
@@ -178,22 +220,12 @@ class BallBasis:
             if len(b.members) == 0:
                 raise ValueError(f"ball {b.id} is empty (axiom B1)")
 
-        n = space.n_atoms
         self.n_balls = len(self.balls)
         self.mu = np.array([b.measure for b in self.balls])
-        lo = np.array([b.members[0] for b in self.balls], dtype=np.int64)
-        hi = np.array([b.members[-1] for b in self.balls], dtype=np.int64)
+        self.lo = np.array([b.members[0] for b in self.balls], dtype=np.int64)
+        self.hi = np.array([b.members[-1] for b in self.balls], dtype=np.int64)
         self.sizes = np.array([len(b.members) for b in self.balls], dtype=np.int64)
-        self.interval = bool(np.all(hi - lo + 1 == self.sizes))
-        self.lo = lo
-        self.hi = hi
-        # complete unit grid: every span present exactly once, unit weights
-        self.complete_grid = bool(
-            self.interval
-            and np.all(space.weights == 1.0)
-            and self.n_balls == n * (n + 1) // 2
-            and len({(int(a), int(b)) for a, b in zip(lo, hi)}) == self.n_balls
-        )
+        self.interval = bool(np.all(self.hi - self.lo + 1 == self.sizes))
         self._member_matrix = None
         self._star_matrix = None
         self._size_groups = None
@@ -334,9 +366,10 @@ class BallBasis:
         supersets of ball i), over balls of more than L atoms only if strict;
         -inf where no ball qualifies.
 
-        Interval bases answer all rows in one _cover_max sweep; the strict
-        supersets of a contiguous row [a, b] cover [a - 1, b] or [a, b + 1],
-        and a non-contiguous row has no containing ball of its own size."""
+        Interval bases answer all rows in one _sweep_max over (lo, hi); the
+        strict supersets of a contiguous row [a, b] cover [a - 1, b] or
+        [a, b + 1], and a non-contiguous row has no containing ball of its
+        own size."""
         out = np.full(self.n_balls, -np.inf)
         if not self.interval:
             for ids, idx in self.size_groups() if groups is None else groups:
@@ -352,77 +385,37 @@ class BallBasis:
             ids, a, b, contiguous = (np.concatenate(c) for c in zip(*[
                 (g, idx[:, 0], idx[:, -1], idx[:, -1] - idx[:, 0] < idx.shape[1])
                 for g, idx in groups]))
-        best = self._cover_max(vals, a - strict * contiguous, b)
-        if strict:
-            np.maximum(best, self._cover_max(vals, a, b + contiguous), out=best)
-        out[ids] = best
-        return out
-
-    def _cover_max(self, vals: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Per query k, the max of vals[A] over the balls A with lo <= a[k]
-        and hi >= b[k] (interval bases; -1 <= a < n, 0 <= b <= n for n
-        atoms), -inf where none.  A sweep over lo upward keeps a prefix max
-        over the columns n - hi; a block is a run of lo values, a row each,
-        over the columns its balls and queries use, within BLOCK_ELEMS."""
         n = self.n_atoms
-        # one value per distinct (lo, hi), so a block's writes never collide
-        key, pair = np.unique(self.lo * n + self.hi, return_inverse=True)
-        top = np.full(len(key), -np.inf)
-        np.maximum.at(top, pair, vals)
-        lo, col = key // n, n - key % n
-        queries = np.argsort(a, kind="stable")  # those with a = -1 come first, unread
-        pair_start = np.searchsorted(lo, np.arange(n + 1))
-        query_start = np.searchsorted(a[queries], np.arange(n + 1))
-        events = pair_start + query_start
-        out = np.full(len(a), -np.inf)
-        carry = np.full(n + 1, -np.inf)
-        s = 0
-        while s < n:
-            ends = np.arange(s + 1, min(n, s + BLOCK_ELEMS) + 1)
-            cost = (ends - s) * np.minimum(n + 1, events[ends] - events[s])
-            e = int(ends[max(0, np.searchsorted(cost, BLOCK_ELEMS, side="right") - 1)])
-            p = slice(pair_start[s], pair_start[e])
-            q = queries[query_start[s]:query_start[e]]
-            used = np.zeros(n + 1, dtype=bool)
-            used[col[p]] = used[n - b[q]] = True
-            cols, rank = np.flatnonzero(used), np.cumsum(used) - 1
-            block = np.full((e - s, len(cols)), -np.inf)
-            block[lo[p] - s, rank[col[p]]] = top[p]
-            np.maximum(block[0], carry[cols], out=block[0])
-            np.maximum.accumulate(block, axis=0, out=block)
-            np.maximum.accumulate(block, axis=1, out=block)
-            out[q] = block[a[q] - s, rank[n - b[q]]]
-            carry[cols] = block[-1]  # each at least the carry it replaces
-            np.maximum.accumulate(carry, out=carry)
-            s = e
+        best = _sweep_max(self.lo, self.hi, vals, a - strict * contiguous, b, n)
+        if strict:
+            np.maximum(best, _sweep_max(self.lo, self.hi, vals, a, b + contiguous, n),
+                       out=best)
+        out[ids] = best
         return out
 
     # -- star / hull -----------------------------------------------------
 
     def star_spans(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lo, hi) atom span of every ball's star (interval bases)."""
-        if self._star_lo is not None:
-            return self._star_lo, self._star_hi
-        n = self.n_atoms
-        if self.complete_grid:
-            length = np.minimum(np.floor(2 * self.mu).astype(np.int64), n)
-            self._star_lo = np.maximum(0, self.lo - length + 1)
-            self._star_hi = np.minimum(n - 1, self.hi + length - 1)
-            return self._star_lo, self._star_hi
-        star_lo = np.empty(self.n_balls, dtype=np.int64)
-        star_hi = np.empty(self.n_balls, dtype=np.int64)
-        lo, hi, mu = self.lo, self.hi, self.mu
-        for ids, _ in self.size_groups():
-            # (m, n_balls): the balls A in the star rule of each ball of the group
-            mask = ((mu <= 2 * mu[ids, None]) & (lo <= hi[ids, None])
-                    & (hi >= lo[ids, None]))
-            star_lo[ids] = np.min(np.broadcast_to(lo, mask.shape), axis=1,
-                                  where=mask, initial=n)
-            star_hi[ids] = np.max(np.broadcast_to(hi, mask.shape), axis=1,
-                                  where=mask, initial=-1)
-        self._star_lo = star_lo
-        self._star_hi = star_hi
-        return star_lo, star_hi
+        """(lo, hi) atom span of every ball's star (interval bases), (n, -1)
+        where no ball of its star rule meets the ball; built on first use and
+        kept.  With a(B) the last rank of the sorted distinct measures at
+        most 2 mu(B), two _sweep_max runs over the balls A of rank <= a(B)
+        take the least lo(A) with hi(A) >= lo(B) and the greatest hi(A) with
+        lo(A) <= hi(B); if that least lo is <= hi(B), its ball meets B."""
+        if self._star_lo is None:
+            n = self.n_atoms
+            levels, rank = np.unique(self.mu, return_inverse=True)
+            # no measure is at most a NaN; searchsorted would place it last
+            a = np.where(np.isnan(self.mu), -1,
+                         np.searchsorted(levels, 2 * self.mu, side="right") - 1)
+            m = max(n, len(levels))
+            first = -_sweep_max(rank, self.hi, -self.lo.astype(float), a, self.lo, m)
+            last = _sweep_max(rank, n - 1 - self.lo, self.hi.astype(float), a,
+                              n - 1 - self.hi, m)
+            meets = first <= self.hi
+            self._star_lo = np.where(meets, first, n).astype(np.int64)
+            self._star_hi = np.where(meets, last, -1).astype(np.int64)
+        return self._star_lo, self._star_hi
 
     def star_members(self, ball_id: int) -> np.ndarray:
         """Exact star B* as a sorted atom array."""
@@ -658,7 +651,7 @@ def check_axioms(basis: BallBasis) -> AxiomReport:
     # measure is -(max of -mu) over the containing balls.
     if basis.interval:
         slo, shi = basis.star_spans()
-        cover_mu = -basis._cover_max(-mu, slo, shi)
+        cover_mu = -_sweep_max(basis.lo, basis.hi, -mu, slo, shi, n)
         hull_ok = (basis.lo[h] <= slo) & (basis.hi[h] >= shi)
         star_full = shi - slo + 1 == n
     else:

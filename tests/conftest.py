@@ -412,12 +412,28 @@ def estimate_by_loop(T, budget, seed):
     ones[exhausting_sequence(basis)[-1].members] = 1.0
     t_last = T.apply(VecFunction(ones)).norms()
     r5 = max([0.0] + [_osc_on(t_last, basis.balls[int(b)].members) for b in ball_ids])
-    restricted = {"R4_log_constant_finite": bool(math.isfinite(r4)),
-                  "R5_far_field_osc": float(r5)}
     return BOConstants(L0=float(l0), L1=float(l1), L2=float(l2),
                        method="exact_linear_r1" if exact else "monte_carlo",
-                       witnesses=witnesses, restricted=restricted,
+                       witnesses=witnesses,
                        r4_constant=float(r4), r5_value=float(r5))
+
+
+# -- the star rule ball by ball ------------------------------------------------
+# BallBasis.star_spans reads every star span off two sweeps; this is the star
+# rule they must equal, one mask over all balls per ball.
+
+
+def star_spans_by_mask(basis):
+    """BallBasis.star_spans: the least lo and greatest hi over the balls A
+    with mu(A) <= 2 mu(B) that meet B, (n_atoms, -1) where none does."""
+    lo, hi, mu = basis.lo, basis.hi, basis.mu
+    want_lo = np.empty(basis.n_balls, dtype=np.int64)
+    want_hi = np.empty(basis.n_balls, dtype=np.int64)
+    for i in range(basis.n_balls):
+        mask = (mu <= 2 * mu[i]) & (lo <= hi[i]) & (hi >= lo[i])
+        want_lo[i] = lo[mask].min(initial=basis.n_atoms)
+        want_hi[i] = hi[mask].max(initial=-1)
+    return want_lo, want_hi
 
 
 # -- membership-matrix containment and stars ---------------------------------

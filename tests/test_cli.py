@@ -191,6 +191,19 @@ class TestMain:
         assert "config error:" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", ["hil,bert", "hil bert", "hil\nbert",
+                                      "hil\x00bert"],
+                             ids=["comma", "space", "newline", "nul"])
+    def test_name_breaking_the_bundle_exit_two(self, tmp_path, capsys, name):
+        """A comma would add report.csv fields, whitespace would split
+        summary.txt fields, and a NUL cannot name a tail file."""
+        ops = [{"kind": "identity", "name": name}]
+        path = write_cfg(tmp_path, small_cfg(tmp_path / "out", operators=ops))
+        assert main(["all", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_distinct_names_accepted(self, tmp_path):
         ops = [{"kind": "identity", "name": "a"}, {"kind": "zero", "name": "b"},
                {"kind": "sparse"}]

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 from collections import Counter
 
 import numpy as np
@@ -250,6 +252,15 @@ class TestDominateMeanOsc:
         with pytest.raises(NotRestricted):
             dominate_mean_osc([], VecFunction(np.ones(64)),
                               dyadic6.full_ball_id(), consts=[])
+
+    def test_infinite_r4_rejected(self, dyadic6):
+        """The check reads r4_constant itself, so a replaced value is seen."""
+        fam = [conditional_expectation(dyadic6, 2)]
+        consts = [dataclasses.replace(fam[0].bo_constants(4, 0),
+                                      r4_constant=math.inf)]
+        with pytest.raises(NotRestricted, match="log-localization"):
+            dominate_mean_osc(fam, VecFunction(np.ones(64)),
+                              dyadic6.full_ball_id(), consts=consts)
 
     def test_nonclassical_rejected(self, grid16):
         fam = [riesz_potential(grid16, 0.5)]

@@ -24,6 +24,7 @@ from ballbasis.space import BLOCK_ELEMS, _ranges, as_atom_array
 from conftest import (SCATTER_BASES, STAT_BASES, _relabelled, _reweighted,
                       check_axioms_by_loop, containing_by_matrix,
                       membership_by_loop, star_of_set_by_matrix,
+                      star_spans_by_mask,
                       superset_max_by_argmax, superset_max_by_matrix,
                       tied_values)
 
@@ -179,16 +180,50 @@ class TestPairIndex:
             assert len(runs) > 1
 
 
+def _assert_star_spans_by_mask(basis):
+    got, want = basis.star_spans(), star_spans_by_mask(basis)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@st.composite
+def star_rule_bases(draw):
+    """Random atom spans over 1 to 12 atoms of weights in {0.5, 1, 2}, so
+    that mu(A) = 2 mu(B) ties occur: repeats possible, a full ball present
+    or not, and in some bases balls stored with measure 0, -1, -3 or NaN
+    (a ball of measure -1 or NaN is outside its own star rule, and one of
+    -3 is inside the rule of one of -1)."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    space = MeasureSpace(rng.choice([0.5, 1.0, 2.0], n))
+    spans = np.sort(rng.integers(0, n, size=(draw(st.integers(1, 20)), 2)), axis=1)
+    mu = np.array([space.measure(np.arange(lo, hi + 1)) for lo, hi in spans])
+    odd = rng.random(len(mu)) < draw(st.sampled_from([0.0, 0.3]))
+    mu[odd] = rng.choice([0.0, -1.0, -3.0, np.nan], int(odd.sum()))
+    balls = [Ball(i, np.arange(lo, hi + 1), float(m))
+             for i, ((lo, hi), m) in enumerate(zip(spans, mu))]
+    return BallBasis(space, balls, np.zeros(len(balls), dtype=np.int64), K=3.0)
+
+
 class TestStar:
     def test_star_spans_equal_per_ball_loop(self, scatter_basis):
-        lo, hi, mu = scatter_basis.lo, scatter_basis.hi, scatter_basis.mu
-        want_lo, want_hi = [], []
-        for i in range(scatter_basis.n_balls):
-            mask = (mu <= 2 * mu[i]) & (lo <= hi[i]) & (hi >= lo[i])
-            want_lo.append(lo[mask].min())
-            want_hi.append(hi[mask].max())
-        got_lo, got_hi = scatter_basis.star_spans()
-        assert np.array_equal(got_lo, want_lo) and np.array_equal(got_hi, want_hi)
+        _assert_star_spans_by_mask(scatter_basis)
+
+    @settings(max_examples=150, deadline=None)
+    @given(basis=star_rule_bases())
+    def test_star_spans_equal_mask_on_random_spans(self, basis):
+        _assert_star_spans_by_mask(basis)
+
+    def test_star_spans_memory(self):
+        """The spans of build_dyadic(12) (4,096 atoms, 8,191 balls) hold no
+        (m, n_balls) star-rule mask: a traced peak under 4 MiB."""
+        basis = build_dyadic(12)
+        tracemalloc.start()
+        try:
+            basis.star_spans()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak
 
     def test_star_lists_equal_matrix_stars(self, scatter_basis):
         _assert_star_lists_by_matrix(scatter_basis)
@@ -813,7 +848,8 @@ class TestIntervalStarOfSet:
     def test_star2_members_memory(self):
         """star2_members on build_dyadic(11) (2,048 atoms, 4,095 balls) holds
         no n_balls x n_atoms array: a traced peak under 1 MB for the full
-        ball and for a leaf.  The kept star spans are built beforehand."""
+        ball and for a leaf.  The kept star spans are built beforehand,
+        since building them peaks at about 0.7 MiB here."""
         basis = build_dyadic(11)
         basis.star_spans()
         for ball_id in (0, basis.n_balls - 1):
