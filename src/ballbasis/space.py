@@ -32,9 +32,9 @@ the CSR.  `star_of_set` is the one-row star rule on non-interval bases; on
 interval bases it finds the balls meeting the set by `searchsorted` on
 their spans and unions them with a difference array.
 
-`member_matrix()` is the one membership matrix, float64 0/1, built on first
-use and kept: the non-interval ball sums and hull check read it, and so
-does the B2 scan on a basis with no full ball.
+Non-interval ball sums are one `reduceat` over the member lists.  The one
+membership matrix, `member_matrix()` (float64 0/1, built on first use and
+kept), serves only the B2 scan on a basis with no full ball.
 """
 
 from __future__ import annotations
@@ -319,7 +319,8 @@ class BallBasis:
         if self.interval:
             pre = np.concatenate([[0.0], np.cumsum(mass)])
             return pre[self.hi + 1] - pre[self.lo]
-        return self.member_matrix() @ mass
+        members, starts = self._member_lists()
+        return np.add.reduceat(mass[members], starts[:-1])
 
     def member_star_sums(self, kernel: np.ndarray, v: np.ndarray):
         """Yield (lo, hi, sums) over runs of whole atoms lo <= x < hi: row k
@@ -663,10 +664,15 @@ def check_axioms(basis: BallBasis) -> AxiomReport:
             star_groups.append(
                 (ids, atoms[_ranges(offsets[ids], star_size[ids])].reshape(-1, size)))
         cover_mu = -basis.superset_max(-mu, star_groups)
-        members = basis.member_matrix()
+        # the hull holds the star when each (hull, star atom) key is among
+        # the (ball, member) keys, which ascend; the last key ends the search
+        members, _ = basis._member_lists()
+        keys = np.repeat(np.arange(basis.n_balls) * n, basis.sizes) + members
         hull_ok = np.empty(basis.n_balls, dtype=bool)
         for ids, idx in star_groups:
-            hull_ok[ids] = members[h[ids, None], idx].all(axis=1)
+            want = h[ids, None] * n + idx
+            at = np.searchsorted(keys[:-1], want)
+            hull_ok[ids] = (keys[at] == want).all(axis=1)
         star_full = star_size == n
     next_mu = -basis.superset_max(-mu, strict=True)
 

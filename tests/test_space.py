@@ -1,4 +1,5 @@
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -584,12 +585,16 @@ class TestPairIndexContainment:
         assert check_axioms(basis) == check_axioms_by_loop(basis)
 
     def test_no_membership_matrix(self, monkeypatch, rng):
-        """Containment, stars and the kernel, sparse, identity and zero
-        truncations never build the membership matrix; the axiom check and
-        the ball sums read one kept float64 0/1 array."""
+        """With a full ball, the axiom check, the ball sums, containment,
+        stars and the kernel, sparse, identity and zero truncations never
+        build the membership matrix; member_matrix() itself is one kept
+        read-only float64 0/1 array."""
         basis = _relabelled(build_dyadic(7), seed=5)[0]
+        assert basis.full_ball_id() is not None
         member_matrix = BallBasis.member_matrix
         monkeypatch.setattr(BallBasis, "member_matrix", _refuse_membership)
+        check_axioms(basis)
+        basis.ball_integrals(rng.normal(size=basis.n_atoms))
         _query_without_membership(basis, rng)
         kernel = OperatorDescriptor("kernel", basis, Params.classical_profile(1.0),
                                     kernel=rng.normal(size=(basis.n_atoms,) * 2))
@@ -598,19 +603,10 @@ class TestPairIndexContainment:
                   identity_operator(basis), zero_operator(basis)):
             truncate(T).apply(f)
 
-        read = []
-
-        def recording(self):
-            read.append(member_matrix(self))
-            return read[-1]
-
-        monkeypatch.setattr(BallBasis, "member_matrix", recording)
-        check_axioms(basis)
-        for _ in range(2):
-            basis.ball_integrals(rng.normal(size=basis.n_atoms))
-        assert len(read) == 3 and all(m is read[0] for m in read)
-        assert read[0].dtype == np.float64 and not read[0].flags.writeable
-        assert np.array_equal(read[0], membership_by_loop(basis).astype(np.float64))
+        kept = member_matrix(basis)
+        assert member_matrix(basis) is kept
+        assert kept.dtype == np.float64 and not kept.flags.writeable
+        assert np.array_equal(kept, membership_by_loop(basis).astype(np.float64))
 
     def test_no_star_of_set_per_ball(self, monkeypatch, rng):
         """The axiom check and the first truncated sparse apply read every
@@ -633,10 +629,24 @@ class TestPairIndexContainment:
         lambda: _relabelled(build_dyadic(7), seed=5)[0],
         lambda: _relabelled(_reweighted(build_grid(24), seed=7), seed=4)[0]],
         ids=["dyadic7", "grid24_weighted"])
-    def test_ball_integrals_equal_cast_matrix(self, make, rng):
+    def test_ball_integrals_equal_exact_sums(self, make, rng):
         basis = make()
         assert not basis.interval
         _assert_ball_integrals_by_matrix(basis, rng)
+
+    def test_ball_integrals_memory(self, rng):
+        """Ball sums on permuted dyadic 11 (2,048 atoms, 4,095 balls) hold
+        no n_balls x n_atoms array (64 MiB as float64), on the first call
+        or kept after it: a traced peak under 1 MiB."""
+        basis = _relabelled(build_dyadic(11), seed=3)[0]
+        mass = rng.normal(size=basis.n_atoms)
+        tracemalloc.start()
+        try:
+            basis.ball_integrals(mass)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
 
 def _assert_star_lists_by_matrix(basis):
@@ -648,13 +658,21 @@ def _assert_star_lists_by_matrix(basis):
 
 
 def _assert_ball_integrals_by_matrix(basis, rng):
-    """ball_integrals on a non-interval basis equals the gemv over the cast
-    reference membership matrix bitwise, on the first call and on the kept
-    matrix."""
-    for _ in range(2):
-        mass = rng.normal(size=basis.n_atoms)
-        assert np.array_equal(basis.ball_integrals(mass),
-                              membership_by_loop(basis).astype(np.float64) @ mass)
+    """ball_integrals on a non-interval basis equals, ball by ball, the
+    correctly rounded sum (math.fsum) of the masses of the reference
+    membership matrix's row, to within L * 2**-52 * sum |mass| for a ball of
+    L atoms: the rounding any order of L - 1 additions can reach, plus the
+    reference's own rounding.  A wrong or missing atom moves a sum by a
+    whole mass."""
+    member = membership_by_loop(basis)
+    for scale in (1.0, 1e-170, 1e170):
+        mass = scale * rng.normal(size=basis.n_atoms) * rng.lognormal(
+            sigma=2.0, size=basis.n_atoms)
+        got = basis.ball_integrals(mass)
+        for i, row in enumerate(member):
+            x = mass[row]
+            bound = len(x) * 2.0 ** -52 * math.fsum(np.abs(x))
+            assert abs(got[i] - math.fsum(x)) <= bound, (i, got[i], math.fsum(x))
 
 
 def _refuse_membership(self):
