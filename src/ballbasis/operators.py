@@ -335,18 +335,20 @@ def _kernel_truncation(T: OperatorDescriptor, stack: np.ndarray,
                        norm_kind: str) -> np.ndarray:
     """T*f of a kernel operator for each row f of a (k, atoms, dim) stack, as
     (k, atoms): T(f 1_{X minus B*})(x) is Tf(x) minus the sum over y in B*
-    of K(x, y) f(y) w(y), at every (ball, member) pair.  One pass of star
-    sums serves every row."""
+    of K(x, y) f(y) w(y), taken at every entry of star_sum_index() (once
+    per distinct (atom, star span) on interval bases, per (ball, member)
+    pair on others) and maximized per atom.  One pass of star sums serves
+    every row."""
     basis = T.basis
     k, n, _ = stack.shape
     # (atoms, k, dim): the rows side by side at each atom
     tf = T.apply_stack(stack, norm_kind).transpose(1, 0, 2)
     g = (stack * basis.space.weights[:, None]).transpose(1, 0, 2)
-    pairs = basis.pair_index()
+    index = basis.star_sum_index()
     out = np.zeros((n, k))
     for lo, hi, sums in basis.member_star_sums(T.kernel, g):
-        norms = vector_norms(tf[pairs.members(lo, hi)] - sums, norm_kind)
-        pairs.reduce(np.maximum, norms, out, lo, hi)
+        norms = vector_norms(tf[index.members(lo, hi)] - sums, norm_kind)
+        index.reduce(np.maximum, norms, out, lo, hi)
     return out.T
 
 

@@ -22,7 +22,10 @@ stars from `PairIndex`, every (ball, member) pair sorted by atom: a ball
 contains an L-atom set when L of its pairs fall in the set, and the balls
 that meet a set are the balls of its atoms' pairs.  The same index serves a
 per-atom reduction over the balls containing each atom (maximal functions,
-T*, child covers): one gather and one `ufunc.reduceat`.
+T*, child covers): one gather and one `ufunc.reduceat`.  On interval bases
+the star sums of T* take `SpanIndex` instead, in the same per-atom form:
+the distinct star spans of the balls containing each atom, so each sum is
+taken once per (atom, star span) rather than once per pair.
 
 Every ball's star is kept as one CSR, `star_lists()`, built on first use:
 from the star spans on interval bases, otherwise by the star rule for a
@@ -75,8 +78,8 @@ class MeasureSpace:
 
 
 # Bound on the elements of any array one block of star sums builds (the
-# prefix rows of the block's atoms plus its (ball, member) pairs, times d),
-# and of the index arrays of one block of volume-distance rows.
+# prefix rows of the block's atoms plus its star_sum_index() entries, times
+# d), and of the index arrays of one block of volume-distance rows.
 BLOCK_ELEMS = 1 << 14
 
 
@@ -108,47 +111,77 @@ def _scatter_rows(atoms: np.ndarray, offsets: np.ndarray, out: np.ndarray) -> np
 
 
 def _sweep_max(x: np.ndarray, y: np.ndarray, vals: np.ndarray, a: np.ndarray,
-               b: np.ndarray, n: int) -> np.ndarray:
+               b: np.ndarray, nx: int, ny: int) -> np.ndarray:
     """Per query k, the max of vals[j] over the points j with x[j] <= a[k]
-    and y[j] >= b[k] (0 <= x, y < n; 0 <= b <= n), -inf where none; a
-    query with a[k] outside [0, n) is never read and gets -inf.  A sweep
-    over x upward keeps a prefix max over the columns n - y; a block is a
-    run of x values, a row each, over the columns its points and queries
-    use, within BLOCK_ELEMS."""
+    and y[j] >= b[k] (0 <= x < nx; 0 <= y < ny; 0 <= b <= ny), -inf where
+    none; a query with a[k] outside [0, nx) is never read and gets -inf.  A
+    sweep over x upward keeps a prefix max over the columns ny - y; a block
+    is a run of x values, a row each, over the columns its points and
+    queries use, within BLOCK_ELEMS."""
     # one value per distinct (x, y), so a block's writes never collide
-    key, pair = np.unique(x * n + y, return_inverse=True)
+    key, pair = np.unique(x * ny + y, return_inverse=True)
     top = np.full(len(key), -np.inf)
     np.maximum.at(top, pair, vals)
-    x, col = key // n, n - key % n
+    x, col = key // ny, ny - key % ny
     queries = np.argsort(a, kind="stable")  # those with a < 0 come first, unread
-    pair_start = np.searchsorted(x, np.arange(n + 1))
-    query_start = np.searchsorted(a[queries], np.arange(n + 1))
+    pair_start = np.searchsorted(x, np.arange(nx + 1))
+    query_start = np.searchsorted(a[queries], np.arange(nx + 1))
     events = pair_start + query_start
     out = np.full(len(a), -np.inf)
-    carry = np.full(n + 1, -np.inf)
+    carry = np.full(ny + 1, -np.inf)
     s = 0
-    while s < n:
-        ends = np.arange(s + 1, min(n, s + BLOCK_ELEMS) + 1)
-        cost = (ends - s) * np.minimum(n + 1, events[ends] - events[s])
+    while s < nx:
+        ends = np.arange(s + 1, min(nx, s + BLOCK_ELEMS) + 1)
+        cost = (ends - s) * np.minimum(ny + 1, events[ends] - events[s])
         e = int(ends[max(0, np.searchsorted(cost, BLOCK_ELEMS, side="right") - 1)])
         p = slice(pair_start[s], pair_start[e])
         q = queries[query_start[s]:query_start[e]]
-        used = np.zeros(n + 1, dtype=bool)
-        used[col[p]] = used[n - b[q]] = True
+        used = np.zeros(ny + 1, dtype=bool)
+        used[col[p]] = used[ny - b[q]] = True
         cols, rank = np.flatnonzero(used), np.cumsum(used) - 1
         block = np.full((e - s, len(cols)), -np.inf)
         block[x[p] - s, rank[col[p]]] = top[p]
         np.maximum(block[0], carry[cols], out=block[0])
         np.maximum.accumulate(block, axis=0, out=block)
         np.maximum.accumulate(block, axis=1, out=block)
-        out[q] = block[a[q] - s, rank[n - b[q]]]
+        out[q] = block[a[q] - s, rank[ny - b[q]]]
         carry[cols] = block[-1]  # each at least the carry it replaces
         np.maximum.accumulate(carry, out=carry)
         s = e
     return out
 
 
-class PairIndex:
+class AtomIndex:
+    """Entries sorted by atom, counts[x] of them for atom x: atom x's are
+    entries offsets[x]:offsets[x+1]."""
+
+    def __init__(self, counts: np.ndarray):
+        self.counts = counts
+        self.offsets = np.concatenate([[0], np.cumsum(counts)])
+
+    def members(self, lo: int, hi: int) -> np.ndarray:
+        """The atom of each entry of the atoms lo <= x < hi."""
+        return np.repeat(np.arange(lo, hi), self.counts[lo:hi])
+
+    def reduce(self, ufunc, vals: np.ndarray, out: np.ndarray, lo: int,
+               hi: int) -> np.ndarray:
+        """out[x] = ufunc(out[x], ufunc of vals over the entries of x) for
+        lo <= x < hi; vals holds the entries of exactly those atoms, in
+        order."""
+        live = self.counts[lo:hi] > 0
+        block = out[lo:hi]
+        block[live] = ufunc(block[live], ufunc.reduceat(
+            vals, self.offsets[lo:hi][live] - self.offsets[lo]))
+        return out
+
+    def blocks(self, row_elems: int, entry_elems: int):
+        """Runs (lo, hi) of whole atoms covering every atom, each as long as
+        row_elems per atom plus entry_elems per entry stay within
+        BLOCK_ELEMS (one atom at least)."""
+        return _blocks(np.cumsum(row_elems + entry_elems * self.counts))
+
+
+class PairIndex(AtomIndex):
     """Every (ball, member) pair of `BallBasis.size_groups()`, stably sorted
     by atom: the balls containing atom x are ball[offsets[x]:offsets[x+1]].
 
@@ -159,39 +192,50 @@ class PairIndex:
 
     def __init__(self, groups, n_atoms: int, keep_order: bool):
         atom = np.concatenate([idx.ravel().astype(np.int32) for _, idx in groups])
-        self.counts = np.bincount(atom, minlength=n_atoms)
+        super().__init__(np.bincount(atom, minlength=n_atoms))
         order = np.argsort(atom, kind="stable")
         del atom  # int32 keys, freed before the gather: a smaller transient peak
         self.ball = np.concatenate([np.repeat(ids.astype(np.int32), idx.shape[1])
                                     for ids, idx in groups])[order]
-        self.offsets = np.concatenate([[0], np.cumsum(self.counts)])
         self.order = order if keep_order else None
         for a in (self.ball, self.counts, self.offsets, order):
             a.setflags(write=False)
-
-    def members(self, lo: int, hi: int) -> np.ndarray:
-        """The atom of each pair of the atoms lo <= x < hi."""
-        return np.repeat(np.arange(lo, hi), self.counts[lo:hi])
 
     def balls_of(self, atoms: np.ndarray) -> np.ndarray:
         """The ball of each pair of each of atoms, atom by atom."""
         return self.ball[_ranges(self.offsets[atoms], self.counts[atoms])]
 
-    def reduce(self, ufunc, vals: np.ndarray, out: np.ndarray, lo: int,
-               hi: int) -> np.ndarray:
-        """out[x] = ufunc(out[x], ufunc of vals over the pairs of x) for
-        lo <= x < hi; vals holds the pairs of exactly those atoms, in order."""
-        live = self.counts[lo:hi] > 0
-        block = out[lo:hi]
-        block[live] = ufunc(block[live], ufunc.reduceat(
-            vals, self.offsets[lo:hi][live] - self.offsets[lo]))
-        return out
 
-    def blocks(self, row_elems: int, pair_elems: int):
-        """Runs (lo, hi) of whole atoms covering every atom, each as long as
-        row_elems per atom plus pair_elems per pair stay within BLOCK_ELEMS
-        (one atom at least)."""
-        return _blocks(np.cumsum(row_elems + pair_elems * self.counts))
+class SpanIndex(AtomIndex):
+    """The distinct star spans [lo, hi] of the balls containing each atom
+    of an interval basis, sorted by atom, then by (lo, hi), as int32: a
+    value that depends on a ball only through its star span is taken once
+    per entry instead of once per (ball, member) pair.
+
+    Built from the pair index one block of whole atoms at a time: each
+    pair's span id (its rank among the distinct spans), offset by its
+    atom's place in the block, sorted, and its repeats dropped."""
+
+    def __init__(self, pairs: PairIndex, slo: np.ndarray, shi: np.ndarray):
+        n = len(pairs.counts)
+        spans, span_id = np.unique(slo * (n + 1) + shi + 1, return_inverse=True)
+        m = len(spans)
+        counts = np.zeros(n, dtype=np.int64)
+        parts = []
+        for lo, hi in pairs.blocks(0, 1):
+            key = np.repeat(np.arange(0, (hi - lo) * m, m), pairs.counts[lo:hi])
+            key += span_id[pairs.ball[pairs.offsets[lo]:pairs.offsets[hi]]]
+            key.sort()
+            key = key[np.diff(key, prepend=-1) != 0]
+            atom, ids = np.divmod(key, m)
+            counts[lo:hi] = np.bincount(atom, minlength=hi - lo)
+            parts.append(ids.astype(np.int32))
+        super().__init__(counts)
+        ids = np.concatenate(parts)
+        self.lo = (spans // (n + 1)).astype(np.int32)[ids]
+        self.hi = (spans % (n + 1) - 1).astype(np.int32)[ids]
+        for a in (self.lo, self.hi, self.counts, self.offsets):
+            a.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -230,6 +274,7 @@ class BallBasis:
         self._star_matrix = None
         self._size_groups = None
         self._pair_index = None
+        self._span_index = None
         self._cover_table = None
         self._star_lo = None
         self._star_hi = None
@@ -297,6 +342,16 @@ class BallBasis:
                                          keep_order=not self.interval)
         return self._pair_index
 
+    def star_sum_index(self) -> AtomIndex:
+        """The entries member_star_sums yields a row for: on interval bases
+        the distinct (atom, star span) entries (`SpanIndex`, built on first
+        use and kept), on others pair_index()."""
+        if not self.interval:
+            return self.pair_index()
+        if self._span_index is None:
+            self._span_index = SpanIndex(self.pair_index(), *self.star_spans())
+        return self._span_index
+
     def cover_table(self) -> np.ndarray:
         """table[a, b] = least measure of a ball whose span covers the atom
         span [a, b], inf where none does (on interval bases: of a ball
@@ -324,29 +379,30 @@ class BallBasis:
 
     def member_star_sums(self, kernel: np.ndarray, v: np.ndarray):
         """Yield (lo, hi, sums) over runs of whole atoms lo <= x < hi: row k
-        of sums is the sum over y in star(B) of kernel[x, y] v[y] for the k-th
-        (ball B, member x) pair of those atoms in pair_index() order.  v has
-        one row per atom and the components of a function on its last axis;
-        axes between stack several functions, and sums has them too.
+        of sums is the sum over y in S of kernel[x, y] v[y] for the k-th
+        entry of those atoms in star_sum_index(), S the entry's star span
+        on interval bases and the star of the entry's ball on others.  v
+        has one row per atom and the components of a function on its last
+        axis; axes between stack several functions, and sums has them too.
 
         Interval bases build, block by block, only the prefix rows of the
-        block's atoms, for every function at once; other bases take one
+        block's atoms, for every function at once, and take one difference
+        of them per distinct (atom, star span); other bases take one
         star-masked product per size group and function, as a single block,
         so each function's sums round as they do alone."""
-        pairs = self.pair_index()
         n = self.n_atoms
         if self.interval:
+            index = self.star_sum_index()
             c = v[0].size
             cols = v.reshape(n, c)
-            slo, shi = self.star_spans()
-            for lo, hi in pairs.blocks((n + 1) * c, c):
+            for lo, hi in index.blocks((n + 1) * c, c):
                 pre = np.zeros((hi - lo, n + 1, c))
                 np.multiply(kernel[lo:hi, :, None], cols[None], out=pre[:, 1:])
                 np.cumsum(pre[:, 1:], axis=1, out=pre[:, 1:])  # in place
-                rows = pairs.members(lo, hi) - lo
-                ball = pairs.ball[pairs.offsets[lo]:pairs.offsets[hi]]
-                sums = pre[rows, shi[ball] + 1]
-                sums -= pre[rows, slo[ball]]
+                rows = index.members(lo, hi) - lo
+                span = slice(index.offsets[lo], index.offsets[hi])
+                sums = pre[rows, index.hi[span] + 1]
+                sums -= pre[rows, index.lo[span]]
                 yield lo, hi, sums.reshape((-1,) + v.shape[1:])
             return
         if self._star_matrix is None:
@@ -357,7 +413,7 @@ class BallBasis:
         sums = np.stack([np.concatenate([
             np.matmul(kernel[idx], self._star_matrix[ids, :, None] * funcs[:, j]).reshape(-1, d)
             for ids, idx in self.size_groups()]) for j in range(funcs.shape[1])], axis=1)
-        yield 0, n, sums[pairs.order].reshape((-1,) + v.shape[1:])
+        yield 0, n, sums[self.pair_index().order].reshape((-1,) + v.shape[1:])
 
     def superset_max(self, vals: np.ndarray, groups=None,
                      strict: bool = False) -> np.ndarray:
@@ -387,9 +443,9 @@ class BallBasis:
                 (g, idx[:, 0], idx[:, -1], idx[:, -1] - idx[:, 0] < idx.shape[1])
                 for g, idx in groups]))
         n = self.n_atoms
-        best = _sweep_max(self.lo, self.hi, vals, a - strict * contiguous, b, n)
+        best = _sweep_max(self.lo, self.hi, vals, a - strict * contiguous, b, n, n)
         if strict:
-            np.maximum(best, _sweep_max(self.lo, self.hi, vals, a, b + contiguous, n),
+            np.maximum(best, _sweep_max(self.lo, self.hi, vals, a, b + contiguous, n, n),
                        out=best)
         out[ids] = best
         return out
@@ -409,10 +465,10 @@ class BallBasis:
             # no measure is at most a NaN; searchsorted would place it last
             a = np.where(np.isnan(self.mu), -1,
                          np.searchsorted(levels, 2 * self.mu, side="right") - 1)
-            m = max(n, len(levels))
-            first = -_sweep_max(rank, self.hi, -self.lo.astype(float), a, self.lo, m)
+            m = len(levels)
+            first = -_sweep_max(rank, self.hi, -self.lo.astype(float), a, self.lo, m, n)
             last = _sweep_max(rank, n - 1 - self.lo, self.hi.astype(float), a,
-                              n - 1 - self.hi, m)
+                              n - 1 - self.hi, m, n)
             meets = first <= self.hi
             self._star_lo = np.where(meets, first, n).astype(np.int64)
             self._star_hi = np.where(meets, last, -1).astype(np.int64)
@@ -652,7 +708,7 @@ def check_axioms(basis: BallBasis) -> AxiomReport:
     # measure is -(max of -mu) over the containing balls.
     if basis.interval:
         slo, shi = basis.star_spans()
-        cover_mu = -_sweep_max(basis.lo, basis.hi, -mu, slo, shi, n)
+        cover_mu = -_sweep_max(basis.lo, basis.hi, -mu, slo, shi, n, n)
         hull_ok = (basis.lo[h] <= slo) & (basis.hi[h] >= shi)
         star_full = shi - slo + 1 == n
     else:

@@ -49,8 +49,9 @@ SCATTER_BASES = {**STAT_BASES,
 
 @pytest.fixture(scope="session", params=sorted(SCATTER_BASES))
 def scatter_basis(request):
-    """The stat bases and two whose (ball, member) pairs span several blocks
-    of star sums: build_grid(64) (45,760 pairs) and build_dyadic(10)."""
+    """The stat bases and two whose star sums span several blocks:
+    build_grid(64) (45,760 pairs, 4,110 span-index entries, two blocks at
+    three components) and build_dyadic(10)."""
     return SCATTER_BASES[request.param]()
 
 

@@ -625,6 +625,73 @@ class TestKernelTruncationPass:
                                   kernel_truncation_by_groups(T, f)), T.name
 
 
+@st.composite
+def truncation_bases(draw):
+    """build_grid(2-48) over unit or random atom weights, build_dyadic(1-7),
+    or random atom spans over 1 to 12 atoms of random weights with the
+    first few listed twice, so that balls share a (lo, hi) and some atoms
+    may lie in no ball."""
+    kind = draw(st.sampled_from(["grid", "reweighted", "dyadic", "spans"]))
+    if kind == "dyadic":
+        return build_dyadic(draw(st.integers(1, 7)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if kind != "spans":
+        basis = build_grid(draw(st.integers(2, 48)))
+        return basis if kind == "grid" else _reweighted(basis, seed)
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(1, 12))
+    space = MeasureSpace(rng.uniform(0.5, 2.0, n))
+    spans = np.sort(rng.integers(0, n, size=(draw(st.integers(1, 12)), 2)), axis=1)
+    spans = np.concatenate([spans, spans[:draw(st.integers(1, 4))]])
+    balls = [Ball(i, np.arange(lo, hi + 1), space.measure(np.arange(lo, hi + 1)))
+             for i, (lo, hi) in enumerate(spans)]
+    return BallBasis(space, balls, np.zeros(len(balls), dtype=np.int64), K=3.0)
+
+
+class TestSpanIndexTruncation:
+    """On interval bases a kernel truncation takes one star sum per distinct
+    (atom, star span); it must equal, bitwise, the per-pair reference that
+    takes one per (ball, member) pair."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(basis=truncation_bases(), k=st.sampled_from([1, 4]),
+           dim=st.sampled_from([1, 3]), norm=st.sampled_from(["euclidean", "max"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_per_pair_reference(self, basis, k, dim, norm, seed):
+        rng = np.random.default_rng(seed)
+        n = basis.n_atoms
+        ops = [OperatorDescriptor("dense", basis, Params.classical_profile(1.0),
+                                  kernel=rng.normal(size=(n, n)))]
+        if basis.kind == "grid":
+            ops.append(discrete_hilbert(basis))
+        stack = rng.normal(size=(k, n, dim))
+        for T in ops:
+            got = truncate(T).apply_stack(stack, norm)[..., 0]
+            for row, f in zip(got, stack):
+                want = kernel_truncation_by_groups(T, VecFunction(f, norm))
+                assert np.array_equal(row, want), T.name
+                assert np.array_equal(np.signbit(row), np.signbit(want)), T.name
+
+    def test_first_apply_memory(self, rng):
+        """The first truncated apply on build_grid(256) builds the span index
+        (151,766 entries for 2,829,056 pairs) block by block: with the pair
+        index and star spans built before, its traced peak stays under
+        4 MiB, where the int64 keys of every pair at once take 22 MB."""
+        basis = build_grid(256)
+        basis.pair_index()
+        basis.star_spans()
+        star = truncate(discrete_hilbert(basis))
+        f = VecFunction(rng.normal(size=basis.n_atoms))
+        tracemalloc.start()
+        try:
+            star.apply(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis._span_index is not None
+        assert peak < 4 << 20, peak
+
+
 class TestStructuredOperators:
     """sparse_operator, identity_operator and zero_operator apply and
     truncate from their structure (ball list, T*f = 0); both must give what

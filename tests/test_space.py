@@ -181,6 +181,62 @@ class TestPairIndex:
             assert len(runs) > 1
 
 
+class TestSpanIndex:
+    """On interval bases star_sum_index() holds, for each atom, the distinct
+    star spans of the balls containing it, sorted; on others it is the pair
+    index."""
+
+    @pytest.mark.parametrize("make", list(SCATTER_BASES.values()), ids=list(SCATTER_BASES))
+    def test_contract(self, make):
+        b = make()
+        if not b.interval:
+            assert b.star_sum_index() is b.pair_index()
+            return
+        b.pair_index()
+        assert b._span_index is None  # lazy: the pair index does not pay for it
+        index = b.star_sum_index()
+        assert index.lo.dtype == index.hi.dtype == np.int32
+        assert not any(a.flags.writeable
+                       for a in (index.lo, index.hi, index.counts, index.offsets))
+        slo, shi = b.star_spans()
+        pairs = b.pair_index()
+        for x in range(b.n_atoms):
+            balls = pairs.ball[pairs.offsets[x]:pairs.offsets[x + 1]]
+            span = slice(index.offsets[x], index.offsets[x + 1])
+            assert list(zip(index.lo[span].tolist(), index.hi[span].tolist())) == \
+                sorted(set(zip(slo[balls].tolist(), shi[balls].tolist())))
+        assert np.array_equal(index.members(0, b.n_atoms),
+                              np.repeat(np.arange(b.n_atoms), index.counts))
+        assert b.star_sum_index() is index
+
+    @pytest.mark.parametrize("make, n_pairs, n_entries",
+                             [(lambda: build_grid(64), 45_760, 4_110),
+                              (lambda: build_dyadic(8), 2_304, 2_048)],
+                             ids=["grid64", "dyadic8"])
+    def test_entry_counts(self, make, n_pairs, n_entries):
+        b = make()
+        assert len(b.pair_index().ball) == n_pairs
+        index = b.star_sum_index()
+        assert len(index.lo) == len(index.hi) == index.offsets[-1] == n_entries
+
+    def test_spans_shared_by_repeated_balls(self):
+        """Balls listed twice, and balls of one star span, add no entry: the
+        stars of [1, 2] and [0, 3] are both [0, 3].  An atom in no ball has
+        none."""
+        space = MeasureSpace(np.ones(5))
+        spans = [(0, 0), (0, 0), (1, 2), (1, 2), (0, 3)]
+        balls = [Ball(i, np.arange(lo, hi + 1), float(hi - lo + 1))
+                 for i, (lo, hi) in enumerate(spans)]
+        b = BallBasis(space, balls, np.zeros(len(balls), dtype=np.int64), K=3.0)
+        index = b.star_sum_index()
+        assert b.star_spans()[0].tolist() == [0] * 5
+        assert b.star_spans()[1].tolist() == [0, 0, 3, 3, 3]
+        assert index.counts.tolist() == [2, 1, 1, 1, 0]
+        assert list(zip(index.lo.tolist(), index.hi.tolist())) == \
+            [(0, 0), (0, 3), (0, 3), (0, 3), (0, 3)]
+        assert len(b.pair_index().ball) == 10
+
+
 def _assert_star_spans_by_mask(basis):
     got, want = basis.star_spans(), star_spans_by_mask(basis)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -212,6 +268,15 @@ class TestStar:
     @settings(max_examples=150, deadline=None)
     @given(basis=star_rule_bases())
     def test_star_spans_equal_mask_on_random_spans(self, basis):
+        _assert_star_spans_by_mask(basis)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 32), seed=st.integers(0, 2 ** 32 - 1))
+    def test_star_spans_equal_mask_on_reweighted_grids(self, n, seed):
+        """Random atom weights give more distinct measures than atoms, so
+        the sweep's rows (measure ranks) outnumber its columns (atoms)."""
+        basis = _reweighted(build_grid(n), seed)
+        assert len(np.unique(basis.mu)) > n
         _assert_star_spans_by_mask(basis)
 
     def test_star_spans_memory(self):
@@ -450,6 +515,30 @@ class TestInvariants:
                     assert dmat[ai, x] >= grid8.mu[bi]
 
 
+def _pair_star_sums(basis, kernel, v):
+    """The row of member_star_sums for every (ball, member) pair of
+    pair_index(), in its order.  On interval bases the rows are one per
+    star_sum_index() entry, so each pair's row is looked up by its atom and
+    its ball's star span, and every pair must find one."""
+    rows = np.concatenate([s for _, _, s in basis.member_star_sums(kernel, v)])
+    if not basis.interval:
+        return rows
+    n = basis.n_atoms
+    index, pairs = basis.star_sum_index(), basis.pair_index()
+    slo, shi = basis.star_spans()
+
+    def key(atom, lo, hi):  # ascends with (atom, lo, hi), as the entries do
+        return (atom * (n + 1) + lo) * (n + 1) + hi + 1
+
+    keys = key(index.members(0, n), index.lo.astype(np.int64),
+               index.hi.astype(np.int64))
+    assert np.all(np.diff(keys) > 0)
+    want = key(pairs.members(0, n), slo[pairs.ball], shi[pairs.ball])
+    at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    assert np.array_equal(keys[at], want)
+    return rows[at]
+
+
 class TestRelabelledQueries:
     """Every ball query on a basis and on its copy with atoms relabelled
     (where balls need not be atom intervals) agrees up to the relabelling."""
@@ -511,9 +600,7 @@ class TestRelabelledQueries:
             # (ball, atom, component) array of the star sums at members
             dense = np.full((nb, n, 3), np.nan)
             pairs = basis.pair_index()
-            for lo, hi, s in basis.member_star_sums(k, v):
-                span = slice(pairs.offsets[lo], pairs.offsets[hi])
-                dense[pairs.ball[span], pairs.members(lo, hi)] = s
+            dense[pairs.ball, pairs.members(0, n)] = _pair_star_sums(basis, k, v)
             sums[basis] = dense
         assert np.array_equal(np.isnan(sums[rel][:, perm]), np.isnan(sums[base]))
         assert np.allclose(sums[rel][:, perm], sums[base], rtol=1e-12, atol=0.0,
