@@ -511,7 +511,7 @@ def emit_report(reports: list[Report], out_dir: str) -> list[str]:
     report with a tail, summary.txt); identical inputs produce byte-identical
     files."""
     os.makedirs(out_dir, exist_ok=True)
-    doc = {"reports": [json.loads(r.to_json()) for r in reports],
+    doc = {"reports": [r.to_dict() for r in reports],
            "passed": all(r.passed for r in reports)}
     path = os.path.join(out_dir, "report.json")
     with open(path, "w") as fh:

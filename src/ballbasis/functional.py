@@ -434,30 +434,34 @@ class RegularFamily:
     growth_measured: float   # minimal multiplier in condition (2) against gamma(u)=u
 
 
-def volume_distance_matrix(basis: BallBasis) -> np.ndarray:
-    """d(x, B) for every atom x (columns) and ball B (rows); inf where no ball
-    contains both."""
-    if basis._vdist_matrix is not None:
-        return basis._vdist_matrix
+def volume_distance_rows(basis: BallBasis, ids: np.ndarray) -> np.ndarray:
+    """d(x, B) for every atom x (columns) and each ball B of ids (rows); inf
+    where no ball contains both."""
     n = basis.n_atoms
     if basis.interval:
         # the least ball holding B and x covers the span of both: one gather
-        # from the cover table per block of rows, each index array within
-        # BLOCK_ELEMS elements
-        table = basis.cover_table()
+        # from the cover table
         xs = np.arange(n)
-        out = np.empty((basis.n_balls, n))
-        rows = max(1, BLOCK_ELEMS // n)
-        for s in range(0, basis.n_balls, rows):
-            out[s:s + rows] = table[np.minimum(xs, basis.lo[s:s + rows, None]),
-                                    np.maximum(xs, basis.hi[s:s + rows, None])]
-    else:
-        out = np.full((basis.n_balls, n), np.inf)
-        for i in range(basis.n_balls):
-            for j in basis.supersets(i):
-                m = basis.balls[j].members
-                out[i, m] = np.minimum(out[i, m], basis.mu[j])
-    basis._vdist_matrix = out
+        return basis.cover_table()[np.minimum(xs, basis.lo[ids, None]),
+                                   np.maximum(xs, basis.hi[ids, None])]
+    out = np.full((len(ids), n), np.inf)
+    for row, i in zip(out, np.asarray(ids).tolist()):
+        for j in basis.supersets(i):
+            m = basis.balls[j].members
+            row[m] = np.minimum(row[m], basis.mu[j])
+    return out
+
+
+def volume_distance_matrix(basis: BallBasis) -> np.ndarray:
+    """volume_distance_rows of every ball, built on each call one block of
+    rows at a time, each block's index arrays within BLOCK_ELEMS elements;
+    nothing keeps it."""
+    n = basis.n_atoms
+    out = np.empty((basis.n_balls, n))
+    rows = max(1, BLOCK_ELEMS // n)
+    for s in range(0, basis.n_balls, rows):
+        ids = np.arange(s, min(s + rows, basis.n_balls))
+        out[ids] = volume_distance_rows(basis, ids)
     return out
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotComparable
-from .functional import Params, VecFunction, vector_norms, volume_distance_matrix
+from .functional import Params, VecFunction, vector_norms, volume_distance_rows
 from .space import BLOCK_ELEMS, BallBasis
 
 
@@ -576,11 +576,11 @@ def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
     # ---- L1: localization constant off the star ----
     l1 = 0.0
     r4 = 0.0
-    # the exact pass runs on interval bases only: on build_dyadic(9) with
-    # relabelled atoms it gave the same reports but 5% more peak memory (its
-    # n_balls x n distance matrix) and a 17% slower pipeline
+    # the exact pass runs on interval bases only, where each block gathers
+    # its distance rows from the cover table: on build_dyadic(9) with
+    # relabelled atoms (and a kept n_balls x n distance matrix) it gave the
+    # same reports but 5% more peak memory and a 17% slower pipeline
     if exact and basis.interval:
-        dmat = volume_distance_matrix(basis)
         slo, shi = basis.star_spans()
         xs = np.arange(n)
         # per ball, its largest L1 ratio osc*d and R4 ratio osc*d*log1p(d/mu)
@@ -597,7 +597,7 @@ def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
             for s in range(0, len(ids), step):
                 b = ids[s:s + step]
                 cols = T.kernel[idx[s:s + step]]
-                d = dmat[b]
+                d = volume_distance_rows(basis, b)
                 stats = np.empty((2, len(b), n))
                 np.multiply(cols.max(axis=1) - cols.min(axis=1), d, out=stats[0])
                 np.multiply(stats[0], np.log1p(d / basis.mu[b, None]), out=stats[1])

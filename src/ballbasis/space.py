@@ -35,9 +35,10 @@ the CSR.  `star_of_set` is the one-row star rule on non-interval bases; on
 interval bases it finds the balls meeting the set by `searchsorted` on
 their spans and unions them with a difference array.
 
-Non-interval ball sums are one `reduceat` over the member lists.  The one
-membership matrix, `member_matrix()` (float64 0/1, built on first use and
-kept), serves only the B2 scan on a basis with no full ball.
+Each ball's members are stored once, in one flat array by size, then id;
+each size group's (m, L) matrix is a view of its slice.  The basis keeps
+no n_balls x n_atoms array: `member_matrix()` (the B2 scan of a basis with
+no full ball) and non-interval star masks are built per call.
 """
 
 from __future__ import annotations
@@ -100,14 +101,6 @@ def _blocks(cost: np.ndarray):
                                              side="right")))
         yield lo, hi
         lo = hi
-
-
-def _scatter_rows(atoms: np.ndarray, offsets: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Set row i of the zero matrix out to 1 at atoms[offsets[i]:offsets[i+1]],
-    for every row; returns out."""
-    rows, n = out.shape
-    out.ravel()[np.repeat(np.arange(rows) * n, np.diff(offsets)) + atoms] = 1
-    return out
 
 
 def _sweep_max(x: np.ndarray, y: np.ndarray, vals: np.ndarray, a: np.ndarray,
@@ -185,13 +178,13 @@ class PairIndex(AtomIndex):
     """Every (ball, member) pair of `BallBasis.size_groups()`, stably sorted
     by atom: the balls containing atom x are ball[offsets[x]:offsets[x+1]].
 
-    `order[k]` is the position of pair k in the flat size-group order (each
-    group's (m, L) matrix row by row, groups in turn); it is kept only for
-    non-interval bases, whose star sums come in that order.
+    `order[k]` is the position of pair k in atoms, the groups' flat member
+    array (each group's matrix row by row, groups in turn); it is kept only
+    for non-interval bases, whose star sums come in that order.
     """
 
-    def __init__(self, groups, n_atoms: int, keep_order: bool):
-        atom = np.concatenate([idx.ravel().astype(np.int32) for _, idx in groups])
+    def __init__(self, groups, atoms: np.ndarray, n_atoms: int, keep_order: bool):
+        atom = atoms.astype(np.int32)
         super().__init__(np.bincount(atom, minlength=n_atoms))
         order = np.argsort(atom, kind="stable")
         del atom  # int32 keys, freed before the gather: a smaller transient peak
@@ -238,6 +231,25 @@ class SpanIndex(AtomIndex):
             a.setflags(write=False)
 
 
+def _star_spans(lo: np.ndarray, hi: np.ndarray, mu: np.ndarray,
+                n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) atom span of the star of each ball [lo, hi] of measure mu
+    over n atoms, (n, -1) where no ball of its star rule meets the ball.
+    With a(B) the last rank of the sorted distinct measures
+    at most 2 mu(B), two _sweep_max runs over the balls A of rank <= a(B)
+    take the least lo(A) with hi(A) >= lo(B) and the greatest hi(A) with
+    lo(A) <= hi(B); if that least lo is <= hi(B), its ball meets B."""
+    levels, rank = np.unique(mu, return_inverse=True)
+    # no measure is at most a NaN; searchsorted would place it last
+    a = np.where(np.isnan(mu), -1, np.searchsorted(levels, 2 * mu, side="right") - 1)
+    m = len(levels)
+    first = -_sweep_max(rank, hi, -lo.astype(float), a, lo, m, n)
+    last = _sweep_max(rank, n - 1 - lo, hi.astype(float), a, n - 1 - hi, m, n)
+    meets = first <= hi
+    return (np.where(meets, first, n).astype(np.int64),
+            np.where(meets, last, -1).astype(np.int64))
+
+
 @dataclass(frozen=True)
 class Ball:
     id: int
@@ -270,17 +282,14 @@ class BallBasis:
         self.hi = np.array([b.members[-1] for b in self.balls], dtype=np.int64)
         self.sizes = np.array([len(b.members) for b in self.balls], dtype=np.int64)
         self.interval = bool(np.all(self.hi - self.lo + 1 == self.sizes))
-        self._member_matrix = None
-        self._star_matrix = None
         self._size_groups = None
+        self._members = None  # (atoms, start), built with the size groups
         self._pair_index = None
         self._span_index = None
         self._cover_table = None
         self._star_lo = None
         self._star_hi = None
         self._star_lists = None
-        self._member_csr = None
-        self._vdist_matrix = None  # functional.volume_distance_matrix
 
     # -- basic accessors -------------------------------------------------
 
@@ -298,48 +307,48 @@ class BallBasis:
 
     def member_matrix(self) -> np.ndarray:
         """(n_balls, n_atoms) float64 0/1: row i is ball i's indicator.
-        Scattered from the member lists on first use and kept; read-only."""
-        if self._member_matrix is None:
-            m = _scatter_rows(*self._member_lists(),
-                              np.zeros((self.n_balls, self.n_atoms)))
-            m.setflags(write=False)
-            self._member_matrix = m
-        return self._member_matrix
-
-    def _member_lists(self) -> tuple[np.ndarray, np.ndarray]:
-        """(atoms, offsets): ball i's members are atoms[offsets[i]:offsets[i+1]].
-        Built on first use and kept; read-only."""
-        if self._member_csr is None:
-            atoms = np.concatenate([b.members for b in self.balls])
-            offsets = np.concatenate([[0], np.cumsum(self.sizes)])
-            for a in (atoms, offsets):
-                a.setflags(write=False)
-            self._member_csr = atoms, offsets
-        return self._member_csr
+        Scattered from the size groups on each call; nothing keeps it."""
+        m = np.zeros((self.n_balls, self.n_atoms))
+        for ids, idx in self.size_groups():
+            m[ids[:, None], idx] = 1.0
+        return m
 
     def size_groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(ball ids, (m, L) matrix of their member atoms) for each distinct
         ball size L, in increasing L; row k lists the members of ball ids[k].
 
-        Built on first use and kept; the arrays are read-only.
+        Built on first use and kept, read-only: each matrix is a view of
+        its slice of one flat member array (`_flat_members`).
         """
         if self._size_groups is None:
-            groups = []
-            for size in np.unique(self.sizes):
-                ids = np.flatnonzero(self.sizes == size)
-                idx = np.stack([self.balls[i].members for i in ids])
-                ids.setflags(write=False)
-                idx.setflags(write=False)
-                groups.append((ids, idx))
-            self._size_groups = groups
+            order = np.argsort(self.sizes, kind="stable")
+            atoms = np.concatenate([self.balls[i].members for i in order.tolist()])
+            start = np.empty(self.n_balls, dtype=np.int64)
+            start[order] = np.cumsum(self.sizes[order]) - self.sizes[order]
+            for a in (order, atoms, start):
+                a.setflags(write=False)
+            sizes, first, count = np.unique(self.sizes[order], return_index=True,
+                                            return_counts=True)
+            self._size_groups = [
+                (order[g:g + m],
+                 atoms[start[order[g]]:start[order[g]] + m * size].reshape(m, size))
+                for size, g, m in zip(sizes.tolist(), first.tolist(), count.tolist())]
+            self._members = atoms, start
         return self._size_groups
+
+    def _flat_members(self) -> tuple[np.ndarray, np.ndarray]:
+        """(atoms, start): every ball's members in size_groups() order, ball
+        i's at atoms[start[i]:start[i] + sizes[i]]; read-only, built with
+        the size groups."""
+        self.size_groups()
+        return self._members
 
     def pair_index(self) -> PairIndex:
         """The (ball, member) pairs of size_groups() in atom order; built on
         first use and kept."""
         if self._pair_index is None:
-            self._pair_index = PairIndex(self.size_groups(), self.n_atoms,
-                                         keep_order=not self.interval)
+            self._pair_index = PairIndex(self.size_groups(), self._flat_members()[0],
+                                         self.n_atoms, keep_order=not self.interval)
         return self._pair_index
 
     def star_sum_index(self) -> AtomIndex:
@@ -374,8 +383,11 @@ class BallBasis:
         if self.interval:
             pre = np.concatenate([[0.0], np.cumsum(mass)])
             return pre[self.hi + 1] - pre[self.lo]
-        members, starts = self._member_lists()
-        return np.add.reduceat(mass[members], starts[:-1])
+        out = np.empty(self.n_balls)
+        for ids, idx in self.size_groups():
+            out[ids] = np.add.reduceat(mass[idx].ravel(),
+                                       np.arange(0, idx.size, idx.shape[1]))
+        return out
 
     def member_star_sums(self, kernel: np.ndarray, v: np.ndarray):
         """Yield (lo, hi, sums) over runs of whole atoms lo <= x < hi: row k
@@ -405,13 +417,13 @@ class BallBasis:
                 sums -= pre[rows, index.lo[span]]
                 yield lo, hi, sums.reshape((-1,) + v.shape[1:])
             return
-        if self._star_matrix is None:
-            self._star_matrix = _scatter_rows(*self.star_lists(),
-                                              np.zeros((self.n_balls, n), dtype=bool))
+        atoms, offsets = self.star_lists()
+        star = np.zeros((self.n_balls, n), dtype=bool)
+        star[np.repeat(np.arange(self.n_balls), np.diff(offsets)), atoms] = True
         d = v.shape[-1]
         funcs = v.reshape(n, -1, d)
         sums = np.stack([np.concatenate([
-            np.matmul(kernel[idx], self._star_matrix[ids, :, None] * funcs[:, j]).reshape(-1, d)
+            np.matmul(kernel[idx], star[ids, :, None] * funcs[:, j]).reshape(-1, d)
             for ids, idx in self.size_groups()]) for j in range(funcs.shape[1])], axis=1)
         yield 0, n, sums[self.pair_index().order].reshape((-1,) + v.shape[1:])
 
@@ -453,25 +465,11 @@ class BallBasis:
     # -- star / hull -----------------------------------------------------
 
     def star_spans(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lo, hi) atom span of every ball's star (interval bases), (n, -1)
-        where no ball of its star rule meets the ball; built on first use and
-        kept.  With a(B) the last rank of the sorted distinct measures at
-        most 2 mu(B), two _sweep_max runs over the balls A of rank <= a(B)
-        take the least lo(A) with hi(A) >= lo(B) and the greatest hi(A) with
-        lo(A) <= hi(B); if that least lo is <= hi(B), its ball meets B."""
+        """`_star_spans` of every ball (interval bases); built on first use
+        and kept."""
         if self._star_lo is None:
-            n = self.n_atoms
-            levels, rank = np.unique(self.mu, return_inverse=True)
-            # no measure is at most a NaN; searchsorted would place it last
-            a = np.where(np.isnan(self.mu), -1,
-                         np.searchsorted(levels, 2 * self.mu, side="right") - 1)
-            m = len(levels)
-            first = -_sweep_max(rank, self.hi, -self.lo.astype(float), a, self.lo, m, n)
-            last = _sweep_max(rank, n - 1 - self.lo, self.hi.astype(float), a,
-                              n - 1 - self.hi, m, n)
-            meets = first <= self.hi
-            self._star_lo = np.where(meets, first, n).astype(np.int64)
-            self._star_hi = np.where(meets, last, -1).astype(np.int64)
+            self._star_lo, self._star_hi = _star_spans(self.lo, self.hi, self.mu,
+                                                       self.n_atoms)
         return self._star_lo, self._star_hi
 
     def star_members(self, ball_id: int) -> np.ndarray:
@@ -535,7 +533,7 @@ class BallBasis:
         n, nb = self.n_atoms, self.n_balls
         m = len(idx)
         pairs = self.pair_index()
-        members, starts = self._member_lists()
+        members, start = self._flat_members()
         twice = 2 * self.space.weights[idx].sum(axis=1)
         # (row, ball) and (row, atom) masks, flat; the 1-d nonzero is many
         # times faster than the 2-d one
@@ -550,7 +548,7 @@ class BallBasis:
         span = self.sizes[ball]
         for c0, c1 in _blocks(np.cumsum(span)):
             star[np.repeat(row[c0:c1] * n, span[c0:c1])
-                 + members[_ranges(starts[ball[c0:c1]], span[c0:c1])]] = True
+                 + members[_ranges(start[ball[c0:c1]], span[c0:c1])]] = True
         return np.divmod(star.nonzero()[0], n)
 
     def star_of_set(self, members) -> np.ndarray:
@@ -643,21 +641,17 @@ def build_dyadic(levels: int) -> BallBasis:
 
 
 def build_grid(n: int) -> BallBasis:
-    """All discrete intervals [i,j] on n unit-weight atoms."""
+    """All discrete intervals [i,j] on n unit-weight atoms, listed by i, then
+    j: [i, j] has id i*n - i(i-1)/2 + (j - i)."""
     if not (2 <= n <= 512):
         raise ValueError("grid size must be in [2, 512]")
     space = MeasureSpace(np.ones(n))
-    balls = []
-    spans = {}
-    bid = 0
-    for i in range(n):
-        for j in range(i, n):
-            balls.append(Ball(bid, np.arange(i, j + 1, dtype=np.int64), float(j - i + 1)))
-            spans[(i, j)] = bid
-            bid += 1
-    basis = BallBasis(space, balls, list(range(bid)), K=5.0, eta=2.0)
+    lo, hi = np.triu_indices(n)
+    balls = [Ball(bid, np.arange(i, j + 1, dtype=np.int64), float(j - i + 1))
+             for bid, (i, j) in enumerate(zip(lo.tolist(), hi.tolist()))]
     # hull = the interval equal to star(B) (always present in a complete grid)
-    hull = [spans[(int(a), int(b))] for a, b in zip(*basis.star_spans())]
+    slo, shi = _star_spans(lo, hi, (hi - lo + 1).astype(float), n)
+    hull = slo * n - slo * (slo - 1) // 2 + (shi - slo)
     return BallBasis(space, balls, hull, K=5.0, eta=2.0, kind="grid")
 
 
@@ -720,13 +714,14 @@ def check_axioms(basis: BallBasis) -> AxiomReport:
             star_groups.append(
                 (ids, atoms[_ranges(offsets[ids], star_size[ids])].reshape(-1, size)))
         cover_mu = -basis.superset_max(-mu, star_groups)
-        # the hull holds the star when each (hull, star atom) key is among
-        # the (ball, member) keys, which ascend; the last key ends the search
-        members, _ = basis._member_lists()
-        keys = np.repeat(np.arange(basis.n_balls) * n, basis.sizes) + members
+        # the hull holds the star when each (hull start, star atom) key is
+        # among the (ball start, member) keys, which ascend (starts and sizes
+        # both ascend along the flat array); the last key ends the search
+        members, start = basis._flat_members()
+        keys = np.repeat(np.sort(start) * n, np.sort(basis.sizes)) + members
         hull_ok = np.empty(basis.n_balls, dtype=bool)
         for ids, idx in star_groups:
-            want = h[ids, None] * n + idx
+            want = start[h[ids], None] * n + idx
             at = np.searchsorted(keys[:-1], want)
             hull_ok[ids] = (keys[at] == want).all(axis=1)
         star_full = star_size == n

@@ -8,7 +8,6 @@ bit-identically from (seed, configuration).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -69,15 +68,15 @@ class Report:
     summary: dict
     rows: list = field(default_factory=list)
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_dict(self) -> dict:
+        return {
             "name": self.name,
             "passed": bool(self.passed),
             "summary": _clean(self.summary),
             "cases": [{"case": r.case, "statistic": r.statistic,
                        "value": _clean(r.value), "pass": bool(r.passed)}
                       for r in self.rows],
-        })
+        }
 
     def csv_lines(self) -> list[str]:
         out = ["case,statistic,value,pass"]

@@ -437,6 +437,21 @@ def star_spans_by_mask(basis):
     return want_lo, want_hi
 
 
+def grid_hull_by_dict(n):
+    """build_grid's hull map as it was first written: the balls [i, j] listed
+    by i, then j, a dict from each span to its id, and every hull looked up
+    there by the star span a first basis over the same balls reads off."""
+    balls, spans = [], {}
+    for i in range(n):
+        for j in range(i, n):
+            spans[(i, j)] = len(balls)
+            balls.append(Ball(len(balls), np.arange(i, j + 1, dtype=np.int64),
+                              float(j - i + 1)))
+    basis = BallBasis(MeasureSpace(np.ones(n)), balls, list(range(len(balls))),
+                      K=5.0, eta=2.0)
+    return [spans[(int(a), int(b))] for a, b in zip(*basis.star_spans())]
+
+
 # -- membership-matrix containment and stars ---------------------------------
 # Containment and stars read from an n_balls x n_atoms boolean membership
 # matrix built here, ball by ball: the reference the span and pair-index

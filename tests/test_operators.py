@@ -1089,6 +1089,23 @@ class TestExactLocalizationPass:
                 assert got == estimate_by_loop(T, 2, seed % 7)
         assert got.method == "exact_linear_r1"
 
+    def test_estimate_memory(self):
+        """Each block of the exact pass gathers its own distance rows from
+        the cover table: the martingale estimate on a fresh build_dyadic(10)
+        (1,024 atoms, 2,047 balls) traces under 16 MiB, the 8 MiB cover table
+        included, where the full distance matrix alone takes 16 MiB."""
+        basis = build_dyadic(10)
+        T = martingale_transform(basis, np.random.default_rng(0).choice(
+            [-1.0, 1.0], basis.n_balls))
+        tracemalloc.start()
+        try:
+            got = estimate_bo_constants(T, budget=8, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.method == "exact_linear_r1"
+        assert peak < 16 << 20, peak
+
 
 # Outside operators.py nothing builds a descriptor or reads its structure
 # (kernel, apply_fn, truncate_fn).

@@ -19,12 +19,13 @@ from ballbasis import (Ball, BallBasis, MeasureSpace, OperatorDescriptor,
                        riesz_potential, sparse_operator, square_function,
                        truncate, zero_operator)
 from ballbasis.cli import main
-from ballbasis.functional import sharp_all, volume_distance_matrix
+from ballbasis.functional import (sharp_all, volume_distance_matrix,
+                                  volume_distance_rows)
 from ballbasis.space import BLOCK_ELEMS, _ranges, as_atom_array
 
 from conftest import (SCATTER_BASES, STAT_BASES, _relabelled, _reweighted,
                       check_axioms_by_loop, containing_by_matrix,
-                      membership_by_loop, star_of_set_by_matrix,
+                      grid_hull_by_dict, membership_by_loop, star_of_set_by_matrix,
                       star_spans_by_mask,
                       superset_max_by_argmax, superset_max_by_matrix,
                       tied_values)
@@ -89,6 +90,18 @@ class TestBuilders:
         assert rep.passed
         assert rep.k_min <= 5.0
 
+    def test_grid_builds_basis_once(self, monkeypatch):
+        """build_grid makes one BallBasis, its balls listed by i, then j, and
+        its hull map equals the dict lookup over a first basis."""
+        inits = _count_inits(monkeypatch)
+        for n in [*range(2, 70), 128, 200]:
+            before = len(inits)
+            b = build_grid(n)
+            assert inits[before:] == [b]
+            lo, hi = np.triu_indices(n)
+            assert np.array_equal(b.lo, lo) and np.array_equal(b.hi, hi)
+            assert np.array_equal(b.hull, grid_hull_by_dict(n)), n
+
     def test_grid_size_guard(self):
         with pytest.raises(ValueError):
             build_grid(1)
@@ -135,6 +148,18 @@ class TestSizeGroups:
             for i, row in zip(g_ids, idx):
                 assert np.array_equal(row, b.balls[i].members)
         assert b.size_groups() is groups
+        # the members are stored once: every group matrix is a read-only
+        # view of its slice of the one flat array, by size, then by id
+        atoms, start = b._flat_members()
+        assert len(atoms) == b.sizes.sum()
+        for g_ids, idx in groups:
+            assert np.shares_memory(idx, atoms) and not idx.flags.writeable
+            assert np.array_equal(idx.ravel(), atoms[start[g_ids[0]]:][:idx.size])
+        order = np.lexsort((np.arange(b.n_balls), b.sizes))
+        assert np.array_equal(start[order], np.cumsum(b.sizes[order]) - b.sizes[order])
+        for i in range(b.n_balls):
+            assert np.array_equal(atoms[start[i]:start[i] + b.sizes[i]],
+                                  b.balls[i].members)
 
 
 @pytest.mark.parametrize("make", list(SCATTER_BASES.values()), ids=list(SCATTER_BASES))
@@ -457,6 +482,21 @@ class TestVolumeDistance:
         assert volume_distance_matrix(basis).tolist() == [[2.0, 2.0, np.inf],
                                                           [np.inf, 2.0, 2.0]]
 
+    @pytest.mark.parametrize("make", [
+        lambda: build_grid(24), lambda: _reweighted(build_grid(24), seed=7),
+        lambda: build_dyadic(7), lambda: _relabelled(build_dyadic(7), seed=5)[0]],
+        ids=["grid24", "grid24_weighted", "dyadic7", "dyadic7_relabelled"])
+    def test_rows_equal_matrix_rows(self, make, rng):
+        """volume_distance_rows equals the same rows of the full matrix, for
+        any ids (unsorted, repeated, one, none); neither is kept."""
+        basis = make()
+        dmat = volume_distance_matrix(basis)
+        nb = basis.n_balls
+        for ids in (rng.permutation(nb)[:40], rng.integers(0, nb, size=30),
+                    np.array([nb - 1]), np.arange(nb), np.array([], dtype=np.int64)):
+            assert np.array_equal(volume_distance_rows(basis, ids), dmat[ids])
+        assert _kept_ball_by_atom_arrays(basis) == []
+
     def test_antitone_in_ball(self, grid16):
         # d(x, A) <= d(x, B) whenever A is inside B
         inner = ball_by_span(grid16, 4, 5)
@@ -674,8 +714,8 @@ class TestPairIndexContainment:
     def test_no_membership_matrix(self, monkeypatch, rng):
         """With a full ball, the axiom check, the ball sums, containment,
         stars and the kernel, sparse, identity and zero truncations never
-        build the membership matrix; member_matrix() itself is one kept
-        read-only float64 0/1 array."""
+        build the membership matrix; member_matrix() itself is a float64
+        0/1 array built on each call and not kept."""
         basis = _relabelled(build_dyadic(7), seed=5)[0]
         assert basis.full_ball_id() is not None
         member_matrix = BallBasis.member_matrix
@@ -690,10 +730,27 @@ class TestPairIndexContainment:
                   identity_operator(basis), zero_operator(basis)):
             truncate(T).apply(f)
 
-        kept = member_matrix(basis)
-        assert member_matrix(basis) is kept
-        assert kept.dtype == np.float64 and not kept.flags.writeable
-        assert np.array_equal(kept, membership_by_loop(basis).astype(np.float64))
+        built = member_matrix(basis)
+        assert member_matrix(basis) is not built
+        assert _kept_ball_by_atom_arrays(basis) == []
+        assert built.dtype == np.float64
+        assert np.array_equal(built, membership_by_loop(basis).astype(np.float64))
+
+    def test_relabelled_queries_keep_no_ball_by_atom_array(self, rng):
+        """On a relabelled basis with no full ball, the axiom check (its B2
+        scan reads the membership matrix) and a kernel truncation (its star
+        mask) keep no n_balls x n_atoms array."""
+        base = build_dyadic(7)
+        balls = [Ball(i, b.members, b.measure) for i, b in enumerate(base.balls[1:])]
+        basis = _relabelled(BallBasis(base.space, balls, np.zeros(len(balls),
+                                                                  dtype=np.int64),
+                                      K=3.0), seed=5)[0]
+        assert not basis.interval and basis.full_ball_id() is None
+        check_axioms(basis)
+        kernel = OperatorDescriptor("kernel", basis, Params.classical_profile(1.0),
+                                    kernel=rng.normal(size=(basis.n_atoms,) * 2))
+        truncate(kernel).apply(VecFunction(rng.normal(size=(basis.n_atoms, 2))))
+        assert _kept_ball_by_atom_arrays(basis) == []
 
     def test_no_star_of_set_per_ball(self, monkeypatch, rng):
         """The axiom check and the first truncated sparse apply read every
@@ -764,6 +821,33 @@ def _assert_ball_integrals_by_matrix(basis, rng):
 
 def _refuse_membership(self):
     raise AssertionError("membership matrix built")
+
+
+def _count_inits(monkeypatch):
+    """The list every BallBasis made from now on is appended to."""
+    made = []
+    init = BallBasis.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(BallBasis, "__init__", recording)
+    return made
+
+
+def _kept_ball_by_atom_arrays(basis):
+    """The attributes of basis that hold an (n_balls, n_atoms) array, alone
+    or inside tuples and lists."""
+    shape = (basis.n_balls, basis.n_atoms)
+
+    def arrays(val):
+        if isinstance(val, (tuple, list)):
+            return [a for v in val for a in arrays(v)]
+        return [val] if isinstance(val, np.ndarray) else []
+
+    return [name for name, val in vars(basis).items()
+            if any(a.shape == shape for a in arrays(val))]
 
 
 def _query_without_membership(basis, rng):
@@ -942,6 +1026,16 @@ class TestIntervalStarOfSet:
             truncate(T).apply(f)
 
     @pytest.mark.parametrize("config", ["dyadic-martingale", "grid-hilbert"])
+    def test_no_stage_keeps_ball_by_atom_array(self, config, monkeypatch,
+                                               tmp_path):
+        """After every stage of `all` on the shipped configs, no basis the
+        run made keeps an n_balls x n_atoms array."""
+        made = _count_inits(monkeypatch)
+        path = Path(__file__).parents[1] / "configs" / f"{config}.json"
+        assert main(["all", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert made and all(_kept_ball_by_atom_arrays(b) == [] for b in made)
+
+    @pytest.mark.parametrize("config", ["dyadic-martingale", "grid-hilbert"])
     def test_no_stage_builds_membership_matrix(self, config, monkeypatch,
                                                tmp_path):
         """Every stage of `all` on the shipped configs (interval bases with
@@ -980,7 +1074,7 @@ LAYOUT_READS = sorted([
     # star generations are star-span widths (dyadic_levels checked the layout)
     ("operators", "square_function", "star_spans"),
     # the cover table is indexed by atom spans
-    ("functional", "volume_distance_matrix", "interval"),
+    ("functional", "volume_distance_rows", "interval"),
 ])
 
 
@@ -998,6 +1092,44 @@ def test_layout_reads_stay_in_space():
     assert sorted(reads) == LAYOUT_READS
 
 
+def _is_basis(node):
+    """A name ending in basis, or an attribute called basis (T.basis)."""
+    return (isinstance(node, ast.Name) and node.id.endswith("basis")
+            or isinstance(node, ast.Attribute) and node.attr == "basis")
+
+
+def test_basis_attributes_set_only_in_space():
+    """Outside space.py, no statement assigns to an attribute of a basis (or
+    into one, basis.x[i] = ...) or calls setattr on one: what a basis keeps
+    is built and owned by space.py."""
+    writes = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "ballbasis").glob("*.py")):
+        if path.name == "space.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "setattr" and node.args
+                  and _is_basis(node.args[0])):
+                writes.append((path.stem, node.lineno))
+                continue
+            else:
+                continue
+            while targets:
+                t = targets.pop()
+                if isinstance(t, (ast.Tuple, ast.List)):
+                    targets += t.elts
+                    continue
+                while isinstance(t, (ast.Subscript, ast.Starred)):
+                    t = t.value
+                if isinstance(t, ast.Attribute) and _is_basis(t.value):
+                    writes.append((path.stem, node.lineno))
+    assert writes == []
+
+
 # Outside space.py, the per-ball containment queries are called only here;
 # everything else takes containing balls one size group at a time.
 CONTAINMENT_QUERIES = {"balls_containing_atom", "supersets",
@@ -1006,7 +1138,7 @@ CONTAINMENT_CALLS = sorted([
     # repair of the few atoms the tolerant tree left uncovered
     ("domination", "lerner_decompose", "balls_containing_atom"),
     # the non-interval distance rows (the interval path reads the cover table)
-    ("functional", "volume_distance_matrix", "supersets"),
+    ("functional", "volume_distance_rows", "supersets"),
     # the growth condition is checked per (ball, superset) pair
     ("functional", "build_regular_family", "supersets"),
     # the Monte-Carlo L1 pass and the L2 pass, per sampled ball
@@ -1040,7 +1172,7 @@ def test_containment_calls_stay_listed():
 # alone; a reached class brings its class body and dunder methods).  Module
 # code other than imports counts as reached.  Matching by name has a blind
 # spot: a method shares the fate of every def of its name, so a second
-# to_json would hide behind Report.to_json, today the only one.
+# to_dict would hide behind Report.to_dict, today the only one.
 UNREACHED = sorted([
     # the benchmark's tracer (perfbench/tracer.py) looks it up by name
     "mean_oscillation",

@@ -118,8 +118,10 @@ class TestWeakType:
         corpus = Corpus(seed=0, generators=["random_signs"], size=2)
         rep = weak_type_report(zero_operator(dyadic6), corpus, dyadic6,
                                Params.classical_profile(1.0))
-        doc = json.loads(rep.to_json())
+        doc = rep.to_dict()
         assert set(doc) == {"name", "passed", "summary", "cases"}
+        # the bundle's JSON text parses back to the same dict
+        assert json.loads(json.dumps(doc)) == doc
         lines = rep.csv_lines()
         assert lines[0] == "case,statistic,value,pass"
 
@@ -141,7 +143,7 @@ class TestGoodLambda:
         corpus = Corpus(seed=5, generators=["haar_mixtures"], size=4)
         r1 = good_lambda_report(T, c, corpus)
         r2 = good_lambda_report(T, c, corpus)
-        assert r1.to_json() == r2.to_json()
+        assert r1.to_dict() == r2.to_dict()
 
 
 REPORT_BASES = {
