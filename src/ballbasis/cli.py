@@ -274,7 +274,7 @@ def make_f_family(basis, alpha: float, seed: int):
     w = basis.space.weights
 
     def f_map(ball_id: int):
-        ms = basis.balls[int(ball_id)].members
+        ms = basis.members(int(ball_id))
         order = ms[np.argsort(noise[ms], kind="stable")]
         budget = alpha * basis.mu[int(ball_id)]
         return np.sort(order[np.cumsum(w[order]) < budget])
@@ -347,7 +347,7 @@ def run_dominate(cfg: dict, basis, ops) -> list[Report]:
     seed = int(cfg["seed"])
     budget = int(cfg["estimate"]["budget"])
     b_id = basis.full_ball_id()
-    members = basis.balls[b_id].members
+    members = basis.members(b_id)
     out = []
     for op in ops:
         consts = op.bo_constants(budget, seed)

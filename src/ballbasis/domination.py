@@ -69,7 +69,7 @@ def verify_sparse_bound(bound: SparseBound, target, b_id: int) -> VerificationRe
     if isinstance(target, VecFunction):
         target = target.norms()
     target = np.asarray(target, dtype=float)
-    members = basis.balls[int(b_id)].members
+    members = basis.members(int(b_id))
     rhs = bound.constant * bound.rhs_values()
     margins = rhs[members] - target[members]
     ratio = basis.mu[int(bound.enclosing)] / basis.mu[int(b_id)]
@@ -105,7 +105,7 @@ def _certify(bound: SparseBound, lhs: np.ndarray, b_id: int,
              what: str) -> VerificationReport:
     """Set the bound's constant to the least one making lhs <= constant * rhs
     on the ball, verify the bound there and record its overlap rate."""
-    members = bound.basis.balls[b_id].members
+    members = bound.basis.members(b_id)
     bound.constant = _min_constant(lhs, bound.rhs_values(), members, what)
     report = verify_sparse_bound(bound, lhs, b_id)
     if report.margin_min < -1e-9:
@@ -121,7 +121,7 @@ def dominate_bo(T: OperatorDescriptor, consts: BOConstants, f: VecFunction,
     until the exceptional sets are admissible at alpha = 1/(10 K^3)."""
     basis = T.basis
     b_id = int(b_id)
-    members = basis.balls[b_id].members
+    members = basis.members(b_id)
     supp = np.flatnonzero(f.norms() > 0)
     if np.setdiff1d(supp, members).size:
         raise ValueError("f must be supported on the ball")
@@ -161,12 +161,12 @@ def dominate_bo(T: OperatorDescriptor, consts: BOConstants, f: VecFunction,
                 last_error = err
                 continue
 
-        sets = [basis.balls[nb].members for nb in tree.nodes]
+        sets = [basis.members(nb) for nb in tree.nodes]
         e_rows = atom_rows(n, sets) & ~atom_rows(n, [f_map(nb) for nb in tree.nodes])
         fam = disjointify(sets, tree.parent, [np.flatnonzero(r) for r in e_rows],
                           weights=basis.space.weights)
 
-        terms = [average(f, basis.balls[nb].members, p, basis=basis)
+        terms = [average(f, basis.members(nb), p, basis=basis)
                  for nb in tree.nodes]
         bound = SparseBound(basis=basis, family=list(tree.nodes),
                             indicators=fam.shrink,
@@ -204,14 +204,12 @@ def lerner_decompose(f: VecFunction, a0: int, beta: float,
     def core_of(bid: int) -> np.ndarray:
         bid = int(bid)
         if bid not in core_cache:
-            hull_m = basis.balls[int(basis.hull[bid])].members
-            core, _ = alpha_core(f, hull_m, beta, basis, slack=2.0)
-            core_cache[bid] = core
+            core_cache[bid] = alpha_core(f, basis.members(int(basis.hull[bid])), beta,
+                                         basis, slack=2.0)[0]
         return core_cache[bid]
 
     def f_map(bid: int) -> np.ndarray:
-        hull_m = basis.balls[int(basis.hull[int(bid)])].members
-        return np.setdiff1d(hull_m, core_of(bid))
+        return np.setdiff1d(basis.members(int(basis.hull[int(bid)])), core_of(bid))
 
     alpha = (1.0 - beta) * K
     with warnings.catch_warnings():
@@ -222,7 +220,7 @@ def lerner_decompose(f: VecFunction, a0: int, beta: float,
     parents: list[int | None] = list(tree.parent)
     uncovered = tree.constants.get("uncovered", [])
     # one row per hull set: the tree nodes, then one per repaired atom
-    rows = atom_rows(n, [basis.balls[int(basis.hull[nb])].members
+    rows = atom_rows(n, [basis.members(int(basis.hull[nb]))
                          for nb in node_balls] + [[]] * len(uncovered))
     for x in uncovered:
         # attach the smallest ball whose exceptional set misses the atom
@@ -236,7 +234,7 @@ def lerner_decompose(f: VecFunction, a0: int, beta: float,
         if pick is None:
             raise ConstructionFailure(
                 f"atom {x} lies in every exceptional set; raise beta")
-        ms = basis.balls[int(basis.hull[pick])].members
+        ms = basis.members(int(basis.hull[pick]))
         # the host: the least node, by (measure, index), whose set holds ms
         j = len(node_balls)
         hosts = sorted(np.flatnonzero(rows[:j, ms].all(axis=1)),
@@ -257,7 +255,7 @@ def lerner_decompose(f: VecFunction, a0: int, beta: float,
     fam = disjointify(m_sets, parents, e_sets, weights=basis.space.weights)
 
     terms = [alpha_oscillation(f, ms, beta, basis) for ms in m_sets]
-    _, med_rep = median(f, basis.balls[a0].members, basis)
+    _, med_rep = median(f, basis.members(a0), basis)
     dev = f.values - med_rep[None, :]
     lhs = VecFunction(dev, f.norm_kind).norms()
     bound = SparseBound(basis=basis, family=[int(basis.hull[nb]) for nb in node_balls],

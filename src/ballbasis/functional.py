@@ -447,7 +447,7 @@ def volume_distance_rows(basis: BallBasis, ids: np.ndarray) -> np.ndarray:
     out = np.full((len(ids), n), np.inf)
     for row, i in zip(out, np.asarray(ids).tolist()):
         for j in basis.supersets(i):
-            m = basis.balls[j].members
+            m = basis.members(j)
             row[m] = np.minimum(row[m], basis.mu[j])
     return out
 
@@ -489,8 +489,7 @@ def build_regular_family(basis: BallBasis) -> RegularFamily:
     c1 = math.inf
     c2 = 0.0
     for i in range(basis.n_balls):
-        members = basis.balls[i].members
-        c1 = min(c1, float((kernels[i, members] * basis.mu[i]).min()))
+        c1 = min(c1, float((kernels[i, basis.members(i)] * basis.mu[i]).min()))
         envelope = basis.mu[i] / dmat[i] / dmat[i]
         if np.any(envelope <= 0):
             raise RegularityViolation("zero envelope", witness=(i,))

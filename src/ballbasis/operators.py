@@ -218,7 +218,7 @@ def sparse_operator(basis: BallBasis, ball_ids, rho: float = 1.0) -> OperatorDes
         raise ValueError("rho must lie in (0,1]")
     n, nb = basis.n_atoms, basis.n_balls
     w = basis.space.weights
-    listed = [(basis.balls[int(bid)].members, basis.mu[int(bid)] ** (-rho))
+    listed = [(basis.members(int(bid)), basis.mu[int(bid)] ** (-rho))
               for bid in ball_ids]
     kernel = np.zeros((n, n))
     for members, c in listed:
@@ -428,7 +428,7 @@ def delta(T: OperatorDescriptor, a_id: int, b_id: int, seed: int = 0) -> float:
     if support.size == 0:
         return 0.0
     mu_bstar = basis.measure(b_star)
-    members_a = basis.balls[a_id].members
+    members_a = basis.members(a_id)
     if _exactly_estimable(T):
         sub = np.abs(T.kernel[np.ix_(members_a, support)])
         return float(mu_bstar * sub.max())
@@ -547,7 +547,7 @@ def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
     l0 = 0.0
     for bid in ball_ids:
         bid = int(bid)
-        members = basis.balls[bid].members
+        members = basis.members(bid)
         mu_b = basis.mu[bid]
         wm = w[members]
         # C-ordered rows, so each row sum rounds like a lone function's
@@ -623,7 +623,7 @@ def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
         group_of[ids] = gi
     for bid in ball_ids:
         bid = int(bid)
-        members = basis.balls[bid].members
+        members = basis.members(bid)
         star = basis.star_members(bid)
         if star.size == n:
             continue
@@ -681,14 +681,12 @@ def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
     # ---- R5 probe along the exhausting sequence ----
     # imported at call time, so a patched space.exhausting_sequence is seen
     from .space import exhausting_sequence
-    chain = exhausting_sequence(basis)
-    last = chain[-1]
     ones = np.zeros(n)
-    ones[last.members] = 1.0
+    ones[basis.members(exhausting_sequence(basis)[-1])] = 1.0
     t_last = T.apply(VecFunction(ones)).norms()
     r5 = 0.0
     for bid in ball_ids:
-        r5 = max(r5, _osc_on(t_last, basis.balls[int(bid)].members))
+        r5 = max(r5, _osc_on(t_last, basis.members(int(bid))))
 
     return BOConstants(L0=float(l0), L1=float(l1), L2=float(l2),
                        method="exact_linear_r1" if exact else "monte_carlo",

@@ -1,49 +1,46 @@
 """Finite atomic measure spaces with explicit ball-bases.
 
 A space is a list of positively weighted atoms 0..N-1.  A basis is a list of
-balls (atom subsets) together with a stored hull map B -> [B] and the constants
-K (hull constant) and eta (doubling constant, optional).  The star of a ball,
+balls (atom subsets) with a stored hull map B -> [B] and the constants K
+(hull constant) and eta (doubling constant, optional).  The star of a ball,
+star(B) = the union of the balls A with mu(A) <= 2 mu(B) that meet B, is
+computed exactly.
 
-    star(B) = union of all balls A with mu(A) <= 2 mu(B) and A
-              intersecting B,
+Each ball's members are stored once, in one flat array by size, then id,
+built with the basis: `members(i)` and each size group's (m, L) matrix are
+views of it.  The builders pass atom spans to `BallBasis.from_spans` and
+make no `Ball`.  The basis keeps no n_balls x n_atoms array: the B2 scan's
+`member_matrix()` and non-interval star masks are built per call.
 
-is computed exactly.
+Every ball query rests on one containment test, taken for a stack of
+equal-size atom sets at once.  Interval bases (every ball a contiguous atom
+range; both builders) answer it, and ball sums, from atom spans: a ball
+contains a set when its span [lo, hi] covers the set's.  One prefix-max
+sweep, `_sweep_max`, answers their superset maxima and the axiom check's
+cover queries (run over lo) and their star spans (over the measure rank).
 
-Every ball query is answered by `BallBasis` on top of one containment test,
-taken for a stack of equal-size atom sets at once.  Interval bases (every
-ball a contiguous atom range; both shipped builders) answer it from atom
-spans: a ball contains a set when its span [lo, hi] covers the set's span.
-They answer ball sums from atom spans too.  One prefix-max sweep,
-`_sweep_max`, answers their superset maxima and the axiom check's cover
-queries (run over lo) and their star spans (run over the measure rank).
-
-Any other basis (relabelled atoms, hand-built) answers containment and
-stars from `PairIndex`, every (ball, member) pair sorted by atom: a ball
-contains an L-atom set when L of its pairs fall in the set, and the balls
-that meet a set are the balls of its atoms' pairs.  The same index serves a
-per-atom reduction over the balls containing each atom (maximal functions,
-T*, child covers): one gather and one `ufunc.reduceat`.  On interval bases
-the star sums of T* take `SpanIndex` instead, in the same per-atom form:
-the distinct star spans of the balls containing each atom, so each sum is
-taken once per (atom, star span) rather than once per pair.
+Other bases (relabelled atoms, hand-built) answer containment and stars
+from `PairIndex`, every (ball, member) pair sorted by atom: a ball contains
+an L-atom set when L of its pairs fall in the set, and the balls meeting a
+set are those of its atoms' pairs.  The same index serves a per-atom
+reduction over the balls containing each atom (maximal functions, T*,
+child covers): one gather and one `ufunc.reduceat`.  On interval bases the
+star sums of T* read `SpanIndex` instead: the distinct star spans of the
+balls containing each atom, each sum taken once per (atom, star span).
 
 Every ball's star is kept as one CSR, `star_lists()`, built on first use:
-from the star spans on interval bases, otherwise by the star rule for a
-stack of atom sets over the pair index, taken per size group in row blocks.
-The axiom check, the sparse operator's truncation and `star_members` read
-the CSR.  `star_of_set` is the one-row star rule on non-interval bases; on
-interval bases it finds the balls meeting the set by `searchsorted` on
-their spans and unions them with a difference array.
-
-Each ball's members are stored once, in one flat array by size, then id;
-each size group's (m, L) matrix is a view of its slice.  The basis keeps
-no n_balls x n_atoms array: `member_matrix()` (the B2 scan of a basis with
-no full ball) and non-interval star masks are built per call.
+from the star spans on interval bases, otherwise by the star rule over the
+pair index, per size group in row blocks.  The axiom check, the sparse
+operator's truncation and `star_members` read it.  `star_of_set` is the
+one-row star rule on non-interval bases; on interval bases it unions the
+spans of the balls meeting the set (found by `searchsorted`) with a
+difference array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -178,19 +175,18 @@ class PairIndex(AtomIndex):
     """Every (ball, member) pair of `BallBasis.size_groups()`, stably sorted
     by atom: the balls containing atom x are ball[offsets[x]:offsets[x+1]].
 
-    `order[k]` is the position of pair k in atoms, the groups' flat member
-    array (each group's matrix row by row, groups in turn); it is kept only
-    for non-interval bases, whose star sums come in that order.
+    `order[k]` is the position of pair k in the basis's member store; it is
+    kept only for non-interval bases, whose star sums come in that order.
     """
 
-    def __init__(self, groups, atoms: np.ndarray, n_atoms: int, keep_order: bool):
-        atom = atoms.astype(np.int32)
-        super().__init__(np.bincount(atom, minlength=n_atoms))
+    def __init__(self, basis: BallBasis):
+        atom = basis._atoms.astype(np.int32)
+        super().__init__(np.bincount(atom, minlength=basis.n_atoms))
         order = np.argsort(atom, kind="stable")
         del atom  # int32 keys, freed before the gather: a smaller transient peak
-        self.ball = np.concatenate([np.repeat(ids.astype(np.int32), idx.shape[1])
-                                    for ids, idx in groups])[order]
-        self.order = order if keep_order else None
+        by_size = basis._order
+        self.ball = np.repeat(by_size.astype(np.int32), basis.sizes[by_size])[order]
+        self.order = None if basis.interval else order
         for a in (self.ball, self.counts, self.offsets, order):
             a.setflags(write=False)
 
@@ -252,103 +248,118 @@ def _star_spans(lo: np.ndarray, hi: np.ndarray, mu: np.ndarray,
 
 @dataclass(frozen=True)
 class Ball:
+    """A ball as a record: what the hand-built entry takes and `balls` lists."""
     id: int
     members: np.ndarray  # sorted atom ids
     measure: float
 
 
 class BallBasis:
-    """Immutable ball-basis over a finite atomic measure space."""
+    """Immutable ball-basis over a finite atomic measure space.
+
+    Built from a list of `Ball`s (hand-built bases) or, by `from_spans`, from
+    atom ranges (the builders).  Either way every ball's members go into one
+    flat array ordered by size, then id; ball i's is the view `members(i)`.
+    """
 
     def __init__(self, space: MeasureSpace, balls: list[Ball], hull: list[int],
                  K: float, eta: float | None = None, kind: str | None = None):
-        self.space = space
-        self.kind = kind  # builder family ("dyadic", "grid"); None if hand-built
-        self.balls = list(balls)
-        self.hull = np.asarray(hull, dtype=np.int64)
-        self.K = float(K)
-        self.eta = None if eta is None else float(eta)
-        if len(self.hull) != len(self.balls):
-            raise ValueError("hull map must cover every ball")
-        for pos, b in enumerate(self.balls):
+        balls = list(balls)
+        for pos, b in enumerate(balls):
             if b.id != pos:
                 raise ValueError(f"ball id {b.id} listed at position {pos}")
-            if len(b.members) == 0:
-                raise ValueError(f"ball {b.id} is empty (axiom B1)")
+        sizes = np.array([len(b.members) for b in balls], dtype=np.int64)
+        order = np.argsort(sizes, kind="stable")
+        atoms = np.concatenate([np.asarray(balls[i].members, dtype=np.int64)
+                                for i in order.tolist()])
+        self._store(space, atoms, order, sizes, [b.measure for b in balls], hull,
+                    K, eta, kind)
 
-        self.n_balls = len(self.balls)
-        self.mu = np.array([b.measure for b in self.balls])
-        self.lo = np.array([b.members[0] for b in self.balls], dtype=np.int64)
-        self.hi = np.array([b.members[-1] for b in self.balls], dtype=np.int64)
-        self.sizes = np.array([len(b.members) for b in self.balls], dtype=np.int64)
-        self.interval = bool(np.all(self.hi - self.lo + 1 == self.sizes))
-        self._size_groups = None
-        self._members = None  # (atoms, start), built with the size groups
-        self._pair_index = None
-        self._span_index = None
-        self._cover_table = None
-        self._star_lo = None
-        self._star_hi = None
-        self._star_lists = None
+    @classmethod
+    def from_spans(cls, space: MeasureSpace, lo: np.ndarray, sizes: np.ndarray,
+                   mu: np.ndarray, hull: np.ndarray, K: float, eta: float | None,
+                   kind: str | None) -> BallBasis:
+        """Ball i spans atoms lo[i] .. lo[i] + sizes[i] - 1, measure mu[i]."""
+        basis = cls.__new__(cls)
+        order = np.argsort(sizes, kind="stable")
+        basis._store(space, _ranges(lo[order], sizes[order]), order, sizes, mu,
+                     hull, K, eta, kind)
+        return basis
+
+    def _store(self, space, atoms, order, sizes, mu, hull, K, eta, kind):
+        """The initialiser both entries share: atoms holds the members of
+        ball order[0], then of order[1], ..., order the stable sort of sizes.
+        ValueError unless each ball's atoms strictly increase within
+        [0, n_atoms) and each hull id lies in [0, n_balls)."""
+        self.space, self.kind = space, kind  # kind: "dyadic", "grid" or None
+        self.K, self.eta = float(K), None if eta is None else float(eta)
+        self.n_atoms, self.n_balls = space.n_atoms, len(sizes)
+        nb = self.n_balls
+        self.sizes, self.mu = sizes, np.asarray(mu, dtype=float)
+        self.hull = np.asarray(hull, dtype=np.int64)
+        if self.hull.shape != (nb,):
+            raise ValueError("hull map must cover every ball")
+        if (bad := np.flatnonzero(sizes == 0)).size:
+            raise ValueError(f"ball {bad[0]} is empty (axiom B1)")
+        ends = np.cumsum(sizes[order])
+        rise = np.diff(atoms) > 0
+        rise[ends[:-1] - 1] = True  # a ball's first atom after another's last
+        if (bad := np.flatnonzero(~rise)).size:
+            i = order[np.searchsorted(ends, bad[0], side="right")]
+            raise ValueError(f"ball {i}: members must strictly increase")
+        start = np.empty(nb, dtype=np.int64)
+        start[order] = ends - sizes[order]
+        self.lo, self.hi = atoms[start], atoms[start + sizes - 1]
+        if (bad := np.flatnonzero((self.lo < 0) | (self.hi >= space.n_atoms))).size:
+            raise ValueError(f"ball {bad[0]} has an atom outside [0, n_atoms)")
+        if (bad := np.flatnonzero((self.hull < 0) | (self.hull >= nb))).size:
+            raise ValueError(f"ball {bad[0]}: hull id {self.hull[bad[0]]} is no ball")
+        self.interval = bool(np.all(self.hi - self.lo + 1 == sizes))
+        for a in (order, atoms, start):
+            a.setflags(write=False)
+        self._atoms, self._start, self._order = atoms, start, order
+        size, first, count = np.unique(sizes[order], return_index=True,
+                                       return_counts=True)
+        self._size_groups = [
+            (order[g:g + m], atoms[ends[g] - s:ends[g] - s + m * s].reshape(m, s))
+            for s, g, m in zip(size.tolist(), first.tolist(), count.tolist())]
+        self._pair_index = self._span_index = self._cover_table = None
+        self._star_spans = self._star_lists = None
 
     # -- basic accessors -------------------------------------------------
 
-    @property
-    def n_atoms(self) -> int:
-        return self.space.n_atoms
-
-    def ball(self, ball_id: int) -> Ball:
-        if not (0 <= ball_id < self.n_balls):
+    def members(self, ball_id: int) -> np.ndarray:
+        """Ball ball_id's sorted atoms: a read-only view of the store."""
+        if not 0 <= ball_id < self.n_balls:
             raise KeyError(f"unknown ball id {ball_id}")
-        return self.balls[ball_id]
+        return self._atoms[self._start[ball_id]:][:self.sizes[ball_id]]
+
+    @cached_property
+    def balls(self) -> list[Ball]:
+        """A `Ball` over members(i) per ball; built on first access and kept."""
+        return [Ball(i, self.members(i), m) for i, m in enumerate(self.mu.tolist())]
 
     def measure(self, members) -> float:
         return self.space.measure(members)
 
     def member_matrix(self) -> np.ndarray:
         """(n_balls, n_atoms) float64 0/1: row i is ball i's indicator.
-        Scattered from the size groups on each call; nothing keeps it."""
+        Scattered from the store on each call; nothing keeps it."""
         m = np.zeros((self.n_balls, self.n_atoms))
-        for ids, idx in self.size_groups():
-            m[ids[:, None], idx] = 1.0
+        m[np.repeat(self._order, self.sizes[self._order]), self._atoms] = 1.0
         return m
 
     def size_groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(ball ids, (m, L) matrix of their member atoms) for each distinct
         ball size L, in increasing L; row k lists the members of ball ids[k].
-
-        Built on first use and kept, read-only: each matrix is a view of
-        its slice of one flat member array (`_flat_members`).
-        """
-        if self._size_groups is None:
-            order = np.argsort(self.sizes, kind="stable")
-            atoms = np.concatenate([self.balls[i].members for i in order.tolist()])
-            start = np.empty(self.n_balls, dtype=np.int64)
-            start[order] = np.cumsum(self.sizes[order]) - self.sizes[order]
-            for a in (order, atoms, start):
-                a.setflags(write=False)
-            sizes, first, count = np.unique(self.sizes[order], return_index=True,
-                                            return_counts=True)
-            self._size_groups = [
-                (order[g:g + m],
-                 atoms[start[order[g]]:start[order[g]] + m * size].reshape(m, size))
-                for size, g, m in zip(sizes.tolist(), first.tolist(), count.tolist())]
-            self._members = atoms, start
+        Each matrix is a read-only view of its slice of the store."""
         return self._size_groups
-
-    def _flat_members(self) -> tuple[np.ndarray, np.ndarray]:
-        """(atoms, start): every ball's members in size_groups() order, ball
-        i's at atoms[start[i]:start[i] + sizes[i]]; read-only, built with
-        the size groups."""
-        self.size_groups()
-        return self._members
 
     def pair_index(self) -> PairIndex:
         """The (ball, member) pairs of size_groups() in atom order; built on
         first use and kept."""
         if self._pair_index is None:
-            self._pair_index = PairIndex(self.size_groups(), self._flat_members()[0],
-                                         self.n_atoms, keep_order=not self.interval)
+            self._pair_index = PairIndex(self)
         return self._pair_index
 
     def star_sum_index(self) -> AtomIndex:
@@ -384,9 +395,7 @@ class BallBasis:
             pre = np.concatenate([[0.0], np.cumsum(mass)])
             return pre[self.hi + 1] - pre[self.lo]
         out = np.empty(self.n_balls)
-        for ids, idx in self.size_groups():
-            out[ids] = np.add.reduceat(mass[idx].ravel(),
-                                       np.arange(0, idx.size, idx.shape[1]))
+        out[self._order] = np.add.reduceat(mass[self._atoms], self._start[self._order])
         return out
 
     def member_star_sums(self, kernel: np.ndarray, v: np.ndarray):
@@ -467,14 +476,13 @@ class BallBasis:
     def star_spans(self) -> tuple[np.ndarray, np.ndarray]:
         """`_star_spans` of every ball (interval bases); built on first use
         and kept."""
-        if self._star_lo is None:
-            self._star_lo, self._star_hi = _star_spans(self.lo, self.hi, self.mu,
-                                                       self.n_atoms)
-        return self._star_lo, self._star_hi
+        if self._star_spans is None:
+            self._star_spans = _star_spans(self.lo, self.hi, self.mu, self.n_atoms)
+        return self._star_spans
 
     def star_members(self, ball_id: int) -> np.ndarray:
         """Exact star B* as a sorted atom array."""
-        self.ball(ball_id)  # KeyError on an unknown id
+        self.members(ball_id)  # KeyError on an unknown id
         if self.interval:
             slo, shi = self.star_spans()
             return np.arange(slo[ball_id], shi[ball_id] + 1)
@@ -504,12 +512,12 @@ class BallBasis:
     def _star_pass(self) -> tuple[np.ndarray, np.ndarray]:
         """(star size of every ball, the atoms of every star) on a
         non-interval basis: each size group's member rows go through
-        _star_rows in row blocks, and the atoms come ball after ball in id
-        order."""
+        _star_rows in row blocks, so the blocks' balls come in store order,
+        and the atoms come ball after ball in id order."""
         n, nb = self.n_atoms, self.n_balls
         counts = self.pair_index().counts
         size = np.empty(nb, dtype=np.int64)
-        done, parts = [], []  # ball ids and star atoms, block by block
+        parts = []  # star atoms, block by block
         for ids, idx in self.size_groups():
             # a block's ball mask, star mask and pair keys each stay within
             # BLOCK_ELEMS
@@ -517,12 +525,11 @@ class BallBasis:
             for r0, r1 in _blocks(np.cumsum(np.maximum(npairs, max(nb, n)))):
                 row, atom = self._star_rows(idx[r0:r1])
                 size[ids[r0:r1]] = np.bincount(row, minlength=r1 - r0)
-                done.append(ids[r0:r1])
                 parts.append(atom)
-        done = np.concatenate(done)
         ends = np.cumsum(size)
         atoms = np.empty(int(ends[-1]), dtype=np.int64)
-        atoms[_ranges(ends[done] - size[done], size[done])] = np.concatenate(parts)
+        o = self._order  # the blocks' balls, in turn
+        atoms[_ranges(ends[o] - size[o], size[o])] = np.concatenate(parts)
         return size, atoms
 
     def _star_rows(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -533,7 +540,6 @@ class BallBasis:
         n, nb = self.n_atoms, self.n_balls
         m = len(idx)
         pairs = self.pair_index()
-        members, start = self._flat_members()
         twice = 2 * self.space.weights[idx].sum(axis=1)
         # (row, ball) and (row, atom) masks, flat; the 1-d nonzero is many
         # times faster than the 2-d one
@@ -548,7 +554,7 @@ class BallBasis:
         span = self.sizes[ball]
         for c0, c1 in _blocks(np.cumsum(span)):
             star[np.repeat(row[c0:c1] * n, span[c0:c1])
-                 + members[_ranges(start[ball[c0:c1]], span[c0:c1])]] = True
+                 + self._atoms[_ranges(self._start[ball[c0:c1]], span[c0:c1])]] = True
         return np.divmod(star.nonzero()[0], n)
 
     def star_of_set(self, members) -> np.ndarray:
@@ -596,7 +602,7 @@ class BallBasis:
         return np.flatnonzero(self._containing(np.array([[atom]]))[0])
 
     def supersets(self, ball_id: int, strict: bool = False) -> np.ndarray:
-        ids = np.flatnonzero(self._containing(self.balls[ball_id].members[None])[0])
+        ids = np.flatnonzero(self._containing(self.members(ball_id)[None])[0])
         if strict:
             ids = ids[self.sizes[ids] > self.sizes[ball_id]]
         return ids
@@ -609,7 +615,7 @@ class BallBasis:
 
     def contains(self, inner_id: int, outer_id: int) -> bool:
         """True iff ball inner is a subset of ball outer."""
-        return bool(self._containing(self.balls[inner_id].members[None])[0, outer_id])
+        return bool(self._containing(self.members(inner_id)[None])[0, outer_id])
 
     def full_ball_id(self) -> int | None:
         """A ball containing every atom, if one exists."""
@@ -621,23 +627,20 @@ class BallBasis:
 
 
 def build_dyadic(levels: int) -> BallBasis:
-    """Dyadic martingale basis on [0,1): 2^levels atoms, all dyadic intervals."""
+    """Dyadic martingale basis on [0,1): 2^levels atoms, all dyadic intervals;
+    ball 2^g - 1 + j is the j-th of width n / 2^g, its hull its parent."""
     if levels < 0:
         raise ValueError("levels must be nonnegative")
     if levels > 20:
         raise ValueError("levels > 20 rejected (ball count guard)")
     n = 1 << levels
     space = MeasureSpace(np.full(n, 1.0 / n))
-    balls = []
-    hull = []
-    for g in range(levels + 1):
-        width = n >> g
-        for j in range(1 << g):
-            bid = (1 << g) - 1 + j
-            members = np.arange(j * width, (j + 1) * width, dtype=np.int64)
-            balls.append(Ball(bid, members, width / n))
-            hull.append(bid if g == 0 else ((1 << (g - 1)) - 1 + j // 2))
-    return BallBasis(space, balls, hull, K=2.0, eta=2.0, kind="dyadic")
+    gen = np.repeat(np.arange(levels + 1), 1 << np.arange(levels + 1))
+    ids = np.arange(len(gen))
+    width = n >> gen
+    return BallBasis.from_spans(space, (ids + 1 - (1 << gen)) * width, width,
+                                width / n, np.maximum(ids - 1, 0) // 2, K=2.0,
+                                eta=2.0, kind="dyadic")
 
 
 def build_grid(n: int) -> BallBasis:
@@ -647,12 +650,12 @@ def build_grid(n: int) -> BallBasis:
         raise ValueError("grid size must be in [2, 512]")
     space = MeasureSpace(np.ones(n))
     lo, hi = np.triu_indices(n)
-    balls = [Ball(bid, np.arange(i, j + 1, dtype=np.int64), float(j - i + 1))
-             for bid, (i, j) in enumerate(zip(lo.tolist(), hi.tolist()))]
+    sizes = hi - lo + 1
+    mu = sizes.astype(float)
     # hull = the interval equal to star(B) (always present in a complete grid)
-    slo, shi = _star_spans(lo, hi, (hi - lo + 1).astype(float), n)
+    slo, shi = _star_spans(lo, hi, mu, n)
     hull = slo * n - slo * (slo - 1) // 2 + (shi - slo)
-    return BallBasis(space, balls, hull, K=5.0, eta=2.0, kind="grid")
+    return BallBasis.from_spans(space, lo, sizes, mu, hull, K=5.0, eta=2.0, kind="grid")
 
 
 # -- operations ---------------------------------------------------------------
@@ -717,8 +720,8 @@ def check_axioms(basis: BallBasis) -> AxiomReport:
         # the hull holds the star when each (hull start, star atom) key is
         # among the (ball start, member) keys, which ascend (starts and sizes
         # both ascend along the flat array); the last key ends the search
-        members, start = basis._flat_members()
-        keys = np.repeat(np.sort(start) * n, np.sort(basis.sizes)) + members
+        start, by_size = basis._start, basis._order
+        keys = np.repeat(start[by_size] * n, basis.sizes[by_size]) + basis._atoms
         hull_ok = np.empty(basis.n_balls, dtype=bool)
         for ids, idx in star_groups:
             want = start[h[ids], None] * n + idx
@@ -751,8 +754,8 @@ def check_axioms(basis: BallBasis) -> AxiomReport:
     )
 
 
-def exhausting_sequence(basis: BallBasis) -> list[Ball]:
-    """Increasing ball chain whose last element has star = X.
+def exhausting_sequence(basis: BallBasis) -> list[int]:
+    """Ids of an increasing ball chain whose last ball has star = X.
 
     Grown by minimal-measure strict supersets from the smallest ball
     containing atom 0; verified to end at a ball containing every other ball.
@@ -770,4 +773,4 @@ def exhausting_sequence(basis: BallBasis) -> list[Ball]:
     if basis.sizes[last] != basis.n_atoms:
         i = next(i for i in range(basis.n_balls) if not basis.contains(i, last))
         raise PostconditionFailure("a ball escapes every chain element", witness=i)
-    return [basis.balls[i] for i in chain]
+    return chain

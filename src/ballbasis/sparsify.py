@@ -69,7 +69,7 @@ def vitali_cover(basis: BallBasis, E, G) -> list[int]:
     """
     E = as_atom_array(E)
     order = sorted((int(g) for g in G), key=lambda g: (-basis.mu[g], g))
-    rows = atom_rows(basis.n_atoms, [basis.balls[g].members for g in order])
+    rows = atom_rows(basis.n_atoms, [basis.members(g) for g in order])
     missing = E[~rows.any(axis=0)[E]]
     if missing.size:
         raise NotACover(f"atoms {missing[:5].tolist()} not covered by the family")
@@ -139,7 +139,7 @@ def child_cover(basis: BallBasis, F, E) -> list[int]:
             enlarged = True
         out.append(g)
     out.sort(key=lambda g: (-basis.mu[g], g))
-    rows = atom_rows(basis.n_atoms, [basis.balls[g].members for g in out])
+    rows = atom_rows(basis.n_atoms, [basis.members(g) for g in out])
     meets_e = rows[:, E].any(axis=1)
     out = [g for g, m in zip(out, meets_e) if m]
 
@@ -236,8 +236,7 @@ def sparsify_tree(basis: BallBasis, F_map, a0: int, alpha: float,
         a = und[i]
         hull2 = int(basis.hull[int(basis.hull[a])])
         fs = get_f(hull2)
-        hull_m = basis.balls[int(basis.hull[a])].members
-        e = np.intersect1d(hull_m, fs)
+        e = np.intersect1d(basis.members(int(basis.hull[a])), fs)
         if e.size == 0:
             continue
         kids = child_cover(basis, fs, e)
@@ -261,7 +260,7 @@ def sparsify_tree(basis: BallBasis, F_map, a0: int, alpha: float,
     rank = [_node_rank(basis, b, R) for b in und]
     ranks = np.array(rank)
     n = len(und)
-    rows = atom_rows(basis.n_atoms, [basis.balls[b].members for b in und])
+    rows = atom_rows(basis.n_atoms, [basis.members(b) for b in und])
     alive = np.ones(n, dtype=bool)
 
     run_removals = admissible or not tolerant
@@ -344,9 +343,9 @@ def sparsify_tree(basis: BallBasis, F_map, a0: int, alpha: float,
 
 def _uncovered_atoms(basis: BallBasis, node_balls, a0: int, get_f) -> list[int]:
     n = basis.n_atoms
-    covered = (atom_rows(n, [basis.balls[nb].members for nb in node_balls])
+    covered = (atom_rows(n, [basis.members(nb) for nb in node_balls])
                & ~atom_rows(n, [get_f(nb) for nb in node_balls])).any(axis=0)
-    seed = basis.balls[int(a0)].members
+    seed = basis.members(int(a0))
     return [int(a) for a in seed[~covered[seed]]]
 
 

@@ -278,7 +278,7 @@ def exp_decay_report(T: OperatorDescriptor, f: VecFunction, b_id: int,
     basis = T.basis
     if mode not in ("vs_maximal", "vs_sharp"):
         raise ConfigError(f"unknown mode {mode!r}")
-    members = basis.balls[int(b_id)].members
+    members = basis.members(int(b_id))
     w = basis.space.weights
     tf = T.apply(f).norms()
     if mode == "vs_maximal":
@@ -408,7 +408,7 @@ def strong_domination_check(f: VecFunction, g: VecFunction, basis: BallBasis,
     """Profile beta(alpha) = OSC_{B,alpha}(f) / INF_B(g) over alpha = 1/20,
     ..., 19/20, then the tail of ||f - median|| against lambda ||g|| at the
     levels lambda = 0..T_MAX."""
-    members = basis.balls[int(b_id)].members
+    members = basis.members(int(b_id))
     inf_g = float(g.norms()[members].min())
     if inf_g <= 0:
         raise InfZero("g vanishes somewhere on the ball")

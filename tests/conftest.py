@@ -410,7 +410,7 @@ def estimate_by_loop(T, budget, seed):
             witnesses["L2"] = {"ball": bid, "grown": b2}
 
     ones = np.zeros(n)
-    ones[exhausting_sequence(basis)[-1].members] = 1.0
+    ones[basis.balls[exhausting_sequence(basis)[-1]].members] = 1.0
     t_last = T.apply(VecFunction(ones)).norms()
     r5 = max([0.0] + [_osc_on(t_last, basis.balls[int(b)].members) for b in ball_ids])
     return BOConstants(L0=float(l0), L1=float(l1), L2=float(l2),
@@ -450,6 +450,35 @@ def grid_hull_by_dict(n):
     basis = BallBasis(MeasureSpace(np.ones(n)), balls, list(range(len(balls))),
                       K=5.0, eta=2.0)
     return [spans[(int(a), int(b))] for a, b in zip(*basis.star_spans())]
+
+
+# -- the builders through the Ball-list entry ---------------------------------
+# build_dyadic and build_grid written ball by ball: one Ball per ball, listed
+# in id order, through BallBasis(space, balls, ...).  The builders' bases,
+# made by BallBasis.from_spans without a Ball, must equal these.
+
+
+def dyadic_by_balls(levels):
+    n = 1 << levels
+    space = MeasureSpace(np.full(n, 1.0 / n))
+    balls = []
+    hull = []
+    for g in range(levels + 1):
+        width = n >> g
+        for j in range(1 << g):
+            bid = (1 << g) - 1 + j
+            members = np.arange(j * width, (j + 1) * width, dtype=np.int64)
+            balls.append(Ball(bid, members, width / n))
+            hull.append(bid if g == 0 else ((1 << (g - 1)) - 1 + j // 2))
+    return BallBasis(space, balls, hull, K=2.0, eta=2.0, kind="dyadic")
+
+
+def grid_by_balls(n):
+    space = MeasureSpace(np.ones(n))
+    lo, hi = np.triu_indices(n)
+    balls = [Ball(bid, np.arange(i, j + 1, dtype=np.int64), float(j - i + 1))
+             for bid, (i, j) in enumerate(zip(lo.tolist(), hi.tolist()))]
+    return BallBasis(space, balls, grid_hull_by_dict(n), K=5.0, eta=2.0, kind="grid")
 
 
 # -- membership-matrix containment and stars ---------------------------------

@@ -1083,7 +1083,7 @@ class TestExactLocalizationPass:
                 # ball shares with B are inf, so a ratio 0 * inf makes a NaN
                 # row, which the scan never takes
                 mp.setattr("ballbasis.space.exhausting_sequence", lambda b: [
-                    b.balls[int(np.argmax(b.sizes))]])
+                    int(np.argmax(b.sizes))])
             with np.errstate(invalid="ignore"):
                 got = estimate_bo_constants(T, 2, seed % 7)
                 assert got == estimate_by_loop(T, 2, seed % 7)

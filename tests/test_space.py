@@ -24,8 +24,9 @@ from ballbasis.functional import (sharp_all, volume_distance_matrix,
 from ballbasis.space import BLOCK_ELEMS, _ranges, as_atom_array
 
 from conftest import (SCATTER_BASES, STAT_BASES, _relabelled, _reweighted,
-                      check_axioms_by_loop, containing_by_matrix,
-                      grid_hull_by_dict, membership_by_loop, star_of_set_by_matrix,
+                      check_axioms_by_loop, containing_by_matrix, dyadic_by_balls,
+                      grid_by_balls, grid_hull_by_dict, membership_by_loop,
+                      star_of_set_by_matrix,
                       star_spans_by_mask,
                       superset_max_by_argmax, superset_max_by_matrix,
                       tied_values)
@@ -119,6 +120,89 @@ class TestBuilders:
         assert basis.balls_containing_atom(1).tolist() == [0]
 
 
+class TestMalformedInput:
+    """Each ball's atoms strictly increase within [0, n_atoms) and each hull
+    id is a ball id, or the constructor raises ValueError; ball 0 of the
+    4-atom space below is full."""
+    SPACE = MeasureSpace(np.ones(4))
+    FULL = Ball(0, np.arange(4), 4.0)
+
+    @pytest.mark.parametrize("members", [
+        [0, 0, 1],  # B1 would sum the repeated atom and pass measure 3
+        [2, 0, 1],  # unsorted: lo would be 2 and hi 1
+        [-1, 0],  # atoms outside the space would index past the weights
+        [3, 4],
+    ], ids=str)
+    def test_ball_rejected(self, members):
+        ball = Ball(1, np.array(members), float(len(members)))
+        with pytest.raises(ValueError, match="^ball 1"):
+            BallBasis(self.SPACE, [self.FULL, ball], [0, 0], K=2.0)
+
+    @pytest.mark.parametrize("hull", [
+        [0, -2],  # would wrap to ball 0 and pass the axioms
+        [0, 7],
+    ], ids=str)
+    def test_hull_rejected(self, hull):
+        balls = [self.FULL, Ball(1, np.array([1, 2]), 2.0)]
+        with pytest.raises(ValueError, match=f"^ball 1: hull id {hull[1]} "):
+            BallBasis(self.SPACE, balls, hull, K=2.0)
+
+
+def _same_basis(got, want):
+    """got and want hold the same balls, constants and derived indexes."""
+    for name in ("lo", "hi", "sizes", "mu", "hull"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert ((got.interval, got.K, got.eta, got.kind)
+            == (want.interval, want.K, want.eta, want.kind))
+    for i in range(want.n_balls):
+        assert np.array_equal(got.members(i), want.members(i)), i
+    assert len(got.size_groups()) == len(want.size_groups())
+    for (g_ids, g_idx), (w_ids, w_idx) in zip(got.size_groups(), want.size_groups()):
+        assert np.array_equal(g_ids, w_ids) and np.array_equal(g_idx, w_idx)
+    assert np.array_equal(got.pair_index().ball, want.pair_index().ball)
+
+
+class TestArrayEntry:
+    """build_dyadic and build_grid pass arrays to from_spans; the basis
+    equals the one the Ball-list entry makes from their balls."""
+
+    @pytest.mark.parametrize("levels", range(11))
+    def test_dyadic_matches_ball_list(self, levels):
+        _same_basis(build_dyadic(levels), dyadic_by_balls(levels))
+
+    @pytest.mark.parametrize("n", [*range(2, 70), 128])
+    def test_grid_matches_ball_list(self, n):
+        _same_basis(build_grid(n), grid_by_balls(n))
+
+    @pytest.mark.parametrize("make, seed", [(lambda: build_dyadic(7), 5),
+                                            (lambda: build_grid(12), 3)])
+    def test_relabelled_members_are_the_input(self, make, seed):
+        base = make()
+        rel, perm = _relabelled(base, seed)
+        for i in range(base.n_balls):
+            assert np.array_equal(rel.members(i), np.sort(perm[base.members(i)]))
+
+    def test_members_unknown_id(self, dyadic3):
+        for bad in (-1, dyadic3.n_balls):
+            with pytest.raises(KeyError):
+                dyadic3.members(bad)
+
+    def test_grid_store_memory(self):
+        """build_grid(256) and its size groups keep under 28 MiB traced:
+        the store's 2,829,056 int64 atoms are 21.6 MiB, and members(i) is
+        a view of it."""
+        tracemalloc.start()
+        try:
+            basis = build_grid(256)
+            basis.size_groups()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 28 << 20, kept
+        assert np.shares_memory(basis.members(basis.n_balls // 2), basis._atoms)
+
+
 class TestAsAtomArray:
     @pytest.mark.parametrize("members", [
         np.array([3, 1, 2]), np.array([0, 5, 9], dtype=np.int32), [4, 4, 0, 2, 2],
@@ -137,7 +221,6 @@ class TestSizeGroups:
     @pytest.mark.parametrize("make", list(STAT_BASES.values()), ids=list(STAT_BASES))
     def test_contract(self, make):
         b = make()
-        assert b._size_groups is None  # lazy: set-up does not pay for it
         groups = b.size_groups()
         ids = np.concatenate([g_ids for g_ids, _ in groups])
         assert np.array_equal(np.sort(ids), np.arange(b.n_balls))
@@ -148,9 +231,10 @@ class TestSizeGroups:
             for i, row in zip(g_ids, idx):
                 assert np.array_equal(row, b.balls[i].members)
         assert b.size_groups() is groups
-        # the members are stored once: every group matrix is a read-only
-        # view of its slice of the one flat array, by size, then by id
-        atoms, start = b._flat_members()
+        # the members are stored once: every group matrix and members(i) is
+        # a read-only view of its slice of the one flat array, by size, then
+        # by id
+        atoms, start = b._atoms, b._start
         assert len(atoms) == b.sizes.sum()
         for g_ids, idx in groups:
             assert np.shares_memory(idx, atoms) and not idx.flags.writeable
@@ -160,6 +244,9 @@ class TestSizeGroups:
         for i in range(b.n_balls):
             assert np.array_equal(atoms[start[i]:start[i] + b.sizes[i]],
                                   b.balls[i].members)
+            got = b.members(i)
+            assert np.shares_memory(got, atoms) and not got.flags.writeable
+            assert np.array_equal(got, atoms[start[i]:start[i] + b.sizes[i]])
 
 
 @pytest.mark.parametrize("make", list(SCATTER_BASES.values()), ids=list(SCATTER_BASES))
@@ -508,13 +595,15 @@ class TestVolumeDistance:
 class TestExhaustingSequence:
     def test_dyadic_chain(self, dyadic3):
         chain = exhausting_sequence(dyadic3)
-        assert len(chain[-1].members) == dyadic3.n_atoms
+        assert all(type(i) is int for i in chain)
+        assert len(dyadic3.members(chain[-1])) == dyadic3.n_atoms
         for a, b in zip(chain, chain[1:]):
-            assert set(a.members) < set(b.members)
+            assert set(dyadic3.members(a)) < set(dyadic3.members(b))
 
     def test_grid_chain(self):
-        chain = exhausting_sequence(build_grid(4))
-        assert list(chain[-1].members) == [0, 1, 2, 3]
+        grid = build_grid(4)
+        chain = exhausting_sequence(grid)
+        assert list(grid.members(chain[-1])) == [0, 1, 2, 3]
 
     def test_ball_escaping_the_chain(self):
         # {0,1} is maximal and its star is X, yet {1,2} is not inside it
@@ -824,15 +913,16 @@ def _refuse_membership(self):
 
 
 def _count_inits(monkeypatch):
-    """The list every BallBasis made from now on is appended to."""
+    """The list every BallBasis made from now on is appended to: both
+    entries (the Ball list and from_spans) run the shared initialiser."""
     made = []
-    init = BallBasis.__init__
+    init = BallBasis._store
 
     def recording(self, *args, **kwargs):
         init(self, *args, **kwargs)
         made.append(self)
 
-    monkeypatch.setattr(BallBasis, "__init__", recording)
+    monkeypatch.setattr(BallBasis, "_store", recording)
     return made
 
 
@@ -1036,6 +1126,24 @@ class TestIntervalStarOfSet:
         assert made and all(_kept_ball_by_atom_arrays(b) == [] for b in made)
 
     @pytest.mark.parametrize("config", ["dyadic-martingale", "grid-hilbert"])
+    def test_no_stage_makes_a_ball(self, config, monkeypatch, tmp_path):
+        """Every stage of `all` on the shipped configs reads balls by id:
+        no `Ball` is constructed."""
+        made = []
+        init = Ball.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(self)
+
+        monkeypatch.setattr(Ball, "__init__", recording)
+        path = Path(__file__).parents[1] / "configs" / f"{config}.json"
+        assert main(["all", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert made == []
+        Ball(0, np.zeros(1, dtype=np.int64), 1.0)
+        assert len(made) == 1  # the patch counts
+
+    @pytest.mark.parametrize("config", ["dyadic-martingale", "grid-hilbert"])
     def test_no_stage_builds_membership_matrix(self, config, monkeypatch,
                                                tmp_path):
         """Every stage of `all` on the shipped configs (interval bases with
@@ -1090,6 +1198,22 @@ def test_layout_reads_stay_in_space():
                     reads.append((path.stem, getattr(top, "name", "<module>"),
                                   node.attr))
     assert sorted(reads) == LAYOUT_READS
+
+
+def test_src_reads_balls_by_id():
+    """Outside space.py, no module reads `.balls` or constructs a `Ball`:
+    a ball's members are read by id, `basis.members(i)`."""
+    found = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "ballbasis").glob("*.py")):
+        if path.name == "space.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "balls"
+                    or isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None))
+                    == "Ball"):
+                found.append((path.stem, node.lineno))
+    assert found == []
 
 
 def _is_basis(node):
@@ -1347,6 +1471,9 @@ CALLER_DIRS = ("src", "scripts", "perfbench")
 UNSET_DEFAULTS = sorted([
     # the seam the tests drive the command line through
     ("cli", "main", "argv"),
+    # the builder family of a hand-built basis: the builders pass arrays to
+    # from_spans, so only the tests' Ball-list bases claim a family
+    ("space", "BallBasis", "kind"),
     # the exhaustive oracle that acceptance criterion 03 compares against
     ("functional", "alpha_oscillation", "method"),
     ("functional", "median", "method"),
