@@ -27,7 +27,7 @@ from .operators import (OperatorDescriptor, conditional_expectation,
                         zero_operator)
 from .sparsify import sparsify_tree
 from .domination import dominate_bo, dominate_mean_osc
-from .verify import (CaseRow, Corpus, Report, Weight, _clean,
+from .verify import (GENERATOR_KINDS, CaseRow, Corpus, Report, Weight, _clean,
                      ap_characteristics, bmo_bounded_reports, exp_decay_report,
                      good_lambda_report, john_nirenberg_report,
                      strong_domination_check, weak_type_report)
@@ -50,6 +50,7 @@ _OP_DEFAULTS = {
 
 _SUITES = ("weak_type", "good_lambda", "exp_decay", "john_nirenberg", "bmo",
            "strong_domination", "ap")
+_WEIGHT_KINDS = ("unit", "half", "power")  # the kinds _build_weight builds
 # the suites run_verify reads a threshold for
 _THRESHOLD_SUITES = {"weak_type", "good_lambda", "bmo"}
 # the stages that emit one report per operator, named <stage>/<operator name>
@@ -154,6 +155,8 @@ def load_config(path: str) -> dict:
             raise ConfigError(f"verify.thresholds.{name} must be a number, got NaN")
     weight = cfg["verify"]["weight"]
     _check_keys("verify.weight", weight, {"kind", "value", "exponent"})
+    if weight.get("kind", "unit") not in _WEIGHT_KINDS:
+        raise ConfigError(f"unknown weight kind {weight['kind']!r}; known: {list(_WEIGHT_KINDS)}")
     for k in ("value", "exponent"):
         if k in weight:
             _check_type(f"verify.weight.{k}", weight[k], 0.0)
@@ -162,6 +165,8 @@ def load_config(path: str) -> dict:
                                   f"got {weight[k]!r}")
     for g in cfg["corpus"]["generators"]:
         _check_type("corpus generator", g, "")
+        if g not in GENERATOR_KINDS:
+            raise ConfigError(f"unknown generator kind {g!r}; known: {list(GENERATOR_KINDS)}")
     _check_seed("seed", cfg["seed"])
     env_seed = os.environ.get("BALLBASIS_SEED")
     if env_seed is not None and "seed" not in raw:
@@ -421,10 +426,8 @@ def _build_weight(spec: dict, basis) -> Weight:
         w = np.ones(n)
         w[: n // 2] = float(spec.get("value", 2.0))
         return Weight(w)
-    if kind == "power":
-        with np.errstate(over="ignore"):  # an overflow is an inf Weight rejects
-            return Weight((1.0 + np.arange(n)) ** float(spec.get("exponent", 0.3)))
-    raise ConfigError(f"unknown weight kind {kind!r}")
+    with np.errstate(over="ignore"):  # "power"; an overflow is an inf Weight rejects
+        return Weight((1.0 + np.arange(n)) ** float(spec.get("exponent", 0.3)))
 
 
 def run_verify(cfg: dict, basis, ops, suite_filter: str | None = None

@@ -351,10 +351,15 @@ def sharp_all_stack(stack: np.ndarray, norm_kind: str, basis: BallBasis,
         # stack[:, idx] puts the stack axis innermost
         mu, d = mean_deviation(np.take(stack, idx, axis=1), ww, norm_kind)
         out[:, ids] = (d ** r * ww).sum(axis=-1) / mu
-    if r != 1.0:
-        # scalar pow per value: numpy's array ** rounds differently
-        out = np.array([v ** (1.0 / r) for v in out.ravel()]).reshape(out.shape)
-    return out
+    return _power(out.ravel(), 1.0 / r).reshape(out.shape)
+
+
+def _power(vals: np.ndarray, exponent: float) -> np.ndarray:
+    """vals ** exponent, one np.float64 scalar power at a time (numpy's array
+    ** rounds differently; an overflow is inf); the exact power 1 is skipped."""
+    if exponent == 1.0:
+        return vals
+    return np.array([v ** exponent for v in vals])
 
 
 def sup_sharp_all(f: VecFunction, basis: BallBasis, r: float = 1.0) -> np.ndarray:
@@ -364,24 +369,16 @@ def sup_sharp_all(f: VecFunction, basis: BallBasis, r: float = 1.0) -> np.ndarra
 
 def maximal(f: VecFunction, basis: BallBasis, p: Params,
             mode: str = "fractional_basis") -> np.ndarray:
-    """Per-atom sup over containing balls of a ball functional.
-
-    fractional_basis: sup <f>_B; sharp: sup <f>_{#,B} (exponent p.r).
-    """
+    """Per-atom sup over the balls containing the atom of a ball functional:
+    fractional_basis sup <f>_B, sharp sup <f>_{#,B} (exponent p.r).  One
+    `BallBasis.containing_reduce` over the member store, on any basis."""
     if mode == "fractional_basis":
         vals = ball_averages_all(f, basis, p)
     elif mode == "sharp":
         vals = sharp_all(f, basis, p.r)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return _max_over_containing_balls(basis, vals, np.zeros(basis.n_atoms))
-
-
-def _max_over_containing_balls(basis: BallBasis, vals: np.ndarray,
-                               out: np.ndarray) -> np.ndarray:
-    """out[x] = max(out[x], max of vals[B] over balls B containing x)."""
-    pairs = basis.pair_index()
-    return pairs.reduce(np.maximum, vals[pairs.ball], out, 0, basis.n_atoms)
+    return basis.containing_reduce(np.maximum, vals, np.zeros(basis.n_atoms))
 
 
 # -- integer-level tails ------------------------------------------------------------
@@ -453,16 +450,9 @@ def volume_distance_rows(basis: BallBasis, ids: np.ndarray) -> np.ndarray:
 
 
 def volume_distance_matrix(basis: BallBasis) -> np.ndarray:
-    """volume_distance_rows of every ball, built on each call one block of
-    rows at a time, each block's index arrays within BLOCK_ELEMS elements;
-    nothing keeps it."""
-    n = basis.n_atoms
-    out = np.empty((basis.n_balls, n))
-    rows = max(1, BLOCK_ELEMS // n)
-    for s in range(0, basis.n_balls, rows):
-        ids = np.arange(s, min(s + rows, basis.n_balls))
-        out[ids] = volume_distance_rows(basis, ids)
-    return out
+    """volume_distance_rows of every ball, built on each call; nothing
+    keeps it."""
+    return volume_distance_rows(basis, np.arange(basis.n_balls))
 
 
 def build_regular_family(basis: BallBasis) -> RegularFamily:
@@ -519,4 +509,4 @@ def general_maximal(f: VecFunction, fam: RegularFamily) -> np.ndarray:
     """M^{phi} f(x) = sup over the balls B containing x of int ||f|| phi_B."""
     basis = fam.basis
     vals = fam.kernels @ (f.norms() * basis.space.weights)
-    return _max_over_containing_balls(basis, vals, np.full(basis.n_atoms, -np.inf))
+    return basis.containing_reduce(np.maximum, vals, np.full(basis.n_atoms, -np.inf))

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotComparable
-from .functional import Params, VecFunction, vector_norms, volume_distance_rows
+from .functional import (Params, VecFunction, _power, vector_norms,
+                         volume_distance_rows)
 from .space import BLOCK_ELEMS, BallBasis
 
 
@@ -499,14 +500,6 @@ def structured_suite(basis: BallBasis, budget: int, seed: int) -> list[np.ndarra
     return funcs
 
 
-def _power(vals: np.ndarray, exponent: float) -> np.ndarray:
-    """vals ** exponent, one scalar power at a time, since numpy's array **
-    rounds differently; the power 1, which is exact, is skipped."""
-    if exponent == 1.0:
-        return vals
-    return np.array([v ** exponent for v in vals.tolist()])
-
-
 def _sample_ball_ids(basis: BallBasis, budget: int, seed: int) -> np.ndarray:
     if basis.n_balls <= budget:
         return np.arange(basis.n_balls)
@@ -614,9 +607,8 @@ def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
     # monte-carlo localization pass (also for exact operators: the suite is
     # shared with modulation families so their estimates stay comparable).
     # Per sampled ball, the sums of every suite function over its supersets
-    # come one size group at a time, from the groups that hold one; the
-    # powers stay scalar, since numpy's array ** rounds differently
-    mu_rho = np.array([m ** (-p.rho) for m in basis.mu.tolist()])
+    # come one size group at a time, from the groups that hold one
+    mu_rho = _power(basis.mu, -p.rho)
     groups = basis.size_groups()
     group_of = np.empty(basis.n_balls, dtype=np.intp)
     for gi, (ids, _) in enumerate(groups):

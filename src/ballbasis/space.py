@@ -22,11 +22,11 @@ cover queries (run over lo) and their star spans (over the measure rank).
 Other bases (relabelled atoms, hand-built) answer containment and stars
 from `PairIndex`, every (ball, member) pair sorted by atom: a ball contains
 an L-atom set when L of its pairs fall in the set, and the balls meeting a
-set are those of its atoms' pairs.  The same index serves a per-atom
-reduction over the balls containing each atom (maximal functions, T*,
-child covers): one gather and one `ufunc.reduceat`.  On interval bases the
-star sums of T* read `SpanIndex` instead: the distinct star spans of the
-balls containing each atom, each sum taken once per (atom, star span).
+set are those of its atoms' pairs.  A reduction over the balls containing
+each atom (maximal functions, child covers) is one `ufunc.at` over the
+member store on any basis, `containing_reduce`.  On interval bases the star
+sums of T* read `SpanIndex`, built from the spans: the distinct star spans
+of the balls containing each atom, each sum taken once per (atom, span).
 
 Every ball's star is kept as one CSR, `star_lists()`, built on first use:
 from the star spans on interval bases, otherwise by the star rule over the
@@ -174,10 +174,10 @@ class AtomIndex:
 class PairIndex(AtomIndex):
     """Every (ball, member) pair of `BallBasis.size_groups()`, stably sorted
     by atom: the balls containing atom x are ball[offsets[x]:offsets[x+1]].
+    Non-interval bases and the sparse operator's T* build it; nothing else.
 
     `order[k]` is the position of pair k in the basis's member store; it is
-    kept only for non-interval bases, whose star sums come in that order.
-    """
+    kept only for non-interval bases, whose star sums come in that order."""
 
     def __init__(self, basis: BallBasis):
         atom = basis._atoms.astype(np.int32)
@@ -201,26 +201,35 @@ class SpanIndex(AtomIndex):
     value that depends on a ball only through its star span is taken once
     per entry instead of once per (ball, member) pair.
 
-    Built from the pair index one block of whole atoms at a time: each
-    pair's span id (its rank among the distinct spans), offset by its
-    atom's place in the block, sorted, and its repeats dropped."""
+    Built from the spans: the balls of one star span, in order of lo, merge
+    into disjoint atom runs, and an atom's entries are the runs covering
+    it, emitted one block of whole atoms at a time."""
 
-    def __init__(self, pairs: PairIndex, slo: np.ndarray, shi: np.ndarray):
-        n = len(pairs.counts)
+    def __init__(self, basis: BallBasis):
+        n = basis.n_atoms
+        slo, shi = basis.star_spans()
         spans, span_id = np.unique(slo * (n + 1) + shi + 1, return_inverse=True)
         m = len(spans)
-        counts = np.zeros(n, dtype=np.int64)
-        parts = []
-        for lo, hi in pairs.blocks(0, 1):
-            key = np.repeat(np.arange(0, (hi - lo) * m, m), pairs.counts[lo:hi])
-            key += span_id[pairs.ball[pairs.offsets[lo]:pairs.offsets[hi]]]
+        # balls by (span, lo); keys span * (n + 1) + atom order them too, and
+        # a run starts past the furthest hi its span's earlier balls reach
+        by_span = np.lexsort((basis.lo, span_id))
+        run_id = span_id[by_span]
+        start = run_id * (n + 1) + basis.lo[by_span]
+        reach = np.maximum.accumulate(run_id * (n + 1) + basis.hi[by_span])
+        first = np.flatnonzero(np.concatenate([[True], start[1:] > reach[:-1] + 1]))
+        run_lo, run_id = start[first] % (n + 1), run_id[first]
+        run_hi = reach[np.append(first[1:], len(start)) - 1] % (n + 1)
+        del span_id, by_span, start, reach  # per ball: freed before the blocks
+        super().__init__(np.cumsum(np.bincount(run_lo, minlength=n + 1)
+                                   - np.bincount(run_hi + 1, minlength=n + 1))[:n])
+        ids = np.empty(self.offsets[-1], dtype=np.int32)
+        for lo, hi in self.blocks(0, 1):
+            live = (run_lo < hi) & (run_hi >= lo)
+            a = np.maximum(run_lo[live], lo)
+            width = np.minimum(run_hi[live], hi - 1) - a + 1
+            key = _ranges(a - lo, width) * m + np.repeat(run_id[live], width)
             key.sort()
-            key = key[np.diff(key, prepend=-1) != 0]
-            atom, ids = np.divmod(key, m)
-            counts[lo:hi] = np.bincount(atom, minlength=hi - lo)
-            parts.append(ids.astype(np.int32))
-        super().__init__(counts)
-        ids = np.concatenate(parts)
+            ids[self.offsets[lo]:self.offsets[hi]] = key % m
         self.lo = (spans // (n + 1)).astype(np.int32)[ids]
         self.hi = (spans % (n + 1) - 1).astype(np.int32)[ids]
         for a in (self.lo, self.hi, self.counts, self.offsets):
@@ -369,7 +378,7 @@ class BallBasis:
         if not self.interval:
             return self.pair_index()
         if self._span_index is None:
-            self._span_index = SpanIndex(self.pair_index(), *self.star_spans())
+            self._span_index = SpanIndex(self)
         return self._span_index
 
     def cover_table(self) -> np.ndarray:
@@ -396,6 +405,12 @@ class BallBasis:
             return pre[self.hi + 1] - pre[self.lo]
         out = np.empty(self.n_balls)
         out[self._order] = np.add.reduceat(mass[self._atoms], self._start[self._order])
+        return out
+
+    def containing_reduce(self, ufunc, vals: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out[x] = ufunc(out[x], ufunc of vals[B] over the balls B containing
+        x), for every atom x: one ufunc.at over the member store."""
+        ufunc.at(out, self._atoms, np.repeat(vals[self._order], self.sizes[self._order]))
         return out
 
     def member_star_sums(self, kernel: np.ndarray, v: np.ndarray):

@@ -94,9 +94,8 @@ def _dense_ranks(basis: BallBasis, dense: np.ndarray) -> tuple[np.ndarray, np.nd
     rank = np.empty(basis.n_balls, dtype=np.int64)
     rank[order] = np.arange(basis.n_balls)
     rank[~dense] = basis.n_balls
-    pairs = basis.pair_index()
     best = np.full(basis.n_atoms, basis.n_balls)
-    return order, pairs.reduce(np.minimum, rank[pairs.ball], best, 0, basis.n_atoms)
+    return order, basis.containing_reduce(np.minimum, rank, best)
 
 
 def child_cover(basis: BallBasis, F, E) -> list[int]:

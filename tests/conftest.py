@@ -195,8 +195,8 @@ def ball_medians_by_groups(f, basis):
 
 # -- per-size-group scatters ----------------------------------------------------
 # One np.minimum.at / np.maximum.at per size group, the star sums of a group
-# as one (m, L, d) array: the reference the atom-ordered pair index of
-# ballbasis.space must equal bitwise.
+# as one (m, L, d) array: the reference the atom indexes and member-store
+# reductions of ballbasis.space must equal bitwise.
 
 
 def kernel_truncation_by_groups(T, f):
@@ -225,6 +225,21 @@ def kernel_truncation_by_groups(T, f):
     for (ids, idx), sums in zip(groups, group_sums):
         np.maximum.at(out, idx, vector_norms(tf[idx] - sums, f.norm_kind))
     return out
+
+
+def span_index_by_pairs(basis):
+    """(lo, hi, counts) of star_sum_index() on an interval basis, walked
+    from the pair index as the span index was once built: each (ball,
+    member) pair's star span id, keyed by its atom, sorted and its repeats
+    dropped.  The reference the span-built SpanIndex must equal."""
+    n = basis.n_atoms
+    slo, shi = basis.star_spans()
+    spans, span_id = np.unique(slo * (n + 1) + shi + 1, return_inverse=True)
+    pairs = basis.pair_index()
+    key = np.unique(pairs.members(0, n) * len(spans) + span_id[pairs.ball])
+    atom, ids = np.divmod(key, len(spans))
+    return ((spans // (n + 1))[ids], (spans % (n + 1) - 1)[ids],
+            np.bincount(atom, minlength=n))
 
 
 def dense_ranks_by_groups(basis, dense):

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from ballbasis import ConfigError
+from ballbasis import ConfigError, cli
 from ballbasis.cli import emit_report, load_config, main
 from ballbasis.verify import CaseRow, Report
 
@@ -171,6 +171,29 @@ class TestMain:
         assert main(["all", "--config", path]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "all"])
+    @pytest.mark.parametrize("section, key, value", [
+        ("corpus", "generators", ["random_signs", "nope"]),
+        ("verify", "weight", {"kind": "nope"}),
+    ], ids=["generator", "weight_kind"])
+    def test_unknown_corpus_or_weight_kind_exit_two(self, tmp_path, capsys,
+                                                     monkeypatch, command,
+                                                     section, key, value):
+        """An unknown corpus generator or weight kind is rejected by
+        load_config: the run exits 2 before the basis is built, where it
+        once ran every other stage first (`estimate` even exited 0), and
+        writes no bundle."""
+        def refuse(cfg):
+            raise AssertionError("build_basis called")
+
+        monkeypatch.setattr(cli, "build_basis", refuse)
+        cfg = small_cfg(tmp_path / "out")
+        cfg[section][key] = value
+        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "nope" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("operators", [

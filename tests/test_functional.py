@@ -9,10 +9,9 @@ from ballbasis import (Ball, BallBasis, EmptySet, MeasureSpace, Params,
                        build_grid, build_regular_family, general_maximal,
                        maximal, median, sharp_all, sup_sharp_all)
 from ballbasis import functional
-from ballbasis.functional import (TAIL_LEVELS, _max_over_containing_balls,
-                                  ball_averages_all, ball_medians, level_tail,
-                                  mean_oscillation, medians, sharp_all_stack,
-                                  vector_norms)
+from ballbasis.functional import (TAIL_LEVELS, _power, ball_averages_all,
+                                  ball_medians, level_tail, mean_oscillation,
+                                  medians, sharp_all_stack, vector_norms)
 from ballbasis.space import BLOCK_ELEMS
 from conftest import (alpha_core_by_loop, alpha_oscillation_by_loop,
                       ball_medians_by_groups, level_tail_by_mask, median_by_loop,
@@ -45,11 +44,11 @@ def _sharp_all_by_balls(f, basis, r):
     return out
 
 
-def _scatter_max_by_balls(basis, vals, out):
-    """out[x] = max(out[x], vals[B]) over the balls B containing x, one ball
-    at a time: the reference for the size-grouped scatter-max."""
+def _scatter_by_balls(basis, vals, out, ufunc=np.maximum):
+    """out[x] = ufunc(out[x], vals[B]) over the balls B containing x, one
+    ball at a time: the reference for BallBasis.containing_reduce."""
     for b in basis.balls:
-        out[b.members] = np.maximum(out[b.members], vals[b.id])
+        out[b.members] = ufunc(out[b.members], vals[b.id])
     return out
 
 
@@ -503,12 +502,20 @@ class TestGroupedStatistics:
 
     @pytest.mark.parametrize("initial", [0.0, -np.inf])
     def test_scatter_max_equals_per_ball_loop(self, stat_basis, initial):
-        vals = np.random.default_rng(4).normal(size=stat_basis.n_balls)
-        want = _scatter_max_by_balls(stat_basis, vals,
-                                     np.full(stat_basis.n_atoms, initial))
-        got = _max_over_containing_balls(stat_basis, vals,
-                                         np.full(stat_basis.n_atoms, initial))
+        """containing_reduce takes a max over float values, as maximal does,
+        and a min over int ranks with the no-ball rank n_balls, as the child
+        cover does; both equal the per-ball loop."""
+        n, nb = stat_basis.n_atoms, stat_basis.n_balls
+        rng = np.random.default_rng(4)
+        vals = rng.normal(size=nb)
+        want = _scatter_by_balls(stat_basis, vals, np.full(n, initial))
+        got = stat_basis.containing_reduce(np.maximum, vals, np.full(n, initial))
         assert np.array_equal(got, want)
+        rank = rng.permutation(nb)
+        rank[rng.random(nb) < 0.5] = nb
+        want = _scatter_by_balls(stat_basis, rank, np.full(n, nb), np.minimum)
+        got = stat_basis.containing_reduce(np.minimum, rank, np.full(n, nb))
+        assert got.dtype == rank.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("norm_kind", ["euclidean", "max"])
     def test_maximal_equals_per_ball_loop(self, scatter_basis, norm_kind):
@@ -516,8 +523,41 @@ class TestGroupedStatistics:
         f = VecFunction(np.random.default_rng(5).normal(size=(n, 3)), norm_kind)
         for mode, vals in (("fractional_basis", ball_averages_all(f, scatter_basis, CLASSICAL)),
                            ("sharp", sharp_all(f, scatter_basis, CLASSICAL.r))):
-            want = _scatter_max_by_balls(scatter_basis, vals, np.zeros(n))
+            want = _scatter_by_balls(scatter_basis, vals, np.zeros(n))
             assert np.array_equal(maximal(f, scatter_basis, CLASSICAL, mode), want)
+
+
+def _python_pow(v, exponent):
+    """v ** exponent over Python floats, None where that raises (an
+    overflow, or 0 to a negative power)."""
+    try:
+        return float(v) ** exponent
+    except (OverflowError, ZeroDivisionError):
+        return None
+
+
+@pytest.mark.parametrize("exponent", [1.0, 1 / 1.5, 0.5, 1 / 3, 2.0, 1.7,
+                                      -1.0, -0.5, -0.3, -0.75])
+def test_power_equals_scalar_pow(exponent):
+    """_power equals, bitwise, the per-value powers it replaced: the sharp
+    means' over np.float64 scalars, and the estimator's mu ** -rho over
+    Python floats wherever those return; on 30,000 values over some 600
+    binades, with 0, inf and the extreme finite values."""
+    rng = np.random.default_rng(11)
+    vals = np.concatenate([rng.lognormal(sigma=60.0, size=30_000),
+                           rng.uniform(0.5, 2.0, 1_000),
+                           [0.0, 5e-324, 1.0, 1.7e308, np.inf]])
+    with np.errstate(over="ignore", divide="ignore"):
+        got = _power(vals, exponent)
+        want = np.array([v ** exponent for v in vals])
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got),
+                                                        np.signbit(want))
+    python = [_python_pow(v, exponent) for v in vals]
+    ok = np.array([p is not None for p in python])
+    assert ok.sum() > 30_000
+    assert np.array_equal(got[ok], np.array([p for p in python if p is not None]))
+    assert np.all(np.isinf(got[~ok]))
 
 
 class TestLevelTail:

@@ -674,11 +674,11 @@ class TestSpanIndexTruncation:
 
     def test_first_apply_memory(self, rng):
         """The first truncated apply on build_grid(256) builds the span index
-        (151,766 entries for 2,829,056 pairs) block by block: with the pair
-        index and star spans built before, its traced peak stays under
-        4 MiB, where the int64 keys of every pair at once take 22 MB."""
+        (151,766 entries; the grid has 2,829,056 (ball, member) pairs) from
+        the spans, block by block, and builds no pair index: with the star
+        spans built before, its traced peak stays under 4 MiB, where the
+        int64 keys of every pair at once take 22 MB."""
         basis = build_grid(256)
-        basis.pair_index()
         basis.star_spans()
         star = truncate(discrete_hilbert(basis))
         f = VecFunction(rng.normal(size=basis.n_atoms))
@@ -688,7 +688,7 @@ class TestSpanIndexTruncation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert basis._span_index is not None
+        assert basis._span_index is not None and basis._pair_index is None
         assert peak < 4 << 20, peak
 
 

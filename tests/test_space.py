@@ -1,4 +1,5 @@
 import ast
+import importlib
 import math
 import os
 import subprocess
@@ -21,12 +22,12 @@ from ballbasis import (Ball, BallBasis, MeasureSpace, OperatorDescriptor,
 from ballbasis.cli import main
 from ballbasis.functional import (sharp_all, volume_distance_matrix,
                                   volume_distance_rows)
-from ballbasis.space import BLOCK_ELEMS, _ranges, as_atom_array
+from ballbasis.space import BLOCK_ELEMS, PairIndex, _ranges, as_atom_array
 
 from conftest import (SCATTER_BASES, STAT_BASES, _relabelled, _reweighted,
                       check_axioms_by_loop, containing_by_matrix, dyadic_by_balls,
                       grid_by_balls, grid_hull_by_dict, membership_by_loop,
-                      star_of_set_by_matrix,
+                      span_index_by_pairs, star_of_set_by_matrix,
                       star_spans_by_mask,
                       superset_max_by_argmax, superset_max_by_matrix,
                       tied_values)
@@ -293,6 +294,16 @@ class TestPairIndex:
             assert len(runs) > 1
 
 
+def _assert_span_index_by_pairs(b):
+    """star_sum_index() on interval basis b, built from the spans without
+    the pair index, equals the pair-walk reference array for array."""
+    index = b.star_sum_index()
+    assert b._pair_index is None
+    for got, want in zip((index.lo, index.hi, index.counts), span_index_by_pairs(b)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(index.offsets, np.concatenate([[0], np.cumsum(index.counts)]))
+
+
 class TestSpanIndex:
     """On interval bases star_sum_index() holds, for each atom, the distinct
     star spans of the balls containing it, sorted; on others it is the pair
@@ -304,22 +315,39 @@ class TestSpanIndex:
         if not b.interval:
             assert b.star_sum_index() is b.pair_index()
             return
-        b.pair_index()
-        assert b._span_index is None  # lazy: the pair index does not pay for it
+        b.star_spans()
+        assert b._span_index is None  # lazy: the star spans do not pay for it
         index = b.star_sum_index()
         assert index.lo.dtype == index.hi.dtype == np.int32
         assert not any(a.flags.writeable
                        for a in (index.lo, index.hi, index.counts, index.offsets))
         slo, shi = b.star_spans()
-        pairs = b.pair_index()
         for x in range(b.n_atoms):
-            balls = pairs.ball[pairs.offsets[x]:pairs.offsets[x + 1]]
+            balls = b.balls_containing_atom(x)
             span = slice(index.offsets[x], index.offsets[x + 1])
             assert list(zip(index.lo[span].tolist(), index.hi[span].tolist())) == \
                 sorted(set(zip(slo[balls].tolist(), shi[balls].tolist())))
         assert np.array_equal(index.members(0, b.n_atoms),
                               np.repeat(np.arange(b.n_atoms), index.counts))
         assert b.star_sum_index() is index
+        _assert_span_index_by_pairs(b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(basis=st.deferred(lambda: interval_bases()))
+    def test_equals_pair_walk(self, basis):
+        """On random interval bases (grid, dyadic, reweighted grid, random
+        spans with repeats and atoms in no ball) the span-built index
+        equals the pair walk."""
+        _assert_span_index_by_pairs(basis)
+
+    @pytest.mark.parametrize("make", [lambda: build_grid(256), lambda: build_dyadic(12)],
+                             ids=["grid256", "dyadic12"])
+    def test_equals_pair_walk_at_size(self, make):
+        """The build's blocks split these atoms into several runs
+        (151,766 and 49,152 entries), and still equal the pair walk."""
+        b = make()
+        assert len(list(b.star_sum_index().blocks(0, 1))) > 1
+        _assert_span_index_by_pairs(b)
 
     @pytest.mark.parametrize("make, n_pairs, n_entries",
                              [(lambda: build_grid(64), 45_760, 4_110),
@@ -761,7 +789,8 @@ def non_interval_bases(draw):
 
 class TestPairIndexContainment:
     """On non-interval bases containment and stars come from the pair
-    index; they must equal the membership-matrix answers."""
+    index, and per-atom reductions from the member store; they must equal
+    the membership-matrix answers."""
 
     @settings(max_examples=80, deadline=None)
     @given(basis=non_interval_bases(), seed=st.integers(0, 2 ** 32 - 1))
@@ -792,6 +821,14 @@ class TestPairIndexContainment:
             assert np.array_equal(basis.star_of_set(idx[0]),
                                   star_of_set_by_matrix(basis, idx[0]))
         vals = rng.normal(size=nb)
+        member = membership_by_loop(basis)
+        by_ball = np.broadcast_to(vals[:, None], member.shape)
+        assert np.array_equal(basis.containing_reduce(np.maximum, vals, np.zeros(n)),
+                              np.max(by_ball, axis=0, where=member, initial=0.0))
+        rank = rng.integers(0, nb + 1, nb)
+        by_ball = np.broadcast_to(rank[:, None], member.shape)
+        assert np.array_equal(basis.containing_reduce(np.minimum, rank, np.full(n, nb)),
+                              np.min(by_ball, axis=0, where=member, initial=nb))
         rows = [(np.arange(min(3, nb)), idx[:nb])]
         for strict in (False, True):
             assert np.array_equal(basis.superset_max(vals, strict=strict),
@@ -910,6 +947,10 @@ def _assert_ball_integrals_by_matrix(basis, rng):
 
 def _refuse_membership(self):
     raise AssertionError("membership matrix built")
+
+
+def _refuse_pair_index(self, basis):
+    raise AssertionError("pair index built")
 
 
 def _count_inits(monkeypatch):
@@ -1147,8 +1188,11 @@ class TestIntervalStarOfSet:
     def test_no_stage_builds_membership_matrix(self, config, monkeypatch,
                                                tmp_path):
         """Every stage of `all` on the shipped configs (interval bases with
-        a full ball) runs without the membership matrix."""
+        a full ball) runs without the membership matrix and without the
+        pair index: per-atom maxima read the member store, and the span
+        index is built from the spans."""
         monkeypatch.setattr(BallBasis, "member_matrix", _refuse_membership)
+        monkeypatch.setattr(PairIndex, "__init__", _refuse_pair_index)
         path = Path(__file__).parents[1] / "configs" / f"{config}.json"
         assert main(["all", "--config", str(path), "--out", str(tmp_path)]) == 0
 
@@ -1276,6 +1320,25 @@ CONTAINMENT_CALLS = sorted([
 ])
 
 
+# Outside space.py, only the sparse operator's truncation builds the pair
+# index (its (pairs x k) maximum is one reduceat); every other per-atom
+# reduction is BallBasis.containing_reduce over the member store.
+PAIR_INDEX_CALLS = [("operators", "sparse_operator")]
+
+
+def test_pair_index_callers_stay_listed():
+    calls = set()
+    for path in sorted((Path(__file__).parents[1] / "src" / "ballbasis").glob("*.py")):
+        if path.name == "space.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "attr", None) == "pair_index"):
+                    calls.add((path.stem, getattr(top, "name", "<module>")))
+    assert sorted(calls) == PAIR_INDEX_CALLS
+
+
 def test_containment_calls_stay_listed():
     calls = []
     for path in sorted((Path(__file__).parents[1] / "src" / "ballbasis").glob("*.py")):
@@ -1288,6 +1351,26 @@ def test_containment_calls_stay_listed():
                     calls.append((path.stem, getattr(top, "name", "<module>"),
                                   node.attr))
     assert sorted(calls) == CONTAINMENT_CALLS
+
+
+def test_traced_names_resolve():
+    """Every name perfbench/tracer.py wraps (its TRACED table, read with ast
+    and not imported), and the two it patches by hand, resolves to a
+    callable in ballbasis: deleting or renaming one fails here, not in the
+    traced benchmark run."""
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    traced = next(ast.literal_eval(node.value) for node in ast.parse(path.read_text()).body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    names = [f"{mod}.{fn}" for mod, fns in traced.items() for fn in fns]
+    assert "functional.volume_distance_matrix" in names
+    for name in names + ["operators.OperatorDescriptor.apply", "operators.truncate"]:
+        mod, *attrs = name.split(".")
+        obj = importlib.import_module(f"ballbasis.{mod}")
+        for attr in attrs:
+            assert hasattr(obj, attr), name
+            obj = getattr(obj, attr)
+        assert callable(obj), name
 
 
 # Every def and class in src/ballbasis serves the paper's results: a name is
@@ -1436,9 +1519,10 @@ def test_no_medians_in_verify_loops():
     assert _looped_calls({"medians"}, 1, [src / "verify.py"]) == []
 
 
-# A reduction over the balls containing each atom is one gather and one
-# ufunc.reduceat over BallBasis.pair_index(): no ufunc.at( call sits inside a
-# loop or comprehension in src/ballbasis.
+# A reduction over the balls containing each atom is one ufunc.at over the
+# member store (BallBasis.containing_reduce) or one ufunc.reduceat over an
+# atom index: no ufunc.at( call sits inside a loop or comprehension in
+# src/ballbasis.
 def test_no_scatter_at_in_loops():
     src = Path(__file__).parents[1] / "src" / "ballbasis"
     assert _looped_calls({"at"}, 1, sorted(src.glob("*.py"))) == []
