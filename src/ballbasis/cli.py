@@ -50,7 +50,8 @@ _OP_DEFAULTS = {
 
 _SUITES = ("weak_type", "good_lambda", "exp_decay", "john_nirenberg", "bmo",
            "strong_domination", "ap")
-_WEIGHT_KINDS = ("unit", "half", "power")  # the kinds _build_weight builds
+# the kinds _build_weight builds -> the keys each reads besides kind
+_WEIGHT_KINDS = {"unit": set(), "half": {"value"}, "power": {"exponent"}}
 # the suites run_verify reads a threshold for
 _THRESHOLD_SUITES = {"weak_type", "good_lambda", "bmo"}
 # the stages that emit one report per operator, named <stage>/<operator name>
@@ -154,15 +155,21 @@ def load_config(path: str) -> dict:
         if math.isnan(bound):
             raise ConfigError(f"verify.thresholds.{name} must be a number, got NaN")
     weight = cfg["verify"]["weight"]
-    _check_keys("verify.weight", weight, {"kind", "value", "exponent"})
-    if weight.get("kind", "unit") not in _WEIGHT_KINDS:
-        raise ConfigError(f"unknown weight kind {weight['kind']!r}; known: {list(_WEIGHT_KINDS)}")
+    kind = weight.get("kind", "unit")
+    _check_type("verify.weight.kind", kind, "")
+    if kind not in _WEIGHT_KINDS:
+        raise ConfigError(f"unknown weight kind {kind!r}; known: {list(_WEIGHT_KINDS)}")
+    # a key the kind never reads would be silently ignored
+    _check_keys(f"verify.weight of kind {kind}", weight, {"kind"} | _WEIGHT_KINDS[kind])
     for k in ("value", "exponent"):
         if k in weight:
             _check_type(f"verify.weight.{k}", weight[k], 0.0)
             if not math.isfinite(weight[k]):
                 raise ConfigError(f"verify.weight.{k} must be finite, "
                                   f"got {weight[k]!r}")
+    if not cfg["corpus"]["generators"]:
+        # an empty corpus would pass every per-case check on no case
+        raise ConfigError("corpus.generators must name at least one generator")
     for g in cfg["corpus"]["generators"]:
         _check_type("corpus generator", g, "")
         if g not in GENERATOR_KINDS:

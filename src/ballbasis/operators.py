@@ -23,11 +23,19 @@ from .space import BLOCK_ELEMS, BallBasis
 
 class OperatorDescriptor:
     """An operator on functions over the basis atoms, its structure declared
-    once.  Either it has a kernel, Tf(x) = sum_y K(x, y) f(y) w(y): it is then
-    linear, and apply_fn, if given, is only a faster way to the same values.
-    Or apply_fn gives Tf.  truncate_fn, if given, gives the truncation T*f
-    (see truncate) and takes precedence over the kernel; the kernel then
-    stays for the exact passes (delta, the exact L1 pass).
+    once.  A linear operator has a kernel, Tf(x) = sum_y K(x, y) f(y) w(y),
+    and declares it by a kernel block: kernel_block(rows, cols=None) returns
+    the entries K[rows, cols] (rows and cols 1-d integer arrays), or, with
+    cols None, the whole kernel rows K[rows] (rows a slice or an integer
+    array of any shape, its shape followed by the atom axis).  The exact
+    passes (delta, the exact L1 pass, the kernel truncation) read entries
+    only through it.  A dense kernel array, passed as kernel, gives both the
+    block (by indexing: slabs are views) and the apply (a matmul); an
+    operator with a structural kernel_block gives its apply as apply_fn.
+    Without either T is not linear and apply_fn gives Tf.  apply_fn, if
+    given with a kernel, is only a faster way to the same values.
+    truncate_fn, if given, gives the truncation T*f (see truncate) and takes
+    precedence over the kernel.
 
     Operators apply to stacks: a (k, atoms, dim) array of k functions of one
     norm kind.  apply_fn(stack, norm_kind) returns the (k, atoms, dim') stack
@@ -36,19 +44,27 @@ class OperatorDescriptor:
     that row gives alone, so a caller may stack any rows it likes."""
 
     def __init__(self, name: str, basis: BallBasis, params: Params,
-                 kernel: np.ndarray | None = None, apply_fn=None,
-                 truncate_fn=None):
+                 kernel: np.ndarray | None = None, kernel_block=None,
+                 apply_fn=None, truncate_fn=None):
+        if kernel is not None and kernel_block is not None:
+            raise ValueError("give a dense kernel or a kernel block, not both")
+        if kernel is None and apply_fn is None:
+            raise ValueError("an operator needs a dense kernel or an apply_fn")
         self.name = name
         self.basis = basis
         self.params = params
         self.kernel = kernel
+        if kernel is not None:
+            def kernel_block(rows, cols=None):
+                return kernel[rows] if cols is None else kernel[np.ix_(rows, cols)]
+        self.kernel_block = kernel_block
         self._apply_fn = apply_fn
         self._truncate_fn = truncate_fn
         self._bo_constants: dict = {}  # (budget, seed) -> BOConstants
 
     @property
     def linear(self) -> bool:
-        return self.kernel is not None
+        return self.kernel_block is not None
 
     @property
     def restricted(self) -> bool:
@@ -56,10 +72,10 @@ class OperatorDescriptor:
         return self.linear and self.params.classical
 
     def apply_stack(self, stack: np.ndarray, norm_kind: str) -> np.ndarray:
-        """T of every row of a (k, atoms, dim) stack.  A kernel goes through
-        numpy's stacked matmul, one matrix-vector product per row, which
-        rounds each row as a lone product does; one (atoms, k) matrix product
-        would not."""
+        """T of every row of a (k, atoms, dim) stack.  A dense kernel goes
+        through numpy's stacked matmul, one matrix-vector product per row,
+        which rounds each row as a lone product does; one (atoms, k) matrix
+        product would not."""
         if self._apply_fn is None:
             w = self.basis.space.weights
             return self.kernel @ (stack * w[:, None])
@@ -211,19 +227,38 @@ def square_function(basis: BallBasis) -> OperatorDescriptor:
                               apply_fn=apply_fn, truncate_fn=truncate_fn)
 
 
+def _block_index(n: int, rows, cols):
+    """The atoms a kernel_block(rows, cols) call names, as integer arrays:
+    rows keeps its shape (a slice becomes its atoms) and cols None becomes
+    every atom."""
+    atoms = np.arange(n)
+    return atoms[rows], atoms if cols is None else atoms[cols]
+
+
 def sparse_operator(basis: BallBasis, ball_ids, rho: float = 1.0) -> OperatorDescriptor:
     """A_S f = sum over the listed balls A (repeats kept) of
-    mu(A)^-rho (sum over A of f w) 1_A.  Tf and T*f are read from the ball
-    list; the kernel serves the exact passes."""
+    mu(A)^-rho (sum over A of f w) 1_A.  Tf, T*f and the kernel blocks are
+    read from the ball list, kept as ball_ids; no n x n kernel is built."""
     if not (0 < rho <= 1):
         raise ValueError("rho must lie in (0,1]")
     n, nb = basis.n_atoms, basis.n_balls
     w = basis.space.weights
-    listed = [(basis.members(int(bid)), basis.mu[int(bid)] ** (-rho))
-              for bid in ball_ids]
-    kernel = np.zeros((n, n))
-    for members, c in listed:
-        kernel[np.ix_(members, members)] += c
+    ids = np.array([int(bid) for bid in ball_ids], dtype=np.intp)
+    ids.setflags(write=False)
+    listed = [(basis.members(bid), basis.mu[bid] ** (-rho)) for bid in ids.tolist()]
+
+    def kernel_block(rows, cols=None):
+        # K[x, y] adds mu(A)^-rho over the listed A holding x and y, in
+        # listed order from 0.0
+        r, c = _block_index(n, rows, cols)
+        out = np.zeros((r.size, c.size))
+        flat = r.ravel()
+        inside = np.zeros(n, dtype=bool)
+        for members, coef in listed:
+            inside[:] = False
+            inside[members] = True
+            out[np.ix_(inside[flat], inside[c])] += coef
+        return out.reshape(r.shape + c.shape)
 
     def apply_fn(stack, norm_kind):
         g = stack * w[:, None]
@@ -278,9 +313,12 @@ def sparse_operator(basis: BallBasis, ball_ids, rho: float = 1.0) -> OperatorDes
         return np.concatenate([star_rows(stack[i:i + step], norm_kind)
                                for i in range(0, len(stack), step)])
 
-    return OperatorDescriptor("sparse_operator", basis,
-                              Params(r=1.0, rho=rho, varrho=1.0), kernel=kernel,
-                              apply_fn=apply_fn, truncate_fn=truncate_fn)
+    op = OperatorDescriptor("sparse_operator", basis,
+                            Params(r=1.0, rho=rho, varrho=1.0),
+                            kernel_block=kernel_block, apply_fn=apply_fn,
+                            truncate_fn=truncate_fn)
+    op.ball_ids = ids
+    return op
 
 
 def riesz_potential(basis: BallBasis, alpha: float) -> OperatorDescriptor:
@@ -314,17 +352,30 @@ def discrete_hilbert(basis: BallBasis) -> OperatorDescriptor:
 
 
 def identity_operator(basis: BallBasis) -> OperatorDescriptor:
-    w = basis.space.weights
-    kernel = np.diag(1.0 / w)
+    """K = diag(1/w), its blocks read off the atom weights."""
+    n = basis.n_atoms
+    inv_w = 1.0 / basis.space.weights
+
+    def kernel_block(rows, cols=None):
+        r, c = _block_index(n, rows, cols)
+        r = r[..., None]
+        return np.where(r == c, inv_w[r], 0.0)
+
     return OperatorDescriptor("identity", basis, Params.classical_profile(1.0),
-                              kernel=kernel, apply_fn=lambda stack, norm_kind: stack,
+                              kernel_block=kernel_block,
+                              apply_fn=lambda stack, norm_kind: stack,
                               truncate_fn=lambda stack, norm_kind: np.zeros(stack.shape[:2]))
 
 
 def zero_operator(basis: BallBasis) -> OperatorDescriptor:
     n = basis.n_atoms
+
+    def kernel_block(rows, cols=None):
+        r, c = _block_index(n, rows, cols)
+        return np.zeros(r.shape + c.shape)
+
     return OperatorDescriptor(
-        "zero", basis, Params.classical_profile(1.0), kernel=np.zeros((n, n)),
+        "zero", basis, Params.classical_profile(1.0), kernel_block=kernel_block,
         apply_fn=lambda stack, norm_kind: np.zeros_like(stack),
         truncate_fn=lambda stack, norm_kind: np.zeros(stack.shape[:2]))
 
@@ -347,7 +398,7 @@ def _kernel_truncation(T: OperatorDescriptor, stack: np.ndarray,
     g = (stack * basis.space.weights[:, None]).transpose(1, 0, 2)
     index = basis.star_sum_index()
     out = np.zeros((n, k))
-    for lo, hi, sums in basis.member_star_sums(T.kernel, g):
+    for lo, hi, sums in basis.member_star_sums(T.kernel_block, g):
         norms = vector_norms(tf[index.members(lo, hi)] - sums, norm_kind)
         index.reduce(np.maximum, norms, out, lo, hi)
     return out.T
@@ -356,7 +407,7 @@ def _kernel_truncation(T: OperatorDescriptor, stack: np.ndarray,
 def _truncation(T: OperatorDescriptor):
     """(stack, norm_kind) -> T*f of every row as (k, atoms), from T's
     declared structure, or None."""
-    if T._truncate_fn is None and T.kernel is not None:
+    if T._truncate_fn is None and T.linear:
         return lambda stack, norm_kind: _kernel_truncation(T, stack, norm_kind)
     return T._truncate_fn
 
@@ -431,7 +482,7 @@ def delta(T: OperatorDescriptor, a_id: int, b_id: int, seed: int = 0) -> float:
     mu_bstar = basis.measure(b_star)
     members_a = basis.members(a_id)
     if _exactly_estimable(T):
-        sub = np.abs(T.kernel[np.ix_(members_a, support)])
+        sub = np.abs(T.kernel_block(members_a, support))
         return float(mu_bstar * sub.max())
     # monte-carlo lower bound over deltas and random test functions, applied
     # in stacks no wider than the widest suite
@@ -589,7 +640,7 @@ def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
             step = max(1, BLOCK_ELEMS // (idx.shape[1] * n))
             for s in range(0, len(ids), step):
                 b = ids[s:s + step]
-                cols = T.kernel[idx[s:s + step]]
+                cols = T.kernel_block(idx[s:s + step])
                 d = volume_distance_rows(basis, b)
                 stats = np.empty((2, len(b), n))
                 np.multiply(cols.max(axis=1) - cols.min(axis=1), d, out=stats[0])

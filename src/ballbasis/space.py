@@ -413,13 +413,15 @@ class BallBasis:
         ufunc.at(out, self._atoms, np.repeat(vals[self._order], self.sizes[self._order]))
         return out
 
-    def member_star_sums(self, kernel: np.ndarray, v: np.ndarray):
+    def member_star_sums(self, kernel_block, v: np.ndarray):
         """Yield (lo, hi, sums) over runs of whole atoms lo <= x < hi: row k
-        of sums is the sum over y in S of kernel[x, y] v[y] for the k-th
+        of sums is the sum over y in S of K[x, y] v[y] for the k-th
         entry of those atoms in star_sum_index(), S the entry's star span
         on interval bases and the star of the entry's ball on others.  v
         has one row per atom and the components of a function on its last
         axis; axes between stack several functions, and sums has them too.
+        The kernel K is read only as whole rows, kernel_block(rows) = K[rows]
+        (see OperatorDescriptor), a slice of atoms or a stack of atom sets.
 
         Interval bases build, block by block, only the prefix rows of the
         block's atoms, for every function at once, and take one difference
@@ -433,7 +435,8 @@ class BallBasis:
             cols = v.reshape(n, c)
             for lo, hi in index.blocks((n + 1) * c, c):
                 pre = np.zeros((hi - lo, n + 1, c))
-                np.multiply(kernel[lo:hi, :, None], cols[None], out=pre[:, 1:])
+                np.multiply(kernel_block(slice(lo, hi))[:, :, None], cols[None],
+                            out=pre[:, 1:])
                 np.cumsum(pre[:, 1:], axis=1, out=pre[:, 1:])  # in place
                 rows = index.members(lo, hi) - lo
                 span = slice(index.offsets[lo], index.offsets[hi])
@@ -447,7 +450,7 @@ class BallBasis:
         d = v.shape[-1]
         funcs = v.reshape(n, -1, d)
         sums = np.stack([np.concatenate([
-            np.matmul(kernel[idx], star[ids, :, None] * funcs[:, j]).reshape(-1, d)
+            np.matmul(kernel_block(idx), star[ids, :, None] * funcs[:, j]).reshape(-1, d)
             for ids, idx in self.size_groups()]) for j in range(funcs.shape[1])], axis=1)
         yield 0, n, sums[self.pair_index().order].reshape((-1,) + v.shape[1:])
 

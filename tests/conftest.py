@@ -193,6 +193,31 @@ def ball_medians_by_groups(f, basis):
     return out
 
 
+# -- dense kernels --------------------------------------------------------------
+
+
+def dense_kernel(T):
+    """T's kernel as one dense n x n array: the reference every kernel_block
+    must equal bitwise.  An operator built on a dense kernel holds it; the
+    zero, identity and sparse operators declare theirs by structure, and it
+    is built here as they once built it: zeros, diag(1/w), and the listed
+    balls' coefficients mu(A)^-rho added in listed order."""
+    if T.kernel is not None:
+        return T.kernel
+    basis = T.basis
+    n = basis.n_atoms
+    if T.name == "zero":
+        return np.zeros((n, n))
+    if T.name == "identity":
+        return np.diag(1.0 / basis.space.weights)
+    assert T.name == "sparse_operator", T.name
+    kernel = np.zeros((n, n))
+    for bid in T.ball_ids.tolist():
+        members = basis.members(bid)
+        kernel[np.ix_(members, members)] += basis.mu[bid] ** (-T.params.rho)
+    return kernel
+
+
 # -- per-size-group scatters ----------------------------------------------------
 # One np.minimum.at / np.maximum.at per size group, the star sums of a group
 # as one (m, L, d) array: the reference the atom indexes and member-store
@@ -208,10 +233,11 @@ def kernel_truncation_by_groups(T, f):
     tf = T.apply(f).values
     g = f.values * basis.space.weights[:, None]
     groups = basis.size_groups()
+    kernel = dense_kernel(T)
     if basis.interval:
         slo, shi = basis.star_spans()
         pre = np.zeros((n, n + 1, g.shape[1]))
-        np.multiply(T.kernel[:, :, None], g[None], out=pre[:, 1:])
+        np.multiply(kernel[:, :, None], g[None], out=pre[:, 1:])
         np.cumsum(pre[:, 1:], axis=1, out=pre[:, 1:])
         group_sums = [pre[idx, shi[ids, None] + 1] - pre[idx, slo[ids, None]]
                       for ids, idx in groups]
@@ -219,7 +245,7 @@ def kernel_truncation_by_groups(T, f):
         star = np.zeros((basis.n_balls, n), dtype=bool)
         for i in range(basis.n_balls):
             star[i, basis.star_members(i)] = True
-        group_sums = [np.matmul(T.kernel[idx], star[ids, :, None] * g)
+        group_sums = [np.matmul(kernel[idx], star[ids, :, None] * g)
                       for ids, idx in groups]
     out = np.zeros(n)
     for (ids, idx), sums in zip(groups, group_sums):
@@ -285,7 +311,8 @@ def delta_by_loop(T, a_id, b_id, seed):
     mu_bstar = basis.measure(b_star)
     members_a = basis.balls[a_id].members
     if _exactly_estimable(T):
-        return float(mu_bstar * np.abs(T.kernel[np.ix_(members_a, support)]).max())
+        sub = dense_kernel(T)[np.ix_(members_a, support)]
+        return float(mu_bstar * np.abs(sub).max())
     rng = np.random.default_rng([seed, a_id, b_id])
     w = basis.space.weights
     n = basis.n_atoms
@@ -356,11 +383,12 @@ def estimate_by_loop(T, budget, seed):
     r4 = 0.0
     if exact and basis.interval:
         dmat = volume_distance_matrix(basis)
+        kernel = dense_kernel(T)
         for bid in range(basis.n_balls):
             star = basis.star_members(bid)
             if star.size == n:
                 continue
-            cols = T.kernel[basis.balls[bid].members]
+            cols = kernel[basis.balls[bid].members]
             osc = cols.max(axis=0) - cols.min(axis=0)
             d = dmat[bid]
             ratios = osc * d

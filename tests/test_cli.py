@@ -196,6 +196,44 @@ class TestMain:
         assert "config error:" in err and "nope" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_empty_generators_exit_two(self, tmp_path, capsys):
+        """An empty corpus once let `all` exit 0, weak_type, good_lambda
+        and bmo passing on no case at all."""
+        cfg = small_cfg(tmp_path / "out")
+        cfg["corpus"]["generators"] = []
+        assert main(["all", "--config", write_cfg(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "generators" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("weight", [
+        {"kind": "unit", "exponent": 0.3, "value": 9.0},
+        {"exponent": 0.3},
+        {"kind": "half", "exponent": 0.3},
+        {"kind": "power", "value": 2.0},
+        {"kind": ["unit"]},
+    ], ids=["unit_both", "default_unit_exponent", "half_exponent", "power_value",
+            "kind_not_a_string"])
+    def test_unread_weight_key_exit_two(self, tmp_path, capsys, weight):
+        """unit reads no key, half only value and power only exponent: a key
+        its kind never reads would be ignored without a word."""
+        cfg = small_cfg(tmp_path / "out")
+        cfg["verify"]["weight"] = weight
+        assert main(["all", "--config", write_cfg(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "weight" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("weight", [{}, {"kind": "unit"},
+                                        {"kind": "half", "value": 3.0},
+                                        {"kind": "power", "exponent": 0.5}])
+    def test_read_weight_keys_accepted(self, tmp_path, weight):
+        cfg = small_cfg(tmp_path / "out")
+        cfg["verify"]["weight"] = weight
+        assert load_config(write_cfg(tmp_path, cfg))["verify"]["weight"] == weight
+
     @pytest.mark.parametrize("operators", [
         [{"kind": "identity", "name": "a"}, {"kind": "zero", "name": "a"}],
         [{"kind": "sparse"}, {"kind": "sparse", "seed": 3}],

@@ -20,7 +20,7 @@ from ballbasis.errors import ConfigError
 from ballbasis.functional import vector_norms
 from ballbasis.operators import _osc_on, _sample_ball_ids, structured_suite
 
-from conftest import (_relabelled, _reweighted, estimate_by_loop,
+from conftest import (_relabelled, _reweighted, dense_kernel, estimate_by_loop,
                       kernel_truncation_by_groups)
 
 
@@ -563,9 +563,10 @@ def _kernel_truncation_by_atoms(T, f):
     basis = T.basis
     tf = T.apply(f).values
     g = f.values * basis.space.weights[:, None]
+    kernel = dense_kernel(T)
     out = np.zeros(basis.n_atoms)
     for x in range(basis.n_atoms):
-        v = T.kernel[x][:, None] * g
+        v = kernel[x][:, None] * g
         pre = np.concatenate([np.zeros((1, v.shape[1])), np.cumsum(v, axis=0)])
         sums = []
         for b in basis.balls_containing_atom(x):
@@ -577,8 +578,10 @@ def _kernel_truncation_by_atoms(T, f):
 
 
 def _dense(T):
-    """T as a plain kernel operator: its kernel alone declares its structure."""
-    return OperatorDescriptor(f"dense {T.name}", T.basis, T.params, kernel=T.kernel)
+    """T as a plain kernel operator: its dense kernel alone declares its
+    structure."""
+    return OperatorDescriptor(f"dense {T.name}", T.basis, T.params,
+                              kernel=dense_kernel(T))
 
 
 class TestKernelTruncationPass:
@@ -1040,6 +1043,104 @@ class TestEstimateByStacks:
             calls.append(b)) or orig(self, b))
         estimate_bo_constants(T, budget=8, seed=0)
         assert 0 < len(calls) <= 3 * len(_sample_ball_ids(basis, 16, 0))
+
+
+@st.composite
+def kernel_block_cases(draw):
+    """(basis, operators): build_grid(2-40), build_dyadic(0-6), a reweighted
+    grid, or a grid or dyadic basis with its atoms relabelled (no ball an
+    interval); with every shipped linear operator that accepts it, the
+    conditional expectations at every level and sparse operators with
+    repeated ids at rho 1 and 1/2."""
+    kind = draw(st.sampled_from(["grid", "dyadic", "reweighted", "relabelled"]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if kind == "dyadic":
+        basis = build_dyadic(draw(st.integers(0, 6)))
+    else:
+        basis = build_grid(draw(st.integers(2, 40)))
+        if kind == "reweighted":
+            basis = _reweighted(basis, seed)
+        elif kind == "relabelled":
+            if draw(st.booleans()):
+                basis = build_dyadic(draw(st.integers(2, 6)))
+            basis = _relabelled(basis, seed)[0]
+    rng = np.random.default_rng(seed)
+    ids = rng.choice(basis.n_balls, size=draw(st.integers(1, 6)))
+    ops = [T for T in _shipped_operators(basis, seed) if T.linear]
+    ops += [sparse_operator(basis, np.concatenate([ids, ids[:2]]), rho)
+            for rho in (1.0, 0.5)]
+    for level in range(1, basis.n_atoms.bit_length()):
+        try:
+            ops.append(conditional_expectation(basis, level))
+        except ValueError:
+            break
+    return basis, ops
+
+
+def _bitwise_equal(got, want):
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes())
+
+
+class TestKernelBlock:
+    """kernel_block is the only way the exact passes read a kernel; every
+    shipped linear operator's blocks must equal bitwise the entries of its
+    dense kernel (conftest.dense_kernel)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=kernel_block_cases(), data=st.data())
+    def test_equals_dense_kernel(self, case, data):
+        basis, ops = case
+        n = basis.n_atoms
+        index_sets = st.lists(st.integers(0, n - 1), max_size=2 * n).map(
+            lambda v: np.array(v, dtype=np.intp))
+        # empty, repeated and unsorted sets, and drawn ones
+        sets = [np.array([], dtype=np.intp), np.array([n - 1, 0, n - 1, 0]),
+                np.arange(n)[::-1].copy(), data.draw(index_sets), data.draw(index_sets)]
+        lo = data.draw(st.integers(0, n))
+        hi = data.draw(st.integers(lo, n))
+        stack = np.random.default_rng(n).integers(0, n, size=(3, 2))
+        assert [T.name for T in ops if T.kernel is None] == [
+            T.name for T in ops if T.name in ("sparse_operator", "identity", "zero")]
+        for T in ops:
+            dense = dense_kernel(T)
+            assert dense.shape == (n, n), T.name
+            # whole rows: a slab, a stack of atom sets (as the size groups
+            # pass them) and each index set
+            for rows in [slice(lo, hi), stack] + sets:
+                assert _bitwise_equal(T.kernel_block(rows), dense[rows]), T.name
+            for rows in sets:
+                for cols in sets:
+                    assert _bitwise_equal(T.kernel_block(rows, cols),
+                                          dense[np.ix_(rows, cols)]), T.name
+
+    def test_linear_and_restricted(self, dyadic4, grid16):
+        """Every kind a config may name keeps its declared linearity."""
+        want = {"martingale_transform": (True, True), "cond_exp[0]": (True, True),
+                "square_function": (False, False), "modulation[5]": (False, False),
+                "discrete_hilbert": (True, True), "riesz[0.5]": (True, False),
+                "sparse_operator": (True, True), "identity": (True, True),
+                "zero": (True, True)}
+        got = {T.name: (T.linear, T.restricted)
+               for basis in (dyadic4, grid16) for T in _shipped_operators(basis, 0)}
+        assert got == want
+        assert sparse_operator(dyadic4, [1, 2], rho=0.5).restricted is False
+
+    @pytest.mark.parametrize("make", [identity_operator, zero_operator,
+                                      lambda b: sparse_operator(b, np.arange(0, b.n_balls, 97))],
+                             ids=["identity", "zero", "sparse"])
+    def test_structural_kernels_build_no_dense_array(self, dyadic10, make):
+        """The zero, identity and sparse operators declare their kernels by
+        structure: built on 1,024 atoms each traces under 1 MiB, where an
+        n x n kernel alone is 8 MiB."""
+        tracemalloc.start()
+        try:
+            T = make(dyadic10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert T.kernel is None and T.linear
+        assert peak < 1 << 20, peak
 
 
 @st.composite

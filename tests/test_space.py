@@ -677,7 +677,10 @@ def _pair_star_sums(basis, kernel, v):
     pair_index(), in its order.  On interval bases the rows are one per
     star_sum_index() entry, so each pair's row is looked up by its atom and
     its ball's star span, and every pair must find one."""
-    rows = np.concatenate([s for _, _, s in basis.member_star_sums(kernel, v)])
+    def rows_of(rows):
+        return kernel[rows]
+
+    rows = np.concatenate([s for _, _, s in basis.member_star_sums(rows_of, v)])
     if not basis.interval:
         return rows
     n = basis.n_atoms
@@ -1242,6 +1245,20 @@ def test_layout_reads_stay_in_space():
                     reads.append((path.stem, getattr(top, "name", "<module>"),
                                   node.attr))
     assert sorted(reads) == LAYOUT_READS
+
+
+def test_kernel_reads_stay_in_descriptor():
+    """Outside the OperatorDescriptor class, no src line reads `.kernel`: the
+    exact passes read kernel entries through `kernel_block` only, so an
+    operator that declares its kernel by structure needs no dense array."""
+    reads = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "ballbasis").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.ClassDef) and top.name == "OperatorDescriptor":
+                continue
+            reads += [(path.stem, node.lineno) for node in ast.walk(top)
+                      if isinstance(node, ast.Attribute) and node.attr == "kernel"]
+    assert reads == []
 
 
 def test_src_reads_balls_by_id():
