@@ -565,6 +565,12 @@ _COMMANDS = ("check-basis", "estimate", "sparsify", "dominate", "verify", "all")
 
 
 def run_experiment(command: str, cfg: dict, suite: str | None = None) -> tuple[list[Report], list[str]]:
+    # checked before any stage runs, so a bad value writes no bundle
+    if suite is not None and command not in ("verify", "all"):
+        raise ConfigError(f"--suite restricts verify and all, not {command}")
+    out = cfg["out"]
+    if not out or os.path.exists(out) and not os.path.isdir(out):
+        raise ConfigError(f"out must name a directory, got {out!r}")
     basis = build_basis(cfg)
     ops = [build_operator(spec, basis, int(cfg["seed"]))
            for spec in cfg["operators"]]
@@ -596,7 +602,7 @@ def main(argv=None) -> int:
                         help="override the config (and BALLBASIS_SEED) seed")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--suite", default=None,
-                        help="restrict 'verify' to one suite")
+                        help="restrict the verify stage to one suite")
     args = parser.parse_args(argv)
 
     try:

@@ -34,7 +34,6 @@ class SparseBound:
     indicators: list[np.ndarray]      # shrunken supports (martingale family)
     enclosing: int                    # ball id of the enclosing ball
     constant: float
-    kind: str                         # fractional_mean | mean_oscillation | alpha_oscillation
     terms: list[float]                # per-node coefficient values
     center: np.ndarray | None = None
     details: dict = field(default_factory=dict)
@@ -171,7 +170,7 @@ def dominate_bo(T: OperatorDescriptor, consts: BOConstants, f: VecFunction,
         bound = SparseBound(basis=basis, family=list(tree.nodes),
                             indicators=fam.shrink,
                             enclosing=int(basis.hull[tree.root]),
-                            constant=0.0, kind="fractional_mean", terms=terms,
+                            constant=0.0, terms=terms,
                             details={"lambda": lam, "nodes": tree.n_nodes,
                                      "alpha_threshold": alpha_threshold,
                                      "admissible_alpha": tree.admissible})
@@ -261,7 +260,7 @@ def lerner_decompose(f: VecFunction, a0: int, beta: float,
     bound = SparseBound(basis=basis, family=[int(basis.hull[nb]) for nb in node_balls],
                         indicators=fam.shrink,
                         enclosing=int(basis.hull[tree.root]),
-                        constant=0.0, kind="alpha_oscillation", terms=terms,
+                        constant=0.0, terms=terms,
                         center=med_rep,
                         details={"beta": beta, "nodes": len(node_balls),
                                  "repaired": len(uncovered), "alpha": alpha})
@@ -312,8 +311,7 @@ def dominate_mean_osc(family: list[OperatorDescriptor], f: VecFunction,
     lhs = np.abs(tf - float(inner.center[0]))
     bound = SparseBound(basis=basis, family=list(inner.family),
                         indicators=inner.indicators,
-                        enclosing=inner.enclosing, constant=0.0,
-                        kind="mean_oscillation", terms=terms,
+                        enclosing=inner.enclosing, constant=0.0, terms=terms,
                         center=inner.center,
                         details={"beta": beta, "nodes": len(inner.family)})
     _certify(bound, lhs, b_id, "dominate_mean_osc")

@@ -431,28 +431,10 @@ class RegularFamily:
     growth_measured: float   # minimal multiplier in condition (2) against gamma(u)=u
 
 
-def volume_distance_rows(basis: BallBasis, ids: np.ndarray) -> np.ndarray:
-    """d(x, B) for every atom x (columns) and each ball B of ids (rows); inf
-    where no ball contains both."""
-    n = basis.n_atoms
-    if basis.interval:
-        # the least ball holding B and x covers the span of both: one gather
-        # from the cover table
-        xs = np.arange(n)
-        return basis.cover_table()[np.minimum(xs, basis.lo[ids, None]),
-                                   np.maximum(xs, basis.hi[ids, None])]
-    out = np.full((len(ids), n), np.inf)
-    for row, i in zip(out, np.asarray(ids).tolist()):
-        for j in basis.supersets(i):
-            m = basis.members(j)
-            row[m] = np.minimum(row[m], basis.mu[j])
-    return out
-
-
 def volume_distance_matrix(basis: BallBasis) -> np.ndarray:
-    """volume_distance_rows of every ball, built on each call; nothing
+    """basis.volume_distance_rows of every ball, built on each call; nothing
     keeps it."""
-    return volume_distance_rows(basis, np.arange(basis.n_balls))
+    return basis.volume_distance_rows(np.arange(basis.n_balls))
 
 
 def build_regular_family(basis: BallBasis) -> RegularFamily:

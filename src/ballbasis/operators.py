@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotComparable
-from .functional import (Params, VecFunction, _power, vector_norms,
-                         volume_distance_rows)
+from .functional import Params, VecFunction, _power, vector_norms
 from .space import BLOCK_ELEMS, BallBasis
 
 
@@ -102,27 +101,18 @@ class OperatorDescriptor:
 
 
 def dyadic_levels(basis: BallBasis) -> int:
-    """The generations below the root.  The dyadic operators read ball
-    2^g - 1 + j (j < 2^g) as the atoms [j n/2^g, (j+1) n/2^g) of generation
-    g, so a basis that claims kind="dyadic" must have that layout too."""
-    n = basis.n_atoms
-    ok = (basis.kind == "dyadic" and basis.interval and n & (n - 1) == 0
-          and basis.n_balls == 2 * n - 1)
-    if ok:
-        gens = np.arange(n.bit_length())
-        g = np.repeat(gens, 1 << gens)
-        width = n >> g
-        lo = (np.arange(basis.n_balls) + 1 - (1 << g)) * width
-        ok = bool(np.array_equal(basis.lo, lo)
-                  and np.array_equal(basis.hi, lo + width - 1))
-    if not ok:
+    """basis.dyadic_levels(); the dyadic operators need build_dyadic's layout."""
+    levels = basis.dyadic_levels()
+    if levels is None:
         raise ValueError("operator needs a martingale (dyadic) basis")
-    return n.bit_length() - 1
+    return levels
 
 
 def _require_grid(basis: BallBasis):
-    if basis.kind != "grid":
-        raise ValueError("operator needs a 1-d grid basis")
+    """The grid kernels read atoms as points of a line with counting
+    measure: every ball an atom interval, every atom weight 1."""
+    if not (basis.interval and np.all(basis.space.weights == 1.0)):
+        raise ValueError("operator needs an interval basis over unit atom weights")
 
 
 def _level_slices(g: int):
@@ -169,13 +159,10 @@ def square_function(basis: BallBasis) -> OperatorDescriptor:
     n = basis.n_atoms
     mu = [basis.mu[_level_slices(g)][:, None] for g in range(levels + 1)]
     # B* is B or an ancestor (the star rule adds the nested balls of measure
-    # <= 2 mu(B)): for ball B at generation g and place j, the ancestor at
-    # generation p is 2^p - 1 + (j >> (g - p))
+    # <= 2 mu(B)): the run of width w = n / 2^p at place slo / w of some
+    # generation p, so ball 2^p - 1 + slo / w = (n + slo) / w - 1
     slo, shi = basis.star_spans()
-    gen = np.repeat(np.arange(levels + 1), 1 << np.arange(levels + 1))
-    star_gen = np.round(np.log2(n / (shi - slo + 1))).astype(np.int64)
-    star_id = ((1 << star_gen) - 1
-               + ((np.arange(basis.n_balls) + 1 - (1 << gen)) >> (gen - star_gen)))
+    star_id = (n + slo) // (shi - slo + 1) - 1
 
     def block_sums(stack):
         # Generation g is 2^g consecutive blocks of n >> g atoms (checked by
@@ -641,7 +628,7 @@ def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
             for s in range(0, len(ids), step):
                 b = ids[s:s + step]
                 cols = T.kernel_block(idx[s:s + step])
-                d = volume_distance_rows(basis, b)
+                d = basis.volume_distance_rows(b)
                 stats = np.empty((2, len(b), n))
                 np.multiply(cols.max(axis=1) - cols.min(axis=1), d, out=stats[0])
                 np.multiply(stats[0], np.log1p(d / basis.mu[b, None]), out=stats[1])

@@ -255,6 +255,14 @@ def _star_spans(lo: np.ndarray, hi: np.ndarray, mu: np.ndarray,
             np.where(meets, last, -1).astype(np.int64))
 
 
+def _heap_spans(levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, width) of ball 2^g - 1 + j, for each generation g <= levels and
+    j < 2^g: the atoms [j n/2^g, (j+1) n/2^g) of n = 2^levels, in id order."""
+    gen = np.repeat(np.arange(levels + 1), 1 << np.arange(levels + 1))
+    width = (1 << levels) >> gen
+    return (np.arange(len(gen)) + 1 - (1 << gen)) * width, width
+
+
 @dataclass(frozen=True)
 class Ball:
     """A ball as a record: what the hand-built entry takes and `balls` lists."""
@@ -272,7 +280,7 @@ class BallBasis:
     """
 
     def __init__(self, space: MeasureSpace, balls: list[Ball], hull: list[int],
-                 K: float, eta: float | None = None, kind: str | None = None):
+                 K: float, eta: float | None = None):
         balls = list(balls)
         for pos, b in enumerate(balls):
             if b.id != pos:
@@ -282,25 +290,25 @@ class BallBasis:
         atoms = np.concatenate([np.asarray(balls[i].members, dtype=np.int64)
                                 for i in order.tolist()])
         self._store(space, atoms, order, sizes, [b.measure for b in balls], hull,
-                    K, eta, kind)
+                    K, eta)
 
     @classmethod
     def from_spans(cls, space: MeasureSpace, lo: np.ndarray, sizes: np.ndarray,
-                   mu: np.ndarray, hull: np.ndarray, K: float, eta: float | None,
-                   kind: str | None) -> BallBasis:
+                   mu: np.ndarray, hull: np.ndarray, K: float,
+                   eta: float | None) -> BallBasis:
         """Ball i spans atoms lo[i] .. lo[i] + sizes[i] - 1, measure mu[i]."""
         basis = cls.__new__(cls)
         order = np.argsort(sizes, kind="stable")
         basis._store(space, _ranges(lo[order], sizes[order]), order, sizes, mu,
-                     hull, K, eta, kind)
+                     hull, K, eta)
         return basis
 
-    def _store(self, space, atoms, order, sizes, mu, hull, K, eta, kind):
+    def _store(self, space, atoms, order, sizes, mu, hull, K, eta):
         """The initialiser both entries share: atoms holds the members of
         ball order[0], then of order[1], ..., order the stable sort of sizes.
         ValueError unless each ball's atoms strictly increase within
         [0, n_atoms) and each hull id lies in [0, n_balls)."""
-        self.space, self.kind = space, kind  # kind: "dyadic", "grid" or None
+        self.space = space
         self.K, self.eta = float(K), None if eta is None else float(eta)
         self.n_atoms, self.n_balls = space.n_atoms, len(sizes)
         nb = self.n_balls
@@ -332,7 +340,7 @@ class BallBasis:
         self._size_groups = [
             (order[g:g + m], atoms[ends[g] - s:ends[g] - s + m * s].reshape(m, s))
             for s, g, m in zip(size.tolist(), first.tolist(), count.tolist())]
-        self._pair_index = self._span_index = self._cover_table = None
+        self._pair_index = self._span_index = self._cover = None
         self._star_spans = self._star_lists = None
 
     # -- basic accessors -------------------------------------------------
@@ -381,11 +389,11 @@ class BallBasis:
             self._span_index = SpanIndex(self)
         return self._span_index
 
-    def cover_table(self) -> np.ndarray:
+    def _cover_table(self) -> np.ndarray:
         """table[a, b] = least measure of a ball whose span covers the atom
         span [a, b], inf where none does (on interval bases: of a ball
         containing [a, b]).  Built on first use and kept; read-only."""
-        if self._cover_table is None:
+        if self._cover is None:
             table = np.full((self.n_atoms, self.n_atoms), np.inf)
             np.minimum.at(table, (self.lo, self.hi), self.mu)
             # min over balls with lo <= a, then over those with hi >= b; in
@@ -393,8 +401,25 @@ class BallBasis:
             np.minimum.accumulate(table, axis=0, out=table)
             np.minimum.accumulate(table[:, ::-1], axis=1, out=table[:, ::-1])
             table.setflags(write=False)
-            self._cover_table = table
-        return self._cover_table
+            self._cover = table
+        return self._cover
+
+    def volume_distance_rows(self, ids: np.ndarray) -> np.ndarray:
+        """d(x, B) for every atom x (columns) and each ball B of ids (rows),
+        the least measure of a ball containing both; inf where none does."""
+        n = self.n_atoms
+        if self.interval:
+            # the least ball holding B and x covers the span of both: one
+            # gather from the cover table
+            xs = np.arange(n)
+            return self._cover_table()[np.minimum(xs, self.lo[ids, None]),
+                                       np.maximum(xs, self.hi[ids, None])]
+        out = np.full((len(ids), n), np.inf)
+        for row, i in zip(out, np.asarray(ids).tolist()):
+            for j in self.supersets(i):
+                m = self.members(j)
+                row[m] = np.minimum(row[m], self.mu[j])
+        return out
 
     # -- sums over balls and stars ------------------------------------------
 
@@ -462,31 +487,24 @@ class BallBasis:
         supersets of ball i), over balls of more than L atoms only if strict;
         -inf where no ball qualifies.
 
-        Interval bases answer all rows in one _sweep_max over (lo, hi); the
-        strict supersets of a contiguous row [a, b] cover [a - 1, b] or
-        [a, b + 1], and a non-contiguous row has no containing ball of its
-        own size."""
-        out = np.full(self.n_balls, -np.inf)
-        if not self.interval:
-            for ids, idx in self.size_groups() if groups is None else groups:
-                mask = self._containing(idx)
-                if strict:
-                    mask &= self.sizes > idx.shape[1]
-                out[ids] = np.max(np.broadcast_to(vals, mask.shape), axis=-1,
-                                  where=mask, initial=-np.inf)
-            return out
-        if groups is None:  # the rows are the balls, spanning [lo, hi]
-            ids, a, b, contiguous = slice(None), self.lo, self.hi, True
-        else:
-            ids, a, b, contiguous = (np.concatenate(c) for c in zip(*[
-                (g, idx[:, 0], idx[:, -1], idx[:, -1] - idx[:, 0] < idx.shape[1])
-                for g, idx in groups]))
+        On interval bases the balls' own rows are one _sweep_max over (lo,
+        hi): the strict supersets of [a, b] cover [a - 1, b] or [a, b + 1].
+        Given groups, or on other bases, each group takes a containment
+        mask."""
         n = self.n_atoms
-        best = _sweep_max(self.lo, self.hi, vals, a - strict * contiguous, b, n, n)
-        if strict:
-            np.maximum(best, _sweep_max(self.lo, self.hi, vals, a, b + contiguous, n, n),
-                       out=best)
-        out[ids] = best
+        if groups is None and self.interval:
+            best = _sweep_max(self.lo, self.hi, vals, self.lo - strict, self.hi, n, n)
+            if strict:
+                np.maximum(best, _sweep_max(self.lo, self.hi, vals, self.lo,
+                                            self.hi + 1, n, n), out=best)
+            return best
+        out = np.full(self.n_balls, -np.inf)
+        for ids, idx in self.size_groups() if groups is None else groups:
+            mask = self._containing(idx)
+            if strict:
+                mask &= self.sizes > idx.shape[1]
+            out[ids] = np.max(np.broadcast_to(vals, mask.shape), axis=-1,
+                              where=mask, initial=-np.inf)
         return out
 
     # -- star / hull -----------------------------------------------------
@@ -640,6 +658,16 @@ class BallBasis:
         ids = np.flatnonzero(self.sizes == self.n_atoms)
         return int(ids[0]) if ids.size else None
 
+    def dyadic_levels(self) -> int | None:
+        """The generations below the root if the balls are laid out as
+        build_dyadic lays them out (see _heap_spans), else None."""
+        n, levels = self.n_atoms, self.n_atoms.bit_length() - 1
+        if n != 1 << levels or self.n_balls != 2 * n - 1 or not self.interval:
+            return None
+        lo, width = _heap_spans(levels)
+        same = np.array_equal(self.lo, lo) and np.array_equal(self.sizes, width)
+        return levels if same else None
+
 
 # -- builders ---------------------------------------------------------------
 
@@ -652,13 +680,10 @@ def build_dyadic(levels: int) -> BallBasis:
     if levels > 20:
         raise ValueError("levels > 20 rejected (ball count guard)")
     n = 1 << levels
-    space = MeasureSpace(np.full(n, 1.0 / n))
-    gen = np.repeat(np.arange(levels + 1), 1 << np.arange(levels + 1))
-    ids = np.arange(len(gen))
-    width = n >> gen
-    return BallBasis.from_spans(space, (ids + 1 - (1 << gen)) * width, width,
-                                width / n, np.maximum(ids - 1, 0) // 2, K=2.0,
-                                eta=2.0, kind="dyadic")
+    lo, width = _heap_spans(levels)
+    return BallBasis.from_spans(MeasureSpace(np.full(n, 1.0 / n)), lo, width,
+                                width / n, np.maximum(np.arange(len(lo)) - 1, 0) // 2,
+                                K=2.0, eta=2.0)
 
 
 def build_grid(n: int) -> BallBasis:
@@ -673,7 +698,7 @@ def build_grid(n: int) -> BallBasis:
     # hull = the interval equal to star(B) (always present in a complete grid)
     slo, shi = _star_spans(lo, hi, mu, n)
     hull = slo * n - slo * (slo - 1) // 2 + (shi - slo)
-    return BallBasis.from_spans(space, lo, sizes, mu, hull, K=5.0, eta=2.0, kind="grid")
+    return BallBasis.from_spans(space, lo, sizes, mu, hull, K=5.0, eta=2.0)
 
 
 # -- operations ---------------------------------------------------------------

@@ -2,13 +2,14 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ballbasis import (Ball, BallBasis, MeasureSpace, VecFunction, build_dyadic,
                        build_grid)
 from ballbasis.functional import medians, vector_norms
 
 
-def _relabelled(basis, seed, kind=None):
+def _relabelled(basis, seed):
     """basis with its atoms relabelled by a seeded permutation: atom a becomes
     atom perm[a] and keeps its weight; balls keep their ids and measures."""
     perm = np.random.default_rng(seed).permutation(basis.n_atoms)
@@ -16,7 +17,28 @@ def _relabelled(basis, seed, kind=None):
     weights[perm] = basis.space.weights
     balls = [Ball(b.id, np.sort(perm[b.members]), b.measure) for b in basis.balls]
     return BallBasis(MeasureSpace(weights), balls, basis.hull, K=basis.K,
-                     eta=basis.eta, kind=kind), perm
+                     eta=basis.eta), perm
+
+
+@st.composite
+def span_bases(draw, min_atoms=1):
+    """Random atom spans over min_atoms to 12 atoms of random weights, the
+    first few listed twice, so that balls share a (lo, hi) and some atoms
+    may lie in no ball; every hull is ball 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(min_atoms, 12))
+    space = MeasureSpace(rng.uniform(0.5, 2.0, n))
+    spans = np.sort(rng.integers(0, n, size=(draw(st.integers(1, 12)), 2)), axis=1)
+    spans = np.concatenate([spans, spans[:draw(st.integers(1, 4))]])
+    balls = [Ball(i, np.arange(lo, hi + 1), space.measure(np.arange(lo, hi + 1)))
+             for i, (lo, hi) in enumerate(spans)]
+    return BallBasis(space, balls, np.zeros(len(balls), dtype=np.int64), K=3.0)
+
+
+def takes_grid_kernels(basis):
+    """Whether discrete_hilbert and riesz_potential accept basis: an interval
+    basis over unit atom weights."""
+    return basis.interval and bool(np.all(basis.space.weights == 1.0))
 
 
 def _reweighted(basis, seed):
@@ -513,7 +535,7 @@ def dyadic_by_balls(levels):
             members = np.arange(j * width, (j + 1) * width, dtype=np.int64)
             balls.append(Ball(bid, members, width / n))
             hull.append(bid if g == 0 else ((1 << (g - 1)) - 1 + j // 2))
-    return BallBasis(space, balls, hull, K=2.0, eta=2.0, kind="dyadic")
+    return BallBasis(space, balls, hull, K=2.0, eta=2.0)
 
 
 def grid_by_balls(n):
@@ -521,7 +543,7 @@ def grid_by_balls(n):
     lo, hi = np.triu_indices(n)
     balls = [Ball(bid, np.arange(i, j + 1, dtype=np.int64), float(j - i + 1))
              for bid, (i, j) in enumerate(zip(lo.tolist(), hi.tolist()))]
-    return BallBasis(space, balls, grid_hull_by_dict(n), K=5.0, eta=2.0, kind="grid")
+    return BallBasis(space, balls, grid_hull_by_dict(n), K=5.0, eta=2.0)
 
 
 # -- membership-matrix containment and stars ---------------------------------

@@ -362,6 +362,41 @@ class TestMain:
         assert ((tmp_path / "a" / "report.json").read_text()
                 == (tmp_path / "b" / "report.json").read_text())
 
+    @pytest.mark.parametrize("command", ["check-basis", "estimate", "sparsify",
+                                         "dominate"])
+    def test_suite_outside_verify_exit_two(self, tmp_path, capsys, command):
+        """--suite restricts the verify stage; `estimate --suite bmo` once
+        exited 0 and ignored it."""
+        path = write_cfg(tmp_path, small_cfg(tmp_path / "out"))
+        assert main([command, "--config", path, "--suite", "bmo"]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "--suite" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_empty_out_exit_two(self, tmp_path, capsys, monkeypatch, where):
+        """An empty output directory, from --out or the config, once ended
+        in a FileNotFoundError traceback with exit 1."""
+        monkeypatch.chdir(tmp_path)
+        cfg = small_cfg("" if where == "config" else tmp_path / "out")
+        argv = ["estimate", "--config", write_cfg(tmp_path, cfg)]
+        assert main(argv + (["--out", ""] if where == "flag" else [])) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "out" in err and "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+    def test_out_is_a_file_exit_two(self, tmp_path, capsys):
+        """An output path naming a file once ended in a FileExistsError
+        traceback with exit 1; the file is left as it was."""
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        path = write_cfg(tmp_path, small_cfg(tmp_path / "out"))
+        assert main(["check-basis", "--config", path, "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "taken" in err and "Traceback" not in err
+        assert taken.read_text() == "kept\n"
+        assert not (tmp_path / "out").exists()
+
     def test_verify_suite_filter(self, tmp_path):
         path = write_cfg(tmp_path, small_cfg(tmp_path / "out"))
         assert main(["verify", "--config", path, "--suite", "weak_type",

@@ -497,7 +497,7 @@ class TestGroupedStatistics:
         assert np.array_equal(sup_sharp_all(f, stat_basis, r), want)
 
     def test_cover_table_equals_per_lo_loop(self, stat_basis):
-        assert np.array_equal(stat_basis.cover_table(),
+        assert np.array_equal(stat_basis._cover_table(),
                               _cover_measure_table_by_lo(stat_basis))
 
     @pytest.mark.parametrize("initial", [0.0, -np.inf])

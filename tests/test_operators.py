@@ -20,8 +20,9 @@ from ballbasis.errors import ConfigError
 from ballbasis.functional import vector_norms
 from ballbasis.operators import _osc_on, _sample_ball_ids, structured_suite
 
-from conftest import (_relabelled, _reweighted, dense_kernel, estimate_by_loop,
-                      kernel_truncation_by_groups)
+from conftest import (_relabelled, _reweighted, dense_kernel, dyadic_by_balls,
+                      estimate_by_loop, kernel_truncation_by_groups, span_bases,
+                      takes_grid_kernels)
 
 
 def span_ball(basis, lo, hi):
@@ -177,8 +178,8 @@ class TestSquareFunction:
 
 
 class TestDyadicLayout:
-    """A basis may claim kind="dyadic"; the dyadic operators accept it only
-    with build_dyadic's layout of generations and spans."""
+    """The dyadic operators accept a basis by its structure: build_dyadic's
+    layout of generations and spans, whoever built it."""
 
     DYADIC_OPERATORS = pytest.mark.parametrize("make", [
         square_function,
@@ -195,7 +196,7 @@ class TestDyadicLayout:
 
     @DYADIC_OPERATORS
     def test_relabelled_atoms_rejected(self, dyadic4, make):
-        b, _ = _relabelled(dyadic4, seed=11, kind="dyadic")
+        b, _ = _relabelled(dyadic4, seed=11)
         assert not b.interval
         with pytest.raises(ValueError, match="dyadic"):
             make(b)
@@ -208,8 +209,7 @@ class TestDyadicLayout:
         balls = list(b.balls)
         balls[1], balls[2] = (Ball(1, b.balls[2].members, b.mu[2]),
                               Ball(2, b.balls[1].members, b.mu[1]))
-        swapped = BallBasis(b.space, balls, b.hull, K=b.K, eta=b.eta,
-                            kind="dyadic")
+        swapped = BallBasis(b.space, balls, b.hull, K=b.K, eta=b.eta)
         assert swapped.interval
         with pytest.raises(ValueError, match="dyadic"):
             make(swapped)
@@ -218,9 +218,56 @@ class TestDyadicLayout:
     def test_wrong_ball_count_rejected(self, dyadic4, make):
         b = dyadic4
         short = BallBasis(b.space, b.balls[:-1], b.hull[:-1], K=b.K,
-                          eta=b.eta, kind="dyadic")
+                          eta=b.eta)
         with pytest.raises(ValueError, match="dyadic"):
             make(short)
+
+    @DYADIC_OPERATORS
+    def test_hand_built_layout_accepted(self, make):
+        """A Ball-list basis with build_dyadic's layout is dyadic, over the
+        dyadic weights or over unit ones."""
+        for b in (dyadic_by_balls(4), _unit_dyadic(4)):
+            assert b.dyadic_levels() == 4
+            make(b)
+
+
+def _unit_dyadic(levels):
+    """The dyadic intervals of build_dyadic(levels) over unit atom weights,
+    ball by ball: an interval basis with counting measure that is not a
+    complete grid."""
+    base = build_dyadic(levels)
+    balls = [Ball(b.id, b.members, float(len(b.members))) for b in base.balls]
+    return BallBasis(MeasureSpace(np.ones(base.n_atoms)), balls, base.hull,
+                     K=base.K, eta=base.eta)
+
+
+class TestGridKernelStructure:
+    """discrete_hilbert and riesz_potential accept a basis by its structure:
+    every ball an atom interval and every atom weight 1."""
+
+    GRID_KERNELS = pytest.mark.parametrize(
+        "make", [discrete_hilbert, lambda b: riesz_potential(b, 0.5)],
+        ids=["discrete_hilbert", "riesz_potential"])
+
+    @GRID_KERNELS
+    def test_unit_dyadic_accepted(self, make):
+        b = _unit_dyadic(4)
+        T = make(b)
+        assert np.array_equal(T.kernel, make(build_grid(16)).kernel)
+        f = VecFunction(np.random.default_rng(4).normal(size=(16, 2)))
+        assert np.array_equal(truncate(T).apply(f).values[:, 0],
+                              kernel_truncation_by_groups(T, f))
+
+    @GRID_KERNELS
+    @pytest.mark.parametrize("basis", [
+        lambda: build_dyadic(4), lambda: _reweighted(build_grid(16), seed=3),
+        lambda: _relabelled(build_grid(16), seed=3)[0]],
+        ids=["dyadic", "reweighted_grid", "relabelled_grid"])
+    def test_rejected(self, make, basis):
+        b = basis()
+        assert b.interval != bool(np.all(b.space.weights == 1.0))
+        with pytest.raises(ValueError, match="interval basis over unit atom weights"):
+            make(b)
 
 
 class TestSparseOperator:
@@ -482,9 +529,9 @@ def _localization_operators(basis, rng):
     ops = []
     sparse = sparse_operator(basis, rng.choice(basis.n_balls, size=6, replace=False))
     truncated = sparse
-    if basis.kind == "grid":
+    if takes_grid_kernels(basis):
         ops += [discrete_hilbert(basis), riesz_potential(basis, 0.5)]
-    if basis.kind == "dyadic":
+    if basis.dyadic_levels() is not None:
         eps = rng.integers(0, 2, size=basis.n_balls) * 2 - 1
         truncated = square_function(basis)  # its truncation has a closed form
         ops += [martingale_transform(basis, eps), truncated]
@@ -594,7 +641,7 @@ class TestKernelTruncationPass:
                _dense(identity_operator(stat_basis)),
                OperatorDescriptor("dense", stat_basis, Params.classical_profile(1.0),
                                   kernel=rng.normal(size=(n, n)))]
-        if stat_basis.kind == "grid":
+        if takes_grid_kernels(stat_basis):
             ops.append(discrete_hilbert(stat_basis))
         f = VecFunction(rng.normal(size=(n, dim)), norm)
         for T in ops:
@@ -617,9 +664,9 @@ class TestKernelTruncationPass:
                _dense(identity_operator(basis)),
                OperatorDescriptor("dense", basis, Params.classical_profile(1.0),
                                   kernel=rng.normal(size=(n, n)))]
-        if basis.kind == "grid":
+        if takes_grid_kernels(basis):
             ops += [discrete_hilbert(basis), riesz_potential(basis, 0.5)]
-        if basis.kind == "dyadic":
+        if basis.dyadic_levels() is not None:
             ops.append(martingale_transform(
                 basis, rng.integers(0, 2, size=basis.n_balls) * 2 - 1))
         f = VecFunction(rng.normal(size=(n, dim)), norm)
@@ -637,18 +684,12 @@ def truncation_bases(draw):
     kind = draw(st.sampled_from(["grid", "reweighted", "dyadic", "spans"]))
     if kind == "dyadic":
         return build_dyadic(draw(st.integers(1, 7)))
-    seed = draw(st.integers(0, 2 ** 32 - 1))
-    if kind != "spans":
-        basis = build_grid(draw(st.integers(2, 48)))
-        return basis if kind == "grid" else _reweighted(basis, seed)
-    rng = np.random.default_rng(seed)
-    n = draw(st.integers(1, 12))
-    space = MeasureSpace(rng.uniform(0.5, 2.0, n))
-    spans = np.sort(rng.integers(0, n, size=(draw(st.integers(1, 12)), 2)), axis=1)
-    spans = np.concatenate([spans, spans[:draw(st.integers(1, 4))]])
-    balls = [Ball(i, np.arange(lo, hi + 1), space.measure(np.arange(lo, hi + 1)))
-             for i, (lo, hi) in enumerate(spans)]
-    return BallBasis(space, balls, np.zeros(len(balls), dtype=np.int64), K=3.0)
+    if kind == "spans":
+        return draw(span_bases())
+    basis = build_grid(draw(st.integers(2, 48)))
+    if kind == "grid":
+        return basis
+    return _reweighted(basis, draw(st.integers(0, 2 ** 32 - 1)))
 
 
 class TestSpanIndexTruncation:
@@ -665,7 +706,7 @@ class TestSpanIndexTruncation:
         n = basis.n_atoms
         ops = [OperatorDescriptor("dense", basis, Params.classical_profile(1.0),
                                   kernel=rng.normal(size=(n, n)))]
-        if basis.kind == "grid":
+        if takes_grid_kernels(basis):
             ops.append(discrete_hilbert(basis))
         stack = rng.normal(size=(k, n, dim))
         for T in ops:
@@ -826,8 +867,7 @@ class TestTruncationByStructure:
         space = MeasureSpace(np.random.default_rng(3).uniform(0.05, 3.0, 64) ** 3)
         balls = [Ball(b.id, b.members, space.measure(b.members))
                  for b in base.balls]
-        b = BallBasis(space, balls, base.hull, K=base.K, eta=base.eta,
-                      kind="dyadic")
+        b = BallBasis(space, balls, base.hull, K=base.K, eta=base.eta)
         sizes = [len(b.star_members(i)) for i in range(1, b.n_balls)]
         assert sizes != [2 * len(b.balls[i].members) for i in range(1, b.n_balls)]
         ops = _dyadic_operators(b, rng)
@@ -943,7 +983,7 @@ class TestStackedApply:
         ops = _stack_cases(basis)
         # seven shipped kinds take a dyadic basis and five a grid, each with
         # its truncation and a modulation of two
-        assert len(ops) == {"dyadic": 16, "grid": 12}[basis.kind]
+        assert len(ops) == (16 if basis.dyadic_levels() is not None else 12)
         for T in ops:
             got = T.apply_stack(stack, norm)
             assert got.shape[0] == len(stack), T.name
@@ -961,7 +1001,7 @@ class TestStackedApply:
         bitwise the truncation of that row alone."""
         basis = make()
         rng = np.random.default_rng(12)
-        if basis.kind == "grid":
+        if takes_grid_kernels(basis):
             ops = [discrete_hilbert(basis), riesz_potential(basis, 0.5)]
         elif basis.interval:
             ops = [martingale_transform(basis, np.ones(basis.n_balls)),

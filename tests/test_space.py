@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ballbasis import (Ball, BallBasis, MeasureSpace, OperatorDescriptor,
@@ -20,14 +20,13 @@ from ballbasis import (Ball, BallBasis, MeasureSpace, OperatorDescriptor,
                        riesz_potential, sparse_operator, square_function,
                        truncate, zero_operator)
 from ballbasis.cli import main
-from ballbasis.functional import (sharp_all, volume_distance_matrix,
-                                  volume_distance_rows)
+from ballbasis.functional import sharp_all, volume_distance_matrix
 from ballbasis.space import BLOCK_ELEMS, PairIndex, _ranges, as_atom_array
 
 from conftest import (SCATTER_BASES, STAT_BASES, _relabelled, _reweighted,
                       check_axioms_by_loop, containing_by_matrix, dyadic_by_balls,
                       grid_by_balls, grid_hull_by_dict, membership_by_loop,
-                      span_index_by_pairs, star_of_set_by_matrix,
+                      span_bases, span_index_by_pairs, star_of_set_by_matrix,
                       star_spans_by_mask,
                       superset_max_by_argmax, superset_max_by_matrix,
                       tied_values)
@@ -154,8 +153,8 @@ def _same_basis(got, want):
     for name in ("lo", "hi", "sizes", "mu", "hull"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert ((got.interval, got.K, got.eta, got.kind)
-            == (want.interval, want.K, want.eta, want.kind))
+    assert ((got.interval, got.K, got.eta, got.dyadic_levels())
+            == (want.interval, want.K, want.eta, want.dyadic_levels()))
     for i in range(want.n_balls):
         assert np.array_equal(got.members(i), want.members(i)), i
     assert len(got.size_groups()) == len(want.size_groups())
@@ -602,14 +601,15 @@ class TestVolumeDistance:
         lambda: build_dyadic(7), lambda: _relabelled(build_dyadic(7), seed=5)[0]],
         ids=["grid24", "grid24_weighted", "dyadic7", "dyadic7_relabelled"])
     def test_rows_equal_matrix_rows(self, make, rng):
-        """volume_distance_rows equals the same rows of the full matrix, for
-        any ids (unsorted, repeated, one, none); neither is kept."""
+        """BallBasis.volume_distance_rows equals the same rows of the full
+        matrix, for any ids (unsorted, repeated, one, none); neither is
+        kept."""
         basis = make()
         dmat = volume_distance_matrix(basis)
         nb = basis.n_balls
         for ids in (rng.permutation(nb)[:40], rng.integers(0, nb, size=30),
                     np.array([nb - 1]), np.arange(nb), np.array([], dtype=np.int64)):
-            assert np.array_equal(volume_distance_rows(basis, ids), dmat[ids])
+            assert np.array_equal(basis.volume_distance_rows(ids), dmat[ids])
         assert _kept_ball_by_atom_arrays(basis) == []
 
     def test_antitone_in_ball(self, grid16):
@@ -769,6 +769,51 @@ class TestRelabelledQueries:
         assert np.array_equal(rel.superset_max(vals), base.superset_max(vals))
         assert np.array_equal(base.superset_max(vals),
                               [vals[base.supersets(i)].max() for i in range(nb)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(base=span_bases(min_atoms=3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_spans_agree(self, base, seed):
+        """Random interval bases (repeated spans, random weights, atoms in no
+        ball) against their relabelled copies: the queries that take the
+        span paths on one and the pair index on the other answer alike."""
+        rel, perm = _relabelled(base, seed)
+        assume(not rel.interval)
+        rng = np.random.default_rng(seed)
+        n, nb = base.n_atoms, base.n_balls
+        vals = rng.normal(size=nb)
+        vals[rng.integers(0, nb)] = vals[0]  # a tie
+        sets = [np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+                for _ in range(nb)]
+        by_size = {}
+        for i, s in enumerate(sets):
+            by_size.setdefault(len(s), []).append(i)
+        groups = [(np.array(ids), np.array([sets[i] for i in ids]))
+                  for ids in by_size.values()]
+        moved = [(ids, np.sort(perm[idx], axis=1)) for ids, idx in groups]
+        for strict in (False, True):
+            want = base.superset_max(vals, strict=strict)
+            assert np.array_equal(rel.superset_max(vals, strict=strict), want)
+            assert np.array_equal(want, superset_max_by_matrix(base, vals, strict=strict))
+            assert np.array_equal(rel.superset_max(vals, moved, strict),
+                                  base.superset_max(vals, groups, strict))
+        for ufunc, start in ((np.maximum, -np.inf), (np.minimum, np.inf)):
+            got = rel.containing_reduce(ufunc, vals, np.full(n, start))
+            assert np.array_equal(got[perm],
+                                  base.containing_reduce(ufunc, vals, np.full(n, start)))
+        (b_atoms, b_off), (r_atoms, r_off) = base.star_lists(), rel.star_lists()
+        assert np.array_equal(b_off, r_off)
+        for i in range(nb):
+            assert np.array_equal(np.sort(perm[b_atoms[b_off[i]:b_off[i + 1]]]),
+                                  r_atoms[r_off[i]:r_off[i + 1]])
+            for strict in (False, True):
+                assert np.array_equal(base.supersets(i, strict), rel.supersets(i, strict))
+            assert base.smallest_strict_superset(i) == rel.smallest_strict_superset(i)
+        ids = rng.integers(0, nb, size=2 * nb)
+        want = base.volume_distance_rows(ids)
+        assert np.array_equal(rel.volume_distance_rows(ids)[:, perm], want)
+        for row, i in enumerate(ids[:8].tolist()):
+            x = int(rng.integers(0, n))
+            assert want[row, x] == _volume_distance(base, x, i)
 
 
 @st.composite
@@ -1148,7 +1193,7 @@ class TestIntervalStarOfSet:
         basis.ball_integrals(rng.normal(size=basis.n_atoms))
         _query_without_membership(basis, rng)
         n = basis.n_atoms
-        if basis.kind == "dyadic":
+        if basis.dyadic_levels() is not None:
             ops = [martingale_transform(basis, rng.choice([-1.0, 1.0], n - 1)),
                    conditional_expectation(basis, 2), square_function(basis)]
         else:
@@ -1220,16 +1265,14 @@ class TestIntervalStarOfSet:
 # membership matrix) only here:
 LAYOUT_ATTRS = {"interval", "star_spans", "member_matrix"}
 LAYOUT_READS = sorted([
-    # the dyadic operators index balls by generation, so check that layout
-    ("operators", "dyadic_levels", "interval"),
+    # the grid kernels need every ball an atom interval
+    ("operators", "_require_grid", "interval"),
     # the exact L1 pass runs on interval bases only (peak memory)
     ("operators", "estimate_bo_constants", "interval"),
     # the exact L1 pass masks each ball's star span, a size group at a time
     ("operators", "estimate_bo_constants", "star_spans"),
-    # star generations are star-span widths (dyadic_levels checked the layout)
+    # star ids are read off star spans (dyadic_levels checked the layout)
     ("operators", "square_function", "star_spans"),
-    # the cover table is indexed by atom spans
-    ("functional", "volume_distance_rows", "interval"),
 ])
 
 
@@ -1322,8 +1365,6 @@ CONTAINMENT_QUERIES = {"balls_containing_atom", "supersets",
 CONTAINMENT_CALLS = sorted([
     # repair of the few atoms the tolerant tree left uncovered
     ("domination", "lerner_decompose", "balls_containing_atom"),
-    # the non-interval distance rows (the interval path reads the cover table)
-    ("functional", "volume_distance_rows", "supersets"),
     # the growth condition is checked per (ball, superset) pair
     ("functional", "build_regular_family", "supersets"),
     # the Monte-Carlo L1 pass and the L2 pass, per sampled ball
@@ -1572,9 +1613,6 @@ CALLER_DIRS = ("src", "scripts", "perfbench")
 UNSET_DEFAULTS = sorted([
     # the seam the tests drive the command line through
     ("cli", "main", "argv"),
-    # the builder family of a hand-built basis: the builders pass arrays to
-    # from_spans, so only the tests' Ball-list bases claim a family
-    ("space", "BallBasis", "kind"),
     # the exhaustive oracle that acceptance criterion 03 compares against
     ("functional", "alpha_oscillation", "method"),
     ("functional", "median", "method"),
