@@ -440,11 +440,8 @@ def _build_weight(spec: dict, basis) -> Weight:
 def run_verify(cfg: dict, basis, ops, suite_filter: str | None = None
                ) -> list[Report]:
     vcfg = cfg["verify"]
-    suites = list(vcfg["suites"])
-    if suite_filter is not None:
-        if suite_filter not in suites:
-            raise ConfigError(f"unknown suite {suite_filter!r}")
-        suites = [suite_filter]
+    # run_experiment checks suite_filter against the config's suites
+    suites = list(vcfg["suites"]) if suite_filter is None else [suite_filter]
     seed = int(cfg["seed"])
     corpus = Corpus(seed, cfg["corpus"]["generators"],
                     int(cfg["corpus"]["size"]))
@@ -568,8 +565,14 @@ def run_experiment(command: str, cfg: dict, suite: str | None = None) -> tuple[l
     # checked before any stage runs, so a bad value writes no bundle
     if suite is not None and command not in ("verify", "all"):
         raise ConfigError(f"--suite restricts verify and all, not {command}")
+    if suite is not None and suite not in cfg["verify"]["suites"]:
+        raise ConfigError(f"unknown suite {suite!r}")
     out = cfg["out"]
-    if not out or os.path.exists(out) and not os.path.isdir(out):
+    # out, or the nearest path above it that exists, must be a directory
+    above = os.path.abspath(out)
+    while not os.path.exists(above):
+        above = os.path.dirname(above)
+    if not out or not os.path.isdir(above):
         raise ConfigError(f"out must name a directory, got {out!r}")
     basis = build_basis(cfg)
     ops = [build_operator(spec, basis, int(cfg["seed"]))

@@ -362,6 +362,30 @@ def _power(vals: np.ndarray, exponent: float) -> np.ndarray:
     return np.array([v ** exponent for v in vals])
 
 
+# Relative slack on the bounds max_candidates compares: the powers,
+# products and quotients taken on a bound (numpy's array ** and np.log1p
+# among them, which may round apart from the scalar calls of the exact
+# values) move it by a few ulps each, far below BOUND_MARGIN.
+BOUND_MARGIN = 1e-9
+
+
+def max_candidates(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Bound, then confirm: given nonnegative bounds lo <= x <= hi on the
+    values x of the candidates on the last axis (one or more rows, each
+    bound up to BOUND_MARGIN of rounding), the sorted positions that may
+    hold the largest x of some row.  A position is dropped only if, in
+    every row, its upper bound lies below the row's largest lower bound,
+    so each row's argmax survives and the max of the exact x over the
+    survivors is, bit for bit, their max over all.  NaN bounds drop
+    nothing."""
+    lo, hi = np.atleast_2d(lo, hi)
+    if lo.size == 0:
+        return np.arange(0)
+    best = np.fmax.reduce(lo, axis=-1, keepdims=True)
+    drop = hi < best * ((1.0 - BOUND_MARGIN) / (1.0 + BOUND_MARGIN))
+    return np.flatnonzero(~drop.all(axis=0))
+
+
 def sup_sharp_all(f: VecFunction, basis: BallBasis, r: float = 1.0) -> np.ndarray:
     """<f>*_{#,B} = max over balls A containing B of <f>_{#,A}, per ball."""
     return basis.superset_max(sharp_all(f, basis, r))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotComparable
-from .functional import Params, VecFunction, _power, vector_norms
+from .functional import Params, VecFunction, _power, max_candidates, vector_norms
 from .space import BLOCK_ELEMS, BallBasis
 
 
@@ -550,6 +550,61 @@ def _osc_on(vals: np.ndarray, members) -> float:
     return float(seg.max() - seg.min())
 
 
+def _superset_denominators(basis: BallBasis, bid: int, sup_ids: np.ndarray,
+                           mass: np.ndarray, varrho: float, mu_rho: np.ndarray,
+                           group_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The L1 and R4 denominators of each row of a nonnegative (k, n) mass:
+    the max over the supersets A of ball bid (sup_ids) of (sum of the row
+    over A) ** varrho * mu_rho[A], and the max of that over log1p(mu(A) /
+    mu(bid)); 0 for a row of mass 0, which sums to 0 over every A.
+
+    Bound, then confirm: where the basis gives ball sums within an error
+    bound (approx_ball_sums, interval bases), max_candidates keeps the
+    supersets that may hold a row's L1 or R4 max, and only those are summed
+    exactly; other bases sum over every superset.  The exact sums come one
+    size group at a time (group_of[A] is A's index in size_groups()), in
+    C-ordered blocks, so each rounds like the ball's own."""
+    out = np.zeros((2, len(mass)))
+    live = mass.any(axis=1)
+    if not live.any():
+        return out[0], out[1]
+    mass = mass[live]
+    bounds = basis.approx_ball_sums(mass, sup_ids)
+    if bounds is not None:
+        # (rows, supersets) bounds on the L1 terms, then on the R4 ones,
+        # taken in place, so no array outgrows those of the full gather
+        hi, err = bounds
+        lo = hi - err[:, None]
+        np.maximum(lo, 0.0, out=lo)
+        hi += err[:, None]
+        for b in (lo, hi):
+            b **= varrho
+            b *= mu_rho[sup_ids]
+        keep = max_candidates(lo, hi)
+        logs = np.log1p(basis.mu[sup_ids] / basis.mu[bid])
+        lo /= logs
+        hi /= logs
+        sup_ids = sup_ids[np.union1d(keep, max_candidates(lo, hi))]
+    groups = basis.size_groups()
+    is_sup = np.zeros(basis.n_balls, dtype=bool)
+    is_sup[sup_ids] = True
+    sup, sums = [], []
+    for gi in np.flatnonzero(np.bincount(group_of[sup_ids], minlength=len(groups))).tolist():
+        ids, idx = groups[gi]
+        rows = is_sup[ids]
+        sup.append(ids[rows])
+        sums.append(np.take(mass, idx[rows], axis=1).sum(axis=-1))
+    sup = np.concatenate(sup)
+    logs = np.array([math.log1p(q) for q in (basis.mu[sup] / basis.mu[bid]).tolist()])
+    # (rows, supersets), a fresh array, scaled and divided in place
+    avg = _power(np.concatenate(sums, axis=1).ravel(), varrho).reshape(len(mass), -1)
+    avg *= mu_rho[sup]
+    out[0, live] = avg.max(axis=1)
+    avg /= logs
+    out[1, live] = avg.max(axis=1)
+    return out[0], out[1]
+
+
 def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
                           seed: int = 0) -> BOConstants:
     """L0, L1 and L2 of T on its own basis, each with a witness.
@@ -563,7 +618,11 @@ def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
     if budget < 1:
         raise ValueError("budget must be >= 1")
     basis = T.basis
-    exact = _exactly_estimable(T)
+    # the exact L1/R4 pass runs on interval bases only, where each block
+    # gathers its distance rows from the cover table: on build_dyadic(9)
+    # with relabelled atoms (and a kept n_balls x n distance matrix) it gave
+    # the same reports but 5% more peak memory and a 17% slower pipeline
+    exact = _exactly_estimable(T) and basis.interval
     p = T.params
     w = basis.space.weights
     n = basis.n_atoms
@@ -607,11 +666,7 @@ def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
     # ---- L1: localization constant off the star ----
     l1 = 0.0
     r4 = 0.0
-    # the exact pass runs on interval bases only, where each block gathers
-    # its distance rows from the cover table: on build_dyadic(9) with
-    # relabelled atoms (and a kept n_balls x n distance matrix) it gave the
-    # same reports but 5% more peak memory and a 17% slower pipeline
-    if exact and basis.interval:
+    if exact:
         slo, shi = basis.star_spans()
         xs = np.arange(n)
         # per ball, its largest L1 ratio osc*d and R4 ratio osc*d*log1p(d/mu)
@@ -643,13 +698,10 @@ def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
                 witnesses[key] = {"ball": bid, "atom": int(atom[k, bid])}
         l1, r4 = float(top[0]), float(top[1])
     # monte-carlo localization pass (also for exact operators: the suite is
-    # shared with modulation families so their estimates stay comparable).
-    # Per sampled ball, the sums of every suite function over its supersets
-    # come one size group at a time, from the groups that hold one
+    # shared with modulation families so their estimates stay comparable)
     mu_rho = _power(basis.mu, -p.rho)
-    groups = basis.size_groups()
     group_of = np.empty(basis.n_balls, dtype=np.intp)
-    for gi, (ids, _) in enumerate(groups):
+    for gi, (ids, _) in enumerate(basis.size_groups()):
         group_of[ids] = gi
     for bid in ball_ids:
         bid = int(bid)
@@ -660,30 +712,13 @@ def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
         mask = np.ones(n)
         mask[star] = 0.0
         rvs = suite * mask
-        mass = np.abs(rvs) ** p.r * w
-        sup_ids = basis.supersets(bid)
-        is_sup = np.zeros(basis.n_balls, dtype=bool)
-        is_sup[sup_ids] = True
-        sup, sums = [], []
-        held = np.bincount(group_of[sup_ids], minlength=len(groups))
-        for gi in np.flatnonzero(held).tolist():
-            ids, idx = groups[gi]
-            rows = is_sup[ids]
-            sup.append(ids[rows])
-            # C-ordered blocks, so each sum rounds like the ball's own
-            sums.append(np.take(mass, idx[rows], axis=1).sum(axis=-1))
-        sup = np.concatenate(sup)
-        logs = np.array([math.log1p(q) for q in (basis.mu[sup] / basis.mu[bid]).tolist()])
-        # (suite, supersets), a fresh array, scaled and divided in place
-        avg = _power(np.concatenate(sums, axis=1).ravel(), p.varrho).reshape(len(suite), -1)
-        avg *= mu_rho[sup]
-        denoms = avg.max(axis=1)
-        avg /= logs
-        r4_denoms = avg.max(axis=1).tolist()
+        denoms, r4_denoms = _superset_denominators(
+            basis, bid, basis.supersets(bid), np.abs(rvs) ** p.r * w, p.varrho,
+            mu_rho, group_of)
         rows = np.flatnonzero(denoms != 0)
         if not rows.size:
             continue
-        denoms = denoms.tolist()
+        denoms, r4_denoms = denoms.tolist(), r4_denoms.tolist()
         tv = vector_norms(T.apply_stack(rvs[rows, :, None], "euclidean"),
                           "euclidean")[:, members]
         for fi, osc in zip(rows.tolist(), (tv.max(axis=1) - tv.min(axis=1)).tolist()):

@@ -61,8 +61,8 @@ class MeasureSpace:
         object.__setattr__(self, "weights", w)
         if w.ndim != 1 or len(w) == 0:
             raise ValueError("need a nonempty 1-d weight vector")
-        if not np.all(w > 0):
-            raise ValueError("atom weights must be strictly positive")
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise ValueError("atom weights must be finite and strictly positive")
 
     @property
     def n_atoms(self) -> int:
@@ -79,6 +79,19 @@ class MeasureSpace:
 # prefix rows of the block's atoms plus its star_sum_index() entries, times
 # d), and of the index arrays of one block of volume-distance rows.
 BLOCK_ELEMS = 1 << 14
+
+# Two float sums of the same m <= n nonnegative terms, taken in any orders,
+# differ by at most n * SUM_ERROR * t, for t the exact sum S or a float sum
+# of a longer nonnegative row of total at least S.  With u = 2**-53 and
+# g = n u / (1 - n u), a sum of S's terms in any order (a BLAS product with
+# a 0/1 mask too) lies within g S of S (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., eq. 4.6), so two of them lie within 2 g t.
+# A difference of two sequential prefix sums of the longer row, each within
+# g t of its exact value, lies within (2 g + u (1 + 2 g)) t of S, so within
+# (3 g + u (1 + 2 g)) t of a float sum of S's terms.  For n u < 1/100 each
+# bound is below 5 n u t, and a float total t' of the row is at least
+# (1 - g) t > 0.98 t, so 8 n u t' bounds each.
+SUM_ERROR = 4 * 2.0 ** -52
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -431,6 +444,20 @@ class BallBasis:
         out = np.empty(self.n_balls)
         out[self._order] = np.add.reduceat(mass[self._atoms], self._start[self._order])
         return out
+
+    def approx_ball_sums(self, mass: np.ndarray, ids: np.ndarray):
+        """(sums, err): sums[:, j] the sum of each row of a nonnegative (k,
+        n_atoms) mass over ball ids[j], within err (one bound per row, see
+        SUM_ERROR) of that sum taken over the ball's members in any order.
+        From one prefix row per row of mass on interval bases; None on
+        others, which have no spans to difference."""
+        if not self.interval:
+            return None
+        pre = np.zeros((len(mass), self.n_atoms + 1))
+        np.cumsum(mass, axis=1, out=pre[:, 1:])
+        sums = pre[:, self.hi[ids] + 1]
+        sums -= pre[:, self.lo[ids]]
+        return sums, self.n_atoms * SUM_ERROR * pre[:, -1]
 
     def containing_reduce(self, ufunc, vals: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out[x] = ufunc(out[x], ufunc of vals[B] over the balls B containing

@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InfZero, ZeroBmoNorm
-from .space import BallBasis
+from .space import BLOCK_ELEMS, SUM_ERROR, BallBasis
 from .functional import (Params, VecFunction, alpha_oscillations, ball_medians,
-                         bmo_norm, fit_exponential_rate, level_tail, maximal,
-                         mean_deviation, median, sharp_all_stack, vector_norms)
+                         bmo_norm, fit_exponential_rate, level_tail,
+                         max_candidates, maximal, mean_deviation, median,
+                         sharp_all_stack, vector_norms)
 from .operators import OperatorDescriptor, truncate
 
 
@@ -181,6 +182,31 @@ def _output_norms(op, stack: np.ndarray) -> np.ndarray:
                      for v in stack]).reshape(stack.shape[:2])
 
 
+def _weak_type_ratio(out: np.ndarray, w: np.ndarray, rho: float,
+                     denom: float) -> float:
+    """The max over the positive values v of out of v^(1/rho) mu{out >= v}
+    / denom, 0 if out has none; a NaN of out lies in no superlevel set.
+
+    Bound, then confirm: the superlevel masses of every value come from one
+    sort and one suffix cumsum, each within err of the exact sum (SUM_ERROR)
+    and at least the weight of an atom at its level; max_candidates keeps
+    the values that may hold the max, and only those take an exact sum."""
+    order = np.argsort(out)[:np.count_nonzero(~np.isnan(out))]
+    vals, ws = out[order], w[order]
+    first = np.flatnonzero((vals > 0) & np.append(True, vals[1:] != vals[:-1]))
+    if not first.size:
+        return 0.0
+    tail = np.cumsum(ws[::-1])[::-1][first]
+    err = len(out) * SUM_ERROR * tail[0]
+    scale = vals[first] ** (1.0 / rho) / denom
+    lo = scale * np.maximum(tail - err, ws[first])
+    ratio = 0.0
+    for v in vals[first[max_candidates(lo, scale * (tail + err))]]:
+        mass = float(w[out >= v].sum())
+        ratio = max(ratio, v ** (1.0 / rho) * mass / denom)
+    return ratio
+
+
 def weak_type_report(op, corpus: Corpus, basis: BallBasis, p: Params,
                      bound: float | None = None) -> Report:
     """Sup over lambda of lambda^(1/rho) mu{out > lambda} / (int ||f||^r)^(vrho/rho).
@@ -195,13 +221,7 @@ def weak_type_report(op, corpus: Corpus, basis: BallBasis, p: Params,
     cases, stack = _corpus_stack(corpus, basis.n_atoms)
     for (cid, f), out in zip(cases, _output_norms(op, stack)):
         denom = float(np.sum(f.norms() ** p.r * w)) ** (p.varrho / p.rho)
-        ratio = 0.0
-        if denom > 0:
-            for v in np.unique(out):
-                if v <= 0:
-                    continue
-                mass = float(w[out >= v].sum())
-                ratio = max(ratio, v ** (1.0 / p.rho) * mass / denom)
+        ratio = _weak_type_ratio(out, w, p.rho, denom) if denom > 0 else 0.0
         ok = True if bound is None else ratio <= bound
         rows.append(CaseRow(cid, "weak_type_ratio", float(ratio), ok))
         worst = max(worst, ratio)
@@ -212,6 +232,45 @@ def weak_type_report(op, corpus: Corpus, basis: BallBasis, p: Params,
 
 
 # -- good-lambda --------------------------------------------------------------------
+
+
+def _good_lambda_ratio(tf: np.ndarray, ts: np.ndarray, mf: np.ndarray,
+                       delta: float, w: np.ndarray) -> float:
+    """The max over the levels lam > 0 of ts of mu{ts > lam, mf < delta lam}
+    / mu{tf > lam / 2}, over the levels whose left set is not empty; inf if
+    the right set of one of those is empty, 0 if there are none.
+
+    Atom weights are > 0, so a mass is 0 exactly when its set is empty, and
+    the counts of the sets decide both.  Bound, then confirm: the masses are
+    bounded by masked weight products, each within err of the exact sum
+    (SUM_ERROR), in blocks of levels of at most BLOCK_ELEMS elements (one
+    level at least); max_candidates keeps the levels that may hold the max,
+    and only those take exact sums."""
+    lams = np.unique(ts)
+    lams = lams[lams > 0]
+    n = len(w)
+    counts = np.empty((2, len(lams)), dtype=np.intp)
+    masses = np.empty((2, len(lams)))
+    step = max(1, BLOCK_ELEMS // n)
+    for s in range(0, len(lams), step):
+        lam = lams[s:s + step, None]
+        for k, sets in enumerate(((ts > lam) & (mf < delta * lam), tf > lam / 2.0)):
+            counts[k, s:s + step] = np.count_nonzero(sets, axis=1)
+            masses[k, s:s + step] = sets @ w
+    live = counts[0] > 0
+    if np.any(counts[1, live] == 0):
+        return math.inf
+    err = n * SUM_ERROR * float(w.sum())
+    left, right = masses[:, live]
+    # a nonempty right set weighs at least its least atom weight
+    lo = np.maximum(left - err, 0.0) / (right + err)
+    hi = (left + err) / np.maximum(right - err, w.min())
+    ratio = 0.0
+    for lam in lams[live][max_candidates(lo, hi)]:
+        lhs = float(w[(ts > lam) & (mf < delta * lam)].sum())
+        rhs = float(w[tf > lam / 2.0].sum())
+        ratio = max(ratio, lhs / rhs)
+    return ratio
 
 
 def good_lambda_report(T: OperatorDescriptor, consts, corpus: Corpus,
@@ -227,16 +286,7 @@ def good_lambda_report(T: OperatorDescriptor, consts, corpus: Corpus,
     cases, stack = _corpus_stack(corpus, basis.n_atoms)
     outs = zip(cases, _output_norms(T, stack), _output_norms(truncate(T), stack))
     for (cid, f), tf, ts in outs:
-        mf = maximal(f, basis, T.params)
-        ratio = 0.0
-        for lam in np.unique(ts):
-            if lam <= 0:
-                continue
-            lhs = float(w[(ts > lam) & (mf < delta * lam)].sum())
-            if lhs == 0.0:
-                continue
-            rhs = float(w[tf > lam / 2.0].sum())
-            ratio = max(ratio, lhs / rhs if rhs > 0 else math.inf)
+        ratio = _good_lambda_ratio(tf, ts, maximal(f, basis, T.params), delta, w)
         rows.append(CaseRow(cid, "good_lambda_ratio", float(ratio),
                             ratio <= threshold))
         worst = max(worst, ratio)

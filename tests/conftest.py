@@ -35,6 +35,52 @@ def span_bases(draw, min_atoms=1):
     return BallBasis(space, balls, np.zeros(len(balls), dtype=np.int64), K=3.0)
 
 
+def _with_weights(basis, weights):
+    """basis with the same balls over the given atom weights."""
+    space = MeasureSpace(weights)
+    balls = [Ball(b.id, b.members, space.measure(b.members)) for b in basis.balls]
+    return BallBasis(space, balls, basis.hull, K=basis.K, eta=basis.eta)
+
+
+def bound_weights(rng, n, kind):
+    """n atom weights of one kind: "log" spreads them over 2**-20 .. 2**20,
+    so prefix sums of masses round far from the ball sums; "heavy" is all
+    ones but one atom of weight 2**60, past which a prefix sum of masses
+    that scale with the weights keeps no bit of the other atoms; "uniform"
+    draws them from [0.5, 2); "integer" from 1, 2, 3, so that equal sums tie
+    exactly; "unit" is all ones."""
+    def heavy():
+        w = np.ones(n)
+        w[rng.integers(n)] = 2.0 ** 60
+        return w
+
+    return {"log": lambda: 2.0 ** rng.uniform(-20, 20, n), "heavy": heavy,
+            "uniform": lambda: rng.uniform(0.5, 2.0, n),
+            "integer": lambda: rng.integers(1, 4, n).astype(float),
+            "unit": lambda: np.ones(n)}[kind]()
+
+
+BOUND_WEIGHT_KINDS = ("log", "heavy", "uniform", "integer", "unit")
+
+
+def weighted_interval_basis(rng, kind):
+    """build_grid of 2 to 48 atoms or build_dyadic of 1 to 7 levels, each
+    as likely, the size drawn evenly, over bound_weights of kind."""
+    if rng.random() < 0.5:
+        base = build_grid(int(rng.integers(2, 49)))
+    else:
+        base = build_dyadic(int(rng.integers(1, 8)))
+    return _with_weights(base, bound_weights(rng, base.n_atoms, kind))
+
+
+@st.composite
+def weighted_interval_bases(draw):
+    """(basis, rng): a weighted_interval_basis of a drawn weight kind and
+    the seeded generator that drew it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return weighted_interval_basis(rng, draw(st.sampled_from(BOUND_WEIGHT_KINDS))), rng
+
+
 def takes_grid_kernels(basis):
     """Whether discrete_hilbert and riesz_potential accept basis: an interval
     basis over unit atom weights."""
@@ -359,10 +405,32 @@ def delta_by_loop(T, a_id, b_id, seed):
     return best
 
 
-def estimate_by_loop(T, budget, seed):
-    """operators.estimate_bo_constants with one T.apply per function."""
+def superset_denominators_by_gather(basis, bid, mass, varrho, mu_rho):
+    """operators._superset_denominators from the sums over every superset
+    of ball bid, a size group at a time, and one row at a time after."""
     import math
 
+    is_sup = np.zeros(basis.n_balls, dtype=bool)
+    is_sup[basis.supersets(bid)] = True
+    sup, sums = [], []
+    for ids, idx in basis.size_groups():
+        rows = is_sup[ids]
+        if rows.any():
+            sup.append(ids[rows])
+            sums.append(np.take(mass, idx[rows], axis=1).sum(axis=-1))
+    sup = np.concatenate(sup)
+    mu_sup = mu_rho[sup]
+    logs = np.array([math.log1p(q) for q in (basis.mu[sup] / basis.mu[bid]).tolist()])
+    denoms, r4_denoms = [], []
+    for row in np.concatenate(sums, axis=1):
+        avg = mu_sup * np.array([s ** varrho for s in row.tolist()])
+        denoms.append(float(avg.max()))
+        r4_denoms.append(float((avg / logs).max()))
+    return np.array(denoms), np.array(r4_denoms)
+
+
+def estimate_by_loop(T, budget, seed):
+    """operators.estimate_bo_constants with one T.apply per function."""
     from ballbasis.functional import volume_distance_matrix
     from ballbasis.operators import (BOConstants, _exactly_estimable, _osc_on,
                                      _sample_ball_ids, structured_suite)
@@ -435,24 +503,11 @@ def estimate_by_loop(T, budget, seed):
         mask = np.ones(n)
         mask[star] = 0.0
         rvs = suite * mask
-        mass = np.abs(rvs) ** p.r * w
-        is_sup = np.zeros(basis.n_balls, dtype=bool)
-        is_sup[basis.supersets(bid)] = True
-        sup, sums = [], []
-        for ids, idx in basis.size_groups():
-            rows = is_sup[ids]
-            if rows.any():
-                sup.append(ids[rows])
-                sums.append(np.take(mass, idx[rows], axis=1).sum(axis=-1))
-        sup = np.concatenate(sup)
-        mu_sup = mu_rho[sup]
-        logs = np.array([math.log1p(q) for q in (basis.mu[sup] / basis.mu[bid]).tolist()])
-        for fi, row in enumerate(np.concatenate(sums, axis=1)):
-            avg = mu_sup * np.array([s ** p.varrho for s in row.tolist()])
-            denom = float(avg.max())
+        denoms, r4_denoms = superset_denominators_by_gather(
+            basis, bid, np.abs(rvs) ** p.r * w, p.varrho, mu_rho)
+        for fi, (denom, r4_denom) in enumerate(zip(denoms.tolist(), r4_denoms.tolist())):
             if denom == 0:
                 continue
-            r4_denom = float((avg / logs).max())
             osc = _osc_on(T.apply(VecFunction(rvs[fi])).norms(), members)
             if osc / denom > l1:
                 l1 = osc / denom
@@ -479,7 +534,8 @@ def estimate_by_loop(T, budget, seed):
     t_last = T.apply(VecFunction(ones)).norms()
     r5 = max([0.0] + [_osc_on(t_last, basis.balls[int(b)].members) for b in ball_ids])
     return BOConstants(L0=float(l0), L1=float(l1), L2=float(l2),
-                       method="exact_linear_r1" if exact else "monte_carlo",
+                       method=("exact_linear_r1" if exact and basis.interval
+                               else "monte_carlo"),
                        witnesses=witnesses,
                        r4_constant=float(r4), r5_value=float(r5))
 
@@ -711,6 +767,33 @@ def bmo_bounded_by_loop(op, corpus, basis, mode, threshold):
 # equal.
 
 
+def weak_type_ratio_by_levels(out, w, rho, denom):
+    """verify._weak_type_ratio with one masked sum per distinct value."""
+    ratio = 0.0
+    for v in np.unique(out):
+        if v <= 0:
+            continue
+        mass = float(w[out >= v].sum())
+        ratio = max(ratio, v ** (1.0 / rho) * mass / denom)
+    return ratio
+
+
+def good_lambda_ratio_by_levels(tf, ts, mf, delta, w):
+    """verify._good_lambda_ratio with two masked sums per distinct level."""
+    import math
+
+    ratio = 0.0
+    for lam in np.unique(ts):
+        if lam <= 0:
+            continue
+        lhs = float(w[(ts > lam) & (mf < delta * lam)].sum())
+        if lhs == 0.0:
+            continue
+        rhs = float(w[tf > lam / 2.0].sum())
+        ratio = max(ratio, lhs / rhs if rhs > 0 else math.inf)
+    return ratio
+
+
 def weak_type_by_cases(op, corpus, basis, p, bound):
     """verify.weak_type_report with one apply per corpus case."""
     from ballbasis.verify import CaseRow, Report
@@ -721,13 +804,7 @@ def weak_type_by_cases(op, corpus, basis, p, bound):
     for cid, f in corpus.cases(basis.n_atoms):
         out = _apply_norms(op, f)
         denom = float(np.sum(f.norms() ** p.r * w)) ** (p.varrho / p.rho)
-        ratio = 0.0
-        if denom > 0:
-            for v in np.unique(out):
-                if v <= 0:
-                    continue
-                mass = float(w[out >= v].sum())
-                ratio = max(ratio, v ** (1.0 / p.rho) * mass / denom)
+        ratio = weak_type_ratio_by_levels(out, w, p.rho, denom) if denom > 0 else 0.0
         ok = True if bound is None else ratio <= bound
         rows.append(CaseRow(cid, "weak_type_ratio", float(ratio), ok))
         worst = max(worst, ratio)
@@ -753,16 +830,8 @@ def good_lambda_by_cases(T, consts, corpus, c, threshold):
     for cid, f in corpus.cases(basis.n_atoms):
         tf = T.apply(f).norms()
         ts = tstar.apply(f).norms()
-        mf = maximal(f, basis, T.params)
-        ratio = 0.0
-        for lam in np.unique(ts):
-            if lam <= 0:
-                continue
-            lhs = float(w[(ts > lam) & (mf < delta * lam)].sum())
-            if lhs == 0.0:
-                continue
-            rhs = float(w[tf > lam / 2.0].sum())
-            ratio = max(ratio, lhs / rhs if rhs > 0 else math.inf)
+        ratio = good_lambda_ratio_by_levels(tf, ts, maximal(f, basis, T.params),
+                                            delta, w)
         rows.append(CaseRow(cid, "good_lambda_ratio", float(ratio),
                             ratio <= threshold))
         worst = max(worst, ratio)

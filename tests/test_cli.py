@@ -27,6 +27,10 @@ def small_cfg(out_dir, **overrides):
     return cfg
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("a stage ran")
+
+
 def write_cfg(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -396,6 +400,47 @@ class TestMain:
         assert "config error:" in err and "taken" in err and "Traceback" not in err
         assert taken.read_text() == "kept\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("below", ["sub", "sub/deeper"])
+    def test_out_below_a_file_exit_two(self, tmp_path, capsys, monkeypatch, below):
+        """An output path below a file once ran every stage, then ended in a
+        NotADirectoryError traceback from emit_report with exit 1."""
+        monkeypatch.setattr(cli, "run_check_basis", _never_called)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        path = write_cfg(tmp_path, small_cfg(tmp_path / "out"))
+        out = str(taken / below)
+        assert main(["check-basis", "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "taken" in err and "Traceback" not in err
+        assert taken.read_text() == "kept\n"
+
+    def test_out_below_missing_directories(self, tmp_path):
+        """Directories that do not exist yet above the output are made."""
+        path = write_cfg(tmp_path, small_cfg(tmp_path / "out"))
+        out = tmp_path / "a" / "b" / "c"
+        assert main(["check-basis", "--config", path, "--out", str(out)]) == 0
+        assert (out / "report.json").is_file()
+
+    def test_unknown_suite_runs_no_stage(self, tmp_path, capsys, monkeypatch):
+        """`all --suite nope` once ran check-basis, estimate, sparsify and
+        dominate before the verify stage refused the suite."""
+        for stage in ("run_check_basis", "run_estimate", "run_sparsify",
+                      "run_dominate", "run_mean_osc", "run_verify"):
+            monkeypatch.setattr(cli, stage, _never_called)
+        path = write_cfg(tmp_path, small_cfg(tmp_path / "out"))
+        assert main(["all", "--config", path, "--suite", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: unknown suite 'nope'" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_suite_outside_config_suites_exit_two(self, tmp_path, capsys, monkeypatch):
+        """A known suite the config does not run is refused like an unknown
+        one, before any stage."""
+        monkeypatch.setattr(cli, "run_verify", _never_called)
+        path = write_cfg(tmp_path, small_cfg(tmp_path / "out"))  # no bmo suite
+        assert main(["verify", "--config", path, "--suite", "bmo"]) == 2
+        assert "unknown suite 'bmo'" in capsys.readouterr().err
 
     def test_verify_suite_filter(self, tmp_path):
         path = write_cfg(tmp_path, small_cfg(tmp_path / "out"))

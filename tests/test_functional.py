@@ -10,8 +10,9 @@ from ballbasis import (Ball, BallBasis, EmptySet, MeasureSpace, Params,
                        maximal, median, sharp_all, sup_sharp_all)
 from ballbasis import functional
 from ballbasis.functional import (TAIL_LEVELS, _power, ball_averages_all,
-                                  ball_medians, level_tail, mean_oscillation,
-                                  medians, sharp_all_stack, vector_norms)
+                                  ball_medians, level_tail, max_candidates,
+                                  mean_oscillation, medians, sharp_all_stack,
+                                  vector_norms)
 from ballbasis.space import BLOCK_ELEMS
 from conftest import (alpha_core_by_loop, alpha_oscillation_by_loop,
                       ball_medians_by_groups, level_tail_by_mask, median_by_loop,
@@ -598,3 +599,38 @@ class TestLevelTail:
         x = rng.uniform(0.0, 2.0, size=(4, 6))
         level_tail(x, 1.0, np.ones((4, 6)), np.full(4, 6.0), 64)
         assert built == [(4, TAIL_LEVELS, 6)]
+
+
+class TestMaxCandidates:
+    """max_candidates keeps, of bounds lo <= x <= hi, every position whose
+    upper bound reaches its row's largest lower bound within BOUND_MARGIN."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 4),
+           m=st.integers(1, 30), spread=st.sampled_from([0.0, 1e-12, 1e-3, 0.5]))
+    def test_each_row_keeps_its_argmax(self, seed, rows, m, spread):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(1, 4, (rows, m)).astype(float)  # ties
+        lo = x * (1 - spread * rng.random((rows, m)))
+        hi = x * (1 + spread * rng.random((rows, m)))
+        keep = max_candidates(lo, hi)
+        assert np.array_equal(keep, np.unique(keep))
+        for r in range(rows):
+            assert set(np.flatnonzero(x[r] == x[r].max())) <= set(keep.tolist())
+            best = lo[r].max()
+            dropped = np.setdiff1d(np.arange(m), keep)
+            assert np.all(hi[r, dropped] < best)
+
+    def test_margin_absorbs_rounding_of_the_bounds(self):
+        """Bounds computed apart from the exact values may round a few ulps
+        past them: an upper bound one ulp below a lower one still keeps its
+        position, one far below drops it."""
+        one_up = np.nextafter(1.0, 2.0)
+        assert max_candidates([1.0, one_up], [1.0, one_up]).tolist() == [0, 1]
+        assert max_candidates([[1.0, 1.5]], [[1.0, 1.5]]).tolist() == [1]
+
+    def test_nan_drops_nothing_and_empty_keeps_nothing(self):
+        assert max_candidates([np.nan, 1.0], [np.nan, 2.0]).tolist() == [0, 1]
+        assert max_candidates([[np.nan, np.nan]], [[1.0, 0.5]]).tolist() == [0, 1]
+        assert max_candidates(np.zeros((0, 3)), np.zeros((0, 3))).tolist() == []
+        assert max_candidates(np.zeros((2, 0)), np.zeros((2, 0))).tolist() == []

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ballbasis import (Ball, BallBasis, MeasureSpace, NotComparable,
@@ -20,9 +20,11 @@ from ballbasis.errors import ConfigError
 from ballbasis.functional import vector_norms
 from ballbasis.operators import _osc_on, _sample_ball_ids, structured_suite
 
-from conftest import (_relabelled, _reweighted, dense_kernel, dyadic_by_balls,
+from conftest import (BOUND_WEIGHT_KINDS, _relabelled, _reweighted, _with_weights,
+                      bound_weights, dense_kernel, dyadic_by_balls,
                       estimate_by_loop, kernel_truncation_by_groups, span_bases,
-                      takes_grid_kernels)
+                      superset_denominators_by_gather, takes_grid_kernels,
+                      weighted_interval_basis, weighted_interval_bases)
 
 
 def span_ball(basis, lo, hi):
@@ -1246,6 +1248,121 @@ class TestExactLocalizationPass:
             tracemalloc.stop()
         assert got.method == "exact_linear_r1"
         assert peak < 16 << 20, peak
+
+
+# (r, rho, varrho) of the bound tests: the classical profile, the powers of
+# test_non_classical_powers, and a varrho so small that a bound on a sum
+# moves its power by less than numpy's array ** rounds it apart from the
+# scalar power, so BOUND_MARGIN decides
+BOUND_PARAMS = [Params.classical_profile(1.0), Params(r=2.0, rho=0.5, varrho=0.5),
+                Params(r=1.5, rho=0.3, varrho=0.9), Params(r=1.0, rho=1e-4, varrho=1e-4)]
+
+
+def _bound_masses(rng, basis, kind, k):
+    """(k, n) nonnegative masses: "log" over 2**-30 .. 2**30, "integer" in
+    0 .. 3 (exact ties), "suite" |normal|**2 times the atom weights, and
+    "even" 1, 2 or 3 times the weights per row, whose averages over the
+    supersets tie up to rounding; up to 90% of the entries and about a
+    third of the rows zero."""
+    n = basis.n_atoms
+    w = basis.space.weights
+    mass = {"log": lambda: 2.0 ** rng.uniform(-30, 30, (k, n)),
+            "integer": lambda: rng.integers(0, 4, (k, n)).astype(float),
+            "suite": lambda: rng.normal(size=(k, n)) ** 2 * w,
+            "even": lambda: rng.integers(1, 4, (k, 1)) * w}[kind]()
+    mass[rng.random((k, n)) < rng.choice([0.0, 0.5, 0.9])] = 0.0
+    mass[rng.random(k) < 0.3] = 0.0
+    return mass
+
+
+def _group_of(basis):
+    group_of = np.empty(basis.n_balls, dtype=np.intp)
+    for gi, (ids, _) in enumerate(basis.size_groups()):
+        group_of[ids] = gi
+    return group_of
+
+
+class TestBoundThenConfirm:
+    """The Monte-Carlo L1 pass sums exactly over the supersets whose bounds
+    may hold a row's L1 or R4 max; its denominators, and the constants, must
+    equal bitwise those of the sums over every superset."""
+
+    @settings(max_examples=200, deadline=None)
+    # even masses at varrho 1e-4: supersets whose values tie up to an ulp,
+    # where numpy's array ** (on x86-64 with numpy 2.4) rounds a bound past
+    # the scalar power of the exact value, so only BOUND_MARGIN keeps the
+    # argmax
+    @example(seed=90, weights="uniform", kind="even", k=6, p=BOUND_PARAMS[3],
+             off_star=False)
+    @given(seed=st.integers(0, 2 ** 32 - 1), weights=st.sampled_from(BOUND_WEIGHT_KINDS),
+           kind=st.sampled_from(["log", "integer", "suite", "even"]),
+           k=st.integers(1, 6), p=st.sampled_from(BOUND_PARAMS), off_star=st.booleans())
+    def test_denominators_equal_gather(self, seed, weights, kind, k, p, off_star):
+        rng = np.random.default_rng(seed)
+        basis = weighted_interval_basis(rng, weights)
+        bid = int(rng.integers(basis.n_balls))
+        mass = _bound_masses(rng, basis, kind, k)
+        if off_star:  # as the pass takes them: 0 on the ball's star
+            mass[:, basis.star_members(bid)] = 0.0
+        mu_rho = operators._power(basis.mu, -p.rho)
+        # a relabelled copy, whose balls sum their atoms in another order,
+        # takes the sums over every superset
+        relabelled, perm = _relabelled(basis, seed=int(rng.integers(100)))
+        on_relabelled = np.empty_like(mass)
+        on_relabelled[:, perm] = mass
+        for b, m in ((basis, mass), (relabelled, on_relabelled)):
+            want = superset_denominators_by_gather(b, bid, m, p.varrho, mu_rho)
+            got = operators._superset_denominators(b, bid, b.supersets(bid), m, p.varrho,
+                                                   mu_rho, _group_of(b))
+            assert got[0].tolist() == want[0].tolist()
+            assert got[1].tolist() == want[1].tolist()
+            # the full ball holds every atom: a row is 0 where its mass is
+            assert (got[0] == 0).tolist() == (~m.any(axis=1)).tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=weighted_interval_bases(), p=st.sampled_from(BOUND_PARAMS),
+           which=st.sampled_from(["kernel", "integer_kernel", "sparse", "identity"]),
+           seed=st.integers(0, 6))
+    def test_estimate_equals_loop(self, data, p, which, seed):
+        basis, rng = data
+        n = basis.n_atoms
+        if which == "sparse":
+            T = sparse_operator(basis, rng.choice(basis.n_balls, 4))
+        elif which == "identity":
+            T = identity_operator(basis)
+        else:
+            kernel = (rng.integers(-2, 3, size=(n, n)).astype(float)
+                      if which == "integer_kernel" else rng.normal(size=(n, n)))
+            T = OperatorDescriptor("kernel", basis, p, kernel=kernel)
+        assert estimate_bo_constants(T, 2, seed) == estimate_by_loop(T, 2, seed)
+
+    def test_approx_sums_within_err(self):
+        """Prefix differences lie within err of the sums over the members,
+        also where a row total dwarfs the sums (261 of the 528 spans of
+        build_grid(32) under these weights round off the exact sum)."""
+        rng = np.random.default_rng(3)
+        basis = _with_weights(build_grid(32), bound_weights(rng, 32, "log"))
+        mass = 2.0 ** rng.uniform(-30, 30, (4, 32))
+        ids = np.arange(basis.n_balls)
+        sums, err = basis.approx_ball_sums(mass, ids)
+        exact = np.stack([[mass[r, basis.members(i)].sum() for i in ids]
+                          for r in range(4)])
+        assert np.all(np.abs(sums - exact) <= err[:, None])
+        assert np.count_nonzero(sums != exact) > 0
+        assert _relabelled(basis, 0)[0].approx_ball_sums(mass, ids) is None
+
+    def test_label_says_which_pass_ran(self):
+        """The exact L1/R4 pass runs on interval bases only; on a relabelled
+        basis the identity's L1 comes from the Monte-Carlo pass, and the
+        label says so (it once read exact_linear_r1 there too)."""
+        basis = build_dyadic(5)
+        relabelled = _relabelled(basis, seed=2)[0]
+        assert identity_operator(basis).bo_constants(4, 0).method == "exact_linear_r1"
+        for T in (identity_operator(relabelled),
+                  sparse_operator(relabelled, np.arange(0, relabelled.n_balls, 5))):
+            got = estimate_bo_constants(T, 4, 0)
+            assert got.method == "monte_carlo", T.name
+            assert got == estimate_by_loop(T, 4, 0)
 
 
 # Outside operators.py nothing builds a descriptor or reads its structure

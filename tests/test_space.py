@@ -147,6 +147,16 @@ class TestMalformedInput:
         with pytest.raises(ValueError, match=f"^ball 1: hull id {hull[1]} "):
             BallBasis(self.SPACE, balls, hull, K=2.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0, -np.inf], ids=str)
+    def test_weight_rejected(self, bad):
+        """An inf weight once passed `w > 0`; ball sums, and the error
+        bounds of approx_ball_sums that scale with the total, need finite
+        ones."""
+        weights = np.ones(4)
+        weights[2] = bad
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            MeasureSpace(weights)
+
 
 def _same_basis(got, want):
     """got and want hold the same balls, constants and derived indexes."""

@@ -2,9 +2,12 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ballbasis import (ConfigError, Corpus, InfZero, Params, VecFunction,
                        build_dyadic, build_grid,
@@ -19,8 +22,11 @@ from ballbasis import (ConfigError, Corpus, InfZero, Params, VecFunction,
 from ballbasis import cli, functional, maximal_modulation, verify
 from ballbasis.operators import OperatorDescriptor
 from ballbasis.verify import round_sig
-from conftest import (_relabelled, alpha_profile_by_alphas, bmo_bounded_by_loop,
-                      good_lambda_by_cases, median_by_loop, weak_type_by_cases)
+from conftest import (BOUND_WEIGHT_KINDS, _relabelled, alpha_profile_by_alphas, bmo_bounded_by_loop,
+                      bound_weights, good_lambda_by_cases,
+                      good_lambda_ratio_by_levels, median_by_loop,
+                      weak_type_by_cases, weak_type_ratio_by_levels,
+                      weighted_interval_bases)
 
 
 def _jn_tails_by_balls(f, basis, t_max=64):
@@ -233,6 +239,95 @@ class TestReportsByStacks:
         assert calls.count((f"trunc({T.name})", k)) == 1
         assert 1 <= calls.count((T.name, k)) <= 2
         assert len(calls) == {"square_function": 2, "discrete_hilbert": 3}[kind]
+
+
+def _level_values(rng, n, kind):
+    """n nonnegative values, about a third of them 0: "normal" |normal|,
+    "integer" 0 .. 5 (repeated levels and exact ties of their products),
+    "log" over 2**-20 .. 2**20."""
+    vals = {"normal": lambda: np.abs(rng.normal(size=n)),
+            "integer": lambda: rng.integers(0, 6, n).astype(float),
+            "log": lambda: 2.0 ** rng.uniform(-20, 20, n)}[kind]()
+    vals[rng.random(n) < 1 / 3] = 0.0
+    return vals
+
+
+LEVEL_KINDS = st.sampled_from(["normal", "integer", "log"])
+WEIGHT_KINDS = st.sampled_from(BOUND_WEIGHT_KINDS)
+
+
+class TestBoundThenConfirm:
+    """The weak-type and good-lambda scans sum exactly only at the levels
+    whose bounds may hold the max; each ratio must equal bitwise the scan
+    with a masked sum per level (conftest.weak_type_ratio_by_levels,
+    good_lambda_ratio_by_levels)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), wkind=WEIGHT_KINDS, vkind=LEVEL_KINDS,
+           rho=st.sampled_from([1.0, 0.5, 1 / 3]))
+    def test_weak_type_ratio_equals_level_scan(self, seed, wkind, vkind, rho):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 129))
+        w = bound_weights(rng, n, wkind)
+        out = _level_values(rng, n, vkind)
+        denom = float(2.0 ** rng.uniform(-5, 5))
+        assert verify._weak_type_ratio(out, w, rho, denom) == weak_type_ratio_by_levels(
+            out, w, rho, denom)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), wkind=WEIGHT_KINDS, vkind=LEVEL_KINDS,
+           delta=st.sampled_from([0.1, 1.0, 10.0, math.inf]),
+           right=st.sampled_from(["values", "scaled", "zero"]),
+           block=st.sampled_from([None, 1, 3]))
+    def test_good_lambda_ratio_equals_level_scan(self, seed, wkind, vkind, delta, right,
+                                                 block):
+        # right="zero" leaves every right set empty, so a level with a left
+        # set makes the ratio inf; block caps a block of levels at that many
+        # times n elements
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 129))
+        w = bound_weights(rng, n, wkind)
+        ts, mf = _level_values(rng, n, vkind), _level_values(rng, n, vkind)
+        tf = {"values": lambda: _level_values(rng, n, vkind), "scaled": lambda: ts / 2.0,
+              "zero": lambda: np.zeros(n)}[right]()
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(verify, "BLOCK_ELEMS", block * n)
+            got = verify._good_lambda_ratio(tf, ts, mf, delta, w)
+        assert got == good_lambda_ratio_by_levels(tf, ts, mf, delta, w)
+
+    def test_good_lambda_inf_and_zero(self):
+        """An empty right set beside a nonempty left one makes the ratio inf,
+        found by the counts; no nonempty left set makes it 0."""
+        w = np.array([1.0, 2.0, 3.0])
+        ts, mf = np.array([0.0, 4.0, 1.0]), np.zeros(3)
+        for tf, want in ((np.zeros(3), math.inf), (np.full(3, 9.0), 2.0 / 6.0)):
+            assert verify._good_lambda_ratio(tf, ts, mf, 1.0, w) == want
+            assert good_lambda_ratio_by_levels(tf, ts, mf, 1.0, w) == want
+        assert verify._good_lambda_ratio(np.zeros(3), ts, np.full(3, 9.0), 1.0, w) == 0.0
+
+    def test_weak_type_skips_nan_and_keeps_inf(self):
+        """A NaN output lies in no superlevel set; an inf one makes the
+        ratio inf, as in the scan."""
+        w = np.array([1.0, 2.0, 3.0, 4.0])
+        for out in (np.array([np.nan, 1.0, 2.0, 0.0]), np.array([np.nan, np.inf, 2.0, 0.0])):
+            assert verify._weak_type_ratio(out, w, 1.0, 2.0) == weak_type_ratio_by_levels(
+                out, w, 1.0, 2.0)
+        assert verify._weak_type_ratio(np.array([np.nan, 0.0]), w[:2], 1.0, 2.0) == 0.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=weighted_interval_bases(), c=st.sampled_from([0.5, 8.0, 64.0]))
+    def test_reports_equal_per_case_loops(self, data, c):
+        basis, rng = data
+        corpus = _CorpusWithDegenerateCases(Corpus(
+            seed=int(rng.integers(100)), generators=["random_signs", "indicators",
+                                                     "delta_combs", "haar_mixtures"], size=2))
+        consts = SimpleNamespace(L0=float(rng.uniform(0.5, 2)), L1=float(rng.uniform(0, 2)))
+        for T in _report_operators(basis):
+            rep = weak_type_report(T, corpus, basis, T.params, 2.0)
+            assert rep == weak_type_by_cases(T, corpus, basis, T.params, 2.0), T.name
+            rep = good_lambda_report(T, consts, corpus, c, 1.5)
+            assert rep == good_lambda_by_cases(T, consts, corpus, c, 1.5), T.name
 
 
 class TestExpDecay:
