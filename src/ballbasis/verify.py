@@ -234,6 +234,21 @@ def weak_type_report(op, corpus: Corpus, basis: BallBasis, p: Params,
 # -- good-lambda --------------------------------------------------------------------
 
 
+def _level_masses(levels: np.ndarray, sets_of, w: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Per level, whether the atom set sets_of(level) holds an atom and its
+    masked weight product (within err of the exact sum, see SUM_ERROR), in
+    blocks of levels of at most BLOCK_ELEMS elements (one level at least)."""
+    step = max(1, BLOCK_ELEMS // len(w))
+    held = np.empty(len(levels), dtype=bool)
+    mass = np.empty(len(levels))
+    for s in range(0, len(levels), step):
+        sets = sets_of(levels[s:s + step, None])
+        held[s:s + step] = sets.any(axis=1)
+        mass[s:s + step] = sets @ w
+    return held, mass
+
+
 def _good_lambda_ratio(tf: np.ndarray, ts: np.ndarray, mf: np.ndarray,
                        delta: float, w: np.ndarray) -> float:
     """The max over the levels lam > 0 of ts of mu{ts > lam, mf < delta lam}
@@ -241,32 +256,23 @@ def _good_lambda_ratio(tf: np.ndarray, ts: np.ndarray, mf: np.ndarray,
     the right set of one of those is empty, 0 if there are none.
 
     Atom weights are > 0, so a mass is 0 exactly when its set is empty, and
-    the counts of the sets decide both.  Bound, then confirm: the masses are
-    bounded by masked weight products, each within err of the exact sum
-    (SUM_ERROR), in blocks of levels of at most BLOCK_ELEMS elements (one
-    level at least); max_candidates keeps the levels that may hold the max,
-    and only those take exact sums."""
+    whether a set holds an atom decides both.  Bound, then confirm: the
+    left sets come first (on the shipped configs every one is empty), then
+    the right sets of the levels with a left set; max_candidates keeps the
+    levels whose bounds may hold the max, and only those take exact sums."""
     lams = np.unique(ts)
     lams = lams[lams > 0]
-    n = len(w)
-    counts = np.empty((2, len(lams)), dtype=np.intp)
-    masses = np.empty((2, len(lams)))
-    step = max(1, BLOCK_ELEMS // n)
-    for s in range(0, len(lams), step):
-        lam = lams[s:s + step, None]
-        for k, sets in enumerate(((ts > lam) & (mf < delta * lam), tf > lam / 2.0)):
-            counts[k, s:s + step] = np.count_nonzero(sets, axis=1)
-            masses[k, s:s + step] = sets @ w
-    live = counts[0] > 0
-    if np.any(counts[1, live] == 0):
+    live, left = _level_masses(lams, lambda lam: (ts > lam) & (mf < delta * lam), w)
+    lams, left = lams[live], left[live]
+    held, right = _level_masses(lams, lambda lam: tf > lam / 2.0, w)
+    if not held.all():
         return math.inf
-    err = n * SUM_ERROR * float(w.sum())
-    left, right = masses[:, live]
+    err = len(w) * SUM_ERROR * float(w.sum())
     # a nonempty right set weighs at least its least atom weight
     lo = np.maximum(left - err, 0.0) / (right + err)
     hi = (left + err) / np.maximum(right - err, w.min())
     ratio = 0.0
-    for lam in lams[live][max_candidates(lo, hi)]:
+    for lam in lams[max_candidates(lo, hi)]:
         lhs = float(w[(ts > lam) & (mf < delta * lam)].sum())
         rhs = float(w[tf > lam / 2.0].sum())
         ratio = max(ratio, lhs / rhs)
