@@ -36,8 +36,6 @@ from .verify import (GENERATOR_KINDS, CaseRow, Corpus, Report, Weight, _clean,
 # -- configuration ------------------------------------------------------------------
 
 
-_TOP_KEYS = {"basis", "seed", "out", "operators", "corpus", "estimate",
-             "sparsify", "dominate", "mean_osc", "verify"}
 # operator kind -> the keys its spec may set besides kind and name, with defaults
 _OP_DEFAULTS = {
     "martingale_transform": {"eps_seed": 1},
@@ -73,6 +71,7 @@ _DEFAULTS = {
     "verify": {"suites": list(_SUITES), "thresholds": {},
                "weight": {"kind": "unit"}, "p": 2.0},
 }
+_TOP_KEYS = {"basis"} | set(_DEFAULTS)
 
 # (section, key) -> (test, the values it admits); a too large sparsify.alpha
 # is a run that fails, not a bad value

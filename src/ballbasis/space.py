@@ -429,9 +429,8 @@ class BallBasis:
                                        np.maximum(xs, self.hi[ids, None])]
         out = np.full((len(ids), n), np.inf)
         for row, i in zip(out, np.asarray(ids).tolist()):
-            for j in self.supersets(i):
-                m = self.members(j)
-                row[m] = np.minimum(row[m], self.mu[j])
+            sup = self._containing(self.members(i)[None])[0]
+            self.containing_reduce(np.minimum, np.where(sup, self.mu, np.inf), row)
         return out
 
     # -- sums over balls and stars ------------------------------------------
@@ -506,27 +505,23 @@ class BallBasis:
             for ids, idx in self.size_groups()]) for j in range(funcs.shape[1])], axis=1)
         yield 0, n, sums[self.pair_index().order].reshape((-1,) + v.shape[1:])
 
-    def superset_max(self, vals: np.ndarray, groups=None,
-                     strict: bool = False) -> np.ndarray:
-        """out[ids] = max of vals[A] over the balls A containing each row of
-        idx, for each (ids, idx) of groups ((m, L) stacks of sorted atom
-        sets; size_groups() by default, so out[i] is the max over the
-        supersets of ball i), over balls of more than L atoms only if strict;
-        -inf where no ball qualifies.
+    def superset_max(self, vals: np.ndarray, strict: bool = False) -> np.ndarray:
+        """out[i] = max of vals[A] over the balls A containing ball i, over
+        balls of more atoms than i only if strict; -inf where no ball
+        qualifies.
 
-        On interval bases the balls' own rows are one _sweep_max over (lo,
-        hi): the strict supersets of [a, b] cover [a - 1, b] or [a, b + 1].
-        Given groups, or on other bases, each group takes a containment
-        mask."""
+        On interval bases one _sweep_max over (lo, hi): the strict supersets
+        of [a, b] cover [a - 1, b] or [a, b + 1].  Other bases take a
+        containment mask per size group."""
         n = self.n_atoms
-        if groups is None and self.interval:
+        if self.interval:
             best = _sweep_max(self.lo, self.hi, vals, self.lo - strict, self.hi, n, n)
             if strict:
                 np.maximum(best, _sweep_max(self.lo, self.hi, vals, self.lo,
                                             self.hi + 1, n, n), out=best)
             return best
         out = np.full(self.n_balls, -np.inf)
-        for ids, idx in self.size_groups() if groups is None else groups:
+        for ids, idx in self.size_groups():
             mask = self._containing(idx)
             if strict:
                 mask &= self.sizes > idx.shape[1]
@@ -771,32 +766,27 @@ def check_axioms(basis: BallBasis) -> AxiomReport:
 
     # Per ball: the least measure of a ball containing the star (inf if
     # none), whether the stored hull contains the star, whether the star is
-    # X, and the least measure of a strict superset (inf if none); a least
-    # measure is -(max of -mu) over the containing balls.
+    # X, and the least measure of a strict superset (inf if none); a sweep
+    # or superset_max gives a least measure as -(max of -mu).
     if basis.interval:
         slo, shi = basis.star_spans()
         cover_mu = -_sweep_max(basis.lo, basis.hi, -mu, slo, shi, n, n)
         hull_ok = (basis.lo[h] <= slo) & (basis.hi[h] >= shi)
         star_full = shi - slo + 1 == n
     else:
+        # one containment mask per star size: its masked min of mu is the
+        # cover, its entry at the stored hull the hull check
         atoms, offsets = basis.star_lists()
         star_size = np.diff(offsets)
-        star_groups = []
+        cover_mu = np.empty(basis.n_balls)
+        hull_ok = np.empty(basis.n_balls, dtype=bool)
         for size in np.unique(star_size):
             ids = np.flatnonzero(star_size == size)
-            star_groups.append(
-                (ids, atoms[_ranges(offsets[ids], star_size[ids])].reshape(-1, size)))
-        cover_mu = -basis.superset_max(-mu, star_groups)
-        # the hull holds the star when each (hull start, star atom) key is
-        # among the (ball start, member) keys, which ascend (starts and sizes
-        # both ascend along the flat array); the last key ends the search
-        start, by_size = basis._start, basis._order
-        keys = np.repeat(start[by_size] * n, basis.sizes[by_size]) + basis._atoms
-        hull_ok = np.empty(basis.n_balls, dtype=bool)
-        for ids, idx in star_groups:
-            want = start[h[ids], None] * n + idx
-            at = np.searchsorted(keys[:-1], want)
-            hull_ok[ids] = (keys[at] == want).all(axis=1)
+            mask = basis._containing(
+                atoms[_ranges(offsets[ids], star_size[ids])].reshape(-1, size))
+            cover_mu[ids] = np.min(np.broadcast_to(mu, mask.shape), axis=-1,
+                                   where=mask, initial=np.inf)
+            hull_ok[ids] = mask[np.arange(len(ids)), h[ids]]
         star_full = star_size == n
     next_mu = -basis.superset_max(-mu, strict=True)
 

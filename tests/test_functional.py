@@ -629,6 +629,15 @@ class TestMaxCandidates:
         assert max_candidates([1.0, one_up], [1.0, one_up]).tolist() == [0, 1]
         assert max_candidates([[1.0, 1.5]], [[1.0, 1.5]]).tolist() == [1]
 
+    def test_margin_keeps_an_argmax_bound_rounded_low(self):
+        """The true argmax (position 0) has an upper bound a relative 1e-12
+        below the row's best lower bound (position 1's, rounded past its
+        exact value): BOUND_MARGIN keeps it; with no margin it would go."""
+        best = 3.0
+        lo = np.array([best * (1 - 2e-12), best, 1.0])
+        hi = np.array([best * (1 - 1e-12), best, 1.0])
+        assert max_candidates(lo, hi).tolist() == [0, 1]
+
     def test_nan_drops_nothing_and_empty_keeps_nothing(self):
         assert max_candidates([np.nan, 1.0], [np.nan, 2.0]).tolist() == [0, 1]
         assert max_candidates([[np.nan, np.nan]], [[1.0, 0.5]]).tolist() == [0, 1]

@@ -709,6 +709,30 @@ def _pair_star_sums(basis, kernel, v):
     return rows[at]
 
 
+def _star_groups(basis):
+    """Every ball's star as a row, grouped by star size (rows that are not
+    atom intervals off interval bases)."""
+    atoms, offsets = basis.star_lists()
+    size = np.diff(offsets)
+    return [(ids, atoms[_ranges(offsets[ids], size[ids])].reshape(-1, k))
+            for k in np.unique(size) for ids in [np.flatnonzero(size == k)]]
+
+
+def _k_min_by_argmax(basis):
+    """check_axioms's k_min, each star's cover measure taken by
+    superset_max_by_argmax over the star groups."""
+    cover = -superset_max_by_argmax(basis, -basis.mu, _star_groups(basis))
+    covered = np.isfinite(cover)
+    return float(np.fmax.reduce(cover[covered] / basis.mu[covered], initial=0.0))
+
+
+def _with_hulls(basis, ids, targets):
+    """basis with the hull of each ball of ids pointed at targets."""
+    hull = basis.hull.copy()
+    hull[ids] = targets
+    return BallBasis(basis.space, basis.balls, hull, K=basis.K, eta=basis.eta)
+
+
 class TestRelabelledQueries:
     """Every ball query on a basis and on its copy with atoms relabelled
     (where balls need not be atom intervals) agrees up to the relabelling."""
@@ -804,8 +828,11 @@ class TestRelabelledQueries:
             want = base.superset_max(vals, strict=strict)
             assert np.array_equal(rel.superset_max(vals, strict=strict), want)
             assert np.array_equal(want, superset_max_by_matrix(base, vals, strict=strict))
-            assert np.array_equal(rel.superset_max(vals, moved, strict),
-                                  base.superset_max(vals, groups, strict))
+            assert np.array_equal(superset_max_by_argmax(rel, vals, moved, strict),
+                                  superset_max_by_argmax(base, vals, groups, strict))
+        report = check_axioms(rel)
+        assert report == check_axioms_by_loop(rel)
+        assert report.k_min == _k_min_by_argmax(rel) == check_axioms(base).k_min
         for ufunc, start in ((np.maximum, -np.inf), (np.minimum, np.inf)):
             got = rel.containing_reduce(ufunc, vals, np.full(n, start))
             assert np.array_equal(got[perm],
@@ -887,13 +914,16 @@ class TestPairIndexContainment:
         by_ball = np.broadcast_to(rank[:, None], member.shape)
         assert np.array_equal(basis.containing_reduce(np.minimum, rank, np.full(n, nb)),
                               np.min(by_ball, axis=0, where=member, initial=nb))
-        rows = [(np.arange(min(3, nb)), idx[:nb])]
         for strict in (False, True):
             assert np.array_equal(basis.superset_max(vals, strict=strict),
                                   superset_max_by_matrix(basis, vals, strict))
-            assert np.array_equal(basis.superset_max(vals, rows, strict),
-                                  superset_max_by_argmax(basis, vals, rows, strict))
-        assert check_axioms(basis) == check_axioms_by_loop(basis)
+        # the stars' covers through k_min, and the hull check with the hulls
+        # of up to three balls pointed at seeded balls
+        ids = np.arange(min(3, nb))
+        for b in (basis, _with_hulls(basis, ids, rng.integers(0, nb, len(ids)))):
+            report = check_axioms(b)
+            assert report == check_axioms_by_loop(b)
+            assert report.k_min == _k_min_by_argmax(b)
 
     def test_no_membership_matrix(self, monkeypatch, rng):
         """With a full ball, the axiom check, the ball sums, containment,
@@ -1100,26 +1130,9 @@ SWEEP_BASES = {
 
 class TestSupersetMaxSweep:
     """Interval bases take superset maxima by one sweep over lo, the other
-    bases by one masked max per group: both equal the argmax reference
-    bitwise, for every ball and for stacks of other atom sets."""
-
-    @staticmethod
-    def _star_groups(basis):
-        """Every ball's star as a row, grouped by star size (rows that are not
-        atom intervals off interval bases)."""
-        atoms, offsets = basis.star_lists()
-        size = np.diff(offsets)
-        return [(ids, atoms[_ranges(offsets[ids], size[ids])].reshape(-1, k))
-                for k in np.unique(size) for ids in [np.flatnonzero(size == k)]]
-
-    @staticmethod
-    def _set_groups(basis, rng):
-        """Four groups of four seeded atom sets of 2 to 5 atoms (mostly not
-        atom intervals) on 16 distinct ball ids."""
-        ids = rng.permutation(basis.n_balls)[:16].reshape(4, 4)
-        return [(ids[k - 2], np.sort(np.stack(
-            [rng.choice(basis.n_atoms, k, replace=False) for _ in range(4)]), axis=1))
-            for k in range(2, 6)]
+    bases by one masked max per size group: both equal the argmax reference
+    bitwise.  check_axioms's star covers (through k_min) equal it too, and
+    its hull check the per-ball loop."""
 
     @pytest.mark.parametrize("name", sorted(SWEEP_BASES))
     @pytest.mark.parametrize("strict", [False, True])
@@ -1129,20 +1142,40 @@ class TestSupersetMaxSweep:
         sharp = sharp_all(VecFunction(tied_values(basis.n_atoms, 1)), basis)
         assert (sharp == 0).any() and len(np.unique(sharp)) < basis.n_balls
         for vals in (np.round(rng.normal(size=basis.n_balls), 1), sharp, -basis.mu):
-            for groups in (None, self._star_groups(basis), self._set_groups(basis, rng)):
-                assert np.array_equal(basis.superset_max(vals, groups, strict),
-                                      superset_max_by_argmax(basis, vals, groups, strict))
+            assert np.array_equal(basis.superset_max(vals, strict=strict),
+                                  superset_max_by_argmax(basis, vals, strict=strict))
+        # the hulls of 16 seeded balls pointed at seeded balls, too
+        ids = rng.permutation(basis.n_balls)[:16]
+        for b in (basis, _with_hulls(basis, ids, rng.integers(0, basis.n_balls, len(ids)))):
+            report = check_axioms(b)
+            assert report.k_min == _k_min_by_argmax(b)
+            assert report == check_axioms_by_loop(b)
 
     @pytest.mark.parametrize("levels", [9, 11])
     def test_permuted_dyadic_axioms(self, levels, monkeypatch):
-        """check_axioms on permuted dyadic bases (masked maxima) equals the
-        interval basis (the sweep), and both equal the argmax reference."""
+        """check_axioms on permuted dyadic bases (containment masks) equals
+        the interval basis (the sweeps) and the per-ball loop; its k_min
+        and strict superset maxima equal the argmax reference."""
         base = build_dyadic(levels)
         rel = _relabelled(base, seed=0)[0]
         got = check_axioms(rel)
-        assert got == check_axioms(base)
+        assert got == check_axioms(base) == check_axioms_by_loop(rel)
+        assert got.k_min == _k_min_by_argmax(rel)
         monkeypatch.setattr(BallBasis, "superset_max", superset_max_by_argmax)
         assert got == check_axioms(rel) == check_axioms(base)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_permuted_dyadic_hull_can_fail(self, seed):
+        """On the dyadic-permuted benchmark layout, a leaf's hull pointed at
+        the leaf itself, which misses one atom of its star (the parent),
+        fails the hull check for that ball alone."""
+        rel = _relabelled(build_dyadic(9), seed)[0]
+        leaf = 700
+        assert np.setdiff1d(rel.star_members(leaf), rel.members(leaf)).size == 1
+        broken = _with_hulls(rel, [leaf], [leaf])
+        report = check_axioms(broken)
+        assert not report.hull_valid and report.hull_failures == [leaf]
+        assert report == check_axioms_by_loop(broken)
 
     def test_grid256_memory(self):
         """superset_max on build_grid(256) (32,896 balls) builds no mask
@@ -1311,6 +1344,21 @@ def test_kernel_reads_stay_in_descriptor():
                 continue
             reads += [(path.stem, node.lineno) for node in ast.walk(top)
                       if isinstance(node, ast.Attribute) and node.attr == "kernel"]
+    assert reads == []
+
+
+def test_store_reads_stay_in_basis():
+    """Outside the BallBasis and PairIndex classes, no src line reads
+    `._atoms`, `._start` or `._order`: the member store's layout stays
+    behind the class that builds it."""
+    reads = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "ballbasis").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.ClassDef) and top.name in ("BallBasis", "PairIndex"):
+                continue
+            reads += [(path.stem, node.lineno) for node in ast.walk(top)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr in ("_atoms", "_start", "_order")]
     assert reads == []
 
 
@@ -1604,13 +1652,16 @@ def test_no_sharp_statistics_in_loops():
     assert _looped_calls({"bmo_norm", "sharp_all"}, 1, sorted(src.glob("*.py"))) == []
 
 
-# check_axioms reads containment from the cover table or one stacked test per
-# group (superset_max): no per-ball containment query sits in a loop inside
-# it.  exhausting_sequence's chain walk is per ball by nature.
+# check_axioms reads containment from the sweeps or one stacked test per star
+# size: no per-ball containment query sits in a loop inside it, and no
+# stacked one in a nested loop.  exhausting_sequence's chain walk is per ball
+# by nature.
 def test_no_containment_queries_in_axiom_loops():
     src = Path(__file__).parents[1] / "src" / "ballbasis"
-    names = {"_containing", "supersets", "smallest_strict_superset"}
+    names = {"supersets", "smallest_strict_superset", "contains",
+             "balls_containing_atom"}
     assert _looped_calls(names, 1, [src / "space.py"], "check_axioms") == []
+    assert _looped_calls({"_containing"}, 2, [src / "space.py"], "check_axioms") == []
     assert _looped_calls(names, 1, [src / "space.py"], "exhausting_sequence") != []
 
 
