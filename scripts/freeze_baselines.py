@@ -22,13 +22,15 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from ballbasis import (Corpus, Params, VecFunction, bmo_bounded_report,
+from ballbasis import (Ball, BallBasis, Corpus, MeasureSpace, Params,
+                       VecFunction, bmo_bounded_report,
                        build_dyadic, build_grid, build_regular_family,
                        conditional_expectation, discrete_hilbert,
                        dominate_bo, dominate_mean_osc, estimate_bo_constants,
                        general_maximal, good_lambda_report, lerner_decompose,
                        martingale_transform, maximal, riesz_potential,
                        sparsify_tree, truncate)
+from ballbasis import cli
 from ballbasis.cli import main as cli_main
 from ballbasis.cli import make_f_family
 
@@ -36,6 +38,13 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 OUT = os.path.normpath(os.path.join(ROOT, "tests", "baselines", "acceptance.json"))
 # the shipped configs that 'ballbasis all' passes on (acceptance criterion 13)
 CLI_CONFIGS = ("dyadic-martingale", "grid-hilbert")
+# a non-interval layout at a realistic size: build_dyadic(9) with its atoms
+# relabelled by the seeded permutation of tests/conftest.py's _relabelled,
+# run with the sparse and identity operators (the shipped operators that
+# accept any basis) and the other sections of dyadic-martingale.json
+PERMUTED_LEVELS, PERMUTED_SEED = 9, 0
+PERMUTED_OPERATORS = [{"kind": "sparse", "name": "sparse"},
+                      {"kind": "identity", "name": "identity"}]
 
 
 def sig(x):
@@ -181,6 +190,32 @@ def bundle_sha256(out_dir):
     return h.hexdigest()
 
 
+def permuted_dyadic(levels, seed):
+    """build_dyadic(levels) with atom a relabelled perm[a]; every atom
+    keeps its weight and every ball its id, measure and hull."""
+    base = build_dyadic(levels)
+    perm = np.random.default_rng(seed).permutation(base.n_atoms)
+    weights = np.empty_like(base.space.weights)
+    weights[perm] = base.space.weights
+    balls = [Ball(b.id, np.sort(perm[b.members]), b.measure) for b in base.balls]
+    return BallBasis(MeasureSpace(weights), balls, base.hull, K=base.K,
+                     eta=base.eta)
+
+
+def permuted_bundle(out_dir):
+    """The stages of 'ballbasis all', in run_experiment's order, on the
+    permuted dyadic layout, and the bundle they emit into out_dir."""
+    cfg = cli.load_config(os.path.join(ROOT, "configs", "dyadic-martingale.json"))
+    cfg["operators"] = [dict(spec) for spec in PERMUTED_OPERATORS]
+    basis = permuted_dyadic(PERMUTED_LEVELS, PERMUTED_SEED)
+    ops = [cli.build_operator(spec, basis, int(cfg["seed"]))
+           for spec in cfg["operators"]]
+    reports = (cli.run_check_basis(cfg, basis) + cli.run_estimate(cfg, basis, ops)
+               + cli.run_sparsify(cfg, basis) + cli.run_dominate(cfg, basis, ops)
+               + cli.run_mean_osc(cfg, basis, ops) + cli.run_verify(cfg, basis, ops))
+    return cli.emit_report(reports, out_dir)
+
+
 def cli_bundle_digests():
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -200,6 +235,9 @@ def build_doc():
     doc.update(bmo_baselines())
     doc["tstar_ratio"] = tstar_ratios()
     doc["cli_bundle_sha256"] = cli_bundle_digests()
+    with tempfile.TemporaryDirectory() as tmp:
+        permuted_bundle(tmp)
+        doc["permuted_bundle_sha256"] = bundle_sha256(tmp)
     return doc
 
 

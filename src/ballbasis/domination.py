@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import (AlphaViolated, BetaOutOfRange, ConstructionFailure,
                      LambdaExhausted, NotDoubling, NotRestricted)
-from .functional import (VecFunction, alpha_core, alpha_oscillation, average,
-                         fit_exponential_rate, level_tail, maximal, median,
+from .functional import (VecFunction, alpha_core, average, fit_exponential_rate,
+                         level_tail, maximal, median, set_alpha_oscillations,
                          sup_sharp_all)
 from .operators import (BOConstants, OperatorDescriptor, maximal_modulation,
                         truncate)
@@ -131,8 +131,10 @@ def dominate_bo(T: OperatorDescriptor, consts: BOConstants, f: VecFunction,
     p = T.params
     n = basis.n_atoms
     # per ball B, gamma = max(||T g||, T* g, L M g) and <f>_{(B*)*} for
-    # g = f 1_{(B*)*}; neither depends on lambda
+    # g = f 1_{(B*)*}; neither depends on lambda.  Where g is f bit for bit,
+    # on_f keeps ||T f|| and T* f for the certificate.
     gamma_cache: dict[int, tuple[np.ndarray, float]] = {}
+    on_f: list[np.ndarray] = []
 
     def f_map(bid: int) -> np.ndarray:
         """F_B at the lambda of the current attempt."""
@@ -142,7 +144,10 @@ def dominate_bo(T: OperatorDescriptor, consts: BOConstants, f: VecFunction,
             mask = np.zeros(n)
             mask[star2] = 1.0
             fm = VecFunction(f.values * mask[:, None], f.norm_kind)
-            gamma = np.maximum(T.apply(fm).norms(), t_star.apply(fm).norms())
+            tg, tsg = T.apply(fm).norms(), t_star.apply(fm).norms()
+            if fm.values.tobytes() == f.values.tobytes():
+                on_f[:] = tg, tsg
+            gamma = np.maximum(tg, tsg)
             gamma = np.maximum(gamma, scale * maximal(fm, basis, p))
             gamma_cache[bid] = gamma, average(f, star2, p, basis=basis)
         gamma, avg = gamma_cache[bid]
@@ -174,10 +179,10 @@ def dominate_bo(T: OperatorDescriptor, consts: BOConstants, f: VecFunction,
                             details={"lambda": lam, "nodes": tree.n_nodes,
                                      "alpha_threshold": alpha_threshold,
                                      "admissible_alpha": tree.admissible})
-        report = _certify(bound, T.apply(f).norms(), b_id, "dominate_bo")
+        tf, tsf = on_f or (T.apply(f).norms(), t_star.apply(f).norms())
+        report = _certify(bound, tf, b_id, "dominate_bo")
         bound.details["constant_truncated"] = _min_constant(
-            t_star.apply(f).norms(), bound.rhs_values(), members,
-            "dominate_bo truncated")
+            tsf, bound.rhs_values(), members, "dominate_bo truncated")
         bound.details["enclosing_ratio"] = report.enclosing_ratio
         return bound
     raise LambdaExhausted(f"no admissible lambda within 40 doublings "
@@ -253,7 +258,7 @@ def lerner_decompose(f: VecFunction, a0: int, beta: float,
     e_sets = [core_of(nb) for nb in node_balls]
     fam = disjointify(m_sets, parents, e_sets, weights=basis.space.weights)
 
-    terms = [alpha_oscillation(f, ms, beta, basis) for ms in m_sets]
+    terms = set_alpha_oscillations(f, m_sets, beta, basis).tolist()
     _, med_rep = median(f, basis.members(a0), basis)
     dev = f.values - med_rep[None, :]
     lhs = VecFunction(dev, f.norm_kind).norms()

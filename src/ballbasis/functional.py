@@ -173,43 +173,48 @@ def _use_oracle(f: VecFunction, method: str) -> bool:
 
 
 class _SortedWindows:
-    """Scalar f on a stack of equal-size atom sets idx (m, L): per row the
-    stable sort order of f, the sorted values sv and the prefix masses pre.
-    The window (i, j) of a row has width sv[j] - sv[i] and mass pre[j+1] -
-    pre[i]; each query answers for every row and every start i at once.
-    An entry n_atoms of idx is a pad, of value +inf and weight 0."""
+    """Scalar f on a stack of atom sets idx (m, L): per row the stable sort
+    order of f, the sorted values sv and the prefix masses pre.  The window
+    (i, j) of a row has width sv[j] - sv[i] and mass pre[j+1] - pre[i]; each
+    query answers for every row and every start i at once, reading row r
+    through flat indices (r*L + j into sv, r*(L+1) + j into pre).  An entry
+    n_atoms of idx is a pad, of value +inf and weight 0."""
 
     def __init__(self, f: VecFunction, idx: np.ndarray, weights: np.ndarray):
+        m, L = idx.shape
         v = np.append(f.values[:, 0], np.inf)[idx]
         self.order = np.argsort(v, axis=-1, kind="stable")
-        self.sv = np.take_along_axis(v, self.order, -1)
-        ws = np.take_along_axis(np.append(weights, 0.0)[idx], self.order, -1)
-        self.pre = np.concatenate([np.zeros((len(idx), 1)),
-                                   np.cumsum(ws, axis=-1)], axis=-1)
-        self.start = np.arange(idx.shape[1])
+        self.row = np.arange(m)[:, None] * L
+        flat = (self.order + self.row).ravel()
+        self.sv = v.ravel()[flat].reshape(m, L)
+        self.pre = np.zeros((m, L + 1))
+        np.cumsum(np.append(weights, 0.0)[idx.ravel()[flat]].reshape(m, L),
+                  axis=-1, out=self.pre[:, 1:])
+        self.pre_row = np.arange(m)[:, None] * (L + 1)
+        self.start = np.arange(L)
 
     def _first(self, over) -> np.ndarray:
         """Per row and start i, the least end j >= i with over(j) (L where
-        none): over is monotone in j, so one bisection serves every start."""
+        none).  over is monotone in j from i on (f finite, weights >= 0,
+        pads +inf of weight 0), so power-of-two steps down from i - 1 find
+        the last j with over(j) false, a step past the end trying L - 1."""
         L = self.sv.shape[1]
-        lo = np.broadcast_to(self.start, self.sv.shape)
-        hi = np.full(self.sv.shape, L)
-        while (live := lo < hi).any():
-            mid = (lo + hi) // 2
-            hit = live & over(np.minimum(mid, L - 1))
-            hi = np.where(hit, mid, hi)
-            lo = np.where(live & ~hit, mid + 1, lo)
-        return lo
+        last = np.broadcast_to(self.start - 1, self.sv.shape)
+        step = 1 << (L.bit_length() - 1)
+        while step:
+            j = np.minimum(last + step, L - 1)
+            last = np.where(over(j), last, j)
+            step >>= 1
+        return last + 1
 
     def mass(self, ends: np.ndarray) -> np.ndarray:
         """Mass of the window from each start i to ends[:, i]."""
-        return np.take_along_axis(self.pre, ends + 1, -1) - self.pre[:, :-1]
+        return self.pre.ravel()[self.pre_row + ends + 1] - self.pre[:, :-1]
 
     def longest(self, width: np.ndarray) -> np.ndarray:
         """Per start, the end of the longest window of width <= width[row]."""
         sv = self.sv
-        return self._first(lambda j: np.take_along_axis(sv, j, -1) - sv
-                           > width[:, None]) - 1
+        return self._first(lambda j: sv.ravel()[self.row + j] - sv > width[:, None]) - 1
 
     def alpha_osc(self, alpha) -> np.ndarray:
         """OSC_alpha per row: the least width of a window of mass over
@@ -217,7 +222,7 @@ class _SortedWindows:
         L = self.sv.shape[1]
         need = np.reshape(alpha, (-1, 1)) * self.pre[:, -1:]
         ends = self._first(lambda j: self.mass(j) > need)
-        widths = np.take_along_axis(self.sv, np.minimum(ends, L - 1), -1) - self.sv
+        widths = self.sv.ravel()[self.row + np.minimum(ends, L - 1)] - self.sv
         osc = np.where(ends < L, widths, np.inf).min(axis=-1)
         if np.isinf(osc).any():
             raise EmptySet("no subset exceeds the alpha mass threshold")
@@ -286,8 +291,8 @@ def medians(f: VecFunction, idx: np.ndarray, basis: BallBasis,
         # sorted position k is in a qualifying window iff some qualifying
         # start i <= k has its end at k or beyond
         reach = np.maximum.accumulate(np.where(starts, ends, -1), axis=-1)
-        cores = np.zeros(idx.shape, dtype=bool)
-        np.put_along_axis(cores, t.order, reach >= t.start, -1)
+        cores = np.empty(idx.shape, dtype=bool)
+        cores.ravel()[(t.order + t.row).ravel()] = (reach >= t.start).ravel()
     if not cores.any(axis=-1).all():
         raise EmptySet("median core came out empty")
     return cores, f.values[np.where(cores, idx, basis.n_atoms).min(axis=-1)]
@@ -302,27 +307,51 @@ def median(f: VecFunction, members, basis: BallBasis,
     return arr[cores[0]], reps[0]
 
 
+def _padded(stacks, pad: int) -> np.ndarray:
+    """Stacks of atom sets (k, L) of any widths as the rows of one array,
+    each row filled with pad past its own atoms."""
+    rows = np.cumsum([0] + [len(s) for s in stacks])
+    out = np.full((rows[-1], max(s.shape[1] for s in stacks)), pad)
+    for s, r in zip(stacks, rows):
+        out[r:r + len(s), :s.shape[1]] = s
+    return out
+
+
 def ball_medians(f: VecFunction, basis: BallBasis) -> np.ndarray:
     """(n_balls, d): f's median representative on every ball, one medians
     call per block of consecutive size groups padded to the widest (a window
     starting on a pad has mass 0; every other ends before the pads).  A block
-    holds BLOCK_ELEMS // 4 padded elements or one group, and one group if f
-    is a vector (the subset oracle)."""
+    grows while its padded elements stay within BLOCK_ELEMS // 4 and within
+    twice its real ones; a vector f (the subset oracle) takes one group per
+    block."""
     groups = basis.size_groups()
     cap = BLOCK_ELEMS // 4 if f.scalar else 0
     out = np.empty((basis.n_balls, f.dim))
-    start, rows = 0, 0
+    start, rows, real = 0, 0, 0
     for end, (ids, idx) in enumerate(groups, 1):
-        rows += len(ids)
-        if end < len(groups) and (rows + len(groups[end][0])) * groups[end][1].shape[1] <= cap:
-            continue
-        block = groups[start:end]  # idx, the last, is the widest
-        stack = np.concatenate([np.pad(g, ((0, 0), (0, idx.shape[1] - g.shape[1])),
-                                       constant_values=basis.n_atoms) for _, g in block])
+        rows, real = rows + len(ids), real + idx.size
+        if end < len(groups):
+            nxt = groups[end][1]
+            if (rows + len(nxt)) * nxt.shape[1] <= min(cap, 2 * (real + nxt.size)):
+                continue
+        block = groups[start:end]
         with np.errstate(invalid="ignore"):  # inf - inf at a pad start
-            out[np.concatenate([g for g, _ in block])] = medians(f, stack, basis, "auto")[1]
-        start, rows = end, 0
+            out[np.concatenate([g for g, _ in block])] = medians(
+                f, _padded([g for _, g in block], basis.n_atoms), basis, "auto")[1]
+        start, rows, real = end, 0, 0
     return out
+
+
+def set_alpha_oscillations(f: VecFunction, sets, alpha: float,
+                           basis: BallBasis) -> np.ndarray:
+    """OSC_{E,alpha} on each of several nonempty atom sets E: for a scalar f
+    one sorted-window table of the sets padded to the widest (see
+    ball_medians), else one subset oracle per set."""
+    if not f.scalar:
+        return np.array([alpha_oscillation(f, s, alpha, basis) for s in sets])
+    stack = _padded([as_atom_array(s)[None] for s in sets], basis.n_atoms)
+    with np.errstate(invalid="ignore"):  # inf - inf at a pad start
+        return _SortedWindows(f, stack, basis.space.weights).alpha_osc(alpha)
 
 
 # -- BMO and maximal functions --------------------------------------------------

@@ -48,8 +48,10 @@ from .errors import PostconditionFailure
 
 
 def as_atom_array(members) -> np.ndarray:
-    """Normalize an atom collection to a sorted unique int array."""
-    return np.unique(np.asarray(members, dtype=np.int64))
+    """Normalize an atom collection to a sorted unique int64 array, never
+    the input itself; a strictly increasing 1-d one is only copied."""
+    arr = np.array(members, dtype=np.int64)
+    return arr if arr.ndim == 1 and (arr[1:] > arr[:-1]).all() else np.unique(arr)
 
 
 @dataclass(frozen=True)

@@ -198,6 +198,21 @@ def _value_windows(sv, width):
         yield i, j
 
 
+def _first_by_bisection(t, over):
+    """The bisection functional._SortedWindows._first replaced: per row and
+    start i of the table t, the least end j >= i with over(j) (L where
+    none), bisecting every entry at once under a live mask."""
+    L = t.sv.shape[1]
+    lo = np.broadcast_to(t.start, t.sv.shape)
+    hi = np.full(t.sv.shape, L)
+    while (live := lo < hi).any():
+        mid = (lo + hi) // 2
+        hit = live & over(np.minimum(mid, L - 1))
+        hi = np.where(hit, mid, hi)
+        lo = np.where(live & ~hit, mid + 1, lo)
+    return lo
+
+
 def alpha_oscillation_by_loop(f, arr, w, alpha):
     """The least width of a run of sorted values of mass over alpha*mu."""
     _, sv, pre = _sorted_prefix(f, arr, w)

@@ -426,3 +426,15 @@ def test_freeze_check_names_moved_keys(monkeypatch, capsys, baselines, moved):
     else:
         assert status == 1
         assert out.splitlines()[0] == "differs: " + ".".join(moved)
+
+
+def test_permuted_bundle_frozen(tmp_path, baselines):
+    """The stages of 'all' on the permuted dyadic layout of
+    scripts/freeze_baselines.py, where no ball is an atom interval, emit
+    byte-identical bundles on two runs, equal to the frozen digest."""
+    script = _freeze_script()
+    outs = [str(tmp_path / f"run{k}") for k in (1, 2)]
+    for out in outs:
+        script.permuted_bundle(out)
+    assert bundle_sha256(outs[0]) == baselines["permuted_bundle_sha256"]
+    assert bundle_sha256(outs[1]) == bundle_sha256(outs[0])

@@ -1,20 +1,22 @@
 import dataclasses
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ballbasis import domination
+from ballbasis import cli, domination
 
 from ballbasis import (AlphaViolated, BetaOutOfRange, BOConstants,
                        ConstructionFailure, NotRestricted, OperatorDescriptor,
-                       Params, VecFunction,
+                       Params, VecFunction, alpha_oscillation,
                        conditional_expectation, discrete_hilbert, dominate_bo,
                        dominate_mean_osc, estimate_bo_constants,
                        fit_exponential_rate, lerner_decompose,
                        martingale_transform, riesz_potential,
                        verify_sparse_bound, zero_operator)
+from conftest import STAT_BASES
 
 
 def span_ball(basis, lo, hi):
@@ -157,7 +159,54 @@ class TestDominateBOErrors:
             dominate_bo(T, c, VecFunction(np.ones(64)), 0)
 
 
+class TestDominateBOCost:
+    def test_truncation_once_per_function(self, monkeypatch):
+        """On the shipped dyadic layout, each dominate_bo call applies T* to
+        each distinct function once: where (B*)* holds f's support, g = f
+        bit for bit, and its T f and T* f serve the certificate too."""
+        cfg = cli.load_config(str(Path(__file__).parents[1] / "configs"
+                                  / "dyadic-martingale.json"))
+        basis = cli.build_basis(cfg)
+        stars, seen = [], []
+        truncate, apply = domination.truncate, OperatorDescriptor.apply
+        monkeypatch.setattr(domination, "truncate",
+                            lambda T: stars.append(truncate(T)) or stars[-1])
+        monkeypatch.setattr(OperatorDescriptor, "apply", lambda self, f: (
+            any(self is s for s in stars) and seen.append(f.values.tobytes())
+        ) or apply(self, f))
+        b = basis.full_ball_id()
+        for spec in cfg["operators"]:
+            T = cli.build_operator(spec, basis, cfg["seed"])
+            consts = T.bo_constants(cfg["estimate"]["budget"], cfg["seed"])
+            for i in range(cfg["dominate"]["cases"]):
+                f = VecFunction(np.random.default_rng([cfg["seed"], 31, i]).normal(
+                    size=(basis.n_atoms, 1)))
+                seen.clear()
+                dominate_bo(T, consts, f, b)
+                assert f.values.tobytes() in seen
+                assert len(seen) == len(set(seen)), T.name
+
+
 class TestLerner:
+    @pytest.mark.parametrize("name", sorted(STAT_BASES))
+    def test_terms_equal_per_set(self, name):
+        """The terms from one padded table equal each family set's
+        alpha_oscillation bitwise, for values with and without ties."""
+        basis = STAT_BASES[name]()
+        rng = np.random.default_rng(3)
+        built = 0
+        for f in (VecFunction(rng.lognormal(size=basis.n_atoms)),
+                  VecFunction(rng.integers(0, 3, size=basis.n_atoms).astype(float))):
+            for a0 in (basis.full_ball_id(), 0):
+                try:
+                    bound = lerner_decompose(f, a0, 0.75, basis)
+                except ConstructionFailure:  # beta too small for this f
+                    continue
+                built += 1
+                assert bound.terms == [alpha_oscillation(f, basis.members(i), 0.75, basis)
+                                       for i in bound.family]
+        assert built >= 3
+
     def test_constant_function(self, dyadic6):
         f = VecFunction(np.full(64, 3.0))
         bound = lerner_decompose(f, dyadic6.full_ball_id(), 0.75, dyadic6)

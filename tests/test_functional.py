@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,14 +11,15 @@ from ballbasis import (Ball, BallBasis, EmptySet, MeasureSpace, Params,
                        build_grid, build_regular_family, general_maximal,
                        maximal, median, sharp_all, sup_sharp_all)
 from ballbasis import functional
-from ballbasis.functional import (TAIL_LEVELS, _power, ball_averages_all,
-                                  ball_medians, level_tail, max_candidates,
-                                  mean_oscillation, medians, sharp_all_stack,
+from ballbasis.functional import (TAIL_LEVELS, _power, _SortedWindows,
+                                  ball_averages_all, ball_medians, level_tail,
+                                  max_candidates, mean_oscillation, medians,
+                                  set_alpha_oscillations, sharp_all_stack,
                                   vector_norms)
 from ballbasis.space import BLOCK_ELEMS
-from conftest import (alpha_core_by_loop, alpha_oscillation_by_loop,
-                      ball_medians_by_groups, level_tail_by_mask, median_by_loop,
-                      tied_values)
+from conftest import (_first_by_bisection, alpha_core_by_loop,
+                      alpha_oscillation_by_loop, ball_medians_by_groups,
+                      level_tail_by_mask, median_by_loop, tied_values)
 
 CLASSICAL = Params.classical_profile(1.0)
 
@@ -318,26 +321,113 @@ class TestSortedWindows:
 
     @pytest.mark.parametrize("make, calls", [(lambda: build_grid(31), 3),
                                              (lambda: build_grid(64), 15),
-                                             (lambda: build_dyadic(8), 3)],
+                                             (lambda: build_dyadic(8), 5)],
                              ids=["grid31", "grid64", "dyadic8"])
     def test_ball_medians_blocks(self, make, calls, monkeypatch):
         """Several size groups share a medians call, each call within
-        BLOCK_ELEMS // 4 padded elements unless it is one group; a vector f
-        takes one call per group."""
+        BLOCK_ELEMS // 4 padded elements and twice its real ones unless it
+        is one group; a vector f takes one call per group."""
         basis = make()
         widths = []
 
         def counting(f, idx, basis, method):
-            widths.append((idx.size, len(np.unique(np.sum(idx < basis.n_atoms, axis=1)))))
+            real = idx < basis.n_atoms
+            widths.append((idx.size, real.sum(),
+                           len(np.unique(np.sum(real, axis=1)))))
             return medians(f, idx, basis, method)
 
         monkeypatch.setattr(functional, "medians", counting)
         f = VecFunction(np.random.default_rng(3).lognormal(size=basis.n_atoms))
         got = ball_medians(f, basis)
         assert len(widths) == calls < len(basis.size_groups())
-        assert all(size <= BLOCK_ELEMS // 4 or groups == 1 for size, groups in widths)
+        assert all(size <= min(BLOCK_ELEMS // 4, 2 * real) or groups == 1
+                   for size, real, groups in widths)
         monkeypatch.undo()
         assert np.array_equal(got, ball_medians_by_groups(f, basis))
+
+    @staticmethod
+    @st.composite
+    def _tables(draw):
+        """1-5 rows of up to 70 entries over 70 atoms: few distinct values
+        (ties), weights in [0.5, 2], and each row's real atoms followed by
+        pads (value +inf, weight 0)."""
+        m, L = draw(st.integers(1, 5)), draw(st.integers(1, 70))
+        vals = draw(st.lists(st.sampled_from([-1.5, 0.0, 0.25, 1.0, 3.0]),
+                             min_size=70, max_size=70))
+        w = draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0]), min_size=70,
+                          max_size=70))
+        idx = np.full((m, L), 70)
+        for row in idx:
+            atoms = draw(st.permutations(range(70)))
+            k = draw(st.integers(1, L))
+            row[:k] = atoms[:k]
+        return VecFunction(np.array(vals)), np.array(w), idx
+
+    @staticmethod
+    def _checked(t, calls):
+        """t._first that also runs the bisection on the same predicate and
+        requires equal ends, recording the predicate's evaluations."""
+        search = t._first
+
+        def first(over):
+            evals = []
+            got = search(lambda j: evals.append(j) or over(j))
+            assert np.array_equal(got, _first_by_bisection(t, over))
+            calls.append(len(evals))
+            return got
+        return first
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=_tables(), alpha=st.sampled_from([0.1, 0.5, 0.75, 0.99]),
+           slack=st.sampled_from([0.0, 1.0, 2.0]))
+    def test_search_equals_bisection(self, table, alpha, slack):
+        """The power-of-two search gives the bisection's ends bitwise, on
+        the predicates of alpha_osc and longest, in at most
+        L.bit_length() + 1 evaluations per query."""
+        f, w, idx = table
+        t = _SortedWindows(f, idx, w)
+        calls = []
+        t._first = self._checked(t, calls)
+        with np.errstate(invalid="ignore"):  # inf - inf at a pad start
+            osc = t.alpha_osc(alpha)
+            t.longest(slack * osc)
+        assert len(calls) == 2
+        assert max(calls) <= idx.shape[1].bit_length() + 1
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 63, 64, 65, 200])
+    def test_search_evaluations(self, L):
+        """One query evaluates its predicate at most L.bit_length() + 1
+        times, on a row of L distinct values and on a row of one value."""
+        for vals in (np.arange(L, dtype=float), np.zeros(L)):
+            t = _SortedWindows(VecFunction(vals), np.arange(L)[None], np.ones(L))
+            calls = []
+            t._first = self._checked(t, calls)
+            t.longest(t.alpha_osc(0.5))
+            assert len(calls) == 2 and max(calls) <= L.bit_length() + 1
+
+    def test_set_alpha_oscillations_equal_per_set(self, stat_basis):
+        """One padded table over sets of unequal size gives each set's
+        alpha_oscillation bitwise: one-atom sets, every ball and the full
+        set, for values with ties; a vector f takes the per-set oracle."""
+        n = stat_basis.n_atoms
+        sets = ([[a] for a in range(0, n, 5)] + [np.arange(n)]
+                + [stat_basis.members(i) for i in range(0, stat_basis.n_balls, 7)])
+        for f in self._functions(stat_basis) + [VecFunction(tied_values(n, 4))]:
+            for alpha in (0.3, 0.75):
+                got = set_alpha_oscillations(f, sets, alpha, stat_basis)
+                want = [alpha_oscillation(f, s, alpha, stat_basis) for s in sets]
+                assert got.tolist() == want
+        small = [s for s in sets if len(s) <= 8]
+        f = VecFunction(np.random.default_rng(2).normal(size=(n, 2)), "max")
+        assert (set_alpha_oscillations(f, small, 0.75, stat_basis).tolist()
+                == [alpha_oscillation(f, s, 0.75, stat_basis) for s in small])
+
+    def test_no_along_axis_or_pad(self):
+        """The sorted-window engine reads its rows through flat indices, and
+        the blocks are filled into preallocated arrays."""
+        text = Path(functional.__file__).read_text()
+        for name in ("take_along_axis", "put_along_axis", "np.pad"):
+            assert name not in text, name
 
     def test_ball_medians_vector_per_group(self, dyadic4):
         f = VecFunction(np.random.default_rng(5).normal(size=(16, 2)), "max")

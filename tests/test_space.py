@@ -226,6 +226,19 @@ class TestAsAtomArray:
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("members", [
+        np.arange(0, 30, 4), np.array([1, 5, 6], dtype=np.int32), [0, 3, 8],
+        range(2, 9), np.array([7]), build_dyadic(4).members(20),
+    ], ids=lambda m: repr(m))
+    def test_sorted_input_copied(self, members):
+        """A strictly increasing input skips the sort: the result equals
+        np.unique, is int64, and is a writable array of its own."""
+        got = as_atom_array(members)
+        assert got.dtype == np.int64 and got.flags.writeable
+        assert np.array_equal(got, np.unique(np.asarray(members)))
+        if isinstance(members, np.ndarray):
+            assert not np.shares_memory(got, members)
+
 
 class TestSizeGroups:
     @pytest.mark.parametrize("make", list(STAT_BASES.values()), ids=list(STAT_BASES))
