@@ -218,7 +218,7 @@ class _SortedWindows:
 
     def alpha_osc(self, alpha) -> np.ndarray:
         """OSC_alpha per row: the least width of a window of mass over
-        alpha*mu, alpha one value or one per row."""
+        alpha*mu, alpha one value, one per row, or a column for a one-row table."""
         L = self.sv.shape[1]
         need = np.reshape(alpha, (-1, 1)) * self.pre[:, -1:]
         ends = self._first(lambda j: self.mass(j) > need)
@@ -238,13 +238,12 @@ def alpha_oscillation(f: VecFunction, members, alpha: float,
 def alpha_oscillations(f: VecFunction, members, alphas, basis: BallBasis,
                        method: str = "auto") -> np.ndarray:
     """OSC_{B,alpha} for each of alphas on one atom set, from one table: the
-    sorted windows of the set repeated once per alpha, or one subset oracle."""
+    set's sorted windows, alphas a column, or one subset oracle."""
     arr, w = _query_atoms(members, alphas, basis, "alpha-oscillation")
     if _use_oracle(f, method):
         _, masses, osc = _subset_oscillations(f, arr, w)
         return np.array([_min_osc(masses, osc, a * w.sum()) for a in alphas])
-    rows = np.repeat(arr[None], len(alphas), axis=0)
-    return _SortedWindows(f, rows, basis.space.weights).alpha_osc(alphas)
+    return _SortedWindows(f, arr[None], basis.space.weights).alpha_osc(alphas)
 
 
 def alpha_core(f: VecFunction, members, alpha: float, basis: BallBasis,
@@ -511,14 +510,12 @@ def build_regular_family(basis: BallBasis) -> RegularFamily:
         raise RegularityViolation("kernel mass differs from 1", witness=None)
 
     # condition (y4): c1 1_B/mu(B) <= phi_B <= c2 omega(mu(B)/d)/d = c2 mu(B)/d^2
-    c1 = math.inf
-    c2 = 0.0
-    for i in range(basis.n_balls):
-        c1 = min(c1, float((kernels[i, basis.members(i)] * basis.mu[i]).min()))
-        envelope = basis.mu[i] / dmat[i] / dmat[i]
-        if np.any(envelope <= 0):
-            raise RegularityViolation("zero envelope", witness=(i,))
-        c2 = max(c2, float((kernels[i] / envelope).max()))
+    envelope = basis.mu[:, None] / dmat / dmat
+    if (bad := np.flatnonzero((envelope <= 0).any(axis=1))).size:
+        raise RegularityViolation("zero envelope", witness=(int(bad[0]),))
+    c1 = min(float((kernels[ids[:, None], idx] * basis.mu[ids, None]).min())
+             for ids, idx in basis.size_groups())
+    c2 = float((kernels / envelope).max())
     if c1 <= 0:
         raise RegularityViolation("lower kernel bound failed", witness=None)
 

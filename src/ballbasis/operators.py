@@ -545,14 +545,9 @@ def _sample_ball_ids(basis: BallBasis, budget: int, seed: int) -> np.ndarray:
     return np.sort(rng.choice(basis.n_balls, size=budget, replace=False))
 
 
-def _osc_on(vals: np.ndarray, members) -> float:
-    seg = vals[members]
-    return float(seg.max() - seg.min())
-
-
 def _superset_denominators(basis: BallBasis, bid: int, sup_ids: np.ndarray,
-                           mass: np.ndarray, varrho: float, mu_rho: np.ndarray,
-                           group_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                           mass: np.ndarray, varrho: float,
+                           mu_rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The L1 and R4 denominators of each row of a nonnegative (k, n) mass:
     the max over the supersets A of ball bid (sup_ids) of (sum of the row
     over A) ** varrho * mu_rho[A], and the max of that over log1p(mu(A) /
@@ -561,9 +556,9 @@ def _superset_denominators(basis: BallBasis, bid: int, sup_ids: np.ndarray,
     Bound, then confirm: where the basis gives ball sums within an error
     bound (approx_ball_sums, interval bases), max_candidates keeps the
     supersets that may hold a row's L1 or R4 max, and only those are summed
-    exactly; other bases sum over every superset.  The exact sums come one
-    size group at a time (group_of[A] is A's index in size_groups()), in
-    C-ordered blocks, so each rounds like the ball's own."""
+    exactly; other bases sum over every superset.  Each exact sum is one
+    C-ordered gather of the rows over a candidate superset's members, so it
+    rounds like the ball's own."""
     out = np.zeros((2, len(mass)))
     live = mass.any(axis=1)
     if not live.any():
@@ -585,20 +580,12 @@ def _superset_denominators(basis: BallBasis, bid: int, sup_ids: np.ndarray,
         lo /= logs
         hi /= logs
         sup_ids = sup_ids[np.union1d(keep, max_candidates(lo, hi))]
-    groups = basis.size_groups()
-    is_sup = np.zeros(basis.n_balls, dtype=bool)
-    is_sup[sup_ids] = True
-    sup, sums = [], []
-    for gi in np.flatnonzero(np.bincount(group_of[sup_ids], minlength=len(groups))).tolist():
-        ids, idx = groups[gi]
-        rows = is_sup[ids]
-        sup.append(ids[rows])
-        sums.append(np.take(mass, idx[rows], axis=1).sum(axis=-1))
-    sup = np.concatenate(sup)
-    logs = np.array([math.log1p(q) for q in (basis.mu[sup] / basis.mu[bid]).tolist()])
+    sums = np.stack([np.take(mass, basis.members(a), axis=1).sum(axis=-1)
+                     for a in sup_ids.tolist()], axis=1)
+    logs = np.array([math.log1p(q) for q in (basis.mu[sup_ids] / basis.mu[bid]).tolist()])
     # (rows, supersets), a fresh array, scaled and divided in place
-    avg = _power(np.concatenate(sums, axis=1).ravel(), varrho).reshape(len(mass), -1)
-    avg *= mu_rho[sup]
+    avg = _power(sums.ravel(), varrho).reshape(sums.shape)
+    avg *= mu_rho[sup_ids]
     out[0, live] = avg.max(axis=1)
     avg /= logs
     out[1, live] = avg.max(axis=1)
@@ -609,12 +596,13 @@ def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
                           seed: int = 0) -> BOConstants:
     """L0, L1 and L2 of T on its own basis, each with a witness.
 
-    T is applied to stacks (see OperatorDescriptor): once per sampled ball
-    in the L0 pass and once per sampled ball in the Monte-Carlo L1 pass, each
-    time to the suite functions that probe that ball; in delta to at most
-    _STACK_ROWS candidates at a time; and once to probe R5.  Each row rounds
-    as it would alone, so the constants and witnesses are those of one apply
-    per function."""
+    The exact L1/R4 pass runs first; then one pass per sampled ball applies
+    T to two stacks (see OperatorDescriptor) of the suite functions that
+    probe the ball, for L0 and the Monte-Carlo L1/R4, and takes L2 by delta,
+    which applies T to at most _STACK_ROWS candidates at a time; one more
+    apply probes R5.  Each row rounds as it would alone, so the constants
+    and witnesses are those of one apply per function.  A witness is the
+    first of largest ratio (strict >), so exact-pass witnesses win ties."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     basis = T.basis
@@ -631,39 +619,7 @@ def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
     suite = np.array(structured_suite(basis, budget, seed))
     ball_ids = _sample_ball_ids(basis, max(budget, 16), seed)
 
-    # ---- L0: weak-type constant over restricted functions ----
-    # one stacked apply per ball, on the suite rows that do not vanish on it;
-    # the witness is the first (ball, suite index) of largest ratio
-    l0 = 0.0
-    for bid in ball_ids:
-        bid = int(bid)
-        members = basis.members(bid)
-        mu_b = basis.mu[bid]
-        wm = w[members]
-        # C-ordered rows, so each row sum rounds like a lone function's
-        on_ball = np.take(suite, members, axis=1)
-        masses = (np.abs(on_ball) ** p.r * wm).sum(axis=1)
-        mu_b_rho = mu_b ** (-p.rho)
-        denoms = mu_b_rho * _power(masses, p.varrho)
-        rows = np.flatnonzero(denoms != 0)
-        if rows.size == 0:
-            continue
-        rvs = np.zeros((rows.size, n))
-        rvs[:, members] = on_ball[rows]
-        tn = vector_norms(T.apply_stack(rvs[..., None], "euclidean"),
-                          "euclidean")[:, members]
-        # a row's ratios where Tf is 0 are 0, so they never win a strict >
-        order = np.argsort(tn, axis=1)[:, ::-1]
-        sorted_vals = np.take_along_axis(tn, order, axis=1)
-        tail_mass = np.cumsum(wm[order], axis=1)
-        ratios = (sorted_vals / denoms[rows, None]) * (tail_mass / mu_b) ** p.rho
-        cands = ratios.max(axis=1)
-        i = int(np.argmax(cands))
-        if cands[i] > l0:
-            l0 = float(cands[i])
-            witnesses["L0"] = {"ball": bid, "suite_index": int(rows[i])}
-
-    # ---- L1: localization constant off the star ----
+    # ---- exact L1/R4: localization constants off the star ----
     l1 = 0.0
     r4 = 0.0
     if exact:
@@ -697,51 +653,65 @@ def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
                 bid = int(np.flatnonzero(best[k] == top[k])[0])
                 witnesses[key] = {"ball": bid, "atom": int(atom[k, bid])}
         l1, r4 = float(top[0]), float(top[1])
-    # monte-carlo localization pass (also for exact operators: the suite is
-    # shared with modulation families so their estimates stay comparable)
+
+    # ---- one pass per sampled ball: L0, Monte-Carlo L1/R4, L2 ----
     mu_rho = _power(basis.mu, -p.rho)
-    group_of = np.empty(basis.n_balls, dtype=np.intp)
-    for gi, (ids, _) in enumerate(basis.size_groups()):
-        group_of[ids] = gi
-    for bid in ball_ids:
-        bid = int(bid)
+    l0 = 0.0
+    l2 = 0.0
+    for bid in ball_ids.tolist():
         members = basis.members(bid)
         star = basis.star_members(bid)
+        mu_b = basis.mu[bid]
+        wm = w[members]
+        # L0: one stacked apply on the suite rows that do not vanish on the
+        # ball, in C-ordered rows, so each row sum rounds like a lone function's
+        on_ball = np.take(suite, members, axis=1)
+        masses = (np.abs(on_ball) ** p.r * wm).sum(axis=1)
+        denoms = mu_b ** (-p.rho) * _power(masses, p.varrho)
+        rows = np.flatnonzero(denoms != 0)
+        if rows.size:
+            rvs = np.zeros((rows.size, n))
+            rvs[:, members] = on_ball[rows]
+            tn = vector_norms(T.apply_stack(rvs[..., None], "euclidean"),
+                              "euclidean")[:, members]
+            # a row's ratios where Tf is 0 are 0, so they never win a strict >
+            order = np.argsort(tn, axis=1)[:, ::-1]
+            sorted_vals = np.take_along_axis(tn, order, axis=1)
+            tail_mass = np.cumsum(wm[order], axis=1)
+            cands = ((sorted_vals / denoms[rows, None])
+                     * (tail_mass / mu_b) ** p.rho).max(axis=1)
+            i = int(np.argmax(cands))
+            if cands[i] > l0:
+                l0 = float(cands[i])
+                witnesses["L0"] = {"ball": bid, "suite_index": int(rows[i])}
         if star.size == n:
             continue
+        # Monte-Carlo L1/R4, for exact operators too: the suite is shared
+        # with modulation families so their estimates stay comparable
         mask = np.ones(n)
         mask[star] = 0.0
         rvs = suite * mask
         denoms, r4_denoms = _superset_denominators(
-            basis, bid, basis.supersets(bid), np.abs(rvs) ** p.r * w, p.varrho,
-            mu_rho, group_of)
+            basis, bid, basis.supersets(bid), np.abs(rvs) ** p.r * w, p.varrho, mu_rho)
         rows = np.flatnonzero(denoms != 0)
-        if not rows.size:
-            continue
-        denoms, r4_denoms = denoms.tolist(), r4_denoms.tolist()
-        tv = vector_norms(T.apply_stack(rvs[rows, :, None], "euclidean"),
-                          "euclidean")[:, members]
-        for fi, osc in zip(rows.tolist(), (tv.max(axis=1) - tv.min(axis=1)).tolist()):
-            if osc / denoms[fi] > l1:
-                l1 = osc / denoms[fi]
-                witnesses["L1"] = {"ball": bid, "suite_index": fi}
-            if r4_denoms[fi] > 0 and osc / r4_denoms[fi] > r4:
-                r4 = osc / r4_denoms[fi]
-                witnesses["R4"] = {"ball": bid, "suite_index": fi}
-
-    # ---- L2: connectivity via a grown ball per base ball ----
-    l2 = 0.0
-    for bid in ball_ids:
-        bid = int(bid)
-        if len(basis.star_members(bid)) == n:
-            continue
+        if rows.size:
+            denoms, r4_denoms = denoms.tolist(), r4_denoms.tolist()
+            tv = vector_norms(T.apply_stack(rvs[rows, :, None], "euclidean"),
+                              "euclidean")[:, members]
+            for fi, osc in zip(rows.tolist(), (tv.max(axis=1) - tv.min(axis=1)).tolist()):
+                if osc / denoms[fi] > l1:
+                    l1 = osc / denoms[fi]
+                    witnesses["L1"] = {"ball": bid, "suite_index": fi}
+                if r4_denoms[fi] > 0 and osc / r4_denoms[fi] > r4:
+                    r4 = osc / r4_denoms[fi]
+                    witnesses["R4"] = {"ball": bid, "suite_index": fi}
+        # L2, connectivity via the ball grown to its least strict superset
         b2 = basis.smallest_strict_superset(bid)
-        if b2 is None:
-            continue
-        val = delta(T, bid, b2, seed=seed)
-        if val > l2:
-            l2 = val
-            witnesses["L2"] = {"ball": bid, "grown": b2}
+        if b2 is not None:
+            val = delta(T, bid, b2, seed=seed)
+            if val > l2:
+                l2 = val
+                witnesses["L2"] = {"ball": bid, "grown": b2}
 
     # ---- R5 probe along the exhausting sequence ----
     # imported at call time, so a patched space.exhausting_sequence is seen
@@ -749,9 +719,7 @@ def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
     ones = np.zeros(n)
     ones[basis.members(exhausting_sequence(basis)[-1])] = 1.0
     t_last = T.apply(VecFunction(ones)).norms()
-    r5 = 0.0
-    for bid in ball_ids:
-        r5 = max(r5, _osc_on(t_last, basis.members(int(bid))))
+    r5 = max([0.0] + [np.ptp(t_last[basis.members(bid)]) for bid in ball_ids.tolist()])
 
     return BOConstants(L0=float(l0), L1=float(l1), L2=float(l2),
                        method="exact_linear_r1" if exact else "monte_carlo",

@@ -381,6 +381,12 @@ def level_tail_by_mask(x, g, w, mu, top):
 # stacked applies of ballbasis.operators must equal bitwise.
 
 
+def _osc_on(vals, members):
+    """max - min of vals over the atoms members."""
+    seg = vals[members]
+    return float(seg.max() - seg.min())
+
+
 def delta_by_loop(T, a_id, b_id, seed):
     """operators.delta, its Monte-Carlo candidates applied one at a time."""
     from ballbasis.operators import _exactly_estimable
@@ -447,7 +453,7 @@ def superset_denominators_by_gather(basis, bid, mass, varrho, mu_rho):
 def estimate_by_loop(T, budget, seed):
     """operators.estimate_bo_constants with one T.apply per function."""
     from ballbasis.functional import volume_distance_matrix
-    from ballbasis.operators import (BOConstants, _exactly_estimable, _osc_on,
+    from ballbasis.operators import (BOConstants, _exactly_estimable,
                                      _sample_ball_ids, structured_suite)
     from ballbasis.space import exhausting_sequence
 

@@ -517,6 +517,14 @@ class TestRegularFamily:
         with pytest.raises(RegularityViolation, match="zero envelope") as err:
             build_regular_family(basis)
         assert err.value.witness == (0,)
+        # ball 0 reaches every atom through balls 1 and 2; no ball holds
+        # ball 1 and the atom 2, so the witness is the later ball 1
+        balls = [Ball(0, np.array([1]), 1.0), Ball(1, np.array([0, 1]), 2.0),
+                 Ball(2, np.array([1, 2]), 2.0)]
+        basis = BallBasis(MeasureSpace(np.ones(3)), balls, [0, 1, 2], K=2.0, eta=2.0)
+        with pytest.raises(RegularityViolation, match="zero envelope") as err:
+            build_regular_family(basis)
+        assert err.value.witness == (1,)
 
 
 class TestGeneralMaximal:

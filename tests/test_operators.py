@@ -18,10 +18,10 @@ from ballbasis import (Ball, BallBasis, MeasureSpace, NotComparable,
 from ballbasis import cli, operators
 from ballbasis.errors import ConfigError
 from ballbasis.functional import vector_norms
-from ballbasis.operators import _osc_on, _sample_ball_ids, structured_suite
+from ballbasis.operators import _sample_ball_ids, structured_suite
 
-from conftest import (BOUND_WEIGHT_KINDS, _relabelled, _reweighted, _with_weights,
-                      bound_weights, dense_kernel, dyadic_by_balls,
+from conftest import (BOUND_WEIGHT_KINDS, _osc_on, _relabelled, _reweighted,
+                      _with_weights, bound_weights, dense_kernel, dyadic_by_balls,
                       estimate_by_loop, kernel_truncation_by_groups, span_bases,
                       superset_denominators_by_gather, takes_grid_kernels,
                       weighted_interval_basis, weighted_interval_bases)
@@ -1046,6 +1046,24 @@ class TestEstimateByStacks:
                 T = OperatorDescriptor("kernel", grid16, p, kernel=kernel)
                 assert estimate_bo_constants(T, 4, seed) == estimate_by_loop(T, 4, seed)
 
+    @pytest.mark.parametrize("layout", ["grid-hilbert", "dyadic-martingale",
+                                        "dyadic-permuted"])
+    def test_benchmark_layouts(self, layout):
+        """The report bundles carry no witnesses, so the benchmark layouts
+        pin them here: the shipped configs' bases and operators, and
+        build_dyadic(9) relabelled by seed 0 with the sparse and identity
+        operators."""
+        if layout == "dyadic-permuted":
+            basis = _relabelled(build_dyadic(9), 0)[0]
+            specs = [{"kind": "sparse"}, {"kind": "identity"}]
+        else:
+            cfg = cli.load_config(str(Path(__file__).parents[1] / "configs"
+                                      / f"{layout}.json"))
+            basis, specs = cli.build_basis(cfg), cfg["operators"]
+        for spec in specs:
+            T = cli.build_operator(spec, basis, 0)
+            assert estimate_bo_constants(T, 8, 0) == estimate_by_loop(T, 8, 0), T.name
+
     @pytest.mark.parametrize("kind,make", [("martingale_transform", lambda: build_dyadic(8)),
                                            ("square_function", lambda: build_dyadic(8)),
                                            ("discrete_hilbert", lambda: build_grid(64))])
@@ -1275,13 +1293,6 @@ def _bound_masses(rng, basis, kind, k):
     return mass
 
 
-def _group_of(basis):
-    group_of = np.empty(basis.n_balls, dtype=np.intp)
-    for gi, (ids, _) in enumerate(basis.size_groups()):
-        group_of[ids] = gi
-    return group_of
-
-
 class TestBoundThenConfirm:
     """The Monte-Carlo L1 pass sums exactly over the supersets whose bounds
     may hold a row's L1 or R4 max; its denominators, and the constants, must
@@ -1313,7 +1324,7 @@ class TestBoundThenConfirm:
         for b, m in ((basis, mass), (relabelled, on_relabelled)):
             want = superset_denominators_by_gather(b, bid, m, p.varrho, mu_rho)
             got = operators._superset_denominators(b, bid, b.supersets(bid), m, p.varrho,
-                                                   mu_rho, _group_of(b))
+                                                   mu_rho)
             assert got[0].tolist() == want[0].tolist()
             assert got[1].tolist() == want[1].tolist()
             # the full ball holds every atom: a row is 0 where its mass is

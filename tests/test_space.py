@@ -1318,9 +1318,17 @@ class TestIntervalStarOfSet:
 
 
 # Outside space.py, code reads the basis layout (interval flag, star spans,
-# membership matrix) only here:
-LAYOUT_ATTRS = {"interval", "star_spans", "member_matrix"}
+# membership matrix, size groups) only here:
+LAYOUT_ATTRS = {"interval", "star_spans", "member_matrix", "size_groups"}
 LAYOUT_READS = sorted([
+    # the median cores of every ball, a block of size groups per medians call
+    ("functional", "ball_medians", "size_groups"),
+    # the lower kernel bound c1 gathers each ball's members, a size group at a time
+    ("functional", "build_regular_family", "size_groups"),
+    # <f>_{#,B} of every ball gathers its members, a size group at a time
+    ("functional", "sharp_all_stack", "size_groups"),
+    # the exact L1/R4 pass gathers kernel rows, a size group at a time
+    ("operators", "estimate_bo_constants", "size_groups"),
     # the grid kernels need every ball an atom interval
     ("operators", "_require_grid", "interval"),
     # the exact L1 pass runs on interval bases only (peak memory)
@@ -1329,6 +1337,8 @@ LAYOUT_READS = sorted([
     ("operators", "estimate_bo_constants", "star_spans"),
     # star ids are read off star spans (dyadic_levels checked the layout)
     ("operators", "square_function", "star_spans"),
+    # the John-Nirenberg tails of every ball, a size group at a time
+    ("verify", "john_nirenberg_report", "size_groups"),
 ])
 
 
@@ -1438,7 +1448,7 @@ CONTAINMENT_CALLS = sorted([
     ("domination", "lerner_decompose", "balls_containing_atom"),
     # the growth condition is checked per (ball, superset) pair
     ("functional", "build_regular_family", "supersets"),
-    # the Monte-Carlo L1 pass and the L2 pass, per sampled ball
+    # the one pass per sampled ball
     ("operators", "estimate_bo_constants", "supersets"),
     ("operators", "estimate_bo_constants", "smallest_strict_superset"),
     # the doubling growth and the half-density postcondition, per output ball
