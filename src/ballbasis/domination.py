@@ -176,9 +176,7 @@ def dominate_bo(T: OperatorDescriptor, consts: BOConstants, f: VecFunction,
                             indicators=fam.shrink,
                             enclosing=int(basis.hull[tree.root]),
                             constant=0.0, terms=terms,
-                            details={"lambda": lam, "nodes": tree.n_nodes,
-                                     "alpha_threshold": alpha_threshold,
-                                     "admissible_alpha": tree.admissible})
+                            details={"lambda": lam, "nodes": tree.n_nodes})
         tf, tsf = on_f or (T.apply(f).norms(), t_star.apply(f).norms())
         report = _certify(bound, tf, b_id, "dominate_bo")
         bound.details["constant_truncated"] = _min_constant(
@@ -202,7 +200,6 @@ def lerner_decompose(f: VecFunction, a0: int, beta: float,
         raise BetaOutOfRange("beta must lie in (1/2, 1)")
     a0 = int(a0)
     n = basis.n_atoms
-    K = basis.K
     core_cache: dict[int, np.ndarray] = {}
 
     def core_of(bid: int) -> np.ndarray:
@@ -215,7 +212,7 @@ def lerner_decompose(f: VecFunction, a0: int, beta: float,
     def f_map(bid: int) -> np.ndarray:
         return np.setdiff1d(basis.members(int(basis.hull[int(bid)])), core_of(bid))
 
-    alpha = (1.0 - beta) * K
+    alpha = (1.0 - beta) * basis.K
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         tree = sparsify_tree(basis, f_map, a0, alpha, tolerant=True)
@@ -267,34 +264,13 @@ def lerner_decompose(f: VecFunction, a0: int, beta: float,
                         enclosing=int(basis.hull[tree.root]),
                         constant=0.0, terms=terms,
                         center=med_rep,
-                        details={"beta": beta, "nodes": len(node_balls),
-                                 "repaired": len(uncovered), "alpha": alpha})
-    outside = np.ones(n, dtype=bool)
-    outside[basis.star_members(a0)] = False
-    bound.details["family_in_star"] = not (rows & outside).any()
+                        details={"nodes": len(node_balls),
+                                 "repaired": len(uncovered)})
     _certify(bound, lhs, a0, "lerner_decompose")
     return bound
 
 
 # -- modulated mean-oscillation domination ------------------------------------------
-
-
-def _family_basis(family: list[OperatorDescriptor]) -> BallBasis:
-    """The basis of a nonempty family, which must be doubling."""
-    if not family:
-        raise NotRestricted("empty family")
-    if family[0].basis.eta is None:
-        raise NotDoubling("a modulated family needs a doubling basis")
-    return family[0].basis
-
-
-def _check_restricted(family: list[OperatorDescriptor],
-                      consts: list[BOConstants]):
-    for t, c in zip(family, consts):
-        if not t.restricted:
-            raise NotRestricted(f"{t.name} is not linear with the classical profile")
-        if not math.isfinite(c.r4_constant):
-            raise NotRestricted(f"{t.name} has no finite log-localization constant")
 
 
 def dominate_mean_osc(family: list[OperatorDescriptor], f: VecFunction,
@@ -304,8 +280,16 @@ def dominate_mean_osc(family: list[OperatorDescriptor], f: VecFunction,
     family's basis by sharp mean oscillations of f over a sparse family;
     consts are the members' BO constants, whose log-localization constant
     R4 must be finite."""
-    basis = _family_basis(family)
-    _check_restricted(family, consts)
+    if not family:
+        raise NotRestricted("empty family")
+    basis = family[0].basis
+    if basis.eta is None:
+        raise NotDoubling("a modulated family needs a doubling basis")
+    for t, c in zip(family, consts):
+        if not t.restricted:
+            raise NotRestricted(f"{t.name} is not linear with the classical profile")
+        if not math.isfinite(c.r4_constant):
+            raise NotRestricted(f"{t.name} has no finite log-localization constant")
     b_id = int(b_id)
     tf = maximal_modulation(family).apply(f).values[:, 0]
     tf_fn = VecFunction(tf)
@@ -318,6 +302,6 @@ def dominate_mean_osc(family: list[OperatorDescriptor], f: VecFunction,
                         indicators=inner.indicators,
                         enclosing=inner.enclosing, constant=0.0, terms=terms,
                         center=inner.center,
-                        details={"beta": beta, "nodes": len(inner.family)})
+                        details={"nodes": len(inner.family)})
     _certify(bound, lhs, b_id, "dominate_mean_osc")
     return bound

@@ -691,8 +691,9 @@ def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
         mask = np.ones(n)
         mask[star] = 0.0
         rvs = suite * mask
+        sup = basis.supersets(bid)
         denoms, r4_denoms = _superset_denominators(
-            basis, bid, basis.supersets(bid), np.abs(rvs) ** p.r * w, p.varrho, mu_rho)
+            basis, bid, sup, np.abs(rvs) ** p.r * w, p.varrho, mu_rho)
         rows = np.flatnonzero(denoms != 0)
         if rows.size:
             denoms, r4_denoms = denoms.tolist(), r4_denoms.tolist()
@@ -706,8 +707,10 @@ def estimate_bo_constants(T: OperatorDescriptor, budget: int = 32,
                     r4 = osc / r4_denoms[fi]
                     witnesses["R4"] = {"ball": bid, "suite_index": fi}
         # L2, connectivity via the ball grown to its least strict superset
-        b2 = basis.smallest_strict_superset(bid)
-        if b2 is not None:
+        # (least measure, then least id), taken from the supersets above
+        above = sup[basis.sizes[sup] > basis.sizes[bid]]
+        if above.size:
+            b2 = int(above[np.argmin(basis.mu[above])])
             val = delta(T, bid, b2, seed=seed)
             if val > l2:
                 l2 = val

@@ -225,9 +225,10 @@ def sparsify_tree(basis: BallBasis, F_map, a0: int, alpha: float,
             f_cache[bid] = fs
         return f_cache[bid]
 
-    # phase 1: the raw generation tree over the underlying balls
+    # phase 1: the raw generation tree over the underlying balls; up holds
+    # each node's parent, the root being its own
     und: list[int] = [int(a0)]
-    parent: list[int | None] = [None]
+    up: list[int] = [0]
     transcript: list[str] = []
     queue = [0]
     while queue:
@@ -247,32 +248,29 @@ def sparsify_tree(basis: BallBasis, F_map, a0: int, alpha: float,
                 raise ConstructionFailure(
                     f"child ball {g} does not shrink below its parent {a}; "
                     "alpha too large", transcript=transcript)
-            j = len(und)
+            queue.append(len(und))
             und.append(int(g))
-            parent.append(i)
-            queue.append(j)
+            up.append(i)
         if len(und) > 50 * basis.n_balls + 1000:
             raise ConstructionFailure("tree growth out of control",
                                       transcript=transcript)
 
-    R = K * K
-    rank = [_node_rank(basis, b, R) for b in und]
-    ranks = np.array(rank)
+    up = np.array(up)
+    ranks = np.array([_node_rank(basis, b, K * K) for b in und])
     n = len(und)
     rows = atom_rows(basis.n_atoms, [basis.members(b) for b in und])
     alive = np.ones(n, dtype=bool)
 
     run_removals = admissible or not tolerant
     if run_removals:
-        for i, p in enumerate(parent):
-            if p is not None and rank[i] >= rank[p]:
-                raise ConstructionFailure(
-                    f"rank did not drop from node {p} to {i}",
-                    transcript=transcript)
-        up = np.array([i if p is None else p for i, p in enumerate(parent)])
+        rise = np.flatnonzero(ranks[1:] >= ranks[up[1:]]) + 1
+        if rise.size:
+            raise ConstructionFailure(
+                f"rank did not drop from node {up[rise[0]]} to {rise[0]}",
+                transcript=transcript)
         anc = _ancestors(up)
-        k0 = rank[0]
-        kmin = min(rank)
+        k0 = ranks[0]
+        kmin = ranks.min()
         # the wedge window above node a: the ranks two or more clear of both
         # a and its parent; as the windows along a chain are disjoint and
         # ordered by rank, each is labelled by 1 + rank[a] - kmin
@@ -280,10 +278,9 @@ def sparsify_tree(basis: BallBasis, F_map, a0: int, alpha: float,
         top = np.where(up == np.arange(n), kmin - 1, ranks[up] - 2)
         window = ((ranks[:, None] + 2 <= levels) & (levels <= top[:, None])
                   ) * (1.0 + ranks - kmin)[:, None]
-        order = sorted(range(n), key=lambda i: (-basis.mu[und[i]], und[i], i))
+        order = np.lexsort((np.arange(n), und, -basis.mu[und]))
         for k in range(k0 - 1, kmin - 1, -1):
-            bucket = np.array([i for i in order if alive[i] and rank[i] == k],
-                              dtype=np.int64)
+            bucket = order[alive[order] & (ranks[order] == k)]
             # removal via a live node ranked in the window above any node on
             # the bucket node's ancestor chain (itself included) whose double
             # star it meets; only ranks >= k + 2 are read, and this pass
@@ -307,35 +304,29 @@ def sparsify_tree(basis: BallBasis, F_map, a0: int, alpha: float,
     # compact the surviving nodes; a survivor's ancestors all survive
     keep = np.flatnonzero(alive)
     remap = np.cumsum(alive) - 1
-    n_und = [und[i] for i in keep]
-    n_parent = [None if parent[i] is None else int(remap[parent[i]])
-                for i in keep]
-    n_children: list[list[int]] = [[] for _ in keep]
-    for j, p in enumerate(n_parent):
-        if p is not None:
-            n_children[p].append(j)
-    n_rank = [rank[i] for i in keep]
-    node_balls = [int(basis.hull[int(basis.hull[b])]) for b in n_und]
+    up, ranks, rows = remap[up[keep]], ranks[keep], rows[keep]
+    und = [und[i] for i in keep]
+    node_balls = [int(basis.hull[int(basis.hull[b])]) for b in und]
 
     # witnesses: the part of each underlying ball not covered by the
     # survivors ranked more than one below it
-    kept = rows[keep]
-    below = ranks[keep][None, :] < ranks[keep][:, None] - 1
-    witness = [np.flatnonzero(r) for r in kept & ~_meet(below, kept.T)]
+    below = ranks[None, :] < ranks[:, None] - 1
+    witness = [np.flatnonzero(r) for r in rows & ~_meet(below, rows.T)]
 
     certified = bool(run_removals)
-    constants: dict = {"threshold": threshold, "R": R}
+    constants: dict = {}
     if certified:
-        _verify_sparse_tree(basis, n_und, node_balls, n_parent, n_children,
-                            n_rank, witness, get_f, alpha, constants)
+        _verify_sparse_tree(basis, und, node_balls, up, ranks, witness, get_f,
+                            alpha, constants)
     else:
         # tolerant callers may repair coverage themselves, so report instead
         # of raising
         constants["uncovered"] = _uncovered_atoms(basis, node_balls, a0, get_f)
         constants["coverage_certified"] = len(constants["uncovered"]) == 0
     return SparseTree(basis=basis, root=node_balls[0], nodes=node_balls,
-                      underlying=n_und, parent=n_parent, witness=witness,
-                      admissible=admissible,
+                      underlying=und,
+                      parent=[None if p == j else int(p) for j, p in enumerate(up)],
+                      witness=witness, admissible=admissible,
                       sparseness_certified=certified, transcript=transcript,
                       constants=constants)
 
@@ -348,43 +339,35 @@ def _uncovered_atoms(basis: BallBasis, node_balls, a0: int, get_f) -> list[int]:
     return [int(a) for a in seed[~covered[seed]]]
 
 
-def _verify_coverage(basis: BallBasis, node_balls, a0: int, get_f):
-    missing = _uncovered_atoms(basis, node_balls, a0, get_f)
+def _verify_sparse_tree(basis, und, node_balls, up, rank, witness, get_f,
+                        alpha, constants):
+    """Raise ConstructionFailure unless the tree, given by each node's parent
+    in up (the root, node 0, is its own), is a verified sparse tree."""
+    w = basis.space.weights
+    K = basis.K
+    eta = basis.eta if basis.eta is not None else 1.0
+    kids = np.flatnonzero(up != np.arange(len(up)))
+    # nesting of node balls
+    for j in kids:
+        if not basis.contains(node_balls[j], node_balls[up[j]]):
+            raise ConstructionFailure(f"node {j} not nested in its parent")
+    missing = _uncovered_atoms(basis, node_balls, und[0], get_f)
     if missing:
         raise ConstructionFailure(
             "seed ball not covered outside the exceptional sets",
             transcript=[f"missing atoms {missing[:5]}"])
-
-
-def _verify_sparse_tree(basis, und, node_balls, parent, children, rank,
-                        witness, get_f, alpha, constants):
-    w = basis.space.weights
-    K = basis.K
-    eta = basis.eta if basis.eta is not None else 1.0
-    # nesting of node balls
-    for j, p in enumerate(parent):
-        if p is not None and not basis.contains(node_balls[j], node_balls[p]):
-            raise ConstructionFailure(f"node {j} not nested in its parent")
-    # coverage
-    _verify_coverage(basis, node_balls, und[0], get_f)
-    # child mass
-    worst = 0.0
-    for j in range(len(und)):
-        if children[j]:
-            s = sum(basis.mu[node_balls[c]] for c in children[j])
-            worst = max(worst, s / basis.mu[node_balls[j]])
+    # child mass: each parent's children summed in index order
+    mu = basis.mu[node_balls]
+    worst = float((np.bincount(up[kids], mu[kids], len(up)) / mu).max())
     bound = 2.0 * eta * alpha * K ** 3
     constants["child_mass_ratio"] = worst
-    constants["child_mass_bound"] = bound
     if worst > bound + 1e-12:
         raise ConstructionFailure(
             f"child mass ratio {worst:g} exceeds {bound:g}")
     # half-density above every child node ball
     dense: dict[int, np.ndarray] = {}
-    for j, p in enumerate(parent):
-        if p is None:
-            continue
-        fb = node_balls[p]
+    for j in kids:
+        fb = node_balls[up[j]]
         if fb not in dense:
             dense[fb] = _half_dense(basis, get_f(fb))
         if dense[fb][basis.supersets(node_balls[j], strict=True)].any():

@@ -442,6 +442,21 @@ class TestMain:
         assert main(["verify", "--config", path, "--suite", "bmo"]) == 2
         assert "unknown suite 'bmo'" in capsys.readouterr().err
 
+    def test_unrestricted_operators_and_unit_weight(self, tmp_path):
+        # riesz is not restricted, so run_mean_osc returns no report and
+        # exp_decay has no modulated family; the unit weight is A_p with
+        # characteristic exactly 1
+        cfg = small_cfg(tmp_path / "out", basis={"kind": "grid", "size": 16},
+                        operators=[{"kind": "riesz_potential", "name": "riesz"}])
+        cfg["verify"]["suites"] = ["exp_decay", "ap"]
+        assert main(["all", "--config", write_cfg(tmp_path, cfg)]) == 0
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        names = [r["name"] for r in doc["reports"]]
+        assert "exp_decay/riesz" in names
+        assert "mean_osc" not in names and "exp_decay/modulated_vs_sharp" not in names
+        ap, = [r for r in doc["reports"] if r["name"] == "muckenhoupt"]
+        assert ap["summary"]["characteristic"] == 1.0
+
     def test_verify_suite_filter(self, tmp_path):
         path = write_cfg(tmp_path, small_cfg(tmp_path / "out"))
         assert main(["verify", "--config", path, "--suite", "weak_type",

@@ -1,3 +1,4 @@
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +236,26 @@ class TestAlphaCore:
         fat, _ = alpha_core(f, full, 0.6, dyadic3, slack=2.0)
         assert dyadic3.measure(fat) >= dyadic3.measure(tight)
         assert _oscillation(f, fat) <= 2.0 * osc + 1e-12
+
+    @pytest.mark.parametrize("norm_kind", ["euclidean", "max"])
+    def test_vector_core_is_heaviest_qualifying_subset(self, dyadic3, norm_kind):
+        # vector f takes the subset oracle: the core is a heaviest subset of
+        # mass over alpha mu(B) and oscillation within slack * OSC_alpha
+        f = VecFunction(np.random.default_rng(5).normal(size=(8, 2)), norm_kind)
+        full = dyadic3.members(dyadic3.full_ball_id())
+        mu = dyadic3.measure(full)
+        subsets = [list(s) for k in range(1, 9) for s in combinations(range(8), k)]
+        for alpha in (0.3, 0.5, 0.75):
+            want = alpha_oscillation(f, full, alpha, dyadic3, method="exhaustive")
+            for slack in (1.0, 2.0):
+                atoms, osc = alpha_core(f, full, alpha, dyadic3, slack=slack)
+                assert osc == want
+                mass = dyadic3.measure(atoms)
+                assert mass > alpha * mu
+                assert _oscillation(f, atoms) <= slack * osc + 1e-15
+                assert not any(dyadic3.measure(s) > mass
+                               and _oscillation(f, s) <= slack * osc + 1e-15
+                               for s in subsets)
 
     def test_bad_slack(self, dyadic3):
         with pytest.raises(ValueError):

@@ -177,7 +177,7 @@ class TestHalfDensityPostconditions:
         # a hand-built tree: root node 0 with F = {0, 1} and child node 3;
         # nesting, coverage and the child mass bound hold, ball 1 is dense
         f_sets = {0: np.array([0, 1]), 3: np.array([], dtype=np.int64)}
-        args = ([0, 3], [0, 3], [None, 0], [[1], []], [0, -2],
+        args = ([0, 3], [0, 3], np.array([0, 0]), [0, -2],
                 [np.arange(2, 8), np.arange(2)], f_sets.__getitem__, 0.01, {})
         with pytest.raises(ConstructionFailure, match="above child node 1"):
             _verify_sparse_tree(dyadic3, *args)
@@ -536,8 +536,8 @@ class TestSetRowsEqualPairLoops:
         rank = rng.integers(0, 3, size=n).tolist()
         witness = [np.union1d(np.flatnonzero(rng.random(8) < 0.12), [u - 7])
                    for u in und]
-        args = (und, [0] * n, [None] + [0] * (n - 1), [list(range(1, n))] + [[]] * (n - 1),
-                rank, witness, lambda b: np.array([], dtype=np.int64), 10.0, {})
+        args = (und, [0] * n, np.zeros(n, dtype=np.int64), rank, witness,
+                lambda b: np.array([], dtype=np.int64), 10.0, {})
         want = _witness_clash_by_pairs(rank, witness)
         assert (want is None) == (seed in (4, 5))
         if want is None:
